@@ -16,6 +16,7 @@ from .local_systems import pushforward_local_system, trace_split, twisted_betti
 from .simplicial import betti_numbers
 from .specfile import (
     LoadedSpec,
+    complement_presentation,
     load_spec,
     parse_spec_text,
     spec_to_dict,
@@ -40,20 +41,10 @@ def _emit(text: str, out: str | None) -> None:
 
 def cmd_generators(args) -> int:
     loaded = _load(args.spec)
-    spec_like = loaded.cover_spec() if loaded.monodromy is not None else None
-    if spec_like is not None:
-        pres = spec_like.presentation
+    if loaded.monodromy is not None:
+        pres = loaded.cover_spec().presentation
     else:
-        from .presentation import edge_path_presentation
-        from .simplicial import full_subcomplex
-
-        branch_vertices = (set(loaded.branch.complex.vertices)
-                           if loaded.branch is not None else set())
-        complement = full_subcomplex(
-            loaded.base.complex,
-            (v for v in loaded.base.complex.vertices if v not in branch_vertices))
-        bp = loaded.basepoint if loaded.basepoint is not None else min(complement.vertices)
-        pres = edge_path_presentation(complement, bp)
+        pres = complement_presentation(loaded.base, loaded.branch, loaded.basepoint)
     lines = [f"basepoint: {pres.basepoint}",
              f"vertices: {len(pres.complex.vertices)}",
              f"tree-edges: {len(pres.tree_edges)}",

@@ -221,33 +221,40 @@ def oriented_vertex_link_cycle(c: SimplicialComplex, signs: dict[Simplex, int],
     return cycle
 
 
+def _rref_mod_p(m: list[list[int]], ncols: int, p: int) -> list[int]:
+    """Gauss-Jordan over GF(p), p prime, in place on rows reduced mod p.
+
+    Pivots only in the first ``ncols`` columns; returns the pivot columns,
+    the i-th pivot sitting in row i.
+    """
+    pivots: list[int] = []
+    for pc in range(ncols):
+        pr = len(pivots)
+        if pr == len(m):
+            break
+        piv = next((i for i in range(pr, len(m)) if m[i][pc]), None)
+        if piv is None:
+            continue
+        m[pr], m[piv] = m[piv], m[pr]
+        inv = pow(m[pr][pc], -1, p)
+        m[pr] = [(x * inv) % p for x in m[pr]]
+        for i in range(len(m)):
+            if i != pr and m[i][pc]:
+                f = m[i][pc]
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[pr])]
+        pivots.append(pc)
+    return pivots
+
+
 def solve_mod_p(rows: list[list[int]], rhs: list[int], ncols: int,
                 p: int) -> list[int] | None:
     """One solution of a linear system over GF(p), or None if inconsistent."""
     m = [[rows[i][j] % p for j in range(ncols)] + [rhs[i] % p] for i in range(len(rows))]
-    nr = len(m)
-    pivots: list[tuple[int, int]] = []
-    pr = 0
-    for pc in range(ncols):
-        piv = next((i for i in range(pr, nr) if m[i][pc]), None)
-        if piv is None:
-            continue
-        m[pr], m[piv] = m[piv], m[pr]
-        inv = pow(m[pr][pc], p - 2, p) if p > 2 else m[pr][pc]
-        m[pr] = [(x * inv) % p for x in m[pr]]
-        for i in range(nr):
-            if i != pr and m[i][pc]:
-                f = m[i][pc]
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[pr])]
-        pivots.append((pr, pc))
-        pr += 1
-        if pr == nr:
-            break
-    for i in range(pr, nr):
-        if m[i][ncols]:
-            return None
+    pivots = _rref_mod_p(m, ncols, p)
+    if any(row[ncols] for row in m[len(pivots):]):
+        return None
     sol = [0] * ncols
-    for (ri, ci) in pivots:
+    for ri, ci in enumerate(pivots):
         sol[ci] = m[ri][ncols]
     return sol
 
@@ -255,24 +262,7 @@ def solve_mod_p(rows: list[list[int]], rhs: list[int], ncols: int,
 def nullspace_mod_p(rows: list[list[int]], ncols: int, p: int) -> list[list[int]]:
     """Basis of the solution space of a homogeneous system over GF(p)."""
     m = [[r[j] % p for j in range(ncols)] for r in rows]
-    nr = len(m)
-    pivots: list[int] = []
-    pr = 0
-    for pc in range(ncols):
-        piv = next((i for i in range(pr, nr) if m[i][pc]), None)
-        if piv is None:
-            continue
-        m[pr], m[piv] = m[piv], m[pr]
-        inv = pow(m[pr][pc], p - 2, p) if p > 2 else m[pr][pc]
-        m[pr] = [(x * inv) % p for x in m[pr]]
-        for i in range(nr):
-            if i != pr and m[i][pc]:
-                f = m[i][pc]
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[pr])]
-        pivots.append(pc)
-        pr += 1
-        if pr == nr:
-            break
+    pivots = _rref_mod_p(m, ncols, p)
     pivot_set = set(pivots)
     basis = []
     for f in range(ncols):

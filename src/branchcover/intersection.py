@@ -15,7 +15,7 @@ from fractions import Fraction
 from .errors import AnchorUnavailable, BadDimension, InternalCheckError
 from . import linalg
 from .local_systems import LocalSystemQ
-from .simplicial import Simplex
+from .simplicial import ChainComplexQ, Simplex, betti
 from .stratified import (
     StratifiedComplex,
     cone_stratified,
@@ -116,7 +116,7 @@ class ICComplexQ:
     ``ic_basis[j]`` spans the allowable j-chains with allowable boundary
     inside the allowable span (coordinates are allowable-simplex index
     times coefficient rank); ``boundaries[j]`` is the boundary in these
-    bases, verified to square to zero.
+    bases, verified to square to zero by :class:`ChainComplexQ`.
     """
 
     dim: int
@@ -265,21 +265,8 @@ def intersection_chain_complex(sc: StratifiedComplex, p: Perversity | None,
             cols.append(col)
         boundaries.append(tuple(cols))
 
-    # boundary squared must vanish in the induced bases
-    for j in range(2, m + 1):
-        for col in boundaries[j]:
-            acc: dict[int, Fraction] = {}
-            for row, v in col.items():
-                for row2, v2 in boundaries[j - 1][row].items():
-                    acc[row2] = acc.get(row2, Fraction(0)) + v * v2
-            if any(acc.values()):
-                raise InternalCheckError(f"induced boundary squared is nonzero in degree {j}")
-
-    ranks = [linalg.rank_from_columns(boundaries[j]) if 1 <= j <= m else 0
-             for j in range(m + 2)]
-    ih = tuple(len(ic_basis[j]) - ranks[j] - ranks[j + 1] for j in range(m + 1))
-    return ICComplexQ(m, r, tuple(allowable), tuple(ic_basis),
-                      tuple(boundaries), ih)
+    cc = ChainComplexQ([len(basis) for basis in ic_basis], boundaries)
+    return ICComplexQ(m, r, tuple(allowable), tuple(ic_basis), cc.boundaries, betti(cc))
 
 
 def ih_betti(sc: StratifiedComplex, p: Perversity | None,

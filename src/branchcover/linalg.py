@@ -1,22 +1,24 @@
 """Exact linear algebra over the rationals.
 
-Everything here is exact: matrices carry ``int`` or ``fractions.Fraction``
-entries, and ranks come from fraction-free (Bareiss) elimination on an
-integer matrix obtained by clearing denominators row by row.  Simplicial
-boundary operators are large but structurally trivial almost everywhere,
-so ``sparse_rank`` first runs a peeling pass that pivots away rows and
-columns with a single nonzero entry; the dense elimination only ever sees
-the small core that survives.
+Everything here is exact: entries are ``int`` or ``fractions.Fraction``.
+Ranks and kernels come from one sparse Gauss elimination,
+:func:`_pivot_rows`, with a min-degree pivot rule (Dumas, Saunders and
+Villard, *On efficient sparse integer matrix Smith normal form
+computations*, 2001): :func:`rank_from_columns` counts its pivots, and
+:func:`sparse_nullspace` back-substitutes its pivot rows to read off a
+kernel basis.  The dense helpers build, compare and invert the small
+transport matrices of local systems.
 
 Conventions: dense matrices are lists of row lists; sparse matrices are
-``{row: {col: value}}`` or lists of column dicts.  All pivot choices are
-deterministic, so every routine is reproducible bit for bit.
+``{row: {col: value}}`` or lists of ``{row: value}`` column dicts.  All
+pivot choices are deterministic, so every routine is reproducible bit
+for bit.
 """
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterator, Sequence
 
 Vec = Sequence
 Mat = Sequence
@@ -67,14 +69,6 @@ def mat_equal(a: Mat, b: Mat) -> bool:
 
 def mat_add(a: Mat, b: Mat) -> list[list[Fraction]]:
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def is_zero_matrix(a: Mat) -> bool:
-    return all(not x for row in a for x in row)
-
-
-def transpose(a: Mat) -> list[list[Fraction]]:
-    return [list(col) for col in zip(*a)] if a else []
 
 
 def permutation_matrix(image: Sequence[int]) -> list[list[Fraction]]:
@@ -131,74 +125,20 @@ def matrix_inverse(a: Mat) -> list[list[Fraction]]:
 
 
 # ---------------------------------------------------------------------------
-# rank
+# sparse elimination: ranks and kernels
 
 
-def clear_denominators(row: Iterable) -> list[int]:
-    row = list(row)
-    mult = 1
-    for x in row:
-        if isinstance(x, Fraction) and x.denominator != 1:
-            mult = mult * x.denominator // gcd(mult, x.denominator)
-    out = []
-    for x in row:
-        if isinstance(x, Fraction):
-            out.append(int(x * mult))
-        else:
-            out.append(int(x) * mult)
-    return out
+def _pivot_rows(rows: dict[int, dict[int, Fraction]]
+                ) -> Iterator[tuple[int, dict[int, Fraction]]]:
+    """Sparse Gaussian elimination of ``{row: {col: value}}``, one pivot at a time.
 
-
-def bareiss_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix by fraction-free elimination."""
-    m = [list(r) for r in rows]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    rank = 0
-    prev = 1
-    pr = 0
-    for pc in range(nc):
-        piv = None
-        for i in range(pr, nr):
-            if m[i][pc]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != pr:
-            m[pr], m[piv] = m[piv], m[pr]
-        p = m[pr][pc]
-        mr = m[pr]
-        for i in range(pr + 1, nr):
-            mi = m[i]
-            f = mi[pc]
-            for j in range(pc + 1, nc):
-                mi[j] = (p * mi[j] - f * mr[j]) // prev
-            mi[pc] = 0
-        prev = p
-        pr += 1
-        rank += 1
-        if pr == nr:
-            break
-    return rank
-
-
-def dense_rank(rows: Sequence[Sequence]) -> int:
-    if not rows or not rows[0]:
-        return 0
-    return bareiss_rank([clear_denominators(r) for r in rows])
-
-
-def sparse_rank(rows: dict[int, dict[int, Fraction]]) -> int:
-    """Rank of a sparse matrix given as ``{row: {col: value}}``.
-
-    Sparse Gaussian elimination with a min-degree pivot rule: always
-    eliminate a row of minimal fill (smallest entry count, then smallest
-    id), pivoting in its sparsest column.  Simplicial boundary operators
-    eliminate with very little fill under this rule.  Deterministic.
+    Min-degree pivot rule: always eliminate a row of minimal fill (smallest
+    entry count, then smallest id), pivoting in its sparsest column (fewest
+    live rows, then smallest id).  Simplicial boundary operators eliminate
+    with very little fill under this rule.  Yields ``(pivot column, pivot
+    row divided by its pivot)`` in elimination order; each yielded row has
+    no entry in an earlier pivot column.  Deterministic.
     """
-    import heapq
-
     work: dict[int, dict[int, Fraction]] = {}
     cols: dict[int, set[int]] = {}
     for r, row in rows.items():
@@ -210,13 +150,11 @@ def sparse_rank(rows: dict[int, dict[int, Fraction]]) -> int:
 
     heap = [(len(row), r) for r, row in work.items()]
     heapq.heapify(heap)
-    rank = 0
     while heap:
         nnz, r = heapq.heappop(heap)
         row = work.get(r)
         if row is None or len(row) != nnz:
             continue  # stale entry; a fresh one is in the heap if the row lives
-        rank += 1
         pc = min(row, key=lambda c: (len(cols[c]), c))
         pv = row[pc]
         # detach the pivot row
@@ -225,137 +163,7 @@ def sparse_rank(rows: dict[int, dict[int, Fraction]]) -> int:
             if not cols[c]:
                 del cols[c]
         del work[r]
-        targets = sorted(cols.get(pc, ()))
-        for r2 in targets:
-            row2 = work[r2]
-            f = row2[pc] / pv
-            for c2, v in row.items():
-                if c2 == pc:
-                    del row2[pc]
-                    cols[pc].discard(r2)
-                    continue
-                new = row2.get(c2, Fraction(0)) - f * v
-                if new:
-                    if c2 not in row2:
-                        cols.setdefault(c2, set()).add(r2)
-                    row2[c2] = new
-                elif c2 in row2:
-                    del row2[c2]
-                    cols[c2].discard(r2)
-                    if not cols[c2]:
-                        del cols[c2]
-            if row2:
-                heapq.heappush(heap, (len(row2), r2))
-            else:
-                del work[r2]
-        if pc in cols and not cols[pc]:
-            del cols[pc]
-    return rank
-
-
-def rank_from_columns(columns: Sequence[dict[int, Fraction]]) -> int:
-    rows: dict[int, dict[int, Fraction]] = {}
-    for j, col in enumerate(columns):
-        for i, v in col.items():
-            if v:
-                rows.setdefault(i, {})[j] = v
-    return sparse_rank(rows)
-
-
-# ---------------------------------------------------------------------------
-# echelon forms and kernels
-
-
-def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (matrix, pivot column list)."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    pivots: list[int] = []
-    pr = 0
-    for pc in range(nc):
-        piv = next((r for r in range(pr, nr) if m[r][pc]), None)
-        if piv is None:
-            continue
-        m[pr], m[piv] = m[piv], m[pr]
-        pv = m[pr][pc]
-        m[pr] = [x / pv for x in m[pr]]
-        for r in range(nr):
-            if r != pr and m[r][pc]:
-                f = m[r][pc]
-                m[r] = [x - f * y for x, y in zip(m[r], m[pr])]
-        pivots.append(pc)
-        pr += 1
-        if pr == nr:
-            break
-    return m, pivots
-
-
-def nullspace(rows: Sequence[Sequence], ncols: int) -> tuple[list[dict[int, Fraction]], list[int]]:
-    """Kernel basis of a dense matrix with ``ncols`` columns.
-
-    Returns (basis, free_columns).  Basis vector i has entry 1 at
-    free_columns[i] and is zero at all other free columns, so coordinates
-    of any kernel element in this basis can be read off at the free
-    positions.  Vectors are returned as sparse ``{index: value}`` dicts.
-    """
-    if not rows:
-        return [{c: Fraction(1)} for c in range(ncols)], list(range(ncols))
-    m, pivots = rref(rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        vec: dict[int, Fraction] = {f: Fraction(1)}
-        for r, pc in enumerate(pivots):
-            v = m[r][f]
-            if v:
-                vec[pc] = -v
-        basis.append(vec)
-    return basis, free
-
-
-def kernel_dimension(rows: Sequence[Sequence], ncols: int) -> int:
-    return ncols - dense_rank(rows) if rows else ncols
-
-
-def sparse_nullspace(rows: dict[int, dict[int, Fraction]],
-                     ncols: int) -> tuple[list[dict[int, Fraction]], list[int]]:
-    """Kernel basis of a sparse matrix, same contract as :func:`nullspace`.
-
-    Gauss-Jordan elimination on sparse rows with the min-degree pivot rule
-    of :func:`sparse_rank`; the reduced rows are kept so the kernel basis
-    can be read off.  Basis vector i has entry 1 at free column i and zero
-    at the other free columns.
-    """
-    import heapq
-
-    work: dict[int, dict[int, Fraction]] = {}
-    cols: dict[int, set[int]] = {}
-    for r, row in rows.items():
-        filtered = {c: Fraction(v) for c, v in row.items() if v}
-        if filtered:
-            work[r] = filtered
-            for c in filtered:
-                cols.setdefault(c, set()).add(r)
-
-    heap = [(len(row), r) for r, row in work.items()]
-    heapq.heapify(heap)
-    reduced: dict[int, dict[int, Fraction]] = {}  # pivot col -> normalized row
-    while heap:
-        nnz, r = heapq.heappop(heap)
-        row = work.get(r)
-        if row is None or len(row) != nnz:
-            continue
-        pc = min(row, key=lambda c: (len(cols[c]), c))
-        pv = row[pc]
-        for c in row:
-            cols[c].discard(r)
-            if not cols[c]:
-                del cols[c]
-        del work[r]
         norm = {c: v / pv for c, v in row.items()}
-        # eliminate the pivot column from the remaining unprocessed rows
         for r2 in sorted(cols.get(pc, ())):
             row2 = work[r2]
             f = row2[pc]
@@ -380,28 +188,55 @@ def sparse_nullspace(rows: dict[int, dict[int, Fraction]],
                 del work[r2]
         if pc in cols and not cols[pc]:
             del cols[pc]
-        # and from the rows already reduced (Jordan step)
-        for opc, orow in reduced.items():
-            f = orow.get(pc)
-            if f:
-                for c2, v in norm.items():
-                    new = orow.get(c2, Fraction(0)) - f * v
-                    if new:
-                        orow[c2] = new
-                    elif c2 in orow:
-                        del orow[c2]
-        reduced[pc] = norm
+        yield pc, norm
 
-    pivot_cols = set(reduced)
-    free = [c for c in range(ncols) if c not in pivot_cols]
+
+def rank_from_columns(columns: Sequence[dict[int, Fraction]]) -> int:
+    """Rank of a sparse matrix given as a list of ``{row: value}`` columns."""
+    rows: dict[int, dict[int, Fraction]] = {}
+    for j, col in enumerate(columns):
+        for i, v in col.items():
+            if v:
+                rows.setdefault(i, {})[j] = v
+    return sum(1 for _ in _pivot_rows(rows))
+
+
+def sparse_nullspace(rows: dict[int, dict[int, Fraction]],
+                     ncols: int) -> tuple[list[dict[int, Fraction]], list[int]]:
+    """Kernel basis of a sparse ``{row: {col: value}}`` matrix with ``ncols`` columns.
+
+    Returns (basis, free_columns).  Basis vector i has entry 1 at
+    free_columns[i] and is zero at all other free columns, so coordinates
+    of any kernel element in this basis can be read off at the free
+    positions.  Vectors are sparse ``{index: value}`` dicts.
+
+    The pivot rows of :func:`_pivot_rows` are back-substituted in reverse
+    elimination order into the reduced row echelon form for that pivot
+    set, from which the basis is read off.
+    """
+    pivots = list(_pivot_rows(rows))
+    reduced: dict[int, dict[int, Fraction]] = {}  # pivot col -> row free of other pivots
+    for pc, row in reversed(pivots):
+        for c in [c for c in row if c in reduced]:
+            f = row.pop(c)
+            for c2, v in reduced[c].items():
+                if c2 != c:
+                    new = row.get(c2, Fraction(0)) - f * v
+                    if new:
+                        row[c2] = new
+                    else:
+                        row.pop(c2, None)
+        reduced[pc] = row
+
+    free = [c for c in range(ncols) if c not in reduced]
     by_free: dict[int, dict[int, Fraction]] = {f: {} for f in free}
-    for pc, row in reduced.items():
+    for pc, row in pivots:
         for c, v in row.items():
-            if c != pc and v:
+            if c != pc:
                 by_free[c][pc] = -v
     basis = []
     for f in free:
-        vec = dict(by_free[f])
+        vec = by_free[f]
         vec[f] = Fraction(1)
         basis.append(vec)
     return basis, free
@@ -416,11 +251,11 @@ def invariant_space(mats: Sequence[Mat]) -> tuple[list[dict[int, Fraction]], int
     if not mats:
         return [], 0
     n = len(mats[0])
-    stacked: list[list[Fraction]] = []
+    stacked: dict[int, dict[int, Fraction]] = {}
     for m in mats:
         for i in range(n):
-            row = [Fraction(m[i][j]) - (1 if i == j else 0) for j in range(n)]
-            if any(row):
-                stacked.append(row)
-    basis, _free = nullspace(stacked, n)
+            row = {j: v for j in range(n) if (v := Fraction(m[i][j]) - (1 if i == j else 0))}
+            if row:
+                stacked[len(stacked)] = row
+    basis, _free = sparse_nullspace(stacked, n)
     return basis, len(basis)

@@ -14,6 +14,7 @@ from typing import Iterable, Sequence
 
 from .errors import (
     DuplicateSimplex,
+    InternalCheckError,
     MissingFace,
     NonAscendingTuple,
     SimplexNotFound,
@@ -288,14 +289,17 @@ class ChainComplexQ:
 
     ``boundaries[j]`` is the operator from degree j to degree j-1 stored
     as a tuple of sparse columns; composition of consecutive boundaries
-    is verified to vanish at construction time.
+    is verified to vanish at construction time.  The column dicts are
+    stored as given, not copied: every builder (:func:`chain_complex`,
+    ``twisted_chain_complex``, ``intersection_chain_complex``) passes
+    freshly built columns and never touches them again.
     """
 
     __slots__ = ("ranks", "boundaries")
 
     def __init__(self, ranks: Sequence[int], boundaries: Sequence[Sequence[SparseCol]]):
         self.ranks = tuple(ranks)
-        self.boundaries = tuple(tuple(dict(col) for col in bd) for bd in boundaries)
+        self.boundaries = tuple(tuple(bd) for bd in boundaries)
         if len(self.boundaries) != len(self.ranks):
             raise ValueError("need one boundary slot per degree")
         for j, bd in enumerate(self.boundaries):
@@ -316,7 +320,7 @@ class ChainComplexQ:
                     for row2, val2 in self.boundaries[j - 1][row].items():
                         acc[row2] = acc.get(row2, Fraction(0)) + val * val2
                 if any(acc.values()):
-                    raise ValueError(f"boundary squared is nonzero in degree {j}")
+                    raise InternalCheckError(f"boundary squared is nonzero in degree {j}")
 
     @property
     def dim(self) -> int:

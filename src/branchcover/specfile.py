@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 
 from .errors import SpecFileError
 from .covering import BranchedCoverSpec, MonodromyRep
-from .simplicial import SimplicialComplex, validate_complex
+from .presentation import EdgePathPresentation, edge_path_presentation
+from .simplicial import SimplicialComplex, full_subcomplex, validate_complex
 from .stratified import StratifiedComplex, subdivide_with_subcomplexes
 
 
@@ -74,17 +75,23 @@ def parse_spec_text(text: str) -> SpecData:
     if opts.get("perversity", "lower") not in ("lower", "upper", "zero", "top"):
         raise SpecFileError("options.perversity must be lower, upper, zero or top")
     subs = opts.get("subdivisions", 0)
-    if subs not in (0, 1, 2):
+    if not _is_int(subs) or subs not in (0, 1, 2):
         raise SpecFileError("options.subdivisions must be 0, 1 or 2")
     if data.monodromy is not None:
         mono = data.monodromy
         if not isinstance(mono, dict) or "degree" not in mono or "assignments" not in mono:
             raise SpecFileError("'monodromy' needs keys degree and assignments")
-        if not isinstance(mono["degree"], int) or mono["degree"] < 1:
+        if not _is_int(mono["degree"]) or mono["degree"] < 1:
             raise SpecFileError("monodromy.degree must be a positive integer")
+        if "basepoint" in mono and not _is_int(mono["basepoint"]):
+            raise SpecFileError("monodromy.basepoint must be an integer vertex id")
         if not isinstance(mono["assignments"], dict):
             raise SpecFileError("monodromy.assignments must be an object")
     return data
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _parse_edge_key(key: str) -> tuple[int, int]:
@@ -136,6 +143,19 @@ def _stratified_from_lists(complex_: SimplicialComplex, levels_raw: list | None,
     return StratifiedComplex(complex_, singular)
 
 
+def complement_presentation(base: StratifiedComplex, branch: StratifiedComplex | None,
+                            basepoint: int | None) -> EdgePathPresentation:
+    """Presentation of the complement of the branch locus, based at
+    ``basepoint`` or else at its smallest vertex."""
+    branch_vertices = set(branch.complex.vertices) if branch is not None else set()
+    complement = full_subcomplex(
+        base.complex, (v for v in base.complex.vertices if v not in branch_vertices))
+    if complement.n_simplices() == 0:
+        raise SpecFileError("complement of the branch locus is empty")
+    bp = basepoint if basepoint is not None else min(complement.vertices)
+    return edge_path_presentation(complement, bp)
+
+
 def load_spec(data: SpecData) -> LoadedSpec:
     """Validate, subdivide as requested and assemble domain objects."""
     base_c = validate_complex(_simplices(data.complex, "complex"))
@@ -156,17 +176,8 @@ def load_spec(data: SpecData) -> LoadedSpec:
     monodromy = None
     basepoint = None
     if data.monodromy is not None:
-        from .presentation import edge_path_presentation
-        from .simplicial import full_subcomplex
-
         basepoint = data.monodromy.get("basepoint")
-        branch_vertices = set(branch.complex.vertices) if branch is not None else set()
-        complement = full_subcomplex(
-            base.complex, (v for v in base.complex.vertices if v not in branch_vertices))
-        if complement.n_simplices() == 0:
-            raise SpecFileError("complement of the branch locus is empty")
-        bp = basepoint if basepoint is not None else min(complement.vertices)
-        pres = edge_path_presentation(complement, bp)
+        pres = complement_presentation(base, branch, basepoint)
         assignments = {}
         for key, val in data.monodromy["assignments"].items():
             if not isinstance(val, list) or not all(isinstance(x, int) for x in val):

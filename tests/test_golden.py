@@ -1,0 +1,65 @@
+"""Golden corpus: CLI output that refactors must leave byte-identical.
+
+Each spec ``tests/golden/<spec>.json`` is the output of ``branchcover
+fixture`` with the arguments in SPECS; each case in CASES runs one CLI
+command on a spec, and ``tests/golden/<case>.out`` is its stdout.  An
+intended change of output is recorded by rerunning that command with
+``--out`` and reviewing the diff.
+"""
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+from branchcover.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# spec file stem -> `branchcover fixture` arguments
+SPECS = {
+    "sphere-p2-d2": ["sphere-branched", "--points", "2", "--degree", "2"],
+    "sphere-p3-d3": ["sphere-branched", "--points", "3", "--degree", "3"],
+    "sphere-p6-d3": ["sphere-branched", "--points", "6", "--degree", "3"],
+    "s3-unknot-double": ["s3-unknot-double"],
+    "circle-d5": ["circle-cover", "--degree", "5", "--perm", "1,0,3,4,2"],
+    "suspension-torus": ["suspension-torus"],
+    "pinched-torus": ["pinched-torus"],
+}
+
+# case name -> (command, spec stem, extra arguments, exit code)
+CASES = {
+    "verify-sphere-p2-d2": ("verify", "sphere-p2-d2", ["--format", "json"], 0),
+    "verify-sphere-p3-d3": ("verify", "sphere-p3-d3", ["--format", "json"], 0),
+    "verify-sphere-p6-d3": ("verify", "sphere-p6-d3", ["--format", "json"], 0),
+    "verify-s3-unknot-double": ("verify", "s3-unknot-double", ["--format", "json"], 0),
+    "verify-s3-unknot-double-upper": (
+        "verify", "s3-unknot-double", ["--format", "json", "--perversity", "upper"], 0),
+    "verify-circle-d5": ("verify", "circle-d5", [], 0),
+    "twisted-circle-d5": ("twisted", "circle-d5", [], 0),
+    "fibers-sphere-p6-d3": ("fibers", "sphere-p6-d3", [], 0),
+    "ih-suspension-torus": ("ih", "suspension-torus", [], 0),
+    "ih-pinched-torus": ("ih", "pinched-torus", [], 0),
+}
+
+
+def _run(argv, capsys) -> tuple[int, str]:
+    capsys.readouterr()
+    rc = main(argv)
+    return rc, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cli_output_matches_golden(case, capsys):
+    command, spec, extra, want_rc = CASES[case]
+    rc, out = _run([command, str(GOLDEN / f"{spec}.json"), *extra], capsys)
+    assert rc == want_rc
+    assert out == (GOLDEN / f"{case}.out").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("spec", sorted(SPECS))
+def test_fixture_spec_matches_golden(spec, capsys):
+    rc, out = _run(["fixture", *SPECS[spec]], capsys)
+    assert rc == 0
+    assert out == (GOLDEN / f"{spec}.json").read_text(encoding="utf-8")
+

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from branchcover import linalg
+from branchcover.local_systems import sum_zero_action
 
 from oracles import dense_rank
 
@@ -18,11 +19,10 @@ def to_sparse(rows):
             for i, row in enumerate(rows) if any(row)}
 
 
-def test_bareiss_rank_matches_oracle():
-    rng = random.Random(7)
-    for _ in range(60):
-        m = random_matrix(rng, rng.randint(1, 8), rng.randint(1, 8))
-        assert linalg.bareiss_rank(m) == dense_rank(m)
+def to_columns(rows):
+    ncols = len(rows[0]) if rows else 0
+    return [{i: Fraction(row[j]) for i, row in enumerate(rows) if row[j]}
+            for j in range(ncols)]
 
 
 def test_sparse_rank_matches_oracle():
@@ -30,7 +30,7 @@ def test_sparse_rank_matches_oracle():
     for _ in range(80):
         m = random_matrix(rng, rng.randint(1, 12), rng.randint(1, 12),
                           density=rng.choice([0.15, 0.4, 0.9]))
-        assert linalg.sparse_rank(to_sparse(m)) == dense_rank(m)
+        assert linalg.rank_from_columns(to_columns(m)) == dense_rank(m)
 
 
 def test_sparse_rank_with_fractions():
@@ -38,30 +38,13 @@ def test_sparse_rank_with_fractions():
     for _ in range(30):
         m = [[Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(6)]
              for _ in range(5)]
-        assert linalg.sparse_rank(to_sparse(m)) == dense_rank(m)
+        assert linalg.rank_from_columns(to_columns(m)) == dense_rank(m)
 
 
 def test_rank_from_columns():
     cols = [{0: Fraction(1), 1: Fraction(1)}, {0: Fraction(2), 1: Fraction(2)},
             {2: Fraction(1)}]
     assert linalg.rank_from_columns(cols) == 2
-
-
-def test_nullspace_vectors_lie_in_kernel():
-    rng = random.Random(19)
-    for _ in range(40):
-        nr, nc = rng.randint(1, 6), rng.randint(1, 8)
-        m = random_matrix(rng, nr, nc)
-        basis, free = linalg.nullspace(m, nc)
-        assert len(basis) == nc - dense_rank(m)
-        for vec in basis:
-            for row in m:
-                s = sum(Fraction(row[j]) * v for j, v in vec.items())
-                assert s == 0
-        # coordinates are readable at the free positions
-        for bi, vec in enumerate(basis):
-            for fi, f in enumerate(free):
-                assert vec.get(f, Fraction(0)) == (1 if fi == bi else 0)
 
 
 def test_matrix_inverse_roundtrip():
@@ -100,9 +83,15 @@ def test_invariant_space_of_swap():
     assert vec.get(0) == vec.get(1)
 
 
-def test_clear_denominators():
-    row = [Fraction(1, 2), Fraction(1, 3), 1]
-    assert linalg.clear_denominators(row) == [3, 2, 6]
+def assert_kernel_contract(m, nc, basis, free):
+    assert len(basis) == nc - dense_rank(m)
+    for vec in basis:
+        for row in m:
+            assert sum(Fraction(row[j]) * v for j, v in vec.items()) == 0
+    # coordinates are readable at the free positions
+    for bi, vec in enumerate(basis):
+        for fi, f in enumerate(free):
+            assert vec.get(f, Fraction(0)) == (1 if fi == bi else 0)
 
 
 def test_sparse_nullspace_matches_contract():
@@ -110,13 +99,34 @@ def test_sparse_nullspace_matches_contract():
     for _ in range(50):
         nr, nc = rng.randint(1, 7), rng.randint(1, 9)
         m = random_matrix(rng, nr, nc, density=rng.choice([0.2, 0.5, 0.9]))
-        rows = {i: {j: Fraction(v) for j, v in enumerate(row) if v}
-                for i, row in enumerate(m) if any(row)}
-        basis, free = linalg.sparse_nullspace(rows, nc)
-        assert len(basis) == nc - dense_rank(m)
-        for vec in basis:
-            for row in m:
-                assert sum(Fraction(row[j]) * v for j, v in vec.items()) == 0
-        for bi, vec in enumerate(basis):
-            for fi, f in enumerate(free):
-                assert vec.get(f, Fraction(0)) == (1 if fi == bi else 0)
+        assert_kernel_contract(m, nc, *linalg.sparse_nullspace(to_sparse(m), nc))
+
+
+def test_nullspace_vectors_lie_in_kernel():
+    rng = random.Random(19)
+    for _ in range(40):
+        nr, nc = rng.randint(1, 6), rng.randint(1, 8)
+        m = random_matrix(rng, nr, nc)
+        assert_kernel_contract(m, nc, *linalg.sparse_nullspace(to_sparse(m), nc))
+
+
+def test_invariant_space_matches_oracle():
+    rng = random.Random(43)
+    for _ in range(40):
+        n = rng.randint(2, 7)
+        perms = []
+        for _ in range(rng.randint(1, 3)):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            perms.append(perm)
+        families = [[linalg.permutation_matrix(g) for g in perms],
+                    [sum_zero_action(g) for g in perms]]
+        for mats in families:
+            size = len(mats[0])
+            stacked = [[Fraction(m[i][j]) - (1 if i == j else 0) for j in range(size)]
+                       for m in mats for i in range(size)]
+            basis, dim = linalg.invariant_space(mats)
+            assert dim == len(basis) == size - dense_rank(stacked)
+            for vec in basis:
+                for row in stacked:
+                    assert sum(row[j] * v for j, v in vec.items()) == 0

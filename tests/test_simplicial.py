@@ -2,11 +2,13 @@ import pytest
 
 from branchcover.errors import (
     DuplicateSimplex,
+    InternalCheckError,
     MissingFace,
     NonAscendingTuple,
     SimplexNotFound,
 )
 from branchcover.simplicial import (
+    ChainComplexQ,
     SimplicialComplex,
     barycentric_subdivide_complex,
     betti,
@@ -146,6 +148,12 @@ def test_edge_boundary_signs():
 
 def test_boundary_squared_zero_enforced():
     chain_complex(octahedron())  # constructor would raise otherwise
+
+
+def test_nonzero_boundary_squared_raises_internal_check():
+    # d2 e0 = e0 and d1 e0 = e0, so d1 d2 != 0 in degree 2
+    with pytest.raises(InternalCheckError, match="degree 2"):
+        ChainComplexQ((1, 1, 1), ((), ({0: 1},), ({0: 1},)))
 
 
 def test_betti_octahedron_and_torus_against_oracle():

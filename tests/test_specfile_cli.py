@@ -231,3 +231,47 @@ def test_every_fixture_roundtrips_and_is_deterministic(tmp_path):
 def test_parse_requires_complex_key():
     with pytest.raises(SpecFileError):
         parse_spec_text('{"branch": []}')
+
+
+
+def _set_basepoint_list(raw):
+    raw["monodromy"]["basepoint"] = [1]
+
+
+def _set_degree_true(raw):
+    raw["monodromy"]["degree"] = True  # the fixture has degree 1
+
+
+def _set_subdivisions_true(raw):
+    del raw["monodromy"]
+    raw["options"]["subdivisions"] = True
+
+
+def _branch_everywhere(raw):
+    del raw["monodromy"]
+    raw["branch"] = raw["complex"]
+
+
+# case -> (command, circle-cover degree, edit of the spec); each edited spec
+# once ran (degree, subdivisions) or crashed with a traceback (the others)
+HOSTILE_EDITS = {
+    "basepoint-list": ("verify", "2", _set_basepoint_list),
+    "degree-bool": ("verify", "1", _set_degree_true),
+    "subdivisions-bool": ("homology", "2", _set_subdivisions_true),
+    "generators-empty-complement": ("generators", "2", _branch_everywhere),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_EDITS))
+def test_cli_rejects_hostile_spec_in_one_line(case, tmp_path, capsys):
+    command, degree, edit = HOSTILE_EDITS[case]
+    path = write_fixture(tmp_path, "circle-cover", "--degree", degree)
+    raw = json.loads(path.read_text())
+    edit(raw)
+    path.write_text(json.dumps(raw))
+    capsys.readouterr()
+    rc = main([command, str(path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
