@@ -1,8 +1,8 @@
 """File-driven command line front end.
 
-Exit codes: 0 success, 1 invalid input, 2 decomposition equality failed,
-3 internal cross-check failed.  All output is deterministic: identical
-input files produce byte-identical reports.
+Exit codes: 0 success, 1 invalid input or unreadable file, 2 decomposition
+equality failed, 3 internal cross-check failed or unexpected exception.  All
+output is deterministic: identical input files produce byte-identical reports.
 """
 from __future__ import annotations
 
@@ -235,12 +235,12 @@ def main(argv=None) -> int:
     except InternalCheckError as exc:
         sys.stderr.write(f"internal check failed: {exc}\n")
         return 3
-    except InputError as exc:
+    except (InputError, OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
+    except Exception as exc:  # a bug, not bad input: one line, never a traceback
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}".splitlines()[0] + "\n")
+        return 3
 
 
 if __name__ == "__main__":

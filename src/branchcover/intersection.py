@@ -202,10 +202,8 @@ def intersection_chain_complex(sc: StratifiedComplex, p: Perversity | None,
                     if mat is None:
                         col[base + t] = col.get(base + t, Fraction(0)) + sign
                     else:
-                        for rt in range(r):
-                            v = mat[rt][t]
-                            if v:
-                                col[base + rt] = col.get(base + rt, Fraction(0)) + sign * v
+                        for rt, v in mat.cols[t].items():
+                            col[base + rt] = col.get(base + rt, Fraction(0)) + sign * v
                 allow_cols[j].append({k: v for k, v in acol.items() if v})
                 other_cols[j].append({k: v for k, v in ocol.items() if v})
         # deterministic row order for the non-allowable faces

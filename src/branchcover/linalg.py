@@ -6,10 +6,10 @@ Ranks and kernels come from one sparse Gauss elimination,
 Villard, *On efficient sparse integer matrix Smith normal form
 computations*, 2001): :func:`rank_from_columns` counts its pivots, and
 :func:`sparse_nullspace` back-substitutes its pivot rows to read off a
-kernel basis.  The dense helpers build, compare and invert the small
-transport matrices of local systems.
+kernel basis.  :func:`matrix_inverse` inverts the general rational
+transports of local systems built from explicit matrices.
 
-Conventions: dense matrices are lists of row lists; sparse matrices are
+Conventions: dense matrices are sequences of rows; sparse matrices are
 ``{row: {col: value}}`` or lists of ``{row: value}`` column dicts.  All
 pivot choices are deterministic, so every routine is reproducible bit
 for bit.
@@ -20,89 +20,11 @@ import heapq
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-Vec = Sequence
 Mat = Sequence
 
 
 # ---------------------------------------------------------------------------
-# dense helpers
-
-
-def identity_matrix(n: int) -> list[list[Fraction]]:
-    return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-
-
-def zero_matrix(nrows: int, ncols: int) -> list[list[Fraction]]:
-    return [[Fraction(0)] * ncols for _ in range(nrows)]
-
-
-def matmul(a: Mat, b: Mat) -> list[list[Fraction]]:
-    nr, inner, nc = len(a), len(b), len(b[0]) if b else 0
-    out = [[Fraction(0)] * nc for _ in range(nr)]
-    for i in range(nr):
-        ai = a[i]
-        oi = out[i]
-        for k in range(inner):
-            aik = ai[k]
-            if aik:
-                bk = b[k]
-                for j in range(nc):
-                    if bk[j]:
-                        oi[j] += aik * bk[j]
-    return out
-
-
-def matvec(a: Mat, v: Vec) -> list[Fraction]:
-    return [sum((row[k] * v[k] for k in range(len(v)) if v[k]), Fraction(0)) for row in a]
-
-
-def mat_equal(a: Mat, b: Mat) -> bool:
-    if len(a) != len(b):
-        return False
-    for ra, rb in zip(a, b):
-        if len(ra) != len(rb):
-            return False
-        if any(x != y for x, y in zip(ra, rb)):
-            return False
-    return True
-
-
-def mat_add(a: Mat, b: Mat) -> list[list[Fraction]]:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def permutation_matrix(image: Sequence[int]) -> list[list[Fraction]]:
-    """Matrix P with P e_s = e_{image[s]}."""
-    n = len(image)
-    m = zero_matrix(n, n)
-    for s, t in enumerate(image):
-        m[t][s] = Fraction(1)
-    return m
-
-
-def is_permutation_matrix(a: Mat) -> bool:
-    n = len(a)
-    if any(len(row) != n for row in a):
-        return False
-    for row in a:
-        if sum(1 for x in row if x == 1) != 1 or any(x not in (0, 1) for x in row):
-            return False
-    for j in range(n):
-        if sum(1 for i in range(n) if a[i][j] == 1) != 1:
-            return False
-    return True
-
-
-def permutation_of_matrix(a: Mat) -> list[int]:
-    """Inverse of :func:`permutation_matrix`; assumes the input is one."""
-    n = len(a)
-    image = [0] * n
-    for s in range(n):
-        for t in range(n):
-            if a[t][s]:
-                image[s] = t
-                break
-    return image
+# dense inverse
 
 
 def matrix_inverse(a: Mat) -> list[list[Fraction]]:

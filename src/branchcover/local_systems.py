@@ -6,11 +6,14 @@ flatness over every 2-simplex.  The pushforward system of a degree-d
 cover is the permutation system of the monodromy; it splits as the
 constant rank-1 system plus the sum-zero kernel of the coordinate-sum
 (trace) map, which is the local system driving all decomposition checks.
+Both summands come from a permutation monodromy, so their transports
+have at most two nonzeros per column: :class:`Transport` stores columns.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .errors import (
     Disconnected,
@@ -20,11 +23,93 @@ from .errors import (
     RelatorViolatedMatrix,
 )
 from . import linalg
-from .covering import MonodromyRep, Perm
+from .covering import MonodromyRep, Perm, transport_table, validate_monodromy
 from .presentation import EdgePathPresentation, edge_path_presentation
 from .simplicial import ChainComplexQ, SimplicialComplex, betti, is_connected
 
-Matrix = list
+
+class Transport:
+    """An r x r rational matrix stored as r sparse columns ``{row: value}``.
+
+    Columns hold no zero entries, so transports are equal when their columns are.
+    ``t[i][j]`` reads one entry in O(1) through a row view, so a
+    transport also reads as a dense matrix.  Treated as immutable.
+    """
+
+    __slots__ = ("cols", "_rows")
+
+    def __init__(self, cols: list[dict[int, Fraction]]):
+        self.cols = cols
+        self._rows = None  # row views, made on the first dense read
+
+    @classmethod
+    def permutation(cls, image: Sequence[int]) -> "Transport":
+        """The permutation matrix P with P e_s = e_{image[s]}."""
+        return cls([{t: 1} for t in image])
+
+    @classmethod
+    def from_rows(cls, rows) -> "Transport":
+        """Adapter for a dense square matrix given as a sequence of rows."""
+        n = len(rows)
+        if any(len(row) != n for row in rows):
+            raise RankMismatch(f"matrix with {n} rows is not square")
+        return cls([{i: Fraction(row[j]) for i, row in enumerate(rows) if row[j]}
+                    for j in range(n)])
+
+    def __len__(self) -> int:
+        return len(self.cols)
+
+    def __getitem__(self, i: int) -> "_Row":
+        if self._rows is None:
+            self._rows = tuple(_Row(self.cols, k) for k in range(len(self.cols)))
+        return self._rows[i]
+
+    def __matmul__(self, other: "Transport") -> "Transport":
+        """The product self . other: ``other`` acts first."""
+        out = []
+        for col in other.cols:
+            acc: dict[int, Fraction] = {}
+            for k, b in col.items():
+                for i, a in self.cols[k].items():
+                    acc[i] = acc.get(i, 0) + a * b
+            out.append({i: v for i, v in acc.items() if v})
+        return Transport(out)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Transport) and self.cols == other.cols
+
+    def inverse(self) -> "Transport":
+        """Exact inverse; raises ValueError if singular."""
+        return Transport.from_rows(linalg.matrix_inverse(self))
+
+
+class _Row:
+    """Row ``i`` of a :class:`Transport`, read without copying."""
+
+    __slots__ = ("cols", "i")
+
+    def __init__(self, cols: list[dict[int, Fraction]], i: int):
+        self.cols, self.i = cols, i
+
+    def __getitem__(self, j: int):
+        return self.cols[j].get(self.i, 0)
+
+
+def sum_zero_action(perm: Perm) -> Transport:
+    """Action of a permutation on the sum-zero basis e_i - e_{d-1}.
+
+    Column i is e_{perm[i]} - e_{perm[d-1]} in that basis: +1 at row
+    perm[i] and -1 at row perm[d-1], each dropped when it is d - 1.
+    """
+    d = len(perm)
+    last = perm[d - 1]
+    cols: list[dict[int, Fraction]] = [{} for _ in range(d - 1)]
+    for i, col in enumerate(cols):
+        if perm[i] < d - 1:
+            col[perm[i]] = 1
+        if last < d - 1:
+            col[last] = -1
+    return Transport(cols)
 
 
 class LocalSystemQ:
@@ -33,30 +118,28 @@ class LocalSystemQ:
     __slots__ = ("base", "rank", "transports")
 
     def __init__(self, base: SimplicialComplex, rank: int,
-                 transports: dict[tuple[int, int], Matrix]):
+                 transports: dict[tuple[int, int], Transport]):
         if rank < 0:
             raise RankMismatch("rank must be non-negative")
         edges = base.simplices_of_dim(1)
         for (u, v) in edges:
             if (u, v) not in transports or (v, u) not in transports:
                 raise NotASubcomplex(f"edge {u}->{v} has no transport")
-        ident = linalg.identity_matrix(rank)
+        ident = Transport.permutation(range(rank))
         for (u, v) in edges:
             f, b = transports[(u, v)], transports[(v, u)]
-            if len(f) != rank or any(len(row) != rank for row in f):
+            if len(f) != rank or len(b) != rank:
                 raise RankMismatch(f"transport of {u}->{v} is not {rank}x{rank}")
-            if not linalg.mat_equal(linalg.matmul(b, f), ident):
+            if b @ f != ident:
                 raise RankMismatch(f"transport of {v}->{u} is not inverse to {u}->{v}")
         for (a, b, c) in base.simplices_of_dim(2):
-            lhs = linalg.matmul(transports[(b, c)], transports[(a, b)])
-            if not linalg.mat_equal(lhs, transports[(a, c)]):
+            if transports[(b, c)] @ transports[(a, b)] != transports[(a, c)]:
                 raise RankMismatch(f"flatness fails on 2-simplex {[a, b, c]}")
         self.base = base
         self.rank = rank
-        self.transports = {e: [list(map(Fraction, row)) for row in m]
-                           for e, m in transports.items()}
+        self.transports = transports
 
-    def transport(self, u: int, v: int) -> Matrix:
+    def transport(self, u: int, v: int) -> Transport:
         try:
             return self.transports[(u, v)]
         except KeyError:
@@ -64,19 +147,21 @@ class LocalSystemQ:
 
     @classmethod
     def from_forward_edges(cls, base: SimplicialComplex, rank: int,
-                           forward: dict[tuple[int, int], Matrix]) -> "LocalSystemQ":
-        transports: dict[tuple[int, int], Matrix] = {}
+                           forward: dict[tuple[int, int], object]) -> "LocalSystemQ":
+        """Forward transports as dense rows or :class:`Transport`; reverses are inverses."""
+        transports: dict[tuple[int, int], Transport] = {}
         for (u, v) in base.simplices_of_dim(1):
             m = forward[(u, v)]
+            m = m if isinstance(m, Transport) else Transport.from_rows(m)
             transports[(u, v)] = m
-            transports[(v, u)] = linalg.matrix_inverse(m) if rank else []
+            transports[(v, u)] = m.inverse()
         return cls(base, rank, transports)
 
 
 def trivial_system(base: SimplicialComplex, rank: int = 1) -> LocalSystemQ:
-    ident = linalg.identity_matrix(rank)
-    forward = {e: ident for e in base.simplices_of_dim(1)}
-    return LocalSystemQ.from_forward_edges(base, rank, forward)
+    ident = Transport.permutation(range(rank))
+    edges = base.simplices_of_dim(1)
+    return LocalSystemQ(base, rank, {e: ident for (u, v) in edges for e in ((u, v), (v, u))})
 
 
 @dataclass(frozen=True)
@@ -92,14 +177,14 @@ class RepresentationQ:
             raise RelatorViolatedMatrix(
                 f"{len(self.presentation.generators)} generators but "
                 f"{len(self.matrices)} matrices")
-        inverses = [linalg.matrix_inverse(m) if self.rank else [] for m in self.matrices]
-        ident = linalg.identity_matrix(self.rank)
+        mats = [Transport.from_rows(m) for m in self.matrices]
+        inverses = [m.inverse() for m in mats]
+        ident = Transport.permutation(range(self.rank))
         for i, word in enumerate(self.presentation.relators):
             acc = ident
             for (gi, sign) in word:
-                m = self.matrices[gi] if sign > 0 else inverses[gi]
-                acc = linalg.matmul(m, acc)
-            if not linalg.mat_equal(acc, ident):
+                acc = (mats[gi] if sign > 0 else inverses[gi]) @ acc
+            if acc != ident:
                 raise RelatorViolatedMatrix(f"relator {i} does not evaluate to the identity")
 
 
@@ -107,50 +192,53 @@ def from_representation(rep: RepresentationQ) -> LocalSystemQ:
     """Tree edges transport by the identity, generators by their matrices."""
     rep.validate()
     pres = rep.presentation
-    ident = linalg.identity_matrix(rep.rank)
-    forward: dict[tuple[int, int], Matrix] = {}
-    for e in pres.complex.simplices_of_dim(1):
-        if e in pres.tree_edges:
-            forward[e] = ident
-        else:
-            forward[e] = rep.matrices[pres.gen_index[e]]
+    ident = Transport.permutation(range(rep.rank))
+    forward = {e: ident if e in pres.tree_edges else rep.matrices[pres.gen_index[e]]
+               for e in pres.complex.simplices_of_dim(1)}
     return LocalSystemQ.from_forward_edges(pres.complex, rep.rank, forward)
 
 
 def pushforward_local_system(pres: EdgePathPresentation, rep: MonodromyRep) -> LocalSystemQ:
     """Rank-d permutation system modeling the direct image of a d-cover."""
-    matrices = tuple(linalg.permutation_matrix(img) for img in rep.images)
-    return from_representation(RepresentationQ(pres, rep.degree, matrices))
+    validate_monodromy(pres, rep)
+    table = transport_table(pres, rep)
+    made = {p: Transport.permutation(p) for p in set(table.values())}  # shared per perm
+    return LocalSystemQ(pres.complex, rep.degree, {e: made[p] for e, p in table.items()})
 
 
 # ---------------------------------------------------------------------------
 # trace splitting
 
 
-def sum_zero_action(perm: Perm) -> Matrix:
-    """Action of a permutation on the sum-zero basis e_i - e_{d-1}."""
-    d = len(perm)
-    k = [[Fraction(0)] * (d - 1) for _ in range(d - 1)]
-    last = perm[d - 1]
-    for i in range(d - 1):
-        gi = perm[i]
-        if gi < d - 1:
-            k[gi][i] += 1
-        if last < d - 1:
-            k[last][i] -= 1
-    return k
-
-
 @dataclass(frozen=True)
 class TraceSplit:
-    """Constant-plus-kernel splitting of a permutation system."""
+    """Constant-plus-kernel splitting of a degree-d permutation system; maps built when read."""
 
     constant: LocalSystemQ
     kernel: LocalSystemQ
-    unit: tuple          # d x 1, the all-ones column (eta)
-    trace: tuple         # 1 x d, the coordinate sum (epsilon)
-    kernel_inclusion: tuple   # d x (d-1), columns e_i - e_{d-1}
-    kernel_projection: tuple  # (d-1) x d, v -> coordinates of v - mean
+    degree: int
+
+    @property
+    def unit(self) -> tuple:  # d x 1, the all-ones column (eta)
+        return tuple((Fraction(1),) for _ in range(self.degree))
+
+    @property
+    def trace(self) -> tuple:  # 1 x d, the coordinate sum (epsilon)
+        return (tuple(Fraction(1) for _ in range(self.degree)),)
+
+    @property
+    def kernel_inclusion(self) -> tuple:  # d x (d-1), columns e_i - e_{d-1}
+        d = self.degree
+        return tuple(
+            tuple(Fraction((1 if j == i else 0) - (1 if j == d - 1 else 0)) for i in range(d - 1))
+            for j in range(d))
+
+    @property
+    def kernel_projection(self) -> tuple:  # (d-1) x d, v -> coordinates of v - mean
+        d = self.degree
+        return tuple(
+            tuple(Fraction(1 if i == j else 0) - Fraction(1, d) for j in range(d))
+            for i in range(d - 1))
 
 
 def trace_split(system: LocalSystemQ) -> TraceSplit:
@@ -162,24 +250,15 @@ def trace_split(system: LocalSystemQ) -> TraceSplit:
     """
     d = system.rank
     perms: dict[tuple[int, int], Perm] = {}
-    for e, m in system.transports.items():
-        if not linalg.is_permutation_matrix(m):
+    for e, t in system.transports.items():
+        image = tuple(row for col in t.cols for row, v in col.items() if v == 1)
+        if any(len(col) != 1 for col in t.cols) or len(set(image)) != d:
             raise NotPermutationSystem(f"transport along {e[0]}->{e[1]} is not a permutation matrix")
-        perms[e] = tuple(linalg.permutation_of_matrix(m))
-
+        perms[e] = image
     constant = trivial_system(system.base, 1)
-    forward = {e: sum_zero_action(perms[e]) for e in system.base.simplices_of_dim(1)}
-    kernel = LocalSystemQ.from_forward_edges(system.base, max(d - 1, 0), forward)
-
-    unit = tuple((Fraction(1),) for _ in range(d))
-    trace = (tuple(Fraction(1) for _ in range(d)),)
-    incl = tuple(
-        tuple(Fraction((1 if j == i else 0) - (1 if j == d - 1 else 0)) for i in range(d - 1))
-        for j in range(d))
-    proj = tuple(
-        tuple(Fraction(1 if i == j else 0) - Fraction(1, d) for j in range(d))
-        for i in range(d - 1))
-    return TraceSplit(constant, kernel, unit, trace, incl, proj)
+    made = {p: sum_zero_action(p) for p in set(perms.values())}
+    kernel = LocalSystemQ(system.base, max(d - 1, 0), {e: made[p] for e, p in perms.items()})
+    return TraceSplit(constant, kernel, d)
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +276,9 @@ def monodromy_matrices(system: LocalSystemQ) -> list:
     mats = []
     for (u, v) in pres.generators:
         path = pres.tree_path(u) + (v,) + tuple(reversed(pres.tree_path(v)))[1:]
-        acc = linalg.identity_matrix(system.rank)
+        acc = Transport.permutation(range(system.rank))
         for a, b in zip(path, path[1:]):
-            acc = linalg.matmul(system.transport(a, b), acc)
+            acc = system.transport(a, b) @ acc
         mats.append(acc)
     return mats
 
@@ -215,8 +294,9 @@ def global_sections(system: LocalSystemQ) -> tuple[int, list]:
 
 
 def invariant_dimension(matrices, rank: int) -> int:
-    """Dimension of the joint fixed space of explicit matrices."""
-    mats = [m for m in matrices if not linalg.mat_equal(m, linalg.identity_matrix(rank))]
+    """Dimension of the joint fixed space of explicit transports."""
+    ident = Transport.permutation(range(rank))
+    mats = [m for m in matrices if m != ident]
     if not mats:
         return rank
     _basis, dim = linalg.invariant_space(mats)
@@ -260,10 +340,8 @@ def twisted_chain_complex(c: SimplicialComplex, system: LocalSystemQ) -> ChainCo
                     if mat is None:
                         col[base_row + t] = col.get(base_row + t, Fraction(0)) + sign
                     else:
-                        for rt in range(r):
-                            v = mat[rt][t]
-                            if v:
-                                col[base_row + rt] = col.get(base_row + rt, Fraction(0)) + sign * v
+                        for rt, v in mat.cols[t].items():
+                            col[base_row + rt] = col.get(base_row + rt, Fraction(0)) + sign * v
                 cols.append({k: v for k, v in col.items() if v})
         boundaries[j] = cols
     return ChainComplexQ(ranks, boundaries)

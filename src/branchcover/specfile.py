@@ -180,7 +180,7 @@ def load_spec(data: SpecData) -> LoadedSpec:
         pres = complement_presentation(base, branch, basepoint)
         assignments = {}
         for key, val in data.monodromy["assignments"].items():
-            if not isinstance(val, list) or not all(isinstance(x, int) for x in val):
+            if not isinstance(val, list) or not all(_is_int(x) for x in val):
                 raise SpecFileError(f"assignment {key!r} must be a list of integers")
             assignments[_parse_edge_key(key)] = tuple(val)
         monodromy = MonodromyRep.from_edge_dict(pres, data.monodromy["degree"], assignments)

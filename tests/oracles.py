@@ -40,6 +40,45 @@ def dense_rank(rows) -> int:
     return rank
 
 
+def identity(n):
+    return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+
+
+def matmul(a, b):
+    """Dense product; ``a`` is anything read as ``a[i][k]``, ``b`` a list of rows."""
+    inner = len(b)
+    ncols = len(b[0]) if inner else 0
+    return [[sum((Fraction(a[i][k]) * b[k][j] for k in range(inner)), Fraction(0))
+             for j in range(ncols)] for i in range(len(a))]
+
+
+def mat_equal(a, b):
+    """Entrywise equality of two row-iterable matrices."""
+    return [list(row) for row in a] == [list(row) for row in b]
+
+
+def permutation_matrix(image):
+    """Dense P with P e_s = e_{image[s]}."""
+    n = len(image)
+    return [[Fraction(1 if image[s] == t else 0) for s in range(n)] for t in range(n)]
+
+
+def sum_zero_matrix(perm):
+    """Dense action of a permutation on the basis u_i = e_i - e_{d-1} of the sum-zero space.
+
+    A sum-zero vector w is sum_k w_k u_k over k < d-1, so column i is the
+    first d-1 coordinates of P u_i = e_{perm[i]} - e_{perm[d-1]}.
+    """
+    d = len(perm)
+    cols = []
+    for i in range(d - 1):
+        w = [0] * d
+        w[perm[i]] += 1
+        w[perm[d - 1]] -= 1
+        cols.append(w[:d - 1])
+    return [[Fraction(cols[j][i]) for j in range(d - 1)] for i in range(d - 1)]
+
+
 def close_faces(top):
     """Face closure of a list of simplices, as a sorted list."""
     out = set()

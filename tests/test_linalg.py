@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from branchcover import linalg
-from branchcover.local_systems import sum_zero_action
+from branchcover.local_systems import Transport, sum_zero_action
 
-from oracles import dense_rank
+from oracles import dense_rank, identity, mat_equal, matmul, permutation_matrix
 
 
 def random_matrix(rng, nrows, ncols, density=0.5, span=5):
@@ -57,7 +57,7 @@ def test_matrix_inverse_roundtrip():
             continue
         made += 1
         inv = linalg.matrix_inverse(m)
-        assert linalg.mat_equal(linalg.matmul(m, inv), linalg.identity_matrix(n))
+        assert mat_equal(matmul(m, inv), identity(n))
 
 
 def test_matrix_inverse_singular_raises():
@@ -65,18 +65,8 @@ def test_matrix_inverse_singular_raises():
         linalg.matrix_inverse([[1, 2], [2, 4]])
 
 
-def test_permutation_matrix_convention():
-    # P e_s = e_{perm[s]}
-    p = linalg.permutation_matrix((1, 2, 0))
-    e0 = [Fraction(1), Fraction(0), Fraction(0)]
-    assert linalg.matvec(p, e0) == [0, 1, 0]
-    assert linalg.is_permutation_matrix(p)
-    assert linalg.permutation_of_matrix(p) == [1, 2, 0]
-    assert not linalg.is_permutation_matrix([[1, 1], [0, 1]])
-
-
 def test_invariant_space_of_swap():
-    swap = linalg.permutation_matrix((1, 0))
+    swap = permutation_matrix((1, 0))
     basis, dim = linalg.invariant_space([swap])
     assert dim == 1
     (vec,) = basis
@@ -119,7 +109,8 @@ def test_invariant_space_matches_oracle():
             perm = list(range(n))
             rng.shuffle(perm)
             perms.append(perm)
-        families = [[linalg.permutation_matrix(g) for g in perms],
+        families = [[permutation_matrix(g) for g in perms],
+                    [Transport.permutation(g) for g in perms],
                     [sum_zero_action(g) for g in perms]]
         for mats in families:
             size = len(mats[0])

@@ -247,6 +247,11 @@ def _set_subdivisions_true(raw):
     raw["options"]["subdivisions"] = True
 
 
+def _assignment_bools(raw):
+    for key in raw["monodromy"]["assignments"]:
+        raw["monodromy"]["assignments"][key] = [True, False]  # once ran as the swap
+
+
 def _branch_everywhere(raw):
     del raw["monodromy"]
     raw["branch"] = raw["complex"]
@@ -259,6 +264,7 @@ HOSTILE_EDITS = {
     "degree-bool": ("verify", "1", _set_degree_true),
     "subdivisions-bool": ("homology", "2", _set_subdivisions_true),
     "generators-empty-complement": ("generators", "2", _branch_everywhere),
+    "assignment-bool": ("verify", "2", _assignment_bools),
 }
 
 
@@ -275,3 +281,29 @@ def test_cli_rejects_hostile_spec_in_one_line(case, tmp_path, capsys):
     assert rc == 1
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_cli_unexpected_exception_exits_3_in_one_line(tmp_path, capsys, monkeypatch):
+    import branchcover.cli as cli
+
+    def broken(spec):
+        raise RuntimeError("stage broke\nsecond line")
+
+    monkeypatch.setattr(cli, "verify_unbranched", broken)
+    path = write_fixture(tmp_path, "circle-cover", "--degree", "2")
+    capsys.readouterr()
+    rc = main(["verify", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err == "internal error: RuntimeError: stage broke\n"
+
+
+def test_cli_unreadable_spec_is_input_error(tmp_path, capsys):
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe\x00")
+    for path in (tmp_path, binary):  # a directory, then bytes that are not UTF-8
+        capsys.readouterr()
+        rc = main(["verify", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and err.count("\n") == 1

@@ -44,6 +44,26 @@ def test_unbranched_disconnected_identity_cover():
     assert report.all_equal
 
 
+def test_unbranched_degree_1000_cli(tmp_path, capsys):
+    from branchcover.cli import main
+    from oracles import orbits_of
+    perm, start = [], 0
+    for n in (500, 300, 150, 49, 1):  # one cycle per block of sheets
+        perm += [start + (i + 1) % n for i in range(n)]
+        start += n
+    c = len(orbits_of([perm], 1000))
+    assert c == 5
+    path = tmp_path / "circle-1000.json"
+    assert main(["fixture", "circle-cover", "--degree", "1000",
+                 "--perm", ",".join(map(str, perm)), "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert f"b(cover)        = [{c}, {c}]" in out
+    assert f"b(base; kernel) = [{c - 1}, {c - 1}]" in out
+    assert "equality: HOLDS" in out
+
+
 def test_unbranched_rejects_branched_spec():
     y, r, rep, _ = sphere_branched_data(2, 2)
     with pytest.raises(InputError):
