@@ -181,8 +181,15 @@ def cmd_fixture(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as bad input (exit 1, one line), not with argparse's exit 2."""
+
+    def error(self, message):
+        raise BadParams(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="branchcover",
         description="branched covers of triangulated stratified spaces: "
                     "build, decompose, verify")
@@ -228,9 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except InternalCheckError as exc:
         sys.stderr.write(f"internal check failed: {exc}\n")

@@ -15,7 +15,7 @@ from fractions import Fraction
 from .errors import AnchorUnavailable, BadDimension, InternalCheckError
 from . import linalg
 from .local_systems import LocalSystemQ
-from .simplicial import ChainComplexQ, Simplex, betti
+from .simplicial import ChainComplexQ, Simplex, _boundary_columns, betti
 from .stratified import (
     StratifiedComplex,
     cone_stratified,
@@ -143,113 +143,61 @@ def intersection_chain_complex(sc: StratifiedComplex, p: Perversity | None,
     singular = set(sc.singular_set.vertices)
     level_verts = _level_vertex_sets(sc)
 
+    # rows of degree j: the allowable j-simplices, then all others in simplex order
     allowable: list[tuple[Simplex, ...]] = []
-    allow_index: list[dict[Simplex, int]] = []
+    rows: list[dict[Simplex, int]] = []
     for j in range(m + 1):
-        simps = tuple(s for s in sc.complex.simplices_of_dim(j)
-                      if _allowable(s, m, level_verts, p))
-        allowable.append(simps)
-        allow_index.append({s: i for i, s in enumerate(simps)})
+        simps = sc.complex.simplices_of_dim(j)
+        allowable.append(tuple(s for s in simps if _allowable(s, m, level_verts, p)))
+        index = {s: i for i, s in enumerate(allowable[j])}
+        for s in simps:
+            index.setdefault(s, len(index))
+        rows.append(index)
 
     def anchor(s: Simplex) -> int:
         for v in s:
             if v not in singular:
                 return v
         raise AnchorUnavailable(
-            f"allowable simplex {list(s)} has no vertex off the singular set")
+            f"simplex {list(s)} of an allowable chain has no vertex off the singular "
+            "set; subdivide the base")
 
-    if coeff is not None:
-        for j in range(1, m + 1):
-            for s in allowable[j]:
-                if sum(1 for v in s if v not in singular) < 2:
-                    raise AnchorUnavailable(
-                        f"allowable simplex {list(s)} has fewer than two vertices off "
-                        "the singular set; subdivide the base")
+    transport = coeff.transport if coeff is not None else None
+    cols = [_boundary_columns(allowable[j], rows[j - 1], r, transport, anchor) if j else []
+            for j in range(m + 1)]
 
-    def transport(u: int, v: int):
-        if u == v or coeff is None:
-            return None
-        return coeff.transport(u, v)
-
-    # boundary columns split into the allowable block and the rest
-    allow_cols: list[list[dict[int, Fraction]]] = [[] for _ in range(m + 1)]
-    other_rows: list[list[Simplex]] = [[] for _ in range(m + 1)]
-    other_cols: list[list[dict[int, Fraction]]] = [[] for _ in range(m + 1)]
-    for j in range(1, m + 1):
-        other_index: dict[Simplex, int] = {}
-        for s in allowable[j]:
-            blocks = []
-            a_s = anchor(s) if coeff is not None else None
-            for i in range(len(s)):
-                face = s[:i] + s[i + 1:]
-                sign = (-1) ** i
-                mat = transport(a_s, anchor(face)) if coeff is not None else None
-                fi = allow_index[j - 1].get(face)
-                if fi is None:
-                    oi = other_index.get(face)
-                    if oi is None:
-                        oi = len(other_index)
-                        other_index[face] = oi
-                    blocks.append(("o", oi, sign, mat))
-                else:
-                    blocks.append(("a", fi, sign, mat))
-            for t in range(r):
-                acol: dict[int, Fraction] = {}
-                ocol: dict[int, Fraction] = {}
-                for (kind, fi, sign, mat) in blocks:
-                    col = acol if kind == "a" else ocol
-                    base = fi * r
-                    if mat is None:
-                        col[base + t] = col.get(base + t, Fraction(0)) + sign
-                    else:
-                        for rt, v in mat.cols[t].items():
-                            col[base + rt] = col.get(base + rt, Fraction(0)) + sign * v
-                allow_cols[j].append({k: v for k, v in acol.items() if v})
-                other_cols[j].append({k: v for k, v in ocol.items() if v})
-        # deterministic row order for the non-allowable faces
-        ordered = sorted(other_index)
-        remap = {other_index[s]: i for i, s in enumerate(ordered)}
-        other_rows[j] = tuple(ordered)
-        for c in other_cols[j]:
-            items = [(remap[k // r] * r + k % r, v) for k, v in c.items()]
-            c.clear()
-            c.update(items)
-
-    # IC_j = kernel of the non-allowable block of the boundary
+    # IC_j = kernel of the boundary rows past the allowable block
     ic_basis: list[tuple[dict, ...]] = []
     free_cols: list[list[int]] = []
     for j in range(m + 1):
         ncols = len(allowable[j]) * r
-        if j == 0 or not other_rows[j]:
+        cut = len(allowable[j - 1]) * r if j else 0
+        outside: dict[int, dict[int, Fraction]] = {}
+        for ci, col in enumerate(cols[j]):
+            for row, v in col.items():
+                if row >= cut:
+                    outside.setdefault(row, {})[ci] = v
+        if outside:
+            basis, free = linalg.sparse_nullspace(outside, ncols)
+        else:
             basis = [{i: Fraction(1)} for i in range(ncols)]
             free = list(range(ncols))
-        else:
-            sparse_rows: dict[int, dict[int, Fraction]] = {}
-            for ci, col in enumerate(other_cols[j]):
-                for row, v in col.items():
-                    sparse_rows.setdefault(row, {})[ci] = v
-            basis, free = linalg.sparse_nullspace(sparse_rows, ncols)
         ic_basis.append(tuple(basis))
         free_cols.append(free)
 
     # induced boundary in the IC bases
     boundaries: list[tuple[dict, ...]] = [()]
     for j in range(1, m + 1):
-        cols = []
+        out = []
         prev_basis = ic_basis[j - 1]
-        prev_free = free_cols[j - 1]
-        free_pos = {f: i for i, f in enumerate(prev_free)}
+        free_pos = {f: i for i, f in enumerate(free_cols[j - 1])}
         for vec in ic_basis[j]:
             image: dict[int, Fraction] = {}
             for ci, coefv in vec.items():
-                for row, v in allow_cols[j][ci].items():
+                for row, v in cols[j][ci].items():
                     image[row] = image.get(row, Fraction(0)) + coefv * v
             image = {k: v for k, v in image.items() if v}
-            col = {}
-            for row, v in image.items():
-                fp = free_pos.get(row)
-                if fp is not None and v:
-                    col[fp] = v
+            col = {free_pos[row]: v for row, v in image.items() if row in free_pos}
             # exact verification that the image lies in the previous IC space
             recon: dict[int, Fraction] = {}
             for fp, cv in col.items():
@@ -260,8 +208,8 @@ def intersection_chain_complex(sc: StratifiedComplex, p: Perversity | None,
                 raise InternalCheckError(
                     f"boundary of an intersection chain in degree {j} left the "
                     "allowable-with-allowable-boundary subspace")
-            cols.append(col)
-        boundaries.append(tuple(cols))
+            out.append(col)
+        boundaries.append(tuple(out))
 
     cc = ChainComplexQ([len(basis) for basis in ic_basis], boundaries)
     return ICComplexQ(m, r, tuple(allowable), tuple(ic_basis), cc.boundaries, betti(cc))

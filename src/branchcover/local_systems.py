@@ -25,7 +25,7 @@ from .errors import (
 from . import linalg
 from .covering import MonodromyRep, Perm, transport_table, validate_monodromy
 from .presentation import EdgePathPresentation, edge_path_presentation
-from .simplicial import ChainComplexQ, SimplicialComplex, betti, is_connected
+from .simplicial import ChainComplexQ, SimplicialComplex, _boundary_columns, betti, is_connected
 
 
 class Transport:
@@ -314,37 +314,11 @@ def twisted_chain_complex(c: SimplicialComplex, system: LocalSystemQ) -> ChainCo
         if e not in system.transports:
             raise NotASubcomplex(f"local system has no transport for edge {list(e)}")
     r = system.rank
-    dim = c.dim
-    if dim < 0:
-        return ChainComplexQ((), ())
-    index = {d: {s: i for i, s in enumerate(c.simplices_of_dim(d))} for d in range(dim + 1)}
-    ranks = [c.n_simplices(d) * r for d in range(dim + 1)]
-    boundaries: list[list[dict[int, Fraction]]] = [[] for _ in range(dim + 1)]
-    for j in range(1, dim + 1):
-        rows = index[j - 1]
-        cols: list[dict[int, Fraction]] = []
-        for s in c.simplices_of_dim(j):
-            blocks = []
-            for i in range(len(s)):
-                face = s[:i] + s[i + 1:]
-                sign = (-1) ** i
-                if i == 0:
-                    mat = system.transport(s[0], s[1])
-                else:
-                    mat = None  # identity: anchors agree
-                blocks.append((rows[face], sign, mat))
-            for t in range(r):
-                col: dict[int, Fraction] = {}
-                for (fi, sign, mat) in blocks:
-                    base_row = fi * r
-                    if mat is None:
-                        col[base_row + t] = col.get(base_row + t, Fraction(0)) + sign
-                    else:
-                        for rt, v in mat.cols[t].items():
-                            col[base_row + rt] = col.get(base_row + rt, Fraction(0)) + sign * v
-                cols.append({k: v for k, v in col.items() if v})
-        boundaries[j] = cols
-    return ChainComplexQ(ranks, boundaries)
+    by_dim = [c.simplices_of_dim(d) for d in range(c.dim + 1)]
+    return ChainComplexQ([len(simps) * r for simps in by_dim], [
+        _boundary_columns(by_dim[j], {s: i for i, s in enumerate(by_dim[j - 1])}, r,
+                          system.transport, min) if j else []
+        for j in range(len(by_dim))])
 
 
 def twisted_betti(c: SimplicialComplex, system: LocalSystemQ) -> tuple[int, ...]:

@@ -290,9 +290,9 @@ class ChainComplexQ:
     ``boundaries[j]`` is the operator from degree j to degree j-1 stored
     as a tuple of sparse columns; composition of consecutive boundaries
     is verified to vanish at construction time.  The column dicts are
-    stored as given, not copied: every builder (:func:`chain_complex`,
-    ``twisted_chain_complex``, ``intersection_chain_complex``) passes
-    freshly built columns and never touches them again.
+    stored as given, not copied: the ordinary, twisted and intersection
+    complexes all take fresh columns from :func:`_boundary_columns` and
+    never touch them again.
     """
 
     __slots__ = ("ranks", "boundaries")
@@ -332,25 +332,48 @@ class ChainComplexQ:
         return linalg.rank_from_columns(self.boundaries[j])
 
 
+_SIGNS = (Fraction(1), Fraction(-1))  # shared: Fractions are immutable
+
+
+def _boundary_columns(simplices: Sequence[Simplex], rows: dict[Simplex, int], rank: int = 1,
+                      transport=None, anchor=None) -> list[SparseCol]:
+    """Boundary columns of the j-simplices, ``rank`` columns per simplex.
+
+    The coefficients of a simplex ``s`` sit at the vertex ``anchor(s)``.
+    Its i-th face enters with sign (-1)^i, the coefficients carried to
+    ``anchor(face)`` by ``transport(anchor(s), anchor(face))`` (its sparse
+    ``cols``), or unchanged when the two anchors agree.  Coefficient t of
+    a face is row ``rows[face] * rank + t``.  Without a transport every
+    coefficient stays put and ``anchor`` is never called.
+    """
+    cols: list[SparseCol] = []
+    for s in simplices:
+        a_s = anchor(s) if transport else None
+        blocks = []
+        for i in range(len(s)):
+            face = s[:i] + s[i + 1:]
+            fi = rows[face]
+            keys = (fi,) if rank == 1 else range(fi * rank, (fi + 1) * rank)
+            a_f = anchor(face) if transport else None
+            blocks.append((keys, _SIGNS[i & 1], None if a_f == a_s else transport(a_s, a_f)))
+        for t in range(rank):
+            col: SparseCol = {}
+            for keys, sign, mat in blocks:
+                if mat is None:
+                    col[keys[t]] = sign
+                else:
+                    for rt, v in mat.cols[t].items():
+                        col[keys[rt]] = sign * v
+            cols.append(col)
+    return cols
+
+
 def chain_complex(c: SimplicialComplex) -> ChainComplexQ:
     """Simplicial chain complex with the ascending-vertex orientation."""
-    dim = c.dim
-    if dim < 0:
-        return ChainComplexQ((), ())
-    index = {d: {s: i for i, s in enumerate(c.simplices_of_dim(d))} for d in range(dim + 1)}
-    ranks = [c.n_simplices(d) for d in range(dim + 1)]
-    boundaries: list[list[SparseCol]] = [[] for _ in range(dim + 1)]
-    for j in range(1, dim + 1):
-        rows = index[j - 1]
-        cols = []
-        for s in c.simplices_of_dim(j):
-            col: SparseCol = {}
-            for i in range(len(s)):
-                face = s[:i] + s[i + 1:]
-                col[rows[face]] = Fraction((-1) ** i)
-            cols.append(col)
-        boundaries[j] = cols
-    return ChainComplexQ(ranks, boundaries)
+    by_dim = [c.simplices_of_dim(d) for d in range(c.dim + 1)]
+    return ChainComplexQ([len(simps) for simps in by_dim], [
+        _boundary_columns(by_dim[j], {s: i for i, s in enumerate(by_dim[j - 1])}) if j else []
+        for j in range(len(by_dim))])
 
 
 def betti(cc: ChainComplexQ) -> tuple[int, ...]:

@@ -139,7 +139,6 @@ class UnbranchedReport:
     betti_cover: tuple[int, ...]
     betti_base: tuple[int, ...]
     betti_kernel: tuple[int, ...]
-    betti_pushforward: tuple[int, ...]
     equal_per_degree: tuple[bool, ...]
 
     @property
@@ -153,15 +152,13 @@ def verify_unbranched(spec: BranchedCoverSpec) -> UnbranchedReport:
         raise InputError("verify_unbranched requires an empty branch locus")
     cover = build_complement_cover(spec)
     b_cover = betti_numbers(cover.total)
-    pushforward = pushforward_local_system(spec.presentation, spec.monodromy)
-    split = trace_split(pushforward)
+    split = trace_split(pushforward_local_system(spec.presentation, spec.monodromy))
     base_c = spec.complement
     b_base = betti_numbers(base_c)
     b_kernel = twisted_betti(base_c, split.kernel)
-    b_push = twisted_betti(base_c, pushforward)
     n = len(b_base)
     equal = tuple(b_cover[j] == b_base[j] + b_kernel[j] for j in range(n))
-    return UnbranchedReport(spec.degree, b_cover, b_base, b_kernel, b_push, equal)
+    return UnbranchedReport(spec.degree, b_cover, b_base, b_kernel, equal)
 
 
 # ---------------------------------------------------------------------------

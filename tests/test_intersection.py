@@ -1,6 +1,6 @@
 import pytest
 
-from branchcover.covering import BranchedCoverSpec, refine_stratification
+from branchcover.covering import BranchedCoverSpec, MonodromyRep, refine_stratification
 from branchcover.errors import BadDimension, NotFull
 from branchcover.intersection import (
     ICComplexQ,
@@ -12,11 +12,13 @@ from branchcover.intersection import (
     intersection_chain_complex,
     is_allowable,
     lower_middle,
+    perversity_by_name,
     top_perversity,
     upper_middle,
     zero_perversity,
 )
-from branchcover.local_systems import pushforward_local_system, trace_split
+from branchcover.local_systems import pushforward_local_system, trace_split, twisted_betti
+from branchcover.presentation import edge_path_presentation
 from branchcover.simplicial import SimplicialComplex, betti_numbers, suspension
 from branchcover.stratified import (
     StratifiedComplex,
@@ -24,9 +26,12 @@ from branchcover.stratified import (
     trivial_stratification,
 )
 from branchcover.fixtures import (
+    _relator_rows,
+    annulus,
     boundary_simplex,
     cycle_complex,
     hexagon,
+    nullspace_mod_p,
     octahedron,
     pinched_torus,
     s3_unknot_double_data,
@@ -196,6 +201,34 @@ def test_ic_complex_structure():
     assert len(ic.boundaries[1]) == len(ic.ic_basis[1])
 
 
+def _refined(data):
+    y, r, _rep, _pres = data
+    return refine_stratification(y, r)
+
+
+STRATIFIED_BASES = {
+    "suspension-torus": suspension_torus,
+    "pinched-torus": pinched_torus,
+    **{f"sphere-branched-{pts}-{d}": (lambda pts=pts, d=d: _refined(sphere_branched_data(pts, d)))
+       for pts, d in ((2, 2), (3, 3), (4, 2), (5, 5), (6, 2), (6, 3))},
+    "s3-unknot-double": lambda: _refined(s3_unknot_double_data()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STRATIFIED_BASES))
+def test_allowable_simplices_leave_two_vertices_off_singular_set(name):
+    # p(2) = 0 on full levels: every allowable simplex of dimension >= 1
+    # keeps two vertices off the singular set, so each of its faces has
+    # a vertex there to anchor local-system coefficients
+    sc = STRATIFIED_BASES[name]()
+    singular = set(sc.singular_set.vertices)
+    for pname in ("lower", "upper", "zero", "top"):
+        p = perversity_by_name(pname, sc.dim)
+        for s in intersection_chain_complex(sc, p).allowable[1:]:
+            for simplex in s:
+                assert sum(1 for v in simplex if v not in singular) >= 2, (pname, simplex)
+
+
 # ---------------------------------------------------------------------------
 # twisted intersection homology
 
@@ -216,6 +249,21 @@ def test_twisted_ih_unknot_kernel_vanishes():
     split = trace_split(pushforward_local_system(spec.presentation, spec.monodromy))
     assert ih_betti(refined, lower_middle(3), split.kernel) == (0, 0, 0, 0)
     assert ih_betti(refined, lower_middle(3), None) == (1, 0, 0, 1)
+
+
+@pytest.mark.parametrize("base, expected", [(annulus, (2, 2, 0)), (torus7, (2, 4, 2))])
+def test_ih_of_unstratified_base_is_twisted_homology(base, expected):
+    # with no singular set the IC anchor is the minimal vertex, as in
+    # twisted chains; a transposition in degree 4 leaves kernel rank 3
+    c = base()
+    pres = edge_path_presentation(c, min(c.vertices))
+    n = len(pres.generators)
+    exponents = nullspace_mod_p(_relator_rows(pres), n, 2)[0]
+    swap, fixed = (1, 0, 2, 3), (0, 1, 2, 3)
+    rep = MonodromyRep(4, tuple(swap if e else fixed for e in exponents))
+    kernel = trace_split(pushforward_local_system(pres, rep)).kernel
+    assert ih_betti(trivial_stratification(c), lower_middle(2), kernel) == expected
+    assert twisted_betti(c, kernel) == expected
 
 
 # ---------------------------------------------------------------------------

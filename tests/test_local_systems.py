@@ -21,10 +21,12 @@ from branchcover.local_systems import (
     trace_split,
     trivial_system,
     twisted_betti,
+    twisted_chain_complex,
 )
 from branchcover.presentation import edge_path_presentation
-from branchcover.simplicial import betti_numbers, full_subcomplex
+from branchcover.simplicial import betti_numbers, chain_complex, full_subcomplex
 from branchcover.fixtures import (
+    annulus,
     circle_cover_data,
     figure_eight,
     full_simplex,
@@ -203,8 +205,10 @@ def test_global_sections_unipotent():
 
 
 def test_twisted_with_trivial_coefficients_is_ordinary():
-    for c in (hexagon(), octahedron(), torus7()):
+    for c in (hexagon(), octahedron(), torus7(), annulus(), full_simplex(3)):
         assert twisted_betti(c, trivial_system(c, 1)) == betti_numbers(c)
+        ordinary = chain_complex(c).boundaries
+        assert twisted_chain_complex(c, trivial_system(c, 1)).boundaries == ordinary
 
 
 def test_twisted_circle_sign_system():

@@ -257,30 +257,44 @@ def _branch_everywhere(raw):
     raw["branch"] = raw["complex"]
 
 
-# case -> (command, circle-cover degree, edit of the spec); each edited spec
-# once ran (degree, subdivisions) or crashed with a traceback (the others)
+SPEC = object()  # stands for the path of the edited spec in a command line
+
+# case -> (command line, circle-cover degree, edit of the spec or None); each
+# edited spec once ran (degree, subdivisions) or crashed with a traceback,
+# and each usage error once exited 2 with a multi-line usage block
 HOSTILE_EDITS = {
-    "basepoint-list": ("verify", "2", _set_basepoint_list),
-    "degree-bool": ("verify", "1", _set_degree_true),
-    "subdivisions-bool": ("homology", "2", _set_subdivisions_true),
-    "generators-empty-complement": ("generators", "2", _branch_everywhere),
-    "assignment-bool": ("verify", "2", _assignment_bools),
+    "basepoint-list": (("verify", SPEC), "2", _set_basepoint_list),
+    "degree-bool": (("verify", SPEC), "1", _set_degree_true),
+    "subdivisions-bool": (("homology", SPEC), "2", _set_subdivisions_true),
+    "generators-empty-complement": (("generators", SPEC), "2", _branch_everywhere),
+    "assignment-bool": (("verify", SPEC), "2", _assignment_bools),
+    "usage-unknown-option": (("verify", SPEC, "--bogus"), "2", None),
+    "usage-no-command": ((), "2", None),
+    "usage-bad-perversity": (("verify", SPEC, "--perversity", "bogus"), "2", None),
 }
 
 
 @pytest.mark.parametrize("case", sorted(HOSTILE_EDITS))
 def test_cli_rejects_hostile_spec_in_one_line(case, tmp_path, capsys):
-    command, degree, edit = HOSTILE_EDITS[case]
+    argv, degree, edit = HOSTILE_EDITS[case]
     path = write_fixture(tmp_path, "circle-cover", "--degree", degree)
-    raw = json.loads(path.read_text())
-    edit(raw)
-    path.write_text(json.dumps(raw))
+    if edit is not None:
+        raw = json.loads(path.read_text())
+        edit(raw)
+        path.write_text(json.dumps(raw))
     capsys.readouterr()
-    rc = main([command, str(path)])
+    rc = main([str(path) if a is SPEC else a for a in argv])
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_cli_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert "--perversity" in capsys.readouterr().out
 
 
 def test_cli_unexpected_exception_exits_3_in_one_line(tmp_path, capsys, monkeypatch):
