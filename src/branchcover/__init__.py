@@ -44,11 +44,8 @@ from .covering import (
 )
 from .local_systems import (
     LocalSystemQ,
-    RepresentationQ,
-    from_representation,
     pushforward_local_system,
     trace_split,
-    global_sections,
     twisted_chain_complex,
     twisted_betti,
     restrict,

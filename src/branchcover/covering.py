@@ -500,20 +500,24 @@ class ConnectivityReport:
 
 
 def complement_connectivity_check(spec: BranchedCoverSpec,
-                                  cover: CoverComplex | None = None) -> ConnectivityReport:
+                                  cover: CoverComplex | None = None,
+                                  base: ConnectivityReport | None = None) -> ConnectivityReport:
     """Verify star(tau) minus the locus is connected for every branch simplex.
 
     With a completed cover, also verifies the analogous condition
-    upstairs for every lift of every branch simplex.  Non-fatal: failures
-    are reported, not raised.
+    upstairs for every lift of every branch simplex.  ``base``, an earlier
+    report on the same spec, supplies the downstairs half instead of a
+    second pass.  Non-fatal: failures are reported, not raised.
     """
-    base_failures = []
-    checked_base = 0
-    for tau in spec.branch_simplices():
-        checked_base += 1
-        p = spec.punctured_star(tau)
-        if p.n_simplices() == 0 or not is_connected(p):
-            base_failures.append(tau)
+    if base is not None:
+        base_failures, checked_base = list(base.base_failures), base.checked_base
+    else:
+        base_failures, checked_base = [], 0
+        for tau in spec.branch_simplices():
+            checked_base += 1
+            p = spec.punctured_star(tau)
+            if p.n_simplices() == 0 or not is_connected(p):
+                base_failures.append(tau)
 
     cover_failures = []
     checked_cover = 0

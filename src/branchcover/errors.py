@@ -97,10 +97,6 @@ class BranchingAtHighCodim(InternalCheckError):
 
 # --- local systems ---
 
-class RelatorViolatedMatrix(InputError):
-    pass
-
-
 class NotPermutationSystem(InputError):
     pass
 

@@ -5,17 +5,19 @@ level in controlled dimension; the intersection complex in degree j is
 the space of allowable j-chains whose boundary is again allowable.
 Fullness of the filtration levels makes the intersection of a simplex
 with a level the face spanned by its vertices there, so allowability is
-a vertex count.  Homology ranks are computed by exact elimination.
+a vertex count.  :func:`ih_betti` takes the homology ranks from exact
+ranks of the boundary of the allowable chains alone; the complex with
+explicit bases, :func:`intersection_chain_complex`, serves the API and is
+the reference the ranks are tested against.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import AnchorUnavailable, BadDimension, InternalCheckError
 from . import linalg
 from .local_systems import LocalSystemQ
-from .simplicial import ChainComplexQ, Simplex, _boundary_columns, betti
+from .simplicial import ChainComplexQ, Simplex, SparseCol, _boundary_columns, betti
 from .stratified import (
     StratifiedComplex,
     cone_stratified,
@@ -127,11 +129,30 @@ class ICComplexQ:
     ih: tuple[int, ...]
 
 
-def intersection_chain_complex(sc: StratifiedComplex, p: Perversity | None,
-                               coeff: LocalSystemQ | None = None) -> ICComplexQ:
+@dataclass(frozen=True)
+class _AllowableChains:
+    """Boundary columns of the allowable chains, degree by degree.
+
+    ``cols[j]`` holds ``coefficient_rank`` columns per allowable
+    j-simplex.  Its degree-(j-1) rows number the allowable faces first and
+    all other (j-1)-simplices after them in simplex order, so the rows from
+    ``cut(j)`` on are the boundary outside the allowable chains.
+    """
+
+    coefficient_rank: int
+    allowable: tuple[tuple[Simplex, ...], ...]
+    cols: tuple[list[SparseCol], ...]
+
+    def cut(self, j: int) -> int:
+        return len(self.allowable[j - 1]) * self.coefficient_rank if j else 0
+
+
+def _allowable_chains(sc: StratifiedComplex, p: Perversity | None,
+                      coeff: LocalSystemQ | None) -> _AllowableChains | None:
+    """Allowable simplices and their boundary columns; None for an empty space."""
     m = sc.dim
     if m < 0:
-        return ICComplexQ(-1, 1, (), (), (), ())
+        return None
     sc.full_check()
     if m >= 2:
         if p is None:
@@ -163,16 +184,32 @@ def intersection_chain_complex(sc: StratifiedComplex, p: Perversity | None,
             "set; subdivide the base")
 
     transport = coeff.transport if coeff is not None else None
-    cols = [_boundary_columns(allowable[j], rows[j - 1], r, transport, anchor) if j else []
-            for j in range(m + 1)]
+    cols = tuple(_boundary_columns(allowable[j], rows[j - 1], r, transport, anchor) if j else []
+                 for j in range(m + 1))
+    return _AllowableChains(r, tuple(allowable), cols)
+
+
+def intersection_chain_complex(sc: StratifiedComplex, p: Perversity | None,
+                               coeff: LocalSystemQ | None = None) -> ICComplexQ:
+    """The intersection chain complex with explicit bases.
+
+    :func:`ih_betti` computes its homology ranks without these bases;
+    this construction is the reference it is tested against.
+    """
+    chains = _allowable_chains(sc, p, coeff)
+    if chains is None:
+        return ICComplexQ(-1, 1, (), (), (), ())
+    m = sc.dim
+    r = chains.coefficient_rank
+    allowable, cols = chains.allowable, chains.cols
 
     # IC_j = kernel of the boundary rows past the allowable block
     ic_basis: list[tuple[dict, ...]] = []
     free_cols: list[list[int]] = []
     for j in range(m + 1):
         ncols = len(allowable[j]) * r
-        cut = len(allowable[j - 1]) * r if j else 0
-        outside: dict[int, dict[int, Fraction]] = {}
+        cut = chains.cut(j)
+        outside: dict[int, SparseCol] = {}
         for ci, col in enumerate(cols[j]):
             for row, v in col.items():
                 if row >= cut:
@@ -180,7 +217,7 @@ def intersection_chain_complex(sc: StratifiedComplex, p: Perversity | None,
         if outside:
             basis, free = linalg.sparse_nullspace(outside, ncols)
         else:
-            basis = [{i: Fraction(1)} for i in range(ncols)]
+            basis = [{i: 1} for i in range(ncols)]
             free = list(range(ncols))
         ic_basis.append(tuple(basis))
         free_cols.append(free)
@@ -192,17 +229,17 @@ def intersection_chain_complex(sc: StratifiedComplex, p: Perversity | None,
         prev_basis = ic_basis[j - 1]
         free_pos = {f: i for i, f in enumerate(free_cols[j - 1])}
         for vec in ic_basis[j]:
-            image: dict[int, Fraction] = {}
+            image: SparseCol = {}
             for ci, coefv in vec.items():
                 for row, v in cols[j][ci].items():
-                    image[row] = image.get(row, Fraction(0)) + coefv * v
+                    image[row] = image.get(row, 0) + coefv * v
             image = {k: v for k, v in image.items() if v}
             col = {free_pos[row]: v for row, v in image.items() if row in free_pos}
             # exact verification that the image lies in the previous IC space
-            recon: dict[int, Fraction] = {}
+            recon: SparseCol = {}
             for fp, cv in col.items():
                 for k2, v2 in prev_basis[fp].items():
-                    recon[k2] = recon.get(k2, Fraction(0)) + cv * v2
+                    recon[k2] = recon.get(k2, 0) + cv * v2
             recon = {k: v for k, v in recon.items() if v}
             if recon != image:
                 raise InternalCheckError(
@@ -217,8 +254,52 @@ def intersection_chain_complex(sc: StratifiedComplex, p: Perversity | None,
 
 def ih_betti(sc: StratifiedComplex, p: Perversity | None,
              coeff: LocalSystemQ | None = None) -> tuple[int, ...]:
-    """Intersection homology ranks in degrees 0..dim."""
-    return intersection_chain_complex(sc, p, coeff).ih
+    """Intersection homology ranks in degrees 0..dim, from ranks alone.
+
+    Let A^j be the boundary of the allowable j-chains (N_j columns) and
+    A_out^j its rows past the allowable faces.  IC_j is the kernel of
+    A_out^j, and A_out^j is part of A^j, so rk(boundary on IC_j) =
+    rk A^j - rk A_out^j and
+
+        ih_j = N_j - rk A^j - rk A^{j+1} + rk A_out^{j+1}.
+
+    That the boundary maps IC_j into IC_{j-1} and squares to zero there is
+    one exact rank test per degree: every x in IC_j has A^{j-1} A_in^j x =
+    0, where A_in^j is A^j on the allowable faces, that is
+    rank([A_out^j ; A^{j-1} A_in^j]) == rank(A_out^j).  A failure raises
+    :class:`InternalCheckError` naming the degree.
+    """
+    chains = _allowable_chains(sc, p, coeff)
+    if chains is None:
+        return ()
+    m = sc.dim
+    r = chains.coefficient_rank
+    cols = chains.cols
+    rank = [0] * (m + 2)      # rk A^j
+    rank_out = [0] * (m + 2)  # rk A_out^j
+    for j in range(1, m + 1):
+        cut = chains.cut(j)
+        out = [{i: v for i, v in col.items() if i >= cut} for col in cols[j]]
+        rank[j] = linalg.rank_from_columns(cols[j])
+        rank_out[j] = linalg.rank_from_columns(out)
+        if j >= 2:
+            # rows of A^{j-1} A_in^j sit below the degree-(j-1) rows of A_out^j
+            shift = sc.complex.n_simplices(j - 1) * r
+            prev = cols[j - 1]
+            stacked = []
+            for col, col_out in zip(cols[j], out):
+                acc = dict(col_out)
+                for i, v in col.items():
+                    if i < cut:
+                        for k, w in prev[i].items():
+                            acc[shift + k] = acc.get(shift + k, 0) + v * w
+                stacked.append(acc)
+            if linalg.rank_from_columns(stacked) != rank_out[j]:
+                raise InternalCheckError(
+                    f"boundary of an intersection chain in degree {j} left the "
+                    "intersection chains or does not square to zero")
+    return tuple(len(chains.allowable[j]) * r - rank[j] - rank[j + 1] + rank_out[j + 1]
+                 for j in range(m + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, integers first.
 
-Everything here is exact: entries are ``int`` or ``fractions.Fraction``.
+Everything here is exact: entries are ``int`` or ``fractions.Fraction``
+and stay as given.  Boundary, permutation and sum-zero matrices are
+integral and nearly all their pivots are +-1, so elimination stays in
+``int`` until a pivot of another value divides, through ``Fraction``.
 Ranks and kernels come from one sparse Gauss elimination,
 :func:`_pivot_rows`, with a min-degree pivot rule (Dumas, Saunders and
 Villard, *On efficient sparse integer matrix Smith normal form
 computations*, 2001): :func:`rank_from_columns` counts its pivots, and
 :func:`sparse_nullspace` back-substitutes its pivot rows to read off a
-kernel basis.  :func:`matrix_inverse` inverts the general rational
-transports of local systems built from explicit matrices.
+kernel basis.
 
 Conventions: dense matrices are sequences of rows; sparse matrices are
 ``{row: {col: value}}`` or lists of ``{row: value}`` column dicts.  All
@@ -21,37 +23,15 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 Mat = Sequence
-
-
-# ---------------------------------------------------------------------------
-# dense inverse
-
-
-def matrix_inverse(a: Mat) -> list[list[Fraction]]:
-    """Exact inverse by Gauss-Jordan; raises ValueError if singular."""
-    n = len(a)
-    aug = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+Scalar = int | Fraction
 
 
 # ---------------------------------------------------------------------------
 # sparse elimination: ranks and kernels
 
 
-def _pivot_rows(rows: dict[int, dict[int, Fraction]]
-                ) -> Iterator[tuple[int, dict[int, Fraction]]]:
+def _pivot_rows(rows: dict[int, dict[int, Scalar]]
+                ) -> Iterator[tuple[int, dict[int, Scalar]]]:
     """Sparse Gaussian elimination of ``{row: {col: value}}``, one pivot at a time.
 
     Min-degree pivot rule: always eliminate a row of minimal fill (smallest
@@ -59,12 +39,16 @@ def _pivot_rows(rows: dict[int, dict[int, Fraction]]
     live rows, then smallest id).  Simplicial boundary operators eliminate
     with very little fill under this rule.  Yields ``(pivot column, pivot
     row divided by its pivot)`` in elimination order; each yielded row has
-    no entry in an earlier pivot column.  Deterministic.
+    no entry in an earlier pivot column.  Entries keep their type: a +-1
+    pivot row is yielded as is or negated, and only another pivot divides,
+    through ``Fraction``.  Exact arithmetic leaves the same zero pattern
+    whatever the entry types, so the pivot choices never depend on them.
+    Deterministic.
     """
-    work: dict[int, dict[int, Fraction]] = {}
+    work: dict[int, dict[int, Scalar]] = {}
     cols: dict[int, set[int]] = {}
     for r, row in rows.items():
-        filtered = {c: Fraction(v) for c, v in row.items() if v}
+        filtered = {c: v for c, v in row.items() if v}
         if filtered:
             work[r] = filtered
             for c in filtered:
@@ -85,7 +69,12 @@ def _pivot_rows(rows: dict[int, dict[int, Fraction]]
             if not cols[c]:
                 del cols[c]
         del work[r]
-        norm = {c: v / pv for c, v in row.items()}
+        if pv == 1:
+            norm = row
+        elif pv == -1:
+            norm = {c: -v for c, v in row.items()}
+        else:
+            norm = {c: Fraction(v) / pv for c, v in row.items()}
         for r2 in sorted(cols.get(pc, ())):
             row2 = work[r2]
             f = row2[pc]
@@ -94,7 +83,7 @@ def _pivot_rows(rows: dict[int, dict[int, Fraction]]
                     del row2[pc]
                     cols[pc].discard(r2)
                     continue
-                new = row2.get(c2, Fraction(0)) - f * v
+                new = row2.get(c2, 0) - f * v
                 if new:
                     if c2 not in row2:
                         cols.setdefault(c2, set()).add(r2)
@@ -113,18 +102,17 @@ def _pivot_rows(rows: dict[int, dict[int, Fraction]]
         yield pc, norm
 
 
-def rank_from_columns(columns: Sequence[dict[int, Fraction]]) -> int:
-    """Rank of a sparse matrix given as a list of ``{row: value}`` columns."""
-    rows: dict[int, dict[int, Fraction]] = {}
-    for j, col in enumerate(columns):
-        for i, v in col.items():
-            if v:
-                rows.setdefault(i, {})[j] = v
-    return sum(1 for _ in _pivot_rows(rows))
+def rank_from_columns(columns: Sequence[dict[int, Scalar]]) -> int:
+    """Rank of a sparse matrix given as a list of ``{row: value}`` columns.
+
+    rank(A) = rank(A^T), so the columns are eliminated as the rows of the
+    transpose, without building a transposed copy.
+    """
+    return sum(1 for _ in _pivot_rows(dict(enumerate(columns))))
 
 
-def sparse_nullspace(rows: dict[int, dict[int, Fraction]],
-                     ncols: int) -> tuple[list[dict[int, Fraction]], list[int]]:
+def sparse_nullspace(rows: dict[int, dict[int, Scalar]],
+                     ncols: int) -> tuple[list[dict[int, Scalar]], list[int]]:
     """Kernel basis of a sparse ``{row: {col: value}}`` matrix with ``ncols`` columns.
 
     Returns (basis, free_columns).  Basis vector i has entry 1 at
@@ -137,13 +125,13 @@ def sparse_nullspace(rows: dict[int, dict[int, Fraction]],
     set, from which the basis is read off.
     """
     pivots = list(_pivot_rows(rows))
-    reduced: dict[int, dict[int, Fraction]] = {}  # pivot col -> row free of other pivots
+    reduced: dict[int, dict[int, Scalar]] = {}  # pivot col -> row free of other pivots
     for pc, row in reversed(pivots):
         for c in [c for c in row if c in reduced]:
             f = row.pop(c)
             for c2, v in reduced[c].items():
                 if c2 != c:
-                    new = row.get(c2, Fraction(0)) - f * v
+                    new = row.get(c2, 0) - f * v
                     if new:
                         row[c2] = new
                     else:
@@ -151,7 +139,7 @@ def sparse_nullspace(rows: dict[int, dict[int, Fraction]],
         reduced[pc] = row
 
     free = [c for c in range(ncols) if c not in reduced]
-    by_free: dict[int, dict[int, Fraction]] = {f: {} for f in free}
+    by_free: dict[int, dict[int, Scalar]] = {f: {} for f in free}
     for pc, row in pivots:
         for c, v in row.items():
             if c != pc:
@@ -159,12 +147,12 @@ def sparse_nullspace(rows: dict[int, dict[int, Fraction]],
     basis = []
     for f in free:
         vec = by_free[f]
-        vec[f] = Fraction(1)
+        vec[f] = 1
         basis.append(vec)
     return basis, free
 
 
-def invariant_space(mats: Sequence[Mat]) -> tuple[list[dict[int, Fraction]], int]:
+def invariant_space(mats: Sequence[Mat]) -> tuple[list[dict[int, Scalar]], int]:
     """Joint fixed space of a family of square matrices.
 
     Returns a kernel basis of the stacked (M - I) blocks together with
@@ -173,10 +161,10 @@ def invariant_space(mats: Sequence[Mat]) -> tuple[list[dict[int, Fraction]], int
     if not mats:
         return [], 0
     n = len(mats[0])
-    stacked: dict[int, dict[int, Fraction]] = {}
+    stacked: dict[int, dict[int, Scalar]] = {}
     for m in mats:
         for i in range(n):
-            row = {j: v for j in range(n) if (v := Fraction(m[i][j]) - (1 if i == j else 0))}
+            row = {j: v for j in range(n) if (v := m[i][j] - (1 if i == j else 0))}
             if row:
                 stacked[len(stacked)] = row
     basis, _free = sparse_nullspace(stacked, n)

@@ -12,20 +12,13 @@ have at most two nonzeros per column: :class:`Transport` stores columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
-from .errors import (
-    Disconnected,
-    NotASubcomplex,
-    NotPermutationSystem,
-    RankMismatch,
-    RelatorViolatedMatrix,
-)
+from .errors import NotASubcomplex, NotPermutationSystem, RankMismatch
 from . import linalg
 from .covering import MonodromyRep, Perm, transport_table, validate_monodromy
-from .presentation import EdgePathPresentation, edge_path_presentation
-from .simplicial import ChainComplexQ, SimplicialComplex, _boundary_columns, betti, is_connected
+from .presentation import EdgePathPresentation
+from .simplicial import ChainComplexQ, SimplicialComplex, _boundary_columns, betti
 
 
 class Transport:
@@ -38,7 +31,7 @@ class Transport:
 
     __slots__ = ("cols", "_rows")
 
-    def __init__(self, cols: list[dict[int, Fraction]]):
+    def __init__(self, cols: list[dict[int, linalg.Scalar]]):
         self.cols = cols
         self._rows = None  # row views, made on the first dense read
 
@@ -46,15 +39,6 @@ class Transport:
     def permutation(cls, image: Sequence[int]) -> "Transport":
         """The permutation matrix P with P e_s = e_{image[s]}."""
         return cls([{t: 1} for t in image])
-
-    @classmethod
-    def from_rows(cls, rows) -> "Transport":
-        """Adapter for a dense square matrix given as a sequence of rows."""
-        n = len(rows)
-        if any(len(row) != n for row in rows):
-            raise RankMismatch(f"matrix with {n} rows is not square")
-        return cls([{i: Fraction(row[j]) for i, row in enumerate(rows) if row[j]}
-                    for j in range(n)])
 
     def __len__(self) -> int:
         return len(self.cols)
@@ -68,7 +52,7 @@ class Transport:
         """The product self . other: ``other`` acts first."""
         out = []
         for col in other.cols:
-            acc: dict[int, Fraction] = {}
+            acc: dict[int, linalg.Scalar] = {}
             for k, b in col.items():
                 for i, a in self.cols[k].items():
                     acc[i] = acc.get(i, 0) + a * b
@@ -78,17 +62,13 @@ class Transport:
     def __eq__(self, other) -> bool:
         return isinstance(other, Transport) and self.cols == other.cols
 
-    def inverse(self) -> "Transport":
-        """Exact inverse; raises ValueError if singular."""
-        return Transport.from_rows(linalg.matrix_inverse(self))
-
 
 class _Row:
     """Row ``i`` of a :class:`Transport`, read without copying."""
 
     __slots__ = ("cols", "i")
 
-    def __init__(self, cols: list[dict[int, Fraction]], i: int):
+    def __init__(self, cols: list[dict[int, linalg.Scalar]], i: int):
         self.cols, self.i = cols, i
 
     def __getitem__(self, j: int):
@@ -103,7 +83,7 @@ def sum_zero_action(perm: Perm) -> Transport:
     """
     d = len(perm)
     last = perm[d - 1]
-    cols: list[dict[int, Fraction]] = [{} for _ in range(d - 1)]
+    cols: list[dict[int, linalg.Scalar]] = [{} for _ in range(d - 1)]
     for i, col in enumerate(cols):
         if perm[i] < d - 1:
             col[perm[i]] = 1
@@ -145,57 +125,10 @@ class LocalSystemQ:
         except KeyError:
             raise NotASubcomplex(f"no transport along {u}->{v}") from None
 
-    @classmethod
-    def from_forward_edges(cls, base: SimplicialComplex, rank: int,
-                           forward: dict[tuple[int, int], object]) -> "LocalSystemQ":
-        """Forward transports as dense rows or :class:`Transport`; reverses are inverses."""
-        transports: dict[tuple[int, int], Transport] = {}
-        for (u, v) in base.simplices_of_dim(1):
-            m = forward[(u, v)]
-            m = m if isinstance(m, Transport) else Transport.from_rows(m)
-            transports[(u, v)] = m
-            transports[(v, u)] = m.inverse()
-        return cls(base, rank, transports)
-
-
 def trivial_system(base: SimplicialComplex, rank: int = 1) -> LocalSystemQ:
     ident = Transport.permutation(range(rank))
     edges = base.simplices_of_dim(1)
     return LocalSystemQ(base, rank, {e: ident for (u, v) in edges for e in ((u, v), (v, u))})
-
-
-@dataclass(frozen=True)
-class RepresentationQ:
-    """Invertible matrix assignment on the generators of a presentation."""
-
-    presentation: EdgePathPresentation
-    rank: int
-    matrices: tuple
-
-    def validate(self) -> None:
-        if len(self.matrices) != len(self.presentation.generators):
-            raise RelatorViolatedMatrix(
-                f"{len(self.presentation.generators)} generators but "
-                f"{len(self.matrices)} matrices")
-        mats = [Transport.from_rows(m) for m in self.matrices]
-        inverses = [m.inverse() for m in mats]
-        ident = Transport.permutation(range(self.rank))
-        for i, word in enumerate(self.presentation.relators):
-            acc = ident
-            for (gi, sign) in word:
-                acc = (mats[gi] if sign > 0 else inverses[gi]) @ acc
-            if acc != ident:
-                raise RelatorViolatedMatrix(f"relator {i} does not evaluate to the identity")
-
-
-def from_representation(rep: RepresentationQ) -> LocalSystemQ:
-    """Tree edges transport by the identity, generators by their matrices."""
-    rep.validate()
-    pres = rep.presentation
-    ident = Transport.permutation(range(rep.rank))
-    forward = {e: ident if e in pres.tree_edges else rep.matrices[pres.gen_index[e]]
-               for e in pres.complex.simplices_of_dim(1)}
-    return LocalSystemQ.from_forward_edges(pres.complex, rep.rank, forward)
 
 
 def pushforward_local_system(pres: EdgePathPresentation, rep: MonodromyRep) -> LocalSystemQ:
@@ -212,33 +145,11 @@ def pushforward_local_system(pres: EdgePathPresentation, rep: MonodromyRep) -> L
 
 @dataclass(frozen=True)
 class TraceSplit:
-    """Constant-plus-kernel splitting of a degree-d permutation system; maps built when read."""
+    """Constant-plus-kernel splitting of a degree-d permutation system."""
 
     constant: LocalSystemQ
     kernel: LocalSystemQ
     degree: int
-
-    @property
-    def unit(self) -> tuple:  # d x 1, the all-ones column (eta)
-        return tuple((Fraction(1),) for _ in range(self.degree))
-
-    @property
-    def trace(self) -> tuple:  # 1 x d, the coordinate sum (epsilon)
-        return (tuple(Fraction(1) for _ in range(self.degree)),)
-
-    @property
-    def kernel_inclusion(self) -> tuple:  # d x (d-1), columns e_i - e_{d-1}
-        d = self.degree
-        return tuple(
-            tuple(Fraction((1 if j == i else 0) - (1 if j == d - 1 else 0)) for i in range(d - 1))
-            for j in range(d))
-
-    @property
-    def kernel_projection(self) -> tuple:  # (d-1) x d, v -> coordinates of v - mean
-        d = self.degree
-        return tuple(
-            tuple(Fraction(1 if i == j else 0) - Fraction(1, d) for j in range(d))
-            for i in range(d - 1))
 
 
 def trace_split(system: LocalSystemQ) -> TraceSplit:
@@ -262,35 +173,7 @@ def trace_split(system: LocalSystemQ) -> TraceSplit:
 
 
 # ---------------------------------------------------------------------------
-# sections and twisted homology
-
-
-def monodromy_matrices(system: LocalSystemQ) -> list:
-    """Transport around each generator loop of the base, at the basepoint."""
-    base = system.base
-    if not is_connected(base):
-        raise Disconnected("base of the local system is not connected")
-    if not base.vertices:
-        return []
-    pres = edge_path_presentation(base, min(base.vertices))
-    mats = []
-    for (u, v) in pres.generators:
-        path = pres.tree_path(u) + (v,) + tuple(reversed(pres.tree_path(v)))[1:]
-        acc = Transport.permutation(range(system.rank))
-        for a, b in zip(path, path[1:]):
-            acc = system.transport(a, b) @ acc
-        mats.append(acc)
-    return mats
-
-
-def global_sections(system: LocalSystemQ) -> tuple[int, list]:
-    """Dimension and basis of the joint fixed space of the monodromy."""
-    mats = monodromy_matrices(system)
-    if not mats:
-        basis = [{i: Fraction(1)} for i in range(system.rank)]
-        return system.rank, basis
-    basis, dim = linalg.invariant_space(mats)
-    return dim, basis
+# invariants and twisted homology
 
 
 def invariant_dimension(matrices, rank: int) -> int:

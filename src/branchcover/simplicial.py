@@ -3,12 +3,12 @@
 A simplex is a strictly ascending tuple of non-negative integer vertex
 ids; a complex is a face-closed finite set of simplices.  Boundary
 operators use the ascending-vertex orientation with alternating signs,
-and Betti numbers are computed exactly over the rationals.
+and Betti numbers are computed exactly over the rationals.  Signs are
+``int``; chains stay integral unless their coefficients are not.
 """
 from __future__ import annotations
 
 from collections import deque
-from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -281,7 +281,7 @@ def barycentric_subdivide_set(
 # ---------------------------------------------------------------------------
 # chain complexes over the rationals
 
-SparseCol = dict[int, Fraction]
+SparseCol = dict[int, linalg.Scalar]
 
 
 class ChainComplexQ:
@@ -315,10 +315,10 @@ class ChainComplexQ:
                         raise ValueError(f"boundary {j} hits row {row} out of range")
         for j in range(2, len(self.ranks)):
             for col in self.boundaries[j]:
-                acc: dict[int, Fraction] = {}
+                acc: SparseCol = {}
                 for row, val in col.items():
                     for row2, val2 in self.boundaries[j - 1][row].items():
-                        acc[row2] = acc.get(row2, Fraction(0)) + val * val2
+                        acc[row2] = acc.get(row2, 0) + val * val2
                 if any(acc.values()):
                     raise InternalCheckError(f"boundary squared is nonzero in degree {j}")
 
@@ -332,7 +332,7 @@ class ChainComplexQ:
         return linalg.rank_from_columns(self.boundaries[j])
 
 
-_SIGNS = (Fraction(1), Fraction(-1))  # shared: Fractions are immutable
+_SIGNS = (1, -1)
 
 
 def _boundary_columns(simplices: Sequence[Simplex], rows: dict[Simplex, int], rank: int = 1,

@@ -306,7 +306,7 @@ def verify_branched(spec: BranchedCoverSpec,
     equal = tuple(b_cover[j] == ih_trivial[j] + ih_kernel[j] for j in range(m + 1))
 
     fiber = fiber_rank_report(spec, cover)
-    connectivity = complement_connectivity_check(spec, cover)
+    connectivity = complement_connectivity_check(spec, cover, base=connectivity0)
 
     euler_ok = True
     if all(equal):

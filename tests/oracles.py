@@ -4,11 +4,22 @@ Everything here is deliberately written from scratch against the
 definitions (dense Gauss over Fraction, brute-force face enumeration,
 union-find orbits) and never calls into the package's own elimination or
 homology code, so the two sides of every assertion are independent.
+
+The explicit-matrix adapter at the end builds the package's
+:class:`Transport` and :class:`LocalSystemQ` objects from dense rational
+matrices (any invertible transports, not only permutations), so tests
+can feed the sparse machinery systems it never builds itself.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+
+from branchcover.errors import Disconnected, InputError, RankMismatch
+from branchcover.local_systems import LocalSystemQ, Transport
+from branchcover.presentation import EdgePathPresentation, edge_path_presentation
+from branchcover.simplicial import is_connected
 
 
 def dense_rank(rows) -> int:
@@ -200,3 +211,173 @@ def suspension_ih_oracle(link_ih, cutoff):
         else:
             out.append(link_ih[i - 1])
     return tuple(out)
+
+
+def dense_nullspace(rows, ncols: int) -> list[dict[int, Fraction]]:
+    """Kernel basis of a dense matrix by reduced row echelon form over Fraction.
+
+    Basis vector i is 1 at the i-th free column, 0 at the other free
+    columns, and given as a sparse ``{index: value}`` dict.
+    """
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots: list[int] = []
+    pr = 0
+    for pc in range(ncols):
+        piv = next((i for i in range(pr, len(m)) if m[i][pc] != 0), None)
+        if piv is None:
+            continue
+        m[pr], m[piv] = m[piv], m[pr]
+        pv = m[pr][pc]
+        m[pr] = [x / pv for x in m[pr]]
+        for i in range(len(m)):
+            if i != pr and m[i][pc] != 0:
+                f = m[i][pc]
+                m[i] = [a - f * b for a, b in zip(m[i], m[pr])]
+        pivots.append(pc)
+        pr += 1
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        vec = {f: Fraction(1)}
+        for i, pc in enumerate(pivots):
+            if m[i][f] != 0:
+                vec[pc] = -m[i][f]
+        basis.append(vec)
+    return basis
+
+
+# ---------------------------------------------------------------------------
+# explicit-matrix adapter
+
+
+class RelatorViolatedMatrix(InputError):
+    """A matrix assignment does not satisfy a relator of the presentation."""
+
+
+def matrix_inverse(a) -> list[list[Fraction]]:
+    """Exact inverse by Gauss-Jordan; raises ValueError if singular."""
+    n = len(a)
+    aug = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
+           for i, row in enumerate(a)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col]), None)
+        if piv is None:
+            raise ValueError("matrix is singular")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        pv = aug[col][col]
+        aug[col] = [x / pv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def transport_from_rows(rows) -> Transport:
+    """A :class:`Transport` from a dense square matrix given as rows."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise RankMismatch(f"matrix with {n} rows is not square")
+    return Transport([{i: Fraction(row[j]) for i, row in enumerate(rows) if row[j]}
+                      for j in range(n)])
+
+
+def transport_inverse(t: Transport) -> Transport:
+    """Exact inverse; raises ValueError if singular."""
+    return transport_from_rows(matrix_inverse(t))
+
+
+def local_system_from_forward_edges(base, rank: int, forward) -> LocalSystemQ:
+    """Forward transports as dense rows or :class:`Transport`; reverses are inverses."""
+    transports = {}
+    for (u, v) in base.simplices_of_dim(1):
+        m = forward[(u, v)]
+        m = m if isinstance(m, Transport) else transport_from_rows(m)
+        transports[(u, v)] = m
+        transports[(v, u)] = transport_inverse(m)
+    return LocalSystemQ(base, rank, transports)
+
+
+@dataclass(frozen=True)
+class RepresentationQ:
+    """Invertible matrix assignment on the generators of a presentation."""
+
+    presentation: EdgePathPresentation
+    rank: int
+    matrices: tuple
+
+    def validate(self) -> None:
+        if len(self.matrices) != len(self.presentation.generators):
+            raise RelatorViolatedMatrix(
+                f"{len(self.presentation.generators)} generators but "
+                f"{len(self.matrices)} matrices")
+        mats = [transport_from_rows(m) for m in self.matrices]
+        inverses = [transport_inverse(m) for m in mats]
+        ident = Transport.permutation(range(self.rank))
+        for i, word in enumerate(self.presentation.relators):
+            acc = ident
+            for (gi, sign) in word:
+                acc = (mats[gi] if sign > 0 else inverses[gi]) @ acc
+            if acc != ident:
+                raise RelatorViolatedMatrix(f"relator {i} does not evaluate to the identity")
+
+
+def from_representation(rep: RepresentationQ) -> LocalSystemQ:
+    """Tree edges transport by the identity, generators by their matrices."""
+    rep.validate()
+    pres = rep.presentation
+    ident = Transport.permutation(range(rep.rank))
+    forward = {e: ident if e in pres.tree_edges else rep.matrices[pres.gen_index[e]]
+               for e in pres.complex.simplices_of_dim(1)}
+    return local_system_from_forward_edges(pres.complex, rep.rank, forward)
+
+
+def monodromy_matrices(system: LocalSystemQ) -> list[Transport]:
+    """Transport around each generator loop of the base, at the basepoint."""
+    base = system.base
+    if not is_connected(base):
+        raise Disconnected("base of the local system is not connected")
+    if not base.vertices:
+        return []
+    pres = edge_path_presentation(base, min(base.vertices))
+    mats = []
+    for (u, v) in pres.generators:
+        path = pres.tree_path(u) + (v,) + tuple(reversed(pres.tree_path(v)))[1:]
+        acc = Transport.permutation(range(system.rank))
+        for a, b in zip(path, path[1:]):
+            acc = system.transport(a, b) @ acc
+        mats.append(acc)
+    return mats
+
+
+def global_sections(system: LocalSystemQ) -> tuple[int, list[dict[int, Fraction]]]:
+    """Dimension and basis of the joint fixed space of the monodromy."""
+    r = system.rank
+    stacked = [[m[i][j] - (1 if i == j else 0) for j in range(r)]
+               for m in monodromy_matrices(system) for i in range(r)]
+    basis = dense_nullspace(stacked, r)
+    return len(basis), basis
+
+
+# the four maps of the trace splitting of Q^d = constant + sum-zero kernel
+
+
+def unit_map(d: int) -> list[list[Fraction]]:
+    """d x 1, the all-ones column (eta)."""
+    return [[Fraction(1)] for _ in range(d)]
+
+
+def trace_map(d: int) -> list[list[Fraction]]:
+    """1 x d, the coordinate sum (epsilon)."""
+    return [[Fraction(1)] * d]
+
+
+def kernel_inclusion(d: int) -> list[list[Fraction]]:
+    """d x (d-1), columns e_i - e_{d-1}."""
+    return [[Fraction((1 if j == i else 0) - (1 if j == d - 1 else 0)) for i in range(d - 1)]
+            for j in range(d)]
+
+
+def kernel_projection(d: int) -> list[list[Fraction]]:
+    """(d-1) x d, v -> coordinates of v - mean in the basis e_i - e_{d-1}."""
+    return [[Fraction(1 if i == j else 0) - Fraction(1, d) for j in range(d)]
+            for i in range(d - 1)]

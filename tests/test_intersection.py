@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from branchcover.covering import BranchedCoverSpec, MonodromyRep, refine_stratification
@@ -17,9 +19,15 @@ from branchcover.intersection import (
     upper_middle,
     zero_perversity,
 )
-from branchcover.local_systems import pushforward_local_system, trace_split, twisted_betti
+from branchcover.local_systems import (
+    LocalSystemQ,
+    Transport,
+    pushforward_local_system,
+    trace_split,
+    twisted_betti,
+)
 from branchcover.presentation import edge_path_presentation
-from branchcover.simplicial import SimplicialComplex, betti_numbers, suspension
+from branchcover.simplicial import SimplicialComplex, betti_numbers, full_subcomplex, suspension
 from branchcover.stratified import (
     StratifiedComplex,
     barycentric_subdivide,
@@ -227,6 +235,67 @@ def test_allowable_simplices_leave_two_vertices_off_singular_set(name):
         for s in intersection_chain_complex(sc, p).allowable[1:]:
             for simplex in s:
                 assert sum(1 for v in simplex if v not in singular) >= 2, (pname, simplex)
+
+
+# ---------------------------------------------------------------------------
+# ranks against bases: ih_betti and intersection_chain_complex
+
+
+def _cover_kernel(data):
+    y, r, rep, _pres = data
+    spec = BranchedCoverSpec(y, r, rep)
+    kernel = trace_split(pushforward_local_system(spec.presentation, spec.monodromy)).kernel
+    return refine_stratification(y, r), kernel
+
+
+def _transposition_kernel(sc):
+    """Kernel system of a degree-3 cover of the complement of the singular set."""
+    c = full_subcomplex(sc.complex, (v for v in sc.complex.vertices
+                                     if v not in set(sc.singular_set.vertices)))
+    pres = edge_path_presentation(c, min(c.vertices))
+    exponents = next(e for e in nullspace_mod_p(_relator_rows(pres), len(pres.generators), 2)
+                     if any(e))
+    rep = MonodromyRep(3, tuple((1, 0, 2) if e else (0, 1, 2) for e in exponents))
+    return sc, trace_split(pushforward_local_system(pres, rep)).kernel
+
+
+def _scaled(system):
+    """The gauge transform D_v T(u,v) D_u^-1 by diagonal D_v with entries 1, 2, 3.
+
+    Its transports are no longer permutations and carry non-unit entries,
+    but it is isomorphic to ``system``, so it has the same IH.
+    """
+    r = system.rank
+
+    def diag(v, inverse=False):
+        return Transport([{i: Fraction(1, s) if inverse else s}
+                          for i, s in enumerate(1 + (v + i) % 3 for i in range(r))])
+
+    return LocalSystemQ(system.base, r, {
+        (u, v): diag(v) @ t @ diag(u, inverse=True) for (u, v), t in system.transports.items()})
+
+
+IH_CASES = {
+    "suspension-torus": lambda: _transposition_kernel(suspension_torus()),
+    "pinched-torus": lambda: _transposition_kernel(pinched_torus()),
+    **{f"sphere-branched-{pts}-{d}": (lambda pts=pts, d=d: _cover_kernel(sphere_branched_data(pts, d)))
+       for pts, d in ((2, 2), (3, 3), (4, 2), (5, 5), (6, 2), (6, 3))},
+    "s3-unknot-double": lambda: _cover_kernel(s3_unknot_double_data()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(IH_CASES))
+def test_ih_from_ranks_matches_ic_bases(name):
+    sc, kernel = IH_CASES[name]()
+    scaled = _scaled(kernel)
+    assert any(v not in (0, 1, -1) for t in scaled.transports.values()
+               for col in t.cols for v in col.values())
+    for pname in ("lower", "upper", "zero", "top"):
+        p = perversity_by_name(pname, sc.dim)
+        for label, coeff in (("trivial", None), ("kernel", kernel), ("scaled", scaled)):
+            ih = ih_betti(sc, p, coeff)
+            assert ih == intersection_chain_complex(sc, p, coeff).ih, (pname, label)
+        assert ih == ih_betti(sc, p, kernel), pname
 
 
 # ---------------------------------------------------------------------------

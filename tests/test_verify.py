@@ -1,7 +1,18 @@
+from pathlib import Path
+
 import pytest
 
-from branchcover.covering import BranchedCoverSpec, fox_complete
-from branchcover.errors import InputError
+from branchcover import intersection, linalg, verify
+from branchcover.cli import main
+from branchcover.covering import (
+    BranchedCoverSpec,
+    complement_connectivity_check,
+    fox_complete,
+    refine_stratification,
+)
+from branchcover.errors import InputError, InternalCheckError
+from branchcover.intersection import intersection_chain_complex, lower_middle
+from branchcover.local_systems import pushforward_local_system, trace_split
 from branchcover.verify import (
     codim_check,
     fiber_rank_report,
@@ -269,7 +280,6 @@ def test_singular_base_cover_outside_theorem_hypotheses():
 
 
 def test_cli_equality_failure_exit_code(tmp_path):
-    from branchcover.cli import main
     from branchcover.specfile import spec_to_dict, spec_to_text
     spec = _suspension_circle_double_cover()
     path = tmp_path / "singular.json"
@@ -278,3 +288,74 @@ def test_cli_equality_failure_exit_code(tmp_path):
         perversity="lower")))
     assert main(["verify", str(path)]) == 2
     assert main(["verify", str(path), "--perversity", "upper"]) == 0
+
+
+# ---------------------------------------------------------------------------
+# internal checks
+
+
+def test_verify_checks_base_connectivity_once(monkeypatch):
+    y, r, rep, _ = s3_unknot_double_data()
+    spec = BranchedCoverSpec(y, r, rep)
+    real = verify.complement_connectivity_check
+    base_passes = []
+
+    def spy(spec, cover=None, base=None):
+        base_passes.append(base is None)
+        return real(spec, cover, base=base)
+
+    monkeypatch.setattr(verify, "complement_connectivity_check", spy)
+    report = verify_branched(spec, "lower")
+    assert base_passes == [True, False]
+    assert report.connectivity == real(spec, fox_complete(spec))
+    assert report.connectivity.checked_base == 12
+
+
+def _flip_one_ic_sign(monkeypatch, trivial: bool) -> None:
+    """Negate one entry of one degree-2 IC boundary column of the chosen coefficients.
+
+    The column is in the support of an intersection 2-chain x and the entry
+    sits on an allowable face, so the corrupted boundary of x is still
+    allowable but its boundary is no longer zero.
+    """
+    real = intersection._allowable_chains
+
+    def corrupted(sc, p, coeff):
+        chains = real(sc, p, coeff)
+        if chains is not None and (coeff is None) == trivial:
+            cols, cut = chains.cols[2], chains.cut(2)
+            outside = {}
+            for ci, col in enumerate(cols):
+                for row, v in col.items():
+                    if row >= cut:
+                        outside.setdefault(row, {})[ci] = v
+            basis, _free = linalg.sparse_nullspace(outside, len(cols))
+            col = next(cols[ci] for x in basis for ci in sorted(x)
+                       if any(k < cut for k in cols[ci]))
+            k = min(col)
+            col[k] = -col[k]
+        return chains
+
+    monkeypatch.setattr(intersection, "_allowable_chains", corrupted)
+
+
+GOLDEN_SPHERE = Path(__file__).resolve().parent / "golden" / "sphere-p3-d3.json"
+
+
+@pytest.mark.parametrize("trivial", [True, False], ids=["trivial", "kernel"])
+def test_verify_catches_corrupted_ic_boundary(monkeypatch, capsys, trivial):
+    _flip_one_ic_sign(monkeypatch, trivial)
+    capsys.readouterr()
+    assert main(["verify", str(GOLDEN_SPHERE), "--format", "json"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("internal check failed: ")
+    assert "degree 2" in err
+
+    # the explicit-basis construction rejects the same corruption
+    y, r, rep, _ = sphere_branched_data(3, 3)
+    spec = BranchedCoverSpec(y, r, rep)
+    coeff = None if trivial else trace_split(
+        pushforward_local_system(spec.presentation, spec.monodromy)).kernel
+    with pytest.raises(InternalCheckError, match="degree 2"):
+        intersection_chain_complex(refine_stratification(y, r), lower_middle(2), coeff)
