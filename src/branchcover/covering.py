@@ -10,9 +10,8 @@ punctured star, which is the combinatorial form of Fox completion.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     BadBasepoint,
@@ -37,6 +36,7 @@ from .simplicial import (
     is_connected,
     is_full,
     star,
+    vertex_cofaces,
 )
 from .stratified import StratifiedComplex
 
@@ -88,8 +88,7 @@ def orbit_count(perms: Iterable[Perm], d: int) -> int:
 # monodromy data
 
 
-@dataclass(frozen=True)
-class MonodromyRep:
+class MonodromyRep(NamedTuple):
     """Degree-d permutation assignment on the ordered generators."""
 
     degree: int
@@ -164,7 +163,7 @@ class BranchedCoverSpec:
     """Base, branch locus and validated monodromy on the complement."""
 
     __slots__ = ("base", "branch", "complement", "presentation", "monodromy",
-                 "basepoint", "branch_vertices", "_table", "_punctured")
+                 "basepoint", "branch_vertices", "_table", "_punctured", "_local_groups")
 
     def __init__(self, base: StratifiedComplex, branch: StratifiedComplex | None,
                  monodromy: MonodromyRep, basepoint: int | None = None):
@@ -212,6 +211,7 @@ class BranchedCoverSpec:
         self.branch_vertices = branch_vertices
         self._table = transport_table(pres, monodromy)
         self._punctured: dict[Simplex, SimplicialComplex] = {}
+        self._local_groups: dict[Simplex, tuple[Perm, ...]] = {}
 
     @property
     def degree(self) -> int:
@@ -246,18 +246,16 @@ class BranchedCoverSpec:
 class CoverComplex:
     """Total complex of a cover with its simplicial projection."""
 
-    __slots__ = ("spec", "total", "degree", "projection", "sheet", "vertex_info",
+    __slots__ = ("spec", "total", "degree", "projection", "vertex_info",
                  "branch_lift_count", "is_completed", "_fibers")
 
     def __init__(self, spec: BranchedCoverSpec, total: SimplicialComplex,
-                 projection: dict[Simplex, Simplex], sheet: dict[Simplex, int],
-                 vertex_info: dict[int, tuple], branch_lift_count: dict[Simplex, int],
-                 is_completed: bool):
+                 projection: dict[Simplex, Simplex], vertex_info: dict[int, tuple],
+                 branch_lift_count: dict[Simplex, int], is_completed: bool):
         self.spec = spec
         self.total = total
         self.degree = spec.degree
         self.projection = projection
-        self.sheet = sheet
         self.vertex_info = vertex_info
         self.branch_lift_count = branch_lift_count
         self.is_completed = is_completed
@@ -287,7 +285,6 @@ def build_complement_cover(spec: BranchedCoverSpec) -> CoverComplex:
 
     simplices: list[Simplex] = []
     projection: dict[Simplex, Simplex] = {}
-    sheet: dict[Simplex, int] = {}
     for sig in k.all_simplices():
         anchor = sig[0]
         for s in range(d):
@@ -297,9 +294,8 @@ def build_complement_cover(spec: BranchedCoverSpec) -> CoverComplex:
             lift = tuple(sorted(ids))
             simplices.append(lift)
             projection[lift] = sig
-            sheet[lift] = s
     total = SimplicialComplex(simplices)
-    return CoverComplex(spec, total, projection, sheet, info, {}, spec.branch is None)
+    return CoverComplex(spec, total, projection, info, {}, spec.branch is None)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +308,12 @@ def local_monodromy_group(spec: BranchedCoverSpec, tau: Simplex) -> tuple[Perm, 
     Loops are read off a deterministic local spanning tree and conjugated
     to the global basepoint along the global tree path, so the generated
     subgroup is a well-defined representative of its conjugacy class.
+    The result is cached on the spec, like its punctured stars.
     """
+    tau = tuple(tau)
+    cached = spec._local_groups.get(tau)
+    if cached is not None:
+        return cached
     p = spec.punctured_star(tau)
     if p.n_simplices() == 0 or not is_connected(p):
         raise DisconnectedPuncturedStar(
@@ -335,9 +336,8 @@ def local_monodromy_group(spec: BranchedCoverSpec, tau: Simplex) -> tuple[Perm, 
         if conj != ident and conj not in seen:
             seen.add(conj)
             gens.append(conj)
-    if not gens:
-        return (ident,)
-    return tuple(sorted(gens))
+    cached = spec._local_groups[tau] = tuple(sorted(gens)) if gens else (ident,)
+    return cached
 
 
 def fiber_cardinality(spec: BranchedCoverSpec, tau: Simplex) -> int:
@@ -429,7 +429,6 @@ def fox_complete(spec: BranchedCoverSpec) -> CoverComplex:
 
     simplices: dict[Simplex, tuple[Simplex, int]] = {}
     projection: dict[Simplex, Simplex] = {}
-    sheet: dict[Simplex, int] = {}
     branch_lift_count: dict[Simplex, int] = {}
 
     def register(lift_ids: Iterable[int], base_simplex: Simplex, tag: int) -> Simplex:
@@ -456,8 +455,7 @@ def fox_complete(spec: BranchedCoverSpec) -> CoverComplex:
                 ids = [vid[(anchor, s)]]
                 for v in sig[1:]:
                     ids.append(vid[(v, table[(anchor, v)][s])])
-                lift = register(ids, sig, s)
-                sheet[lift] = s
+                register(ids, sig, s)
         elif not sig_k:
             assert sig in rset
             comps = _preimage_components(spec, vid, spec.punctured_star(sig))
@@ -478,15 +476,14 @@ def fox_complete(spec: BranchedCoverSpec) -> CoverComplex:
                 register(ids, sig, s)
 
     total = SimplicialComplex(simplices.keys())
-    return CoverComplex(spec, total, projection, sheet, info, branch_lift_count, True)
+    return CoverComplex(spec, total, projection, info, branch_lift_count, True)
 
 
 # ---------------------------------------------------------------------------
 # checks
 
 
-@dataclass(frozen=True)
-class ConnectivityReport:
+class ConnectivityReport(NamedTuple):
     """Punctured-star connectivity, downstairs and (optionally) upstairs."""
 
     base_failures: tuple[Simplex, ...]
@@ -523,10 +520,11 @@ def complement_connectivity_check(spec: BranchedCoverSpec,
     checked_cover = 0
     if cover is not None and cover.is_completed and spec.branch is not None:
         branch_ids = {i for i, inf in cover.vertex_info.items() if inf[0] == "branch"}
+        cofaces = vertex_cofaces(cover.total)
         for tau in spec.branch_simplices():
             for lift in cover.fiber_over(tau):
                 checked_cover += 1
-                st = star(cover.total, lift)
+                st = star(cover.total, lift, cofaces)
                 punctured = full_subcomplex(st, (v for v in st.vertices if v not in branch_ids))
                 if punctured.n_simplices() == 0 or not is_connected(punctured):
                     cover_failures.append(lift)

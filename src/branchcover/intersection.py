@@ -12,7 +12,7 @@ the reference the ranks are tested against.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import AnchorUnavailable, BadDimension, InternalCheckError
 from . import linalg
@@ -26,24 +26,44 @@ from .stratified import (
 )
 
 
-@dataclass(frozen=True)
 class Perversity:
-    """Goresky-MacPherson perversity: p(2) = 0 and unit steps."""
+    """Goresky-MacPherson perversity: p(2) = 0 and unit steps.
 
-    top_dim: int
-    values: tuple[int, ...]  # p(2), ..., p(top_dim)
+    ``values`` holds p(2), ..., p(top_dim) and ``p[k]`` is p(k).  A
+    perversity is immutable and compares and hashes by value.
+    """
 
-    def __post_init__(self):
-        if self.top_dim < 2:
+    __slots__ = ("top_dim", "values")
+
+    def __init__(self, top_dim: int, values: tuple[int, ...]):
+        if top_dim < 2:
             raise BadDimension("a perversity needs dimension at least 2")
-        if len(self.values) != self.top_dim - 1:
-            raise BadDimension(
-                f"need values p(2)..p({self.top_dim}), got {len(self.values)}")
-        if self.values[0] != 0:
+        if len(values) != top_dim - 1:
+            raise BadDimension(f"need values p(2)..p({top_dim}), got {len(values)}")
+        if values[0] != 0:
             raise BadDimension("p(2) must be 0")
-        for a, b in zip(self.values, self.values[1:]):
+        for a, b in zip(values, values[1:]):
             if b - a not in (0, 1):
                 raise BadDimension("perversity steps must be 0 or 1")
+        object.__setattr__(self, "top_dim", top_dim)
+        object.__setattr__(self, "values", values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a Perversity")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a Perversity")
+
+    def __eq__(self, other):
+        if not isinstance(other, Perversity):
+            return NotImplemented
+        return (self.top_dim, self.values) == (other.top_dim, other.values)
+
+    def __hash__(self) -> int:
+        return hash((self.top_dim, self.values))
+
+    def __repr__(self) -> str:
+        return f"Perversity(top_dim={self.top_dim!r}, values={self.values!r})"
 
     def __getitem__(self, k: int) -> int:
         if not 2 <= k <= self.top_dim:
@@ -111,8 +131,7 @@ def is_allowable(simplex: Simplex, sc: StratifiedComplex, p: Perversity | None) 
 # the intersection chain complex
 
 
-@dataclass(frozen=True)
-class ICComplexQ:
+class ICComplexQ(NamedTuple):
     """Allowable-chain complex with its induced boundary operators.
 
     ``ic_basis[j]`` spans the allowable j-chains with allowable boundary
@@ -129,8 +148,7 @@ class ICComplexQ:
     ih: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class _AllowableChains:
+class _AllowableChains(NamedTuple):
     """Boundary columns of the allowable chains, degree by degree.
 
     ``cols[j]`` holds ``coefficient_rank`` columns per allowable
@@ -306,8 +324,7 @@ def ih_betti(sc: StratifiedComplex, p: Perversity | None,
 # cone formula and stalk checks
 
 
-@dataclass(frozen=True)
-class ConeCheckResult:
+class ConeCheckResult(NamedTuple):
     link_ih: tuple[int, ...]
     cone_ih: tuple[int, ...]
     cutoff: int
@@ -347,8 +364,7 @@ def cone_formula_check(link_sc: StratifiedComplex, p: Perversity | None,
     return ConeCheckResult(link_ih, cone_ih, cutoff, expected, mismatches)
 
 
-@dataclass(frozen=True)
-class StalkCheckEntry:
+class StalkCheckEntry(NamedTuple):
     vertex: int
     level: int
     codim: int
@@ -363,8 +379,7 @@ class StalkCheckEntry:
         return not self.mismatches
 
 
-@dataclass(frozen=True)
-class StalkCheckResult:
+class StalkCheckResult(NamedTuple):
     entries: tuple[StalkCheckEntry, ...]
 
     @property

@@ -11,8 +11,7 @@ have at most two nonzeros per column: :class:`Transport` stores columns.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import NotASubcomplex, NotPermutationSystem, RankMismatch
 from . import linalg
@@ -143,8 +142,7 @@ def pushforward_local_system(pres: EdgePathPresentation, rep: MonodromyRep) -> L
 # trace splitting
 
 
-@dataclass(frozen=True)
-class TraceSplit:
+class TraceSplit(NamedTuple):
     """Constant-plus-kernel splitting of a degree-d permutation system."""
 
     constant: LocalSystemQ

@@ -155,14 +155,28 @@ def is_full(c: SimplicialComplex, sub: SimplicialComplex) -> bool:
     return True
 
 
-def star(c: SimplicialComplex, simplex: Simplex) -> SimplicialComplex:
-    """Closed star: the closure of all cofaces of ``simplex``."""
+def vertex_cofaces(c: SimplicialComplex) -> dict[int, list[Simplex]]:
+    """Vertex -> the simplices of ``c`` that contain it, for :func:`star`."""
+    index: dict[int, list[Simplex]] = {v: [] for v in c.vertices}
+    for s in c.simplices:
+        for v in s:
+            index[v].append(s)
+    return index
+
+
+def star(c: SimplicialComplex, simplex: Simplex,
+         cofaces: dict[int, list[Simplex]] | None = None) -> SimplicialComplex:
+    """Closed star: the closure of all cofaces of ``simplex``.
+
+    With ``cofaces``, the :func:`vertex_cofaces` index of ``c``, only the
+    simplices through one vertex of ``simplex`` are scanned, not all of ``c``.
+    """
     s = tuple(simplex)
     if s not in c.simplices:
         raise SimplexNotFound(f"{list(s)} is not a simplex of the complex")
     sset = set(s)
     out: set[Simplex] = set()
-    for tau in c.simplices:
+    for tau in (c.simplices if cofaces is None else cofaces[s[0]]):
         if sset <= set(tau):
             for k in range(1, len(tau) + 1):
                 out.update(combinations(tau, k))
@@ -273,9 +287,13 @@ def barycentric_subdivide_complex(
 def barycentric_subdivide_set(
     chain_of: dict[Simplex, tuple[Simplex, ...]], old: Iterable[Simplex]
 ) -> set[Simplex]:
-    """Simplices of the subdivision lying inside an old subcomplex."""
+    """Simplices of the subdivision lying inside an old subcomplex.
+
+    A chain lies inside a face-closed ``old`` exactly when its top
+    simplex does, so only ``ch[-1]`` is looked up.
+    """
     old_set = set(old)
-    return {ns for ns, ch in chain_of.items() if all(x in old_set for x in ch)}
+    return {ns for ns, ch in chain_of.items() if ch[-1] in old_set}
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ requested subdivisions; `generators` prints that contract.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import SpecFileError
 from .covering import BranchedCoverSpec, MonodromyRep
@@ -29,14 +29,25 @@ from .simplicial import SimplicialComplex, full_subcomplex, validate_complex
 from .stratified import StratifiedComplex, subdivide_with_subcomplexes
 
 
-@dataclass
-class SpecData:
+class _SpecSections(NamedTuple):
     complex: list
-    stratification: list | None = None
-    branch: list | None = None
-    branch_stratification: list | None = None
-    monodromy: dict | None = None
-    options: dict = field(default_factory=dict)
+    stratification: list | None
+    branch: list | None
+    branch_stratification: list | None
+    monodromy: dict | None
+    options: dict
+
+
+class SpecData(_SpecSections):
+    """The sections of a spec file; ``options`` defaults to a fresh empty dict."""
+
+    __slots__ = ()
+
+    def __new__(cls, complex: list, stratification: list | None = None,
+                branch: list | None = None, branch_stratification: list | None = None,
+                monodromy: dict | None = None, options: dict | None = None):
+        return super().__new__(cls, complex, stratification, branch, branch_stratification,
+                               monodromy, {} if options is None else options)
 
     @property
     def perversity(self) -> str:
@@ -116,8 +127,7 @@ def _simplices(raw: list, where: str) -> list:
     return [tuple(s) for s in raw]
 
 
-@dataclass
-class LoadedSpec:
+class LoadedSpec(NamedTuple):
     base: StratifiedComplex
     branch: StratifiedComplex | None
     monodromy: MonodromyRep | None

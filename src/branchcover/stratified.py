@@ -9,9 +9,8 @@ the smallest level containing it.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import BadDimension, InsufficientSubdivision, NotFull
 from .simplicial import (
@@ -26,8 +25,7 @@ from .simplicial import (
 )
 
 
-@dataclass(frozen=True)
-class Stratum:
+class Stratum(NamedTuple):
     level: int
     dim: int
     simplices: tuple[Simplex, ...]
@@ -191,12 +189,7 @@ def trivial_stratification(c: SimplicialComplex) -> StratifiedComplex:
 
 def barycentric_subdivide(sc: StratifiedComplex) -> StratifiedComplex:
     """Subdivide the complex and all filtration levels together."""
-    new, _b_id, chain_of = barycentric_subdivide_complex(sc.complex)
-    singular = []
-    for j in range(sc.dim - 2, -1, -1):
-        old = sc.levels[j]
-        singular.append(SimplicialComplex(barycentric_subdivide_set(chain_of, old.simplices)))
-    return StratifiedComplex(new, singular)
+    return subdivide_with_subcomplexes(sc, ())[0]
 
 
 def subdivide_with_subcomplexes(
@@ -204,20 +197,15 @@ def subdivide_with_subcomplexes(
 ) -> tuple[StratifiedComplex, list[StratifiedComplex]]:
     """Subdivide ``sc`` once, carrying stratified subcomplexes along."""
     new, _b_id, chain_of = barycentric_subdivide_complex(sc.complex)
-    singular = []
-    for j in range(sc.dim - 2, -1, -1):
-        singular.append(SimplicialComplex(
-            barycentric_subdivide_set(chain_of, sc.levels[j].simplices)))
-    new_sc = StratifiedComplex(new, singular)
-    new_extras = []
-    for ex in extras:
-        ex_complex = SimplicialComplex(barycentric_subdivide_set(chain_of, ex.complex.simplices))
-        ex_singular = []
-        for j in range(ex.dim - 2, -1, -1):
-            ex_singular.append(SimplicialComplex(
-                barycentric_subdivide_set(chain_of, ex.levels[j].simplices)))
-        new_extras.append(StratifiedComplex(ex_complex, ex_singular))
-    return new_sc, new_extras
+
+    def carry(x: StratifiedComplex, complex_: SimplicialComplex) -> StratifiedComplex:
+        return StratifiedComplex(complex_, [
+            SimplicialComplex(barycentric_subdivide_set(chain_of, x.levels[j].simplices))
+            for j in range(x.dim - 2, -1, -1)])
+
+    return carry(sc, new), [
+        carry(ex, SimplicialComplex(barycentric_subdivide_set(chain_of, ex.complex.simplices)))
+        for ex in extras]
 
 
 def induced_star(sc: StratifiedComplex, vertex: int) -> StratifiedComplex:

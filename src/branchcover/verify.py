@@ -10,7 +10,7 @@ not sufficient; the reports say so explicitly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BranchingAtHighCodim, Disconnected, InputError
 from .covering import (
@@ -45,8 +45,7 @@ NECESSITY_NOTE = ("rank and stalk equalities are necessary conditions for the "
 # fiber table
 
 
-@dataclass(frozen=True)
-class FiberRow:
+class FiberRow(NamedTuple):
     simplex: Simplex
     orbit_count: int
     one_plus_invariants: int
@@ -60,8 +59,7 @@ class FiberRow:
         return agree
 
 
-@dataclass(frozen=True)
-class FiberReport:
+class FiberReport(NamedTuple):
     rows: tuple[FiberRow, ...]
 
     @property
@@ -93,8 +91,7 @@ def fiber_rank_report(spec: BranchedCoverSpec, cover: CoverComplex | None = None
 # codimension corollary
 
 
-@dataclass(frozen=True)
-class CodimReport:
+class CodimReport(NamedTuple):
     applicable: bool
     branch_dim: int
     base_dim: int
@@ -133,8 +130,7 @@ def codim_check(spec: BranchedCoverSpec) -> CodimReport:
 # unbranched splitting
 
 
-@dataclass(frozen=True)
-class UnbranchedReport:
+class UnbranchedReport(NamedTuple):
     degree: int
     betti_cover: tuple[int, ...]
     betti_base: tuple[int, ...]
@@ -165,8 +161,7 @@ def verify_unbranched(spec: BranchedCoverSpec) -> UnbranchedReport:
 # branched decomposition
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
+class DecompositionReport(NamedTuple):
     perversity: str
     degree: int
     base_dim: int
@@ -195,43 +190,13 @@ class DecompositionReport:
                 and self.b0_ok and self.manifold_crosscheck_ok)
 
     def to_json_dict(self) -> dict:
-        return {
-            "perversity": self.perversity,
-            "degree": self.degree,
-            "base_dim": self.base_dim,
-            "betti_cover": list(self.betti_cover),
-            "ih_trivial": list(self.ih_trivial),
-            "ih_kernel": list(self.ih_kernel),
-            "equal_per_degree": [bool(b) for b in self.equal_per_degree],
-            "all_equal": self.all_equal,
-            "fiber_table": [
-                {
-                    "simplex": list(r.simplex),
-                    "orbit_count": r.orbit_count,
-                    "one_plus_invariants": r.one_plus_invariants,
-                    "lift_count": r.lift_count,
-                    "ok": r.ok,
-                }
-                for r in self.fiber.rows
-            ],
-            "connectivity": {
-                "checked_base": self.connectivity.checked_base,
-                "checked_cover": self.connectivity.checked_cover,
-                "base_failures": [list(s) for s in self.connectivity.base_failures],
-                "cover_failures": [list(s) for s in self.connectivity.cover_failures],
-                "ok": self.connectivity.ok,
-            },
-            "euler_cover": self.euler_cover,
-            "euler_ok": self.euler_ok,
-            "b0_ok": self.b0_ok,
-            "betti_base_manifold": (list(self.betti_base_manifold)
-                                    if self.betti_base_manifold is not None else None),
-            "manifold_crosscheck_ok": self.manifold_crosscheck_ok,
-            "stratification_levels": [[j, n] for j, n in self.stratification_levels],
-            "pullback_levels": [[j, n] for j, n in self.pullback_levels],
-            "internal_ok": self.internal_ok,
-            "note": self.note,
-        }
+        out = self._asdict()
+        del out["fiber"]
+        out["fiber_table"] = [dict(r._asdict(), ok=r.ok) for r in self.fiber.rows]
+        out["connectivity"] = dict(self.connectivity._asdict(), ok=self.connectivity.ok)
+        out["all_equal"] = self.all_equal
+        out["internal_ok"] = self.internal_ok
+        return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"

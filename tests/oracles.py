@@ -143,6 +143,16 @@ def brute_star(simplices, sigma):
     return sorted(out, key=lambda s: (len(s), s))
 
 
+def subdivide_set_all_chains(chain_of, old) -> set:
+    """Simplices of a barycentric subdivision whose whole chain lies in ``old``.
+
+    ``chain_of`` maps each new simplex to its chain of old simplices, as
+    returned by ``barycentric_subdivide_complex``.
+    """
+    old_set = set(old)
+    return {ns for ns, ch in chain_of.items() if all(x in old_set for x in ch)}
+
+
 def brute_link(simplices, sigma):
     sset = set(sigma)
     return [s for s in brute_star(simplices, sigma) if not sset & set(s)]

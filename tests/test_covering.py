@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -31,7 +32,9 @@ from branchcover.simplicial import (
     betti_numbers,
     components,
     star,
+    vertex_cofaces,
 )
+from branchcover.specfile import load_spec, parse_spec_text
 from branchcover.stratified import trivial_stratification
 from branchcover.fixtures import (
     circle_cover_data,
@@ -252,6 +255,28 @@ def test_connectivity_check_passes_on_unknot():
     spec = BranchedCoverSpec(y, r, rep)
     report = complement_connectivity_check(spec)
     assert report.ok and report.checked_base == 12
+
+
+def _susp_cover_bench_spec(monkeypatch) -> BranchedCoverSpec:
+    """The susp-cover benchmark input at seed 1, from the benchmark's generator."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from workloads import make_job
+    return load_spec(parse_spec_text(make_job("susp-cover", 1).spec_text)).cover_spec()
+
+
+@pytest.mark.parametrize("name", ["sphere-branched", "s3-unknot-double", "susp-cover"])
+def test_indexed_star_of_every_lift_matches_full_scan(name, monkeypatch):
+    if name == "susp-cover":
+        spec = _susp_cover_bench_spec(monkeypatch)
+    else:
+        data = sphere_branched_data(6, 2) if name == "sphere-branched" else s3_unknot_double_data()
+        spec = BranchedCoverSpec(*data[:3])
+    cover = fox_complete(spec)
+    cofaces = vertex_cofaces(cover.total)
+    lifts = [lift for tau in spec.branch_simplices() for lift in cover.fiber_over(tau)]
+    assert lifts
+    for lift in lifts:
+        assert star(cover.total, lift, cofaces) == star(cover.total, lift)
 
 
 # ---------------------------------------------------------------------------

@@ -1,22 +1,34 @@
 import pytest
 
 from branchcover.errors import BadDimension, InsufficientSubdivision, NotFull
-from branchcover.simplicial import SimplicialComplex, betti_numbers, validate_complex
+from branchcover.simplicial import (
+    SimplicialComplex,
+    barycentric_subdivide_complex,
+    barycentric_subdivide_set,
+    betti_numbers,
+    validate_complex,
+)
 from branchcover.stratified import (
     StratifiedComplex,
     barycentric_subdivide,
     cone_stratified,
     induced_link,
     induced_star,
+    subdivide_with_subcomplexes,
     trivial_stratification,
 )
 from branchcover.fixtures import (
+    circle_cover_data,
     hexagon,
     octahedron,
     pinched_torus,
+    s3_unknot_double_data,
+    sphere_branched_data,
     suspension_torus,
     torus7,
 )
+
+from oracles import subdivide_set_all_chains
 
 
 def test_trivial_stratification_levels():
@@ -135,3 +147,26 @@ def test_cone_stratified_of_zero_dim_link():
     cone_sc = cone_stratified(two_points)
     assert cone_sc.dim == 1
     assert cone_sc.singular_set.n_simplices() == 0  # no singular levels in dim 1
+
+
+# the fixtures the `fixture` command writes, as (base, branch locus or None)
+SHIPPED_FIXTURES = {
+    "sphere-branched": lambda: sphere_branched_data(6, 2)[:2],
+    "s3-unknot-double": lambda: s3_unknot_double_data()[:2],
+    "circle-cover": lambda: circle_cover_data(2, (1, 0))[:2],
+    "suspension-torus": lambda: (suspension_torus(), None),
+    "pinched-torus": lambda: (pinched_torus(), None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_FIXTURES))
+def test_subdivided_levels_match_all_chain_rule(name):
+    base, branch = SHIPPED_FIXTURES[name]()
+    extras = [branch] if branch is not None else []
+    for subdivision in (1, 2):
+        _new, _b_id, chain_of = barycentric_subdivide_complex(base.complex)
+        for level in dict.fromkeys(base.levels + tuple(lvl for ex in extras for lvl in ex.levels)):
+            assert (barycentric_subdivide_set(chain_of, level.simplices)
+                    == subdivide_set_all_chains(chain_of, level.simplices)), subdivision
+        if subdivision == 1:
+            base, extras = subdivide_with_subcomplexes(base, extras)

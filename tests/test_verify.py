@@ -311,6 +311,26 @@ def test_verify_checks_base_connectivity_once(monkeypatch):
     assert report.connectivity.checked_base == 12
 
 
+def test_verify_computes_each_local_monodromy_group_once(monkeypatch):
+    from branchcover import covering
+
+    y, r, rep, _ = s3_unknot_double_data()
+    spec = BranchedCoverSpec(y, r, rep)
+    real = covering.edge_path_presentation
+    computed = []
+
+    def spy(complex_, basepoint):
+        computed.append(complex_)
+        return real(complex_, basepoint)
+
+    # each computation of a local monodromy group presents its punctured star once
+    monkeypatch.setattr(covering, "edge_path_presentation", spy)
+    report = verify_branched(spec, "lower")
+    assert len(computed) == len(spec.branch_simplices()) == len(report.fiber.rows) == 12
+    fiber_rank_report(spec)  # a later caller reads the cache
+    assert len(computed) == 12
+
+
 def _flip_one_ic_sign(monkeypatch, trivial: bool) -> None:
     """Negate one entry of one degree-2 IC boundary column of the chosen coefficients.
 
