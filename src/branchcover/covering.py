@@ -36,7 +36,6 @@ from .simplicial import (
     is_connected,
     is_full,
     star,
-    vertex_cofaces,
 )
 from .stratified import StratifiedComplex
 
@@ -520,11 +519,10 @@ def complement_connectivity_check(spec: BranchedCoverSpec,
     checked_cover = 0
     if cover is not None and cover.is_completed and spec.branch is not None:
         branch_ids = {i for i, inf in cover.vertex_info.items() if inf[0] == "branch"}
-        cofaces = vertex_cofaces(cover.total)
         for tau in spec.branch_simplices():
             for lift in cover.fiber_over(tau):
                 checked_cover += 1
-                st = star(cover.total, lift, cofaces)
+                st = star(cover.total, lift)
                 punctured = full_subcomplex(st, (v for v in st.vertices if v not in branch_ids))
                 if punctured.n_simplices() == 0 or not is_connected(punctured):
                     cover_failures.append(lift)

@@ -54,6 +54,9 @@ class Perversity:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r} of a Perversity")
 
+    def __reduce__(self):
+        return (Perversity, (self.top_dim, self.values))
+
     def __eq__(self, other):
         if not isinstance(other, Perversity):
             return NotImplemented

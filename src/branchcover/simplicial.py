@@ -33,7 +33,7 @@ class SimplicialComplex:
     instead of silently repairing it.
     """
 
-    __slots__ = ("_simplices", "_by_dim", "_hash", "_vertices", "_maximal")
+    __slots__ = ("_simplices", "_by_dim", "_hash", "_vertices", "_maximal", "_cofaces")
 
     def __init__(self, simplices: Iterable[Simplex]):
         simps = frozenset(tuple(s) for s in simplices)
@@ -50,6 +50,7 @@ class SimplicialComplex:
         self._vertices = tuple(v for (v,) in self._by_dim.get(0, ()))
         self._hash = hash(simps)
         self._maximal = None
+        self._cofaces = None
 
     @property
     def simplices(self) -> frozenset[Simplex]:
@@ -83,6 +84,16 @@ class SimplicialComplex:
             self._maximal = tuple(s for s in self.all_simplices()
                                   if s not in proper_faces)
         return self._maximal
+
+    def cofaces_of_vertex(self, v: int) -> list[Simplex]:
+        """The simplices containing vertex ``v``, from an index built once."""
+        if self._cofaces is None:
+            index: dict[int, list[Simplex]] = {u: [] for u in self._vertices}
+            for s in self._simplices:
+                for u in s:
+                    index[u].append(s)
+            self._cofaces = index
+        return self._cofaces[v]
 
     def __contains__(self, simplex: Simplex) -> bool:
         return tuple(simplex) in self._simplices
@@ -155,28 +166,17 @@ def is_full(c: SimplicialComplex, sub: SimplicialComplex) -> bool:
     return True
 
 
-def vertex_cofaces(c: SimplicialComplex) -> dict[int, list[Simplex]]:
-    """Vertex -> the simplices of ``c`` that contain it, for :func:`star`."""
-    index: dict[int, list[Simplex]] = {v: [] for v in c.vertices}
-    for s in c.simplices:
-        for v in s:
-            index[v].append(s)
-    return index
-
-
-def star(c: SimplicialComplex, simplex: Simplex,
-         cofaces: dict[int, list[Simplex]] | None = None) -> SimplicialComplex:
+def star(c: SimplicialComplex, simplex: Simplex) -> SimplicialComplex:
     """Closed star: the closure of all cofaces of ``simplex``.
 
-    With ``cofaces``, the :func:`vertex_cofaces` index of ``c``, only the
-    simplices through one vertex of ``simplex`` are scanned, not all of ``c``.
+    Only the simplices through the first vertex of ``simplex`` are scanned.
     """
     s = tuple(simplex)
     if s not in c.simplices:
         raise SimplexNotFound(f"{list(s)} is not a simplex of the complex")
     sset = set(s)
     out: set[Simplex] = set()
-    for tau in (c.simplices if cofaces is None else cofaces[s[0]]):
+    for tau in c.cofaces_of_vertex(s[0]):
         if sset <= set(tau):
             for k in range(1, len(tau) + 1):
                 out.update(combinations(tau, k))

@@ -38,16 +38,23 @@ class _SpecSections(NamedTuple):
     options: dict
 
 
+_NO_OPTIONS = object()
+
+
 class SpecData(_SpecSections):
-    """The sections of a spec file; ``options`` defaults to a fresh empty dict."""
+    """The sections of a spec file; ``options`` defaults to a fresh empty dict.
+
+    Any given ``options``, ``None`` included, is kept as is for
+    :func:`parse_spec_text` to validate.
+    """
 
     __slots__ = ()
 
     def __new__(cls, complex: list, stratification: list | None = None,
                 branch: list | None = None, branch_stratification: list | None = None,
-                monodromy: dict | None = None, options: dict | None = None):
+                monodromy: dict | None = None, options: dict = _NO_OPTIONS):
         return super().__new__(cls, complex, stratification, branch, branch_stratification,
-                               monodromy, {} if options is None else options)
+                               monodromy, {} if options is _NO_OPTIONS else options)
 
     @property
     def perversity(self) -> str:

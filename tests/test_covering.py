@@ -32,7 +32,6 @@ from branchcover.simplicial import (
     betti_numbers,
     components,
     star,
-    vertex_cofaces,
 )
 from branchcover.specfile import load_spec, parse_spec_text
 from branchcover.stratified import trivial_stratification
@@ -48,7 +47,7 @@ from branchcover.fixtures import (
     torus7,
 )
 
-from oracles import orbits_of, riemann_hurwitz_chi
+from oracles import brute_star, orbits_of, riemann_hurwitz_chi
 
 
 # ---------------------------------------------------------------------------
@@ -265,18 +264,19 @@ def _susp_cover_bench_spec(monkeypatch) -> BranchedCoverSpec:
 
 
 @pytest.mark.parametrize("name", ["sphere-branched", "s3-unknot-double", "susp-cover"])
-def test_indexed_star_of_every_lift_matches_full_scan(name, monkeypatch):
+def test_star_of_every_lift_and_branch_simplex_matches_brute_star(name, monkeypatch):
     if name == "susp-cover":
         spec = _susp_cover_bench_spec(monkeypatch)
     else:
         data = sphere_branched_data(6, 2) if name == "sphere-branched" else s3_unknot_double_data()
         spec = BranchedCoverSpec(*data[:3])
     cover = fox_complete(spec)
-    cofaces = vertex_cofaces(cover.total)
-    lifts = [lift for tau in spec.branch_simplices() for lift in cover.fiber_over(tau)]
-    assert lifts
-    for lift in lifts:
-        assert star(cover.total, lift, cofaces) == star(cover.total, lift)
+    pairs = [(cover.total, lift) for tau in spec.branch_simplices()
+             for lift in cover.fiber_over(tau)]
+    assert pairs
+    pairs += [(spec.base.complex, tau) for tau in spec.branch_simplices()]
+    for c, s in pairs:
+        assert star(c, s) == SimplicialComplex(brute_star(c.simplices, s))
 
 
 # ---------------------------------------------------------------------------

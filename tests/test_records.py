@@ -1,4 +1,6 @@
 """The package's record types: construction, immutability and value semantics."""
+import copy
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -97,6 +99,7 @@ def test_spec_data_options_are_not_shared():
     a, b = SpecData([[0]]), SpecData(complex=[[0]])
     assert a.options == b.options == {}
     assert a.options is not b.options
+    assert SpecData([[0]], options=None).options is None  # left for the parser to reject
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=IDS)
@@ -132,3 +135,4 @@ def test_perversity_record():
             Perversity(*bad)
     with pytest.raises(BadDimension):
         p[5]
+    assert copy.copy(p) == copy.deepcopy(p) == pickle.loads(pickle.dumps(p)) == p

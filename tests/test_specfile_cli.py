@@ -252,6 +252,10 @@ def _assignment_bools(raw):
         raw["monodromy"]["assignments"][key] = [True, False]  # once ran as the swap
 
 
+def _options_null(raw):
+    raw["options"] = None
+
+
 def _branch_everywhere(raw):
     del raw["monodromy"]
     raw["branch"] = raw["complex"]
@@ -268,6 +272,7 @@ HOSTILE_EDITS = {
     "subdivisions-bool": (("homology", SPEC), "2", _set_subdivisions_true),
     "generators-empty-complement": (("generators", SPEC), "2", _branch_everywhere),
     "assignment-bool": (("verify", SPEC), "2", _assignment_bools),
+    "options-null": (("verify", SPEC), "2", _options_null),
     "usage-unknown-option": (("verify", SPEC, "--bogus"), "2", None),
     "usage-no-command": ((), "2", None),
     "usage-bad-perversity": (("verify", SPEC, "--perversity", "bogus"), "2", None),
