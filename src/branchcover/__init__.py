@@ -33,7 +33,6 @@ from .covering import (
     BranchedCoverSpec,
     CoverComplex,
     validate_monodromy,
-    build_complement_cover,
     fox_complete,
     local_monodromy_group,
     fiber_cardinality,

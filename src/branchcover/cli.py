@@ -15,6 +15,7 @@ from .intersection import cone_formula_check, ih_betti, perversity_by_name
 from .local_systems import pushforward_local_system, trace_split, twisted_betti
 from .simplicial import betti_numbers
 from .specfile import (
+    MAX_DEGREE,
     LoadedSpec,
     complement_presentation,
     load_spec,
@@ -157,6 +158,8 @@ def _parse_perm(text: str, degree: int) -> tuple[int, ...]:
 
 def cmd_fixture(args) -> int:
     name = args.name
+    if args.degree is not None and args.degree > MAX_DEGREE:
+        raise BadParams(f"--degree must be at most {MAX_DEGREE}")
     if name == "sphere-branched":
         points = args.points if args.points is not None else 6
         degree = args.degree if args.degree is not None else 2

@@ -1,15 +1,15 @@
 """Branched covers from monodromy data.
 
 The complement of the branch locus is modeled as the full subcomplex on
-the vertices off the locus (legitimate once the locus is full).  A
-validated permutation assignment on the edge-path generators glues the
-unbranched cover sheet by sheet; the branched cover is then completed by
+the vertices off the locus (legitimate once the locus is full).  One
+builder, :func:`fox_complete`, makes every cover: a validated permutation
+assignment on the edge-path generators glues the unbranched cover of the
+complement sheet by sheet, and the cover is completed over the locus by
 adding one vertex per connected component of the preimage of each
 punctured star, which is the combinatorial form of Fox completion.
 """
 from __future__ import annotations
 
-from collections import deque
 from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
@@ -32,6 +32,7 @@ from .presentation import EdgePathPresentation, edge_path_presentation
 from .simplicial import (
     SimplicialComplex,
     Simplex,
+    components,
     full_subcomplex,
     is_connected,
     is_full,
@@ -239,25 +240,20 @@ class BranchedCoverSpec:
 
 
 # ---------------------------------------------------------------------------
-# the unbranched cover of the complement
+# covers
 
 
 class CoverComplex:
     """Total complex of a cover with its simplicial projection."""
 
-    __slots__ = ("spec", "total", "degree", "projection", "vertex_info",
-                 "branch_lift_count", "is_completed", "_fibers")
+    __slots__ = ("spec", "total", "projection", "branch_lift_count", "_fibers")
 
     def __init__(self, spec: BranchedCoverSpec, total: SimplicialComplex,
-                 projection: dict[Simplex, Simplex], vertex_info: dict[int, tuple],
-                 branch_lift_count: dict[Simplex, int], is_completed: bool):
+                 projection: dict[Simplex, Simplex], branch_lift_count: dict[Simplex, int]):
         self.spec = spec
         self.total = total
-        self.degree = spec.degree
         self.projection = projection
-        self.vertex_info = vertex_info
         self.branch_lift_count = branch_lift_count
-        self.is_completed = is_completed
         fibers: dict[Simplex, list[Simplex]] = {}
         for s in total.all_simplices():
             fibers.setdefault(projection[s], []).append(s)
@@ -265,36 +261,6 @@ class CoverComplex:
 
     def fiber_over(self, base_simplex: Simplex) -> tuple[Simplex, ...]:
         return self._fibers.get(tuple(base_simplex), ())
-
-
-def build_complement_cover(spec: BranchedCoverSpec) -> CoverComplex:
-    """Glue d sheets over the complement along the validated transports."""
-    k = spec.complement
-    d = spec.degree
-    table = spec.table
-    verts = k.vertices
-    vid = {}
-    info = {}
-    next_id = 0
-    for v in verts:
-        for s in range(d):
-            vid[(v, s)] = next_id
-            info[next_id] = ("sheet", v, s)
-            next_id += 1
-
-    simplices: list[Simplex] = []
-    projection: dict[Simplex, Simplex] = {}
-    for sig in k.all_simplices():
-        anchor = sig[0]
-        for s in range(d):
-            ids = [vid[(anchor, s)]]
-            for v in sig[1:]:
-                ids.append(vid[(v, table[(anchor, v)][s])])
-            lift = tuple(sorted(ids))
-            simplices.append(lift)
-            projection[lift] = sig
-    total = SimplicialComplex(simplices)
-    return CoverComplex(spec, total, projection, info, {}, spec.branch is None)
 
 
 # ---------------------------------------------------------------------------
@@ -348,79 +314,49 @@ def fiber_cardinality(spec: BranchedCoverSpec, tau: Simplex) -> int:
 # Fox completion
 
 
-def _preimage_components(spec: BranchedCoverSpec, vid: dict, punctured: SimplicialComplex) -> list[list[int]]:
-    """Components of the preimage of a punctured star, as vertex id lists."""
-    d = spec.degree
-    table = spec.table
-    ids = [vid[(v, s)] for v in punctured.vertices for s in range(d)]
-    adj: dict[int, list[int]] = {i: [] for i in ids}
-    for (u, v) in punctured.simplices_of_dim(1):
-        perm = table[(u, v)]
-        for s in range(d):
-            a, b = vid[(u, s)], vid[(v, perm[s])]
-            adj[a].append(b)
-            adj[b].append(a)
-    seen: set[int] = set()
-    comps = []
-    for start in sorted(ids):
-        if start in seen:
-            continue
-        comp = []
-        queue = deque([start])
-        seen.add(start)
-        while queue:
-            x = queue.popleft()
-            comp.append(x)
-            for y in sorted(adj[x]):
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        comps.append(sorted(comp))
-    return comps
-
-
 def fox_complete(spec: BranchedCoverSpec) -> CoverComplex:
-    """Extend the complement cover over the branch locus.
+    """Glue d sheets over the complement and complete them over the locus.
 
-    Lifts of a branch simplex are the connected components of the
-    preimage of its punctured star; incidence between lifts follows
-    component containment.  Fails if a punctured star is disconnected
-    (local-flatness shadow) or if two lifts collide as vertex sets
-    (insufficient subdivision of the base).
+    Sheet s of a complement vertex v is cover vertex index(v) * d + s.  A
+    simplex off the locus lifts once per sheet of its first vertex, the
+    other vertices following the transports.  Lifts of a branch simplex
+    are the connected components of the preimage of its punctured star;
+    incidence between lifts follows component containment.  With an empty
+    locus this is the unbranched cover of the base.  Fails if a punctured
+    star is disconnected (local-flatness shadow) or if two lifts collide
+    as vertex sets (insufficient subdivision of the base).
     """
-    if spec.branch is None:
-        return build_complement_cover(spec)
-
-    k = spec.complement
     y = spec.base.complex
     d = spec.degree
     table = spec.table
+    branch_vertices = spec.branch_vertices
 
     vid = {}
-    info: dict[int, tuple] = {}
-    next_id = 0
-    for v in k.vertices:
+    for v in spec.complement.vertices:
         for s in range(d):
-            vid[(v, s)] = next_id
-            info[next_id] = ("sheet", v, s)
-            next_id += 1
+            vid[(v, s)] = len(vid)
+    next_id = len(vid)
 
-    branch_simps = spec.branch_simplices()
-    for tau in branch_simps:
+    for tau in spec.branch_simplices():
         p = spec.punctured_star(tau)
         if p.n_simplices() == 0 or not is_connected(p):
             raise DisconnectedPuncturedStar(
                 f"punctured star of branch simplex {list(tau)} is not connected")
 
+    def preimage_components(punctured: SimplicialComplex) -> tuple[tuple[int, ...], ...]:
+        lifted = [(vid[(v, s)],) for v in punctured.vertices for s in range(d)]
+        for (u, v) in punctured.simplices_of_dim(1):
+            perm = table[(u, v)]
+            lifted.extend(tuple(sorted((vid[(u, s)], vid[(v, perm[s])]))) for s in range(d))
+        return components(SimplicialComplex(lifted))
+
     # one new vertex per component of the preimage of each vertex's punctured star
     comp_of: dict[int, dict[int, int]] = {}  # branch vertex -> cover vertex id -> component
     branch_vid: dict[tuple[int, int], int] = {}
-    for w in sorted(spec.branch_vertices):
-        comps = _preimage_components(spec, vid, spec.punctured_star((w,)))
+    for w in sorted(branch_vertices):
         lookup: dict[int, int] = {}
-        for ci, comp in enumerate(comps):
+        for ci, comp in enumerate(preimage_components(spec.punctured_star((w,)))):
             branch_vid[(w, ci)] = next_id
-            info[next_id] = ("branch", w, ci)
             next_id += 1
             for x in comp:
                 lookup[x] = ci
@@ -430,7 +366,7 @@ def fox_complete(spec: BranchedCoverSpec) -> CoverComplex:
     projection: dict[Simplex, Simplex] = {}
     branch_lift_count: dict[Simplex, int] = {}
 
-    def register(lift_ids: Iterable[int], base_simplex: Simplex, tag: int) -> Simplex:
+    def register(lift_ids: Iterable[int], base_simplex: Simplex, tag: int) -> None:
         lift = tuple(sorted(lift_ids))
         if len(set(lift)) != len(lift):
             raise InsufficientSubdivision(
@@ -442,40 +378,28 @@ def fox_complete(spec: BranchedCoverSpec) -> CoverComplex:
                 f"{list(lift)}; subdivide the base")
         simplices[lift] = (base_simplex, tag)
         projection[lift] = base_simplex
-        return lift
 
-    rset = spec.branch.complex.simplices
     for sig in y.all_simplices():
-        sig_r = tuple(v for v in sig if v in spec.branch_vertices)
-        sig_k = tuple(v for v in sig if v not in spec.branch_vertices)
-        if not sig_r:
-            anchor = sig[0]
-            for s in range(d):
-                ids = [vid[(anchor, s)]]
-                for v in sig[1:]:
-                    ids.append(vid[(v, table[(anchor, v)][s])])
-                register(ids, sig, s)
-        elif not sig_k:
-            assert sig in rset
-            comps = _preimage_components(spec, vid, spec.punctured_star(sig))
+        sig_k = tuple(v for v in sig if v not in branch_vertices)
+        sig_r = tuple(v for v in sig if v in branch_vertices)
+        if not sig_k:
+            comps = preimage_components(spec.punctured_star(sig))
             branch_lift_count[sig] = len(comps)
             for ci, comp in enumerate(comps):
-                rep = comp[0]
-                ids = [branch_vid[(w, comp_of[w][rep])] for w in sig]
-                register(ids, sig, ci)
-        else:
-            anchor = sig_k[0]
-            for s in range(d):
-                ids = [vid[(anchor, s)]]
-                for v in sig_k[1:]:
-                    ids.append(vid[(v, table[(anchor, v)][s])])
-                rep = vid[(anchor, s)]
-                for w in sig_r:
-                    ids.append(branch_vid[(w, comp_of[w][rep])])
-                register(ids, sig, s)
+                register([branch_vid[(w, comp_of[w][comp[0]])] for w in sig], sig, ci)
+            continue
+        anchor = sig_k[0]
+        for s in range(d):
+            rep = vid[(anchor, s)]
+            ids = [rep]
+            for v in sig_k[1:]:
+                ids.append(vid[(v, table[(anchor, v)][s])])
+            for w in sig_r:
+                ids.append(branch_vid[(w, comp_of[w][rep])])
+            register(ids, sig, s)
 
     total = SimplicialComplex(simplices.keys())
-    return CoverComplex(spec, total, projection, info, branch_lift_count, True)
+    return CoverComplex(spec, total, projection, branch_lift_count)
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +424,7 @@ def complement_connectivity_check(spec: BranchedCoverSpec,
                                   base: ConnectivityReport | None = None) -> ConnectivityReport:
     """Verify star(tau) minus the locus is connected for every branch simplex.
 
-    With a completed cover, also verifies the analogous condition
+    With a cover, also verifies the analogous condition
     upstairs for every lift of every branch simplex.  ``base``, an earlier
     report on the same spec, supplies the downstairs half instead of a
     second pass.  Non-fatal: failures are reported, not raised.
@@ -517,13 +441,14 @@ def complement_connectivity_check(spec: BranchedCoverSpec,
 
     cover_failures = []
     checked_cover = 0
-    if cover is not None and cover.is_completed and spec.branch is not None:
-        branch_ids = {i for i, inf in cover.vertex_info.items() if inf[0] == "branch"}
+    if cover is not None:
+        locus = spec.branch_vertices  # the cover's branch vertices are those over it
         for tau in spec.branch_simplices():
             for lift in cover.fiber_over(tau):
                 checked_cover += 1
                 st = star(cover.total, lift)
-                punctured = full_subcomplex(st, (v for v in st.vertices if v not in branch_ids))
+                punctured = full_subcomplex(
+                    st, (v for v in st.vertices if cover.projection[(v,)][0] not in locus))
                 if punctured.n_simplices() == 0 or not is_connected(punctured):
                     cover_failures.append(lift)
     return ConnectivityReport(tuple(base_failures), tuple(cover_failures),

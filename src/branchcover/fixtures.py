@@ -443,6 +443,8 @@ def codim3_vertex_data(degree: int = 2):
 
 def circle_cover_data(degree: int, perm: tuple[int, ...]):
     """Cover of the hexagon with the single generator mapping to `perm`."""
+    if degree < 1:
+        raise BadParams("degree must be at least 1")
     if sorted(perm) != list(range(degree)):
         raise BadParams(f"{list(perm)} is not a permutation of 0..{degree - 1}")
     base = hexagon()

@@ -78,9 +78,6 @@ class EdgePathPresentation:
             path.append(self.parent[path[-1]])
         return tuple(reversed(path))
 
-    def n_generators(self) -> int:
-        return len(self.generators)
-
     def __hash__(self) -> int:
         return self._hash
 

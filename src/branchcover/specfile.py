@@ -40,6 +40,11 @@ class _SpecSections(NamedTuple):
 
 _NO_OPTIONS = object()
 
+# Largest covering degree accepted from a spec file or `fixture --degree`.
+# A cover holds d sheets over every simplex, so memory grows with d; the
+# cap keeps a short hostile spec from exhausting it.
+MAX_DEGREE = 10_000
+
 
 class SpecData(_SpecSections):
     """The sections of a spec file; ``options`` defaults to a fresh empty dict.
@@ -101,6 +106,8 @@ def parse_spec_text(text: str) -> SpecData:
             raise SpecFileError("'monodromy' needs keys degree and assignments")
         if not _is_int(mono["degree"]) or mono["degree"] < 1:
             raise SpecFileError("monodromy.degree must be a positive integer")
+        if mono["degree"] > MAX_DEGREE:
+            raise SpecFileError(f"monodromy.degree must be at most {MAX_DEGREE}")
         if "basepoint" in mono and not _is_int(mono["basepoint"]):
             raise SpecFileError("monodromy.basepoint must be an integer vertex id")
         if not isinstance(mono["assignments"], dict):
@@ -212,7 +219,7 @@ def load_spec(data: SpecData) -> LoadedSpec:
 
 def spec_to_dict(base: StratifiedComplex, branch: StratifiedComplex | None,
                  monodromy: MonodromyRep | None, presentation=None,
-                 perversity: str = "lower", basepoint: int | None = None) -> dict:
+                 perversity: str = "lower") -> dict:
     out: dict = {"complex": [list(s) for s in base.complex.all_simplices()]}
     m = base.dim
     levels = []

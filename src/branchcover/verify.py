@@ -17,7 +17,6 @@ from .covering import (
     BranchedCoverSpec,
     ConnectivityReport,
     CoverComplex,
-    build_complement_cover,
     complement_connectivity_check,
     fiber_cardinality,
     fox_complete,
@@ -71,7 +70,7 @@ def fiber_rank_report(spec: BranchedCoverSpec, cover: CoverComplex | None = None
     """Orbit counts against 1 + invariants of the kernel system, row by row.
 
     A mismatch indicates an implementation bug, never acceptable input;
-    rows also record the lift counts of a completed cover when given.
+    rows also record the lift counts of a cover when given.
     """
     d = spec.degree
     rows = []
@@ -80,9 +79,7 @@ def fiber_rank_report(spec: BranchedCoverSpec, cover: CoverComplex | None = None
         orbits = orbit_count(gens, d)
         kernel_mats = [sum_zero_action(g) for g in gens]
         inv = invariant_dimension(kernel_mats, d - 1)
-        lifts = None
-        if cover is not None and cover.is_completed:
-            lifts = len(cover.fiber_over(tau))
+        lifts = len(cover.fiber_over(tau)) if cover is not None else None
         rows.append(FiberRow(tau, orbits, 1 + inv, lifts))
     return FiberReport(tuple(rows))
 
@@ -146,7 +143,7 @@ def verify_unbranched(spec: BranchedCoverSpec) -> UnbranchedReport:
     """b_j(cover) = b_j(base) + b_j(base; kernel) in every degree."""
     if spec.branch is not None:
         raise InputError("verify_unbranched requires an empty branch locus")
-    cover = build_complement_cover(spec)
+    cover = fox_complete(spec)
     b_cover = betti_numbers(cover.total)
     split = trace_split(pushforward_local_system(spec.presentation, spec.monodromy))
     base_c = spec.complement

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from branchcover.errors import Disconnected, InputError, RankMismatch
 from branchcover.local_systems import LocalSystemQ, Transport
@@ -201,6 +201,25 @@ def orbits_of(perms, d):
 def riemann_hurwitz_chi(degree, chi_base, branch_points):
     """chi of a surface cover: d*chi(base) - sum of (d - fiber size)."""
     return degree * chi_base - sum(degree - f for f in branch_points)
+
+
+def sheet_cover(spec) -> dict:
+    """Lift -> base simplex over the complement of a cover spec, by search.
+
+    Every sheet labelling (s_v) of a complement simplex with
+    table[(u, v)][s_u] == s_v on all of its edges is a lift; sheet s of
+    vertex v is numbered index(v) * d + s, with v indexed in the ascending
+    vertex order of the complement.  No anchor vertex is chosen.
+    """
+    d = spec.degree
+    index = {v: i for i, v in enumerate(spec.complement.vertices)}
+    lifts = {}
+    for sig in spec.complement.all_simplices():
+        for labels in product(range(d), repeat=len(sig)):
+            sheet = dict(zip(sig, labels))
+            if all(spec.table[(u, v)][sheet[u]] == sheet[v] for u, v in combinations(sig, 2)):
+                lifts[tuple(sorted(index[v] * d + sheet[v] for v in sig))] = sig
+    return lifts
 
 
 def suspension_ih_oracle(link_ih, cutoff):

@@ -15,7 +15,6 @@ import branchcover
 from branchcover.covering import (
     BranchedCoverSpec,
     MonodromyRep,
-    build_complement_cover,
     fox_complete,
     orbit_count,
     pullback_stratification,
@@ -126,7 +125,7 @@ def test_criterion_1_unbranched_splitting():
 
 def _check_unbranched_split(base, rep):
     spec = BranchedCoverSpec(trivial_stratification(base), None, rep)
-    cover = build_complement_cover(spec)
+    cover = fox_complete(spec)
     split = trace_split(pushforward_local_system(spec.presentation, rep))
     b_cover = betti_numbers(cover.total)
     b_base = betti_numbers(base)

@@ -6,7 +6,6 @@ import pytest
 from branchcover.covering import (
     BranchedCoverSpec,
     MonodromyRep,
-    build_complement_cover,
     complement_connectivity_check,
     compose_perms,
     fiber_cardinality,
@@ -36,9 +35,11 @@ from branchcover.simplicial import (
 from branchcover.specfile import load_spec, parse_spec_text
 from branchcover.stratified import trivial_stratification
 from branchcover.fixtures import (
+    _relator_rows,
     circle_cover_data,
     codim3_vertex_data,
     hexagon,
+    nullspace_mod_p,
     octahedron,
     pinched_torus,
     s3_unknot_double_data,
@@ -47,7 +48,7 @@ from branchcover.fixtures import (
     torus7,
 )
 
-from oracles import brute_star, orbits_of, riemann_hurwitz_chi
+from oracles import brute_star, orbits_of, riemann_hurwitz_chi, sheet_cover
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +105,7 @@ def test_perm_helpers():
 
 def test_hexagon_triple_cyclic_cover():
     y, r, rep, _ = circle_cover_data(3, (1, 2, 0))
-    cover = build_complement_cover(BranchedCoverSpec(y, r, rep))
+    cover = fox_complete(BranchedCoverSpec(y, r, rep))
     assert cover.total.euler_characteristic() == 0
     assert len(components(cover.total)) == 1
     assert cover.total.n_simplices(0) == 18
@@ -112,14 +113,14 @@ def test_hexagon_triple_cyclic_cover():
 
 def test_hexagon_identity_cover_three_components():
     y, r, rep, _ = circle_cover_data(3, (0, 1, 2))
-    cover = build_complement_cover(BranchedCoverSpec(y, r, rep))
+    cover = fox_complete(BranchedCoverSpec(y, r, rep))
     assert len(components(cover.total)) == 3
     assert betti_numbers(cover.total) == (3, 3)
 
 
 def test_hexagon_swap_in_s3_two_components():
     y, r, rep, _ = circle_cover_data(3, (1, 0, 2))
-    cover = build_complement_cover(BranchedCoverSpec(y, r, rep))
+    cover = fox_complete(BranchedCoverSpec(y, r, rep))
     # orbits of <(0 1)> in degree 3: {0,1} and {2}
     assert len(components(cover.total)) == 2
     assert betti_numbers(cover.total) == (2, 2)
@@ -131,7 +132,7 @@ def test_component_count_equals_orbits_randomized():
         d = rng.randint(1, 6)
         perm = tuple(rng.sample(range(d), d))
         y, r, rep, _ = circle_cover_data(d, perm)
-        cover = build_complement_cover(BranchedCoverSpec(y, r, rep))
+        cover = fox_complete(BranchedCoverSpec(y, r, rep))
         assert len(components(cover.total)) == len(orbits_of([perm], d))
         # covering property: d simplices over every base simplex
         for s in y.complex.all_simplices():
@@ -140,7 +141,7 @@ def test_component_count_equals_orbits_randomized():
 
 def test_cover_star_injectivity():
     y, r, rep, _ = circle_cover_data(3, (1, 2, 0))
-    cover = build_complement_cover(BranchedCoverSpec(y, r, rep))
+    cover = fox_complete(BranchedCoverSpec(y, r, rep))
     for v in cover.total.vertices:
         st = star(cover.total, (v,))
         images = [cover.projection[s] for s in st.all_simplices()]
@@ -196,9 +197,32 @@ def test_fox_complete_genus_two():
 
 
 def test_fox_complete_empty_branch_is_plain_cover():
-    y, r, rep, _ = circle_cover_data(2, (1, 0))
-    spec = BranchedCoverSpec(y, r, rep)
-    assert fox_complete(spec).total == build_complement_cover(spec).total
+    specs = [BranchedCoverSpec(*circle_cover_data(d, tuple((i + 1) % d for i in range(d)))[:3])
+             for d in range(1, 6)]
+    # a transposition cover of degree 4 built from a Z/2 class, as in
+    # test_ih_of_unstratified_base_is_twisted_homology
+    c = torus7()
+    pres = edge_path_presentation(c, min(c.vertices))
+    exponents = nullspace_mod_p(_relator_rows(pres), len(pres.generators), 2)[0]
+    swap, fixed = (1, 0, 2, 3), (0, 1, 2, 3)
+    rep = MonodromyRep(4, tuple(swap if e else fixed for e in exponents))
+    assert swap in rep.images
+    specs.append(BranchedCoverSpec(trivial_stratification(c), None, rep))
+    for spec in specs:
+        assert fox_complete(spec).projection == sheet_cover(spec)
+
+
+@pytest.mark.parametrize("data", [lambda: sphere_branched_data(3, 3),
+                                  lambda: sphere_branched_data(6, 3),
+                                  s3_unknot_double_data],
+                         ids=["sphere-p3-d3", "sphere-p6-d3", "s3-unknot-double"])
+def test_fox_complete_sheets_match_oracle_off_the_locus(data):
+    spec = BranchedCoverSpec(*data()[:3])
+    cover = fox_complete(spec)
+    sheets = {lift: sig for lift, sig in cover.projection.items()
+              if not spec.branch_vertices & set(sig)}
+    assert spec.branch_vertices and len(sheets) < len(cover.projection)
+    assert sheets == sheet_cover(spec)
 
 
 def test_fox_three_points_degree_three():

@@ -1,10 +1,14 @@
 """Golden corpus: CLI output that refactors must leave byte-identical.
 
-Each spec ``tests/golden/<spec>.json`` is the output of ``branchcover
-fixture`` with the arguments in SPECS; each case in CASES runs one CLI
-command on a spec, and ``tests/golden/<case>.out`` is its stdout.  An
-intended change of output is recorded by rerunning that command with
-``--out`` and reviewing the diff.
+Each spec ``tests/golden/<spec>.json`` named in SPECS is the output of
+``branchcover fixture`` with the arguments there.  The ``*-seed1.json``
+specs are the benchmark workloads of the same name at seed 1, written
+once by ``bench/workloads.make_job`` and committed as they are, so the
+largest inputs are checked too; they run with the workloads' verify
+flags.  Each case in CASES runs one CLI command on a spec, and
+``tests/golden/<case>.out`` is its stdout.  An intended change of output
+is recorded by rerunning that command with ``--out`` and reviewing the
+diff.
 """
 from __future__ import annotations
 
@@ -40,6 +44,10 @@ CASES = {
     "fibers-sphere-p6-d3": ("fibers", "sphere-p6-d3", [], 0),
     "ih-suspension-torus": ("ih", "suspension-torus", [], 0),
     "ih-pinched-torus": ("ih", "pinched-torus", [], 0),
+    "verify-susp-cover-seed1": (
+        "verify", "susp-cover-seed1", ["--perversity", "upper", "--format", "json"], 0),
+    "verify-sphere2pt-d31-seed1": ("verify", "sphere2pt-d31-seed1", ["--format", "json"], 0),
+    "verify-circle-d64-seed1": ("verify", "circle-d64-seed1", [], 0),
 }
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from branchcover.covering import BranchedCoverSpec, MonodromyRep, build_complement_cover
+from branchcover.covering import BranchedCoverSpec, MonodromyRep, fox_complete
 from branchcover.errors import NotASubcomplex, NotPermutationSystem
 from branchcover.local_systems import (
     pushforward_local_system,
@@ -297,7 +297,7 @@ def test_betti_additivity_randomized():
             images = tuple(tuple(rng.sample(range(d), d)) for _ in pres.generators)
             rep = MonodromyRep(d, images)
             spec = BranchedCoverSpec(trivial_stratification(base), None, rep)
-            cover = build_complement_cover(spec)
+            cover = fox_complete(spec)
             push = pushforward_local_system(spec.presentation, rep)
             split = trace_split(push)
             b_total = betti_numbers(cover.total)

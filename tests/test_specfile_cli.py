@@ -4,7 +4,13 @@ import pytest
 
 from branchcover.cli import main
 from branchcover.errors import SpecFileError
-from branchcover.specfile import load_spec, parse_spec_text, spec_to_dict, spec_to_text
+from branchcover.specfile import (
+    MAX_DEGREE,
+    load_spec,
+    parse_spec_text,
+    spec_to_dict,
+    spec_to_text,
+)
 from branchcover.fixtures import circle_cover_data
 
 
@@ -261,11 +267,20 @@ def _branch_everywhere(raw):
     raw["branch"] = raw["complex"]
 
 
+def _one_edge_over_degree_cap(raw):
+    # one edge and no generators: once ran with memory growing with the degree
+    raw.clear()
+    raw.update({"complex": [[0], [1], [0, 1]],
+                "monodromy": {"degree": MAX_DEGREE + 1, "assignments": {}}})
+
+
 SPEC = object()  # stands for the path of the edited spec in a command line
 
 # case -> (command line, circle-cover degree, edit of the spec or None); each
 # edited spec once ran (degree, subdivisions) or crashed with a traceback,
-# and each usage error once exited 2 with a multi-line usage block
+# each usage error once exited 2 with a multi-line usage block, and each
+# fixture degree once wrote a spec with exit 0 (one that no command accepts,
+# or one past the degree cap)
 HOSTILE_EDITS = {
     "basepoint-list": (("verify", SPEC), "2", _set_basepoint_list),
     "degree-bool": (("verify", SPEC), "1", _set_degree_true),
@@ -276,6 +291,11 @@ HOSTILE_EDITS = {
     "usage-unknown-option": (("verify", SPEC, "--bogus"), "2", None),
     "usage-no-command": ((), "2", None),
     "usage-bad-perversity": (("verify", SPEC, "--perversity", "bogus"), "2", None),
+    "degree-over-cap": (("verify", SPEC), "2", _one_edge_over_degree_cap),
+    "fixture-degree-zero": (("fixture", "circle-cover", "--degree", "0"), "2", None),
+    "fixture-degree-negative": (("fixture", "circle-cover", "--degree", "-3"), "2", None),
+    "fixture-degree-over-cap": (
+        ("fixture", "circle-cover", "--degree", str(MAX_DEGREE + 1)), "2", None),
 }
 
 

@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 from branchcover.covering import (
     BranchedCoverSpec,
     MonodromyRep,
-    build_complement_cover,
     fox_complete,
     refine_stratification,
 )
@@ -185,7 +184,7 @@ def test_hexagon_sparse_and_dense_paths_agree(perm):
     assert twisted_betti(base, trace_split(dense_push).kernel) == b_kernel
     assert ih_betti(y, None, kernel) == ih_betti(y, None, dense_kernel) == b_kernel
 
-    cover = build_complement_cover(BranchedCoverSpec(y, r, rep))
+    cover = fox_complete(BranchedCoverSpec(y, r, rep))
     b_cover = brute_betti(cover.total.all_simplices())
     b_base = brute_betti(base.all_simplices())
     assert b_cover == b_push == tuple(x + k for x, k in zip(b_base, b_kernel))
