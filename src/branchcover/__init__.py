@@ -58,7 +58,6 @@ from .intersection import (
     top_perversity,
     complementary,
     is_allowable,
-    intersection_chain_complex,
     ih_betti,
     cone_formula_check,
     deligne_stalk_check,

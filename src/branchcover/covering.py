@@ -246,14 +246,13 @@ class BranchedCoverSpec:
 class CoverComplex:
     """Total complex of a cover with its simplicial projection."""
 
-    __slots__ = ("spec", "total", "projection", "branch_lift_count", "_fibers")
+    __slots__ = ("spec", "total", "projection", "_fibers")
 
     def __init__(self, spec: BranchedCoverSpec, total: SimplicialComplex,
-                 projection: dict[Simplex, Simplex], branch_lift_count: dict[Simplex, int]):
+                 projection: dict[Simplex, Simplex]):
         self.spec = spec
         self.total = total
         self.projection = projection
-        self.branch_lift_count = branch_lift_count
         fibers: dict[Simplex, list[Simplex]] = {}
         for s in total.all_simplices():
             fibers.setdefault(projection[s], []).append(s)
@@ -351,11 +350,13 @@ def fox_complete(spec: BranchedCoverSpec) -> CoverComplex:
         return components(SimplicialComplex(lifted))
 
     # one new vertex per component of the preimage of each vertex's punctured star
+    vertex_comps: dict[int, tuple[tuple[int, ...], ...]] = {}  # read again as the lifts of (w,)
     comp_of: dict[int, dict[int, int]] = {}  # branch vertex -> cover vertex id -> component
     branch_vid: dict[tuple[int, int], int] = {}
     for w in sorted(branch_vertices):
         lookup: dict[int, int] = {}
-        for ci, comp in enumerate(preimage_components(spec.punctured_star((w,)))):
+        vertex_comps[w] = preimage_components(spec.punctured_star((w,)))
+        for ci, comp in enumerate(vertex_comps[w]):
             branch_vid[(w, ci)] = next_id
             next_id += 1
             for x in comp:
@@ -364,7 +365,6 @@ def fox_complete(spec: BranchedCoverSpec) -> CoverComplex:
 
     simplices: dict[Simplex, tuple[Simplex, int]] = {}
     projection: dict[Simplex, Simplex] = {}
-    branch_lift_count: dict[Simplex, int] = {}
 
     def register(lift_ids: Iterable[int], base_simplex: Simplex, tag: int) -> None:
         lift = tuple(sorted(lift_ids))
@@ -383,8 +383,8 @@ def fox_complete(spec: BranchedCoverSpec) -> CoverComplex:
         sig_k = tuple(v for v in sig if v not in branch_vertices)
         sig_r = tuple(v for v in sig if v in branch_vertices)
         if not sig_k:
-            comps = preimage_components(spec.punctured_star(sig))
-            branch_lift_count[sig] = len(comps)
+            comps = (vertex_comps[sig[0]] if len(sig) == 1
+                     else preimage_components(spec.punctured_star(sig)))
             for ci, comp in enumerate(comps):
                 register([branch_vid[(w, comp_of[w][comp[0]])] for w in sig], sig, ci)
             continue
@@ -399,7 +399,7 @@ def fox_complete(spec: BranchedCoverSpec) -> CoverComplex:
             register(ids, sig, s)
 
     total = SimplicialComplex(simplices.keys())
-    return CoverComplex(spec, total, projection, branch_lift_count)
+    return CoverComplex(spec, total, projection)
 
 
 # ---------------------------------------------------------------------------

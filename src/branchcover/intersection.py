@@ -6,9 +6,9 @@ the space of allowable j-chains whose boundary is again allowable.
 Fullness of the filtration levels makes the intersection of a simplex
 with a level the face spanned by its vertices there, so allowability is
 a vertex count.  :func:`ih_betti` takes the homology ranks from exact
-ranks of the boundary of the allowable chains alone; the complex with
-explicit bases, :func:`intersection_chain_complex`, serves the API and is
-the reference the ranks are tested against.
+ranks of the boundary of the allowable chains alone.  The reference they
+are tested against, the complex with explicit bases, is the independent
+oracle ``oracles.ic_betti`` in ``tests/oracles.py``.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from typing import NamedTuple
 from .errors import AnchorUnavailable, BadDimension, InternalCheckError
 from . import linalg
 from .local_systems import LocalSystemQ
-from .simplicial import ChainComplexQ, Simplex, SparseCol, _boundary_columns, betti
+from .simplicial import Simplex, SparseCol, _boundary_columns
 from .stratified import (
     StratifiedComplex,
     cone_stratified,
@@ -131,24 +131,7 @@ def is_allowable(simplex: Simplex, sc: StratifiedComplex, p: Perversity | None) 
 
 
 # ---------------------------------------------------------------------------
-# the intersection chain complex
-
-
-class ICComplexQ(NamedTuple):
-    """Allowable-chain complex with its induced boundary operators.
-
-    ``ic_basis[j]`` spans the allowable j-chains with allowable boundary
-    inside the allowable span (coordinates are allowable-simplex index
-    times coefficient rank); ``boundaries[j]`` is the boundary in these
-    bases, verified to square to zero by :class:`ChainComplexQ`.
-    """
-
-    dim: int
-    coefficient_rank: int
-    allowable: tuple[tuple[Simplex, ...], ...]
-    ic_basis: tuple[tuple[dict, ...], ...]
-    boundaries: tuple[tuple[dict, ...], ...]
-    ih: tuple[int, ...]
+# allowable chains and their ranks
 
 
 class _AllowableChains(NamedTuple):
@@ -210,69 +193,6 @@ def _allowable_chains(sc: StratifiedComplex, p: Perversity | None,
     return _AllowableChains(r, tuple(allowable), cols)
 
 
-def intersection_chain_complex(sc: StratifiedComplex, p: Perversity | None,
-                               coeff: LocalSystemQ | None = None) -> ICComplexQ:
-    """The intersection chain complex with explicit bases.
-
-    :func:`ih_betti` computes its homology ranks without these bases;
-    this construction is the reference it is tested against.
-    """
-    chains = _allowable_chains(sc, p, coeff)
-    if chains is None:
-        return ICComplexQ(-1, 1, (), (), (), ())
-    m = sc.dim
-    r = chains.coefficient_rank
-    allowable, cols = chains.allowable, chains.cols
-
-    # IC_j = kernel of the boundary rows past the allowable block
-    ic_basis: list[tuple[dict, ...]] = []
-    free_cols: list[list[int]] = []
-    for j in range(m + 1):
-        ncols = len(allowable[j]) * r
-        cut = chains.cut(j)
-        outside: dict[int, SparseCol] = {}
-        for ci, col in enumerate(cols[j]):
-            for row, v in col.items():
-                if row >= cut:
-                    outside.setdefault(row, {})[ci] = v
-        if outside:
-            basis, free = linalg.sparse_nullspace(outside, ncols)
-        else:
-            basis = [{i: 1} for i in range(ncols)]
-            free = list(range(ncols))
-        ic_basis.append(tuple(basis))
-        free_cols.append(free)
-
-    # induced boundary in the IC bases
-    boundaries: list[tuple[dict, ...]] = [()]
-    for j in range(1, m + 1):
-        out = []
-        prev_basis = ic_basis[j - 1]
-        free_pos = {f: i for i, f in enumerate(free_cols[j - 1])}
-        for vec in ic_basis[j]:
-            image: SparseCol = {}
-            for ci, coefv in vec.items():
-                for row, v in cols[j][ci].items():
-                    image[row] = image.get(row, 0) + coefv * v
-            image = {k: v for k, v in image.items() if v}
-            col = {free_pos[row]: v for row, v in image.items() if row in free_pos}
-            # exact verification that the image lies in the previous IC space
-            recon: SparseCol = {}
-            for fp, cv in col.items():
-                for k2, v2 in prev_basis[fp].items():
-                    recon[k2] = recon.get(k2, 0) + cv * v2
-            recon = {k: v for k, v in recon.items() if v}
-            if recon != image:
-                raise InternalCheckError(
-                    f"boundary of an intersection chain in degree {j} left the "
-                    "allowable-with-allowable-boundary subspace")
-            out.append(col)
-        boundaries.append(tuple(out))
-
-    cc = ChainComplexQ([len(basis) for basis in ic_basis], boundaries)
-    return ICComplexQ(m, r, tuple(allowable), tuple(ic_basis), cc.boundaries, betti(cc))
-
-
 def ih_betti(sc: StratifiedComplex, p: Perversity | None,
              coeff: LocalSystemQ | None = None) -> tuple[int, ...]:
     """Intersection homology ranks in degrees 0..dim, from ranks alone.
@@ -289,6 +209,9 @@ def ih_betti(sc: StratifiedComplex, p: Perversity | None,
     0, where A_in^j is A^j on the allowable faces, that is
     rank([A_out^j ; A^{j-1} A_in^j]) == rank(A_out^j).  A failure raises
     :class:`InternalCheckError` naming the degree.
+
+    The test oracle ``oracles.ic_betti`` computes the same ranks from
+    explicit bases of the IC_j, written from the definitions alone.
     """
     chains = _allowable_chains(sc, p, coeff)
     if chains is None:

@@ -4,17 +4,16 @@ Everything here is exact: entries are ``int`` or ``fractions.Fraction``
 and stay as given.  Boundary, permutation and sum-zero matrices are
 integral and nearly all their pivots are +-1, so elimination stays in
 ``int`` until a pivot of another value divides, through ``Fraction``.
-Ranks and kernels come from one sparse Gauss elimination,
-:func:`_pivot_rows`, with a min-degree pivot rule (Dumas, Saunders and
-Villard, *On efficient sparse integer matrix Smith normal form
-computations*, 2001): :func:`rank_from_columns` counts its pivots, and
-:func:`sparse_nullspace` back-substitutes its pivot rows to read off a
-kernel basis.
+Ranks come from one sparse Gauss elimination, :func:`_pivot_rows`, with
+a min-degree pivot rule (Dumas, Saunders and Villard, *On efficient
+sparse integer matrix Smith normal form computations*, 2001);
+:func:`rank_from_columns` counts its pivots.  The package needs ranks
+only: kernels, and the explicit intersection-chain bases built from
+them, live in the test oracle ``tests/oracles.py``.
 
-Conventions: dense matrices are sequences of rows; sparse matrices are
-``{row: {col: value}}`` or lists of ``{row: value}`` column dicts.  All
-pivot choices are deterministic, so every routine is reproducible bit
-for bit.
+Conventions: sparse matrices are ``{row: {col: value}}`` or lists of
+``{row: value}`` column dicts.  All pivot choices are deterministic, so
+every routine is reproducible bit for bit.
 """
 from __future__ import annotations
 
@@ -22,12 +21,11 @@ import heapq
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-Mat = Sequence
 Scalar = int | Fraction
 
 
 # ---------------------------------------------------------------------------
-# sparse elimination: ranks and kernels
+# sparse elimination
 
 
 def _pivot_rows(rows: dict[int, dict[int, Scalar]]
@@ -110,62 +108,3 @@ def rank_from_columns(columns: Sequence[dict[int, Scalar]]) -> int:
     """
     return sum(1 for _ in _pivot_rows(dict(enumerate(columns))))
 
-
-def sparse_nullspace(rows: dict[int, dict[int, Scalar]],
-                     ncols: int) -> tuple[list[dict[int, Scalar]], list[int]]:
-    """Kernel basis of a sparse ``{row: {col: value}}`` matrix with ``ncols`` columns.
-
-    Returns (basis, free_columns).  Basis vector i has entry 1 at
-    free_columns[i] and is zero at all other free columns, so coordinates
-    of any kernel element in this basis can be read off at the free
-    positions.  Vectors are sparse ``{index: value}`` dicts.
-
-    The pivot rows of :func:`_pivot_rows` are back-substituted in reverse
-    elimination order into the reduced row echelon form for that pivot
-    set, from which the basis is read off.
-    """
-    pivots = list(_pivot_rows(rows))
-    reduced: dict[int, dict[int, Scalar]] = {}  # pivot col -> row free of other pivots
-    for pc, row in reversed(pivots):
-        for c in [c for c in row if c in reduced]:
-            f = row.pop(c)
-            for c2, v in reduced[c].items():
-                if c2 != c:
-                    new = row.get(c2, 0) - f * v
-                    if new:
-                        row[c2] = new
-                    else:
-                        row.pop(c2, None)
-        reduced[pc] = row
-
-    free = [c for c in range(ncols) if c not in reduced]
-    by_free: dict[int, dict[int, Scalar]] = {f: {} for f in free}
-    for pc, row in pivots:
-        for c, v in row.items():
-            if c != pc:
-                by_free[c][pc] = -v
-    basis = []
-    for f in free:
-        vec = by_free[f]
-        vec[f] = 1
-        basis.append(vec)
-    return basis, free
-
-
-def invariant_space(mats: Sequence[Mat]) -> tuple[list[dict[int, Scalar]], int]:
-    """Joint fixed space of a family of square matrices.
-
-    Returns a kernel basis of the stacked (M - I) blocks together with
-    its dimension.
-    """
-    if not mats:
-        return [], 0
-    n = len(mats[0])
-    stacked: dict[int, dict[int, Scalar]] = {}
-    for m in mats:
-        for i in range(n):
-            row = {j: v for j in range(n) if (v := m[i][j] - (1 if i == j else 0))}
-            if row:
-                stacked[len(stacked)] = row
-    basis, _free = sparse_nullspace(stacked, n)
-    return basis, len(basis)

@@ -174,14 +174,25 @@ def trace_split(system: LocalSystemQ) -> TraceSplit:
 # invariants and twisted homology
 
 
-def invariant_dimension(matrices, rank: int) -> int:
-    """Dimension of the joint fixed space of explicit transports."""
-    ident = Transport.permutation(range(rank))
-    mats = [m for m in matrices if m != ident]
-    if not mats:
-        return rank
-    _basis, dim = linalg.invariant_space(mats)
-    return dim
+def invariant_dimension(matrices: Sequence[Transport], rank: int) -> int:
+    """Dimension of the joint fixed space of a family of transports.
+
+    The fixed space is the kernel of the stacked M - I blocks, so its
+    dimension is ``rank`` minus their rank.  Column j of block b is column
+    j of M shifted by b * rank, less 1 on the diagonal, read off the sparse
+    columns.
+    """
+    columns = []
+    for j in range(rank):
+        col: dict[int, linalg.Scalar] = {}
+        for b, m in enumerate(matrices):
+            col.update((b * rank + i, v) for i, v in m.cols[j].items())
+            diag = b * rank + j
+            col[diag] = col.get(diag, 0) - 1
+            if not col[diag]:
+                del col[diag]
+        columns.append(col)
+    return rank - linalg.rank_from_columns(columns)
 
 
 def twisted_chain_complex(c: SimplicialComplex, system: LocalSystemQ) -> ChainComplexQ:

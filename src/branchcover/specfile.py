@@ -13,9 +13,10 @@ ascending lists of non-negative integers):
     options                 optional: {"perversity": "lower"|"upper",
                             "subdivisions": 0..2}
 
-Assignments are 0-indexed image arrays keyed by the generator edges of
-the deterministic presentation of the complement, computed after the
-requested subdivisions; `generators` prints that contract.
+Any other key, at the top level or inside monodromy and options, is an
+error.  Assignments are 0-indexed image arrays keyed by the generator
+edges of the deterministic presentation of the complement, computed
+after the requested subdivisions; `generators` prints that contract.
 """
 from __future__ import annotations
 
@@ -77,11 +78,7 @@ def parse_spec_text(text: str) -> SpecData:
         raise SpecFileError(f"not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise SpecFileError("top level must be an object")
-    known = {"complex", "stratification", "branch", "branch_stratification",
-             "monodromy", "options"}
-    for key in raw:
-        if key not in known:
-            raise SpecFileError(f"unknown key {key!r}")
+    _reject_unknown_keys(raw, _SpecSections._fields, "")
     if "complex" not in raw:
         raise SpecFileError("missing required key 'complex'")
     data = SpecData(
@@ -95,6 +92,7 @@ def parse_spec_text(text: str) -> SpecData:
     opts = data.options
     if not isinstance(opts, dict):
         raise SpecFileError("'options' must be an object")
+    _reject_unknown_keys(opts, ("perversity", "subdivisions"), " in 'options'")
     if opts.get("perversity", "lower") not in ("lower", "upper", "zero", "top"):
         raise SpecFileError("options.perversity must be lower, upper, zero or top")
     subs = opts.get("subdivisions", 0)
@@ -104,6 +102,7 @@ def parse_spec_text(text: str) -> SpecData:
         mono = data.monodromy
         if not isinstance(mono, dict) or "degree" not in mono or "assignments" not in mono:
             raise SpecFileError("'monodromy' needs keys degree and assignments")
+        _reject_unknown_keys(mono, ("degree", "basepoint", "assignments"), " in 'monodromy'")
         if not _is_int(mono["degree"]) or mono["degree"] < 1:
             raise SpecFileError("monodromy.degree must be a positive integer")
         if mono["degree"] > MAX_DEGREE:
@@ -113,6 +112,12 @@ def parse_spec_text(text: str) -> SpecData:
         if not isinstance(mono["assignments"], dict):
             raise SpecFileError("monodromy.assignments must be an object")
     return data
+
+
+def _reject_unknown_keys(section: dict, known, where: str) -> None:
+    for key in section:
+        if key not in known:
+            raise SpecFileError(f"unknown key {key!r}{where}")
 
 
 def _is_int(x) -> bool:

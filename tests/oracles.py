@@ -2,8 +2,10 @@
 
 Everything here is deliberately written from scratch against the
 definitions (dense Gauss over Fraction, brute-force face enumeration,
-union-find orbits) and never calls into the package's own elimination or
-homology code, so the two sides of every assertion are independent.
+union-find orbits, intersection chains from explicit bases) and never
+calls into the package's own elimination or homology code, so the two
+sides of every assertion are independent.  ``test_oracles_are_independent``
+checks the imports that this contract rules out.
 
 The explicit-matrix adapter at the end builds the package's
 :class:`Transport` and :class:`LocalSystemQ` objects from dense rational
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
-from branchcover.errors import Disconnected, InputError, RankMismatch
+from branchcover.errors import Disconnected, InputError
 from branchcover.local_systems import LocalSystemQ, Transport
 from branchcover.presentation import EdgePathPresentation, edge_path_presentation
 from branchcover.simplicial import is_connected
@@ -275,6 +277,129 @@ def dense_nullspace(rows, ncols: int) -> list[dict[int, Fraction]]:
 
 
 # ---------------------------------------------------------------------------
+# intersection chains with explicit bases
+
+
+def _add_multiple(target: dict, f, source: dict) -> None:
+    """target += f * source, dropping zeros."""
+    for k, v in source.items():
+        new = target.get(k, 0) + f * v
+        if new:
+            target[k] = new
+        else:
+            target.pop(k, None)
+
+
+def reduce_columns(columns) -> tuple[int, list[dict]]:
+    """Left-to-right column reduction over the rationals that tracks combinations.
+
+    Each sparse column ``{key: value}`` (keys ordered) is reduced against
+    the earlier nonzero reduced columns at its largest key until that key
+    is new or the column is zero.  A column reduced to zero records its
+    combination of the input columns.  Returns the number of nonzero
+    reduced columns and those combinations, a kernel basis given as
+    ``{column index: value}`` dicts.  Exact: a quotient of entries is a
+    ``Fraction``, kept as an ``int`` when it is integral.
+    """
+    reduced: dict = {}  # largest key -> (reduced column, combination)
+    kernel = []
+    for i, col in enumerate(columns):
+        col = {k: v for k, v in col.items() if v}
+        combo = {i: 1}
+        while col:
+            lead = max(col)
+            if lead not in reduced:
+                reduced[lead] = (col, combo)
+                break
+            pcol, pcombo = reduced[lead]
+            f = Fraction(col[lead]) / pcol[lead]
+            f = f.numerator if f.denominator == 1 else f
+            _add_multiple(col, -f, pcol)
+            _add_multiple(combo, -f, pcombo)
+        else:
+            kernel.append(combo)
+    return len(reduced), kernel
+
+
+def ic_complex(sc, p, coeff=None):
+    """Intersection chains of a stratified complex with full levels, by definition.
+
+    A j-simplex s of an m-dimensional complex is allowable when, for
+    every k >= 2, it has at most j - k + p(k) + 1 vertices in level
+    X_{m-k} (fullness makes s meet X_{m-k} in the face those vertices
+    span).  A chain is ``{(simplex, t): value}``: coefficient t of the
+    local system at the first vertex of the simplex off the singular set,
+    carried to a face's vertex by dense reads of ``coeff.transport``.
+    IC_j is the kernel of the boundary rows outside the allowable
+    (j-1)-simplices.  Returns (allowable simplices by degree, IC_j bases
+    by degree, the boundary as a function on chains).
+    """
+    m = sc.dim
+    r = coeff.rank if coeff is not None else 1
+    levels = [set(sc.level(j).vertices) for j in range(m + 1)]
+    singular = levels[m - 2] if m >= 2 else set()
+
+    def is_allowable(s):
+        j = len(s) - 1
+        for k in range(2, m + 1):
+            count = len(levels[m - k].intersection(s))
+            if count and count - 1 > j - k + p[k]:
+                return False
+        return True
+
+    def anchor(s):
+        return next(v for v in s if v not in singular)
+
+    def boundary(chain: dict) -> dict:
+        out: dict = {}
+        for (s, t), c in chain.items():
+            if len(s) == 1:
+                continue
+            a = anchor(s)
+            for i in range(len(s)):
+                face = s[:i] + s[i + 1:]
+                b = anchor(face)
+                if coeff is None or a == b:
+                    image = {(face, t): 1}
+                else:
+                    mat = coeff.transport(a, b)
+                    image = {(face, u): mat[u][t] for u in range(r)}
+                _add_multiple(out, c if i % 2 == 0 else -c, image)
+        return out
+
+    allowable = [[s for s in sc.complex.simplices_of_dim(j) if is_allowable(s)]
+                 for j in range(m + 1)]
+    bases = []
+    for j in range(m + 1):
+        keys = [(s, t) for s in allowable[j] for t in range(r)]
+        inside = set(allowable[j - 1]) if j else set()
+        outside = [{key: v for key, v in boundary({gen: 1}).items() if key[0] not in inside}
+                   for gen in keys]
+        _count, kernel = reduce_columns(outside)
+        bases.append([{keys[i]: v for i, v in combo.items()} for combo in kernel])
+    return allowable, bases, boundary
+
+
+def ic_closed(sc, p, coeff=None) -> bool:
+    """The boundary of each IC_j basis chain is allowable and has zero boundary."""
+    allowable, bases, boundary = ic_complex(sc, p, coeff)
+    for j in range(1, len(bases)):
+        inside = set(allowable[j - 1])
+        for x in bases[j]:
+            dx = boundary(x)
+            if not {s for s, _t in dx} <= inside or boundary(dx):
+                return False
+    return True
+
+
+def ic_betti(sc, p, coeff=None) -> tuple[int, ...]:
+    """ih_j = dim IC_j - rank of the boundary on IC_j - rank on IC_{j+1}."""
+    _allowable, bases, boundary = ic_complex(sc, p, coeff)
+    ranks = [reduce_columns([boundary(x) for x in basis])[0] for basis in bases] + [0]
+    return tuple(len(bases[j]) - ranks[j] - ranks[j + 1] for j in range(len(bases)))
+
+
+# ---------------------------------------------------------------------------
 # explicit-matrix adapter
 
 
@@ -302,10 +427,13 @@ def matrix_inverse(a) -> list[list[Fraction]]:
 
 
 def transport_from_rows(rows) -> Transport:
-    """A :class:`Transport` from a dense square matrix given as rows."""
+    """A :class:`Transport` from a dense square matrix given as rows.
+
+    Raises ValueError if the matrix is not square.
+    """
     n = len(rows)
     if any(len(row) != n for row in rows):
-        raise RankMismatch(f"matrix with {n} rows is not square")
+        raise ValueError(f"matrix with {n} rows is not square")
     return Transport([{i: Fraction(row[j]) for i, row in enumerate(rows) if row[j]}
                       for j in range(n)])
 

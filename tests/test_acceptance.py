@@ -67,7 +67,7 @@ from branchcover.fixtures import (
     torus7,
 )
 
-from oracles import riemann_hurwitz_chi, suspension_ih_oracle
+from oracles import ic_betti, ic_closed, riemann_hurwitz_chi, suspension_ih_oracle
 
 
 def _report(n: int, text: str) -> None:
@@ -275,8 +275,10 @@ def test_criterion_7_cone_and_stalk_checks():
 
 def test_criterion_8_structural_invariants():
     # boundary-squared and flatness are enforced at construction time for
-    # every chain complex, twisted complex, IC complex and local system;
-    # building the full battery here exercises those checks
+    # every chain complex, twisted complex and local system, and by one
+    # rank per degree in ih_betti for the IC boundary; building the full
+    # battery here exercises those checks.  The IC oracle's explicit bases
+    # are checked directly.
     complexes = [hexagon(), octahedron(), torus7(), boundary_simplex(4)]
     for c in complexes:
         chain_complex(c)
@@ -287,9 +289,10 @@ def test_criterion_8_structural_invariants():
     twisted_chain_complex(spec.complement, push)
     twisted_chain_complex(spec.complement, split.kernel)
     refined = refine_stratification(y, r)
-    from branchcover.intersection import intersection_chain_complex
-    intersection_chain_complex(refined, lower_middle(2))
-    intersection_chain_complex(refined, lower_middle(2), split.kernel)
+    for coeff in (None, split.kernel):
+        assert ih_betti(refined, lower_middle(2), coeff) == ic_betti(
+            refined, lower_middle(2), coeff)
+        assert ic_closed(refined, lower_middle(2), coeff)
 
     # refined and pulled-back stratifications satisfy all invariants
     checked = 0

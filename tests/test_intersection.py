@@ -5,13 +5,11 @@ import pytest
 from branchcover.covering import BranchedCoverSpec, MonodromyRep, refine_stratification
 from branchcover.errors import BadDimension, NotFull
 from branchcover.intersection import (
-    ICComplexQ,
     Perversity,
     complementary,
     cone_formula_check,
     deligne_stalk_check,
     ih_betti,
-    intersection_chain_complex,
     is_allowable,
     lower_middle,
     perversity_by_name,
@@ -48,7 +46,7 @@ from branchcover.fixtures import (
     torus7,
 )
 
-from oracles import suspension_ih_oracle
+from oracles import ic_betti, ic_closed, ic_complex, suspension_ih_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -197,16 +195,17 @@ def test_ih_invariant_under_subdivision():
 
 
 def test_ic_complex_structure():
+    # the oracle's basis chains are supported on allowable simplices, and
+    # their boundaries are intersection chains with zero boundary
     st = suspension_torus()
-    ic = intersection_chain_complex(st, upper_middle(3))
-    assert isinstance(ic, ICComplexQ)
-    # every basis chain is supported on allowable simplices; boundaries
-    # were verified to square to zero at construction time
-    assert ic.ih == (1, 0, 2, 1)
-    for j, simps in enumerate(ic.allowable):
+    allowable, bases, _boundary = ic_complex(st, upper_middle(3))
+    for j, simps in enumerate(allowable):
         for s in simps:
             assert is_allowable(s, st, upper_middle(3))
-    assert len(ic.boundaries[1]) == len(ic.ic_basis[1])
+        for x in bases[j]:
+            assert {s for s, _t in x} <= set(simps)
+    assert ic_closed(st, upper_middle(3))
+    assert ic_betti(st, upper_middle(3)) == ih_betti(st, upper_middle(3)) == (1, 0, 2, 1)
 
 
 def _refined(data):
@@ -232,13 +231,14 @@ def test_allowable_simplices_leave_two_vertices_off_singular_set(name):
     singular = set(sc.singular_set.vertices)
     for pname in ("lower", "upper", "zero", "top"):
         p = perversity_by_name(pname, sc.dim)
-        for s in intersection_chain_complex(sc, p).allowable[1:]:
-            for simplex in s:
-                assert sum(1 for v in simplex if v not in singular) >= 2, (pname, simplex)
+        for j in range(1, sc.dim + 1):
+            for simplex in sc.complex.simplices_of_dim(j):
+                if is_allowable(simplex, sc, p):
+                    assert sum(1 for v in simplex if v not in singular) >= 2, (pname, simplex)
 
 
 # ---------------------------------------------------------------------------
-# ranks against bases: ih_betti and intersection_chain_complex
+# ranks against bases: ih_betti and the IC oracle
 
 
 def _cover_kernel(data):
@@ -294,7 +294,7 @@ def test_ih_from_ranks_matches_ic_bases(name):
         p = perversity_by_name(pname, sc.dim)
         for label, coeff in (("trivial", None), ("kernel", kernel), ("scaled", scaled)):
             ih = ih_betti(sc, p, coeff)
-            assert ih == intersection_chain_complex(sc, p, coeff).ih, (pname, label)
+            assert ih == ic_betti(sc, p, coeff), (pname, label)
         assert ih == ih_betti(sc, p, kernel), pname
 
 
@@ -429,15 +429,15 @@ def test_ic_requires_full_levels():
     oct_ = octahedron()
     sc = StratifiedComplex(oct_, [SimplicialComplex([(1,), (2,)])])
     with pytest.raises(NotFull):
-        intersection_chain_complex(sc, zero_perversity(2))
+        ih_betti(sc, zero_perversity(2))
 
 
 def test_ic_requires_perversity_in_high_dimension():
     with pytest.raises(BadDimension):
-        intersection_chain_complex(trivial_stratification(octahedron()), None)
+        ih_betti(trivial_stratification(octahedron()), None)
     with pytest.raises(BadDimension):
         # perversity defined only up to dimension 2 cannot serve dimension 3
-        intersection_chain_complex(suspension_torus(), zero_perversity(2))
+        ih_betti(suspension_torus(), zero_perversity(2))
 
 
 def test_stalk_check_arc_stratum_through_suspension_points():

@@ -5,19 +5,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from branchcover import linalg
-from branchcover.local_systems import Transport, sum_zero_action
+from branchcover.local_systems import Transport, invariant_dimension, sum_zero_action
 
-from oracles import dense_rank, identity, mat_equal, matmul, matrix_inverse, permutation_matrix
+from oracles import (
+    dense_rank,
+    identity,
+    mat_equal,
+    matmul,
+    matrix_inverse,
+    permutation_matrix,
+    reduce_columns,
+    transport_from_rows,
+)
 
 
 def random_matrix(rng, nrows, ncols, density=0.5, span=5):
     return [[rng.randint(-span, span) if rng.random() < density else 0
              for _ in range(ncols)] for _ in range(nrows)]
-
-
-def to_sparse(rows):
-    return {i: {j: Fraction(v) for j, v in enumerate(row) if v}
-            for i, row in enumerate(rows) if any(row)}
 
 
 def to_columns(rows):
@@ -67,11 +71,44 @@ def test_matrix_inverse_singular_raises():
 
 
 def test_invariant_space_of_swap():
-    swap = permutation_matrix((1, 0))
-    basis, dim = linalg.invariant_space([swap])
-    assert dim == 1
-    (vec,) = basis
-    assert vec.get(0) == vec.get(1)
+    assert invariant_dimension([transport_from_rows(permutation_matrix((1, 0)))], 2) == 1
+    assert invariant_dimension([Transport.permutation((1, 0))], 2) == 1
+
+
+def test_invariant_dimension_edge_cases():
+    # rank 0: the sum-zero system of a degree-1 cover
+    assert invariant_dimension([sum_zero_action((0,))], 0) == 0
+    assert invariant_dimension([], 0) == 0
+    # identities only: everything is fixed
+    ident = Transport.permutation(range(3))
+    assert invariant_dimension([ident, ident], 3) == 3
+    assert invariant_dimension([sum_zero_action((0, 1, 2, 3))], 3) == 3
+    # identity mixed with sum-zero actions: 1 + invariants = orbit count
+    swap, cycle = sum_zero_action((1, 0, 2, 3)), sum_zero_action((1, 2, 0, 3))
+    assert invariant_dimension([ident, swap], 3) == 2
+    assert invariant_dimension([swap, ident, cycle], 3) == 1
+
+
+def oracle_kernel(m, nc):
+    """Kernel basis of dense rows by the oracle's column reduction, with its free columns.
+
+    The combination of a column reduced to zero is 1 at that column, its
+    largest index, so those columns are the free positions.  Each vector
+    is cleared at the earlier free columns by the earlier basis vectors,
+    which are 0 at every later free column.
+    """
+    columns = [{i: row[j] for i, row in enumerate(m) if row[j]} for j in range(nc)]
+    _count, kernel = reduce_columns(columns)
+    free = [max(vec) for vec in kernel]
+    basis = []
+    for vec in kernel:
+        for f, earlier in zip(free, basis):
+            c = vec.get(f, 0)
+            if c:
+                vec = {k: vec.get(k, 0) - c * earlier.get(k, 0)
+                       for k in vec.keys() | earlier.keys()}
+        basis.append(vec)
+    return basis, free
 
 
 def assert_kernel_contract(m, nc, basis, free):
@@ -90,7 +127,7 @@ def test_sparse_nullspace_matches_contract():
     for _ in range(50):
         nr, nc = rng.randint(1, 7), rng.randint(1, 9)
         m = random_matrix(rng, nr, nc, density=rng.choice([0.2, 0.5, 0.9]))
-        assert_kernel_contract(m, nc, *linalg.sparse_nullspace(to_sparse(m), nc))
+        assert_kernel_contract(m, nc, *oracle_kernel(m, nc))
 
 
 def test_nullspace_vectors_lie_in_kernel():
@@ -98,7 +135,7 @@ def test_nullspace_vectors_lie_in_kernel():
     for _ in range(40):
         nr, nc = rng.randint(1, 6), rng.randint(1, 8)
         m = random_matrix(rng, nr, nc)
-        assert_kernel_contract(m, nc, *linalg.sparse_nullspace(to_sparse(m), nc))
+        assert_kernel_contract(m, nc, *oracle_kernel(m, nc))
 
 
 def test_invariant_space_matches_oracle():
@@ -110,18 +147,14 @@ def test_invariant_space_matches_oracle():
             perm = list(range(n))
             rng.shuffle(perm)
             perms.append(perm)
-        families = [[permutation_matrix(g) for g in perms],
+        families = [[transport_from_rows(permutation_matrix(g)) for g in perms],
                     [Transport.permutation(g) for g in perms],
                     [sum_zero_action(g) for g in perms]]
         for mats in families:
             size = len(mats[0])
             stacked = [[Fraction(m[i][j]) - (1 if i == j else 0) for j in range(size)]
                        for m in mats for i in range(size)]
-            basis, dim = linalg.invariant_space(mats)
-            assert dim == len(basis) == size - dense_rank(stacked)
-            for vec in basis:
-                for row in stacked:
-                    assert sum(row[j] * v for j, v in vec.items()) == 0
+            assert invariant_dimension(mats, size) == size - dense_rank(stacked)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +209,7 @@ def test_elimination_is_exact_with_non_unit_pivots(m):
     assert linalg.rank_from_columns(columns) == rank
     for _pc, row in linalg._pivot_rows(sparse):
         assert all(_exact(v) for v in row.values())
-    basis, free = linalg.sparse_nullspace(sparse, nc)
+    basis, free = oracle_kernel(m, nc)
     assert all(_exact(v) for vec in basis for v in vec.values())
     assert_kernel_contract(m, nc, basis, free)
     assert dense_rank([[vec.get(j, 0) for j in range(nc)] for vec in basis]) == len(basis)

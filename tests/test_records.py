@@ -12,7 +12,6 @@ from branchcover.covering import ConnectivityReport, MonodromyRep
 from branchcover.errors import BadDimension
 from branchcover.intersection import (
     ConeCheckResult,
-    ICComplexQ,
     Perversity,
     StalkCheckEntry,
     StalkCheckResult,
@@ -35,7 +34,6 @@ from branchcover.verify import (
 RECORDS = {
     MonodromyRep: ("degree", "images"),
     ConnectivityReport: ("base_failures", "cover_failures", "checked_base", "checked_cover"),
-    ICComplexQ: ("dim", "coefficient_rank", "allowable", "ic_basis", "boundaries", "ih"),
     _AllowableChains: ("coefficient_rank", "allowable", "cols"),
     ConeCheckResult: ("link_ih", "cone_ih", "cutoff", "expected", "mismatches"),
     StalkCheckEntry: ("vertex", "level", "codim", "cutoff", "link_ih", "star_ih",

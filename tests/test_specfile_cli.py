@@ -262,6 +262,14 @@ def _options_null(raw):
     raw["options"] = None
 
 
+def _options_unknown_key(raw):
+    raw["options"]["subdivision"] = 1  # a typo for subdivisions once ran unsubdivided
+
+
+def _monodromy_unknown_key(raw):
+    raw["monodromy"]["bogus"] = 1
+
+
 def _branch_everywhere(raw):
     del raw["monodromy"]
     raw["branch"] = raw["complex"]
@@ -288,6 +296,8 @@ HOSTILE_EDITS = {
     "generators-empty-complement": (("generators", SPEC), "2", _branch_everywhere),
     "assignment-bool": (("verify", SPEC), "2", _assignment_bools),
     "options-null": (("verify", SPEC), "2", _options_null),
+    "options-unknown-key": (("verify", SPEC), "3", _options_unknown_key),
+    "monodromy-unknown-key": (("verify", SPEC), "3", _monodromy_unknown_key),
     "usage-unknown-option": (("verify", SPEC, "--bogus"), "2", None),
     "usage-no-command": ((), "2", None),
     "usage-bad-perversity": (("verify", SPEC, "--perversity", "bogus"), "2", None),
