@@ -9,15 +9,12 @@ constant coefficients plus the sum-zero kernel system.
 from .errors import BranchCoverError, InputError, InternalCheckError
 from .simplicial import (
     SimplicialComplex,
-    ChainComplexQ,
     validate_complex,
     star,
     link,
     cone,
     suspension,
     components,
-    chain_complex,
-    betti,
     betti_numbers,
     full_subcomplex,
     is_full,
@@ -45,7 +42,6 @@ from .local_systems import (
     LocalSystemQ,
     pushforward_local_system,
     trace_split,
-    twisted_chain_complex,
     twisted_betti,
     restrict,
     trivial_system,
@@ -64,7 +60,6 @@ from .intersection import (
 )
 from .verify import (
     DecompositionReport,
-    verify_unbranched,
     verify_branched,
     fiber_rank_report,
     codim_check,

@@ -23,7 +23,7 @@ from .specfile import (
     spec_to_dict,
     spec_to_text,
 )
-from .verify import codim_check, fiber_rank_report, verify_branched, verify_unbranched
+from .verify import codim_check, fiber_rank_report, verify_branched
 from . import fixtures
 
 
@@ -60,17 +60,7 @@ def cmd_generators(args) -> int:
 def cmd_verify(args) -> int:
     loaded = _load(args.spec)
     spec = loaded.cover_spec()
-    perversity = args.perversity or loaded.perversity
-    if spec.branch is None and spec.base.dim < 2:
-        report = verify_unbranched(spec)
-        lines = [f"unbranched splitting check (degree {report.degree})",
-                 f"  b(cover)        = {list(report.betti_cover)}",
-                 f"  b(base)         = {list(report.betti_base)}",
-                 f"  b(base; kernel) = {list(report.betti_kernel)}",
-                 f"  equality: {'HOLDS' if report.all_equal else 'FAILS'}"]
-        _emit("\n".join(lines) + "\n", args.out)
-        return 0 if report.all_equal else 2
-    report = verify_branched(spec, perversity)
+    report = verify_branched(spec, args.perversity or loaded.perversity)
     text = report.to_json() if args.format == "json" else report.to_text()
     _emit(text, args.out)
     if not report.internal_ok:

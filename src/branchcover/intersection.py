@@ -5,19 +5,20 @@ level in controlled dimension; the intersection complex in degree j is
 the space of allowable j-chains whose boundary is again allowable.
 Fullness of the filtration levels makes the intersection of a simplex
 with a level the face spanned by its vertices there, so allowability is
-a vertex count.  :func:`ih_betti` takes the homology ranks from exact
-ranks of the boundary of the allowable chains alone.  The reference they
-are tested against, the complex with explicit bases, is the independent
-oracle ``oracles.ic_betti`` in ``tests/oracles.py``.
+a vertex count.  :func:`ih_betti` hands the allowable simplices to
+:func:`simplicial.homology_ranks`, the one homology routine of the
+package, which takes the ranks from the boundary of the allowable chains
+alone.  The reference they are tested against, the complex with explicit
+bases, is the independent oracle ``oracles.ic_betti`` in
+``tests/oracles.py``.
 """
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import AnchorUnavailable, BadDimension, InternalCheckError
-from . import linalg
+from .errors import AnchorUnavailable, BadDimension
 from .local_systems import LocalSystemQ
-from .simplicial import Simplex, SparseCol, _boundary_columns
+from .simplicial import Simplex, homology_ranks
 from .stratified import (
     StratifiedComplex,
     cone_stratified,
@@ -131,53 +132,33 @@ def is_allowable(simplex: Simplex, sc: StratifiedComplex, p: Perversity | None) 
 
 
 # ---------------------------------------------------------------------------
-# allowable chains and their ranks
+# intersection homology
 
 
-class _AllowableChains(NamedTuple):
-    """Boundary columns of the allowable chains, degree by degree.
+def ih_betti(sc: StratifiedComplex, p: Perversity | None,
+             coeff: LocalSystemQ | None = None) -> tuple[int, ...]:
+    """Intersection homology ranks in degrees 0..dim.
 
-    ``cols[j]`` holds ``coefficient_rank`` columns per allowable
-    j-simplex.  Its degree-(j-1) rows number the allowable faces first and
-    all other (j-1)-simplices after them in simplex order, so the rows from
-    ``cut(j)`` on are the boundary outside the allowable chains.
+    :func:`simplicial.homology_ranks` on the allowable simplices, with the
+    coefficients of a simplex at its first vertex off the singular set;
+    it also checks that the boundary keeps the intersection chains.  The
+    test oracle ``oracles.ic_betti`` computes the same ranks from explicit
+    bases of the IC_j, written from the definitions alone.
     """
-
-    coefficient_rank: int
-    allowable: tuple[tuple[Simplex, ...], ...]
-    cols: tuple[list[SparseCol], ...]
-
-    def cut(self, j: int) -> int:
-        return len(self.allowable[j - 1]) * self.coefficient_rank if j else 0
-
-
-def _allowable_chains(sc: StratifiedComplex, p: Perversity | None,
-                      coeff: LocalSystemQ | None) -> _AllowableChains | None:
-    """Allowable simplices and their boundary columns; None for an empty space."""
     m = sc.dim
     if m < 0:
-        return None
+        return ()
     sc.full_check()
     if m >= 2:
         if p is None:
             raise BadDimension("a perversity is required in dimension >= 2")
         if p.top_dim < m:
             raise BadDimension(f"perversity only defined up to {p.top_dim}, need {m}")
-
-    r = coeff.rank if coeff is not None else 1
     singular = set(sc.singular_set.vertices)
     level_verts = _level_vertex_sets(sc)
 
-    # rows of degree j: the allowable j-simplices, then all others in simplex order
-    allowable: list[tuple[Simplex, ...]] = []
-    rows: list[dict[Simplex, int]] = []
-    for j in range(m + 1):
-        simps = sc.complex.simplices_of_dim(j)
-        allowable.append(tuple(s for s in simps if _allowable(s, m, level_verts, p)))
-        index = {s: i for i, s in enumerate(allowable[j])}
-        for s in simps:
-            index.setdefault(s, len(index))
-        rows.append(index)
+    def allowable(s: Simplex) -> bool:
+        return _allowable(s, m, level_verts, p)
 
     def anchor(s: Simplex) -> int:
         for v in s:
@@ -187,63 +168,9 @@ def _allowable_chains(sc: StratifiedComplex, p: Perversity | None,
             f"simplex {list(s)} of an allowable chain has no vertex off the singular "
             "set; subdivide the base")
 
-    transport = coeff.transport if coeff is not None else None
-    cols = tuple(_boundary_columns(allowable[j], rows[j - 1], r, transport, anchor) if j else []
-                 for j in range(m + 1))
-    return _AllowableChains(r, tuple(allowable), cols)
-
-
-def ih_betti(sc: StratifiedComplex, p: Perversity | None,
-             coeff: LocalSystemQ | None = None) -> tuple[int, ...]:
-    """Intersection homology ranks in degrees 0..dim, from ranks alone.
-
-    Let A^j be the boundary of the allowable j-chains (N_j columns) and
-    A_out^j its rows past the allowable faces.  IC_j is the kernel of
-    A_out^j, and A_out^j is part of A^j, so rk(boundary on IC_j) =
-    rk A^j - rk A_out^j and
-
-        ih_j = N_j - rk A^j - rk A^{j+1} + rk A_out^{j+1}.
-
-    That the boundary maps IC_j into IC_{j-1} and squares to zero there is
-    one exact rank test per degree: every x in IC_j has A^{j-1} A_in^j x =
-    0, where A_in^j is A^j on the allowable faces, that is
-    rank([A_out^j ; A^{j-1} A_in^j]) == rank(A_out^j).  A failure raises
-    :class:`InternalCheckError` naming the degree.
-
-    The test oracle ``oracles.ic_betti`` computes the same ranks from
-    explicit bases of the IC_j, written from the definitions alone.
-    """
-    chains = _allowable_chains(sc, p, coeff)
-    if chains is None:
-        return ()
-    m = sc.dim
-    r = chains.coefficient_rank
-    cols = chains.cols
-    rank = [0] * (m + 2)      # rk A^j
-    rank_out = [0] * (m + 2)  # rk A_out^j
-    for j in range(1, m + 1):
-        cut = chains.cut(j)
-        out = [{i: v for i, v in col.items() if i >= cut} for col in cols[j]]
-        rank[j] = linalg.rank_from_columns(cols[j])
-        rank_out[j] = linalg.rank_from_columns(out)
-        if j >= 2:
-            # rows of A^{j-1} A_in^j sit below the degree-(j-1) rows of A_out^j
-            shift = sc.complex.n_simplices(j - 1) * r
-            prev = cols[j - 1]
-            stacked = []
-            for col, col_out in zip(cols[j], out):
-                acc = dict(col_out)
-                for i, v in col.items():
-                    if i < cut:
-                        for k, w in prev[i].items():
-                            acc[shift + k] = acc.get(shift + k, 0) + v * w
-                stacked.append(acc)
-            if linalg.rank_from_columns(stacked) != rank_out[j]:
-                raise InternalCheckError(
-                    f"boundary of an intersection chain in degree {j} left the "
-                    "intersection chains or does not square to zero")
-    return tuple(len(chains.allowable[j]) * r - rank[j] - rank[j + 1] + rank_out[j + 1]
-                 for j in range(m + 1))
+    if coeff is None:
+        return homology_ranks(sc.complex, allowable)
+    return homology_ranks(sc.complex, allowable, coeff.rank, coeff.transport, anchor)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ constant rank-1 system plus the sum-zero kernel of the coordinate-sum
 (trace) map, which is the local system driving all decomposition checks.
 Both summands come from a permutation monodromy, so their transports
 have at most two nonzeros per column: :class:`Transport` stores columns.
+Twisted homology is :func:`simplicial.homology_ranks` on every simplex,
+with the coefficients of a simplex at its minimal vertex.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from .errors import NotASubcomplex, NotPermutationSystem, RankMismatch
 from . import linalg
 from .covering import MonodromyRep, Perm, transport_table, validate_monodromy
 from .presentation import EdgePathPresentation
-from .simplicial import ChainComplexQ, SimplicialComplex, _boundary_columns, betti
+from .simplicial import SimplicialComplex, homology_ranks
 
 
 class Transport:
@@ -195,8 +197,8 @@ def invariant_dimension(matrices: Sequence[Transport], rank: int) -> int:
     return rank - linalg.rank_from_columns(columns)
 
 
-def twisted_chain_complex(c: SimplicialComplex, system: LocalSystemQ) -> ChainComplexQ:
-    """Chains with coefficients attached at the minimal vertex of each simplex.
+def twisted_betti(c: SimplicialComplex, system: LocalSystemQ) -> tuple[int, ...]:
+    """Homology ranks with coefficients attached at the minimal vertex of each simplex.
 
     The boundary transports coefficients along the edge joining the
     minimal vertices, which lies inside the simplex; flatness makes the
@@ -205,16 +207,7 @@ def twisted_chain_complex(c: SimplicialComplex, system: LocalSystemQ) -> ChainCo
     for e in c.simplices_of_dim(1):
         if e not in system.transports:
             raise NotASubcomplex(f"local system has no transport for edge {list(e)}")
-    r = system.rank
-    by_dim = [c.simplices_of_dim(d) for d in range(c.dim + 1)]
-    return ChainComplexQ([len(simps) * r for simps in by_dim], [
-        _boundary_columns(by_dim[j], {s: i for i, s in enumerate(by_dim[j - 1])}, r,
-                          system.transport, min) if j else []
-        for j in range(len(by_dim))])
-
-
-def twisted_betti(c: SimplicialComplex, system: LocalSystemQ) -> tuple[int, ...]:
-    return betti(twisted_chain_complex(c, system))
+    return homology_ranks(c, lambda s: True, system.rank, system.transport, min)
 
 
 def restrict(system: LocalSystemQ, sub: SimplicialComplex) -> LocalSystemQ:

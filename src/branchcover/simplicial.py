@@ -1,16 +1,19 @@
-"""Finite simplicial complexes and exact rational chain complexes.
+"""Finite simplicial complexes and their homology ranks over the rationals.
 
 A simplex is a strictly ascending tuple of non-negative integer vertex
 ids; a complex is a face-closed finite set of simplices.  Boundary
-operators use the ascending-vertex orientation with alternating signs,
-and Betti numbers are computed exactly over the rationals.  Signs are
-``int``; chains stay integral unless their coefficients are not.
+operators use the ascending-vertex orientation with alternating signs.
+One routine, :func:`homology_ranks`, computes every homology the package
+needs exactly: ordinary, twisted and intersection homology are the
+homology of the chains on a chosen set of simplices with chosen
+coefficients.  Signs are ``int``; chains stay integral unless their
+coefficients are not.
 """
 from __future__ import annotations
 
 from collections import deque
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     DuplicateSimplex,
@@ -297,58 +300,9 @@ def barycentric_subdivide_set(
 
 
 # ---------------------------------------------------------------------------
-# chain complexes over the rationals
+# homology ranks over the rationals
 
 SparseCol = dict[int, linalg.Scalar]
-
-
-class ChainComplexQ:
-    """Chain complex of finite-dimensional rational vector spaces.
-
-    ``boundaries[j]`` is the operator from degree j to degree j-1 stored
-    as a tuple of sparse columns; composition of consecutive boundaries
-    is verified to vanish at construction time.  The column dicts are
-    stored as given, not copied: the ordinary, twisted and intersection
-    complexes all take fresh columns from :func:`_boundary_columns` and
-    never touch them again.
-    """
-
-    __slots__ = ("ranks", "boundaries")
-
-    def __init__(self, ranks: Sequence[int], boundaries: Sequence[Sequence[SparseCol]]):
-        self.ranks = tuple(ranks)
-        self.boundaries = tuple(tuple(bd) for bd in boundaries)
-        if len(self.boundaries) != len(self.ranks):
-            raise ValueError("need one boundary slot per degree")
-        for j, bd in enumerate(self.boundaries):
-            if j == 0:
-                if bd:
-                    raise ValueError("degree 0 has no boundary")
-                continue
-            if len(bd) != self.ranks[j]:
-                raise ValueError(f"boundary {j} has {len(bd)} columns, expected {self.ranks[j]}")
-            for col in bd:
-                for row in col:
-                    if not 0 <= row < self.ranks[j - 1]:
-                        raise ValueError(f"boundary {j} hits row {row} out of range")
-        for j in range(2, len(self.ranks)):
-            for col in self.boundaries[j]:
-                acc: SparseCol = {}
-                for row, val in col.items():
-                    for row2, val2 in self.boundaries[j - 1][row].items():
-                        acc[row2] = acc.get(row2, 0) + val * val2
-                if any(acc.values()):
-                    raise InternalCheckError(f"boundary squared is nonzero in degree {j}")
-
-    @property
-    def dim(self) -> int:
-        return len(self.ranks) - 1
-
-    def boundary_rank(self, j: int) -> int:
-        if j < 1 or j > self.dim:
-            return 0
-        return linalg.rank_from_columns(self.boundaries[j])
-
 
 _SIGNS = (1, -1)
 
@@ -386,21 +340,74 @@ def _boundary_columns(simplices: Sequence[Simplex], rows: dict[Simplex, int], ra
     return cols
 
 
-def chain_complex(c: SimplicialComplex) -> ChainComplexQ:
-    """Simplicial chain complex with the ascending-vertex orientation."""
-    by_dim = [c.simplices_of_dim(d) for d in range(c.dim + 1)]
-    return ChainComplexQ([len(simps) for simps in by_dim], [
-        _boundary_columns(by_dim[j], {s: i for i, s in enumerate(by_dim[j - 1])}) if j else []
-        for j in range(len(by_dim))])
+def homology_ranks(c: SimplicialComplex, chosen: Callable[[Simplex], bool], rank: int = 1,
+                   transport=None, anchor=None) -> tuple[int, ...]:
+    """Homology ranks in degrees 0..dim of the chains on the chosen simplices.
 
+    C_j is the space of chains on the chosen j-simplices whose boundary
+    lies on chosen simplices again, with ``rank`` coefficients per simplex
+    carried as in :func:`_boundary_columns`.  Choosing every simplex gives
+    ordinary or twisted homology; choosing the allowable ones gives
+    intersection homology.
 
-def betti(cc: ChainComplexQ) -> tuple[int, ...]:
-    """Betti numbers b_j = rank_j - rank d_j - rank d_{j+1}, exactly."""
-    if not cc.ranks:
-        return ()
-    brk = [cc.boundary_rank(j) for j in range(cc.dim + 2)]
-    return tuple(cc.ranks[j] - brk[j] - brk[j + 1] for j in range(cc.dim + 1))
+    Let A^j be the boundary of the chosen j-simplices (N_j columns), its
+    rows numbered with the chosen (j-1)-simplices first, and A_out^j its
+    rows past them.  C_j is the kernel of A_out^j, and A_out^j is part of
+    A^j, so rk(boundary on C_j) = rk A^j - rk A_out^j and
+
+        b_j = N_j - rk A^j - rk A^{j+1} + rk A_out^{j+1}.
+
+    That the boundary maps C_j into C_{j-1} and squares to zero there is
+    one exact rank test per degree: every x in C_j has A^{j-1} A_in^j x =
+    0, where A_in^j is A^j on the chosen faces, that is
+    rank([A_out^j ; A^{j-1} A_in^j]) == rank(A_out^j).  With every simplex
+    chosen A_out is empty and the test is d_{j-1} d_j = 0.  A failure
+    raises :class:`InternalCheckError` naming the degree.
+
+    The degrees are built one at a time, holding two boundaries at once,
+    and columns that are zero are dropped, since they add nothing to a rank.
+    """
+    m = c.dim
+    n = [0] * (m + 1)         # N_j
+    rk = [0] * (m + 2)        # rk A^j
+    rk_out = [0] * (m + 2)    # rk A_out^j
+    rows: dict[Simplex, int] = {}
+    prev: list[SparseCol] = []
+    for j in range(m + 1):
+        simps = c.simplices_of_dim(j)
+        picked = [s for s in simps if chosen(s)]
+        n[j] = len(picked) * rank
+        if j:
+            cols = _boundary_columns(picked, rows, rank, transport, anchor)
+            cut = n[j - 1]
+            rk[j] = linalg.rank_from_columns(cols)
+            out = ({i: v for i, v in col.items() if i >= cut} for col in cols)
+            rk_out[j] = linalg.rank_from_columns([col for col in out if col])
+            if j >= 2:
+                # rows of A^{j-1} A_in^j sit below the degree-(j-1) rows of A_out^j
+                shift = len(rows) * rank
+                stacked = []
+                for col in cols:
+                    acc: SparseCol = {}
+                    for i, v in col.items():
+                        if i >= cut:
+                            acc[i] = v
+                        else:
+                            for k, w in prev[i].items():
+                                acc[shift + k] = acc.get(shift + k, 0) + v * w
+                    if any(acc.values()):
+                        stacked.append(acc)
+                if linalg.rank_from_columns(stacked) != rk_out[j]:
+                    raise InternalCheckError(
+                        f"boundary of a chain in degree {j} left the chosen chains "
+                        "or does not square to zero")
+            prev = cols
+        rows = {s: i for i, s in enumerate(picked)}
+        for s in simps:
+            rows.setdefault(s, len(rows))
+    return tuple(n[j] - rk[j] - rk[j + 1] + rk_out[j + 1] for j in range(m + 1))
 
 
 def betti_numbers(c: SimplicialComplex) -> tuple[int, ...]:
-    return betti(chain_complex(c))
+    """Rational Betti numbers in degrees 0..dim."""
+    return homology_ranks(c, lambda s: True)

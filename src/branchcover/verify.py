@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from typing import NamedTuple
 
-from .errors import BranchingAtHighCodim, Disconnected, InputError
+from .errors import BranchingAtHighCodim, Disconnected
 from .covering import (
     BranchedCoverSpec,
     ConnectivityReport,
@@ -32,7 +32,6 @@ from .local_systems import (
     pushforward_local_system,
     sum_zero_action,
     trace_split,
-    twisted_betti,
 )
 from .simplicial import Simplex, betti_numbers, components
 
@@ -124,37 +123,6 @@ def codim_check(spec: BranchedCoverSpec) -> CodimReport:
 
 
 # ---------------------------------------------------------------------------
-# unbranched splitting
-
-
-class UnbranchedReport(NamedTuple):
-    degree: int
-    betti_cover: tuple[int, ...]
-    betti_base: tuple[int, ...]
-    betti_kernel: tuple[int, ...]
-    equal_per_degree: tuple[bool, ...]
-
-    @property
-    def all_equal(self) -> bool:
-        return all(self.equal_per_degree)
-
-
-def verify_unbranched(spec: BranchedCoverSpec) -> UnbranchedReport:
-    """b_j(cover) = b_j(base) + b_j(base; kernel) in every degree."""
-    if spec.branch is not None:
-        raise InputError("verify_unbranched requires an empty branch locus")
-    cover = fox_complete(spec)
-    b_cover = betti_numbers(cover.total)
-    split = trace_split(pushforward_local_system(spec.presentation, spec.monodromy))
-    base_c = spec.complement
-    b_base = betti_numbers(base_c)
-    b_kernel = twisted_betti(base_c, split.kernel)
-    n = len(b_base)
-    equal = tuple(b_cover[j] == b_base[j] + b_kernel[j] for j in range(n))
-    return UnbranchedReport(spec.degree, b_cover, b_base, b_kernel, equal)
-
-
-# ---------------------------------------------------------------------------
 # branched decomposition
 
 
@@ -199,6 +167,13 @@ class DecompositionReport(NamedTuple):
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
     def to_text(self) -> str:
+        if self.base_dim < 2:  # no branch locus fits, so the cover is unbranched
+            return "\n".join([
+                f"unbranched splitting check (degree {self.degree})",
+                f"  b(cover)        = {list(self.betti_cover)}",
+                f"  b(base)         = {list(self.ih_trivial)}",
+                f"  b(base; kernel) = {list(self.ih_kernel)}",
+                f"  equality: {'HOLDS' if self.all_equal else 'FAILS'}"]) + "\n"
         lines = []
         lines.append(f"decomposition check ({self.perversity} middle perversity, "
                      f"degree {self.degree}, base dimension {self.base_dim})")

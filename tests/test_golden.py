@@ -40,6 +40,7 @@ CASES = {
     "verify-s3-unknot-double-upper": (
         "verify", "s3-unknot-double", ["--format", "json", "--perversity", "upper"], 0),
     "verify-circle-d5": ("verify", "circle-d5", [], 0),
+    "verify-circle-d5-json": ("verify", "circle-d5", ["--format", "json"], 0),
     "twisted-circle-d5": ("twisted", "circle-d5", [], 0),
     "fibers-sphere-p6-d3": ("fibers", "sphere-p6-d3", [], 0),
     "ih-suspension-torus": ("ih", "suspension-torus", [], 0),

@@ -4,7 +4,7 @@ from pathlib import Path
 
 ORACLES = Path(__file__).resolve().parent / "oracles.py"
 ENGINE_MODULES = {"branchcover.linalg", "branchcover.intersection"}
-ENGINE_WORDS = ("rank", "nullspace", "betti", "chain_complex")
+ENGINE_WORDS = ("rank", "nullspace", "betti", "chain_complex", "boundary")
 
 
 def imported_names(tree):

@@ -15,7 +15,6 @@ from branchcover.intersection import (
     Perversity,
     StalkCheckEntry,
     StalkCheckResult,
-    _AllowableChains,
     lower_middle,
 )
 from branchcover.local_systems import TraceSplit
@@ -27,14 +26,12 @@ from branchcover.verify import (
     DecompositionReport,
     FiberReport,
     FiberRow,
-    UnbranchedReport,
 )
 
 # every record with its fields in order; Perversity validates, so it is tested apart
 RECORDS = {
     MonodromyRep: ("degree", "images"),
     ConnectivityReport: ("base_failures", "cover_failures", "checked_base", "checked_cover"),
-    _AllowableChains: ("coefficient_rank", "allowable", "cols"),
     ConeCheckResult: ("link_ih", "cone_ih", "cutoff", "expected", "mismatches"),
     StalkCheckEntry: ("vertex", "level", "codim", "cutoff", "link_ih", "star_ih",
                       "expected", "mismatches"),
@@ -47,8 +44,6 @@ RECORDS = {
     FiberRow: ("simplex", "orbit_count", "one_plus_invariants", "lift_count"),
     FiberReport: ("rows",),
     CodimReport: ("applicable", "branch_dim", "base_dim", "fibers", "non_minimal", "note"),
-    UnbranchedReport: ("degree", "betti_cover", "betti_base", "betti_kernel",
-                       "equal_per_degree"),
     DecompositionReport: ("perversity", "degree", "base_dim", "betti_cover", "ih_trivial",
                           "ih_kernel", "equal_per_degree", "fiber", "connectivity",
                           "euler_cover", "euler_ok", "b0_ok", "betti_base_manifold",

@@ -335,10 +335,10 @@ def test_cli_help_exits_0(capsys):
 def test_cli_unexpected_exception_exits_3_in_one_line(tmp_path, capsys, monkeypatch):
     import branchcover.cli as cli
 
-    def broken(spec):
+    def broken(spec, perversity):
         raise RuntimeError("stage broke\nsecond line")
 
-    monkeypatch.setattr(cli, "verify_unbranched", broken)
+    monkeypatch.setattr(cli, "verify_branched", broken)
     path = write_fixture(tmp_path, "circle-cover", "--degree", "2")
     capsys.readouterr()
     rc = main(["verify", str(path)])

@@ -2,19 +2,17 @@ from pathlib import Path
 
 import pytest
 
-from branchcover import intersection, verify
+from branchcover import intersection, simplicial, verify
 from branchcover.cli import main
 from branchcover.covering import (
     BranchedCoverSpec,
     complement_connectivity_check,
     fox_complete,
 )
-from branchcover.errors import InputError
 from branchcover.verify import (
     codim_check,
     fiber_rank_report,
     verify_branched,
-    verify_unbranched,
 )
 from branchcover.fixtures import (
     circle_cover_data,
@@ -32,25 +30,25 @@ from oracles import dense_nullspace
 
 def test_unbranched_trivial_degree_one():
     y, r, rep, _ = circle_cover_data(1, (0,))
-    report = verify_unbranched(BranchedCoverSpec(y, r, rep))
+    report = verify_branched(BranchedCoverSpec(y, r, rep))
     assert report.all_equal
-    assert report.betti_kernel == (0, 0)
+    assert report.ih_kernel == (0, 0)
 
 
 def test_unbranched_connected_triple_cover():
     y, r, rep, _ = circle_cover_data(3, (1, 2, 0))
-    report = verify_unbranched(BranchedCoverSpec(y, r, rep))
+    report = verify_branched(BranchedCoverSpec(y, r, rep))
     assert report.betti_cover == (1, 1)
-    assert report.betti_base == (1, 1)
-    assert report.betti_kernel == (0, 0)
+    assert report.ih_trivial == (1, 1)
+    assert report.ih_kernel == (0, 0)
     assert report.all_equal
 
 
 def test_unbranched_disconnected_identity_cover():
     y, r, rep, _ = circle_cover_data(2, (0, 1))
-    report = verify_unbranched(BranchedCoverSpec(y, r, rep))
+    report = verify_branched(BranchedCoverSpec(y, r, rep))
     assert report.betti_cover == (2, 2)
-    assert report.betti_kernel == (1, 1)  # trivial rank-1 kernel
+    assert report.ih_kernel == (1, 1)  # trivial rank-1 kernel
     assert report.all_equal
 
 
@@ -72,12 +70,6 @@ def test_unbranched_degree_1000_cli(tmp_path, capsys):
     assert f"b(cover)        = [{c}, {c}]" in out
     assert f"b(base; kernel) = [{c - 1}, {c - 1}]" in out
     assert "equality: HOLDS" in out
-
-
-def test_unbranched_rejects_branched_spec():
-    y, r, rep, _ = sphere_branched_data(2, 2)
-    with pytest.raises(InputError):
-        verify_unbranched(BranchedCoverSpec(y, r, rep))
 
 
 # ---------------------------------------------------------------------------
@@ -335,24 +327,35 @@ def _flip_one_ic_sign(monkeypatch, trivial: bool) -> None:
 
     The column is in the support of an intersection 2-chain x and the entry
     sits on an allowable face, so the corrupted boundary of x is still
-    allowable but its boundary is no longer zero.
+    allowable but its boundary is no longer zero.  Only the boundary
+    columns built inside the one ``homology_ranks`` call of ``ih_betti``
+    with those coefficients are touched.
     """
-    real = intersection._allowable_chains
+    real_ranks = intersection.homology_ranks
+    real_columns = simplicial._boundary_columns
 
-    def corrupted(sc, p, coeff):
-        chains = real(sc, p, coeff)
-        if chains is not None and (coeff is None) == trivial:
-            cols, cut = chains.cols[2], chains.cut(2)
-            outside = [[col.get(row, 0) for col in cols]
-                       for row in sorted({row for col in cols for row in col if row >= cut})]
-            basis = dense_nullspace(outside, len(cols))
-            col = next(cols[ci] for x in basis for ci in sorted(x)
-                       if any(k < cut for k in cols[ci]))
-            k = min(col)
-            col[k] = -col[k]
-        return chains
+    def corrupted_ranks(c, chosen, rank=1, transport=None, anchor=None):
+        if (transport is None) != trivial:
+            return real_ranks(c, chosen, rank, transport, anchor)
+        cut = sum(1 for s in c.simplices_of_dim(1) if chosen(s)) * rank
 
-    monkeypatch.setattr(intersection, "_allowable_chains", corrupted)
+        def corrupted_columns(simplices, rows, *args):
+            cols = real_columns(simplices, rows, *args)
+            if simplices and len(simplices[0]) == 3:
+                outside = [[col.get(row, 0) for col in cols]
+                           for row in sorted({row for col in cols for row in col if row >= cut})]
+                basis = dense_nullspace(outside, len(cols))
+                col = next(cols[ci] for x in basis for ci in sorted(x)
+                           if any(k < cut for k in cols[ci]))
+                k = min(col)
+                col[k] = -col[k]
+            return cols
+
+        with monkeypatch.context() as inner:
+            inner.setattr(simplicial, "_boundary_columns", corrupted_columns)
+            return real_ranks(c, chosen, rank, transport, anchor)
+
+    monkeypatch.setattr(intersection, "homology_ranks", corrupted_ranks)
 
 
 GOLDEN_SPHERE = Path(__file__).resolve().parent / "golden" / "sphere-p3-d3.json"
