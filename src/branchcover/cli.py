@@ -24,7 +24,6 @@ from .specfile import (
     spec_to_text,
 )
 from .verify import codim_check, fiber_rank_report, verify_branched
-from . import fixtures
 
 
 def _load(path: str) -> LoadedSpec:
@@ -147,6 +146,8 @@ def _parse_perm(text: str, degree: int) -> tuple[int, ...]:
 
 
 def cmd_fixture(args) -> int:
+    from . import fixtures  # only this command needs them; every other one skips the import
+
     name = args.name
     if args.degree is not None and args.degree > MAX_DEGREE:
         raise BadParams(f"--degree must be at most {MAX_DEGREE}")

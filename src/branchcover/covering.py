@@ -199,12 +199,14 @@ class BranchedCoverSpec:
         if basepoint in branch_vertices or basepoint not in set(y.vertices):
             raise BadBasepoint(f"basepoint {basepoint} is not a vertex of the complement")
 
+        # cached by value: a spec loaded from a file gets the loader's
+        # presentation, and keeps its complex rather than an equal copy
         pres = edge_path_presentation(complement, basepoint)
         validate_monodromy(pres, monodromy)
 
         self.base = base
         self.branch = branch
-        self.complement = complement
+        self.complement = pres.complex
         self.presentation = pres
         self.monodromy = monodromy
         self.basepoint = basepoint
@@ -253,12 +255,14 @@ class CoverComplex:
         self.spec = spec
         self.total = total
         self.projection = projection
-        fibers: dict[Simplex, list[Simplex]] = {}
-        for s in total.all_simplices():
-            fibers.setdefault(projection[s], []).append(s)
-        self._fibers = {b: tuple(sorted(v)) for b, v in fibers.items()}
+        self._fibers = None
 
     def fiber_over(self, base_simplex: Simplex) -> tuple[Simplex, ...]:
+        if self._fibers is None:  # built on first use, not held through the homology
+            fibers: dict[Simplex, list[Simplex]] = {}
+            for s in self.total.all_simplices():
+                fibers.setdefault(self.projection[s], []).append(s)
+            self._fibers = {b: tuple(sorted(v)) for b, v in fibers.items()}
         return self._fibers.get(tuple(base_simplex), ())
 
 

@@ -59,48 +59,12 @@ def torus7() -> SimplicialComplex:
     return _closure(faces)
 
 
-def full_simplex(n: int) -> SimplicialComplex:
-    """The solid n-simplex on vertices 0..n."""
-    from itertools import combinations
-    verts = range(n + 1)
-    return SimplicialComplex(
-        s for k in range(1, n + 2) for s in combinations(verts, k))
-
-
 def boundary_simplex(n: int) -> SimplicialComplex:
     """The boundary sphere of the n-simplex (an (n-1)-sphere)."""
     from itertools import combinations
     verts = range(n + 1)
     return SimplicialComplex(
         s for k in range(1, n + 1) for s in combinations(verts, k))
-
-
-def figure_eight() -> SimplicialComplex:
-    """Two circles sharing the vertex 0."""
-    a = cycle_complex(4, start=0)           # 0-1-2-3
-    b = [(0, 4), (4, 5), (5, 6), (0, 6), (4,), (5,), (6,)]
-    return SimplicialComplex(set(a.simplices) | set(b) | {(0,)})
-
-
-def theta_graph() -> SimplicialComplex:
-    """Two vertices joined by three arcs of length 2."""
-    edges = [(0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (1, 4)]
-    return _closure(edges)
-
-
-def k4_graph() -> SimplicialComplex:
-    from itertools import combinations
-    return _closure(list(combinations(range(4), 2)))
-
-
-def annulus() -> SimplicialComplex:
-    """Triangulated cylinder over a hexagon; core circle 0..5, rim 6..11."""
-    faces = []
-    for i in range(6):
-        j = (i + 1) % 6
-        faces.append(tuple(sorted((i, j, 6 + i))))
-        faces.append(tuple(sorted((j, 6 + i, 6 + j))))
-    return _closure(faces)
 
 
 def _closure(top: list[Simplex]) -> SimplicialComplex:
@@ -257,23 +221,6 @@ def solve_mod_p(rows: list[list[int]], rhs: list[int], ncols: int,
     for ri, ci in enumerate(pivots):
         sol[ci] = m[ri][ncols]
     return sol
-
-
-def nullspace_mod_p(rows: list[list[int]], ncols: int, p: int) -> list[list[int]]:
-    """Basis of the solution space of a homogeneous system over GF(p)."""
-    m = [[r[j] % p for j in range(ncols)] for r in rows]
-    pivots = _rref_mod_p(m, ncols, p)
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        vec = [0] * ncols
-        vec[f] = 1
-        for ri, pc in enumerate(pivots):
-            vec[pc] = (-m[ri][f]) % p
-        basis.append(vec)
-    return basis
 
 
 def cyclic_image(step: int, d: int) -> tuple[int, ...]:

@@ -11,15 +11,18 @@ sparse integer matrix Smith normal form computations*, 2001);
 only: kernels, and the explicit intersection-chain bases built from
 them, live in the test oracle ``tests/oracles.py``.
 
-Conventions: sparse matrices are ``{row: {col: value}}`` or lists of
-``{row: value}`` column dicts.  All pivot choices are deterministic, so
-every routine is reproducible bit for bit.
+Conventions: a sparse matrix is a list of ``{index: value}`` dicts, its
+columns (or, for :func:`_pivot_rows`, its rows).  The elimination works
+in place and holds no copy, so a matrix handed to it is consumed: a
+caller checks what it needs of a matrix before its rank is taken.  All
+pivot choices are deterministic, so every routine is reproducible bit
+for bit.
 """
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator
 
 Scalar = int | Fraction
 
@@ -28,83 +31,91 @@ Scalar = int | Fraction
 # sparse elimination
 
 
-def _pivot_rows(rows: dict[int, dict[int, Scalar]]
+def _pivot_rows(rows: list[dict[int, Scalar]]
                 ) -> Iterator[tuple[int, dict[int, Scalar]]]:
-    """Sparse Gaussian elimination of ``{row: {col: value}}``, one pivot at a time.
+    """Sparse Gaussian elimination of a list of ``{col: value}`` rows, in place.
 
-    Min-degree pivot rule: always eliminate a row of minimal fill (smallest
-    entry count, then smallest id), pivoting in its sparsest column (fewest
-    live rows, then smallest id).  Simplicial boundary operators eliminate
-    with very little fill under this rule.  Yields ``(pivot column, pivot
-    row divided by its pivot)`` in elimination order; each yielded row has
-    no entry in an earlier pivot column.  Entries keep their type: a +-1
-    pivot row is yielded as is or negated, and only another pivot divides,
-    through ``Fraction``.  Exact arithmetic leaves the same zero pattern
-    whatever the entry types, so the pivot choices never depend on them.
-    Deterministic.
+    The rows are consumed: zero entries are dropped, eliminated rows end
+    empty and each pivot row is divided by its pivot where it stands, so
+    the elimination needs no copy of its input.  Min-degree pivot rule:
+    always eliminate a row of minimal fill (smallest entry count, then
+    smallest index), pivoting in its sparsest column (fewest live rows,
+    then smallest id).  Simplicial boundary operators eliminate with very
+    little fill under this rule.  Yields ``(pivot column, pivot row)`` in
+    elimination order; each yielded row has no entry in an earlier pivot
+    column.  Entries keep their type: a +-1 pivot row is kept as is or
+    negated, and only another pivot divides, through ``Fraction``.  Exact
+    arithmetic leaves the same zero pattern whatever the entry types, so
+    the pivot choices never depend on them.  Deterministic.
     """
-    work: dict[int, dict[int, Scalar]] = {}
-    cols: dict[int, set[int]] = {}
-    for r, row in rows.items():
-        filtered = {c: v for c, v in row.items() if v}
-        if filtered:
-            work[r] = filtered
-            for c in filtered:
-                cols.setdefault(c, set()).add(r)
-
-    heap = [(len(row), r) for r, row in work.items()]
+    cols: dict[int, list[int]] = {}   # column -> its live rows
+    heap = []
+    for r, row in enumerate(rows):
+        if not all(row.values()):
+            for c in [c for c, v in row.items() if not v]:
+                del row[c]
+        if row:
+            heap.append((len(row), r))
+            for c in row:
+                cols.setdefault(c, []).append(r)
     heapq.heapify(heap)
+    done = bytearray(len(rows))
     while heap:
         nnz, r = heapq.heappop(heap)
-        row = work.get(r)
-        if row is None or len(row) != nnz:
+        row = rows[r]
+        if done[r] or len(row) != nnz:
             continue  # stale entry; a fresh one is in the heap if the row lives
         pc = min(row, key=lambda c: (len(cols[c]), c))
         pv = row[pc]
-        # detach the pivot row
+        # detach the pivot row; every other row of its pivot column is eliminated below
+        done[r] = 1
+        targets = cols.pop(pc)
+        targets.remove(r)
         for c in row:
-            cols[c].discard(r)
-            if not cols[c]:
-                del cols[c]
-        del work[r]
-        if pv == 1:
-            norm = row
-        elif pv == -1:
-            norm = {c: -v for c, v in row.items()}
-        else:
-            norm = {c: Fraction(v) / pv for c, v in row.items()}
-        for r2 in sorted(cols.get(pc, ())):
-            row2 = work[r2]
-            f = row2[pc]
-            for c2, v in norm.items():
+            if c != pc:
+                live = cols[c]
+                live.remove(r)
+                if not live:
+                    del cols[c]
+        if pv == -1:
+            for c in row:
+                row[c] = -row[c]
+        elif pv != 1:
+            for c in row:
+                row[c] = Fraction(row[c]) / pv
+        for r2 in sorted(targets):
+            row2 = rows[r2]
+            f = row2.pop(pc)
+            for c2, v in row.items():
                 if c2 == pc:
-                    del row2[pc]
-                    cols[pc].discard(r2)
                     continue
                 new = row2.get(c2, 0) - f * v
                 if new:
                     if c2 not in row2:
-                        cols.setdefault(c2, set()).add(r2)
+                        cols.setdefault(c2, []).append(r2)
                     row2[c2] = new
                 elif c2 in row2:
                     del row2[c2]
-                    cols[c2].discard(r2)
-                    if not cols[c2]:
+                    live = cols[c2]
+                    live.remove(r2)
+                    if not live:
                         del cols[c2]
             if row2:
                 heapq.heappush(heap, (len(row2), r2))
-            else:
-                del work[r2]
-        if pc in cols and not cols[pc]:
-            del cols[pc]
-        yield pc, norm
+        yield pc, row
 
 
-def rank_from_columns(columns: Sequence[dict[int, Scalar]]) -> int:
+def rank_from_columns(columns: list[dict[int, Scalar]]) -> int:
     """Rank of a sparse matrix given as a list of ``{row: value}`` columns.
 
     rank(A) = rank(A^T), so the columns are eliminated as the rows of the
-    transpose, without building a transposed copy.
+    transpose, without building a transposed copy.  The columns are
+    consumed: they are eliminated in place, and every column dict is left
+    empty, each pivot column cleared as soon as it has been used.
     """
-    return sum(1 for _ in _pivot_rows(dict(enumerate(columns))))
+    rank = 0
+    for _pc, row in _pivot_rows(columns):
+        row.clear()
+        rank += 1
+    return rank
 

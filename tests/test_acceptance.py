@@ -48,23 +48,25 @@ from branchcover.verify import codim_check, verify_branched
 from branchcover.cli import main as cli_main
 from branchcover import fixtures
 from branchcover.fixtures import (
-    annulus,
     boundary_simplex,
     codim3_vertex_data,
     cycle_complex,
-    figure_eight,
     hexagon,
-    k4_graph,
-    nullspace_mod_p,
     octahedron,
     pinched_torus,
     s3_unknot_double_data,
     sphere_branched_data,
     suspension_torus,
-    theta_graph,
     torus7,
 )
 
+from complexes import (
+    annulus,
+    figure_eight,
+    k4_graph,
+    nullspace_mod_p,
+    theta_graph,
+)
 from oracles import ic_betti, ic_closed, riemann_hurwitz_chi, suspension_ih_oracle
 
 

@@ -39,7 +39,6 @@ from branchcover.fixtures import (
     circle_cover_data,
     codim3_vertex_data,
     hexagon,
-    nullspace_mod_p,
     octahedron,
     pinched_torus,
     s3_unknot_double_data,
@@ -48,6 +47,7 @@ from branchcover.fixtures import (
     torus7,
 )
 
+from complexes import nullspace_mod_p
 from oracles import brute_star, orbits_of, riemann_hurwitz_chi, sheet_cover
 
 
@@ -61,7 +61,7 @@ def test_validate_hexagon_swap():
 
 
 def test_validate_full_triangle_swap_fails():
-    from branchcover.fixtures import full_simplex
+    from complexes import full_simplex
     pres = edge_path_presentation(full_simplex(2), 0)
     with pytest.raises(RelatorViolated):
         validate_monodromy(pres, MonodromyRep(2, ((1, 0),)))
@@ -285,6 +285,19 @@ def _susp_cover_bench_spec(monkeypatch) -> BranchedCoverSpec:
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     from workloads import make_job
     return load_spec(parse_spec_text(make_job("susp-cover", 1).spec_text)).cover_spec()
+
+
+def test_loaded_spec_holds_one_complement(monkeypatch):
+    """The spec keeps the complex that the loader presented, not an equal copy."""
+    from branchcover.specfile import complement_presentation
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from workloads import make_job
+    edge_path_presentation.cache_clear()
+    loaded = load_spec(parse_spec_text(make_job("susp-cover", 1).spec_text))
+    spec = loaded.cover_spec()
+    assert spec.presentation.complex is spec.complement
+    pres = complement_presentation(loaded.base, loaded.branch, loaded.basepoint)
+    assert spec.presentation is pres and spec.complement is pres.complex
 
 
 @pytest.mark.parametrize("name", ["sphere-branched", "s3-unknot-double", "susp-cover"])

@@ -6,12 +6,8 @@ from branchcover.covering import complement_connectivity_check, fiber_cardinalit
 from branchcover.presentation import edge_path_presentation
 from branchcover.simplicial import betti_numbers, link
 from branchcover.fixtures import (
-    annulus,
     codim3_vertex_data,
-    figure_eight,
     hexagon,
-    k4_graph,
-    nullspace_mod_p,
     octahedron,
     orient_closed_surface,
     oriented_vertex_link_cycle,
@@ -20,10 +16,10 @@ from branchcover.fixtures import (
     solve_mod_p,
     sphere_branched_data,
     suspension_torus,
-    theta_graph,
     torus7,
 )
 
+from complexes import annulus, figure_eight, k4_graph, nullspace_mod_p, theta_graph
 from oracles import brute_betti
 
 

@@ -33,11 +33,9 @@ from branchcover.stratified import (
 )
 from branchcover.fixtures import (
     _relator_rows,
-    annulus,
     boundary_simplex,
     cycle_complex,
     hexagon,
-    nullspace_mod_p,
     octahedron,
     pinched_torus,
     s3_unknot_double_data,
@@ -46,6 +44,7 @@ from branchcover.fixtures import (
     torus7,
 )
 
+from complexes import annulus, nullspace_mod_p
 from oracles import ic_betti, ic_closed, ic_complex, suspension_ih_oracle
 
 
@@ -446,7 +445,6 @@ def test_stalk_check_arc_stratum_through_suspension_points():
     # codimension 3; the coarse triangulation already carries the induced
     # link filtrations because levels are nested
     from branchcover.simplicial import suspension
-    from branchcover.fixtures import boundary_simplex
     total = suspension(boundary_simplex(3))
     arc = SimplicialComplex([(0,), (4,), (5,), (0, 4), (0, 5)])
     apexes = SimplicialComplex([(4,), (5,)])

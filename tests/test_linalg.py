@@ -52,6 +52,25 @@ def test_rank_from_columns():
     assert linalg.rank_from_columns(cols) == 2
 
 
+def test_rank_from_columns_consumes_its_columns():
+    cols = [{0: 1, 1: -1}, {0: 2, 1: -2, 3: 0}, {1: 0}, {2: 3}]
+    kept = list(cols)
+    assert linalg.rank_from_columns(cols) == 2
+    assert cols == [{}, {}, {}, {}]
+    assert all(a is b for a, b in zip(cols, kept))  # eliminated where they stand
+
+
+def test_pivot_rows_work_in_place():
+    rows = [{0: 2, 1: 4, 2: 0}, {0: 1, 1: 0}, {0: -1, 1: 3}]
+    seen = [(pc, row, dict(row)) for pc, row in linalg._pivot_rows(rows)]
+    # zeros dropped in place; the sparsest row pivots first, then by index:
+    # row 1 clears column 0, leaving rows 0 and 2 as {1: 4} and {1: 3}
+    assert [(pc, copy) for pc, _row, copy in seen] == [(0, {0: 1}), (1, {1: 1})]
+    assert seen[0][1] is rows[1] and seen[1][1] is rows[0]
+    assert type(rows[0][1]) is Fraction  # divided by its pivot 4 where it stands
+    assert rows[2] == {}
+
+
 def test_matrix_inverse_roundtrip():
     rng = random.Random(23)
     made = 0
@@ -204,7 +223,7 @@ def _exact(value) -> bool:
 def test_elimination_is_exact_with_non_unit_pivots(m):
     nc = len(m[0])
     columns = [{i: row[j] for i, row in enumerate(m) if row[j]} for j in range(nc)]
-    sparse = {i: {j: v for j, v in enumerate(row) if v} for i, row in enumerate(m)}
+    sparse = [{j: v for j, v in enumerate(row) if v} for row in m]
     rank = dense_rank(m)
     assert linalg.rank_from_columns(columns) == rank
     for _pc, row in linalg._pivot_rows(sparse):

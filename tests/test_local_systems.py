@@ -16,16 +16,12 @@ from branchcover.local_systems import (
 from branchcover.presentation import edge_path_presentation
 from branchcover.simplicial import _boundary_columns, betti_numbers, full_subcomplex
 from branchcover.fixtures import (
-    annulus,
     circle_cover_data,
-    figure_eight,
-    full_simplex,
     hexagon,
-    k4_graph,
     octahedron,
-    theta_graph,
     torus7,
 )
+from complexes import annulus, figure_eight, full_simplex, k4_graph, theta_graph
 from oracles import (
     RelatorViolatedMatrix,
     RepresentationQ,

@@ -3,7 +3,9 @@ import pytest
 from branchcover.errors import BadBasepoint, Disconnected
 from branchcover.presentation import edge_path_presentation
 from branchcover.simplicial import validate_complex
-from branchcover.fixtures import hexagon, octahedron, full_simplex
+from branchcover.fixtures import hexagon, octahedron
+
+from complexes import full_simplex
 
 
 def test_hexagon_presentation():

@@ -28,8 +28,9 @@ from branchcover.simplicial import (
 from branchcover.intersection import ih_betti, lower_middle
 from branchcover.local_systems import Transport, trivial_system, twisted_betti
 from branchcover.stratified import StratifiedComplex
-from branchcover.fixtures import hexagon, octahedron, torus7, boundary_simplex, full_simplex
+from branchcover.fixtures import boundary_simplex, hexagon, octahedron, torus7
 
+from complexes import full_simplex
 from oracles import brute_betti, brute_link, brute_star, bfs_components, close_faces, euler
 
 

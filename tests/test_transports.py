@@ -18,7 +18,7 @@ from branchcover.covering import (
     refine_stratification,
 )
 from branchcover.errors import NotPermutationSystem, RankMismatch
-from branchcover.fixtures import circle_cover_data, full_simplex, hexagon, sphere_branched_data
+from branchcover.fixtures import circle_cover_data, hexagon, sphere_branched_data
 from branchcover.intersection import ih_betti, lower_middle
 from branchcover.local_systems import (
     LocalSystemQ,
@@ -31,6 +31,7 @@ from branchcover.local_systems import (
 from branchcover.presentation import edge_path_presentation
 from branchcover.simplicial import betti_numbers
 
+from complexes import full_simplex
 from oracles import (
     RepresentationQ,
     brute_betti,

@@ -370,3 +370,60 @@ def test_verify_catches_corrupted_ic_boundary(monkeypatch, capsys, trivial):
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("internal check failed: ")
     assert "degree 2" in err
+
+
+GOLDEN_S3 = Path(__file__).resolve().parent / "golden" / "s3-unknot-double.json"
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_verify_catches_corrupted_boundary_in_every_degree(monkeypatch, capsys, degree):
+    """A sign flipped in one boundary column of each degree exits 3 in one line.
+
+    The cover of this spec has dimension 3, so degree 3 is the boundary
+    whose rank is taken last.  d_{j-1} d_j = 0 is checked on the whole of
+    A^{j-1} before its rank consumes it; a flipped column of degree j >= 2
+    breaks the check of its own degree, one of degree 1 the check of
+    degree 2, since d_0 = 0.
+    """
+    real_columns = simplicial._boundary_columns
+
+    def corrupted_columns(simplices, *args):
+        cols = real_columns(simplices, *args)
+        if simplices and len(simplices[0]) == degree + 1:
+            k = min(cols[0])
+            cols[0][k] = -cols[0][k]
+        return cols
+
+    monkeypatch.setattr(simplicial, "_boundary_columns", corrupted_columns)
+    capsys.readouterr()
+    assert main(["verify", str(GOLDEN_S3), "--format", "json"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("internal check failed: ")
+    assert f"degree {max(degree, 2)} " in err
+
+
+GOLDEN_CIRCLE_D64 = Path(__file__).resolve().parent / "golden" / "circle-d64-seed1.json"
+
+
+def test_unbranched_verify_takes_the_base_homology_once(monkeypatch, capsys):
+    """With no branch locus ih(base; trivial) is the base homology, computed once."""
+    calls = []
+
+    def spy(module):
+        real = module.homology_ranks
+
+        def counted(c, chosen, rank=1, *args):
+            calls.append((c.n_simplices(), rank))
+            return real(c, chosen, rank, *args)
+        monkeypatch.setattr(module, "homology_ranks", counted)
+
+    spy(simplicial)      # betti_numbers
+    spy(intersection)    # ih_betti
+    capsys.readouterr()
+    assert main(["verify", str(GOLDEN_CIRCLE_D64)]) == 0
+    out = capsys.readouterr().out
+    # the cover, then ih(base; trivial) and ih(base; kernel) on the hexagon
+    assert calls == [(768, 1), (12, 1), (12, 63)]
+    golden = GOLDEN_CIRCLE_D64.with_name("verify-circle-d64-seed1.out")
+    assert out == golden.read_text(encoding="utf-8")
