@@ -110,8 +110,14 @@ class MonodromyRep(NamedTuple):
         return cls(degree, tuple(images))
 
 
-def validate_monodromy(pres: EdgePathPresentation, rep: MonodromyRep) -> None:
-    """Accept iff all images are permutations and all relators map to 1."""
+def validate_monodromy(pres: EdgePathPresentation, rep: MonodromyRep) -> tuple[Perm, ...]:
+    """Accept iff all images are permutations and all relators map to 1.
+
+    Each image is inverted once, and each relator is evaluated letter by
+    letter, left to right; the first relator that does not evaluate to
+    the identity is the one reported.  Returns the inverse of every
+    image, in generator order, for :func:`transport_table`.
+    """
     d = rep.degree
     if d < 1:
         raise NotAPermutation("degree must be at least 1")
@@ -121,20 +127,26 @@ def validate_monodromy(pres: EdgePathPresentation, rep: MonodromyRep) -> None:
     for e, img in zip(pres.generators, rep.images):
         if not is_permutation(img, d):
             raise NotAPermutation(f"image of generator {e[0]}->{e[1]} is not a permutation: {list(img)}")
+    images = rep.images
+    inverses = tuple(map(invert_perm, images))
     ident = identity_perm(d)
     for i, word in enumerate(pres.relators):
         acc = ident
         for (gi, sign) in word:
-            p = rep.images[gi] if sign > 0 else invert_perm(rep.images[gi])
-            acc = compose_perms(p, acc)
+            acc = tuple(map((images[gi] if sign > 0 else inverses[gi]).__getitem__, acc))
         if acc != ident:
             raise RelatorViolated(f"relator {i} evaluates to {list(acc)}")
+    return inverses
 
 
-def transport_table(pres: EdgePathPresentation, rep: MonodromyRep) -> dict[tuple[int, int], Perm]:
-    """Oriented edge -> sheet permutation, for every edge of the base."""
-    d = rep.degree
-    ident = identity_perm(d)
+def transport_table(pres: EdgePathPresentation, rep: MonodromyRep,
+                    inverses: Sequence[Perm]) -> dict[tuple[int, int], Perm]:
+    """Oriented edge -> sheet permutation, for every edge of the base.
+
+    ``inverses`` are the inverses of the images, as
+    :func:`validate_monodromy` returns them.
+    """
+    ident = identity_perm(rep.degree)
     table: dict[tuple[int, int], Perm] = {}
     for e in pres.complex.simplices_of_dim(1):
         u, v = e
@@ -142,9 +154,9 @@ def transport_table(pres: EdgePathPresentation, rep: MonodromyRep) -> dict[tuple
             table[(u, v)] = ident
             table[(v, u)] = ident
         else:
-            img = rep.images[pres.gen_index[e]]
-            table[(u, v)] = img
-            table[(v, u)] = invert_perm(img)
+            gi = pres.gen_index[e]
+            table[(u, v)] = rep.images[gi]
+            table[(v, u)] = inverses[gi]
     return table
 
 
@@ -159,6 +171,25 @@ def transport_along(table: dict[tuple[int, int], Perm], path: Sequence[int], d: 
 # branched cover specification
 
 
+def _check_branch_locus(base: StratifiedComplex, r: SimplicialComplex, full: bool) -> None:
+    """Raise unless ``r`` is a subcomplex of the base of codimension at least 2,
+    full when ``full`` is set, holding the singular set; checked in that order."""
+    y = base.complex
+    m = base.dim
+    if not r.is_subcomplex_of(y):
+        raise NotASubcomplex("branch locus is not a subcomplex of the base")
+    if r.dim > m - 2:
+        raise BranchNotInCodim2Level(
+            f"branch locus has dimension {r.dim} in a base of dimension {m}")
+    if full and not is_full(y, r):
+        raise NotFull(
+            "branch locus is not a full subcomplex of the base; "
+            "run barycentric_subdivide first")
+    if m >= 2 and not base.singular_set.is_subcomplex_of(r):
+        raise SingularOutsideBranch(
+            "singular set of the base must be contained in the branch locus")
+
+
 class BranchedCoverSpec:
     """Base, branch locus and validated monodromy on the complement."""
 
@@ -168,24 +199,11 @@ class BranchedCoverSpec:
     def __init__(self, base: StratifiedComplex, branch: StratifiedComplex | None,
                  monodromy: MonodromyRep, basepoint: int | None = None):
         y = base.complex
-        m = base.dim
         if branch is not None and branch.complex.n_simplices() == 0:
             branch = None
         if branch is not None:
-            r = branch.complex
-            if not r.is_subcomplex_of(y):
-                raise NotASubcomplex("branch locus is not a subcomplex of the base")
-            if r.dim > m - 2:
-                raise BranchNotInCodim2Level(
-                    f"branch locus has dimension {r.dim} in a base of dimension {m}")
-            if not is_full(y, r):
-                raise NotFull(
-                    "branch locus is not a full subcomplex of the base; "
-                    "run barycentric_subdivide first")
-            if m >= 2 and not base.singular_set.is_subcomplex_of(r):
-                raise SingularOutsideBranch(
-                    "singular set of the base must be contained in the branch locus")
-            branch_vertices = frozenset(r.vertices)
+            _check_branch_locus(base, branch.complex, full=True)
+            branch_vertices = frozenset(branch.complex.vertices)
         else:
             branch_vertices = frozenset()
 
@@ -202,7 +220,7 @@ class BranchedCoverSpec:
         # cached by value: a spec loaded from a file gets the loader's
         # presentation, and keeps its complex rather than an equal copy
         pres = edge_path_presentation(complement, basepoint)
-        validate_monodromy(pres, monodromy)
+        inverses = validate_monodromy(pres, monodromy)
 
         self.base = base
         self.branch = branch
@@ -211,7 +229,7 @@ class BranchedCoverSpec:
         self.monodromy = monodromy
         self.basepoint = basepoint
         self.branch_vertices = branch_vertices
-        self._table = transport_table(pres, monodromy)
+        self._table = transport_table(pres, monodromy, inverses)
         self._punctured: dict[Simplex, SimplicialComplex] = {}
         self._local_groups: dict[Simplex, tuple[Perm, ...]] = {}
 
@@ -497,14 +515,7 @@ def refine_stratification(base: StratifiedComplex, branch: StratifiedComplex) ->
     y = base.complex
     m = base.dim
     r = branch.complex
-    if not r.is_subcomplex_of(y):
-        raise NotASubcomplex("branch locus is not a subcomplex of the base")
-    if r.dim > m - 2:
-        raise BranchNotInCodim2Level(
-            f"branch locus has dimension {r.dim} in a base of dimension {m}")
-    if m >= 2 and not base.singular_set.is_subcomplex_of(r):
-        raise SingularOutsideBranch(
-            "singular set of the base must be contained in the branch locus")
+    _check_branch_locus(base, r, full=False)
 
     y_stratum: dict[Simplex, int] = {}
     for i, st in enumerate(base.strata()):

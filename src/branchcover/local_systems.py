@@ -134,8 +134,7 @@ def trivial_system(base: SimplicialComplex, rank: int = 1) -> LocalSystemQ:
 
 def pushforward_local_system(pres: EdgePathPresentation, rep: MonodromyRep) -> LocalSystemQ:
     """Rank-d permutation system modeling the direct image of a d-cover."""
-    validate_monodromy(pres, rep)
-    table = transport_table(pres, rep)
+    table = transport_table(pres, rep, validate_monodromy(pres, rep))
     made = {p: Transport.permutation(p) for p in set(table.values())}  # shared per perm
     return LocalSystemQ(pres.complex, rep.degree, {e: made[p] for e, p in table.items()})
 

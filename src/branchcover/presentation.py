@@ -11,11 +11,10 @@ from collections import deque
 from functools import lru_cache
 
 from .errors import BadBasepoint, Disconnected
-from .simplicial import SimplicialComplex, Simplex
+from .simplicial import SimplicialComplex
 
-# a letter is (generator index, +1 or -1); a word is a tuple of letters
+# a letter is (generator index, +1 or -1); a relator is a tuple of letters
 Letter = tuple[int, int]
-Word = tuple[Letter, ...]
 
 
 class EdgePathPresentation:
@@ -52,24 +51,14 @@ class EdgePathPresentation:
         self.generators = tuple(
             e for e in complex.simplices_of_dim(1) if e not in self.tree_edges)
         self.gen_index = {e: i for i, e in enumerate(self.generators)}
-        self.relators = tuple(self._relator(t) for t in complex.simplices_of_dim(2))
+        # the letter of each oriented non-tree edge; a tree edge has none
+        letter: dict[tuple[int, int], Letter] = {}
+        for i, (u, v) in enumerate(self.generators):
+            letter[(u, v)] = (i, 1)
+            letter[(v, u)] = (i, -1)
+        self.relators = tuple(tuple(filter(None, map(letter.get, ((a, b), (b, c), (c, a)))))
+                              for a, b, c in complex.simplices_of_dim(2))
         self._hash = hash((complex, basepoint))
-
-    def _letter(self, u: int, v: int) -> Letter | None:
-        """Letter for traversing the oriented edge u -> v; None on the tree."""
-        e = (u, v) if u < v else (v, u)
-        if e in self.tree_edges:
-            return None
-        return (self.gen_index[e], 1 if u < v else -1)
-
-    def _relator(self, triangle: Simplex) -> Word:
-        a, b, c = triangle
-        letters = []
-        for (u, v) in ((a, b), (b, c), (c, a)):
-            l = self._letter(u, v)
-            if l is not None:
-                letters.append(l)
-        return tuple(letters)
 
     def tree_path(self, v: int) -> tuple[int, ...]:
         """Vertices of the unique tree path basepoint -> v."""
@@ -86,7 +75,15 @@ class EdgePathPresentation:
                 and self.complex == other.complex and self.basepoint == other.basepoint)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def edge_path_presentation(complex: SimplicialComplex, basepoint: int) -> EdgePathPresentation:
-    """Deterministic presentation of the edge-path group of a complex."""
+    """Deterministic presentation of the edge-path group of a complex.
+
+    Cached by value, at most 8 entries however many specs a process
+    verifies.  A spec loaded from a file asks for its complement's
+    presentation right after the loader did and so gets the loader's back,
+    which needs one entry; equal punctured stars of one spec come back
+    within 4 distinct calls on every golden spec.  An evicted entry is
+    only computed again.
+    """
     return EdgePathPresentation(complex, basepoint)

@@ -12,8 +12,9 @@ coefficients are not.
 from __future__ import annotations
 
 from collections import deque
-from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from itertools import chain, combinations, filterfalse, repeat
+from operator import add
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     DuplicateSimplex,
@@ -31,7 +32,9 @@ class SimplicialComplex:
     """Immutable finite abstract simplicial complex.
 
     The constructor normalizes the input to a frozenset and verifies face
-    closure; it is meant for internally-built simplex sets.  User input
+    closure, one pass over the facets of each dimension; a ``ValueError``
+    names the smallest simplex, in (dimension, vertices) order, that lacks
+    a facet.  It is meant for internally-built simplex sets.  User input
     goes through :func:`validate_complex`, which reports malformed data
     instead of silently repairing it.
     """
@@ -42,16 +45,17 @@ class SimplicialComplex:
         if not isinstance(simplices, (set, frozenset)):
             simplices = set(map(tuple, simplices))
         simps = frozenset(simplices)  # copied from a set, the table is sized once
-        for s in simps:
-            if len(s) > 1:
-                for facet in combinations(s, len(s) - 1):
-                    if facet not in simps:
-                        raise ValueError(f"not face-closed: {s} lacks face {facet}")
-        self._simplices = simps
         by_dim: dict[int, list[Simplex]] = {}
         for s in simps:
             by_dim.setdefault(len(s) - 1, []).append(s)
-        self._by_dim = {d: tuple(sorted(v)) for d, v in by_dim.items()}
+        self._by_dim = {d: tuple(sorted(by_dim[d])) for d in sorted(by_dim)}
+        has = simps.__contains__
+        for d, top in self._by_dim.items():
+            if d > 0 and not all(map(has, _facets(top, d))):
+                s = next(s for s in top if not all(map(has, combinations(s, d))))
+                facet = next(f for f in combinations(s, d) if f not in simps)
+                raise ValueError(f"not face-closed: {s} lacks face {facet}")
+        self._simplices = simps
         self._vertices = tuple(v for (v,) in self._by_dim.get(0, ()))
         self._hash = hash(simps)
         self._maximal = None
@@ -78,16 +82,15 @@ class SimplicialComplex:
         return self._by_dim.get(d, ())
 
     def all_simplices(self) -> tuple[Simplex, ...]:
-        return tuple(s for d in sorted(self._by_dim) for s in self._by_dim[d])
+        return tuple(chain.from_iterable(self._by_dim.values()))  # keyed in ascending dim
 
     def maximal_simplices(self) -> tuple[Simplex, ...]:
         if self._maximal is None:
             proper_faces: set[Simplex] = set()
-            for s in self._simplices:
-                if len(s) > 1:
-                    proper_faces.update(combinations(s, len(s) - 1))
-            self._maximal = tuple(s for s in self.all_simplices()
-                                  if s not in proper_faces)
+            for d, top in self._by_dim.items():
+                if d > 0:
+                    proper_faces.update(_facets(top, d))
+            self._maximal = tuple(filterfalse(proper_faces.__contains__, self.all_simplices()))
         return self._maximal
 
     def cofaces_of_vertex(self, v: int) -> list[Simplex]:
@@ -120,6 +123,11 @@ class SimplicialComplex:
         return sum((-1) ** d * self.n_simplices(d) for d in range(self.dim + 1))
 
 
+def _facets(simplices: Iterable[Simplex], d: int) -> Iterator[Simplex]:
+    """The facets of the given d-simplices, with repeats, without a frame per face."""
+    return chain.from_iterable(map(combinations, simplices, repeat(d)))
+
+
 EMPTY_COMPLEX = SimplicialComplex(())
 
 
@@ -140,12 +148,16 @@ def validate_complex(raw: Sequence[Sequence[int]]) -> SimplicialComplex:
         if s in seen:
             raise DuplicateSimplex(f"simplex {list(entry)} listed twice")
         seen.add(s)
-    for s in seen:
-        if len(s) > 1:
-            for facet in combinations(s, len(s) - 1):
-                if facet not in seen:
-                    raise MissingFace(f"simplex {list(s)} has unlisted face {list(facet)}")
-    return SimplicialComplex(seen)
+    try:
+        return SimplicialComplex(seen)
+    except ValueError:  # a face is missing: name it as a scan of the input set meets it
+        for s in seen:
+            if len(s) > 1:
+                for facet in combinations(s, len(s) - 1):
+                    if facet not in seen:
+                        raise MissingFace(
+                            f"simplex {list(s)} has unlisted face {list(facet)}") from None
+        raise
 
 
 def subcomplex(c: SimplicialComplex, simplices: Iterable[Simplex]) -> SimplicialComplex:
@@ -158,17 +170,13 @@ def subcomplex(c: SimplicialComplex, simplices: Iterable[Simplex]) -> Simplicial
 
 def full_subcomplex(c: SimplicialComplex, vertices: Iterable[int]) -> SimplicialComplex:
     """Largest subcomplex whose simplices use only the given vertices."""
-    vs = set(vertices)
-    return SimplicialComplex(s for s in c.simplices if all(v in vs for v in s))
+    return SimplicialComplex(set(filter(set(vertices).issuperset, c.simplices)))
 
 
 def is_full(c: SimplicialComplex, sub: SimplicialComplex) -> bool:
     """True if ``sub`` equals the full subcomplex on its own vertex set."""
-    vs = set(sub.vertices)
-    for s in c.simplices:
-        if all(v in vs for v in s) and s not in sub.simplices:
-            return False
-    return True
+    on_vertices = filter(set(sub.vertices).issuperset, c.simplices)
+    return all(map(sub.simplices.__contains__, on_vertices))
 
 
 def star(c: SimplicialComplex, simplex: Simplex) -> SimplicialComplex:
@@ -273,12 +281,13 @@ def barycentric_subdivide_complex(
     chain_of: dict[Simplex, tuple[Simplex, ...]] = {}
     for s in order:
         out = [(s,)]
+        tail = repeat((s,))
         for k in range(1, len(s)):
             for face in combinations(s, k):
-                out.extend(ch + (s,) for ch in chains_ending[face])
+                out.extend(map(add, chains_ending[face], tail))
         chains_ending[s] = out
         for ch in out:
-            chain_of[tuple(b_id[x] for x in ch)] = ch
+            chain_of[tuple(map(b_id.__getitem__, ch))] = ch
     new = SimplicialComplex(chain_of.keys())
     return new, b_id, chain_of
 

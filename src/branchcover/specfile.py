@@ -209,7 +209,7 @@ def load_spec(data: SpecData) -> LoadedSpec:
         pres = complement_presentation(base, branch, basepoint)
         assignments = {}
         for key, val in data.monodromy["assignments"].items():
-            if not isinstance(val, list) or not all(_is_int(x) for x in val):
+            if not isinstance(val, list) or not all(map(_is_int, val)):
                 raise SpecFileError(f"assignment {key!r} must be a list of integers")
             assignments[_parse_edge_key(key)] = tuple(val)
         monodromy = MonodromyRep.from_edge_dict(pres, data.monodromy["degree"], assignments)

@@ -346,12 +346,13 @@ def test_criterion_10_determinism(tmp_path):
 
     # cross-process: different hash seeds must not change a single byte.
     # The child imports the same package this process imported, whether it
-    # came from an install or from PYTHONPATH=src.
+    # came from an install or from PYTHONPATH=src.  -B: the child writes no
+    # bytecode next to the sources, where it would speed up later imports.
     package_root = str(Path(branchcover.__file__).resolve().parents[1])
     env_outs = []
     for seed in ("1", "2"):
         proc = subprocess.run(
-            [sys.executable, "-m", "branchcover.cli", "verify", str(spec_path),
+            [sys.executable, "-B", "-m", "branchcover.cli", "verify", str(spec_path),
              "--format", "json"],
             capture_output=True,
             env={"PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin",

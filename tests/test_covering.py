@@ -1,7 +1,10 @@
+import functools
 import random
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from branchcover.covering import (
     BranchedCoverSpec,
@@ -10,6 +13,7 @@ from branchcover.covering import (
     compose_perms,
     fiber_cardinality,
     fox_complete,
+    identity_perm,
     invert_perm,
     local_monodromy_group,
     orbit_count,
@@ -48,7 +52,17 @@ from branchcover.fixtures import (
 )
 
 from complexes import nullspace_mod_p
-from oracles import brute_star, orbits_of, riemann_hurwitz_chi, sheet_cover
+from oracles import (
+    RelatorViolatedMatrix,
+    RepresentationQ,
+    brute_star,
+    orbits_of,
+    permutation_matrix,
+    riemann_hurwitz_chi,
+    sheet_cover,
+)
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +111,66 @@ def test_perm_helpers():
     assert compose_perms(invert_perm(p), p) == (0, 1, 2)
     assert orbit_count([p], 3) == len(orbits_of([p], 3)) == 1
     assert orbit_count([(1, 0, 2)], 3) == 2
+
+
+@functools.cache
+def _golden_presentation_and_images(name):
+    loaded = load_spec(parse_spec_text((GOLDEN / f"{name}.json").read_text(encoding="utf-8")))
+    return loaded.cover_spec().presentation, loaded.monodromy
+
+
+@st.composite
+def monodromy_cases(draw):
+    """A golden spec's valid monodromy with its sheets relabelled, and perhaps
+    one image replaced; or random images on a random presentation whose
+    relators are random words or words w w^-1, which hold in any group."""
+    name = draw(st.sampled_from(["sphere-p2-d2", "sphere-p3-d3", "s3-unknot-double", None]))
+    if name is None:
+        n, d = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        letter = st.tuples(st.integers(0, n - 1), st.sampled_from((1, -1)))
+        relators = []
+        for w in draw(st.lists(st.lists(letter, min_size=1, max_size=4), max_size=5)):
+            if draw(st.booleans()):
+                w = w + [(gi, -sign) for gi, sign in reversed(w)]
+            relators.append(tuple(w))
+        pres = SimpleNamespace(generators=tuple((i, i + 1) for i in range(n)),
+                               relators=tuple(relators))
+        images = draw(st.lists(st.permutations(range(d)).map(tuple), min_size=n, max_size=n))
+        return pres, MonodromyRep(d, tuple(images))
+    pres, rep = _golden_presentation_and_images(name)
+    d = rep.degree
+    sigma = tuple(draw(st.permutations(range(d))))
+    images = [compose_perms(sigma, compose_perms(p, invert_perm(sigma))) for p in rep.images]
+    if draw(st.booleans()):
+        gi = draw(st.integers(0, len(images) - 1))
+        images[gi] = tuple(draw(st.permutations(range(d))))
+    return pres, MonodromyRep(d, tuple(images))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(monodromy_cases())
+def test_validate_monodromy_matches_matrix_representation(case):
+    """Accepts exactly when the permutation matrices satisfy every relator;
+    a rejection names the first failing relator and its value, evaluated
+    one composition at a time."""
+    pres, rep = case
+    d = rep.degree
+    try:
+        RepresentationQ(pres, d, tuple(map(permutation_matrix, rep.images))).validate()
+        first_bad = None
+    except RelatorViolatedMatrix as exc:
+        first_bad = int(str(exc).split()[1])
+    if first_bad is None:
+        inverses = validate_monodromy(pres, rep)
+        assert [compose_perms(q, p) for p, q in zip(rep.images, inverses)] == \
+            [identity_perm(d)] * len(rep.images)
+        return
+    acc = identity_perm(d)
+    for gi, sign in pres.relators[first_bad]:
+        acc = compose_perms(rep.images[gi] if sign > 0 else invert_perm(rep.images[gi]), acc)
+    with pytest.raises(RelatorViolated) as info:
+        validate_monodromy(pres, rep)
+    assert str(info.value) == f"relator {first_bad} evaluates to {list(acc)}"
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,9 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 # a reference cycle, reads 5.48.  The bound sits between the two.
 PEAK_OVER_RETAINED = 4.5
 
+# The most presentations the process may hold, however many specs it verifies.
+PRESENTATIONS_HELD = 8
+
 
 @pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.stem)
 def test_verify_leaves_no_cyclic_garbage(path):
@@ -37,6 +40,18 @@ def test_verify_leaves_no_cyclic_garbage(path):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_presentation_cache_stays_bounded_over_many_specs():
+    """One verify of every golden spec in one process, as a library caller would."""
+    verified = 0
+    for path in sorted(GOLDEN.glob("*.json")):
+        loaded = load_spec(parse_spec_text(path.read_text(encoding="utf-8")))
+        if loaded.monodromy is not None:
+            verify_branched(loaded.cover_spec(), loaded.perversity)
+            verified += 1
+        assert edge_path_presentation.cache_info().currsize <= PRESENTATIONS_HELD, path.name
+    assert verified >= 8
 
 
 def test_verify_peak_stays_near_what_it_keeps():

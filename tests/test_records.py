@@ -60,8 +60,8 @@ def _values(cls, shift=0):
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     package_root = str(Path(branchcover.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c",
+    proc = subprocess.run(  # -B: no bytecode written next to the sources
+        [sys.executable, "-B", "-c",
          "import sys, branchcover.cli; "
          "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
         capture_output=True, text=True,

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -72,6 +73,59 @@ def test_validate_non_ascending():
 def test_constructor_requires_closure():
     with pytest.raises(ValueError):
         SimplicialComplex([(0, 1)])
+
+
+def _by_dim_then_vertices(simplices):
+    return sorted(simplices, key=lambda s: (len(s), s))
+
+
+# a face-closed complex on at most 7 vertices with some simplices taken out
+closed_then_cut = st.lists(
+    st.frozensets(st.integers(0, 6), min_size=1, max_size=4), min_size=1, max_size=6,
+).map(close_faces).flatmap(
+    lambda simps: st.sets(st.sampled_from(simps), max_size=3).map(
+        lambda cut: [s for s in simps if s not in cut]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(closed_then_cut)
+def test_closure_check_matches_brute_definition(simps):
+    """The constructor raises exactly when a facet is missing and names the
+    smallest simplex lacking one; validate_complex names a real gap."""
+    present = set(simps)
+    gaps = [(s, f) for s in _by_dim_then_vertices(present) if len(s) > 1
+            for f in combinations(s, len(s) - 1) if f not in present]
+    if not gaps:
+        assert SimplicialComplex(simps).simplices == present
+        assert validate_complex([list(s) for s in simps]).simplices == present
+        return
+    with pytest.raises(ValueError) as info:
+        SimplicialComplex(simps)
+    s, f = gaps[0]
+    assert str(info.value) == f"not face-closed: {s} lacks face {f}"
+    with pytest.raises(MissingFace) as info:
+        validate_complex([list(s) for s in simps])
+    named = {f"simplex {list(s)} has unlisted face {list(f)}" for s, f in gaps}
+    assert str(info.value) in named
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(st.frozensets(st.integers(0, 6), min_size=1, max_size=4),
+                min_size=1, max_size=6), st.data())
+def test_maximal_full_and_is_full_match_brute_definitions(facets, data):
+    c = SimplicialComplex(close_faces(facets))
+    simps = c.simplices
+    assert c.all_simplices() == tuple(_by_dim_then_vertices(simps))
+    assert c.maximal_simplices() == tuple(
+        s for s in c.all_simplices() if not any(set(s) < set(t) for t in simps))
+    vertices = data.draw(st.frozensets(st.integers(0, 7)))
+    assert full_subcomplex(c, vertices).simplices == {s for s in simps if set(s) <= vertices}
+    # vertices and edges: such a subcomplex often misses an edge or triangle on its vertices
+    low = c.simplices_of_dim(0) + c.simplices_of_dim(1)
+    sub = SimplicialComplex(close_faces(
+        data.draw(st.lists(st.sampled_from(low), min_size=1, max_size=4))))
+    on_its_vertices = {s for s in simps if set(s) <= set(sub.vertices)}
+    assert is_full(c, sub) == (sub.simplices == on_its_vertices)
 
 
 # ---------------------------------------------------------------------------
