@@ -10,14 +10,13 @@ import argparse
 import sys
 
 from .errors import InputError, InternalCheckError, UnknownFixture, BadParams
-from .covering import fox_complete
+from .covering import complement_presentation, fox_complete
 from .intersection import cone_formula_check, ih_betti, perversity_by_name
 from .local_systems import pushforward_local_system, trace_split, twisted_betti
 from .simplicial import betti_numbers
 from .specfile import (
     MAX_DEGREE,
     LoadedSpec,
-    complement_presentation,
     load_spec,
     parse_spec_text,
     spec_to_dict,
@@ -44,7 +43,9 @@ def cmd_generators(args) -> int:
     if loaded.monodromy is not None:
         pres = loaded.cover_spec().presentation
     else:
-        pres = complement_presentation(loaded.base, loaded.branch, loaded.basepoint)
+        branch = loaded.branch
+        pres = complement_presentation(
+            loaded.base.complex, frozenset(branch.complex.vertices) if branch else ())
     lines = [f"basepoint: {pres.basepoint}",
              f"vertices: {len(pres.complex.vertices)}",
              f"tree-edges: {len(pres.tree_edges)}",
@@ -155,20 +156,20 @@ def cmd_fixture(args) -> int:
         points = args.points if args.points is not None else 6
         degree = args.degree if args.degree is not None else 2
         y, r, rep, pres = fixtures.sphere_branched_data(points, degree)
-        spec = spec_to_dict(y, r, rep, pres, perversity="lower")
+        spec = spec_to_dict(y, r, rep, pres)
     elif name == "s3-unknot-double":
         y, r, rep, pres = fixtures.s3_unknot_double_data()
-        spec = spec_to_dict(y, r, rep, pres, perversity="lower")
+        spec = spec_to_dict(y, r, rep, pres)
     elif name == "circle-cover":
         degree = args.degree if args.degree is not None else 2
         perm = _parse_perm(args.perm, degree) if args.perm else tuple(
             (i + 1) % degree for i in range(degree))
         y, r, rep, pres = fixtures.circle_cover_data(degree, perm)
-        spec = spec_to_dict(y, r, rep, pres, perversity="lower")
+        spec = spec_to_dict(y, r, rep, pres)
     elif name == "suspension-torus":
-        spec = spec_to_dict(fixtures.suspension_torus(), None, None, perversity="lower")
+        spec = spec_to_dict(fixtures.suspension_torus(), None, None)
     elif name == "pinched-torus":
-        spec = spec_to_dict(fixtures.pinched_torus(), None, None, perversity="lower")
+        spec = spec_to_dict(fixtures.pinched_torus(), None, None)
     else:
         raise UnknownFixture(f"unknown fixture {name!r}")
     _emit(spec_to_text(spec), args.out)

@@ -14,7 +14,6 @@ from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
-    BadBasepoint,
     BranchNotInCodim2Level,
     ChiMismatch,
     Disconnected,
@@ -110,13 +109,15 @@ class MonodromyRep(NamedTuple):
         return cls(degree, tuple(images))
 
 
-def validate_monodromy(pres: EdgePathPresentation, rep: MonodromyRep) -> tuple[Perm, ...]:
+def validate_monodromy(pres: EdgePathPresentation,
+                       rep: MonodromyRep) -> dict[tuple[int, int], Perm]:
     """Accept iff all images are permutations and all relators map to 1.
 
     Each image is inverted once, and each relator is evaluated letter by
     letter, left to right; the first relator that does not evaluate to
-    the identity is the one reported.  Returns the inverse of every
-    image, in generator order, for :func:`transport_table`.
+    the identity is the one reported.  Returns the transport table:
+    oriented edge -> sheet permutation, the image on each generator edge,
+    its inverse on the reverse and the identity on both ways of a tree edge.
     """
     d = rep.degree
     if d < 1:
@@ -136,27 +137,12 @@ def validate_monodromy(pres: EdgePathPresentation, rep: MonodromyRep) -> tuple[P
             acc = tuple(map((images[gi] if sign > 0 else inverses[gi]).__getitem__, acc))
         if acc != ident:
             raise RelatorViolated(f"relator {i} evaluates to {list(acc)}")
-    return inverses
-
-
-def transport_table(pres: EdgePathPresentation, rep: MonodromyRep,
-                    inverses: Sequence[Perm]) -> dict[tuple[int, int], Perm]:
-    """Oriented edge -> sheet permutation, for every edge of the base.
-
-    ``inverses`` are the inverses of the images, as
-    :func:`validate_monodromy` returns them.
-    """
-    ident = identity_perm(rep.degree)
     table: dict[tuple[int, int], Perm] = {}
-    for e in pres.complex.simplices_of_dim(1):
-        u, v = e
-        if e in pres.tree_edges:
-            table[(u, v)] = ident
-            table[(v, u)] = ident
-        else:
-            gi = pres.gen_index[e]
-            table[(u, v)] = rep.images[gi]
-            table[(v, u)] = inverses[gi]
+    for (u, v) in pres.tree_edges:
+        table[(u, v)] = table[(v, u)] = ident
+    for (u, v), image, inverse in zip(pres.generators, images, inverses):
+        table[(u, v)] = image
+        table[(v, u)] = inverse
     return table
 
 
@@ -190,6 +176,22 @@ def _check_branch_locus(base: StratifiedComplex, r: SimplicialComplex, full: boo
             "singular set of the base must be contained in the branch locus")
 
 
+def complement_presentation(y: SimplicialComplex, branch_vertices,
+                            basepoint: int | None = None) -> EdgePathPresentation:
+    """Presentation of the full subcomplex of ``y`` off ``branch_vertices``
+    (a set), based at ``basepoint`` or else at its smallest vertex.
+
+    The presentation itself rejects a disconnected complement and a
+    basepoint that is not one of its vertices.
+    """
+    complement = full_subcomplex(y, (v for v in y.vertices if v not in branch_vertices))
+    if complement.n_simplices() == 0:
+        raise Disconnected("complement of the branch locus is empty")
+    if basepoint is None:
+        basepoint = min(complement.vertices)
+    return edge_path_presentation(complement, basepoint)
+
+
 class BranchedCoverSpec:
     """Base, branch locus and validated monodromy on the complement."""
 
@@ -198,38 +200,23 @@ class BranchedCoverSpec:
 
     def __init__(self, base: StratifiedComplex, branch: StratifiedComplex | None,
                  monodromy: MonodromyRep, basepoint: int | None = None):
-        y = base.complex
         if branch is not None and branch.complex.n_simplices() == 0:
             branch = None
         if branch is not None:
             _check_branch_locus(base, branch.complex, full=True)
-            branch_vertices = frozenset(branch.complex.vertices)
-        else:
-            branch_vertices = frozenset()
-
-        complement = full_subcomplex(y, (v for v in y.vertices if v not in branch_vertices))
-        if complement.n_simplices() == 0:
-            raise Disconnected("complement of the branch locus is empty")
-        if not is_connected(complement):
-            raise Disconnected("complement of the branch locus is not connected")
-        if basepoint is None:
-            basepoint = min(complement.vertices)
-        if basepoint in branch_vertices or basepoint not in set(y.vertices):
-            raise BadBasepoint(f"basepoint {basepoint} is not a vertex of the complement")
-
+        branch_vertices = frozenset(branch.complex.vertices if branch is not None else ())
         # cached by value: a spec loaded from a file gets the loader's
         # presentation, and keeps its complex rather than an equal copy
-        pres = edge_path_presentation(complement, basepoint)
-        inverses = validate_monodromy(pres, monodromy)
+        pres = complement_presentation(base.complex, branch_vertices, basepoint)
 
         self.base = base
         self.branch = branch
         self.complement = pres.complex
         self.presentation = pres
         self.monodromy = monodromy
-        self.basepoint = basepoint
+        self.basepoint = pres.basepoint
         self.branch_vertices = branch_vertices
-        self._table = transport_table(pres, monodromy, inverses)
+        self._table = validate_monodromy(pres, monodromy)
         self._punctured: dict[Simplex, SimplicialComplex] = {}
         self._local_groups: dict[Simplex, tuple[Perm, ...]] = {}
 

@@ -12,12 +12,11 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import BadParams
-from .covering import MonodromyRep
+from .covering import MonodromyRep, complement_presentation
 from .presentation import EdgePathPresentation, edge_path_presentation
 from .simplicial import (
     SimplicialComplex,
     Simplex,
-    full_subcomplex,
     link,
     suspension,
 )
@@ -251,6 +250,21 @@ def _relator_rows(pres: EdgePathPresentation) -> list[list[int]]:
     return rows
 
 
+def _cyclic_monodromy(pres: EdgePathPresentation, meridians: list[list[tuple[int, int]]],
+                      degree: int, failure: str) -> MonodromyRep:
+    """Images in the cyclic group of prime order ``degree`` under which every
+    relator maps to 1 and every meridian (a path of oriented edges) to the
+    d-cycle; ``failure`` is the message when there are none."""
+    n = len(pres.generators)
+    rows = _relator_rows(pres)
+    rhs = [0] * len(rows) + [1] * len(meridians)
+    rows.extend(_word_row(pres, path, n) for path in meridians)
+    sol = solve_mod_p(rows, rhs, n, degree)
+    if sol is None:
+        raise BadParams(failure)
+    return MonodromyRep(degree, tuple(cyclic_image(s, degree) for s in sol))
+
+
 # ---------------------------------------------------------------------------
 # ready-made branched cover data
 
@@ -296,24 +310,12 @@ def sphere_branched_data(points: int, degree: int):
     y = trivial_stratification(sub)
     r = trivial_stratification(branch)
 
-    complement = full_subcomplex(sub, (v for v in sub.vertices
-                                       if v not in set(branch_vertices)))
-    pres = edge_path_presentation(complement, min(complement.vertices))
-    n = len(pres.generators)
-
-    rows = _relator_rows(pres)
-    rhs = [0] * len(rows)
-    for w in branch_orig:
-        # meridian: the directed link cycle of the branch vertex in the
-        # subdivision, which stays inside the complement
-        path = oriented_vertex_link_cycle(sub, signs, b_id[(w,)])
-        rows.append(_word_row(pres, path, n))
-        rhs.append(1)
-    sol = solve_mod_p(rows, rhs, n, degree)
-    if sol is None:
-        raise BadParams("no cyclic monodromy with the requested local cycles exists")
-    images = tuple(cyclic_image(s, degree) for s in sol)
-    rep = MonodromyRep(degree, images)
+    pres = complement_presentation(sub, frozenset(branch_vertices))
+    # meridian: the directed link cycle of the branch vertex in the
+    # subdivision, which stays inside the complement
+    meridians = [oriented_vertex_link_cycle(sub, signs, v) for v in branch_vertices]
+    rep = _cyclic_monodromy(pres, meridians, degree,
+                            "no cyclic monodromy with the requested local cycles exists")
     return y, r, rep, pres
 
 
@@ -340,13 +342,8 @@ def s3_unknot_double_data():
     y = trivial_stratification(sub)
     r = trivial_stratification(branch)
 
-    bverts = set(branch.vertices)
-    complement = full_subcomplex(sub, (v for v in sub.vertices if v not in bverts))
-    pres = edge_path_presentation(complement, min(complement.vertices))
-    n = len(pres.generators)
-
-    rows = _relator_rows(pres)
-    rhs = [0] * len(rows)
+    pres = complement_presentation(sub, frozenset(branch.vertices))
+    meridians = []
     for tau in branch.simplices_of_dim(1):
         meridian = link(sub, tau)
         cyc_edges = meridian.simplices_of_dim(1)
@@ -360,14 +357,9 @@ def s3_unknot_double_data():
             prev, here = path_vertices[-2], path_vertices[-1]
             nxt = next(x for x in sorted(adj[here]) if x != prev)
             path_vertices.append(nxt)
-        path = list(zip(path_vertices, path_vertices[1:]))
-        rows.append(_word_row(pres, path, n))
-        rhs.append(1)
-    sol = solve_mod_p(rows, rhs, n, 2)
-    if sol is None:
-        raise BadParams("no double cover with transposition meridians exists")
-    images = tuple(cyclic_image(s, 2) for s in sol)
-    rep = MonodromyRep(2, images)
+        meridians.append(list(zip(path_vertices, path_vertices[1:])))
+    rep = _cyclic_monodromy(pres, meridians, 2,
+                            "no double cover with transposition meridians exists")
     return y, r, rep, pres
 
 
@@ -381,8 +373,7 @@ def codim3_vertex_data(degree: int = 2):
     branch = SimplicialComplex(((w,),))
     y = trivial_stratification(sub)
     r = trivial_stratification(branch)
-    complement = full_subcomplex(sub, (v for v in sub.vertices if v != w))
-    pres = edge_path_presentation(complement, min(complement.vertices))
+    pres = complement_presentation(sub, {w})
     images = tuple(tuple(range(degree)) for _ in pres.generators)
     rep = MonodromyRep(degree, images)
     return y, r, rep, pres

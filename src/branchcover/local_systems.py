@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import NotASubcomplex, NotPermutationSystem, RankMismatch
 from . import linalg
-from .covering import MonodromyRep, Perm, transport_table, validate_monodromy
+from .covering import MonodromyRep, Perm, validate_monodromy
 from .presentation import EdgePathPresentation
 from .simplicial import SimplicialComplex, homology_ranks
 
@@ -134,7 +134,7 @@ def trivial_system(base: SimplicialComplex, rank: int = 1) -> LocalSystemQ:
 
 def pushforward_local_system(pres: EdgePathPresentation, rep: MonodromyRep) -> LocalSystemQ:
     """Rank-d permutation system modeling the direct image of a d-cover."""
-    table = transport_table(pres, rep, validate_monodromy(pres, rep))
+    table = validate_monodromy(pres, rep)
     made = {p: Transport.permutation(p) for p in set(table.values())}  # shared per perm
     return LocalSystemQ(pres.complex, rep.degree, {e: made[p] for e, p in table.items()})
 

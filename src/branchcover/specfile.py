@@ -24,9 +24,8 @@ import json
 from typing import NamedTuple
 
 from .errors import SpecFileError
-from .covering import BranchedCoverSpec, MonodromyRep
-from .presentation import EdgePathPresentation, edge_path_presentation
-from .simplicial import SimplicialComplex, full_subcomplex, validate_complex
+from .covering import BranchedCoverSpec, MonodromyRep, complement_presentation
+from .simplicial import SimplicialComplex, validate_complex
 from .stratified import StratifiedComplex, subdivide_with_subcomplexes
 
 
@@ -45,6 +44,10 @@ _NO_OPTIONS = object()
 # A cover holds d sheets over every simplex, so memory grows with d; the
 # cap keeps a short hostile spec from exhausting it.
 MAX_DEGREE = 10_000
+# Largest degree x base simplices accepted from a spec file, counted after
+# the subdivisions: a bound on the simplices of the cover, checked before
+# the complement is presented or any of the cover is built.
+MAX_COVER_SIMPLICES = 1_000_000
 
 
 class SpecData(_SpecSections):
@@ -172,19 +175,6 @@ def _stratified_from_lists(complex_: SimplicialComplex, levels_raw: list | None,
     return StratifiedComplex(complex_, singular)
 
 
-def complement_presentation(base: StratifiedComplex, branch: StratifiedComplex | None,
-                            basepoint: int | None) -> EdgePathPresentation:
-    """Presentation of the complement of the branch locus, based at
-    ``basepoint`` or else at its smallest vertex."""
-    branch_vertices = set(branch.complex.vertices) if branch is not None else set()
-    complement = full_subcomplex(
-        base.complex, (v for v in base.complex.vertices if v not in branch_vertices))
-    if complement.n_simplices() == 0:
-        raise SpecFileError("complement of the branch locus is empty")
-    bp = basepoint if basepoint is not None else min(complement.vertices)
-    return edge_path_presentation(complement, bp)
-
-
 def load_spec(data: SpecData) -> LoadedSpec:
     """Validate, subdivide as requested and assemble domain objects."""
     base_c = validate_complex(_simplices(data.complex, "complex"))
@@ -205,14 +195,20 @@ def load_spec(data: SpecData) -> LoadedSpec:
     monodromy = None
     basepoint = None
     if data.monodromy is not None:
+        degree, n = data.monodromy["degree"], base.complex.n_simplices()
+        if degree * n > MAX_COVER_SIMPLICES:
+            raise SpecFileError(
+                f"a degree-{degree} cover of {n} base simplices exceeds "
+                f"{MAX_COVER_SIMPLICES} simplices")
         basepoint = data.monodromy.get("basepoint")
-        pres = complement_presentation(base, branch, basepoint)
+        branch_vertices = frozenset(branch.complex.vertices) if branch is not None else ()
+        pres = complement_presentation(base.complex, branch_vertices, basepoint)
         assignments = {}
         for key, val in data.monodromy["assignments"].items():
             if not isinstance(val, list) or not all(map(_is_int, val)):
                 raise SpecFileError(f"assignment {key!r} must be a list of integers")
             assignments[_parse_edge_key(key)] = tuple(val)
-        monodromy = MonodromyRep.from_edge_dict(pres, data.monodromy["degree"], assignments)
+        monodromy = MonodromyRep.from_edge_dict(pres, degree, assignments)
 
     return LoadedSpec(base, branch, monodromy, basepoint,
                       data.perversity, data.subdivisions)
@@ -222,28 +218,23 @@ def load_spec(data: SpecData) -> LoadedSpec:
 # serialization
 
 
-def spec_to_dict(base: StratifiedComplex, branch: StratifiedComplex | None,
-                 monodromy: MonodromyRep | None, presentation=None,
-                 perversity: str = "lower") -> dict:
-    out: dict = {"complex": [list(s) for s in base.complex.all_simplices()]}
-    m = base.dim
-    levels = []
-    for j in range(m - 2, -1, -1):
-        levels.append([list(s) for s in base.levels[j].all_simplices()])
+def _levels(sc: StratifiedComplex) -> list:
+    """Singular levels, top (dim m-2) first, less the trailing empty ones."""
+    levels = [[list(s) for s in sc.levels[j].all_simplices()] for j in range(sc.dim - 2, -1, -1)]
     while levels and not levels[-1]:
         levels.pop()
-    if levels:
+    return levels
+
+
+def spec_to_dict(base: StratifiedComplex, branch: StratifiedComplex | None,
+                 monodromy: MonodromyRep | None, presentation=None) -> dict:
+    out: dict = {"complex": [list(s) for s in base.complex.all_simplices()]}
+    if levels := _levels(base):
         out["stratification"] = levels
     if branch is not None:
         out["branch"] = [list(s) for s in branch.complex.all_simplices()]
-        rm = branch.dim
-        blevels = []
-        for j in range(rm - 2, -1, -1):
-            blevels.append([list(s) for s in branch.levels[j].all_simplices()])
-        while blevels and not blevels[-1]:
-            blevels.pop()
-        if blevels:
-            out["branch_stratification"] = blevels
+        if levels := _levels(branch):
+            out["branch_stratification"] = levels
     if monodromy is not None:
         if presentation is None:
             raise SpecFileError("serializing monodromy needs the presentation")
@@ -256,7 +247,7 @@ def spec_to_dict(base: StratifiedComplex, branch: StratifiedComplex | None,
             "basepoint": presentation.basepoint,
             "assignments": assignments,
         }
-    out["options"] = {"perversity": perversity, "subdivisions": 0}
+    out["options"] = {"perversity": "lower", "subdivisions": 0}
     return out
 
 

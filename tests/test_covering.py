@@ -134,7 +134,7 @@ def monodromy_cases(draw):
                 w = w + [(gi, -sign) for gi, sign in reversed(w)]
             relators.append(tuple(w))
         pres = SimpleNamespace(generators=tuple((i, i + 1) for i in range(n)),
-                               relators=tuple(relators))
+                               relators=tuple(relators), tree_edges=frozenset())
         images = draw(st.lists(st.permutations(range(d)).map(tuple), min_size=n, max_size=n))
         return pres, MonodromyRep(d, tuple(images))
     pres, rep = _golden_presentation_and_images(name)
@@ -150,9 +150,9 @@ def monodromy_cases(draw):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(monodromy_cases())
 def test_validate_monodromy_matches_matrix_representation(case):
-    """Accepts exactly when the permutation matrices satisfy every relator;
-    a rejection names the first failing relator and its value, evaluated
-    one composition at a time."""
+    """Accepts exactly when the permutation matrices satisfy every relator
+    and then returns the transport table; a rejection names the first
+    failing relator and its value, evaluated one composition at a time."""
     pres, rep = case
     d = rep.degree
     try:
@@ -161,9 +161,13 @@ def test_validate_monodromy_matches_matrix_representation(case):
     except RelatorViolatedMatrix as exc:
         first_bad = int(str(exc).split()[1])
     if first_bad is None:
-        inverses = validate_monodromy(pres, rep)
-        assert [compose_perms(q, p) for p, q in zip(rep.images, inverses)] == \
-            [identity_perm(d)] * len(rep.images)
+        table = validate_monodromy(pres, rep)
+        ident = identity_perm(d)
+        want = {e: ident for (u, v) in pres.tree_edges for e in ((u, v), (v, u))}
+        for (u, v), p in zip(pres.generators, rep.images):
+            assert compose_perms(table[(v, u)], p) == ident
+            want[(u, v)], want[(v, u)] = p, table[(v, u)]
+        assert table == want
         return
     acc = identity_perm(d)
     for gi, sign in pres.relators[first_bad]:
@@ -363,14 +367,15 @@ def _susp_cover_bench_spec(monkeypatch) -> BranchedCoverSpec:
 
 def test_loaded_spec_holds_one_complement(monkeypatch):
     """The spec keeps the complex that the loader presented, not an equal copy."""
-    from branchcover.specfile import complement_presentation
+    from branchcover.covering import complement_presentation
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     from workloads import make_job
     edge_path_presentation.cache_clear()
     loaded = load_spec(parse_spec_text(make_job("susp-cover", 1).spec_text))
     spec = loaded.cover_spec()
     assert spec.presentation.complex is spec.complement
-    pres = complement_presentation(loaded.base, loaded.branch, loaded.basepoint)
+    pres = complement_presentation(loaded.base.complex, frozenset(loaded.branch.complex.vertices),
+                                   loaded.basepoint)
     assert spec.presentation is pres and spec.complement is pres.complex
 
 

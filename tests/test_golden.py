@@ -43,6 +43,8 @@ CASES = {
     "verify-circle-d5-json": ("verify", "circle-d5", ["--format", "json"], 0),
     "twisted-circle-d5": ("twisted", "circle-d5", [], 0),
     "fibers-sphere-p6-d3": ("fibers", "sphere-p6-d3", [], 0),
+    "generators-sphere-p6-d3": ("generators", "sphere-p6-d3", [], 0),
+    "generators-pinched-torus": ("generators", "pinched-torus", [], 0),
     "ih-suspension-torus": ("ih", "suspension-torus", [], 0),
     "ih-pinched-torus": ("ih", "pinched-torus", [], 0),
     "verify-susp-cover-seed1": (

@@ -1,17 +1,23 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from branchcover.cli import main
-from branchcover.errors import SpecFileError
+from branchcover.covering import BranchedCoverSpec, MonodromyRep
+from branchcover.errors import InputError, SpecFileError
+from branchcover.presentation import edge_path_presentation
 from branchcover.specfile import (
+    MAX_COVER_SIMPLICES,
     MAX_DEGREE,
     load_spec,
     parse_spec_text,
     spec_to_dict,
     spec_to_text,
 )
-from branchcover.fixtures import circle_cover_data
+from branchcover.fixtures import circle_cover_data, cycle_complex
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def write_fixture(tmp_path, name, *extra):
@@ -356,3 +362,76 @@ def test_cli_unreadable_spec_is_input_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _golden_with_basepoint(basepoint):
+    raw = json.loads((GOLDEN / "sphere-p2-d2.json").read_text(encoding="utf-8"))
+    raw["monodromy"]["basepoint"] = raw["branch"][0][0] if basepoint is None else basepoint
+    return raw
+
+
+# case -> spec whose complement cannot be presented
+BAD_COMPLEMENTS = {
+    "empty": lambda: {"complex": [], "monodromy": {"degree": 1, "assignments": {}}},
+    "disconnected": lambda: {  # a bowtie branched at its pinch vertex
+        "complex": [[0], [1], [2], [3], [4], [0, 1], [0, 2], [1, 2], [0, 3], [0, 4], [3, 4],
+                    [0, 1, 2], [0, 3, 4]],
+        "branch": [[0]], "monodromy": {"degree": 1, "assignments": {}}},
+    "basepoint-on-locus": lambda: _golden_with_basepoint(None),
+    "basepoint-not-a-vertex": lambda: _golden_with_basepoint(999),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_COMPLEMENTS))
+def test_cover_spec_rejects_bad_complement_as_verify_does(case, tmp_path, capsys):
+    """The library spec and the loader share one complement check: the same
+    error class and message, which `verify` prints in one line."""
+    raw = BAD_COMPLEMENTS[case]()
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(raw))
+    capsys.readouterr()
+    rc = main(["verify", str(path)])
+    err = capsys.readouterr().err
+    with pytest.raises(InputError) as from_loader:
+        load_spec(parse_spec_text(json.dumps(raw)))
+    mono = raw.pop("monodromy")
+    loaded = load_spec(parse_spec_text(json.dumps(raw)))
+    with pytest.raises(InputError) as from_spec:
+        BranchedCoverSpec(loaded.base, loaded.branch, MonodromyRep(mono["degree"], ()),
+                          basepoint=mono.get("basepoint"))
+    assert type(from_spec.value) is type(from_loader.value)
+    assert str(from_spec.value) == str(from_loader.value)
+    assert rc == 1 and err == f"error: {from_spec.value}\n"
+
+
+def _cycle_spec(n: int, degree: int) -> str:
+    (u, v), = edge_path_presentation(cycle_complex(n), 0).generators
+    return json.dumps({
+        "complex": [list(s) for s in cycle_complex(n).all_simplices()],
+        "monodromy": {"degree": degree,
+                      "assignments": {f"{u}->{v}": [(i + 1) % degree for i in range(degree)]}}})
+
+
+def test_cover_size_cap_exits_1_before_the_cover_is_built(tmp_path, capsys, monkeypatch):
+    """51 edges and 51 vertices at degree 10 000 ask for 1 020 000 simplices."""
+    import branchcover.specfile as specfile
+    import branchcover.verify as verify
+
+    def never(*args):
+        raise AssertionError("reached past the cover size check")
+
+    monkeypatch.setattr(verify, "fox_complete", never)
+    monkeypatch.setattr(specfile, "complement_presentation", never)
+    path = tmp_path / "cycle.json"
+    path.write_text(_cycle_spec(51, MAX_DEGREE))
+    capsys.readouterr()
+    rc = main(["verify", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == (f"error: a degree-{MAX_DEGREE} cover of 102 base simplices exceeds "
+                   f"{MAX_COVER_SIMPLICES} simplices\n")
+
+
+def test_cover_size_cap_admits_exactly_the_cap():
+    loaded = load_spec(parse_spec_text(_cycle_spec(50, MAX_DEGREE)))
+    assert loaded.monodromy.degree * loaded.base.complex.n_simplices() == MAX_COVER_SIMPLICES

@@ -275,8 +275,7 @@ def test_cli_equality_failure_exit_code(tmp_path):
     spec = _suspension_circle_double_cover()
     path = tmp_path / "singular.json"
     path.write_text(spec_to_text(spec_to_dict(
-        spec.base, spec.branch, spec.monodromy, spec.presentation,
-        perversity="lower")))
+        spec.base, spec.branch, spec.monodromy, spec.presentation)))
     assert main(["verify", str(path)]) == 2
     assert main(["verify", str(path), "--perversity", "upper"]) == 0
 
