@@ -17,6 +17,7 @@ from .simplicial import betti_numbers
 from .specfile import (
     MAX_DEGREE,
     LoadedSpec,
+    SpecData,
     load_spec,
     parse_spec_text,
     spec_to_dict,
@@ -25,9 +26,13 @@ from .specfile import (
 from .verify import codim_check, fiber_rank_report, verify_branched
 
 
-def _load(path: str) -> LoadedSpec:
+def _read(path: str) -> SpecData:
     with open(path, "r", encoding="utf-8") as fh:
-        return load_spec(parse_spec_text(fh.read()))
+        return parse_spec_text(fh.read())
+
+
+def _load(path: str) -> LoadedSpec:
+    return load_spec(_read(path))
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -39,13 +44,14 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_generators(args) -> int:
-    loaded = _load(args.spec)
-    if loaded.monodromy is not None:
-        pres = loaded.cover_spec().presentation
-    else:
-        branch = loaded.branch
-        pres = complement_presentation(
-            loaded.base.complex, frozenset(branch.complex.vertices) if branch else ())
+    # the contract does not depend on the assignments, so it is printed
+    # for a spec whose assignments no longer match it, too
+    data = _read(args.spec)
+    loaded = load_spec(data._replace(monodromy=None))
+    branch = loaded.branch
+    pres = complement_presentation(
+        loaded.base.complex, frozenset(branch.complex.vertices) if branch else (),
+        (data.monodromy or {}).get("basepoint"))
     lines = [f"basepoint: {pres.basepoint}",
              f"vertices: {len(pres.complex.vertices)}",
              f"tree-edges: {len(pres.tree_edges)}",
@@ -80,7 +86,7 @@ def cmd_homology(args) -> int:
 def cmd_twisted(args) -> int:
     loaded = _load(args.spec)
     spec = loaded.cover_spec()
-    pushforward = pushforward_local_system(spec.presentation, spec.monodromy)
+    pushforward = pushforward_local_system(spec.complement, spec.degree, spec.table)
     split = trace_split(pushforward)
     base_c = spec.complement
     lines = [

@@ -192,31 +192,43 @@ def complement_presentation(y: SimplicialComplex, branch_vertices,
     return edge_path_presentation(complement, basepoint)
 
 
+def _is_complement(c: SimplicialComplex, y: SimplicialComplex, branch_vertices) -> bool:
+    """True if ``c`` is the full subcomplex of ``y`` off ``branch_vertices``:
+    a subcomplex off them with as many simplices as that full subcomplex."""
+    return (branch_vertices.isdisjoint(c.vertices) and c.is_subcomplex_of(y)
+            and c.n_simplices() == sum(map(branch_vertices.isdisjoint, y.simplices)))
+
+
 class BranchedCoverSpec:
-    """Base, branch locus and validated monodromy on the complement."""
+    """Base, branch locus and validated monodromy on the complement.
+
+    ``presentation`` is the presentation of the complement of the branch
+    locus that :func:`complement_presentation` builds; the spec keeps it
+    and its complex, and checks that the complex is that complement.
+    """
 
     __slots__ = ("base", "branch", "complement", "presentation", "monodromy",
                  "basepoint", "branch_vertices", "_table", "_punctured", "_local_groups")
 
     def __init__(self, base: StratifiedComplex, branch: StratifiedComplex | None,
-                 monodromy: MonodromyRep, basepoint: int | None = None):
+                 monodromy: MonodromyRep, presentation: EdgePathPresentation):
         if branch is not None and branch.complex.n_simplices() == 0:
             branch = None
         if branch is not None:
             _check_branch_locus(base, branch.complex, full=True)
         branch_vertices = frozenset(branch.complex.vertices if branch is not None else ())
-        # cached by value: a spec loaded from a file gets the loader's
-        # presentation, and keeps its complex rather than an equal copy
-        pres = complement_presentation(base.complex, branch_vertices, basepoint)
+        if not _is_complement(presentation.complex, base.complex, branch_vertices):
+            raise NotASubcomplex(
+                "the presentation is not of the complement of the branch locus")
 
         self.base = base
         self.branch = branch
-        self.complement = pres.complex
-        self.presentation = pres
+        self.complement = presentation.complex
+        self.presentation = presentation
         self.monodromy = monodromy
-        self.basepoint = pres.basepoint
+        self.basepoint = presentation.basepoint
         self.branch_vertices = branch_vertices
-        self._table = validate_monodromy(pres, monodromy)
+        self._table = validate_monodromy(presentation, monodromy)
         self._punctured: dict[Simplex, SimplicialComplex] = {}
         self._local_groups: dict[Simplex, tuple[Perm, ...]] = {}
 

@@ -1,15 +1,20 @@
-"""Exact linear algebra over the rationals, integers first.
+"""Exact linear algebra over the integers.
 
-Everything here is exact: entries are ``int`` or ``fractions.Fraction``
-and stay as given.  Boundary, permutation and sum-zero matrices are
-integral and nearly all their pivots are +-1, so elimination stays in
-``int`` until a pivot of another value divides, through ``Fraction``.
-Ranks come from one sparse Gauss elimination, :func:`_pivot_rows`, with
-a min-degree pivot rule (Dumas, Saunders and Villard, *On efficient
-sparse integer matrix Smith normal form computations*, 2001);
-:func:`rank_from_columns` counts its pivots.  The package needs ranks
-only: kernels, and the explicit intersection-chain bases built from
-them, live in the test oracle ``tests/oracles.py``.
+Everything here is exact and integral.  Boundary, permutation and
+sum-zero matrices have ``int`` entries and nearly all their pivots are
++-1; a pivot of another value scales the rows it eliminates instead of
+dividing the pivot row (fraction-free elimination, Bareiss, *Sylvester's
+identity and multistep integer-preserving Gaussian elimination*, Math.
+Comp. 1968), and each scaled row is divided by the gcd of its entries to
+keep them small.  Scaling a row by a nonzero integer leaves its zero
+pattern as it is, so every pivot choice and every rank are those of
+elimination over the rationals.  Ranks come from one sparse Gauss
+elimination, :func:`_pivot_rows`, with a min-degree pivot rule (Dumas,
+Saunders and Villard, *On efficient sparse integer matrix Smith normal
+form computations*, 2001); :func:`rank_from_columns` counts its pivots.
+The package needs ranks only: kernels, and the explicit
+intersection-chain bases built from them, live in the test oracle
+``tests/oracles.py``.
 
 Conventions: a sparse matrix is a list of ``{index: value}`` dicts, its
 columns (or, for :func:`_pivot_rows`, its rows).  The elimination works
@@ -21,10 +26,10 @@ for bit.
 from __future__ import annotations
 
 import heapq
-from fractions import Fraction
+from math import gcd
 from typing import Iterator
 
-Scalar = int | Fraction
+Scalar = int
 
 
 # ---------------------------------------------------------------------------
@@ -36,17 +41,23 @@ def _pivot_rows(rows: list[dict[int, Scalar]]
     """Sparse Gaussian elimination of a list of ``{col: value}`` rows, in place.
 
     The rows are consumed: zero entries are dropped, eliminated rows end
-    empty and each pivot row is divided by its pivot where it stands, so
-    the elimination needs no copy of its input.  Min-degree pivot rule:
+    empty and each target row is updated where it stands, so the
+    elimination needs no copy of its input.  Min-degree pivot rule:
     always eliminate a row of minimal fill (smallest entry count, then
     smallest index), pivoting in its sparsest column (fewest live rows,
     then smallest id).  Simplicial boundary operators eliminate with very
     little fill under this rule.  Yields ``(pivot column, pivot row)`` in
     elimination order; each yielded row has no entry in an earlier pivot
-    column.  Entries keep their type: a +-1 pivot row is kept as is or
-    negated, and only another pivot divides, through ``Fraction``.  Exact
-    arithmetic leaves the same zero pattern whatever the entry types, so
-    the pivot choices never depend on them.  Deterministic.
+    column, and keeps its pivot ``pv`` as it stands: no row is divided.
+
+    A +-1 pivot clears a target row as ``row2 - (f * pv) * row``.  Any
+    other pivot scales it, to ``pv * row2 - f * row``, and the result is
+    divided by the gcd of its entries (its content).  Either way each row
+    is a nonzero multiple of the row that elimination over the rationals
+    leaves, with the same zero pattern, so every fill count, pivot choice
+    and rank is the rational one.  Entries that are not ``int`` (a
+    caller's exact rationals) are scaled alike and never divided.
+    Deterministic.
     """
     cols: dict[int, list[int]] = {}   # column -> its live rows
     heap = []
@@ -77,15 +88,15 @@ def _pivot_rows(rows: list[dict[int, Scalar]]
                 live.remove(r)
                 if not live:
                     del cols[c]
-        if pv == -1:
-            for c in row:
-                row[c] = -row[c]
-        elif pv != 1:
-            for c in row:
-                row[c] = Fraction(row[c]) / pv
+        unit = pv == 1 or pv == -1
         for r2 in sorted(targets):
             row2 = rows[r2]
             f = row2.pop(pc)
+            if unit:
+                f *= pv  # f / pv: a unit is its own inverse
+            else:
+                for c2 in row2:
+                    row2[c2] *= pv
             for c2, v in row.items():
                 if c2 == pc:
                     continue
@@ -101,8 +112,21 @@ def _pivot_rows(rows: list[dict[int, Scalar]]
                     if not live:
                         del cols[c2]
             if row2:
+                if not unit:
+                    _divide_content(row2)
                 heapq.heappush(heap, (len(row2), r2))
         yield pc, row
+
+
+def _divide_content(row: dict[int, Scalar]) -> None:
+    """Divide a nonzero row by the gcd of its entries, when they are all ``int``."""
+    try:
+        g = gcd(*row.values())
+    except TypeError:  # a non-integer entry: the row keeps its scale
+        return
+    if g != 1:
+        for c in row:
+            row[c] //= g
 
 
 def rank_from_columns(columns: list[dict[int, Scalar]]) -> int:

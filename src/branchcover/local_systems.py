@@ -17,8 +17,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import NotASubcomplex, NotPermutationSystem, RankMismatch
 from . import linalg
-from .covering import MonodromyRep, Perm, validate_monodromy
-from .presentation import EdgePathPresentation
+from .covering import Perm
 from .simplicial import SimplicialComplex, homology_ranks
 
 
@@ -132,11 +131,16 @@ def trivial_system(base: SimplicialComplex, rank: int = 1) -> LocalSystemQ:
     return LocalSystemQ(base, rank, {e: ident for (u, v) in edges for e in ((u, v), (v, u))})
 
 
-def pushforward_local_system(pres: EdgePathPresentation, rep: MonodromyRep) -> LocalSystemQ:
-    """Rank-d permutation system modeling the direct image of a d-cover."""
-    table = validate_monodromy(pres, rep)
+def pushforward_local_system(base: SimplicialComplex, degree: int,
+                             table: dict[tuple[int, int], Perm]) -> LocalSystemQ:
+    """Rank-d permutation system modeling the direct image of a d-cover.
+
+    ``table`` is the transport table of a validated monodromy on ``base``
+    (oriented edge -> sheet permutation), as :func:`covering.validate_monodromy`
+    returns it and a :class:`covering.BranchedCoverSpec` holds it.
+    """
     made = {p: Transport.permutation(p) for p in set(table.values())}  # shared per perm
-    return LocalSystemQ(pres.complex, rep.degree, {e: made[p] for e, p in table.items()})
+    return LocalSystemQ(base, degree, {e: made[p] for e, p in table.items()})
 
 
 # ---------------------------------------------------------------------------

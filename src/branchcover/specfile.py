@@ -25,6 +25,7 @@ from typing import NamedTuple
 
 from .errors import SpecFileError
 from .covering import BranchedCoverSpec, MonodromyRep, complement_presentation
+from .presentation import EdgePathPresentation
 from .simplicial import SimplicialComplex, validate_complex
 from .stratified import StratifiedComplex, subdivide_with_subcomplexes
 
@@ -150,8 +151,12 @@ def _simplices(raw: list, where: str) -> list:
 
 
 class LoadedSpec(NamedTuple):
+    """The loaded sections; ``presentation`` is the complement's, made only
+    for a spec with a monodromy, which is given on its generators."""
+
     base: StratifiedComplex
     branch: StratifiedComplex | None
+    presentation: EdgePathPresentation | None
     monodromy: MonodromyRep | None
     basepoint: int | None
     perversity: str
@@ -160,8 +165,7 @@ class LoadedSpec(NamedTuple):
     def cover_spec(self) -> BranchedCoverSpec:
         if self.monodromy is None:
             raise SpecFileError("this command needs a 'monodromy' section")
-        return BranchedCoverSpec(self.base, self.branch, self.monodromy,
-                                 basepoint=self.basepoint)
+        return BranchedCoverSpec(self.base, self.branch, self.monodromy, self.presentation)
 
 
 def _stratified_from_lists(complex_: SimplicialComplex, levels_raw: list | None,
@@ -192,8 +196,7 @@ def load_spec(data: SpecData) -> LoadedSpec:
         else:
             base, _extras = subdivide_with_subcomplexes(base, [])
 
-    monodromy = None
-    basepoint = None
+    pres = monodromy = basepoint = None
     if data.monodromy is not None:
         degree, n = data.monodromy["degree"], base.complex.n_simplices()
         if degree * n > MAX_COVER_SIMPLICES:
@@ -210,7 +213,7 @@ def load_spec(data: SpecData) -> LoadedSpec:
             assignments[_parse_edge_key(key)] = tuple(val)
         monodromy = MonodromyRep.from_edge_dict(pres, degree, assignments)
 
-    return LoadedSpec(base, branch, monodromy, basepoint,
+    return LoadedSpec(base, branch, pres, monodromy, basepoint,
                       data.perversity, data.subdivisions)
 
 

@@ -236,7 +236,7 @@ def verify_branched(spec: BranchedCoverSpec,
     pullback = pullback_stratification(cover, refined)
 
     ih_trivial = ih_betti(refined, p, None)
-    pushforward = pushforward_local_system(spec.presentation, spec.monodromy)
+    pushforward = pushforward_local_system(spec.complement, spec.degree, spec.table)
     split = trace_split(pushforward)
     ih_kernel = ih_betti(refined, p, split.kernel)
 

@@ -1,4 +1,4 @@
-"""Small complexes and a GF(p) kernel that only the tests use.
+"""Small complexes, a GF(p) kernel and a pushforward shorthand that only the tests use.
 
 The package's own fixtures (``branchcover.fixtures``) are the ones the
 ``fixture`` command writes; these are extra bases for the tests.
@@ -7,8 +7,16 @@ from __future__ import annotations
 
 from itertools import combinations
 
+from branchcover.covering import MonodromyRep, validate_monodromy
 from branchcover.fixtures import _closure, _rref_mod_p, cycle_complex
+from branchcover.local_systems import LocalSystemQ, pushforward_local_system
+from branchcover.presentation import EdgePathPresentation
 from branchcover.simplicial import SimplicialComplex
+
+
+def pushforward(pres: EdgePathPresentation, rep: MonodromyRep) -> LocalSystemQ:
+    """The pushforward system of a monodromy given on a bare presentation."""
+    return pushforward_local_system(pres.complex, rep.degree, validate_monodromy(pres, rep))
 
 
 def full_simplex(n: int) -> SimplicialComplex:

@@ -4,7 +4,9 @@ Everything here is deliberately written from scratch against the
 definitions (dense Gauss over Fraction, brute-force face enumeration,
 union-find orbits, intersection chains from explicit bases) and never
 calls into the package's own elimination or homology code, so the two
-sides of every assertion are independent.  ``test_oracles_are_independent``
+sides of every assertion are independent.  ``rational_pivot_rows`` is
+the package's sparse elimination as it was over the rationals, kept to
+check that the integer elimination makes the same pivot choices.  ``test_oracles_are_independent``
 checks the imports that this contract rules out.
 
 The explicit-matrix adapter at the end builds the package's
@@ -14,6 +16,7 @@ can feed the sparse machinery systems it never builds itself.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -319,6 +322,65 @@ def reduce_columns(columns) -> tuple[int, list[dict]]:
         else:
             kernel.append(combo)
     return len(reduced), kernel
+
+
+def rational_pivot_rows(rows):
+    """The package's sparse elimination as it was over the rationals, kept as a reference.
+
+    The same min-degree rule as ``linalg._pivot_rows``: eliminate a row of
+    fewest entries (then smallest index), pivoting in its column of fewest
+    live rows (then smallest id).  Each pivot row is divided by its pivot
+    through ``Fraction`` and cleared from the other rows of its column as
+    ``row2 - f * row``.  Works in place; yields ``(pivot column, pivot
+    row)`` with the pivot row's pivot equal to 1.
+    """
+    cols: dict[int, list[int]] = {}
+    heap = []
+    for r, row in enumerate(rows):
+        for c in [c for c, v in row.items() if not v]:
+            del row[c]
+        if row:
+            heap.append((len(row), r))
+            for c in row:
+                cols.setdefault(c, []).append(r)
+    heapq.heapify(heap)
+    done = set()
+    while heap:
+        nnz, r = heapq.heappop(heap)
+        row = rows[r]
+        if r in done or len(row) != nnz:
+            continue
+        pc = min(row, key=lambda c: (len(cols[c]), c))
+        pv = row[pc]
+        done.add(r)
+        targets = cols.pop(pc)
+        targets.remove(r)
+        for c in row:
+            if c != pc:
+                cols[c].remove(r)
+                if not cols[c]:
+                    del cols[c]
+        for c in row:
+            row[c] = Fraction(row[c]) / pv
+        for r2 in sorted(targets):
+            row2 = rows[r2]
+            f = row2.pop(pc)
+            for c2, v in row.items():
+                if c2 == pc:
+                    continue
+                new = row2.get(c2, 0) - f * v
+                if new:
+                    if c2 not in row2:
+                        cols.setdefault(c2, []).append(r2)
+                    row2[c2] = new
+                elif c2 in row2:
+                    del row2[c2]
+                    cols[c2].remove(r2)
+                    if not cols[c2]:
+                        del cols[c2]
+            if row2:
+                heapq.heappush(heap, (len(row2), r2))
+        yield pc, row
 
 
 def ic_complex(sc, p, coeff=None):

@@ -108,13 +108,13 @@ def test_criterion_1_unbranched_splitting():
             d = rng.randint(1, 5)
             images = tuple(tuple(rng.sample(range(d), d)) for _ in pres.generators)
             rep = MonodromyRep(d, images)
-            _check_unbranched_split(base, rep)
+            _check_unbranched_split(base, pres, rep)
             checked += 1
     for base in relator_bases:
         for _ in range(8):
             p = rng.choice((2, 3, 5))
-            _pres, rep = _random_cyclic_rep(rng, base, p)
-            _check_unbranched_split(base, rep)
+            pres, rep = _random_cyclic_rep(rng, base, p)
+            _check_unbranched_split(base, pres, rep)
             checked += 1
     elapsed = time.time() - start
     assert checked >= 50
@@ -123,10 +123,10 @@ def test_criterion_1_unbranched_splitting():
                f"({elapsed:.1f}s)")
 
 
-def _check_unbranched_split(base, rep):
-    spec = BranchedCoverSpec(trivial_stratification(base), None, rep)
+def _check_unbranched_split(base, pres, rep):
+    spec = BranchedCoverSpec(trivial_stratification(base), None, rep, pres)
     cover = fox_complete(spec)
-    split = trace_split(pushforward_local_system(spec.presentation, rep))
+    split = trace_split(pushforward_local_system(spec.complement, spec.degree, spec.table))
     b_cover = betti_numbers(cover.total)
     b_base = betti_numbers(base)
     b_kernel = twisted_betti(base, split.kernel)
@@ -154,8 +154,8 @@ def test_criterion_3_riemann_hurwitz():
     for k in (0, 1, 2):
         start = time.time()
         points = 2 * k + 2
-        y, r, rep, _ = sphere_branched_data(points, 2)
-        spec = BranchedCoverSpec(y, r, rep)
+        y, r, rep, pres = sphere_branched_data(points, 2)
+        spec = BranchedCoverSpec(y, r, rep, pres)
         cover = fox_complete(spec)
         chi = riemann_hurwitz_check(cover)
         assert chi == 2 - 2 * k
@@ -173,8 +173,8 @@ def test_criterion_4_branched_decomposition_manifold_base():
     ]
     for (points, degree), b_cover, ih_triv, ih_ker in cases:
         start = time.time()
-        y, r, rep, _ = sphere_branched_data(points, degree)
-        spec = BranchedCoverSpec(y, r, rep)
+        y, r, rep, pres = sphere_branched_data(points, degree)
+        spec = BranchedCoverSpec(y, r, rep, pres)
         for name in ("lower", "upper"):
             report = verify_branched(spec, name)
             assert report.betti_cover == b_cover
@@ -189,8 +189,8 @@ def test_criterion_4_branched_decomposition_manifold_base():
 
 def test_criterion_5_dimension_three():
     start = time.time()
-    y, r, rep, _ = s3_unknot_double_data()
-    spec = BranchedCoverSpec(y, r, rep)
+    y, r, rep, pres = s3_unknot_double_data()
+    spec = BranchedCoverSpec(y, r, rep, pres)
     report = verify_branched(spec, "lower")
     assert report.betti_cover == (1, 0, 0, 1)
     assert report.ih_kernel == (0, 0, 0, 0)
@@ -239,8 +239,8 @@ def test_criterion_7_cone_and_stalk_checks():
     ]
     # links of the unknot fixture's branch vertices: spheres with two marked
     # points, with induced stratifications
-    y, r, rep, _ = s3_unknot_double_data()
-    spec = BranchedCoverSpec(y, r, rep)
+    y, r, rep, pres = s3_unknot_double_data()
+    spec = BranchedCoverSpec(y, r, rep, pres)
     refined = refine_stratification(y, r)
     from branchcover.stratified import induced_link
     for (v,) in refined.singular_set.simplices_of_dim(0)[:2]:
@@ -261,10 +261,10 @@ def test_criterion_7_cone_and_stalk_checks():
     # branched fixtures, trivial and kernel coefficients
     for builder, args, m in ((sphere_branched_data, (6, 2), 2),
                              (s3_unknot_double_data, (), 3)):
-        y, r, rep, _ = builder(*args)
-        spec = BranchedCoverSpec(y, r, rep)
+        y, r, rep, pres = builder(*args)
+        spec = BranchedCoverSpec(y, r, rep, pres)
         refined = refine_stratification(y, r)
-        split = trace_split(pushforward_local_system(spec.presentation, spec.monodromy))
+        split = trace_split(pushforward_local_system(spec.complement, spec.degree, spec.table))
         for coeff in (None, split.kernel):
             res = deligne_stalk_check(refined, lower_middle(m), coeff)
             assert res.ok
@@ -282,9 +282,9 @@ def test_criterion_8_structural_invariants():
     complexes = [hexagon(), octahedron(), torus7(), boundary_simplex(4)]
     for c in complexes:
         betti_numbers(c)
-    y, r, rep, _ = sphere_branched_data(6, 2)
-    spec = BranchedCoverSpec(y, r, rep)
-    push = pushforward_local_system(spec.presentation, spec.monodromy)
+    y, r, rep, pres = sphere_branched_data(6, 2)
+    spec = BranchedCoverSpec(y, r, rep, pres)
+    push = pushforward_local_system(spec.complement, spec.degree, spec.table)
     split = trace_split(push)
     twisted_betti(spec.complement, push)
     twisted_betti(spec.complement, split.kernel)
@@ -301,8 +301,8 @@ def test_criterion_8_structural_invariants():
                           (sphere_branched_data, (6, 2)),
                           (sphere_branched_data, (3, 3)),
                           (s3_unknot_double_data, ())):
-        y, r, rep, _ = builder(*args)
-        spec = BranchedCoverSpec(y, r, rep)
+        y, r, rep, pres = builder(*args)
+        spec = BranchedCoverSpec(y, r, rep, pres)
         cover = fox_complete(spec)
         refined = refine_stratification(y, r)   # constructor validates
         refined.full_check()
@@ -316,8 +316,8 @@ def test_criterion_8_structural_invariants():
 
 def test_criterion_9_codimension_corollary():
     for d in (2, 3):
-        y, r, rep, _ = codim3_vertex_data(d)
-        spec = BranchedCoverSpec(y, r, rep)
+        y, r, rep, pres = codim3_vertex_data(d)
+        spec = BranchedCoverSpec(y, r, rep, pres)
         report = codim_check(spec)
         assert report.applicable
         assert report.non_minimal
@@ -326,8 +326,8 @@ def test_criterion_9_codimension_corollary():
     for builder, args in ((sphere_branched_data, (6, 2)),
                           (sphere_branched_data, (3, 3)),
                           (s3_unknot_double_data, ())):
-        y, r, rep, _ = builder(*args)
-        report = codim_check(BranchedCoverSpec(y, r, rep))
+        y, r, rep, pres = builder(*args)
+        report = codim_check(BranchedCoverSpec(y, r, rep, pres))
         assert not report.applicable  # codim 2 fixtures: check skipped
     _report(9, "codim-3 branch input forces full fibers and the non-minimal flag")
 

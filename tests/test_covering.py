@@ -10,6 +10,7 @@ from branchcover.covering import (
     BranchedCoverSpec,
     MonodromyRep,
     complement_connectivity_check,
+    complement_presentation,
     compose_perms,
     fiber_cardinality,
     fox_complete,
@@ -25,6 +26,7 @@ from branchcover.covering import (
 from branchcover.errors import (
     BranchNotInCodim2Level,
     NotAPermutation,
+    NotASubcomplex,
     NotFull,
     RelatorViolated,
     MissingGenerator,
@@ -182,23 +184,23 @@ def test_validate_monodromy_matches_matrix_representation(case):
 
 
 def test_hexagon_triple_cyclic_cover():
-    y, r, rep, _ = circle_cover_data(3, (1, 2, 0))
-    cover = fox_complete(BranchedCoverSpec(y, r, rep))
+    y, r, rep, pres = circle_cover_data(3, (1, 2, 0))
+    cover = fox_complete(BranchedCoverSpec(y, r, rep, pres))
     assert cover.total.euler_characteristic() == 0
     assert len(components(cover.total)) == 1
     assert cover.total.n_simplices(0) == 18
 
 
 def test_hexagon_identity_cover_three_components():
-    y, r, rep, _ = circle_cover_data(3, (0, 1, 2))
-    cover = fox_complete(BranchedCoverSpec(y, r, rep))
+    y, r, rep, pres = circle_cover_data(3, (0, 1, 2))
+    cover = fox_complete(BranchedCoverSpec(y, r, rep, pres))
     assert len(components(cover.total)) == 3
     assert betti_numbers(cover.total) == (3, 3)
 
 
 def test_hexagon_swap_in_s3_two_components():
-    y, r, rep, _ = circle_cover_data(3, (1, 0, 2))
-    cover = fox_complete(BranchedCoverSpec(y, r, rep))
+    y, r, rep, pres = circle_cover_data(3, (1, 0, 2))
+    cover = fox_complete(BranchedCoverSpec(y, r, rep, pres))
     # orbits of <(0 1)> in degree 3: {0,1} and {2}
     assert len(components(cover.total)) == 2
     assert betti_numbers(cover.total) == (2, 2)
@@ -209,8 +211,8 @@ def test_component_count_equals_orbits_randomized():
     for _ in range(25):
         d = rng.randint(1, 6)
         perm = tuple(rng.sample(range(d), d))
-        y, r, rep, _ = circle_cover_data(d, perm)
-        cover = fox_complete(BranchedCoverSpec(y, r, rep))
+        y, r, rep, pres = circle_cover_data(d, perm)
+        cover = fox_complete(BranchedCoverSpec(y, r, rep, pres))
         assert len(components(cover.total)) == len(orbits_of([perm], d))
         # covering property: d simplices over every base simplex
         for s in y.complex.all_simplices():
@@ -218,8 +220,8 @@ def test_component_count_equals_orbits_randomized():
 
 
 def test_cover_star_injectivity():
-    y, r, rep, _ = circle_cover_data(3, (1, 2, 0))
-    cover = fox_complete(BranchedCoverSpec(y, r, rep))
+    y, r, rep, pres = circle_cover_data(3, (1, 2, 0))
+    cover = fox_complete(BranchedCoverSpec(y, r, rep, pres))
     for v in cover.total.vertices:
         st = star(cover.total, (v,))
         images = [cover.projection[s] for s in st.all_simplices()]
@@ -231,8 +233,8 @@ def test_cover_star_injectivity():
 
 
 def test_local_monodromy_of_double_cover_branch_point():
-    y, r, rep, _ = sphere_branched_data(2, 2)
-    spec = BranchedCoverSpec(y, r, rep)
+    y, r, rep, pres = sphere_branched_data(2, 2)
+    spec = BranchedCoverSpec(y, r, rep, pres)
     for tau in spec.branch_simplices():
         gens = local_monodromy_group(spec, tau)
         assert gens == ((1, 0),)
@@ -240,16 +242,16 @@ def test_local_monodromy_of_double_cover_branch_point():
 
 
 def test_local_monodromy_trivial():
-    y, r, rep, _ = codim3_vertex_data(3)
-    spec = BranchedCoverSpec(y, r, rep)
+    y, r, rep, pres = codim3_vertex_data(3)
+    spec = BranchedCoverSpec(y, r, rep, pres)
     (tau,) = spec.branch_simplices()
     assert local_monodromy_group(spec, tau) == ((0, 1, 2),)
     assert fiber_cardinality(spec, tau) == 3
 
 
 def test_local_monodromy_cyclic_triple():
-    y, r, rep, _ = sphere_branched_data(3, 3)
-    spec = BranchedCoverSpec(y, r, rep)
+    y, r, rep, pres = sphere_branched_data(3, 3)
+    spec = BranchedCoverSpec(y, r, rep, pres)
     for tau in spec.branch_simplices():
         (g,) = local_monodromy_group(spec, tau)
         assert sorted(g) == [0, 1, 2] and g != (0, 1, 2)
@@ -257,15 +259,15 @@ def test_local_monodromy_cyclic_triple():
 
 
 def test_fox_complete_sphere_two_points():
-    y, r, rep, _ = sphere_branched_data(2, 2)
-    cover = fox_complete(BranchedCoverSpec(y, r, rep))
+    y, r, rep, pres = sphere_branched_data(2, 2)
+    cover = fox_complete(BranchedCoverSpec(y, r, rep, pres))
     assert cover.total.euler_characteristic() == 2
     assert betti_numbers(cover.total) == (1, 0, 1)
 
 
 def test_fox_complete_genus_two():
-    y, r, rep, _ = sphere_branched_data(6, 2)
-    spec = BranchedCoverSpec(y, r, rep)
+    y, r, rep, pres = sphere_branched_data(6, 2)
+    spec = BranchedCoverSpec(y, r, rep, pres)
     cover = fox_complete(spec)
     # Riemann-Hurwitz oracle: chi = 2*2 - 6*(2-1) = -2
     assert riemann_hurwitz_chi(2, 2, [1] * 6) == -2
@@ -275,7 +277,7 @@ def test_fox_complete_genus_two():
 
 
 def test_fox_complete_empty_branch_is_plain_cover():
-    specs = [BranchedCoverSpec(*circle_cover_data(d, tuple((i + 1) % d for i in range(d)))[:3])
+    specs = [BranchedCoverSpec(*circle_cover_data(d, tuple((i + 1) % d for i in range(d))))
              for d in range(1, 6)]
     # a transposition cover of degree 4 built from a Z/2 class, as in
     # test_ih_of_unstratified_base_is_twisted_homology
@@ -285,7 +287,7 @@ def test_fox_complete_empty_branch_is_plain_cover():
     swap, fixed = (1, 0, 2, 3), (0, 1, 2, 3)
     rep = MonodromyRep(4, tuple(swap if e else fixed for e in exponents))
     assert swap in rep.images
-    specs.append(BranchedCoverSpec(trivial_stratification(c), None, rep))
+    specs.append(BranchedCoverSpec(trivial_stratification(c), None, rep, pres))
     for spec in specs:
         assert fox_complete(spec).projection == sheet_cover(spec)
 
@@ -295,7 +297,7 @@ def test_fox_complete_empty_branch_is_plain_cover():
                                   s3_unknot_double_data],
                          ids=["sphere-p3-d3", "sphere-p6-d3", "s3-unknot-double"])
 def test_fox_complete_sheets_match_oracle_off_the_locus(data):
-    spec = BranchedCoverSpec(*data()[:3])
+    spec = BranchedCoverSpec(*data())
     cover = fox_complete(spec)
     sheets = {lift: sig for lift, sig in cover.projection.items()
               if not spec.branch_vertices & set(sig)}
@@ -304,8 +306,8 @@ def test_fox_complete_sheets_match_oracle_off_the_locus(data):
 
 
 def test_fox_three_points_degree_three():
-    y, r, rep, _ = sphere_branched_data(3, 3)
-    cover = fox_complete(BranchedCoverSpec(y, r, rep))
+    y, r, rep, pres = sphere_branched_data(3, 3)
+    cover = fox_complete(BranchedCoverSpec(y, r, rep, pres))
     assert riemann_hurwitz_chi(3, 2, [1, 1, 1]) == 0
     assert cover.total.euler_characteristic() == 0
     assert betti_numbers(cover.total) == (1, 2, 1)
@@ -313,8 +315,8 @@ def test_fox_three_points_degree_three():
 
 
 def test_unknot_double_cover_is_sphere():
-    y, r, rep, _ = s3_unknot_double_data()
-    spec = BranchedCoverSpec(y, r, rep)
+    y, r, rep, pres = s3_unknot_double_data()
+    spec = BranchedCoverSpec(y, r, rep, pres)
     cover = fox_complete(spec)
     assert betti_numbers(cover.total) == (1, 0, 0, 1)
     for tau in spec.branch_simplices():
@@ -326,15 +328,17 @@ def test_branch_must_be_full():
     # two adjacent octahedron vertices: the joining edge is missing
     y = trivial_stratification(octahedron())
     r = trivial_stratification(SimplicialComplex([(1,), (2,)]))
+    pres = complement_presentation(y.complex, frozenset(r.complex.vertices))
     with pytest.raises(NotFull):
-        BranchedCoverSpec(y, r, MonodromyRep(1, ()))
+        BranchedCoverSpec(y, r, MonodromyRep(1, ()), pres)
 
 
 def test_branch_codimension_enforced():
     y = trivial_stratification(hexagon())
     r = trivial_stratification(SimplicialComplex([(0,)]))
+    pres = complement_presentation(y.complex, frozenset(r.complex.vertices))
     with pytest.raises(BranchNotInCodim2Level):
-        BranchedCoverSpec(y, r, MonodromyRep(1, ()))
+        BranchedCoverSpec(y, r, MonodromyRep(1, ()), pres)
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +346,8 @@ def test_branch_codimension_enforced():
 
 
 def test_connectivity_check_passes_on_sphere_fixture():
-    y, r, rep, _ = sphere_branched_data(6, 2)
-    spec = BranchedCoverSpec(y, r, rep)
+    y, r, rep, pres = sphere_branched_data(6, 2)
+    spec = BranchedCoverSpec(y, r, rep, pres)
     cover = fox_complete(spec)
     report = complement_connectivity_check(spec, cover)
     assert report.ok
@@ -352,8 +356,8 @@ def test_connectivity_check_passes_on_sphere_fixture():
 
 
 def test_connectivity_check_passes_on_unknot():
-    y, r, rep, _ = s3_unknot_double_data()
-    spec = BranchedCoverSpec(y, r, rep)
+    y, r, rep, pres = s3_unknot_double_data()
+    spec = BranchedCoverSpec(y, r, rep, pres)
     report = complement_connectivity_check(spec)
     assert report.ok and report.checked_base == 12
 
@@ -367,7 +371,6 @@ def _susp_cover_bench_spec(monkeypatch) -> BranchedCoverSpec:
 
 def test_loaded_spec_holds_one_complement(monkeypatch):
     """The spec keeps the complex that the loader presented, not an equal copy."""
-    from branchcover.covering import complement_presentation
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     from workloads import make_job
     edge_path_presentation.cache_clear()
@@ -379,13 +382,47 @@ def test_loaded_spec_holds_one_complement(monkeypatch):
     assert spec.presentation is pres and spec.complement is pres.complex
 
 
+def test_load_spec_and_cover_spec_build_the_complement_once(monkeypatch):
+    """The loader's presentation is handed to the spec: one full subcomplex
+    of the base for ``load_spec`` and ``cover_spec()`` together."""
+    from branchcover import covering
+    real = covering.full_subcomplex
+    built = []
+
+    def spy(c, vertices):
+        built.append(c)
+        return real(c, vertices)
+
+    monkeypatch.setattr(covering, "full_subcomplex", spy)
+    loaded = load_spec(parse_spec_text(
+        (GOLDEN / "susp-cover-seed1.json").read_text(encoding="utf-8")))
+    spec = loaded.cover_spec()
+    assert built == [loaded.base.complex] and built[0] is loaded.base.complex
+    assert spec.presentation is loaded.presentation
+
+
+def _skeleton(c: SimplicialComplex) -> SimplicialComplex:
+    return SimplicialComplex(s for s in c.simplices if len(s) <= 2)
+
+
+@pytest.mark.parametrize("other", ["whole-base", "complement-1-skeleton"])
+def test_spec_rejects_a_presentation_of_another_complex(other):
+    y, r, rep, pres = sphere_branched_data(2, 2)
+    if other == "whole-base":
+        wrong = edge_path_presentation(y.complex, pres.basepoint)
+    else:
+        wrong = edge_path_presentation(_skeleton(pres.complex), pres.basepoint)
+    with pytest.raises(NotASubcomplex, match="not of the complement of the branch locus"):
+        BranchedCoverSpec(y, r, MonodromyRep(rep.degree, ()), wrong)
+
+
 @pytest.mark.parametrize("name", ["sphere-branched", "s3-unknot-double", "susp-cover"])
 def test_star_of_every_lift_and_branch_simplex_matches_brute_star(name, monkeypatch):
     if name == "susp-cover":
         spec = _susp_cover_bench_spec(monkeypatch)
     else:
         data = sphere_branched_data(6, 2) if name == "sphere-branched" else s3_unknot_double_data()
-        spec = BranchedCoverSpec(*data[:3])
+        spec = BranchedCoverSpec(*data)
     cover = fox_complete(spec)
     pairs = [(cover.total, lift) for tau in spec.branch_simplices()
              for lift in cover.fiber_over(tau)]
@@ -437,16 +474,16 @@ def test_refine_suspension_circle_through_cone_points():
 
 
 def test_pullback_stratification_unbranched_trivial():
-    y, r, rep, _ = circle_cover_data(2, (1, 0))
-    spec = BranchedCoverSpec(y, r, rep)
+    y, r, rep, pres = circle_cover_data(2, (1, 0))
+    spec = BranchedCoverSpec(y, r, rep, pres)
     cover = fox_complete(spec)
     pulled = pullback_stratification(cover, y)
     assert pulled.singular_set.n_simplices() == 0
 
 
 def test_pullback_stratification_genus_two():
-    y, r, rep, _ = sphere_branched_data(6, 2)
-    spec = BranchedCoverSpec(y, r, rep)
+    y, r, rep, pres = sphere_branched_data(6, 2)
+    spec = BranchedCoverSpec(y, r, rep, pres)
     cover = fox_complete(spec)
     refined = refine_stratification(y, r)
     pulled = pullback_stratification(cover, refined)
@@ -455,8 +492,8 @@ def test_pullback_stratification_genus_two():
 
 
 def test_pullback_stratification_unknot():
-    y, r, rep, _ = s3_unknot_double_data()
-    spec = BranchedCoverSpec(y, r, rep)
+    y, r, rep, pres = s3_unknot_double_data()
+    spec = BranchedCoverSpec(y, r, rep, pres)
     cover = fox_complete(spec)
     refined = refine_stratification(y, r)
     pulled = pullback_stratification(cover, refined)
@@ -469,8 +506,8 @@ def test_pullback_stratification_unknot():
 def test_riemann_hurwitz_unbranched_multiplicativity():
     # chi of an unbranched d-cover is d times chi of the base
     for d, perm in ((2, (1, 0)), (3, (1, 2, 0)), (4, (1, 2, 3, 0))):
-        y, r, rep, _ = circle_cover_data(d, perm)
-        cover = fox_complete(BranchedCoverSpec(y, r, rep))
+        y, r, rep, pres = circle_cover_data(d, perm)
+        cover = fox_complete(BranchedCoverSpec(y, r, rep, pres))
         assert riemann_hurwitz_check(cover) == d * y.complex.euler_characteristic()
 
 
@@ -478,8 +515,8 @@ def test_fox_completed_surface_cover_is_a_closed_surface():
     # every edge of the total space lies in exactly two triangles and every
     # vertex link is a circle: the completion really is a closed surface
     from branchcover.simplicial import link as link_of
-    y, r, rep, _ = sphere_branched_data(6, 2)
-    cover = fox_complete(BranchedCoverSpec(y, r, rep))
+    y, r, rep, pres = sphere_branched_data(6, 2)
+    cover = fox_complete(BranchedCoverSpec(y, r, rep, pres))
     x = cover.total
     for e in x.simplices_of_dim(1):
         cofaces = [t for t in x.simplices_of_dim(2) if set(e) <= set(t)]
@@ -490,8 +527,8 @@ def test_fox_completed_surface_cover_is_a_closed_surface():
 
 def test_fox_completed_unknot_cover_is_a_closed_3_manifold():
     from branchcover.simplicial import link as link_of
-    y, r, rep, _ = s3_unknot_double_data()
-    cover = fox_complete(BranchedCoverSpec(y, r, rep))
+    y, r, rep, pres = s3_unknot_double_data()
+    cover = fox_complete(BranchedCoverSpec(y, r, rep, pres))
     x = cover.total
     for t in x.simplices_of_dim(2):
         cofaces = [s for s in x.simplices_of_dim(3) if set(t) <= set(s)]
@@ -501,8 +538,8 @@ def test_fox_completed_unknot_cover_is_a_closed_3_manifold():
 
 
 def test_branched_decomposition_degree_three_six_points():
-    y, r, rep, _ = sphere_branched_data(6, 3)
-    spec = BranchedCoverSpec(y, r, rep)
+    y, r, rep, pres = sphere_branched_data(6, 3)
+    spec = BranchedCoverSpec(y, r, rep, pres)
     # chi = 3*2 - 6*(3-1) = -6: genus 4
     cover = fox_complete(spec)
     assert riemann_hurwitz_check(cover) == -6

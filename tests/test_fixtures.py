@@ -90,7 +90,7 @@ def test_sphere_branched_data_is_consistent():
     y, r, rep, pres = sphere_branched_data(6, 2)
     assert y.dim == 2
     assert r.complex.n_simplices(0) == 6
-    spec = BranchedCoverSpec(y, r, rep)
+    spec = BranchedCoverSpec(y, r, rep, pres)
     for tau in spec.branch_simplices():
         assert fiber_cardinality(spec, tau) == 1
 
@@ -130,7 +130,7 @@ def test_branching_at_pinch_fails_flatness_shadow():
                                  [v for v in pt.complex.vertices if v not in bverts])
     pres = edge_path_presentation(complement, min(complement.vertices))
     rep = MonodromyRep(1, tuple((0,) for _ in pres.generators))
-    spec = BranchedCoverSpec(pt, r, rep)
+    spec = BranchedCoverSpec(pt, r, rep, pres)
     report = complement_connectivity_check(spec)
     assert not report.ok
     assert report.base_failures == ((pinch,),)
@@ -143,8 +143,8 @@ def test_fiber_cardinality_constant_on_refined_strata():
     for builder, args in ((sphere_branched_data, (6, 2)),
                           (sphere_branched_data, (3, 3)),
                           (s3_unknot_double_data, ())):
-        y, r, rep, _ = builder(*args)
-        spec = BranchedCoverSpec(y, r, rep)
+        y, r, rep, pres = builder(*args)
+        spec = BranchedCoverSpec(y, r, rep, pres)
         refined = refine_stratification(y, r)
         rset = r.complex.simplices
         for stratum in refined.strata():

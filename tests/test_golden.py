@@ -5,13 +5,18 @@ Each spec ``tests/golden/<spec>.json`` named in SPECS is the output of
 specs are the benchmark workloads of the same name at seed 1, written
 once by ``bench/workloads.make_job`` and committed as they are, so the
 largest inputs are checked too; they run with the workloads' verify
-flags.  Each case in CASES runs one CLI command on a spec, and
+flags.  The specs under ``rejected/`` are ones that `verify` rejects:
+``rejected/sphere-p6-d3-sub1.json`` is ``sphere-p6-d3.json`` with
+``"subdivisions": 1``, so its assignments name edges of the unsubdivided
+complement, and `generators` prints the contract that new assignments
+must follow.  Each case in CASES runs one CLI command on a spec, and
 ``tests/golden/<case>.out`` is its stdout.  An intended change of output
 is recorded by rerunning that command with ``--out`` and reviewing the
 diff.
 """
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
@@ -45,6 +50,7 @@ CASES = {
     "fibers-sphere-p6-d3": ("fibers", "sphere-p6-d3", [], 0),
     "generators-sphere-p6-d3": ("generators", "sphere-p6-d3", [], 0),
     "generators-pinched-torus": ("generators", "pinched-torus", [], 0),
+    "generators-sphere-p6-d3-sub1": ("generators", "rejected/sphere-p6-d3-sub1", [], 0),
     "ih-suspension-torus": ("ih", "suspension-torus", [], 0),
     "ih-pinched-torus": ("ih", "pinched-torus", [], 0),
     "verify-susp-cover-seed1": (
@@ -74,3 +80,14 @@ def test_fixture_spec_matches_golden(spec, capsys):
     assert rc == 0
     assert out == (GOLDEN / f"{spec}.json").read_text(encoding="utf-8")
 
+
+def test_subdivided_spec_is_the_golden_spec_subdivided_once(capsys):
+    path = GOLDEN / "rejected" / "sphere-p6-d3-sub1.json"
+    spec = json.loads((GOLDEN / "sphere-p6-d3.json").read_text(encoding="utf-8"))
+    spec["options"]["subdivisions"] = 1
+    assert json.loads(path.read_text(encoding="utf-8")) == spec
+    capsys.readouterr()
+    rc = main(["verify", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == "error: 12->23 is not a generator edge of the presentation\n"

@@ -44,7 +44,7 @@ from branchcover.fixtures import (
     torus7,
 )
 
-from complexes import annulus, nullspace_mod_p
+from complexes import annulus, nullspace_mod_p, pushforward
 from oracles import ic_betti, ic_closed, ic_complex, suspension_ih_oracle
 
 
@@ -242,8 +242,9 @@ def test_allowable_simplices_leave_two_vertices_off_singular_set(name):
 
 def _cover_kernel(data):
     y, r, rep, _pres = data
-    spec = BranchedCoverSpec(y, r, rep)
-    kernel = trace_split(pushforward_local_system(spec.presentation, spec.monodromy)).kernel
+    spec = BranchedCoverSpec(y, r, rep, _pres)
+    kernel = trace_split(
+        pushforward_local_system(spec.complement, spec.degree, spec.table)).kernel
     return refine_stratification(y, r), kernel
 
 
@@ -255,7 +256,7 @@ def _transposition_kernel(sc):
     exponents = next(e for e in nullspace_mod_p(_relator_rows(pres), len(pres.generators), 2)
                      if any(e))
     rep = MonodromyRep(3, tuple((1, 0, 2) if e else (0, 1, 2) for e in exponents))
-    return sc, trace_split(pushforward_local_system(pres, rep)).kernel
+    return sc, trace_split(pushforward(pres, rep)).kernel
 
 
 def _scaled(system):
@@ -303,18 +304,18 @@ def test_ih_from_ranks_matches_ic_bases(name):
 
 def test_twisted_ih_genus_two_kernel():
     y, r, rep, pres = sphere_branched_data(6, 2)
-    spec = BranchedCoverSpec(y, r, rep)
+    spec = BranchedCoverSpec(y, r, rep, pres)
     refined = refine_stratification(y, r)
-    split = trace_split(pushforward_local_system(spec.presentation, spec.monodromy))
+    split = trace_split(pushforward_local_system(spec.complement, spec.degree, spec.table))
     # derived: b(genus 2 surface) - ih(sphere) = (1,4,1) - (1,0,1)
     assert ih_betti(refined, lower_middle(2), split.kernel) == (0, 4, 0)
 
 
 def test_twisted_ih_unknot_kernel_vanishes():
     y, r, rep, pres = s3_unknot_double_data()
-    spec = BranchedCoverSpec(y, r, rep)
+    spec = BranchedCoverSpec(y, r, rep, pres)
     refined = refine_stratification(y, r)
-    split = trace_split(pushforward_local_system(spec.presentation, spec.monodromy))
+    split = trace_split(pushforward_local_system(spec.complement, spec.degree, spec.table))
     assert ih_betti(refined, lower_middle(3), split.kernel) == (0, 0, 0, 0)
     assert ih_betti(refined, lower_middle(3), None) == (1, 0, 0, 1)
 
@@ -329,7 +330,7 @@ def test_ih_of_unstratified_base_is_twisted_homology(base, expected):
     exponents = nullspace_mod_p(_relator_rows(pres), n, 2)[0]
     swap, fixed = (1, 0, 2, 3), (0, 1, 2, 3)
     rep = MonodromyRep(4, tuple(swap if e else fixed for e in exponents))
-    kernel = trace_split(pushforward_local_system(pres, rep)).kernel
+    kernel = trace_split(pushforward(pres, rep)).kernel
     assert ih_betti(trivial_stratification(c), lower_middle(2), kernel) == expected
     assert twisted_betti(c, kernel) == expected
 
@@ -414,7 +415,7 @@ def test_stalk_check_manifold_is_vacuous():
 
 def test_stalk_check_unknot_base():
     y, r, rep, pres = s3_unknot_double_data()
-    spec = BranchedCoverSpec(y, r, rep)
+    spec = BranchedCoverSpec(y, r, rep, pres)
     refined = refine_stratification(y, r)
     res = deligne_stalk_check(refined, lower_middle(3))
     assert res.ok

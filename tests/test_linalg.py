@@ -1,11 +1,24 @@
+import functools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from branchcover import linalg
-from branchcover.local_systems import Transport, invariant_dimension, sum_zero_action
+from branchcover.covering import fox_complete, refine_stratification
+from branchcover.intersection import ih_betti, perversity_by_name
+from branchcover.local_systems import (
+    Transport,
+    invariant_dimension,
+    pushforward_local_system,
+    sum_zero_action,
+    trace_split,
+    twisted_betti,
+)
+from branchcover.simplicial import betti_numbers
+from branchcover.specfile import load_spec, parse_spec_text
 
 from oracles import (
     dense_rank,
@@ -14,9 +27,12 @@ from oracles import (
     matmul,
     matrix_inverse,
     permutation_matrix,
+    rational_pivot_rows,
     reduce_columns,
     transport_from_rows,
 )
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def random_matrix(rng, nrows, ncols, density=0.5, span=5):
@@ -61,14 +77,17 @@ def test_rank_from_columns_consumes_its_columns():
 
 
 def test_pivot_rows_work_in_place():
-    rows = [{0: 2, 1: 4, 2: 0}, {0: 1, 1: 0}, {0: -1, 1: 3}]
+    rows = [{0: 2, 1: 4, 2: 0}, {0: 1, 1: 0}, {0: -1, 1: 6, 2: 2, 3: 3}]
     seen = [(pc, row, dict(row)) for pc, row in linalg._pivot_rows(rows)]
     # zeros dropped in place; the sparsest row pivots first, then by index:
-    # row 1 clears column 0, leaving rows 0 and 2 as {1: 4} and {1: 3}
-    assert [(pc, copy) for pc, _row, copy in seen] == [(0, {0: 1}), (1, {1: 1})]
-    assert seen[0][1] is rows[1] and seen[1][1] is rows[0]
-    assert type(rows[0][1]) is Fraction  # divided by its pivot 4 where it stands
-    assert rows[2] == {}
+    # row 1 clears column 0, leaving rows 0 and 2 as {1: 4} and {1: 6, 2: 2, 3: 3};
+    # the pivot 4 scales row 2 to {2: 8, 3: 12}, which its content 4 divides back
+    assert [(pc, copy) for pc, _row, copy in seen] == [
+        (0, {0: 1}), (1, {1: 4}), (2, {2: 2, 3: 3})]
+    assert [row for _pc, row, _copy in seen] == [rows[1], rows[0], rows[2]]
+    assert all(row is rows[r] for (_pc, row, _copy), r in zip(seen, (1, 0, 2)))
+    # no pivot row is divided: every entry stays an int
+    assert all(type(v) is int for row in rows for v in row.values())
 
 
 def test_matrix_inverse_roundtrip():
@@ -232,3 +251,83 @@ def test_elimination_is_exact_with_non_unit_pivots(m):
     assert all(_exact(v) for vec in basis for v in vec.values())
     assert_kernel_contract(m, nc, basis, free)
     assert dense_rank([[vec.get(j, 0) for j in range(nc)] for vec in basis]) == len(basis)
+
+
+# ---------------------------------------------------------------------------
+# the integer elimination against the rational one it replaced
+
+
+def assert_same_elimination(rows) -> None:
+    """Eliminate ``rows`` over the integers and, on a copy, over the rationals.
+
+    Both must pivot in the same columns in the same order, so they have
+    the same rank, and each integer pivot row must be its pivot times
+    the rational one, whose pivot is 1.  Integer input stays integral.
+    """
+    reference = [(pc, dict(row)) for pc, row in rational_pivot_rows([dict(r) for r in rows])]
+    integral = all(type(v) is int for row in rows for v in row.values())
+    got = [(pc, dict(row)) for pc, row in linalg._pivot_rows(rows)]
+    assert [pc for pc, _row in got] == [pc for pc, _row in reference]
+    for (pc, row), (_pc, want) in zip(got, reference):
+        assert row == {c: row[pc] * v for c, v in want.items()}
+        assert not integral or all(type(v) is int for v in row.values())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(exact_matrices())
+def test_integer_elimination_pivots_as_the_rational_one(m):
+    nc = len(m[0])
+    assert_same_elimination([{j: v for j, v in enumerate(row) if v} for row in m])
+    assert_same_elimination([{i: row[j] for i, row in enumerate(m) if row[j]}
+                             for j in range(nc)])
+
+
+# bench workload at seed 1 -> the perversity its golden verify case uses
+BENCH_SPECS = {"susp-cover-seed1": "upper", "sphere2pt-d31-seed1": "lower",
+               "circle-d64-seed1": "lower"}
+
+
+@functools.cache
+def _bench_spec(name):
+    loaded = load_spec(parse_spec_text((GOLDEN / f"{name}.json").read_text(encoding="utf-8")))
+    return loaded.cover_spec()
+
+
+def _ordinary(spec, perversity):
+    betti_numbers(fox_complete(spec).total)
+
+
+def _kernel(spec):
+    push = pushforward_local_system(spec.complement, spec.degree, spec.table)
+    return trace_split(push).kernel
+
+
+def _twisted(spec, perversity):
+    twisted_betti(spec.complement, _kernel(spec))
+
+
+def _ic(spec, perversity):
+    m = spec.base.dim
+    refined = refine_stratification(spec.base, spec.branch) if spec.branch else spec.base
+    p = perversity_by_name(perversity, m) if m >= 2 else None
+    ih_betti(refined, p, None)
+    ih_betti(refined, p, _kernel(spec))
+
+
+@pytest.mark.parametrize("kind", [_ordinary, _twisted, _ic], ids=["ordinary", "twisted", "ic"])
+@pytest.mark.parametrize("name", sorted(BENCH_SPECS))
+def test_bench_boundaries_pivot_as_over_the_rationals(name, kind, monkeypatch):
+    """Every matrix whose rank the homology takes on a bench spec: its
+    boundary columns and its containment checks.  The twisted and IC
+    matrices of susp-cover and sphere2pt-d31 meet pivots other than +-1."""
+    real = linalg.rank_from_columns
+    seen = []
+
+    def checked(columns):
+        assert_same_elimination([dict(col) for col in columns])
+        seen.append(len(columns))
+        return real(columns)
+
+    monkeypatch.setattr(linalg, "rank_from_columns", checked)
+    kind(_bench_spec(name), BENCH_SPECS[name])
+    assert seen

@@ -21,7 +21,7 @@ from branchcover.fixtures import (
     octahedron,
     torus7,
 )
-from complexes import annulus, figure_eight, full_simplex, k4_graph, theta_graph
+from complexes import annulus, figure_eight, full_simplex, k4_graph, pushforward, theta_graph
 from oracles import (
     RelatorViolatedMatrix,
     RepresentationQ,
@@ -80,7 +80,7 @@ def test_pushforward_flat_on_octahedron():
     # is that relator evaluation accepts and the system is flat
     pres = edge_path_presentation(octahedron(), 0)
     rep = MonodromyRep(3, tuple((0, 1, 2) for _ in pres.generators))
-    ls = pushforward_local_system(pres, rep)
+    ls = pushforward(pres, rep)
     assert ls.rank == 3  # flatness was checked in the constructor
 
 
@@ -90,13 +90,13 @@ def test_pushforward_flat_on_octahedron():
 
 def test_trace_split_degree_one():
     y, r, rep, pres = circle_cover_data(1, (0,))
-    split = trace_split(pushforward_local_system(pres, rep))
+    split = trace_split(pushforward(pres, rep))
     assert split.kernel.rank == 0
 
 
 def test_trace_split_swap():
     y, r, rep, pres = circle_cover_data(2, (1, 0))
-    split = trace_split(pushforward_local_system(pres, rep))
+    split = trace_split(pushforward(pres, rep))
     assert split.kernel.rank == 1
     gen_edge = pres.generators[0]
     assert mat_equal(split.kernel.transport(*gen_edge), [[-1]])
@@ -128,7 +128,7 @@ def test_trace_split_three_cycle_matrix():
     assert mat_equal(got, expected)
 
     y, r, rep, pres = circle_cover_data(3, perm)
-    split = trace_split(pushforward_local_system(pres, rep))
+    split = trace_split(pushforward(pres, rep))
     assert split.kernel.rank == 2
     assert mat_equal(split.kernel.transport(*pres.generators[0]), expected)
 
@@ -137,7 +137,7 @@ def test_trace_epsilon_eta_identity():
     for d in (1, 2, 3, 5):
         perm = tuple((i + 1) % d for i in range(d))
         y, r, rep, pres = circle_cover_data(d, perm)
-        split = trace_split(pushforward_local_system(pres, rep))
+        split = trace_split(pushforward(pres, rep))
         assert split.degree == d
         comp = matmul(trace_map(d), unit_map(d))
         assert comp == [[d]]
@@ -165,7 +165,7 @@ def test_kernel_is_natural():
         d = rng.randint(2, 6)
         perm = tuple(rng.sample(range(d), d))
         y, r, rep, pres = circle_cover_data(d, perm)
-        split = trace_split(pushforward_local_system(pres, rep))
+        split = trace_split(pushforward(pres, rep))
         proj = kernel_projection(split.degree)
         lhs = matmul(sum_zero_action(perm), proj)
         rhs = matmul(proj, permutation_matrix(perm))
@@ -185,7 +185,7 @@ def test_global_sections_trivial_system():
 
 def test_global_sections_swap_kernel_zero():
     y, r, rep, pres = circle_cover_data(2, (1, 0))
-    split = trace_split(pushforward_local_system(pres, rep))
+    split = trace_split(pushforward(pres, rep))
     dim, _ = global_sections(split.kernel)
     assert dim == 0
 
@@ -223,7 +223,7 @@ def test_twisted_circle_sign_system():
 
 def test_twisted_circle_cyclic_kernel():
     y, r, rep, pres = circle_cover_data(3, (1, 2, 0))
-    split = trace_split(pushforward_local_system(pres, rep))
+    split = trace_split(pushforward(pres, rep))
     assert twisted_betti(hexagon(), split.kernel) == (0, 0)
 
 
@@ -235,8 +235,8 @@ def test_twisted_h0_equals_global_sections_on_permutation_systems():
         d = rng.randint(1, 5)
         perm = tuple(rng.sample(range(d), d))
         y, r, rep, pres = circle_cover_data(d, perm)
-        for ls in (pushforward_local_system(pres, rep),
-                   trace_split(pushforward_local_system(pres, rep)).kernel):
+        for ls in (pushforward(pres, rep),
+                   trace_split(pushforward(pres, rep)).kernel):
             dim, _ = global_sections(ls)
             assert twisted_betti(hexagon(), ls)[0] == dim
 
@@ -255,8 +255,8 @@ def test_restrict():
 
 def test_restrict_swap_system_to_punctured_star():
     y, r, rep, pres = sphere_branched_swap()
-    spec = BranchedCoverSpec(y, r, rep)
-    push = pushforward_local_system(spec.presentation, spec.monodromy)
+    spec = BranchedCoverSpec(y, r, rep, pres)
+    push = pushforward_local_system(spec.complement, spec.degree, spec.table)
     tau = spec.branch_simplices()[0]
     p = spec.punctured_star(tau)
     res = restrict(push, p)
@@ -272,9 +272,7 @@ def _both(c):
 
 def sphere_branched_swap():
     from branchcover.fixtures import sphere_branched_data
-    y, r, rep, _ = sphere_branched_data(2, 2)
-    spec_pres = None
-    return y, r, rep, spec_pres
+    return sphere_branched_data(2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -295,9 +293,9 @@ def test_betti_additivity_randomized():
             d = rng.randint(1, 5)
             images = tuple(tuple(rng.sample(range(d), d)) for _ in pres.generators)
             rep = MonodromyRep(d, images)
-            spec = BranchedCoverSpec(trivial_stratification(base), None, rep)
+            spec = BranchedCoverSpec(trivial_stratification(base), None, rep, pres)
             cover = fox_complete(spec)
-            push = pushforward_local_system(spec.presentation, rep)
+            push = pushforward_local_system(spec.complement, spec.degree, spec.table)
             split = trace_split(push)
             b_total = betti_numbers(cover.total)
             b_push = twisted_betti(base, push)
@@ -311,7 +309,7 @@ def test_betti_additivity_randomized():
 
 def test_pushforward_degree_one_is_trivial_rank_one():
     y, r, rep, pres = circle_cover_data(1, (0,))
-    ls = pushforward_local_system(pres, rep)
+    ls = pushforward(pres, rep)
     assert ls.rank == 1
     for e in pres.complex.simplices_of_dim(1):
         assert mat_equal(ls.transport(*e), [[1]])

@@ -39,7 +39,8 @@ RECORDS = {
     TraceSplit: ("constant", "kernel", "degree"),
     SpecData: ("complex", "stratification", "branch", "branch_stratification",
                "monodromy", "options"),
-    LoadedSpec: ("base", "branch", "monodromy", "basepoint", "perversity", "subdivisions"),
+    LoadedSpec: ("base", "branch", "presentation", "monodromy", "basepoint", "perversity",
+                 "subdivisions"),
     Stratum: ("level", "dim", "simplices"),
     FiberRow: ("simplex", "orbit_count", "one_plus_invariants", "lift_count"),
     FiberReport: ("rows",),
@@ -68,6 +69,40 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
         env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_verify_with_non_unit_pivots_loads_no_rational_arithmetic(tmp_path, monkeypatch):
+    """Neither the CLI import nor a verify whose elimination meets pivots
+    other than +-1 loads ``fractions``, or the ``decimal`` and ``numbers``
+    that it imports."""
+    from branchcover import cli, linalg
+
+    spec = Path(__file__).resolve().parent / "golden" / "sphere-p2-d2.json"
+    real = linalg._pivot_rows
+    pivots = []
+
+    def spy(rows):
+        for pc, row in real(rows):
+            pivots.append(row[pc])
+            yield pc, row
+
+    monkeypatch.setattr(linalg, "_pivot_rows", spy)
+    assert cli.main(["verify", str(spec), "--out", str(tmp_path / "in-process.txt")]) == 0
+    assert any(pv not in (1, -1) for pv in pivots)
+
+    package_root = str(Path(branchcover.__file__).resolve().parents[1])
+    rational = "{'fractions', 'decimal', 'numbers'}"
+    proc = subprocess.run(  # -B: no bytecode written next to the sources
+        [sys.executable, "-B", "-c",
+         "import sys, branchcover.cli as cli; "
+         f"print(sorted({rational} & set(sys.modules))); "
+         f"rc = cli.main(['verify', {str(spec)!r}, '--out', {str(tmp_path / 'child.txt')!r}]); "
+         f"print(rc, sorted({rational} & set(sys.modules)))"],
+        capture_output=True, text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n0 []\n"
+    assert (tmp_path / "child.txt").read_text() == (tmp_path / "in-process.txt").read_text()
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=IDS)

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from branchcover.cli import main
-from branchcover.covering import BranchedCoverSpec, MonodromyRep
+from branchcover.covering import complement_presentation
 from branchcover.errors import InputError, SpecFileError
 from branchcover.presentation import edge_path_presentation
 from branchcover.specfile import (
@@ -384,8 +384,9 @@ BAD_COMPLEMENTS = {
 
 @pytest.mark.parametrize("case", sorted(BAD_COMPLEMENTS))
 def test_cover_spec_rejects_bad_complement_as_verify_does(case, tmp_path, capsys):
-    """The library spec and the loader share one complement check: the same
-    error class and message, which `verify` prints in one line."""
+    """A library caller presents the complement for its spec with the
+    loader's one builder, so it meets the same error class and message,
+    which `verify` prints in one line."""
     raw = BAD_COMPLEMENTS[case]()
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(raw))
@@ -396,9 +397,9 @@ def test_cover_spec_rejects_bad_complement_as_verify_does(case, tmp_path, capsys
         load_spec(parse_spec_text(json.dumps(raw)))
     mono = raw.pop("monodromy")
     loaded = load_spec(parse_spec_text(json.dumps(raw)))
+    branch_vertices = frozenset(loaded.branch.complex.vertices) if loaded.branch else ()
     with pytest.raises(InputError) as from_spec:
-        BranchedCoverSpec(loaded.base, loaded.branch, MonodromyRep(mono["degree"], ()),
-                          basepoint=mono.get("basepoint"))
+        complement_presentation(loaded.base.complex, branch_vertices, mono.get("basepoint"))
     assert type(from_spec.value) is type(from_loader.value)
     assert str(from_spec.value) == str(from_loader.value)
     assert rc == 1 and err == f"error: {from_spec.value}\n"

@@ -23,7 +23,6 @@ from branchcover.intersection import ih_betti, lower_middle
 from branchcover.local_systems import (
     LocalSystemQ,
     Transport,
-    pushforward_local_system,
     sum_zero_action,
     trace_split,
     twisted_betti,
@@ -31,7 +30,7 @@ from branchcover.local_systems import (
 from branchcover.presentation import edge_path_presentation
 from branchcover.simplicial import betti_numbers
 
-from complexes import full_simplex
+from complexes import full_simplex, pushforward
 from oracles import (
     RepresentationQ,
     brute_betti,
@@ -145,7 +144,7 @@ def test_sparse_non_permutation_raises_in_trace_split():
     gen = edge_path_presentation(c, 0).generators[0]
     signs[gen] = signs[gen[::-1]] = Transport([{0: -1}])
     _y, _r, rep, pres = circle_cover_data(3, (1, 2, 0))
-    kernel = trace_split(pushforward_local_system(pres, rep)).kernel
+    kernel = trace_split(pushforward(pres, rep)).kernel
     doubled = _both_ways(c, Transport([{0: Fraction(2)}]))
     doubled_inv = Transport([{0: Fraction(1, 2)}])
     for (u, v) in c.simplices_of_dim(1):
@@ -174,7 +173,7 @@ def test_hexagon_sparse_and_dense_paths_agree(perm):
     d = len(perm)
     y, r, rep, pres = circle_cover_data(d, tuple(perm))
     base = pres.complex
-    push = pushforward_local_system(pres, rep)
+    push = pushforward(pres, rep)
     kernel = trace_split(push).kernel
     dense_push, dense_kernel = _dense_systems(pres, rep)
 
@@ -185,7 +184,7 @@ def test_hexagon_sparse_and_dense_paths_agree(perm):
     assert twisted_betti(base, trace_split(dense_push).kernel) == b_kernel
     assert ih_betti(y, None, kernel) == ih_betti(y, None, dense_kernel) == b_kernel
 
-    cover = fox_complete(BranchedCoverSpec(y, r, rep))
+    cover = fox_complete(BranchedCoverSpec(y, r, rep, pres))
     b_cover = brute_betti(cover.total.all_simplices())
     b_base = brute_betti(base.all_simplices())
     assert b_cover == b_push == tuple(x + k for x, k in zip(b_base, b_kernel))
@@ -201,7 +200,7 @@ def sphere_covers(draw):
     points, p = draw(st.sampled_from(SPHERES))
     d = p + draw(st.integers(0, 9 - p))
     sigma = draw(st.permutations(range(d)))
-    y, r, rep0, _ = sphere_branched_data(points, p)
+    y, r, rep0, pres = sphere_branched_data(points, p)
     images = []
     for g in rep0.images:
         g = tuple(g) + tuple(range(p, d))
@@ -209,16 +208,15 @@ def sphere_covers(draw):
         for i in range(d):
             conj[sigma[i]] = sigma[g[i]]
         images.append(tuple(conj))
-    return y, r, MonodromyRep(d, tuple(images))
+    return y, r, MonodromyRep(d, tuple(images)), pres
 
 
 @settings(max_examples=10, deadline=None, derandomize=True)
 @given(sphere_covers())
 def test_sphere_sparse_and_dense_paths_agree(data):
-    y, r, rep = data
-    spec = BranchedCoverSpec(y, r, rep)
-    pres = spec.presentation
-    push = pushforward_local_system(pres, rep)
+    y, r, rep, pres = data
+    spec = BranchedCoverSpec(y, r, rep, pres)
+    push = pushforward(pres, rep)
     kernel = trace_split(push).kernel
     dense_push, dense_kernel = _dense_systems(pres, rep)
     assert twisted_betti(spec.complement, push) == twisted_betti(spec.complement, dense_push)

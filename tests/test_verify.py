@@ -29,15 +29,15 @@ from oracles import dense_nullspace
 
 
 def test_unbranched_trivial_degree_one():
-    y, r, rep, _ = circle_cover_data(1, (0,))
-    report = verify_branched(BranchedCoverSpec(y, r, rep))
+    y, r, rep, pres = circle_cover_data(1, (0,))
+    report = verify_branched(BranchedCoverSpec(y, r, rep, pres))
     assert report.all_equal
     assert report.ih_kernel == (0, 0)
 
 
 def test_unbranched_connected_triple_cover():
-    y, r, rep, _ = circle_cover_data(3, (1, 2, 0))
-    report = verify_branched(BranchedCoverSpec(y, r, rep))
+    y, r, rep, pres = circle_cover_data(3, (1, 2, 0))
+    report = verify_branched(BranchedCoverSpec(y, r, rep, pres))
     assert report.betti_cover == (1, 1)
     assert report.ih_trivial == (1, 1)
     assert report.ih_kernel == (0, 0)
@@ -45,8 +45,8 @@ def test_unbranched_connected_triple_cover():
 
 
 def test_unbranched_disconnected_identity_cover():
-    y, r, rep, _ = circle_cover_data(2, (0, 1))
-    report = verify_branched(BranchedCoverSpec(y, r, rep))
+    y, r, rep, pres = circle_cover_data(2, (0, 1))
+    report = verify_branched(BranchedCoverSpec(y, r, rep, pres))
     assert report.betti_cover == (2, 2)
     assert report.ih_kernel == (1, 1)  # trivial rank-1 kernel
     assert report.all_equal
@@ -77,8 +77,8 @@ def test_unbranched_degree_1000_cli(tmp_path, capsys):
 
 
 def test_branched_genus_two_both_perversities():
-    y, r, rep, _ = sphere_branched_data(6, 2)
-    spec = BranchedCoverSpec(y, r, rep)
+    y, r, rep, pres = sphere_branched_data(6, 2)
+    spec = BranchedCoverSpec(y, r, rep, pres)
     for name in ("lower", "upper"):
         report = verify_branched(spec, name)
         assert report.betti_cover == (1, 4, 1)
@@ -88,8 +88,8 @@ def test_branched_genus_two_both_perversities():
 
 
 def test_branched_cyclic_triple_cover():
-    y, r, rep, _ = sphere_branched_data(3, 3)
-    spec = BranchedCoverSpec(y, r, rep)
+    y, r, rep, pres = sphere_branched_data(3, 3)
+    spec = BranchedCoverSpec(y, r, rep, pres)
     for name in ("lower", "upper"):
         report = verify_branched(spec, name)
         assert report.betti_cover == (1, 2, 1)
@@ -99,8 +99,8 @@ def test_branched_cyclic_triple_cover():
 
 
 def test_branched_unknot_double():
-    y, r, rep, _ = s3_unknot_double_data()
-    spec = BranchedCoverSpec(y, r, rep)
+    y, r, rep, pres = s3_unknot_double_data()
+    spec = BranchedCoverSpec(y, r, rep, pres)
     report = verify_branched(spec, "lower")
     assert report.betti_cover == (1, 0, 0, 1)
     assert report.ih_trivial == (1, 0, 0, 1)
@@ -109,8 +109,8 @@ def test_branched_unknot_double():
 
 
 def test_branched_report_consistency_fields():
-    y, r, rep, _ = sphere_branched_data(4, 2)
-    report = verify_branched(BranchedCoverSpec(y, r, rep), "lower")
+    y, r, rep, pres = sphere_branched_data(4, 2)
+    report = verify_branched(BranchedCoverSpec(y, r, rep, pres), "lower")
     assert report.euler_ok and report.b0_ok and report.manifold_crosscheck_ok
     assert report.betti_base_manifold == (1, 0, 1)
     assert report.fiber.ok
@@ -124,8 +124,8 @@ def test_lower_and_upper_agree_on_fixtures():
     for builder, args in ((sphere_branched_data, (6, 2)),
                           (sphere_branched_data, (3, 3)),
                           (s3_unknot_double_data, ())):
-        y, r, rep, _ = builder(*args)
-        spec = BranchedCoverSpec(y, r, rep)
+        y, r, rep, pres = builder(*args)
+        spec = BranchedCoverSpec(y, r, rep, pres)
         lo = verify_branched(spec, "lower")
         up = verify_branched(spec, "upper")
         assert lo.ih_trivial == up.ih_trivial
@@ -137,8 +137,8 @@ def test_lower_and_upper_agree_on_fixtures():
 
 
 def test_fiber_report_rows():
-    y, r, rep, _ = sphere_branched_data(6, 2)
-    spec = BranchedCoverSpec(y, r, rep)
+    y, r, rep, pres = sphere_branched_data(6, 2)
+    spec = BranchedCoverSpec(y, r, rep, pres)
     cover = fox_complete(spec)
     report = fiber_rank_report(spec, cover)
     assert len(report.rows) == 6
@@ -151,8 +151,8 @@ def test_fiber_report_rows():
 
 
 def test_fiber_report_trivial_local_group():
-    y, r, rep, _ = codim3_vertex_data(3)
-    spec = BranchedCoverSpec(y, r, rep)
+    y, r, rep, pres = codim3_vertex_data(3)
+    spec = BranchedCoverSpec(y, r, rep, pres)
     report = fiber_rank_report(spec)
     (row,) = report.rows
     assert row.orbit_count == 3
@@ -175,23 +175,23 @@ def test_fiber_report_swap_in_higher_degree():
 
 
 def test_codim_check_vertex_in_sphere():
-    y, r, rep, _ = codim3_vertex_data(2)
-    report = codim_check(BranchedCoverSpec(y, r, rep))
+    y, r, rep, pres = codim3_vertex_data(2)
+    report = codim_check(BranchedCoverSpec(y, r, rep, pres))
     assert report.applicable
     assert report.non_minimal
     assert all(card == 2 for (_tau, card) in report.fibers)
 
 
 def test_codim_check_skipped_at_codim_two():
-    y, r, rep, _ = sphere_branched_data(6, 2)
-    report = codim_check(BranchedCoverSpec(y, r, rep))
+    y, r, rep, pres = sphere_branched_data(6, 2)
+    report = codim_check(BranchedCoverSpec(y, r, rep, pres))
     assert not report.applicable
     assert "not applicable" in report.note
 
 
 def test_codim_check_empty_branch():
-    y, r, rep, _ = circle_cover_data(2, (1, 0))
-    report = codim_check(BranchedCoverSpec(y, r, rep))
+    y, r, rep, pres = circle_cover_data(2, (1, 0))
+    report = codim_check(BranchedCoverSpec(y, r, rep, pres))
     assert not report.applicable
     assert "vacuous" in report.note
 
@@ -201,8 +201,8 @@ def test_codim_check_empty_branch():
 
 
 def test_report_serialization_deterministic():
-    y, r, rep, _ = sphere_branched_data(6, 2)
-    spec = BranchedCoverSpec(y, r, rep)
+    y, r, rep, pres = sphere_branched_data(6, 2)
+    spec = BranchedCoverSpec(y, r, rep, pres)
     a = verify_branched(spec, "lower")
     b = verify_branched(spec, "lower")
     assert a.to_json() == b.to_json()
@@ -251,7 +251,7 @@ def _suspension_circle_double_cover():
         rhs.append(1)
     sol = solve_mod_p(rows, rhs, n, 2)
     rep = MonodromyRep(2, tuple(cyclic_image(s, 2) for s in sol))
-    return BranchedCoverSpec(y, r, rep)
+    return BranchedCoverSpec(y, r, rep, pres)
 
 
 def test_singular_base_cover_outside_theorem_hypotheses():
@@ -285,8 +285,8 @@ def test_cli_equality_failure_exit_code(tmp_path):
 
 
 def test_verify_checks_base_connectivity_once(monkeypatch):
-    y, r, rep, _ = s3_unknot_double_data()
-    spec = BranchedCoverSpec(y, r, rep)
+    y, r, rep, pres = s3_unknot_double_data()
+    spec = BranchedCoverSpec(y, r, rep, pres)
     real = verify.complement_connectivity_check
     base_passes = []
 
@@ -304,8 +304,8 @@ def test_verify_checks_base_connectivity_once(monkeypatch):
 def test_verify_computes_each_local_monodromy_group_once(monkeypatch):
     from branchcover import covering
 
-    y, r, rep, _ = s3_unknot_double_data()
-    spec = BranchedCoverSpec(y, r, rep)
+    y, r, rep, pres = s3_unknot_double_data()
+    spec = BranchedCoverSpec(y, r, rep, pres)
     real = covering.edge_path_presentation
     computed = []
 
@@ -319,6 +319,25 @@ def test_verify_computes_each_local_monodromy_group_once(monkeypatch):
     assert len(computed) == len(spec.branch_simplices()) == len(report.fiber.rows) == 12
     fiber_rank_report(spec)  # a later caller reads the cache
     assert len(computed) == 12
+
+
+def test_verify_validates_the_monodromy_once(monkeypatch):
+    """The spec validates the monodromy and the pushforward reads its table."""
+    from branchcover import covering
+    from branchcover.specfile import load_spec, parse_spec_text
+
+    real = covering.validate_monodromy
+    validated = []
+
+    def spy(pres, rep):
+        validated.append(pres)
+        return real(pres, rep)
+
+    monkeypatch.setattr(covering, "validate_monodromy", spy)
+    loaded = load_spec(parse_spec_text(GOLDEN_SPHERE.read_text(encoding="utf-8")))
+    report = verify_branched(loaded.cover_spec(), loaded.perversity)
+    assert report.all_equal and report.internal_ok
+    assert validated == [loaded.presentation]
 
 
 def _flip_one_ic_sign(monkeypatch, trivial: bool) -> None:
