@@ -230,7 +230,7 @@ class BranchedCoverSpec:
         self.branch_vertices = branch_vertices
         self._table = validate_monodromy(presentation, monodromy)
         self._punctured: dict[Simplex, SimplicialComplex] = {}
-        self._local_groups: dict[Simplex, tuple[Perm, ...]] = {}
+        self._local_groups: dict[SimplicialComplex, tuple[Perm, ...]] = {}
 
     @property
     def degree(self) -> int:
@@ -252,10 +252,19 @@ class BranchedCoverSpec:
             raise SimplexNotInBranchLocus(f"{list(tau)} is not a simplex of the branch locus")
         cached = self._punctured.get(tau)
         if cached is None:
-            st = star(self.base.complex, tau)
-            cached = full_subcomplex(st, (v for v in st.vertices if v not in self.branch_vertices))
-            self._punctured[tau] = cached
+            cached = self._punctured[tau] = _punctured_star(
+                self.base.complex, tau, self.branch_vertices)
         return cached
+
+
+def _punctured_star(c: SimplicialComplex, s: Simplex, removed) -> SimplicialComplex:
+    """star(s) in ``c`` less the vertices in ``removed``, as a full subcomplex."""
+    st = star(c, s)
+    return full_subcomplex(st, (v for v in st.vertices if v not in removed))
+
+
+def _nonempty_connected(c: SimplicialComplex) -> bool:
+    return c.n_simplices() > 0 and is_connected(c)
 
 
 # ---------------------------------------------------------------------------
@@ -272,15 +281,16 @@ class CoverComplex:
         self.spec = spec
         self.total = total
         self.projection = projection
-        self._fibers = None
+        self._fibers: dict[Simplex, tuple[Simplex, ...]] = {}
 
     def fiber_over(self, base_simplex: Simplex) -> tuple[Simplex, ...]:
-        if self._fibers is None:  # built on first use, not held through the homology
-            fibers: dict[Simplex, list[Simplex]] = {}
-            for s in self.total.all_simplices():
-                fibers.setdefault(self.projection[s], []).append(s)
-            self._fibers = {b: tuple(sorted(v)) for b, v in fibers.items()}
-        return self._fibers.get(tuple(base_simplex), ())
+        """The lifts of ``base_simplex``, read off ``projection`` when first asked."""
+        base_simplex = tuple(base_simplex)
+        fiber = self._fibers.get(base_simplex)
+        if fiber is None:
+            fiber = self._fibers[base_simplex] = tuple(sorted(
+                lift for lift, b in self.projection.items() if b == base_simplex))
+        return fiber
 
 
 # ---------------------------------------------------------------------------
@@ -293,14 +303,14 @@ def local_monodromy_group(spec: BranchedCoverSpec, tau: Simplex) -> tuple[Perm, 
     Loops are read off a deterministic local spanning tree and conjugated
     to the global basepoint along the global tree path, so the generated
     subgroup is a well-defined representative of its conjugacy class.
-    The result is cached on the spec, like its punctured stars.
+    It depends on tau only through the punctured star, so it is cached on
+    the spec by punctured star: branch simplices with equal stars share it.
     """
-    tau = tuple(tau)
-    cached = spec._local_groups.get(tau)
+    p = spec.punctured_star(tau)
+    cached = spec._local_groups.get(p)
     if cached is not None:
         return cached
-    p = spec.punctured_star(tau)
-    if p.n_simplices() == 0 or not is_connected(p):
+    if not _nonempty_connected(p):
         raise DisconnectedPuncturedStar(
             f"punctured star of {list(tau)} is not connected")
     d = spec.degree
@@ -321,7 +331,7 @@ def local_monodromy_group(spec: BranchedCoverSpec, tau: Simplex) -> tuple[Perm, 
         if conj != ident and conj not in seen:
             seen.add(conj)
             gens.append(conj)
-    cached = spec._local_groups[tau] = tuple(sorted(gens)) if gens else (ident,)
+    cached = spec._local_groups[p] = tuple(sorted(gens)) if gens else (ident,)
     return cached
 
 
@@ -337,14 +347,17 @@ def fiber_cardinality(spec: BranchedCoverSpec, tau: Simplex) -> int:
 def fox_complete(spec: BranchedCoverSpec) -> CoverComplex:
     """Glue d sheets over the complement and complete them over the locus.
 
-    Sheet s of a complement vertex v is cover vertex index(v) * d + s.  A
-    simplex off the locus lifts once per sheet of its first vertex, the
-    other vertices following the transports.  Lifts of a branch simplex
-    are the connected components of the preimage of its punctured star;
-    incidence between lifts follows component containment.  With an empty
-    locus this is the unbranched cover of the base.  Fails if a punctured
-    star is disconnected (local-flatness shadow) or if two lifts collide
-    as vertex sets (insufficient subdivision of the base).
+    Sheet s of a complement vertex v is cover vertex index(v) * d + s; the
+    vertices over the locus follow, one per connected component of the
+    preimage of the punctured star of each branch vertex, taken in
+    ascending order.  A simplex off the locus lifts once per sheet of its
+    first vertex, the other vertices following the transports.  Lifts of a
+    branch simplex are the connected components of the preimage of its
+    punctured star; incidence between lifts follows component containment.
+    With an empty locus this is the unbranched cover of the base.  The
+    cover keeps one map, ``projection``, from each lift to its simplex.
+    Fails if a punctured star is disconnected (local-flatness shadow) or
+    if two lifts collide as vertex sets (insufficient subdivision).
     """
     y = spec.base.complex
     d = spec.degree
@@ -358,8 +371,7 @@ def fox_complete(spec: BranchedCoverSpec) -> CoverComplex:
     next_id = len(vid)
 
     for tau in spec.branch_simplices():
-        p = spec.punctured_star(tau)
-        if p.n_simplices() == 0 or not is_connected(p):
+        if not _nonempty_connected(spec.punctured_star(tau)):
             raise DisconnectedPuncturedStar(
                 f"punctured star of branch simplex {list(tau)} is not connected")
 
@@ -372,32 +384,27 @@ def fox_complete(spec: BranchedCoverSpec) -> CoverComplex:
 
     # one new vertex per component of the preimage of each vertex's punctured star
     vertex_comps: dict[int, tuple[tuple[int, ...], ...]] = {}  # read again as the lifts of (w,)
-    comp_of: dict[int, dict[int, int]] = {}  # branch vertex -> cover vertex id -> component
-    branch_vid: dict[tuple[int, int], int] = {}
+    over: dict[int, dict[int, int]] = {}  # branch vertex -> sheet vertex id -> new vertex id
     for w in sorted(branch_vertices):
-        lookup: dict[int, int] = {}
         vertex_comps[w] = preimage_components(spec.punctured_star((w,)))
-        for ci, comp in enumerate(vertex_comps[w]):
-            branch_vid[(w, ci)] = next_id
-            next_id += 1
+        lookup = over[w] = {}
+        for comp in vertex_comps[w]:
             for x in comp:
-                lookup[x] = ci
-        comp_of[w] = lookup
+                lookup[x] = next_id
+            next_id += 1
 
-    simplices: dict[Simplex, tuple[Simplex, int]] = {}
     projection: dict[Simplex, Simplex] = {}
 
-    def register(lift_ids: Iterable[int], base_simplex: Simplex, tag: int) -> None:
+    def register(lift_ids: Iterable[int], base_simplex: Simplex) -> None:
+        # A lift has one vertex over each vertex of its simplex, so lifts of
+        # different simplices differ, and the d lifts of a simplex off the
+        # locus differ in their anchor's sheet: only two lifts of one branch
+        # simplex can share a vertex set.
         lift = tuple(sorted(lift_ids))
-        if len(set(lift)) != len(lift):
+        if lift in projection:
             raise InsufficientSubdivision(
-                f"lift of {list(base_simplex)} has repeated vertices; subdivide the base")
-        prior = simplices.get(lift)
-        if prior is not None and prior != (base_simplex, tag):
-            raise InsufficientSubdivision(
-                f"lifts of {list(prior[0])} and {list(base_simplex)} share the vertex set "
+                f"lifts of {list(projection[lift])} and {list(base_simplex)} share the vertex set "
                 f"{list(lift)}; subdivide the base")
-        simplices[lift] = (base_simplex, tag)
         projection[lift] = base_simplex
 
     for sig in y.all_simplices():
@@ -406,8 +413,8 @@ def fox_complete(spec: BranchedCoverSpec) -> CoverComplex:
         if not sig_k:
             comps = (vertex_comps[sig[0]] if len(sig) == 1
                      else preimage_components(spec.punctured_star(sig)))
-            for ci, comp in enumerate(comps):
-                register([branch_vid[(w, comp_of[w][comp[0]])] for w in sig], sig, ci)
+            for comp in comps:
+                register([over[w][comp[0]] for w in sig], sig)
             continue
         anchor = sig_k[0]
         for s in range(d):
@@ -416,11 +423,10 @@ def fox_complete(spec: BranchedCoverSpec) -> CoverComplex:
             for v in sig_k[1:]:
                 ids.append(vid[(v, table[(anchor, v)][s])])
             for w in sig_r:
-                ids.append(branch_vid[(w, comp_of[w][rep])])
-            register(ids, sig, s)
+                ids.append(over[w][rep])
+            register(ids, sig)
 
-    total = SimplicialComplex(simplices.keys())
-    return CoverComplex(spec, total, projection)
+    return CoverComplex(spec, SimplicialComplex(projection.keys()), projection)
 
 
 # ---------------------------------------------------------------------------
@@ -441,39 +447,27 @@ class ConnectivityReport(NamedTuple):
 
 
 def complement_connectivity_check(spec: BranchedCoverSpec,
-                                  cover: CoverComplex | None = None,
-                                  base: ConnectivityReport | None = None) -> ConnectivityReport:
-    """Verify star(tau) minus the locus is connected for every branch simplex.
+                                  cover: CoverComplex | None = None) -> ConnectivityReport:
+    """Verify star(tau) minus the locus is non-empty and connected for every
+    branch simplex tau, and with a cover, star(lift) minus the vertices over
+    the locus for every lift of every branch simplex.
 
-    With a cover, also verifies the analogous condition
-    upstairs for every lift of every branch simplex.  ``base``, an earlier
-    report on the same spec, supplies the downstairs half instead of a
-    second pass.  Non-fatal: failures are reported, not raised.
+    The base stars are the spec's cached punctured stars, so a second call
+    with the cover repeats no star of the base.  Non-fatal: failures are
+    reported, not raised.
     """
-    if base is not None:
-        base_failures, checked_base = list(base.base_failures), base.checked_base
-    else:
-        base_failures, checked_base = [], 0
-        for tau in spec.branch_simplices():
-            checked_base += 1
-            p = spec.punctured_star(tau)
-            if p.n_simplices() == 0 or not is_connected(p):
-                base_failures.append(tau)
-
+    taus = spec.branch_simplices()
+    base_failures = tuple(tau for tau in taus if not _nonempty_connected(spec.punctured_star(tau)))
     cover_failures = []
     checked_cover = 0
     if cover is not None:
-        locus = spec.branch_vertices  # the cover's branch vertices are those over it
-        for tau in spec.branch_simplices():
+        over_locus = {v for w in spec.branch_vertices for (v,) in cover.fiber_over((w,))}
+        for tau in taus:
             for lift in cover.fiber_over(tau):
                 checked_cover += 1
-                st = star(cover.total, lift)
-                punctured = full_subcomplex(
-                    st, (v for v in st.vertices if cover.projection[(v,)][0] not in locus))
-                if punctured.n_simplices() == 0 or not is_connected(punctured):
+                if not _nonempty_connected(_punctured_star(cover.total, lift, over_locus)):
                     cover_failures.append(lift)
-    return ConnectivityReport(tuple(base_failures), tuple(cover_failures),
-                              checked_base, checked_cover)
+    return ConnectivityReport(base_failures, tuple(cover_failures), len(taus), checked_cover)
 
 
 def riemann_hurwitz_check(cover: CoverComplex) -> int:

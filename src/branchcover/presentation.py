@@ -8,7 +8,6 @@ collapsing tree edges.
 from __future__ import annotations
 
 from collections import deque
-from functools import lru_cache
 
 from .errors import BadBasepoint, Disconnected
 from .simplicial import SimplicialComplex
@@ -75,15 +74,6 @@ class EdgePathPresentation:
                 and self.complex == other.complex and self.basepoint == other.basepoint)
 
 
-@lru_cache(maxsize=8)
 def edge_path_presentation(complex: SimplicialComplex, basepoint: int) -> EdgePathPresentation:
-    """Deterministic presentation of the edge-path group of a complex.
-
-    Cached by value, at most 8 entries however many specs a process
-    verifies.  A spec loaded from a file asks for its complement's
-    presentation right after the loader did and so gets the loader's back,
-    which needs one entry; equal punctured stars of one spec come back
-    within 4 distinct calls on every golden spec.  An evicted entry is
-    only computed again.
-    """
+    """Deterministic presentation of the edge-path group of a complex."""
     return EdgePathPresentation(complex, basepoint)

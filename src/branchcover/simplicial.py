@@ -160,14 +160,6 @@ def validate_complex(raw: Sequence[Sequence[int]]) -> SimplicialComplex:
         raise
 
 
-def subcomplex(c: SimplicialComplex, simplices: Iterable[Simplex]) -> SimplicialComplex:
-    simps = set(tuple(s) for s in simplices)
-    missing = simps - c.simplices
-    if missing:
-        raise SimplexNotFound(f"{sorted(missing)[0]} is not a simplex of the complex")
-    return SimplicialComplex(simps)
-
-
 def full_subcomplex(c: SimplicialComplex, vertices: Iterable[int]) -> SimplicialComplex:
     """Largest subcomplex whose simplices use only the given vertices."""
     return SimplicialComplex(set(filter(set(vertices).issuperset, c.simplices)))

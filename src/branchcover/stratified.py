@@ -175,13 +175,6 @@ class StratifiedComplex:
                 f"filtration levels {list(self._full)} are not full subcomplexes; "
                 "run barycentric_subdivide first (twice always suffices)")
 
-    def is_full(self) -> bool:
-        try:
-            self.full_check()
-        except NotFull:
-            return False
-        return True
-
 
 def trivial_stratification(c: SimplicialComplex) -> StratifiedComplex:
     return StratifiedComplex(c)

@@ -219,11 +219,10 @@ def verify_branched(spec: BranchedCoverSpec,
         pname = "custom"
         p = perversity
 
-    connectivity0 = complement_connectivity_check(spec)
-    if not connectivity0.ok:
+    base_failures = complement_connectivity_check(spec).base_failures
+    if base_failures:
         raise Disconnected(
-            f"punctured stars of {[list(s) for s in connectivity0.base_failures]} "
-            "are disconnected")
+            f"punctured stars of {[list(s) for s in base_failures]} are disconnected")
 
     cover = fox_complete(spec)
     euler_cover = riemann_hurwitz_check(cover)
@@ -243,7 +242,7 @@ def verify_branched(spec: BranchedCoverSpec,
     equal = tuple(b_cover[j] == ih_trivial[j] + ih_kernel[j] for j in range(m + 1))
 
     fiber = fiber_rank_report(spec, cover)
-    connectivity = complement_connectivity_check(spec, cover, base=connectivity0)
+    connectivity = complement_connectivity_check(spec, cover)
 
     euler_ok = True
     if all(equal):

@@ -324,6 +324,28 @@ def test_unknot_double_cover_is_sphere():
         assert len(cover.fiber_over(tau)) == 1
 
 
+def test_fibers_are_read_for_the_simplices_asked(monkeypatch):
+    """Verify asks for the fibers of the branch simplices, and the cover
+    holds those fibers only, each the lifts that project onto it."""
+    from branchcover import verify
+    covers = []
+
+    def spy(spec):
+        covers.append(fox_complete(spec))
+        return covers[-1]
+
+    monkeypatch.setattr(verify, "fox_complete", spy)
+    loaded = load_spec(parse_spec_text(
+        (GOLDEN / "susp-cover-seed1.json").read_text(encoding="utf-8")))
+    spec = loaded.cover_spec()
+    verify.verify_branched(spec, loaded.perversity)
+    cover, = covers
+    assert set(cover._fibers) == set(spec.branch_simplices()) and len(cover._fibers) == 16
+    for tau, fiber in cover._fibers.items():
+        assert fiber == tuple(sorted(s for s in cover.total.simplices if cover.projection[s] == tau))
+    assert cover.fiber_over((10**6,)) == ()
+
+
 def test_branch_must_be_full():
     # two adjacent octahedron vertices: the joining edge is missing
     y = trivial_stratification(octahedron())
@@ -373,13 +395,12 @@ def test_loaded_spec_holds_one_complement(monkeypatch):
     """The spec keeps the complex that the loader presented, not an equal copy."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     from workloads import make_job
-    edge_path_presentation.cache_clear()
     loaded = load_spec(parse_spec_text(make_job("susp-cover", 1).spec_text))
     spec = loaded.cover_spec()
     assert spec.presentation.complex is spec.complement
     pres = complement_presentation(loaded.base.complex, frozenset(loaded.branch.complex.vertices),
                                    loaded.basepoint)
-    assert spec.presentation is pres and spec.complement is pres.complex
+    assert spec.presentation == pres and spec.complement == pres.complex
 
 
 def test_load_spec_and_cover_spec_build_the_complement_once(monkeypatch):

@@ -1,6 +1,6 @@
-"""What one verify leaves behind and how far above it its memory peaks.
+"""What verifying leaves behind and how far above it its memory peaks.
 
-Both checks are in-process and deterministic.  The peak is read with
+The checks are in-process and deterministic.  The peak is read with
 ``tracemalloc`` as a ratio, not in bytes, so it does not depend on the
 object sizes of one Python version.
 """
@@ -12,7 +12,6 @@ from pathlib import Path
 
 import pytest
 
-from branchcover.presentation import edge_path_presentation
 from branchcover.specfile import load_spec, parse_spec_text
 from branchcover.verify import verify_branched
 
@@ -24,8 +23,10 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 # a reference cycle, reads 5.48.  The bound sits between the two.
 PEAK_OVER_RETAINED = 4.5
 
-# The most presentations the process may hold, however many specs it verifies.
-PRESENTATIONS_HELD = 8
+# What a second pass over the golden corpus may leave traced beyond the first:
+# the interpreter's free lists keep a few KB of small tuples alive (8-10 KB on
+# Python 3.11), while a cache that outlives its spec keeps about 160 KB.
+RETAINED_BY_A_PASS = 16 * 1024
 
 
 @pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.stem)
@@ -42,21 +43,33 @@ def test_verify_leaves_no_cyclic_garbage(path):
         gc.enable()
 
 
-def test_presentation_cache_stays_bounded_over_many_specs():
-    """One verify of every golden spec in one process, as a library caller would."""
-    verified = 0
-    for path in sorted(GOLDEN.glob("*.json")):
-        loaded = load_spec(parse_spec_text(path.read_text(encoding="utf-8")))
-        if loaded.monodromy is not None:
-            verify_branched(loaded.cover_spec(), loaded.perversity)
-            verified += 1
-        assert edge_path_presentation.cache_info().currsize <= PRESENTATIONS_HELD, path.name
-    assert verified >= 8
+def test_verifying_the_corpus_again_retains_nothing():
+    """Every golden spec with a monodromy, verified twice in one process as a
+    library caller would: the second pass keeps nothing the first did not."""
+    texts = [path.read_text(encoding="utf-8") for path in sorted(GOLDEN.glob("*.json"))]
+
+    def verify_all() -> int:
+        verified = 0
+        for text in texts:
+            loaded = load_spec(parse_spec_text(text))
+            if loaded.monodromy is not None:
+                verify_branched(loaded.cover_spec(), loaded.perversity)
+                verified += 1
+        gc.collect()
+        return verified
+
+    assert verify_all() >= 8
+    tracemalloc.start()  # traced from the end of the first pass
+    try:
+        verify_all()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained <= RETAINED_BY_A_PASS
 
 
 def test_verify_peak_stays_near_what_it_keeps():
     text = (GOLDEN / "susp-cover-seed1.json").read_text(encoding="utf-8")
-    edge_path_presentation.cache_clear()  # measure the same allocations in any test order
     gc.collect()
     gc.disable()
     tracemalloc.start()

@@ -284,19 +284,19 @@ def test_cli_equality_failure_exit_code(tmp_path):
 # internal checks
 
 
-def test_verify_checks_base_connectivity_once(monkeypatch):
+def test_verify_checks_connectivity_before_and_with_the_cover(monkeypatch):
     y, r, rep, pres = s3_unknot_double_data()
     spec = BranchedCoverSpec(y, r, rep, pres)
     real = verify.complement_connectivity_check
-    base_passes = []
+    with_cover = []
 
-    def spy(spec, cover=None, base=None):
-        base_passes.append(base is None)
-        return real(spec, cover, base=base)
+    def spy(spec, cover=None):
+        with_cover.append(cover is not None)
+        return real(spec, cover)
 
     monkeypatch.setattr(verify, "complement_connectivity_check", spy)
     report = verify_branched(spec, "lower")
-    assert base_passes == [True, False]
+    assert with_cover == [False, True]
     assert report.connectivity == real(spec, fox_complete(spec))
     assert report.connectivity.checked_base == 12
 
@@ -313,12 +313,15 @@ def test_verify_computes_each_local_monodromy_group_once(monkeypatch):
         computed.append(complex_)
         return real(complex_, basepoint)
 
-    # each computation of a local monodromy group presents its punctured star once
+    # one presentation per distinct punctured star: branch simplices with
+    # equal punctured stars share their local monodromy group
     monkeypatch.setattr(covering, "edge_path_presentation", spy)
     report = verify_branched(spec, "lower")
-    assert len(computed) == len(spec.branch_simplices()) == len(report.fiber.rows) == 12
+    stars = {spec.punctured_star(tau) for tau in spec.branch_simplices()}
+    assert len(report.fiber.rows) == 12
+    assert len(computed) == len(set(computed)) == len(stars) == 6
     fiber_rank_report(spec)  # a later caller reads the cache
-    assert len(computed) == 12
+    assert len(computed) == 6
 
 
 def test_verify_validates_the_monodromy_once(monkeypatch):
