@@ -19,11 +19,7 @@ from .simplicial import (
     full_subcomplex,
     is_full,
 )
-from .stratified import (
-    StratifiedComplex,
-    trivial_stratification,
-    barycentric_subdivide,
-)
+from .stratified import StratifiedComplex
 from .presentation import EdgePathPresentation, edge_path_presentation
 from .covering import (
     MonodromyRep,
@@ -43,7 +39,6 @@ from .local_systems import (
     pushforward_local_system,
     trace_split,
     twisted_betti,
-    restrict,
     trivial_system,
 )
 from .intersection import (
@@ -52,11 +47,8 @@ from .intersection import (
     upper_middle,
     zero_perversity,
     top_perversity,
-    complementary,
-    is_allowable,
     ih_betti,
     cone_formula_check,
-    deligne_stalk_check,
 )
 from .verify import (
     DecompositionReport,

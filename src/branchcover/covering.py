@@ -284,12 +284,25 @@ class CoverComplex:
         self._fibers: dict[Simplex, tuple[Simplex, ...]] = {}
 
     def fiber_over(self, base_simplex: Simplex) -> tuple[Simplex, ...]:
-        """The lifts of ``base_simplex``, read off ``projection`` when first asked."""
+        """The lifts of ``base_simplex``, computed when first asked.
+
+        A lift has one vertex over each vertex of its base simplex, so the
+        lifts of a simplex are read off the cofaces of the vertices over its
+        first vertex; those are read off the cover's vertices.
+        """
         base_simplex = tuple(base_simplex)
         fiber = self._fibers.get(base_simplex)
         if fiber is None:
-            fiber = self._fibers[base_simplex] = tuple(sorted(
-                lift for lift, b in self.projection.items() if b == base_simplex))
+            projection = self.projection
+            if len(base_simplex) == 1:
+                lifts = (s for s in self.total.simplices_of_dim(0)
+                         if projection[s] == base_simplex)
+            else:
+                n = len(base_simplex)
+                lifts = (lift for (v,) in self.fiber_over(base_simplex[:1])
+                         for lift in self.total.cofaces_of_vertex(v)
+                         if len(lift) == n and projection[lift] == base_simplex)
+            fiber = self._fibers[base_simplex] = tuple(sorted(lifts))
         return fiber
 
 

@@ -9,8 +9,6 @@ the systems are always consistent for the fixtures shipped here.
 """
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .errors import BadParams
 from .covering import MonodromyRep, complement_presentation
 from .presentation import EdgePathPresentation, edge_path_presentation
@@ -20,7 +18,7 @@ from .simplicial import (
     link,
     suspension,
 )
-from .stratified import StratifiedComplex, trivial_stratification
+from .stratified import StratifiedComplex
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +278,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
 def sphere_branched_data(points: int, degree: int):
     """Subdivided octahedron with `points` branch vertices and cyclic monodromy.
 
@@ -307,8 +304,8 @@ def sphere_branched_data(points: int, degree: int):
     branch_vertices = [b_id[(w,)] for w in branch_orig]
     branch = SimplicialComplex(tuple((v,) for v in sorted(branch_vertices)))
 
-    y = trivial_stratification(sub)
-    r = trivial_stratification(branch)
+    y = StratifiedComplex(sub)
+    r = StratifiedComplex(branch)
 
     pres = complement_presentation(sub, frozenset(branch_vertices))
     # meridian: the directed link cycle of the branch vertex in the
@@ -319,7 +316,6 @@ def sphere_branched_data(points: int, degree: int):
     return y, r, rep, pres
 
 
-@lru_cache(maxsize=None)
 def s3_unknot_double_data():
     """Double cover of the 3-sphere branched over a triangle unknot.
 
@@ -339,8 +335,8 @@ def s3_unknot_double_data():
             branch_simplices.add(ns)
     branch = SimplicialComplex(branch_simplices)
 
-    y = trivial_stratification(sub)
-    r = trivial_stratification(branch)
+    y = StratifiedComplex(sub)
+    r = StratifiedComplex(branch)
 
     pres = complement_presentation(sub, frozenset(branch.vertices))
     meridians = []
@@ -363,22 +359,6 @@ def s3_unknot_double_data():
     return y, r, rep, pres
 
 
-@lru_cache(maxsize=None)
-def codim3_vertex_data(degree: int = 2):
-    """Single branch vertex in the 3-sphere: codimension 3, fibers stay full."""
-    base0 = boundary_simplex(4)
-    from .simplicial import barycentric_subdivide_complex
-    sub, b_id, _chain_of = barycentric_subdivide_complex(base0)
-    w = b_id[(0,)]
-    branch = SimplicialComplex(((w,),))
-    y = trivial_stratification(sub)
-    r = trivial_stratification(branch)
-    pres = complement_presentation(sub, {w})
-    images = tuple(tuple(range(degree)) for _ in pres.generators)
-    rep = MonodromyRep(degree, images)
-    return y, r, rep, pres
-
-
 def circle_cover_data(degree: int, perm: tuple[int, ...]):
     """Cover of the hexagon with the single generator mapping to `perm`."""
     if degree < 1:
@@ -386,7 +366,7 @@ def circle_cover_data(degree: int, perm: tuple[int, ...]):
     if sorted(perm) != list(range(degree)):
         raise BadParams(f"{list(perm)} is not a permutation of 0..{degree - 1}")
     base = hexagon()
-    y = trivial_stratification(base)
+    y = StratifiedComplex(base)
     pres = edge_path_presentation(base, 0)
     rep = MonodromyRep(degree, (tuple(perm),))
     return y, None, rep, pres

@@ -19,12 +19,7 @@ from typing import NamedTuple
 from .errors import AnchorUnavailable, BadDimension
 from .local_systems import LocalSystemQ
 from .simplicial import Simplex, homology_ranks
-from .stratified import (
-    StratifiedComplex,
-    cone_stratified,
-    induced_link,
-    induced_star,
-)
+from .stratified import StratifiedComplex, cone_stratified
 
 
 class Perversity:
@@ -91,10 +86,6 @@ def top_perversity(m: int) -> Perversity:
     return Perversity(m, tuple(k - 2 for k in range(2, m + 1)))
 
 
-def complementary(p: Perversity) -> Perversity:
-    return Perversity(p.top_dim, tuple(k - 2 - p[k] for k in range(2, p.top_dim + 1)))
-
-
 def perversity_by_name(name: str, m: int) -> Perversity:
     table = {"lower": lower_middle, "upper": upper_middle,
              "zero": zero_perversity, "top": top_perversity}
@@ -123,12 +114,6 @@ def _allowable(s: Simplex, m: int, level_verts: list[set[int]],
         if count - 1 > js - k + p[k]:
             return False
     return True
-
-
-def is_allowable(simplex: Simplex, sc: StratifiedComplex, p: Perversity | None) -> bool:
-    """dim(s ^ X_{m-k}) <= dim s - k + p(k) for every k >= 2."""
-    sc.full_check()
-    return _allowable(tuple(simplex), sc.dim, _level_vertex_sets(sc), p)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +159,7 @@ def ih_betti(sc: StratifiedComplex, p: Perversity | None,
 
 
 # ---------------------------------------------------------------------------
-# cone formula and stalk checks
+# cone formula
 
 
 class ConeCheckResult(NamedTuple):
@@ -215,55 +200,3 @@ def cone_formula_check(link_sc: StratifiedComplex, p: Perversity | None,
     mismatches = tuple((j, expected[j], cone_ih[j])
                        for j in range(l + 2) if expected[j] != cone_ih[j])
     return ConeCheckResult(link_ih, cone_ih, cutoff, expected, mismatches)
-
-
-class StalkCheckEntry(NamedTuple):
-    vertex: int
-    level: int
-    codim: int
-    cutoff: int
-    link_ih: tuple[int, ...]
-    star_ih: tuple[int, ...]
-    expected: tuple[int, ...]
-    mismatches: tuple[tuple[int, int, int], ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
-
-
-class StalkCheckResult(NamedTuple):
-    entries: tuple[StalkCheckEntry, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(e.ok for e in self.entries)
-
-
-def deligne_stalk_check(sc: StratifiedComplex, p: Perversity,
-                        coeff: LocalSystemQ | None = None) -> StalkCheckResult:
-    """Check the closed star of every singular vertex against the cone formula.
-
-    The closed star of a vertex in a codimension-k stratum is a cone over
-    its link, so its IH must agree with the link's IH strictly below
-    degree (k-1) - p(k) and vanish from there on: the chain-level shadow
-    of the truncation conditions the decomposition relies on.
-    """
-    m = sc.dim
-    sc.full_check()
-    entries = []
-    for (v,) in sc.singular_set.simplices_of_dim(0):
-        j = sc.min_level((v,))
-        k = m - j
-        link_sc = induced_link(sc, v)
-        star_sc = induced_star(sc, v)
-        link_ih = ih_betti(link_sc, p, coeff)
-        star_ih = ih_betti(star_sc, p, coeff)
-        cutoff = (k - 1) - p[k]
-        expected = tuple(
-            (link_ih[i] if i < len(link_ih) else 0) if i < cutoff else 0
-            for i in range(m + 1))
-        mism = tuple((i, expected[i], star_ih[i])
-                     for i in range(m + 1) if expected[i] != star_ih[i])
-        entries.append(StalkCheckEntry(v, j, k, cutoff, link_ih, star_ih, expected, mism))
-    return StalkCheckResult(tuple(entries))

@@ -211,14 +211,3 @@ def twisted_betti(c: SimplicialComplex, system: LocalSystemQ) -> tuple[int, ...]
         if e not in system.transports:
             raise NotASubcomplex(f"local system has no transport for edge {list(e)}")
     return homology_ranks(c, lambda s: True, system.rank, system.transport, min)
-
-
-def restrict(system: LocalSystemQ, sub: SimplicialComplex) -> LocalSystemQ:
-    """Restriction to a subcomplex; flatness is inherited."""
-    if not sub.is_subcomplex_of(system.base):
-        raise NotASubcomplex("restriction target is not a subcomplex of the base")
-    transports = {}
-    for (u, v) in sub.simplices_of_dim(1):
-        transports[(u, v)] = system.transports[(u, v)]
-        transports[(v, u)] = system.transports[(v, u)]
-    return LocalSystemQ(sub, system.rank, transports)

@@ -12,7 +12,7 @@ from collections import deque
 from itertools import combinations
 from typing import NamedTuple, Sequence
 
-from .errors import BadDimension, InsufficientSubdivision, NotFull
+from .errors import BadDimension, NotFull
 from .simplicial import (
     EMPTY_COMPLEX,
     SimplicialComplex,
@@ -20,8 +20,6 @@ from .simplicial import (
     barycentric_subdivide_complex,
     barycentric_subdivide_set,
     is_full,
-    link,
-    star,
 )
 
 
@@ -40,7 +38,7 @@ class StratifiedComplex:
     simplex must have dimension m and lie outside X_{m-2}.
     """
 
-    __slots__ = ("complex", "levels", "_full", "_min_level", "_strata", "_hash")
+    __slots__ = ("complex", "levels", "_full", "_strata", "_hash")
 
     def __init__(self, complex: SimplicialComplex,
                  singular_levels: Sequence[SimplicialComplex] = ()):
@@ -77,7 +75,6 @@ class StratifiedComplex:
         self.complex = complex
         self.levels = tuple(levels)
         self._full = None
-        self._min_level = None
         self._strata = None
         self._hash = hash((complex, self.levels))
 
@@ -107,20 +104,6 @@ class StratifiedComplex:
         sizes = ",".join(str(l.n_simplices()) for l in self.levels)
         return f"StratifiedComplex(dim={self.dim}, level sizes=({sizes}))"
 
-    def min_level(self, simplex: Simplex) -> int:
-        """Smallest filtration index whose level contains the simplex."""
-        table = self._min_level_table()
-        return table[tuple(simplex)]
-
-    def _min_level_table(self) -> dict[Simplex, int]:
-        if self._min_level is None:
-            table = {s: self.dim for s in self.complex.simplices}
-            for j in range(self.dim - 1, -1, -1):
-                for s in self.levels[j].simplices:
-                    table[s] = j
-            self._min_level = table
-        return self._min_level
-
     def strata(self) -> tuple[Stratum, ...]:
         """Connected pieces of the level differences.
 
@@ -131,7 +114,10 @@ class StratifiedComplex:
         """
         if self._strata is not None:
             return self._strata
-        table = self._min_level_table()
+        table = {s: self.dim for s in self.complex.simplices}  # smallest level holding s
+        for j in range(self.dim - 1, -1, -1):
+            for s in self.levels[j].simplices:
+                table[s] = j
         by_level: dict[int, list[Simplex]] = {}
         for s, j in table.items():
             by_level.setdefault(j, []).append(s)
@@ -176,15 +162,6 @@ class StratifiedComplex:
                 "run barycentric_subdivide first (twice always suffices)")
 
 
-def trivial_stratification(c: SimplicialComplex) -> StratifiedComplex:
-    return StratifiedComplex(c)
-
-
-def barycentric_subdivide(sc: StratifiedComplex) -> StratifiedComplex:
-    """Subdivide the complex and all filtration levels together."""
-    return subdivide_with_subcomplexes(sc, ())[0]
-
-
 def subdivide_with_subcomplexes(
     sc: StratifiedComplex, extras: Sequence[StratifiedComplex]
 ) -> tuple[StratifiedComplex, list[StratifiedComplex]]:
@@ -199,49 +176,6 @@ def subdivide_with_subcomplexes(
     return carry(sc, new), [
         carry(ex, SimplicialComplex(barycentric_subdivide_set(chain_of, ex.complex.simplices)))
         for ex in extras]
-
-
-def induced_star(sc: StratifiedComplex, vertex: int) -> StratifiedComplex:
-    """Closed star of a vertex with the induced filtration."""
-    st = star(sc.complex, (vertex,))
-    singular = []
-    for j in range(sc.dim - 2, -1, -1):
-        singular.append(SimplicialComplex(st.simplices & sc.levels[j].simplices))
-    return StratifiedComplex(st, singular)
-
-
-def induced_link(sc: StratifiedComplex, vertex: int) -> StratifiedComplex:
-    """Link of a vertex with the induced filtration, indices shifted by one.
-
-    Level j of the link is the link's intersection with ambient level
-    j+1, so codimensions of strata are preserved; since levels are
-    nested, content of deeper ambient levels lands at the link's deepest
-    level.  When the induced filtration cannot be represented (for
-    example a marked point on a 1-dimensional link, which would need a
-    forbidden codimension-1 stratum), the triangulation is too coarse for
-    stalk analysis at this vertex and a barycentric subdivision is
-    required.
-    """
-    m = sc.dim
-    lk = link(sc.complex, (vertex,))
-    lk_simps = lk.simplices
-    if lk.dim != m - 1:
-        raise BadDimension(
-            f"link of vertex {vertex} has dimension {lk.dim}, expected {m - 1}")
-    singular = []
-    for j in range(lk.dim - 2, -1, -1):
-        singular.append(SimplicialComplex(lk_simps & sc.level(j + 1).simplices))
-    leftover = lk_simps & sc.level(min(1, m - 1)).simplices
-    if lk.dim < 2 and leftover:
-        raise InsufficientSubdivision(
-            f"link of vertex {vertex} is {lk.dim}-dimensional but meets the singular "
-            "set; subdivide the complex once")
-    try:
-        return StratifiedComplex(lk, singular)
-    except BadDimension as exc:
-        raise InsufficientSubdivision(
-            f"link of vertex {vertex} does not carry the induced filtration "
-            f"({exc}); subdivide the complex once") from None
 
 
 def cone_stratified(link_sc: StratifiedComplex, apex: int | None = None) -> StratifiedComplex:

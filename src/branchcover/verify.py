@@ -26,7 +26,7 @@ from .covering import (
     refine_stratification,
     riemann_hurwitz_check,
 )
-from .intersection import Perversity, ih_betti, perversity_by_name
+from .intersection import ih_betti, perversity_by_name
 from .local_systems import (
     invariant_dimension,
     pushforward_local_system,
@@ -47,14 +47,11 @@ class FiberRow(NamedTuple):
     simplex: Simplex
     orbit_count: int
     one_plus_invariants: int
-    lift_count: int | None
+    lift_count: int
 
     @property
     def ok(self) -> bool:
-        agree = self.orbit_count == self.one_plus_invariants
-        if self.lift_count is not None:
-            agree = agree and self.lift_count == self.orbit_count
-        return agree
+        return self.orbit_count == self.one_plus_invariants == self.lift_count
 
 
 class FiberReport(NamedTuple):
@@ -65,11 +62,10 @@ class FiberReport(NamedTuple):
         return all(r.ok for r in self.rows)
 
 
-def fiber_rank_report(spec: BranchedCoverSpec, cover: CoverComplex | None = None) -> FiberReport:
-    """Orbit counts against 1 + invariants of the kernel system, row by row.
+def fiber_rank_report(spec: BranchedCoverSpec, cover: CoverComplex) -> FiberReport:
+    """Orbit counts, 1 + invariants of the kernel system and lift counts, row by row.
 
-    A mismatch indicates an implementation bug, never acceptable input;
-    rows also record the lift counts of a cover when given.
+    A mismatch indicates an implementation bug, never acceptable input.
     """
     d = spec.degree
     rows = []
@@ -78,8 +74,7 @@ def fiber_rank_report(spec: BranchedCoverSpec, cover: CoverComplex | None = None
         orbits = orbit_count(gens, d)
         kernel_mats = [sum_zero_action(g) for g in gens]
         inv = invariant_dimension(kernel_mats, d - 1)
-        lifts = len(cover.fiber_over(tau)) if cover is not None else None
-        rows.append(FiberRow(tau, orbits, 1 + inv, lifts))
+        rows.append(FiberRow(tau, orbits, 1 + inv, len(cover.fiber_over(tau))))
     return FiberReport(tuple(rows))
 
 
@@ -204,20 +199,14 @@ class DecompositionReport(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
-def verify_branched(spec: BranchedCoverSpec,
-                    perversity: str | Perversity = "lower") -> DecompositionReport:
+def verify_branched(spec: BranchedCoverSpec, perversity: str = "lower") -> DecompositionReport:
     """Build the cover, refine the stratification and compare ranks.
 
     The kernel system is carried through the intersection machinery on
     the refined stratification, never pushed forward naively.
     """
     m = spec.base.dim
-    if isinstance(perversity, str):
-        pname = perversity
-        p = perversity_by_name(perversity, m) if m >= 2 else None
-    else:
-        pname = "custom"
-        p = perversity
+    p = perversity_by_name(perversity, m) if m >= 2 else None
 
     base_failures = complement_connectivity_check(spec).base_failures
     if base_failures:
@@ -265,7 +254,7 @@ def verify_branched(spec: BranchedCoverSpec,
     pull_levels = tuple((j, pullback.levels[j].n_simplices()) for j in range(m + 1))
 
     return DecompositionReport(
-        perversity=pname, degree=spec.degree, base_dim=m,
+        perversity=perversity, degree=spec.degree, base_dim=m,
         betti_cover=b_cover, ih_trivial=ih_trivial, ih_kernel=ih_kernel,
         equal_per_degree=equal, fiber=fiber, connectivity=connectivity,
         euler_cover=euler_cover, euler_ok=euler_ok, b0_ok=b0_ok,

@@ -1,22 +1,52 @@
-"""Small complexes, a GF(p) kernel and a pushforward shorthand that only the tests use.
+"""Small complexes, a GF(p) kernel and local-system shorthands that only the tests use.
 
 The package's own fixtures (``branchcover.fixtures``) are the ones the
-``fixture`` command writes; these are extra bases for the tests.
+``fixture`` command writes; these are extra bases, a stratified
+subdivision, the restriction of a system and a codimension-3 spec for
+the tests.
 """
 from __future__ import annotations
 
 from itertools import combinations
 
-from branchcover.covering import MonodromyRep, validate_monodromy
-from branchcover.fixtures import _closure, _rref_mod_p, cycle_complex
+from branchcover.covering import MonodromyRep, complement_presentation, validate_monodromy
+from branchcover.errors import NotASubcomplex
+from branchcover.fixtures import _closure, _rref_mod_p, boundary_simplex, cycle_complex
 from branchcover.local_systems import LocalSystemQ, pushforward_local_system
 from branchcover.presentation import EdgePathPresentation
-from branchcover.simplicial import SimplicialComplex
+from branchcover.simplicial import SimplicialComplex, barycentric_subdivide_complex
+from branchcover.stratified import StratifiedComplex, subdivide_with_subcomplexes
 
 
 def pushforward(pres: EdgePathPresentation, rep: MonodromyRep) -> LocalSystemQ:
     """The pushforward system of a monodromy given on a bare presentation."""
     return pushforward_local_system(pres.complex, rep.degree, validate_monodromy(pres, rep))
+
+
+def restrict(system: LocalSystemQ, sub: SimplicialComplex) -> LocalSystemQ:
+    """Restriction to a subcomplex; flatness is inherited."""
+    if not sub.is_subcomplex_of(system.base):
+        raise NotASubcomplex("restriction target is not a subcomplex of the base")
+    transports = {}
+    for (u, v) in sub.simplices_of_dim(1):
+        transports[(u, v)] = system.transports[(u, v)]
+        transports[(v, u)] = system.transports[(v, u)]
+    return LocalSystemQ(sub, system.rank, transports)
+
+
+def barycentric_subdivide(sc: StratifiedComplex) -> StratifiedComplex:
+    """Subdivide the complex and all filtration levels together."""
+    return subdivide_with_subcomplexes(sc, ())[0]
+
+
+def codim3_vertex_data(degree: int = 2):
+    """Single branch vertex in the 3-sphere: codimension 3, fibers stay full."""
+    sub, b_id, _chain_of = barycentric_subdivide_complex(boundary_simplex(4))
+    w = b_id[(0,)]
+    branch = SimplicialComplex(((w,),))
+    pres = complement_presentation(sub, {w})
+    rep = MonodromyRep(degree, tuple(tuple(range(degree)) for _ in pres.generators))
+    return StratifiedComplex(sub), StratifiedComplex(branch), rep, pres
 
 
 def full_simplex(n: int) -> SimplicialComplex:

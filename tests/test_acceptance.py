@@ -23,7 +23,6 @@ from branchcover.covering import (
 )
 from branchcover.intersection import (
     cone_formula_check,
-    deligne_stalk_check,
     ih_betti,
     lower_middle,
     top_perversity,
@@ -43,13 +42,12 @@ from branchcover.simplicial import (
     betti_numbers,
     suspension,
 )
-from branchcover.stratified import trivial_stratification
+from branchcover.stratified import StratifiedComplex
 from branchcover.verify import codim_check, verify_branched
 from branchcover.cli import main as cli_main
 from branchcover import fixtures
 from branchcover.fixtures import (
     boundary_simplex,
-    codim3_vertex_data,
     cycle_complex,
     hexagon,
     octahedron,
@@ -62,12 +60,14 @@ from branchcover.fixtures import (
 
 from complexes import (
     annulus,
+    codim3_vertex_data,
     figure_eight,
     k4_graph,
     nullspace_mod_p,
     theta_graph,
 )
 from oracles import ic_betti, ic_closed, riemann_hurwitz_chi, suspension_ih_oracle
+from stalks import deligne_stalk_check, induced_link
 
 
 def _report(n: int, text: str) -> None:
@@ -124,7 +124,7 @@ def test_criterion_1_unbranched_splitting():
 
 
 def _check_unbranched_split(base, pres, rep):
-    spec = BranchedCoverSpec(trivial_stratification(base), None, rep, pres)
+    spec = BranchedCoverSpec(StratifiedComplex(base), None, rep, pres)
     cover = fox_complete(spec)
     split = trace_split(pushforward_local_system(spec.complement, spec.degree, spec.table))
     b_cover = betti_numbers(cover.total)
@@ -205,7 +205,7 @@ def test_criterion_6_ih_engine_sanity():
     manifolds = [octahedron(), torus7(), boundary_simplex(4),
                  suspension(boundary_simplex(4))]
     for c in manifolds:
-        sc = trivial_stratification(c)
+        sc = StratifiedComplex(c)
         b = betti_numbers(c)
         m = max(c.dim, 2)
         for p in (zero_perversity(m), lower_middle(m), upper_middle(m),
@@ -229,20 +229,19 @@ def test_criterion_7_cone_and_stalk_checks():
     two_circles = SimplicialComplex(
         set(cycle_complex(4, 0).simplices) | set(cycle_complex(4, 4).simplices))
     links = [
-        (trivial_stratification(hexagon()), zero_perversity(2)),
-        (trivial_stratification(octahedron()), lower_middle(3)),
-        (trivial_stratification(octahedron()), upper_middle(3)),
-        (trivial_stratification(torus7()), lower_middle(3)),
-        (trivial_stratification(torus7()), upper_middle(3)),
-        (trivial_stratification(SimplicialComplex([(0,), (1,)])), None),
-        (trivial_stratification(two_circles), zero_perversity(2)),
+        (StratifiedComplex(hexagon()), zero_perversity(2)),
+        (StratifiedComplex(octahedron()), lower_middle(3)),
+        (StratifiedComplex(octahedron()), upper_middle(3)),
+        (StratifiedComplex(torus7()), lower_middle(3)),
+        (StratifiedComplex(torus7()), upper_middle(3)),
+        (StratifiedComplex(SimplicialComplex([(0,), (1,)])), None),
+        (StratifiedComplex(two_circles), zero_perversity(2)),
     ]
     # links of the unknot fixture's branch vertices: spheres with two marked
     # points, with induced stratifications
     y, r, rep, pres = s3_unknot_double_data()
     spec = BranchedCoverSpec(y, r, rep, pres)
     refined = refine_stratification(y, r)
-    from branchcover.stratified import induced_link
     for (v,) in refined.singular_set.simplices_of_dim(0)[:2]:
         links.append((induced_link(refined, v), lower_middle(3)))
     cone_checked = 0

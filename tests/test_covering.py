@@ -39,11 +39,10 @@ from branchcover.simplicial import (
     star,
 )
 from branchcover.specfile import load_spec, parse_spec_text
-from branchcover.stratified import trivial_stratification
+from branchcover.stratified import StratifiedComplex
 from branchcover.fixtures import (
     _relator_rows,
     circle_cover_data,
-    codim3_vertex_data,
     hexagon,
     octahedron,
     pinched_torus,
@@ -53,7 +52,7 @@ from branchcover.fixtures import (
     torus7,
 )
 
-from complexes import nullspace_mod_p
+from complexes import codim3_vertex_data, nullspace_mod_p
 from oracles import (
     RelatorViolatedMatrix,
     RepresentationQ,
@@ -287,7 +286,7 @@ def test_fox_complete_empty_branch_is_plain_cover():
     swap, fixed = (1, 0, 2, 3), (0, 1, 2, 3)
     rep = MonodromyRep(4, tuple(swap if e else fixed for e in exponents))
     assert swap in rep.images
-    specs.append(BranchedCoverSpec(trivial_stratification(c), None, rep, pres))
+    specs.append(BranchedCoverSpec(StratifiedComplex(c), None, rep, pres))
     for spec in specs:
         assert fox_complete(spec).projection == sheet_cover(spec)
 
@@ -348,16 +347,16 @@ def test_fibers_are_read_for_the_simplices_asked(monkeypatch):
 
 def test_branch_must_be_full():
     # two adjacent octahedron vertices: the joining edge is missing
-    y = trivial_stratification(octahedron())
-    r = trivial_stratification(SimplicialComplex([(1,), (2,)]))
+    y = StratifiedComplex(octahedron())
+    r = StratifiedComplex(SimplicialComplex([(1,), (2,)]))
     pres = complement_presentation(y.complex, frozenset(r.complex.vertices))
     with pytest.raises(NotFull):
         BranchedCoverSpec(y, r, MonodromyRep(1, ()), pres)
 
 
 def test_branch_codimension_enforced():
-    y = trivial_stratification(hexagon())
-    r = trivial_stratification(SimplicialComplex([(0,)]))
+    y = StratifiedComplex(hexagon())
+    r = StratifiedComplex(SimplicialComplex([(0,)]))
     pres = complement_presentation(y.complex, frozenset(r.complex.vertices))
     with pytest.raises(BranchNotInCodim2Level):
         BranchedCoverSpec(y, r, MonodromyRep(1, ()), pres)
@@ -470,7 +469,7 @@ def test_refine_pinched_torus_with_two_point_branch():
     pt = pinched_torus()
     pinch = pt.level(0).vertices[0]
     smooth = next(v for v in pt.complex.vertices if v != pinch)
-    r = trivial_stratification(SimplicialComplex([(pinch,), (smooth,)]))
+    r = StratifiedComplex(SimplicialComplex([(pinch,), (smooth,)]))
     refined = refine_stratification(pt, r)
     strata = refined.strata()
     # top minus branch, the pinch point and the smooth point
@@ -485,7 +484,7 @@ def test_refine_suspension_circle_through_cone_points():
                                          tuple(sorted((1, 7))), tuple(sorted((1, 8)))]
     r_complex = SimplicialComplex(circle)
     assert betti_numbers(r_complex) == (1, 1)
-    r = trivial_stratification(r_complex)
+    r = StratifiedComplex(r_complex)
     refined = refine_stratification(st, r)
     pieces = refined.strata()
     # 2 arcs at level 1, 2 cone points at level 0, 1 top stratum

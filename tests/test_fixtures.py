@@ -6,7 +6,6 @@ from branchcover.covering import complement_connectivity_check, fiber_cardinalit
 from branchcover.presentation import edge_path_presentation
 from branchcover.simplicial import betti_numbers, link
 from branchcover.fixtures import (
-    codim3_vertex_data,
     hexagon,
     octahedron,
     orient_closed_surface,
@@ -19,7 +18,14 @@ from branchcover.fixtures import (
     torus7,
 )
 
-from complexes import annulus, figure_eight, k4_graph, nullspace_mod_p, theta_graph
+from complexes import (
+    annulus,
+    codim3_vertex_data,
+    figure_eight,
+    k4_graph,
+    nullspace_mod_p,
+    theta_graph,
+)
 from oracles import brute_betti
 
 
@@ -122,8 +128,8 @@ def test_branching_at_pinch_fails_flatness_shadow():
     pt = pinched_torus()
     pinch = pt.level(0).vertices[0]
     from branchcover.simplicial import SimplicialComplex
-    from branchcover.stratified import trivial_stratification
-    r = trivial_stratification(SimplicialComplex([(pinch,)]))
+    from branchcover.stratified import StratifiedComplex
+    r = StratifiedComplex(SimplicialComplex([(pinch,)]))
     bverts = {pinch}
     from branchcover.simplicial import full_subcomplex
     complement = full_subcomplex(pt.complex,

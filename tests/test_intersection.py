@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -6,11 +7,8 @@ from branchcover.covering import BranchedCoverSpec, MonodromyRep, refine_stratif
 from branchcover.errors import BadDimension, NotFull
 from branchcover.intersection import (
     Perversity,
-    complementary,
     cone_formula_check,
-    deligne_stalk_check,
     ih_betti,
-    is_allowable,
     lower_middle,
     perversity_by_name,
     top_perversity,
@@ -26,11 +24,8 @@ from branchcover.local_systems import (
 )
 from branchcover.presentation import edge_path_presentation
 from branchcover.simplicial import SimplicialComplex, betti_numbers, full_subcomplex, suspension
-from branchcover.stratified import (
-    StratifiedComplex,
-    barycentric_subdivide,
-    trivial_stratification,
-)
+from branchcover.specfile import load_spec, parse_spec_text
+from branchcover.stratified import StratifiedComplex
 from branchcover.fixtures import (
     _relator_rows,
     boundary_simplex,
@@ -44,8 +39,11 @@ from branchcover.fixtures import (
     torus7,
 )
 
-from complexes import annulus, nullspace_mod_p, pushforward
+from complexes import annulus, barycentric_subdivide, nullspace_mod_p, pushforward
 from oracles import ic_betti, ic_closed, ic_complex, suspension_ih_oracle
+from stalks import complementary, deligne_stalk_check, is_allowable
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +134,7 @@ MANIFOLDS = (octahedron, torus7, lambda: boundary_simplex(4),
 def test_ih_equals_betti_on_manifolds():
     for fn in MANIFOLDS:
         c = fn()
-        sc = trivial_stratification(c)
+        sc = StratifiedComplex(c)
         b = betti_numbers(c)
         m = max(c.dim, 2)
         for p in (zero_perversity(m), lower_middle(m), upper_middle(m),
@@ -145,7 +143,7 @@ def test_ih_equals_betti_on_manifolds():
 
 
 def test_ih_octahedron_value():
-    assert ih_betti(trivial_stratification(octahedron()), lower_middle(2)) == (1, 0, 1)
+    assert ih_betti(StratifiedComplex(octahedron()), lower_middle(2)) == (1, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -163,12 +161,29 @@ def test_ih_suspension_torus():
     assert ih_betti(st, lower_middle(3)) == (1, 2, 0, 1)
 
 
-def test_ih_suspension_duality():
-    # complementary middle perversities pair degrees i and 3 - i
-    st = suspension_torus()
-    lo = ih_betti(st, lower_middle(3))
-    up = ih_betti(st, upper_middle(3))
-    assert lo == tuple(reversed(up))
+def _load_golden(path):
+    return load_spec(parse_spec_text(path.read_text(encoding="utf-8")))
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(GOLDEN.glob("*.json"))
+                                  if _load_golden(p).base.dim in (2, 3)],
+                         ids=lambda p: p.stem)
+def test_ih_suspension_duality(path):
+    # on the refined base, complementary middle perversities pair degrees
+    # j and m - j, with trivial and, given a monodromy, kernel coefficients
+    loaded = _load_golden(path)
+    refined = (loaded.base if loaded.branch is None
+               else refine_stratification(loaded.base, loaded.branch))
+    coeffs = {"trivial": None}
+    if loaded.monodromy is not None:
+        spec = loaded.cover_spec()
+        coeffs["kernel"] = trace_split(
+            pushforward_local_system(spec.complement, spec.degree, spec.table)).kernel
+    m = refined.dim
+    for label, coeff in coeffs.items():
+        lo = ih_betti(refined, lower_middle(m), coeff)
+        up = ih_betti(refined, upper_middle(m), coeff)
+        assert all(lo[j] == up[m - j] for j in range(m + 1)), (label, lo, up)
 
 
 def test_ih_pinched_torus():
@@ -183,7 +198,7 @@ def test_ih_pinched_torus():
 
 def test_ih_invariant_under_subdivision():
     fixtures = [
-        (trivial_stratification(octahedron()), zero_perversity(2)),
+        (StratifiedComplex(octahedron()), zero_perversity(2)),
         (pinched_torus(), lower_middle(2)),
         (suspension_torus(), lower_middle(3)),
         (suspension_torus(), upper_middle(3)),
@@ -331,7 +346,7 @@ def test_ih_of_unstratified_base_is_twisted_homology(base, expected):
     swap, fixed = (1, 0, 2, 3), (0, 1, 2, 3)
     rep = MonodromyRep(4, tuple(swap if e else fixed for e in exponents))
     kernel = trace_split(pushforward(pres, rep)).kernel
-    assert ih_betti(trivial_stratification(c), lower_middle(2), kernel) == expected
+    assert ih_betti(StratifiedComplex(c), lower_middle(2), kernel) == expected
     assert twisted_betti(c, kernel) == expected
 
 
@@ -340,14 +355,14 @@ def test_ih_of_unstratified_base_is_twisted_homology(base, expected):
 
 
 def test_cone_formula_hexagon():
-    res = cone_formula_check(trivial_stratification(hexagon()), zero_perversity(2))
+    res = cone_formula_check(StratifiedComplex(hexagon()), zero_perversity(2))
     assert res.ok
     assert res.cone_ih == (1, 0, 0)
     assert res.cutoff == 1
 
 
 def test_cone_formula_torus_both_middles():
-    t = trivial_stratification(torus7())
+    t = StratifiedComplex(torus7())
     lo = cone_formula_check(t, lower_middle(3))
     assert lo.ok and lo.cone_ih == (1, 2, 0, 0) and lo.cutoff == 2
     up = cone_formula_check(t, upper_middle(3))
@@ -355,7 +370,7 @@ def test_cone_formula_torus_both_middles():
 
 
 def test_cone_formula_two_points():
-    two = trivial_stratification(SimplicialComplex([(0,), (1,)]))
+    two = StratifiedComplex(SimplicialComplex([(0,), (1,)]))
     res = cone_formula_check(two, None)
     assert res.ok
     assert res.cone_ih == (1, 0)
@@ -366,13 +381,13 @@ def test_cone_formula_disconnected_link():
     # allowable chains avoid the apex
     two_circles = SimplicialComplex(
         set(cycle_complex(4, 0).simplices) | set(cycle_complex(4, 4).simplices))
-    res = cone_formula_check(trivial_stratification(two_circles), zero_perversity(2))
+    res = cone_formula_check(StratifiedComplex(two_circles), zero_perversity(2))
     assert res.ok
     assert res.cone_ih == (2, 0, 0)
 
 
 def test_cone_formula_sphere_link():
-    res = cone_formula_check(trivial_stratification(octahedron()), lower_middle(3))
+    res = cone_formula_check(StratifiedComplex(octahedron()), lower_middle(3))
     assert res.ok and res.cone_ih == (1, 0, 0, 0)
 
 
@@ -408,7 +423,7 @@ def test_stalk_check_pinched_torus():
 
 
 def test_stalk_check_manifold_is_vacuous():
-    sc = trivial_stratification(octahedron())
+    sc = StratifiedComplex(octahedron())
     res = deligne_stalk_check(sc, zero_perversity(2))
     assert res.ok and res.entries == ()
 
@@ -434,7 +449,7 @@ def test_ic_requires_full_levels():
 
 def test_ic_requires_perversity_in_high_dimension():
     with pytest.raises(BadDimension):
-        ih_betti(trivial_stratification(octahedron()), None)
+        ih_betti(StratifiedComplex(octahedron()), None)
     with pytest.raises(BadDimension):
         # perversity defined only up to dimension 2 cannot serve dimension 3
         ih_betti(suspension_torus(), zero_perversity(2))
@@ -467,7 +482,7 @@ def test_stalk_check_refined_suspension_circle():
     from branchcover.covering import refine_stratification
     st = suspension_torus()
     circle = SimplicialComplex([(7,), (8,), (0,), (1,), (0, 7), (0, 8), (1, 7), (1, 8)])
-    refined = refine_stratification(st, trivial_stratification(circle))
+    refined = refine_stratification(st, StratifiedComplex(circle))
     with pytest.raises(NotFull):
         deligne_stalk_check(refined, lower_middle(3))
     sub = barycentric_subdivide(refined)

@@ -7,7 +7,6 @@ from branchcover.covering import BranchedCoverSpec, MonodromyRep, fox_complete
 from branchcover.errors import NotASubcomplex, NotPermutationSystem
 from branchcover.local_systems import (
     pushforward_local_system,
-    restrict,
     sum_zero_action,
     trace_split,
     trivial_system,
@@ -21,7 +20,16 @@ from branchcover.fixtures import (
     octahedron,
     torus7,
 )
-from complexes import annulus, figure_eight, full_simplex, k4_graph, pushforward, theta_graph
+from branchcover.stratified import StratifiedComplex
+from complexes import (
+    annulus,
+    figure_eight,
+    full_simplex,
+    k4_graph,
+    pushforward,
+    restrict,
+    theta_graph,
+)
 from oracles import (
     RelatorViolatedMatrix,
     RepresentationQ,
@@ -287,13 +295,12 @@ def test_betti_additivity_randomized():
     checked = 0
     for base_fn in GRAPH_BASES:
         base = base_fn()
-        from branchcover.stratified import trivial_stratification
         pres = edge_path_presentation(base, min(base.vertices))
         for _ in range(6):
             d = rng.randint(1, 5)
             images = tuple(tuple(rng.sample(range(d), d)) for _ in pres.generators)
             rep = MonodromyRep(d, images)
-            spec = BranchedCoverSpec(trivial_stratification(base), None, rep, pres)
+            spec = BranchedCoverSpec(StratifiedComplex(base), None, rep, pres)
             cover = fox_complete(spec)
             push = pushforward_local_system(spec.complement, spec.degree, spec.table)
             split = trace_split(push)

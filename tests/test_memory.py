@@ -17,11 +17,12 @@ from branchcover.verify import verify_branched
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
-# (peak - live after load) / (live at end - live after load) for one verify of
-# the susp-cover spec reads 3.71 (Python 3.11.2 and 3.11.7 alike); an
-# elimination that copies each boundary, with the subdivision's chains left in
-# a reference cycle, reads 5.48.  The bound sits between the two.
-PEAK_OVER_RETAINED = 4.5
+# (peak - live after load) / (live after load) for one verify of the
+# susp-cover spec reads 2.67 (Python 3.11.7); an elimination that copies each
+# boundary before consuming it reads 3.31.  The bound sits between the two.
+# The excess is measured against the loaded spec, not against what the verify
+# leaves behind, so a cache that the package stops keeping does not raise it.
+PEAK_OVER_SPEC = 3.0
 
 # What a second pass over the golden corpus may leave traced beyond the first:
 # the interpreter's free lists keep a few KB of small tuples alive (8-10 KB on
@@ -79,9 +80,9 @@ def test_verify_peak_stays_near_what_it_keeps():
         after_load = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         report = verify_branched(spec, "upper")
-        end, peak = tracemalloc.get_traced_memory()
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
         gc.enable()
     assert report.all_equal and report.internal_ok
-    assert (peak - after_load) / (end - after_load) < PEAK_OVER_RETAINED
+    assert (peak - after_load) / after_load < PEAK_OVER_SPEC

@@ -13,8 +13,6 @@ from branchcover.errors import BadDimension
 from branchcover.intersection import (
     ConeCheckResult,
     Perversity,
-    StalkCheckEntry,
-    StalkCheckResult,
     lower_middle,
 )
 from branchcover.local_systems import TraceSplit
@@ -27,6 +25,8 @@ from branchcover.verify import (
     FiberReport,
     FiberRow,
 )
+
+from stalks import StalkCheckEntry, StalkCheckResult
 
 # every record with its fields in order; Perversity validates, so it is tested apart
 RECORDS = {

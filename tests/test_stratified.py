@@ -10,12 +10,8 @@ from branchcover.simplicial import (
 )
 from branchcover.stratified import (
     StratifiedComplex,
-    barycentric_subdivide,
     cone_stratified,
-    induced_link,
-    induced_star,
     subdivide_with_subcomplexes,
-    trivial_stratification,
 )
 from branchcover.fixtures import (
     circle_cover_data,
@@ -28,11 +24,13 @@ from branchcover.fixtures import (
     torus7,
 )
 
+from complexes import barycentric_subdivide
 from oracles import subdivide_set_all_chains
+from stalks import induced_link, induced_star, min_level
 
 
 def test_trivial_stratification_levels():
-    sc = trivial_stratification(octahedron())
+    sc = StratifiedComplex(octahedron())
     assert sc.dim == 2
     assert sc.singular_set.n_simplices() == 0
     assert sc.level(-1).n_simplices() == 0
@@ -59,7 +57,7 @@ def test_purity_enforced():
     # a 2-complex with a dangling edge is not a pseudomanifold
     bad = validate_complex([[0], [1], [2], [3], [0, 1], [0, 2], [1, 2], [0, 3], [0, 1, 2]])
     with pytest.raises(BadDimension):
-        trivial_stratification(bad)
+        StratifiedComplex(bad)
 
 
 def test_top_simplices_not_singular():
@@ -70,8 +68,8 @@ def test_top_simplices_not_singular():
 
 def test_min_level_and_strata_of_suspension_torus():
     st = suspension_torus()
-    assert st.min_level((7,)) == 0
-    assert st.min_level((0,)) == 3
+    assert min_level(st, (7,)) == 0
+    assert min_level(st, (0,)) == 3
     strata = st.strata()
     # two apex strata and one top stratum
     assert [s.level for s in strata] == [0, 0, 3]
@@ -119,7 +117,7 @@ def test_induced_star_and_link_of_cone_point():
     assert lk.singular_set.n_simplices() == 0
     star_sc = induced_star(st, 7)
     assert star_sc.dim == 3
-    assert star_sc.min_level((7,)) == 0
+    assert min_level(star_sc, (7,)) == 0
 
 
 def test_induced_link_too_coarse_for_adjacent_marked_points():
@@ -134,16 +132,16 @@ def test_induced_link_too_coarse_for_adjacent_marked_points():
 
 
 def test_cone_stratified_apex_is_deepest():
-    link_sc = trivial_stratification(hexagon())
+    link_sc = StratifiedComplex(hexagon())
     cone_sc = cone_stratified(link_sc)
     assert cone_sc.dim == 2
     apex = max(cone_sc.complex.vertices)
-    assert cone_sc.min_level((apex,)) == 0
+    assert min_level(cone_sc, (apex,)) == 0
     cone_sc.full_check()
 
 
 def test_cone_stratified_of_zero_dim_link():
-    two_points = trivial_stratification(SimplicialComplex([(0,), (1,)]))
+    two_points = StratifiedComplex(SimplicialComplex([(0,), (1,)]))
     cone_sc = cone_stratified(two_points)
     assert cone_sc.dim == 1
     assert cone_sc.singular_set.n_simplices() == 0  # no singular levels in dim 1

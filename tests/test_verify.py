@@ -16,11 +16,11 @@ from branchcover.verify import (
 )
 from branchcover.fixtures import (
     circle_cover_data,
-    codim3_vertex_data,
     s3_unknot_double_data,
     sphere_branched_data,
 )
 
+from complexes import codim3_vertex_data
 from oracles import dense_nullspace
 
 
@@ -153,10 +153,11 @@ def test_fiber_report_rows():
 def test_fiber_report_trivial_local_group():
     y, r, rep, pres = codim3_vertex_data(3)
     spec = BranchedCoverSpec(y, r, rep, pres)
-    report = fiber_rank_report(spec)
+    report = fiber_rank_report(spec, fox_complete(spec))
     (row,) = report.rows
     assert row.orbit_count == 3
     assert row.one_plus_invariants == 3  # 1 + 2-dimensional invariants
+    assert row.lift_count == 3
     assert row.ok
 
 
@@ -220,14 +221,14 @@ def _suspension_circle_double_cover():
     consistent while the lower-middle equality honestly fails.
     """
     from branchcover.simplicial import SimplicialComplex, full_subcomplex, link
-    from branchcover.stratified import subdivide_with_subcomplexes, trivial_stratification
+    from branchcover.stratified import StratifiedComplex, subdivide_with_subcomplexes
     from branchcover.covering import MonodromyRep
     from branchcover.presentation import edge_path_presentation
     from branchcover.fixtures import (
         suspension_torus, solve_mod_p, cyclic_image, _relator_rows, _word_row)
 
     st = suspension_torus()
-    circle = trivial_stratification(SimplicialComplex(
+    circle = StratifiedComplex(SimplicialComplex(
         [(7,), (8,), (0,), (1,), (0, 7), (0, 8), (1, 7), (1, 8)]))
     y, (r,) = subdivide_with_subcomplexes(st, [circle])
     bverts = set(r.complex.vertices)
@@ -320,7 +321,7 @@ def test_verify_computes_each_local_monodromy_group_once(monkeypatch):
     stars = {spec.punctured_star(tau) for tau in spec.branch_simplices()}
     assert len(report.fiber.rows) == 12
     assert len(computed) == len(set(computed)) == len(stars) == 6
-    fiber_rank_report(spec)  # a later caller reads the cache
+    fiber_rank_report(spec, fox_complete(spec))  # a later caller reads the cache
     assert len(computed) == 6
 
 
