@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import InputError, InternalCheckError, UnknownFixture, BadParams
+from .errors import InputError, InternalCheckError
 from .covering import complement_presentation, fox_complete
 from .intersection import cone_formula_check, ih_betti, perversity_by_name
 from .local_systems import pushforward_local_system, trace_split, twisted_betti
@@ -146,9 +146,9 @@ def _parse_perm(text: str, degree: int) -> tuple[int, ...]:
     try:
         parts = tuple(int(x) for x in text.replace("[", "").replace("]", "").split(","))
     except ValueError:
-        raise BadParams(f"cannot parse permutation {text!r}") from None
+        raise InputError(f"cannot parse permutation {text!r}") from None
     if sorted(parts) != list(range(degree)):
-        raise BadParams(f"{list(parts)} is not a permutation of 0..{degree - 1}")
+        raise InputError(f"{list(parts)} is not a permutation of 0..{degree - 1}")
     return parts
 
 
@@ -157,7 +157,7 @@ def cmd_fixture(args) -> int:
 
     name = args.name
     if args.degree is not None and args.degree > MAX_DEGREE:
-        raise BadParams(f"--degree must be at most {MAX_DEGREE}")
+        raise InputError(f"--degree must be at most {MAX_DEGREE}")
     if name == "sphere-branched":
         points = args.points if args.points is not None else 6
         degree = args.degree if args.degree is not None else 2
@@ -177,7 +177,7 @@ def cmd_fixture(args) -> int:
     elif name == "pinched-torus":
         spec = spec_to_dict(fixtures.pinched_torus(), None, None)
     else:
-        raise UnknownFixture(f"unknown fixture {name!r}")
+        raise InputError(f"unknown fixture {name!r}")
     _emit(spec_to_text(spec), args.out)
     return 0
 
@@ -186,7 +186,7 @@ class _Parser(argparse.ArgumentParser):
     """Reports a usage error as bad input (exit 1, one line), not with argparse's exit 2."""
 
     def error(self, message):
-        raise BadParams(message)
+        raise InputError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -13,20 +13,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import (
-    BranchNotInCodim2Level,
-    ChiMismatch,
-    Disconnected,
-    DisconnectedPuncturedStar,
-    InsufficientSubdivision,
-    MissingGenerator,
-    NotAPermutation,
-    NotASubcomplex,
-    NotFull,
-    RelatorViolated,
-    SimplexNotInBranchLocus,
-    SingularOutsideBranch,
-)
+from .errors import InputError, InternalCheckError
 from .presentation import EdgePathPresentation, edge_path_presentation
 from .simplicial import (
     SimplicialComplex,
@@ -100,11 +87,11 @@ class MonodromyRep(NamedTuple):
         known = set(pres.generators)
         for edge in assignments:
             if tuple(edge) not in known:
-                raise MissingGenerator(
+                raise InputError(
                     f"{edge[0]}->{edge[1]} is not a generator edge of the presentation")
         for e in pres.generators:
             if e not in assignments:
-                raise MissingGenerator(f"no image assigned to generator {e[0]}->{e[1]}")
+                raise InputError(f"no image assigned to generator {e[0]}->{e[1]}")
             images.append(tuple(assignments[e]))
         return cls(degree, tuple(images))
 
@@ -121,13 +108,13 @@ def validate_monodromy(pres: EdgePathPresentation,
     """
     d = rep.degree
     if d < 1:
-        raise NotAPermutation("degree must be at least 1")
+        raise InputError("degree must be at least 1")
     if len(rep.images) != len(pres.generators):
-        raise MissingGenerator(
+        raise InputError(
             f"{len(pres.generators)} generators but {len(rep.images)} images")
     for e, img in zip(pres.generators, rep.images):
         if not is_permutation(img, d):
-            raise NotAPermutation(f"image of generator {e[0]}->{e[1]} is not a permutation: {list(img)}")
+            raise InputError(f"image of generator {e[0]}->{e[1]} is not a permutation: {list(img)}")
     images = rep.images
     inverses = tuple(map(invert_perm, images))
     ident = identity_perm(d)
@@ -136,7 +123,7 @@ def validate_monodromy(pres: EdgePathPresentation,
         for (gi, sign) in word:
             acc = tuple(map((images[gi] if sign > 0 else inverses[gi]).__getitem__, acc))
         if acc != ident:
-            raise RelatorViolated(f"relator {i} evaluates to {list(acc)}")
+            raise InputError(f"relator {i} evaluates to {list(acc)}")
     table: dict[tuple[int, int], Perm] = {}
     for (u, v) in pres.tree_edges:
         table[(u, v)] = table[(v, u)] = ident
@@ -163,16 +150,16 @@ def _check_branch_locus(base: StratifiedComplex, r: SimplicialComplex, full: boo
     y = base.complex
     m = base.dim
     if not r.is_subcomplex_of(y):
-        raise NotASubcomplex("branch locus is not a subcomplex of the base")
+        raise InputError("branch locus is not a subcomplex of the base")
     if r.dim > m - 2:
-        raise BranchNotInCodim2Level(
+        raise InputError(
             f"branch locus has dimension {r.dim} in a base of dimension {m}")
     if full and not is_full(y, r):
-        raise NotFull(
+        raise InputError(
             "branch locus is not a full subcomplex of the base; "
-            "run barycentric_subdivide first")
+            "raise the spec's \"subdivisions\" option")
     if m >= 2 and not base.singular_set.is_subcomplex_of(r):
-        raise SingularOutsideBranch(
+        raise InputError(
             "singular set of the base must be contained in the branch locus")
 
 
@@ -186,7 +173,7 @@ def complement_presentation(y: SimplicialComplex, branch_vertices,
     """
     complement = full_subcomplex(y, (v for v in y.vertices if v not in branch_vertices))
     if complement.n_simplices() == 0:
-        raise Disconnected("complement of the branch locus is empty")
+        raise InputError("complement of the branch locus is empty")
     if basepoint is None:
         basepoint = min(complement.vertices)
     return edge_path_presentation(complement, basepoint)
@@ -208,7 +195,7 @@ class BranchedCoverSpec:
     """
 
     __slots__ = ("base", "branch", "complement", "presentation", "monodromy",
-                 "basepoint", "branch_vertices", "_table", "_punctured", "_local_groups")
+                 "branch_vertices", "_table", "_punctured", "_local_groups")
 
     def __init__(self, base: StratifiedComplex, branch: StratifiedComplex | None,
                  monodromy: MonodromyRep, presentation: EdgePathPresentation):
@@ -218,7 +205,7 @@ class BranchedCoverSpec:
             _check_branch_locus(base, branch.complex, full=True)
         branch_vertices = frozenset(branch.complex.vertices if branch is not None else ())
         if not _is_complement(presentation.complex, base.complex, branch_vertices):
-            raise NotASubcomplex(
+            raise InputError(
                 "the presentation is not of the complement of the branch locus")
 
         self.base = base
@@ -226,7 +213,6 @@ class BranchedCoverSpec:
         self.complement = presentation.complex
         self.presentation = presentation
         self.monodromy = monodromy
-        self.basepoint = presentation.basepoint
         self.branch_vertices = branch_vertices
         self._table = validate_monodromy(presentation, monodromy)
         self._punctured: dict[Simplex, SimplicialComplex] = {}
@@ -249,7 +235,7 @@ class BranchedCoverSpec:
         """star(tau) minus the branch locus, as a full subcomplex."""
         tau = tuple(tau)
         if self.branch is None or tau not in self.branch.complex.simplices:
-            raise SimplexNotInBranchLocus(f"{list(tau)} is not a simplex of the branch locus")
+            raise InputError(f"{list(tau)} is not a simplex of the branch locus")
         cached = self._punctured.get(tau)
         if cached is None:
             cached = self._punctured[tau] = _punctured_star(
@@ -313,9 +299,12 @@ class CoverComplex:
 def local_monodromy_group(spec: BranchedCoverSpec, tau: Simplex) -> tuple[Perm, ...]:
     """Generators of the sheet action of loops in the punctured star.
 
-    Loops are read off a deterministic local spanning tree and conjugated
-    to the global basepoint along the global tree path, so the generated
-    subgroup is a well-defined representative of its conjugacy class.
+    Loops are read off a deterministic local spanning tree at the least
+    vertex of the punctured star.  ``validate_monodromy`` gives every edge
+    of the global spanning tree the identity, so the global tree path to
+    that vertex transports by the identity: conjugating the loops to the
+    global basepoint would change nothing, and the generated subgroup is
+    already a well-defined representative of its conjugacy class.
     It depends on tau only through the punctured star, so it is cached on
     the spec by punctured star: branch simplices with equal stars share it.
     """
@@ -324,15 +313,12 @@ def local_monodromy_group(spec: BranchedCoverSpec, tau: Simplex) -> tuple[Perm, 
     if cached is not None:
         return cached
     if not _nonempty_connected(p):
-        raise DisconnectedPuncturedStar(
+        raise InputError(
             f"punctured star of {list(tau)} is not connected")
     d = spec.degree
     table = spec.table
     local_base = min(p.vertices)
     local_pres = edge_path_presentation(p, local_base)
-    gamma = spec.presentation.tree_path(local_base)
-    t_gamma = transport_along(table, gamma, d)
-    t_gamma_inv = invert_perm(t_gamma)
 
     gens: list[Perm] = []
     seen: set[Perm] = set()
@@ -340,10 +326,9 @@ def local_monodromy_group(spec: BranchedCoverSpec, tau: Simplex) -> tuple[Perm, 
     for (u, v) in local_pres.generators:
         path = local_pres.tree_path(u) + (v,) + tuple(reversed(local_pres.tree_path(v)))[1:]
         loop = transport_along(table, path, d)
-        conj = compose_perms(t_gamma_inv, compose_perms(loop, t_gamma))
-        if conj != ident and conj not in seen:
-            seen.add(conj)
-            gens.append(conj)
+        if loop != ident and loop not in seen:
+            seen.add(loop)
+            gens.append(loop)
     cached = spec._local_groups[p] = tuple(sorted(gens)) if gens else (ident,)
     return cached
 
@@ -385,7 +370,7 @@ def fox_complete(spec: BranchedCoverSpec) -> CoverComplex:
 
     for tau in spec.branch_simplices():
         if not _nonempty_connected(spec.punctured_star(tau)):
-            raise DisconnectedPuncturedStar(
+            raise InputError(
                 f"punctured star of branch simplex {list(tau)} is not connected")
 
     def preimage_components(punctured: SimplicialComplex) -> tuple[tuple[int, ...], ...]:
@@ -415,7 +400,7 @@ def fox_complete(spec: BranchedCoverSpec) -> CoverComplex:
         # simplex can share a vertex set.
         lift = tuple(sorted(lift_ids))
         if lift in projection:
-            raise InsufficientSubdivision(
+            raise InputError(
                 f"lifts of {list(projection[lift])} and {list(base_simplex)} share the vertex set "
                 f"{list(lift)}; subdivide the base")
         projection[lift] = base_simplex
@@ -503,7 +488,7 @@ def riemann_hurwitz_check(cover: CoverComplex) -> int:
             rhs += sign * d
     chi = cover.total.euler_characteristic()
     if chi != rhs:
-        raise ChiMismatch(f"chi of the cover is {chi} but the branch data predicts {rhs}")
+        raise InternalCheckError(f"chi of the cover is {chi} but the branch data predicts {rhs}")
     return chi
 
 
@@ -553,7 +538,7 @@ def refine_stratification(base: StratifiedComplex, branch: StratifiedComplex) ->
 def pullback_stratification(cover: CoverComplex, refined: StratifiedComplex) -> StratifiedComplex:
     """Preimage filtration on the total complex of a completed cover."""
     if refined.complex != cover.spec.base.complex:
-        raise NotASubcomplex("refined stratification does not live on the cover's base")
+        raise InputError("refined stratification does not live on the cover's base")
     m = refined.dim
     singular = []
     for j in range(m - 2, -1, -1):

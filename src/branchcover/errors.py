@@ -1,9 +1,9 @@
-"""Exception types shared across the package.
+"""The two error families of the package.
 
-Bad user input raises an ``InputError`` subclass; a failed internal
-cross-check (something that indicates a bug rather than bad input)
-raises an ``InternalCheckError`` subclass.  The CLI maps the two
-families to distinct exit codes.
+Bad user input raises ``InputError``; a failed internal cross-check
+(something that indicates a bug rather than bad input) raises
+``InternalCheckError``.  The CLI maps the two families to exit codes 1
+and 3; the message names the failure.
 """
 
 
@@ -16,112 +16,4 @@ class InputError(BranchCoverError):
 
 
 class InternalCheckError(BranchCoverError):
-    pass
-
-
-# --- simplicial complexes and stratifications ---
-
-class NonAscendingTuple(InputError):
-    pass
-
-
-class DuplicateSimplex(InputError):
-    pass
-
-
-class MissingFace(InputError):
-    pass
-
-
-class SimplexNotFound(InputError):
-    pass
-
-
-class NotFull(InputError):
-    pass
-
-
-class BadDimension(InputError):
-    pass
-
-
-# --- presentations, monodromy, covers ---
-
-class Disconnected(InputError):
-    pass
-
-
-class BadBasepoint(InputError):
-    pass
-
-
-class RelatorViolated(InputError):
-    pass
-
-
-class MissingGenerator(InputError):
-    pass
-
-
-class NotAPermutation(InputError):
-    pass
-
-
-class SimplexNotInBranchLocus(InputError):
-    pass
-
-
-class DisconnectedPuncturedStar(InputError):
-    pass
-
-
-class BranchNotInCodim2Level(InputError):
-    pass
-
-
-class SingularOutsideBranch(InputError):
-    pass
-
-
-class InsufficientSubdivision(InputError):
-    pass
-
-
-class ChiMismatch(InternalCheckError):
-    pass
-
-
-class BranchingAtHighCodim(InternalCheckError):
-    pass
-
-
-# --- local systems ---
-
-class NotPermutationSystem(InputError):
-    pass
-
-
-class NotASubcomplex(InputError):
-    pass
-
-
-class RankMismatch(InputError):
-    pass
-
-
-class AnchorUnavailable(InputError):
-    pass
-
-
-# --- CLI and fixtures ---
-
-class UnknownFixture(InputError):
-    pass
-
-
-class BadParams(InputError):
-    pass
-
-
-class SpecFileError(InputError):
     pass

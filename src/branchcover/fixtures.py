@@ -9,7 +9,7 @@ the systems are always consistent for the fixtures shipped here.
 """
 from __future__ import annotations
 
-from .errors import BadParams
+from .errors import InputError
 from .covering import MonodromyRep, complement_presentation
 from .presentation import EdgePathPresentation, edge_path_presentation
 from .simplicial import (
@@ -28,7 +28,7 @@ from .stratified import StratifiedComplex
 def cycle_complex(n: int, start: int = 0) -> SimplicialComplex:
     """Simplicial circle on n >= 3 vertices start..start+n-1."""
     if n < 3:
-        raise BadParams("a simplicial circle needs at least 3 vertices")
+        raise InputError("a simplicial circle needs at least 3 vertices")
     vs = [start + i for i in range(n)]
     simplices = [(v,) for v in vs]
     for i in range(n):
@@ -115,7 +115,7 @@ def orient_closed_surface(c: SimplicialComplex) -> dict[Simplex, int]:
     """Coherent orientation signs for a closed triangulated surface.
 
     Adjacent triangles must induce opposite directions on their common
-    edge; propagation is BFS from the least triangle.  Raises BadParams
+    edge; propagation is BFS from the least triangle.  Raises InputError
     if the surface is not orientable or an edge is not shared by exactly
     two triangles.
     """
@@ -126,7 +126,7 @@ def orient_closed_surface(c: SimplicialComplex) -> dict[Simplex, int]:
             by_edge.setdefault(e, []).append(t)
     for e, ts in by_edge.items():
         if len(ts) != 2:
-            raise BadParams(f"edge {list(e)} lies in {len(ts)} triangles, expected 2")
+            raise InputError(f"edge {list(e)} lies in {len(ts)} triangles, expected 2")
 
     def induced(t: Simplex, e: Simplex, sign: int) -> int:
         # direction +1 means the ascending edge agrees with the boundary cycle
@@ -152,7 +152,7 @@ def orient_closed_surface(c: SimplicialComplex) -> dict[Simplex, int]:
                 need = 1 if induced(other, e, 1) == want else -1
                 if other in signs:
                     if signs[other] != need:
-                        raise BadParams("surface is not orientable")
+                        raise InputError("surface is not orientable")
                 else:
                     signs[other] = need
                     queue.append(other)
@@ -178,7 +178,7 @@ def oriented_vertex_link_cycle(c: SimplicialComplex, signs: dict[Simplex, int],
         u = cycle[-1][1]
         cycle.append((u, out[u]))
     if len(cycle) != len(out):
-        raise BadParams(f"link of vertex {v} is not a single cycle")
+        raise InputError(f"link of vertex {v} is not a single cycle")
     return cycle
 
 
@@ -259,7 +259,7 @@ def _cyclic_monodromy(pres: EdgePathPresentation, meridians: list[list[tuple[int
     rows.extend(_word_row(pres, path, n) for path in meridians)
     sol = solve_mod_p(rows, rhs, n, degree)
     if sol is None:
-        raise BadParams(failure)
+        raise InputError(failure)
     return MonodromyRep(degree, tuple(cyclic_image(s, degree) for s in sol))
 
 
@@ -286,11 +286,11 @@ def sphere_branched_data(points: int, degree: int):
     works over GF(d)).
     """
     if not 2 <= points <= 6:
-        raise BadParams("the octahedron model supports 2 to 6 branch points")
+        raise InputError("the octahedron model supports 2 to 6 branch points")
     if degree < 2 or not _is_prime(degree):
-        raise BadParams("degree must be a prime at least 2")
+        raise InputError("degree must be a prime at least 2")
     if points % degree != 0:
-        raise BadParams(
+        raise InputError(
             f"{points} meridians mapping to a d-cycle need d | points; "
             f"got degree {degree}")
 
@@ -362,9 +362,9 @@ def s3_unknot_double_data():
 def circle_cover_data(degree: int, perm: tuple[int, ...]):
     """Cover of the hexagon with the single generator mapping to `perm`."""
     if degree < 1:
-        raise BadParams("degree must be at least 1")
+        raise InputError("degree must be at least 1")
     if sorted(perm) != list(range(degree)):
-        raise BadParams(f"{list(perm)} is not a permutation of 0..{degree - 1}")
+        raise InputError(f"{list(perm)} is not a permutation of 0..{degree - 1}")
     base = hexagon()
     y = StratifiedComplex(base)
     pres = edge_path_presentation(base, 0)

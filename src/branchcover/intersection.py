@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import AnchorUnavailable, BadDimension
+from .errors import InputError
 from .local_systems import LocalSystemQ
 from .simplicial import Simplex, homology_ranks
 from .stratified import StratifiedComplex, cone_stratified
@@ -33,14 +33,14 @@ class Perversity:
 
     def __init__(self, top_dim: int, values: tuple[int, ...]):
         if top_dim < 2:
-            raise BadDimension("a perversity needs dimension at least 2")
+            raise InputError("a perversity needs dimension at least 2")
         if len(values) != top_dim - 1:
-            raise BadDimension(f"need values p(2)..p({top_dim}), got {len(values)}")
+            raise InputError(f"need values p(2)..p({top_dim}), got {len(values)}")
         if values[0] != 0:
-            raise BadDimension("p(2) must be 0")
+            raise InputError("p(2) must be 0")
         for a, b in zip(values, values[1:]):
             if b - a not in (0, 1):
-                raise BadDimension("perversity steps must be 0 or 1")
+                raise InputError("perversity steps must be 0 or 1")
         object.__setattr__(self, "top_dim", top_dim)
         object.__setattr__(self, "values", values)
 
@@ -66,7 +66,7 @@ class Perversity:
 
     def __getitem__(self, k: int) -> int:
         if not 2 <= k <= self.top_dim:
-            raise BadDimension(f"perversity value p({k}) undefined")
+            raise InputError(f"perversity value p({k}) undefined")
         return self.values[k - 2]
 
 
@@ -90,7 +90,7 @@ def perversity_by_name(name: str, m: int) -> Perversity:
     table = {"lower": lower_middle, "upper": upper_middle,
              "zero": zero_perversity, "top": top_perversity}
     if name not in table:
-        raise BadDimension(f"unknown perversity name {name!r}")
+        raise InputError(f"unknown perversity name {name!r}")
     return table[name](max(m, 2))
 
 
@@ -110,7 +110,7 @@ def _allowable(s: Simplex, m: int, level_verts: list[set[int]],
         if count == 0:
             continue
         if p is None:
-            raise BadDimension("a perversity is required in dimension >= 2")
+            raise InputError("a perversity is required in dimension >= 2")
         if count - 1 > js - k + p[k]:
             return False
     return True
@@ -136,9 +136,9 @@ def ih_betti(sc: StratifiedComplex, p: Perversity | None,
     sc.full_check()
     if m >= 2:
         if p is None:
-            raise BadDimension("a perversity is required in dimension >= 2")
+            raise InputError("a perversity is required in dimension >= 2")
         if p.top_dim < m:
-            raise BadDimension(f"perversity only defined up to {p.top_dim}, need {m}")
+            raise InputError(f"perversity only defined up to {p.top_dim}, need {m}")
     singular = set(sc.singular_set.vertices)
     level_verts = _level_vertex_sets(sc)
 
@@ -149,7 +149,7 @@ def ih_betti(sc: StratifiedComplex, p: Perversity | None,
         for v in s:
             if v not in singular:
                 return v
-        raise AnchorUnavailable(
+        raise InputError(
             f"simplex {list(s)} of an allowable chain has no vertex off the singular "
             "set; subdivide the base")
 
@@ -185,7 +185,7 @@ def cone_formula_check(link_sc: StratifiedComplex, p: Perversity | None,
     """
     l = link_sc.dim
     if l < 0:
-        raise BadDimension("the link is empty")
+        raise InputError("the link is empty")
     link_ih = ih_betti(link_sc, p, coeff)
     cone_sc = cone_stratified(link_sc)
     cone_ih = ih_betti(cone_sc, p, coeff)
@@ -194,7 +194,7 @@ def cone_formula_check(link_sc: StratifiedComplex, p: Perversity | None,
         expected = (1, 0)
     else:
         if p is None or p.top_dim < l + 1:
-            raise BadDimension(f"perversity must be defined up to {l + 1}")
+            raise InputError(f"perversity must be defined up to {l + 1}")
         cutoff = l - p[l + 1]
         expected = tuple(link_ih[j] if j < cutoff else 0 for j in range(l + 2))
     mismatches = tuple((j, expected[j], cone_ih[j])

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .errors import NotASubcomplex, NotPermutationSystem, RankMismatch
+from .errors import InputError
 from . import linalg
 from .covering import Perm
 from .simplicial import SimplicialComplex, homology_ranks
@@ -100,21 +100,21 @@ class LocalSystemQ:
     def __init__(self, base: SimplicialComplex, rank: int,
                  transports: dict[tuple[int, int], Transport]):
         if rank < 0:
-            raise RankMismatch("rank must be non-negative")
+            raise InputError("rank must be non-negative")
         edges = base.simplices_of_dim(1)
         for (u, v) in edges:
             if (u, v) not in transports or (v, u) not in transports:
-                raise NotASubcomplex(f"edge {u}->{v} has no transport")
+                raise InputError(f"edge {u}->{v} has no transport")
         ident = Transport.permutation(range(rank))
         for (u, v) in edges:
             f, b = transports[(u, v)], transports[(v, u)]
             if len(f) != rank or len(b) != rank:
-                raise RankMismatch(f"transport of {u}->{v} is not {rank}x{rank}")
+                raise InputError(f"transport of {u}->{v} is not {rank}x{rank}")
             if b @ f != ident:
-                raise RankMismatch(f"transport of {v}->{u} is not inverse to {u}->{v}")
+                raise InputError(f"transport of {v}->{u} is not inverse to {u}->{v}")
         for (a, b, c) in base.simplices_of_dim(2):
             if transports[(b, c)] @ transports[(a, b)] != transports[(a, c)]:
-                raise RankMismatch(f"flatness fails on 2-simplex {[a, b, c]}")
+                raise InputError(f"flatness fails on 2-simplex {[a, b, c]}")
         self.base = base
         self.rank = rank
         self.transports = transports
@@ -123,7 +123,7 @@ class LocalSystemQ:
         try:
             return self.transports[(u, v)]
         except KeyError:
-            raise NotASubcomplex(f"no transport along {u}->{v}") from None
+            raise InputError(f"no transport along {u}->{v}") from None
 
 def trivial_system(base: SimplicialComplex, rank: int = 1) -> LocalSystemQ:
     ident = Transport.permutation(range(rank))
@@ -167,7 +167,7 @@ def trace_split(system: LocalSystemQ) -> TraceSplit:
     for e, t in system.transports.items():
         image = tuple(row for col in t.cols for row, v in col.items() if v == 1)
         if any(len(col) != 1 for col in t.cols) or len(set(image)) != d:
-            raise NotPermutationSystem(f"transport along {e[0]}->{e[1]} is not a permutation matrix")
+            raise InputError(f"transport along {e[0]}->{e[1]} is not a permutation matrix")
         perms[e] = image
     constant = trivial_system(system.base, 1)
     made = {p: sum_zero_action(p) for p in set(perms.values())}
@@ -209,5 +209,5 @@ def twisted_betti(c: SimplicialComplex, system: LocalSystemQ) -> tuple[int, ...]
     """
     for e in c.simplices_of_dim(1):
         if e not in system.transports:
-            raise NotASubcomplex(f"local system has no transport for edge {list(e)}")
+            raise InputError(f"local system has no transport for edge {list(e)}")
     return homology_ranks(c, lambda s: True, system.rank, system.transport, min)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .errors import BadBasepoint, Disconnected
+from .errors import InputError
 from .simplicial import SimplicialComplex
 
 # a letter is (generator index, +1 or -1); a relator is a tuple of letters
@@ -24,7 +24,7 @@ class EdgePathPresentation:
 
     def __init__(self, complex: SimplicialComplex, basepoint: int):
         if basepoint not in set(complex.vertices):
-            raise BadBasepoint(f"basepoint {basepoint} is not a vertex")
+            raise InputError(f"basepoint {basepoint} is not a vertex")
         adj: dict[int, list[int]] = {v: [] for v in complex.vertices}
         for (u, v) in complex.simplices_of_dim(1):
             adj[u].append(v)
@@ -39,7 +39,7 @@ class EdgePathPresentation:
                     order.append(w)
         missing = [v for v in complex.vertices if v not in parent]
         if missing:
-            raise Disconnected(
+            raise InputError(
                 f"complex is not connected: vertex {missing[0]} unreachable from {basepoint}")
 
         self.complex = complex

@@ -16,13 +16,7 @@ from itertools import chain, combinations, filterfalse, repeat
 from operator import add
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import (
-    DuplicateSimplex,
-    InternalCheckError,
-    MissingFace,
-    NonAscendingTuple,
-    SimplexNotFound,
-)
+from .errors import InputError, InternalCheckError
 from . import linalg
 
 Simplex = tuple[int, ...]
@@ -141,12 +135,12 @@ def validate_complex(raw: Sequence[Sequence[int]]) -> SimplicialComplex:
     for entry in raw:
         s = tuple(entry)
         if not s or any(not isinstance(v, int) or isinstance(v, bool) or v < 0 for v in s):
-            raise NonAscendingTuple(
+            raise InputError(
                 f"simplex {list(entry)} is not a nonempty tuple of non-negative integers")
         if any(s[i] >= s[i + 1] for i in range(len(s) - 1)):
-            raise NonAscendingTuple(f"simplex {list(entry)} is not strictly ascending")
+            raise InputError(f"simplex {list(entry)} is not strictly ascending")
         if s in seen:
-            raise DuplicateSimplex(f"simplex {list(entry)} listed twice")
+            raise InputError(f"simplex {list(entry)} listed twice")
         seen.add(s)
     try:
         return SimplicialComplex(seen)
@@ -155,7 +149,7 @@ def validate_complex(raw: Sequence[Sequence[int]]) -> SimplicialComplex:
             if len(s) > 1:
                 for facet in combinations(s, len(s) - 1):
                     if facet not in seen:
-                        raise MissingFace(
+                        raise InputError(
                             f"simplex {list(s)} has unlisted face {list(facet)}") from None
         raise
 
@@ -178,7 +172,7 @@ def star(c: SimplicialComplex, simplex: Simplex) -> SimplicialComplex:
     """
     s = tuple(simplex)
     if s not in c.simplices:
-        raise SimplexNotFound(f"{list(s)} is not a simplex of the complex")
+        raise InputError(f"{list(s)} is not a simplex of the complex")
     sset = set(s)
     out: set[Simplex] = set()
     for tau in c.cofaces_of_vertex(s[0]):
@@ -192,7 +186,7 @@ def link(c: SimplicialComplex, simplex: Simplex) -> SimplicialComplex:
     """Faces of star simplices disjoint from ``simplex``."""
     s = tuple(simplex)
     if s not in c.simplices:
-        raise SimplexNotFound(f"{list(s)} is not a simplex of the complex")
+        raise InputError(f"{list(s)} is not a simplex of the complex")
     sset = set(s)
     st = star(c, s)
     return SimplicialComplex(t for t in st.simplices if not sset & set(t))

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 from typing import NamedTuple
 
-from .errors import SpecFileError
+from .errors import InputError
 from .covering import BranchedCoverSpec, MonodromyRep, complement_presentation
 from .presentation import EdgePathPresentation
 from .simplicial import SimplicialComplex, validate_complex
@@ -79,12 +79,12 @@ def parse_spec_text(text: str) -> SpecData:
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise SpecFileError(f"not valid JSON: {exc}") from None
+        raise InputError(f"not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
-        raise SpecFileError("top level must be an object")
+        raise InputError("top level must be an object")
     _reject_unknown_keys(raw, _SpecSections._fields, "")
     if "complex" not in raw:
-        raise SpecFileError("missing required key 'complex'")
+        raise InputError("missing required key 'complex'")
     data = SpecData(
         complex=raw["complex"],
         stratification=raw.get("stratification"),
@@ -95,33 +95,33 @@ def parse_spec_text(text: str) -> SpecData:
     )
     opts = data.options
     if not isinstance(opts, dict):
-        raise SpecFileError("'options' must be an object")
+        raise InputError("'options' must be an object")
     _reject_unknown_keys(opts, ("perversity", "subdivisions"), " in 'options'")
     if opts.get("perversity", "lower") not in ("lower", "upper", "zero", "top"):
-        raise SpecFileError("options.perversity must be lower, upper, zero or top")
+        raise InputError("options.perversity must be lower, upper, zero or top")
     subs = opts.get("subdivisions", 0)
     if not _is_int(subs) or subs not in (0, 1, 2):
-        raise SpecFileError("options.subdivisions must be 0, 1 or 2")
+        raise InputError("options.subdivisions must be 0, 1 or 2")
     if data.monodromy is not None:
         mono = data.monodromy
         if not isinstance(mono, dict) or "degree" not in mono or "assignments" not in mono:
-            raise SpecFileError("'monodromy' needs keys degree and assignments")
+            raise InputError("'monodromy' needs keys degree and assignments")
         _reject_unknown_keys(mono, ("degree", "basepoint", "assignments"), " in 'monodromy'")
         if not _is_int(mono["degree"]) or mono["degree"] < 1:
-            raise SpecFileError("monodromy.degree must be a positive integer")
+            raise InputError("monodromy.degree must be a positive integer")
         if mono["degree"] > MAX_DEGREE:
-            raise SpecFileError(f"monodromy.degree must be at most {MAX_DEGREE}")
+            raise InputError(f"monodromy.degree must be at most {MAX_DEGREE}")
         if "basepoint" in mono and not _is_int(mono["basepoint"]):
-            raise SpecFileError("monodromy.basepoint must be an integer vertex id")
+            raise InputError("monodromy.basepoint must be an integer vertex id")
         if not isinstance(mono["assignments"], dict):
-            raise SpecFileError("monodromy.assignments must be an object")
+            raise InputError("monodromy.assignments must be an object")
     return data
 
 
 def _reject_unknown_keys(section: dict, known, where: str) -> None:
     for key in section:
         if key not in known:
-            raise SpecFileError(f"unknown key {key!r}{where}")
+            raise InputError(f"unknown key {key!r}{where}")
 
 
 def _is_int(x) -> bool:
@@ -131,22 +131,22 @@ def _is_int(x) -> bool:
 def _parse_edge_key(key: str) -> tuple[int, int]:
     parts = key.split("->")
     if len(parts) != 2:
-        raise SpecFileError(f"assignment key {key!r} is not of the form 'u->v'")
+        raise InputError(f"assignment key {key!r} is not of the form 'u->v'")
     try:
         u, v = int(parts[0]), int(parts[1])
     except ValueError:
-        raise SpecFileError(f"assignment key {key!r} is not of the form 'u->v'") from None
+        raise InputError(f"assignment key {key!r} is not of the form 'u->v'") from None
     if not u < v:
-        raise SpecFileError(f"assignment key {key!r} must be ascending")
+        raise InputError(f"assignment key {key!r} must be ascending")
     return (u, v)
 
 
 def _simplices(raw: list, where: str) -> list:
     if not isinstance(raw, list):
-        raise SpecFileError(f"{where} must be a list of simplices")
+        raise InputError(f"{where} must be a list of simplices")
     for s in raw:
         if not isinstance(s, list):
-            raise SpecFileError(f"{where}: entry {s!r} is not a list")
+            raise InputError(f"{where}: entry {s!r} is not a list")
     return [tuple(s) for s in raw]
 
 
@@ -164,7 +164,7 @@ class LoadedSpec(NamedTuple):
 
     def cover_spec(self) -> BranchedCoverSpec:
         if self.monodromy is None:
-            raise SpecFileError("this command needs a 'monodromy' section")
+            raise InputError("this command needs a 'monodromy' section")
         return BranchedCoverSpec(self.base, self.branch, self.monodromy, self.presentation)
 
 
@@ -173,7 +173,7 @@ def _stratified_from_lists(complex_: SimplicialComplex, levels_raw: list | None,
     singular = []
     if levels_raw is not None:
         if not isinstance(levels_raw, list):
-            raise SpecFileError(f"{where} must be a list of levels")
+            raise InputError(f"{where} must be a list of levels")
         for level in levels_raw:
             singular.append(validate_complex(_simplices(level, where)))
     return StratifiedComplex(complex_, singular)
@@ -200,7 +200,7 @@ def load_spec(data: SpecData) -> LoadedSpec:
     if data.monodromy is not None:
         degree, n = data.monodromy["degree"], base.complex.n_simplices()
         if degree * n > MAX_COVER_SIMPLICES:
-            raise SpecFileError(
+            raise InputError(
                 f"a degree-{degree} cover of {n} base simplices exceeds "
                 f"{MAX_COVER_SIMPLICES} simplices")
         basepoint = data.monodromy.get("basepoint")
@@ -209,7 +209,7 @@ def load_spec(data: SpecData) -> LoadedSpec:
         assignments = {}
         for key, val in data.monodromy["assignments"].items():
             if not isinstance(val, list) or not all(map(_is_int, val)):
-                raise SpecFileError(f"assignment {key!r} must be a list of integers")
+                raise InputError(f"assignment {key!r} must be a list of integers")
             assignments[_parse_edge_key(key)] = tuple(val)
         monodromy = MonodromyRep.from_edge_dict(pres, degree, assignments)
 
@@ -240,7 +240,7 @@ def spec_to_dict(base: StratifiedComplex, branch: StratifiedComplex | None,
             out["branch_stratification"] = levels
     if monodromy is not None:
         if presentation is None:
-            raise SpecFileError("serializing monodromy needs the presentation")
+            raise InputError("serializing monodromy needs the presentation")
         assignments = {
             f"{u}->{v}": list(monodromy.images[i])
             for i, (u, v) in enumerate(presentation.generators)

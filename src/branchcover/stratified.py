@@ -12,7 +12,7 @@ from collections import deque
 from itertools import combinations
 from typing import NamedTuple, Sequence
 
-from .errors import BadDimension, NotFull
+from .errors import InputError
 from .simplicial import (
     EMPTY_COMPLEX,
     SimplicialComplex,
@@ -44,13 +44,13 @@ class StratifiedComplex:
                  singular_levels: Sequence[SimplicialComplex] = ()):
         m = complex.dim
         if m < 0 and singular_levels:
-            raise BadDimension("empty complex admits no singular levels")
+            raise InputError("empty complex admits no singular levels")
         levels = [EMPTY_COMPLEX] * (m + 1)
         if m >= 0:
             levels[m] = complex
         provided = list(singular_levels)
         if len(provided) > max(m - 1, 0):
-            raise BadDimension(
+            raise InputError(
                 f"too many filtration levels for dimension {m}: got {len(provided)}")
         for i, lvl in enumerate(provided):
             levels[m - 2 - i] = lvl
@@ -59,18 +59,18 @@ class StratifiedComplex:
 
         for j in range(m):
             if not levels[j].is_subcomplex_of(levels[j + 1]):
-                raise BadDimension(f"filtration level {j} is not contained in level {j + 1}")
+                raise InputError(f"filtration level {j} is not contained in level {j + 1}")
             if levels[j].dim > j:
-                raise BadDimension(
+                raise InputError(
                     f"filtration level {j} contains a simplex of dimension {levels[j].dim}")
         if m >= 1:
             sing = levels[m - 2].simplices if m >= 2 else frozenset()
             for s in complex.maximal_simplices():
                 if len(s) - 1 != m:
-                    raise BadDimension(
+                    raise InputError(
                         f"maximal simplex {list(s)} has dimension {len(s) - 1}, expected {m}")
                 if s in sing:
-                    raise BadDimension(f"top-dimensional simplex {list(s)} lies in the singular set")
+                    raise InputError(f"top-dimensional simplex {list(s)} lies in the singular set")
 
         self.complex = complex
         self.levels = tuple(levels)
@@ -152,14 +152,14 @@ class StratifiedComplex:
         return self._strata
 
     def full_check(self) -> None:
-        """Raise NotFull unless every level is full in the complex."""
+        """Raise InputError unless every level is full in the complex."""
         if self._full is None:
             bad = [j for j in range(self.dim) if not is_full(self.complex, self.levels[j])]
             self._full = tuple(bad)
         if self._full:
-            raise NotFull(
+            raise InputError(
                 f"filtration levels {list(self._full)} are not full subcomplexes; "
-                "run barycentric_subdivide first (twice always suffices)")
+                "raise the spec's \"subdivisions\" option (2 always suffices)")
 
 
 def subdivide_with_subcomplexes(
@@ -178,7 +178,7 @@ def subdivide_with_subcomplexes(
         for ex in extras]
 
 
-def cone_stratified(link_sc: StratifiedComplex, apex: int | None = None) -> StratifiedComplex:
+def cone_stratified(link_sc: StratifiedComplex) -> StratifiedComplex:
     """Closed cone with the apex as the deepest stratum.
 
     Level j of the cone is the cone on level j-1 of the link; level 0 is
@@ -187,8 +187,7 @@ def cone_stratified(link_sc: StratifiedComplex, apex: int | None = None) -> Stra
     from .simplicial import cone as cone_complex  # local import to avoid cycle noise
 
     base = link_sc.complex
-    if apex is None:
-        apex = (max(base.vertices) + 1) if base.vertices else 0
+    apex = (max(base.vertices) + 1) if base.vertices else 0
     total = cone_complex(base, apex)
     m = total.dim
     singular = []

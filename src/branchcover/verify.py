@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from typing import NamedTuple
 
-from .errors import BranchingAtHighCodim, Disconnected
+from .errors import InputError, InternalCheckError
 from .covering import (
     BranchedCoverSpec,
     ConnectivityReport,
@@ -110,7 +110,7 @@ def codim_check(spec: BranchedCoverSpec) -> CodimReport:
         card = fiber_cardinality(spec, tau)
         fibers.append((tau, card))
         if card < spec.degree:
-            raise BranchingAtHighCodim(
+            raise InternalCheckError(
                 f"fiber over {list(tau)} has cardinality {card} < degree {spec.degree} "
                 f"at codimension >= 3")
     return CodimReport(True, rdim, m, tuple(fibers), True,
@@ -210,7 +210,7 @@ def verify_branched(spec: BranchedCoverSpec, perversity: str = "lower") -> Decom
 
     base_failures = complement_connectivity_check(spec).base_failures
     if base_failures:
-        raise Disconnected(
+        raise InputError(
             f"punctured stars of {[list(s) for s in base_failures]} are disconnected")
 
     cover = fox_complete(spec)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from branchcover.covering import MonodromyRep, complement_presentation, validate_monodromy
-from branchcover.errors import NotASubcomplex
+from branchcover.errors import InputError
 from branchcover.fixtures import _closure, _rref_mod_p, boundary_simplex, cycle_complex
 from branchcover.local_systems import LocalSystemQ, pushforward_local_system
 from branchcover.presentation import EdgePathPresentation
@@ -26,7 +26,7 @@ def pushforward(pres: EdgePathPresentation, rep: MonodromyRep) -> LocalSystemQ:
 def restrict(system: LocalSystemQ, sub: SimplicialComplex) -> LocalSystemQ:
     """Restriction to a subcomplex; flatness is inherited."""
     if not sub.is_subcomplex_of(system.base):
-        raise NotASubcomplex("restriction target is not a subcomplex of the base")
+        raise InputError("restriction target is not a subcomplex of the base")
     transports = {}
     for (u, v) in sub.simplices_of_dim(1):
         transports[(u, v)] = system.transports[(u, v)]

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
-from branchcover.errors import Disconnected, InputError
+from branchcover.errors import InputError
 from branchcover.local_systems import LocalSystemQ, Transport
 from branchcover.presentation import EdgePathPresentation, edge_path_presentation
 from branchcover.simplicial import is_connected
@@ -554,7 +554,7 @@ def monodromy_matrices(system: LocalSystemQ) -> list[Transport]:
     """Transport around each generator loop of the base, at the basepoint."""
     base = system.base
     if not is_connected(base):
-        raise Disconnected("base of the local system is not connected")
+        raise InputError("base of the local system is not connected")
     if not base.vertices:
         return []
     pres = edge_path_presentation(base, min(base.vertices))

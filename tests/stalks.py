@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from branchcover.errors import BadDimension, InsufficientSubdivision
+from branchcover.errors import InputError
 from branchcover.intersection import Perversity, _allowable, _level_vertex_sets, ih_betti
 from branchcover.local_systems import LocalSystemQ
 from branchcover.simplicial import Simplex, SimplicialComplex, link, star
@@ -58,20 +58,20 @@ def induced_link(sc: StratifiedComplex, vertex: int) -> StratifiedComplex:
     lk = link(sc.complex, (vertex,))
     lk_simps = lk.simplices
     if lk.dim != m - 1:
-        raise BadDimension(
+        raise InputError(
             f"link of vertex {vertex} has dimension {lk.dim}, expected {m - 1}")
     singular = []
     for j in range(lk.dim - 2, -1, -1):
         singular.append(SimplicialComplex(lk_simps & sc.level(j + 1).simplices))
     leftover = lk_simps & sc.level(min(1, m - 1)).simplices
     if lk.dim < 2 and leftover:
-        raise InsufficientSubdivision(
+        raise InputError(
             f"link of vertex {vertex} is {lk.dim}-dimensional but meets the singular "
             "set; subdivide the complex once")
     try:
         return StratifiedComplex(lk, singular)
-    except BadDimension as exc:
-        raise InsufficientSubdivision(
+    except InputError as exc:
+        raise InputError(
             f"link of vertex {vertex} does not carry the induced filtration "
             f"({exc}); subdivide the complex once") from None
 

@@ -1,5 +1,6 @@
 import functools
 import random
+import re
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -21,16 +22,10 @@ from branchcover.covering import (
     pullback_stratification,
     refine_stratification,
     riemann_hurwitz_check,
+    transport_along,
     validate_monodromy,
 )
-from branchcover.errors import (
-    BranchNotInCodim2Level,
-    NotAPermutation,
-    NotASubcomplex,
-    NotFull,
-    RelatorViolated,
-    MissingGenerator,
-)
+from branchcover.errors import InputError
 from branchcover.presentation import edge_path_presentation
 from branchcover.simplicial import (
     SimplicialComplex,
@@ -78,7 +73,7 @@ def test_validate_hexagon_swap():
 def test_validate_full_triangle_swap_fails():
     from complexes import full_simplex
     pres = edge_path_presentation(full_simplex(2), 0)
-    with pytest.raises(RelatorViolated):
+    with pytest.raises(InputError, match=re.escape("relator 0 evaluates to [1, 0]")):
         validate_monodromy(pres, MonodromyRep(2, ((1, 0),)))
 
 
@@ -91,19 +86,19 @@ def test_validate_identity_always_ok():
 
 def test_validate_rejects_non_permutation():
     pres = edge_path_presentation(hexagon(), 0)
-    with pytest.raises(NotAPermutation):
+    with pytest.raises(InputError, match=re.escape("image of generator 3->4 is not a permutation: [0, 0]")):
         validate_monodromy(pres, MonodromyRep(2, ((0, 0),)))
 
 
 def test_validate_rejects_missing_generator():
     pres = edge_path_presentation(hexagon(), 0)
-    with pytest.raises(MissingGenerator):
+    with pytest.raises(InputError, match="1 generators but 0 images"):
         validate_monodromy(pres, MonodromyRep(2, ()))
 
 
 def test_from_edge_dict_unknown_edge():
     pres = edge_path_presentation(hexagon(), 0)
-    with pytest.raises(MissingGenerator):
+    with pytest.raises(InputError, match="0->1 is not a generator edge of the presentation"):
         MonodromyRep.from_edge_dict(pres, 2, {(0, 1): (1, 0)})
 
 
@@ -173,9 +168,22 @@ def test_validate_monodromy_matches_matrix_representation(case):
     acc = identity_perm(d)
     for gi, sign in pres.relators[first_bad]:
         acc = compose_perms(rep.images[gi] if sign > 0 else invert_perm(rep.images[gi]), acc)
-    with pytest.raises(RelatorViolated) as info:
+    with pytest.raises(InputError, match="relator") as info:
         validate_monodromy(pres, rep)
     assert str(info.value) == f"relator {first_bad} evaluates to {list(acc)}"
+
+
+@pytest.mark.parametrize("path", sorted(p for p in GOLDEN.glob("*.json")
+                                         if '"monodromy"' in p.read_text(encoding="utf-8")),
+                         ids=lambda p: p.stem)
+def test_global_tree_paths_transport_by_the_identity(path):
+    """The tree path from the basepoint to every complement vertex carries
+    the identity, so ``local_monodromy_group`` may read its loops at the
+    least vertex of a punctured star without conjugating them."""
+    spec = load_spec(parse_spec_text(path.read_text(encoding="utf-8"))).cover_spec()
+    ident = identity_perm(spec.degree)
+    for v in spec.complement.vertices:
+        assert transport_along(spec.table, spec.presentation.tree_path(v), spec.degree) == ident
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +358,7 @@ def test_branch_must_be_full():
     y = StratifiedComplex(octahedron())
     r = StratifiedComplex(SimplicialComplex([(1,), (2,)]))
     pres = complement_presentation(y.complex, frozenset(r.complex.vertices))
-    with pytest.raises(NotFull):
+    with pytest.raises(InputError, match="branch locus is not a full subcomplex of the base"):
         BranchedCoverSpec(y, r, MonodromyRep(1, ()), pres)
 
 
@@ -358,7 +366,7 @@ def test_branch_codimension_enforced():
     y = StratifiedComplex(hexagon())
     r = StratifiedComplex(SimplicialComplex([(0,)]))
     pres = complement_presentation(y.complex, frozenset(r.complex.vertices))
-    with pytest.raises(BranchNotInCodim2Level):
+    with pytest.raises(InputError, match="branch locus has dimension 0 in a base of dimension 1"):
         BranchedCoverSpec(y, r, MonodromyRep(1, ()), pres)
 
 
@@ -432,7 +440,7 @@ def test_spec_rejects_a_presentation_of_another_complex(other):
         wrong = edge_path_presentation(y.complex, pres.basepoint)
     else:
         wrong = edge_path_presentation(_skeleton(pres.complex), pres.basepoint)
-    with pytest.raises(NotASubcomplex, match="not of the complement of the branch locus"):
+    with pytest.raises(InputError, match="the presentation is not of the complement of the branch locus"):
         BranchedCoverSpec(y, r, MonodromyRep(rep.degree, ()), wrong)
 
 

@@ -1,7 +1,9 @@
+import re
+
 import pytest
 
 from branchcover.covering import BranchedCoverSpec, MonodromyRep, fox_complete
-from branchcover.errors import BadParams, DisconnectedPuncturedStar
+from branchcover.errors import InputError
 from branchcover.covering import complement_connectivity_check, fiber_cardinality
 from branchcover.presentation import edge_path_presentation
 from branchcover.simplicial import betti_numbers, link
@@ -64,17 +66,17 @@ def test_oriented_link_cycles_cover_the_link():
 def test_meridian_orientations_sum_to_zero():
     # with a coherent orientation the meridian classes sum to zero, so the
     # all-ones target is solvable exactly when the degree divides the count
-    with pytest.raises(BadParams):
+    with pytest.raises(InputError, match=re.escape("3 meridians mapping to a d-cycle need d | points; got degree 2")):
         sphere_branched_data(3, 2)
-    with pytest.raises(BadParams):
+    with pytest.raises(InputError, match=re.escape("4 meridians mapping to a d-cycle need d | points; got degree 3")):
         sphere_branched_data(4, 3)
     sphere_branched_data(6, 3)  # 3 | 6: solvable
 
 
 def test_sphere_branched_rejects_bad_params():
-    with pytest.raises(BadParams):
+    with pytest.raises(InputError, match="the octahedron model supports 2 to 6 branch points"):
         sphere_branched_data(8, 2)
-    with pytest.raises(BadParams):
+    with pytest.raises(InputError, match="degree must be a prime at least 2"):
         sphere_branched_data(4, 4)  # degree not prime
 
 
@@ -140,7 +142,7 @@ def test_branching_at_pinch_fails_flatness_shadow():
     report = complement_connectivity_check(spec)
     assert not report.ok
     assert report.base_failures == ((pinch,),)
-    with pytest.raises(DisconnectedPuncturedStar):
+    with pytest.raises(InputError, match=re.escape("punctured star of branch simplex [0] is not connected")):
         fox_complete(spec)
 
 
@@ -165,7 +167,6 @@ def test_codim3_only_identity_monodromy_validates():
     y, r, rep, pres = codim3_vertex_data(2)
     swapped = list(rep.images)
     swapped[0] = (1, 0)
-    from branchcover.errors import RelatorViolated
     from branchcover.covering import validate_monodromy
-    with pytest.raises(RelatorViolated):
+    with pytest.raises(InputError, match=r"relator \d+ evaluates to \[1, 0\]"):
         validate_monodromy(pres, MonodromyRep(2, tuple(swapped)))

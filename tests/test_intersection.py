@@ -1,10 +1,11 @@
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from branchcover.covering import BranchedCoverSpec, MonodromyRep, refine_stratification
-from branchcover.errors import BadDimension, NotFull
+from branchcover.errors import InputError
 from branchcover.intersection import (
     Perversity,
     cone_formula_check,
@@ -70,13 +71,13 @@ def test_complementary_identity():
 
 
 def test_growth_conditions_enforced():
-    with pytest.raises(BadDimension):
+    with pytest.raises(InputError, match=re.escape("p(2) must be 0")):
         Perversity(3, (1, 1))       # p(2) != 0
-    with pytest.raises(BadDimension):
+    with pytest.raises(InputError, match="perversity steps must be 0 or 1"):
         Perversity(4, (0, 2, 2))    # step of 2
-    with pytest.raises(BadDimension):
+    with pytest.raises(InputError, match="perversity steps must be 0 or 1"):
         Perversity(4, (0, 1, 0))    # decreasing
-    with pytest.raises(BadDimension):
+    with pytest.raises(InputError, match="a perversity needs dimension at least 2"):
         Perversity(1, ())
 
 
@@ -119,7 +120,7 @@ def test_allowability_monotone_in_perversity():
 def test_allowability_requires_full_levels():
     oct_ = octahedron()
     sc = StratifiedComplex(oct_, [SimplicialComplex([(1,), (2,)])])
-    with pytest.raises(NotFull):
+    with pytest.raises(InputError, match=re.escape("filtration levels [0, 1] are not full subcomplexes")):
         is_allowable((1, 2), sc, zero_perversity(2))
 
 
@@ -443,14 +444,14 @@ def test_stalk_check_unknot_base():
 def test_ic_requires_full_levels():
     oct_ = octahedron()
     sc = StratifiedComplex(oct_, [SimplicialComplex([(1,), (2,)])])
-    with pytest.raises(NotFull):
+    with pytest.raises(InputError, match=re.escape("filtration levels [0, 1] are not full subcomplexes")):
         ih_betti(sc, zero_perversity(2))
 
 
 def test_ic_requires_perversity_in_high_dimension():
-    with pytest.raises(BadDimension):
+    with pytest.raises(InputError, match="a perversity is required in dimension >= 2"):
         ih_betti(StratifiedComplex(octahedron()), None)
-    with pytest.raises(BadDimension):
+    with pytest.raises(InputError, match="perversity only defined up to 2, need 3"):
         # perversity defined only up to dimension 2 cannot serve dimension 3
         ih_betti(suspension_torus(), zero_perversity(2))
 
@@ -483,7 +484,7 @@ def test_stalk_check_refined_suspension_circle():
     st = suspension_torus()
     circle = SimplicialComplex([(7,), (8,), (0,), (1,), (0, 7), (0, 8), (1, 7), (1, 8)])
     refined = refine_stratification(st, StratifiedComplex(circle))
-    with pytest.raises(NotFull):
+    with pytest.raises(InputError, match=re.escape("filtration levels [1, 2] are not full subcomplexes")):
         deligne_stalk_check(refined, lower_middle(3))
     sub = barycentric_subdivide(refined)
     res = deligne_stalk_check(sub, lower_middle(3))

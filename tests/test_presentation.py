@@ -1,6 +1,6 @@
 import pytest
 
-from branchcover.errors import BadBasepoint, Disconnected
+from branchcover.errors import InputError
 from branchcover.presentation import edge_path_presentation
 from branchcover.simplicial import validate_complex
 from branchcover.fixtures import hexagon, octahedron
@@ -50,12 +50,12 @@ def test_tree_path():
 
 def test_disconnected():
     c = validate_complex([[0], [1], [2], [3], [0, 1], [2, 3]])
-    with pytest.raises(Disconnected):
+    with pytest.raises(InputError, match="complex is not connected: vertex 2 unreachable from 0"):
         edge_path_presentation(c, 0)
 
 
 def test_bad_basepoint():
-    with pytest.raises(BadBasepoint):
+    with pytest.raises(InputError, match="basepoint 77 is not a vertex"):
         edge_path_presentation(hexagon(), 77)
 
 

@@ -1,6 +1,7 @@
 """The package's record types: construction, immutability and value semantics."""
 import copy
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 
 import branchcover
 from branchcover.covering import ConnectivityReport, MonodromyRep
-from branchcover.errors import BadDimension
+from branchcover.errors import InputError
 from branchcover.intersection import (
     ConeCheckResult,
     Perversity,
@@ -158,9 +159,13 @@ def test_perversity_record():
             setattr(p, field, 3)
     with pytest.raises(AttributeError):
         del p.values
-    for bad in ((3, (1, 1)), (4, (0, 2, 2)), (4, (0, 1, 0)), (1, ()), (4, (0, 0))):
-        with pytest.raises(BadDimension):
+    for bad, message in (((3, (1, 1)), "p(2) must be 0"),
+                         ((4, (0, 2, 2)), "perversity steps must be 0 or 1"),
+                         ((4, (0, 1, 0)), "perversity steps must be 0 or 1"),
+                         ((1, ()), "a perversity needs dimension at least 2"),
+                         ((4, (0, 0)), "need values p(2)..p(4), got 2")):
+        with pytest.raises(InputError, match=re.escape(message)):
             Perversity(*bad)
-    with pytest.raises(BadDimension):
+    with pytest.raises(InputError, match=re.escape("perversity value p(5) undefined")):
         p[5]
     assert copy.copy(p) == copy.deepcopy(p) == pickle.loads(pickle.dumps(p)) == p

@@ -5,7 +5,7 @@ import pytest
 
 from branchcover.cli import main
 from branchcover.covering import complement_presentation
-from branchcover.errors import InputError, SpecFileError
+from branchcover.errors import InputError
 from branchcover.presentation import edge_path_presentation
 from branchcover.specfile import (
     MAX_COVER_SIMPLICES,
@@ -15,7 +15,7 @@ from branchcover.specfile import (
     spec_to_dict,
     spec_to_text,
 )
-from branchcover.fixtures import circle_cover_data, cycle_complex
+from branchcover.fixtures import circle_cover_data, cycle_complex, octahedron
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -39,19 +39,19 @@ def test_parse_minimal():
 
 
 def test_parse_rejects_bad_json():
-    with pytest.raises(SpecFileError):
+    with pytest.raises(InputError, match="not valid JSON"):
         parse_spec_text("not json")
 
 
 def test_parse_rejects_unknown_key():
-    with pytest.raises(SpecFileError):
+    with pytest.raises(InputError, match="unknown key 'monodromy_typo'"):
         parse_spec_text('{"complex": [[0]], "monodromy_typo": {}}')
 
 
 def test_parse_rejects_bad_options():
-    with pytest.raises(SpecFileError):
+    with pytest.raises(InputError, match="options.perversity must be lower, upper, zero or top"):
         parse_spec_text('{"complex": [[0]], "options": {"perversity": "middle"}}')
-    with pytest.raises(SpecFileError):
+    with pytest.raises(InputError, match="options.subdivisions must be 0, 1 or 2"):
         parse_spec_text('{"complex": [[0]], "options": {"subdivisions": 5}}')
 
 
@@ -60,7 +60,7 @@ def test_parse_rejects_bad_assignment_key():
         "complex": [[0], [1], [0, 1]],
         "monodromy": {"degree": 2, "assignments": {"1-0": [1, 0]}},
     })
-    with pytest.raises(SpecFileError):
+    with pytest.raises(InputError, match="assignment key '1-0' is not of the form 'u->v'"):
         load_spec(parse_spec_text(text))
 
 
@@ -241,7 +241,7 @@ def test_every_fixture_roundtrips_and_is_deterministic(tmp_path):
 
 
 def test_parse_requires_complex_key():
-    with pytest.raises(SpecFileError):
+    with pytest.raises(InputError, match="missing required key 'complex'"):
         parse_spec_text('{"branch": []}')
 
 
@@ -362,6 +362,34 @@ def test_cli_unreadable_spec_is_input_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _octahedron_spec(**sections):
+    simplices = sorted(octahedron().simplices, key=lambda s: (len(s), s))
+    return {"complex": [list(s) for s in simplices], **sections}
+
+
+# site -> (commands, spec): two adjacent vertices of the octahedron are not
+# a full subcomplex, as a branch locus or as a filtration level
+NOT_FULL = {
+    "branch-locus": (("verify", "fibers", "twisted"), _octahedron_spec(
+        branch=[[0], [1]], monodromy={"degree": 1, "assignments": {"3->5": [0], "4->5": [0]}})),
+    "filtration-level": (("ih",), _octahedron_spec(stratification=[[[0], [1]]])),
+}
+
+
+@pytest.mark.parametrize("site", sorted(NOT_FULL))
+def test_cli_not_full_names_the_subdivisions_option(site, tmp_path, capsys):
+    commands, raw = NOT_FULL[site]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(raw))
+    for command in commands:
+        capsys.readouterr()
+        rc = main([command, str(path)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "full subcomplex" in err and "subdivisions" in err
 
 
 def _golden_with_basepoint(basepoint):

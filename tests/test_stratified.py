@@ -1,6 +1,8 @@
+import re
+
 import pytest
 
-from branchcover.errors import BadDimension, InsufficientSubdivision, NotFull
+from branchcover.errors import InputError
 from branchcover.simplicial import (
     SimplicialComplex,
     barycentric_subdivide_complex,
@@ -42,27 +44,27 @@ def test_level_containment_enforced():
     inside = SimplicialComplex([(0,)])
     outside = SimplicialComplex([(99,)])
     StratifiedComplex(oct_, [inside])
-    with pytest.raises(BadDimension):
+    with pytest.raises(InputError, match="filtration level 1 is not contained in level 2"):
         StratifiedComplex(oct_, [outside])
 
 
 def test_level_dimension_bound():
     oct_ = octahedron()
     too_big = SimplicialComplex([(0,), (1,), (0, 1)])
-    with pytest.raises(BadDimension):
+    with pytest.raises(InputError, match="filtration level 0 contains a simplex of dimension 1"):
         StratifiedComplex(oct_, [too_big])  # level 0 with a 1-simplex
 
 
 def test_purity_enforced():
     # a 2-complex with a dangling edge is not a pseudomanifold
     bad = validate_complex([[0], [1], [2], [3], [0, 1], [0, 2], [1, 2], [0, 3], [0, 1, 2]])
-    with pytest.raises(BadDimension):
+    with pytest.raises(InputError, match=re.escape("maximal simplex [0, 3] has dimension 1, expected 2")):
         StratifiedComplex(bad)
 
 
 def test_top_simplices_not_singular():
     oct_ = octahedron()
-    with pytest.raises(BadDimension):
+    with pytest.raises(InputError, match="filtration level 0 contains a simplex of dimension 2"):
         StratifiedComplex(oct_, [oct_])
 
 
@@ -96,7 +98,7 @@ def test_full_check_failure():
     # two adjacent vertices do not span a full subcomplex (the edge is missing)
     level = SimplicialComplex([(0,), (1,)])
     sc = StratifiedComplex(oct_, [level])
-    with pytest.raises(NotFull):
+    with pytest.raises(InputError, match=re.escape("filtration levels [0, 1] are not full subcomplexes")):
         sc.full_check()
 
 
@@ -127,7 +129,7 @@ def test_induced_link_too_coarse_for_adjacent_marked_points():
     oct_ = octahedron()
     level = SimplicialComplex([(1,), (2,)])  # adjacent vertices of the octahedron
     sc = StratifiedComplex(oct_, [level])
-    with pytest.raises(InsufficientSubdivision):
+    with pytest.raises(InputError, match="link of vertex 1 is 1-dimensional but meets the singular set"):
         induced_link(sc, 1)
 
 
