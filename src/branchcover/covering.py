@@ -100,11 +100,12 @@ def validate_monodromy(pres: EdgePathPresentation,
                        rep: MonodromyRep) -> dict[tuple[int, int], Perm]:
     """Accept iff all images are permutations and all relators map to 1.
 
-    Each image is inverted once, and each relator is evaluated letter by
-    letter, left to right; the first relator that does not evaluate to
-    the identity is the one reported.  Returns the transport table:
-    oriented edge -> sheet permutation, the image on each generator edge,
-    its inverse on the reverse and the identity on both ways of a tree edge.
+    Each distinct image is checked and inverted once, and each relator is
+    evaluated letter by letter, left to right; the first relator that
+    does not evaluate to the identity is the one reported.  Returns the
+    transport table: oriented edge -> sheet permutation, the image on
+    each generator edge, its inverse on the reverse and the identity on
+    both ways of a tree edge.
     """
     d = rep.degree
     if d < 1:
@@ -112,16 +113,22 @@ def validate_monodromy(pres: EdgePathPresentation,
     if len(rep.images) != len(pres.generators):
         raise InputError(
             f"{len(pres.generators)} generators but {len(rep.images)} images")
-    for e, img in zip(pres.generators, rep.images):
-        if not is_permutation(img, d):
-            raise InputError(f"image of generator {e[0]}->{e[1]} is not a permutation: {list(img)}")
     images = rep.images
-    inverses = tuple(map(invert_perm, images))
+    inverse_of: dict[Perm, Perm] = {}
+    for e, img in zip(pres.generators, images):
+        if img not in inverse_of:
+            if not is_permutation(img, d):
+                raise InputError(
+                    f"image of generator {e[0]}->{e[1]} is not a permutation: {list(img)}")
+            inverse_of[img] = invert_perm(img)
+    inverses = tuple(map(inverse_of.__getitem__, images))
     ident = identity_perm(d)
     for i, word in enumerate(pres.relators):
         acc = ident
         for (gi, sign) in word:
-            acc = tuple(map((images[gi] if sign > 0 else inverses[gi]).__getitem__, acc))
+            p = images[gi] if sign > 0 else inverses[gi]
+            # p acts after acc; after the identity, that is p itself
+            acc = p if acc is ident else tuple(map(p.__getitem__, acc))
         if acc != ident:
             raise InputError(f"relator {i} evaluates to {list(acc)}")
     table: dict[tuple[int, int], Perm] = {}
@@ -183,7 +190,7 @@ def _is_complement(c: SimplicialComplex, y: SimplicialComplex, branch_vertices) 
     """True if ``c`` is the full subcomplex of ``y`` off ``branch_vertices``:
     a subcomplex off them with as many simplices as that full subcomplex."""
     return (branch_vertices.isdisjoint(c.vertices) and c.is_subcomplex_of(y)
-            and c.n_simplices() == sum(map(branch_vertices.isdisjoint, y.simplices)))
+            and c.n_simplices() == sum(map(branch_vertices.isdisjoint, y.all_simplices())))
 
 
 class BranchedCoverSpec:

@@ -94,7 +94,7 @@ def pinched_torus() -> StratifiedComplex:
     """
     from .simplicial import barycentric_subdivide_complex
 
-    sub, b_id, _chains = barycentric_subdivide_complex(octahedron())
+    sub, b_id, _by_top = barycentric_subdivide_complex(octahedron())
     a, b = b_id[(0,)], b_id[(5,)]
     keep, drop = min(a, b), max(a, b)
 
@@ -299,7 +299,7 @@ def sphere_branched_data(points: int, degree: int):
     branch_orig = sorted(order[:points])
 
     from .simplicial import barycentric_subdivide_complex
-    sub, b_id, _chain_of = barycentric_subdivide_complex(base0)
+    sub, b_id, _by_top = barycentric_subdivide_complex(base0)
     signs = orient_closed_surface(sub)
     branch_vertices = [b_id[(w,)] for w in branch_orig]
     branch = SimplicialComplex(tuple((v,) for v in sorted(branch_vertices)))
@@ -326,14 +326,9 @@ def s3_unknot_double_data():
     base0 = boundary_simplex(4)
     circle = [(0,), (1,), (2,), (0, 1), (1, 2), (0, 2)]
 
-    from .simplicial import barycentric_subdivide_complex
-    sub, b_id, chain_of = barycentric_subdivide_complex(base0)
-    branch_simplices = set()
-    circle_set = set(circle)
-    for ns, ch in chain_of.items():
-        if all(x in circle_set for x in ch):
-            branch_simplices.add(ns)
-    branch = SimplicialComplex(branch_simplices)
+    from .simplicial import barycentric_subdivide_complex, barycentric_subdivide_set
+    sub, _b_id, by_top = barycentric_subdivide_complex(base0)
+    branch = SimplicialComplex(barycentric_subdivide_set(by_top, circle))
 
     y = StratifiedComplex(sub)
     r = StratifiedComplex(branch)

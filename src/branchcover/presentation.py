@@ -29,11 +29,12 @@ class EdgePathPresentation:
         for (u, v) in complex.simplices_of_dim(1):
             adj[u].append(v)
             adj[v].append(u)
+        # the edges come in lexicographic order, so every list in adj ascends
         parent: dict[int, int] = {basepoint: basepoint}
         order = deque([basepoint])
         while order:
             u = order.popleft()
-            for w in sorted(adj[u]):
+            for w in adj[u]:
                 if w not in parent:
                     parent[w] = u
                     order.append(w)
@@ -46,7 +47,7 @@ class EdgePathPresentation:
         self.basepoint = basepoint
         self.parent = parent
         self.tree_edges = frozenset(
-            tuple(sorted((v, parent[v]))) for v in complex.vertices if v != basepoint)
+            (u, v) if u < v else (v, u) for v, u in parent.items() if v != basepoint)
         self.generators = tuple(
             e for e in complex.simplices_of_dim(1) if e not in self.tree_edges)
         self.gen_index = {e: i for i, e in enumerate(self.generators)}
@@ -55,7 +56,8 @@ class EdgePathPresentation:
         for i, (u, v) in enumerate(self.generators):
             letter[(u, v)] = (i, 1)
             letter[(v, u)] = (i, -1)
-        self.relators = tuple(tuple(filter(None, map(letter.get, ((a, b), (b, c), (c, a)))))
+        get = letter.get
+        self.relators = tuple(tuple(filter(None, (get((a, b)), get((b, c)), get((c, a)))))
                               for a, b, c in complex.simplices_of_dim(2))
         self._hash = hash((complex, basepoint))
 

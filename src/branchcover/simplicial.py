@@ -12,7 +12,7 @@ coefficients are not.
 from __future__ import annotations
 
 from collections import deque
-from itertools import chain, combinations, filterfalse, repeat
+from itertools import chain, combinations, groupby, repeat
 from operator import add
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -25,28 +25,31 @@ Simplex = tuple[int, ...]
 class SimplicialComplex:
     """Immutable finite abstract simplicial complex.
 
-    The constructor normalizes the input to a frozenset and verifies face
-    closure, one pass over the facets of each dimension; a ``ValueError``
-    names the smallest simplex, in (dimension, vertices) order, that lacks
-    a facet.  It is meant for internally-built simplex sets.  User input
-    goes through :func:`validate_complex`, which reports malformed data
-    instead of silently repairing it.
+    The constructor normalizes the input to a frozenset and groups it by
+    dimension, in the order given when the input is a sequence, so input
+    already in (dimension, vertices) order sorts in one linear pass.  One
+    pass over the facets of each dimension verifies face closure; a
+    ``ValueError`` names the smallest simplex, in (dimension, vertices)
+    order, that lacks a facet.  It is meant for internally-built simplex
+    sets.  User input goes through :func:`validate_complex`, which reports
+    malformed data instead of silently repairing it.
     """
 
     __slots__ = ("_simplices", "_by_dim", "_hash", "_vertices", "_maximal", "_cofaces")
 
     def __init__(self, simplices: Iterable[Simplex]):
-        if not isinstance(simplices, (set, frozenset)):
-            simplices = set(map(tuple, simplices))
-        simps = frozenset(simplices)  # copied from a set, the table is sized once
-        by_dim: dict[int, list[Simplex]] = {}
-        for s in simps:
-            by_dim.setdefault(len(s) - 1, []).append(s)
-        self._by_dim = {d: tuple(sorted(by_dim[d])) for d in sorted(by_dim)}
-        has = simps.__contains__
+        if isinstance(simplices, (set, frozenset)):
+            ordered = simps = frozenset(simplices)
+        else:
+            ordered = list(map(tuple, simplices))
+            simps = frozenset(set(ordered))  # copied from a set, the table is sized once
+            if len(simps) != len(ordered):  # a repeat: group each simplex once
+                ordered = simps
+        self._by_dim = {n - 1: tuple(sorted(run))  # a stable sort keeps the order given
+                        for n, run in groupby(sorted(ordered, key=len), len)}
         for d, top in self._by_dim.items():
-            if d > 0 and not all(map(has, _facets(top, d))):
-                s = next(s for s in top if not all(map(has, combinations(s, d))))
+            if d > 0 and not simps.issuperset(_facets(top, d)):
+                s = next(s for s in top if not all(map(simps.__contains__, combinations(s, d))))
                 facet = next(f for f in combinations(s, d) if f not in simps)
                 raise ValueError(f"not face-closed: {s} lacks face {facet}")
         self._simplices = simps
@@ -79,12 +82,21 @@ class SimplicialComplex:
         return tuple(chain.from_iterable(self._by_dim.values()))  # keyed in ascending dim
 
     def maximal_simplices(self) -> tuple[Simplex, ...]:
+        """The simplices that are no face of another, in (dimension, vertices) order.
+
+        A d-simplex is one exactly when it is no facet of a (d+1)-simplex:
+        the facets are struck from a set of the d-simplices as they are
+        made, so none of them is kept.
+        """
         if self._maximal is None:
-            proper_faces: set[Simplex] = set()
-            for d, top in self._by_dim.items():
-                if d > 0:
-                    proper_faces.update(_facets(top, d))
-            self._maximal = tuple(filterfalse(proper_faces.__contains__, self.all_simplices()))
+            out: list[Simplex] = []
+            for d, simps in self._by_dim.items():
+                if d + 1 in self._by_dim:
+                    free = set(simps)
+                    free.difference_update(_facets(self._by_dim[d + 1], d + 1))
+                    simps = filter(free.__contains__, simps)
+                out.extend(simps)
+            self._maximal = tuple(out)
         return self._maximal
 
     def cofaces_of_vertex(self, v: int) -> list[Simplex]:
@@ -117,9 +129,10 @@ class SimplicialComplex:
         return sum((-1) ** d * self.n_simplices(d) for d in range(self.dim + 1))
 
 
-def _facets(simplices: Iterable[Simplex], d: int) -> Iterator[Simplex]:
-    """The facets of the given d-simplices, with repeats, without a frame per face."""
-    return chain.from_iterable(map(combinations, simplices, repeat(d)))
+def _facets(simplices: Sequence[Simplex], d: int) -> Iterator[Simplex]:
+    """The facets of the given d-simplices, with repeats: each choice of d of
+    their d+1 vertex columns, zipped back into simplices."""
+    return chain.from_iterable(zip(*kept) for kept in combinations(zip(*simplices), d))
 
 
 EMPTY_COMPLEX = SimplicialComplex(())
@@ -156,12 +169,12 @@ def validate_complex(raw: Sequence[Sequence[int]]) -> SimplicialComplex:
 
 def full_subcomplex(c: SimplicialComplex, vertices: Iterable[int]) -> SimplicialComplex:
     """Largest subcomplex whose simplices use only the given vertices."""
-    return SimplicialComplex(set(filter(set(vertices).issuperset, c.simplices)))
+    return SimplicialComplex(list(filter(set(vertices).issuperset, c.all_simplices())))
 
 
 def is_full(c: SimplicialComplex, sub: SimplicialComplex) -> bool:
     """True if ``sub`` equals the full subcomplex on its own vertex set."""
-    on_vertices = filter(set(sub.vertices).issuperset, c.simplices)
+    on_vertices = filter(set(sub.vertices).issuperset, c.all_simplices())
     return all(map(sub.simplices.__contains__, on_vertices))
 
 
@@ -250,44 +263,51 @@ def is_connected(c: SimplicialComplex) -> bool:
 
 def barycentric_subdivide_complex(
     c: SimplicialComplex,
-) -> tuple[SimplicialComplex, dict[Simplex, int], dict[Simplex, tuple[Simplex, ...]]]:
+) -> tuple[SimplicialComplex, dict[Simplex, int], dict[Simplex, list[Simplex]]]:
     """Barycentric subdivision with bookkeeping.
 
-    Returns (subdivision, barycenter ids, chain map).  Vertices of the
-    subdivision are the simplices of the input, numbered in (dim, tuple)
-    order; simplices are chains of proper faces, and ``chain_of`` maps
-    each new simplex back to its underlying chain of old simplices.
+    Returns (subdivision, barycenter ids, index by top simplex).  The
+    vertices of the subdivision are the simplices of ``c``, numbered by
+    ``b_id`` in (dim, tuple) order.  A simplex of the subdivision is a
+    chain of faces s_0 < ... < s_k, written (b_id[s_0], ..., b_id[s_k]);
+    a proper face comes first in that order, so the ids ascend and the
+    chain is read back from them through the inverse of ``b_id``.
+    ``by_top[s]`` lists the simplices whose chain ends at ``s``, so each
+    simplex of the subdivision is listed once.  The chains are made in
+    lexicographic order, so the subdivision sorts them in one linear pass.
     """
     order = c.all_simplices()
     b_id = {s: i for i, s in enumerate(order)}
+    cofaces: list[list[int]] = [[] for _ in order]
+    for i, t in enumerate(order):
+        for k in range(1, len(t)):
+            for face in combinations(t, k):
+                cofaces[b_id[face]].append(i)
+    # the chains starting at i put (i,) before the chains starting at its
+    # cofaces, which come after i and ascend
+    starting: list[list[Simplex]] = [[] for _ in order]
+    for i in reversed(range(len(order))):
+        head = (i,)
+        out = [head]
+        for j in cofaces[i]:
+            out.extend(map(add, repeat(head), starting[j]))
+        starting[i] = out
+    chains = list(chain.from_iterable(starting))
+    by_top: list[list[Simplex]] = [[] for _ in order]
+    for ns in chains:
+        by_top[ns[-1]].append(ns)
+    return SimplicialComplex(chains), b_id, dict(zip(order, by_top))
 
-    # the chains ending at s extend the chains ending at its proper faces,
-    # which come before s in ``order``
-    chains_ending: dict[Simplex, list[tuple[Simplex, ...]]] = {}
-    chain_of: dict[Simplex, tuple[Simplex, ...]] = {}
-    for s in order:
-        out = [(s,)]
-        tail = repeat((s,))
-        for k in range(1, len(s)):
-            for face in combinations(s, k):
-                out.extend(map(add, chains_ending[face], tail))
-        chains_ending[s] = out
-        for ch in out:
-            chain_of[tuple(map(b_id.__getitem__, ch))] = ch
-    new = SimplicialComplex(chain_of.keys())
-    return new, b_id, chain_of
 
+def barycentric_subdivide_set(by_top: dict[Simplex, list[Simplex]],
+                              old: Iterable[Simplex]) -> list[Simplex]:
+    """Simplices of the subdivision inside a face-closed old subcomplex.
 
-def barycentric_subdivide_set(
-    chain_of: dict[Simplex, tuple[Simplex, ...]], old: Iterable[Simplex]
-) -> set[Simplex]:
-    """Simplices of the subdivision lying inside an old subcomplex.
-
-    A chain lies inside a face-closed ``old`` exactly when its top
-    simplex does, so only ``ch[-1]`` is looked up.
+    A chain lies inside a face-closed ``old`` exactly when its top simplex
+    does, so the answer is the union of ``by_top`` over ``old``, listed in
+    the order of ``old``; a simplex that was not subdivided adds nothing.
     """
-    old_set = set(old)
-    return {ns for ns, ch in chain_of.items() if ch[-1] in old_set}
+    return list(chain.from_iterable(map(by_top.get, old, repeat(()))))
 
 
 # ---------------------------------------------------------------------------

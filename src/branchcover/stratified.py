@@ -166,16 +166,16 @@ def subdivide_with_subcomplexes(
     sc: StratifiedComplex, extras: Sequence[StratifiedComplex]
 ) -> tuple[StratifiedComplex, list[StratifiedComplex]]:
     """Subdivide ``sc`` once, carrying stratified subcomplexes along."""
-    new, _b_id, chain_of = barycentric_subdivide_complex(sc.complex)
+    new, _b_id, by_top = barycentric_subdivide_complex(sc.complex)
+
+    def subdivided(x: SimplicialComplex) -> SimplicialComplex:
+        return SimplicialComplex(barycentric_subdivide_set(by_top, x.all_simplices()))
 
     def carry(x: StratifiedComplex, complex_: SimplicialComplex) -> StratifiedComplex:
-        return StratifiedComplex(complex_, [
-            SimplicialComplex(barycentric_subdivide_set(chain_of, x.levels[j].simplices))
-            for j in range(x.dim - 2, -1, -1)])
+        return StratifiedComplex(complex_, [subdivided(x.levels[j])
+                                            for j in range(x.dim - 2, -1, -1)])
 
-    return carry(sc, new), [
-        carry(ex, SimplicialComplex(barycentric_subdivide_set(chain_of, ex.complex.simplices)))
-        for ex in extras]
+    return carry(sc, new), [carry(ex, subdivided(ex.complex)) for ex in extras]
 
 
 def cone_stratified(link_sc: StratifiedComplex) -> StratifiedComplex:

@@ -41,7 +41,7 @@ def barycentric_subdivide(sc: StratifiedComplex) -> StratifiedComplex:
 
 def codim3_vertex_data(degree: int = 2):
     """Single branch vertex in the 3-sphere: codimension 3, fibers stay full."""
-    sub, b_id, _chain_of = barycentric_subdivide_complex(boundary_simplex(4))
+    sub, b_id, _by_top = barycentric_subdivide_complex(boundary_simplex(4))
     w = b_id[(0,)]
     branch = SimplicialComplex(((w,),))
     pres = complement_presentation(sub, {w})

@@ -148,14 +148,16 @@ def brute_star(simplices, sigma):
     return sorted(out, key=lambda s: (len(s), s))
 
 
-def subdivide_set_all_chains(chain_of, old) -> set:
+def subdivide_set_all_chains(sub, b_id, old) -> set:
     """Simplices of a barycentric subdivision whose whole chain lies in ``old``.
 
-    ``chain_of`` maps each new simplex to its chain of old simplices, as
-    returned by ``barycentric_subdivide_complex``.
+    ``sub`` and ``b_id`` are as returned by ``barycentric_subdivide_complex``;
+    the chain of a simplex of ``sub`` is read back from its vertex ids through
+    the inverse of ``b_id``.
     """
+    simplex_of = {i: s for s, i in b_id.items()}
     old_set = set(old)
-    return {ns for ns, ch in chain_of.items() if all(x in old_set for x in ch)}
+    return {ns for ns in sub.simplices if all(simplex_of[v] in old_set for v in ns)}
 
 
 def brute_link(simplices, sigma):

@@ -1,3 +1,4 @@
+import random
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -207,6 +208,36 @@ def test_ih_invariant_under_subdivision():
     for sc, p in fixtures:
         sub = barycentric_subdivide(sc)
         assert ih_betti(sub, p) == ih_betti(sc, p)
+
+
+def _relabelled(sc: StratifiedComplex, rnd: random.Random) -> StratifiedComplex:
+    """``sc`` with its vertices sent to distinct random ids."""
+    old = sc.complex.vertices
+    new_id = dict(zip(old, rnd.sample(range(3 * len(old)), len(old))))
+
+    def image(c: SimplicialComplex) -> SimplicialComplex:
+        return SimplicialComplex({tuple(sorted(map(new_id.__getitem__, s))) for s in c.simplices})
+
+    return StratifiedComplex(image(sc.complex),
+                             [image(sc.levels[j]) for j in range(sc.dim - 2, -1, -1)])
+
+
+@pytest.mark.parametrize("subdivisions", (0, 1))
+@pytest.mark.parametrize("path", [p for p in sorted(GOLDEN.glob("*.json"))
+                                  if parse_spec_text(p.read_text(encoding="utf-8")).stratification],
+                         ids=lambda p: p.stem)
+def test_betti_and_ih_do_not_depend_on_vertex_labels(path, subdivisions):
+    """Metamorphic: a random relabelling of the vertices of a golden stratified
+    base keeps its Betti numbers and its IH at both middle perversities."""
+    data = parse_spec_text(path.read_text(encoding="utf-8"))
+    base = load_spec(data._replace(branch=None, branch_stratification=None, monodromy=None,
+                                   options={"subdivisions": subdivisions})).base
+    relabelled = _relabelled(base, random.Random(f"{path.stem}:{subdivisions}"))
+    assert relabelled.complex != base.complex
+    m = base.dim
+    for perversity in (lower_middle(m), upper_middle(m)):
+        assert ih_betti(relabelled, perversity) == ih_betti(base, perversity)
+    assert betti_numbers(relabelled.complex) == betti_numbers(base.complex)
 
 
 def test_ic_complex_structure():

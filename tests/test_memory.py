@@ -18,11 +18,13 @@ from branchcover.verify import verify_branched
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 # (peak - live after load) / (live after load) for one verify of the
-# susp-cover spec reads 2.67 (Python 3.11.7); an elimination that copies each
-# boundary before consuming it reads 3.31.  The bound sits between the two.
-# The excess is measured against the loaded spec, not against what the verify
-# leaves behind, so a cache that the package stops keeping does not raise it.
-PEAK_OVER_SPEC = 3.0
+# susp-cover spec reads 4.03 (Python 3.11.7); an elimination that copies each
+# boundary before consuming it reads 4.90.  The bound sits midway.  The live
+# memory is read after a full collection, which empties the free lists of
+# set-up garbage.  The excess is measured against the loaded spec, not against
+# what the verify leaves behind, so a cache that the package stops keeping
+# does not raise it.
+PEAK_OVER_SPEC = 4.47
 
 # What a second pass over the golden corpus may leave traced beyond the first:
 # the interpreter's free lists keep a few KB of small tuples alive (8-10 KB on
@@ -77,6 +79,7 @@ def test_verify_peak_stays_near_what_it_keeps():
     try:
         loaded = load_spec(parse_spec_text(text))
         spec = loaded.cover_spec()
+        gc.collect()  # empties the free lists, which hold set-up garbage the verify reuses
         after_load = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         report = verify_branched(spec, "upper")

@@ -61,11 +61,12 @@ def _values(cls, shift=0):
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    """Nor ``branchcover.fixtures``, which only the ``fixture`` command needs."""
     package_root = str(Path(branchcover.__file__).resolve().parents[1])
     proc = subprocess.run(  # -B: no bytecode written next to the sources
         [sys.executable, "-B", "-c",
          "import sys, branchcover.cli; "
-         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+         "print(sorted({'dataclasses', 'inspect', 'branchcover.fixtures'} & set(sys.modules)))"],
         capture_output=True, text=True,
         env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root})
     assert proc.returncode == 0, proc.stderr

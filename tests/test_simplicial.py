@@ -105,6 +105,30 @@ def test_closure_check_matches_brute_definition(simps):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
+@given(closed_then_cut, st.randoms(use_true_random=False))
+def test_constructor_does_not_depend_on_the_form_of_its_input(simps, rnd):
+    """A set, a frozenset, a sorted list, a shuffled list, a list with repeats,
+    a list of lists and a generator of the same simplices give equal complexes,
+    or the same ValueError."""
+    shuffled = list(simps)
+    rnd.shuffle(shuffled)
+    repeated = shuffled + rnd.choices(shuffled, k=3) if shuffled else []
+    rnd.shuffle(repeated)
+    forms = [set(simps), frozenset(simps), _by_dim_then_vertices(simps), shuffled, repeated,
+             [list(s) for s in shuffled], (s for s in shuffled)]
+    outcomes = []
+    for form in forms:
+        try:
+            c = SimplicialComplex(form)
+        except ValueError as exc:
+            outcomes.append(str(exc))
+        else:
+            outcomes.append((tuple(c.simplices_of_dim(d) for d in range(c.dim + 1)),
+                             c.vertices, c.maximal_simplices(), hash(c), c))
+    assert all(outcome == outcomes[0] for outcome in outcomes[1:])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.lists(st.frozensets(st.integers(0, 6), min_size=1, max_size=4),
                 min_size=1, max_size=6), st.data())
 def test_maximal_full_and_is_full_match_brute_definitions(facets, data):

@@ -1,6 +1,8 @@
 import re
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from branchcover.errors import InputError
 from branchcover.simplicial import (
@@ -8,6 +10,7 @@ from branchcover.simplicial import (
     barycentric_subdivide_complex,
     barycentric_subdivide_set,
     betti_numbers,
+    full_subcomplex,
     validate_complex,
 )
 from branchcover.stratified import (
@@ -16,6 +19,7 @@ from branchcover.stratified import (
     subdivide_with_subcomplexes,
 )
 from branchcover.fixtures import (
+    boundary_simplex,
     circle_cover_data,
     hexagon,
     octahedron,
@@ -27,7 +31,7 @@ from branchcover.fixtures import (
 )
 
 from complexes import barycentric_subdivide
-from oracles import subdivide_set_all_chains
+from oracles import close_faces, subdivide_set_all_chains
 from stalks import induced_link, induced_star, min_level
 
 
@@ -159,14 +163,48 @@ SHIPPED_FIXTURES = {
 }
 
 
+def _assert_carried_by_all_chain_rule(subdivision, old):
+    """The top-simplex index carries ``old`` to the simplices of the subdivision
+    whose whole chain lies in ``old``, each listed once."""
+    new, b_id, by_top = subdivision
+    carried = barycentric_subdivide_set(by_top, old)
+    assert len(carried) == len(set(carried))
+    assert set(carried) == subdivide_set_all_chains(new, b_id, old)
+
+
 @pytest.mark.parametrize("name", sorted(SHIPPED_FIXTURES))
 def test_subdivided_levels_match_all_chain_rule(name):
     base, branch = SHIPPED_FIXTURES[name]()
     extras = [branch] if branch is not None else []
     for subdivision in (1, 2):
-        _new, _b_id, chain_of = barycentric_subdivide_complex(base.complex)
+        subdivided = barycentric_subdivide_complex(base.complex)
         for level in dict.fromkeys(base.levels + tuple(lvl for ex in extras for lvl in ex.levels)):
-            assert (barycentric_subdivide_set(chain_of, level.simplices)
-                    == subdivide_set_all_chains(chain_of, level.simplices)), subdivision
+            _assert_carried_by_all_chain_rule(subdivided, level.simplices)
         if subdivision == 1:
             base, extras = subdivide_with_subcomplexes(base, extras)
+
+
+SMALL_BASES = {"octahedron": octahedron, "torus7": torus7,
+               "boundary-4-simplex": lambda: boundary_simplex(4)}
+
+
+@lru_cache(maxsize=None)
+def _small_base(name: str, subdivisions: int):
+    """A small base subdivided ``subdivisions`` times, with its next subdivision."""
+    c = SMALL_BASES[name]()
+    for _ in range(subdivisions):
+        c = barycentric_subdivide_complex(c)[0]
+    return c, barycentric_subdivide_complex(c)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(SMALL_BASES)), st.sampled_from((0, 1)), st.booleans(), st.data())
+def test_subdivided_subcomplexes_match_all_chain_rule(name, subdivisions, full, data):
+    """Random face-closed subcomplexes: full ones on random vertex sets and
+    closures of random simplices, of small bases subdivided 0 or 1 times."""
+    c, subdivided = _small_base(name, subdivisions)
+    if full:
+        old = full_subcomplex(c, data.draw(st.sets(st.sampled_from(c.vertices)))).simplices
+    else:
+        old = close_faces(data.draw(st.lists(st.sampled_from(c.all_simplices()), max_size=5)))
+    _assert_carried_by_all_chain_rule(subdivided, old)
