@@ -19,8 +19,8 @@ from .simplicial import (
     SimplicialComplex,
     Simplex,
     components,
+    connected_components,
     full_subcomplex,
-    is_connected,
     is_full,
     star,
 )
@@ -54,20 +54,7 @@ def is_permutation(seq: Sequence[int], d: int) -> bool:
 
 
 def orbit_count(perms: Iterable[Perm], d: int) -> int:
-    parent = list(range(d))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for p in perms:
-        for i in range(d):
-            ri, rj = find(i), find(p[i])
-            if ri != rj:
-                parent[ri] = rj
-    return len({find(i) for i in range(d)})
+    return len(connected_components(range(d), (e for p in perms for e in enumerate(p))))
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +189,7 @@ class BranchedCoverSpec:
     """
 
     __slots__ = ("base", "branch", "complement", "presentation", "monodromy",
-                 "branch_vertices", "_table", "_punctured", "_local_groups")
+                 "branch_vertices", "_table", "_punctured", "_connected", "_local_groups")
 
     def __init__(self, base: StratifiedComplex, branch: StratifiedComplex | None,
                  monodromy: MonodromyRep, presentation: EdgePathPresentation):
@@ -223,6 +210,7 @@ class BranchedCoverSpec:
         self.branch_vertices = branch_vertices
         self._table = validate_monodromy(presentation, monodromy)
         self._punctured: dict[Simplex, SimplicialComplex] = {}
+        self._connected: set[SimplicialComplex] = set()
         self._local_groups: dict[SimplicialComplex, tuple[Perm, ...]] = {}
 
     @property
@@ -239,14 +227,24 @@ class BranchedCoverSpec:
         return self.branch.complex.all_simplices()
 
     def punctured_star(self, tau: Simplex) -> SimplicialComplex:
-        """star(tau) minus the branch locus, as a full subcomplex."""
+        """star(tau) minus the branch locus, as a full subcomplex.
+
+        The one connectivity test of a base punctured star: an empty or
+        disconnected one raises :class:`InputError`.  Only stars that pass
+        are cached; equal stars of different branch simplices are tested once.
+        """
         tau = tuple(tau)
         if self.branch is None or tau not in self.branch.complex.simplices:
             raise InputError(f"{list(tau)} is not a simplex of the branch locus")
         cached = self._punctured.get(tau)
         if cached is None:
-            cached = self._punctured[tau] = _punctured_star(
-                self.base.complex, tau, self.branch_vertices)
+            cached = _punctured_star(self.base.complex, tau, self.branch_vertices)
+            if cached not in self._connected:
+                if not _nonempty_connected(cached):
+                    raise InputError(
+                        f"punctured star of branch simplex {list(tau)} is not connected")
+                self._connected.add(cached)
+            self._punctured[tau] = cached
         return cached
 
 
@@ -257,7 +255,7 @@ def _punctured_star(c: SimplicialComplex, s: Simplex, removed) -> SimplicialComp
 
 
 def _nonempty_connected(c: SimplicialComplex) -> bool:
-    return c.n_simplices() > 0 and is_connected(c)
+    return len(components(c)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -319,9 +317,6 @@ def local_monodromy_group(spec: BranchedCoverSpec, tau: Simplex) -> tuple[Perm, 
     cached = spec._local_groups.get(p)
     if cached is not None:
         return cached
-    if not _nonempty_connected(p):
-        raise InputError(
-            f"punctured star of {list(tau)} is not connected")
     d = spec.degree
     table = spec.table
     local_base = min(p.vertices)
@@ -376,26 +371,23 @@ def fox_complete(spec: BranchedCoverSpec) -> CoverComplex:
     next_id = len(vid)
 
     for tau in spec.branch_simplices():
-        if not _nonempty_connected(spec.punctured_star(tau)):
-            raise InputError(
-                f"punctured star of branch simplex {list(tau)} is not connected")
+        spec.punctured_star(tau)  # raises unless non-empty and connected
 
-    def preimage_components(punctured: SimplicialComplex) -> tuple[tuple[int, ...], ...]:
-        lifted = [(vid[(v, s)],) for v in punctured.vertices for s in range(d)]
-        for (u, v) in punctured.simplices_of_dim(1):
-            perm = table[(u, v)]
-            lifted.extend(tuple(sorted((vid[(u, s)], vid[(v, perm[s])]))) for s in range(d))
-        return components(SimplicialComplex(lifted))
+    def preimage_components(punctured: SimplicialComplex) -> list[list[int]]:
+        # the sheet vertices ascend, so each component does and they come in order
+        return connected_components(
+            (vid[(v, s)] for v in punctured.vertices for s in range(d)),
+            ((vid[(u, s)], vid[(v, table[(u, v)][s])])
+             for (u, v) in punctured.simplices_of_dim(1) for s in range(d)))
 
     # one new vertex per component of the preimage of each vertex's punctured star
-    vertex_comps: dict[int, tuple[tuple[int, ...], ...]] = {}  # read again as the lifts of (w,)
+    vertex_comps: dict[int, list[list[int]]] = {}  # read again as the lifts of (w,)
     over: dict[int, dict[int, int]] = {}  # branch vertex -> sheet vertex id -> new vertex id
     for w in sorted(branch_vertices):
         vertex_comps[w] = preimage_components(spec.punctured_star((w,)))
         lookup = over[w] = {}
         for comp in vertex_comps[w]:
-            for x in comp:
-                lookup[x] = next_id
+            lookup.update(dict.fromkeys(comp, next_id))
             next_id += 1
 
     projection: dict[Simplex, Simplex] = {}
@@ -439,7 +431,8 @@ def fox_complete(spec: BranchedCoverSpec) -> CoverComplex:
 
 
 class ConnectivityReport(NamedTuple):
-    """Punctured-star connectivity, downstairs and (optionally) upstairs."""
+    """Punctured-star connectivity downstairs and upstairs; ``base_failures``
+    is always empty, as the spec hands out only connected punctured stars."""
 
     base_failures: tuple[Simplex, ...]
     cover_failures: tuple[Simplex, ...]
@@ -452,27 +445,24 @@ class ConnectivityReport(NamedTuple):
 
 
 def complement_connectivity_check(spec: BranchedCoverSpec,
-                                  cover: CoverComplex | None = None) -> ConnectivityReport:
+                                  cover: CoverComplex) -> ConnectivityReport:
     """Verify star(tau) minus the locus is non-empty and connected for every
-    branch simplex tau, and with a cover, star(lift) minus the vertices over
-    the locus for every lift of every branch simplex.
+    branch simplex tau, and star(lift) minus the vertices over the locus
+    for every lift of every branch simplex.
 
-    The base stars are the spec's cached punctured stars, so a second call
-    with the cover repeats no star of the base.  Non-fatal: failures are
+    The base stars are read through :meth:`BranchedCoverSpec.punctured_star`,
+    which raises on a disconnected one and caches the rest, so after
+    :func:`fox_complete` they cost nothing.  A failure upstairs is
     reported, not raised.
     """
     taus = spec.branch_simplices()
-    base_failures = tuple(tau for tau in taus if not _nonempty_connected(spec.punctured_star(tau)))
-    cover_failures = []
-    checked_cover = 0
-    if cover is not None:
-        over_locus = {v for w in spec.branch_vertices for (v,) in cover.fiber_over((w,))}
-        for tau in taus:
-            for lift in cover.fiber_over(tau):
-                checked_cover += 1
-                if not _nonempty_connected(_punctured_star(cover.total, lift, over_locus)):
-                    cover_failures.append(lift)
-    return ConnectivityReport(base_failures, tuple(cover_failures), len(taus), checked_cover)
+    for tau in taus:
+        spec.punctured_star(tau)
+    over_locus = {v for w in spec.branch_vertices for (v,) in cover.fiber_over((w,))}
+    lifts = [lift for tau in taus for lift in cover.fiber_over(tau)]
+    cover_failures = tuple(lift for lift in lifts if not _nonempty_connected(
+        _punctured_star(cover.total, lift, over_locus)))
+    return ConnectivityReport((), cover_failures, len(taus), len(lifts))
 
 
 def riemann_hurwitz_check(cover: CoverComplex) -> int:

@@ -11,10 +11,9 @@ coefficients are not.
 """
 from __future__ import annotations
 
-from collections import deque
 from itertools import chain, combinations, groupby, repeat
 from operator import add
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .errors import InputError, InternalCheckError
 from . import linalg
@@ -228,33 +227,33 @@ def suspension(c: SimplicialComplex) -> SimplicialComplex:
     return SimplicialComplex(simps)
 
 
+def connected_components(nodes: Iterable[Hashable],
+                         edges: Iterable[tuple[Hashable, Hashable]]) -> list[list]:
+    """The connected components of a graph, by union-find (Tarjan, JACM 1975).
+
+    Each component lists its nodes in the order given, and the components
+    come in the order of their first node.  Every edge joins two nodes.
+    """
+    parent = {v: v for v in nodes}
+
+    def find(x):
+        while (up := parent[x]) != x:
+            parent[x] = x = parent[up]
+        return x
+
+    for u, v in edges:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+    groups: dict = {}
+    for v in parent:
+        groups.setdefault(find(v), []).append(v)
+    return list(groups.values())
+
+
 def components(c: SimplicialComplex) -> tuple[tuple[int, ...], ...]:
-    """Connected components of the vertex set under edge adjacency."""
-    adj: dict[int, list[int]] = {v: [] for v in c.vertices}
-    for (u, v) in c.simplices_of_dim(1):
-        adj[u].append(v)
-        adj[v].append(u)
-    seen: set[int] = set()
-    comps = []
-    for v0 in c.vertices:
-        if v0 in seen:
-            continue
-        comp = []
-        queue = deque([v0])
-        seen.add(v0)
-        while queue:
-            u = queue.popleft()
-            comp.append(u)
-            for w in sorted(adj[u]):
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        comps.append(tuple(sorted(comp)))
-    return tuple(sorted(comps))
-
-
-def is_connected(c: SimplicialComplex) -> bool:
-    return len(components(c)) <= 1
+    """Connected components of the vertices under edge adjacency, in ascending order."""
+    return tuple(map(tuple, connected_components(c.vertices, c.simplices_of_dim(1))))
 
 
 # ---------------------------------------------------------------------------

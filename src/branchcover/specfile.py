@@ -187,6 +187,8 @@ def load_spec(data: SpecData) -> LoadedSpec:
     branch = None
     if data.branch:
         branch_c = validate_complex(_simplices(data.branch, "branch"))
+        if not branch_c.is_subcomplex_of(base_c):  # a subdivision would drop the rest
+            raise InputError("branch locus is not a subcomplex of the base")
         branch = _stratified_from_lists(branch_c, data.branch_stratification,
                                         "branch_stratification")
 

@@ -8,8 +8,7 @@ the smallest level containing it.
 """
 from __future__ import annotations
 
-from collections import deque
-from itertools import combinations
+from itertools import combinations, groupby
 from typing import NamedTuple, Sequence
 
 from .errors import InputError
@@ -19,6 +18,7 @@ from .simplicial import (
     Simplex,
     barycentric_subdivide_complex,
     barycentric_subdivide_set,
+    connected_components,
     is_full,
 )
 
@@ -110,44 +110,21 @@ class StratifiedComplex:
         Two simplices of the same difference are adjacent when one is a
         face of the other; since the level assignment is monotone under
         faces, any such pair is joined by a chain of facet steps inside
-        the difference, so codimension-1 adjacency suffices.
+        the difference, so codimension-1 adjacency suffices.  Pieces list
+        their simplices in (dimension, vertices) order.
         """
         if self._strata is not None:
             return self._strata
         table = {s: self.dim for s in self.complex.simplices}  # smallest level holding s
         for j in range(self.dim - 1, -1, -1):
-            for s in self.levels[j].simplices:
-                table[s] = j
-        by_level: dict[int, list[Simplex]] = {}
-        for s, j in table.items():
-            by_level.setdefault(j, []).append(s)
+            table.update(dict.fromkeys(self.levels[j].simplices, j))
         out = []
-        for j in sorted(by_level):
-            group = set(by_level[j])
-            adj: dict[Simplex, list[Simplex]] = {s: [] for s in group}
-            for s in group:
-                if len(s) > 1:
-                    for facet in combinations(s, len(s) - 1):
-                        if facet in group:
-                            adj[s].append(facet)
-                            adj[facet].append(s)
-            seen: set[Simplex] = set()
-            for s0 in sorted(by_level[j], key=lambda s: (len(s), s)):
-                if s0 in seen:
-                    continue
-                piece = []
-                queue = deque([s0])
-                seen.add(s0)
-                while queue:
-                    s = queue.popleft()
-                    piece.append(s)
-                    for t in adj[s]:
-                        if t not in seen:
-                            seen.add(t)
-                            queue.append(t)
-                piece.sort(key=lambda s: (len(s), s))
-                out.append(Stratum(level=j, dim=max(len(s) - 1 for s in piece),
-                                   simplices=tuple(piece)))
+        for j, run in groupby(sorted(table, key=lambda s: (table[s], len(s), s)), table.get):
+            nodes = list(run)
+            facets = ((s, f) for s in nodes if len(s) > 1
+                      for f in combinations(s, len(s) - 1) if table[f] == j)
+            out.extend(Stratum(level=j, dim=len(piece[-1]) - 1, simplices=tuple(piece))
+                       for piece in connected_components(nodes, facets))
         self._strata = tuple(out)
         return self._strata
 

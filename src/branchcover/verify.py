@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from typing import NamedTuple
 
-from .errors import InputError, InternalCheckError
+from .errors import InternalCheckError
 from .covering import (
     BranchedCoverSpec,
     ConnectivityReport,
@@ -207,11 +207,6 @@ def verify_branched(spec: BranchedCoverSpec, perversity: str = "lower") -> Decom
     """
     m = spec.base.dim
     p = perversity_by_name(perversity, m) if m >= 2 else None
-
-    base_failures = complement_connectivity_check(spec).base_failures
-    if base_failures:
-        raise InputError(
-            f"punctured stars of {[list(s) for s in base_failures]} are disconnected")
 
     cover = fox_complete(spec)
     euler_cover = riemann_hurwitz_check(cover)

@@ -24,7 +24,6 @@ from itertools import combinations, product
 from branchcover.errors import InputError
 from branchcover.local_systems import LocalSystemQ, Transport
 from branchcover.presentation import EdgePathPresentation, edge_path_presentation
-from branchcover.simplicial import is_connected
 
 
 def dense_rank(rows) -> int:
@@ -187,6 +186,44 @@ def bfs_components(vertices, edges):
                     stack.append(w)
         comps.append(sorted(comp))
     return comps
+
+
+def bfs_strata(simplices, levels):
+    """Strata from the definition, as (level, dim, simplices) triples.
+
+    A simplex belongs to the smallest level holding it; a stratum is a
+    connected piece of a level difference, two simplices adjacent when one
+    is a face of the other.  Pieces come in the order of their least
+    simplex and list their simplices in (dimension, vertices) order.
+    """
+    def order(s):
+        return (len(s), s)
+
+    level = {s: min(j for j, lvl in enumerate(levels) if s in lvl) for s in simplices}
+    out = []
+    for j in sorted(set(level.values())):
+        group = sorted((s for s in level if level[s] == j), key=order)
+        adj = {s: set() for s in group}
+        for s in group:
+            for k in range(1, len(s)):
+                for face in combinations(s, k):
+                    if face in adj:
+                        adj[s].add(face)
+                        adj[face].add(s)
+        seen = set()
+        for s0 in group:
+            if s0 in seen:
+                continue
+            piece, stack = [], [s0]
+            seen.add(s0)
+            while stack:
+                s = stack.pop()
+                piece.append(s)
+                stack.extend(t for t in adj[s] - seen)
+                seen.update(adj[s])
+            piece.sort(key=order)
+            out.append((j, max(len(s) for s in piece) - 1, tuple(piece)))
+    return out
 
 
 def orbits_of(perms, d):
@@ -555,7 +592,7 @@ def from_representation(rep: RepresentationQ) -> LocalSystemQ:
 def monodromy_matrices(system: LocalSystemQ) -> list[Transport]:
     """Transport around each generator loop of the base, at the basepoint."""
     base = system.base
-    if not is_connected(base):
+    if len(bfs_components(base.vertices, base.simplices_of_dim(1))) > 1:
         raise InputError("base of the local system is not connected")
     if not base.vertices:
         return []

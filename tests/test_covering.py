@@ -109,6 +109,16 @@ def test_perm_helpers():
     assert orbit_count([(1, 0, 2)], 3) == 2
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 9).flatmap(
+    lambda d: st.tuples(st.just(d), st.lists(st.permutations(range(d)), max_size=4))))
+def test_orbit_count_matches_union_find_oracle(family):
+    d, perms = family
+    perms = [tuple(p) for p in perms]
+    assert orbit_count(perms, d) == len(orbits_of(perms, d))
+    assert orbit_count(iter(perms), d) == len(orbits_of(perms, d))  # any iterable
+
+
 @functools.cache
 def _golden_presentation_and_images(name):
     loaded = load_spec(parse_spec_text((GOLDEN / f"{name}.json").read_text(encoding="utf-8")))
@@ -385,10 +395,13 @@ def test_connectivity_check_passes_on_sphere_fixture():
 
 
 def test_connectivity_check_passes_on_unknot():
+    # the check takes the cover; the base stars need none, since the spec
+    # hands out only connected ones
     y, r, rep, pres = s3_unknot_double_data()
     spec = BranchedCoverSpec(y, r, rep, pres)
-    report = complement_connectivity_check(spec)
-    assert report.ok and report.checked_base == 12
+    report = complement_connectivity_check(spec, fox_complete(spec))
+    assert report.ok and report.checked_base == 12 and report.checked_cover == 12
+    assert report.base_failures == ()
 
 
 def _susp_cover_bench_spec(monkeypatch) -> BranchedCoverSpec:

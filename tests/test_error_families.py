@@ -41,3 +41,24 @@ def test_every_raise_of_a_package_error_names_a_family():
     raised = raised_error_names(PACKAGE)
     assert raised, "no raise of a package error was found"
     assert [r for r in raised if r[2] not in FAMILIES] == []
+
+
+def raise_messages(package: Path) -> list[tuple[str, int, str]]:
+    """(file, line, text) of every raise, its text the string constants of
+    its call's arguments, f-string pieces included."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                text = "".join(c.value for arg in node.exc.args for c in ast.walk(arg)
+                               if isinstance(c, ast.Constant) and isinstance(c.value, str))
+                found.append((path.name, node.lineno, text))
+    return found
+
+
+def test_one_raise_decides_that_a_punctured_star_is_disconnected():
+    """The spec's ``punctured_star`` is the one connectivity test of a base
+    punctured star; no other raise repeats it."""
+    sites = [r for r in raise_messages(PACKAGE) if "punctured star" in r[2]]
+    assert [(name, text) for name, _line, text in sites] == [
+        ("covering.py", "punctured star of branch simplex  is not connected")]

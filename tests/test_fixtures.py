@@ -4,7 +4,7 @@ import pytest
 
 from branchcover.covering import BranchedCoverSpec, MonodromyRep, fox_complete
 from branchcover.errors import InputError
-from branchcover.covering import complement_connectivity_check, fiber_cardinality
+from branchcover.covering import fiber_cardinality
 from branchcover.presentation import edge_path_presentation
 from branchcover.simplicial import betti_numbers, link
 from branchcover.fixtures import (
@@ -125,8 +125,8 @@ def test_pinched_torus_is_pseudomanifold():
 
 
 def test_branching_at_pinch_fails_flatness_shadow():
-    # the punctured star of the pinch vertex is disconnected, so the
-    # configuration is rejected by the local-flatness shadow checks
+    # the punctured star of the pinch vertex is disconnected, so the spec
+    # refuses to hand it out and the cover cannot be built: one message
     pt = pinched_torus()
     pinch = pt.level(0).vertices[0]
     from branchcover.simplicial import SimplicialComplex
@@ -139,10 +139,10 @@ def test_branching_at_pinch_fails_flatness_shadow():
     pres = edge_path_presentation(complement, min(complement.vertices))
     rep = MonodromyRep(1, tuple((0,) for _ in pres.generators))
     spec = BranchedCoverSpec(pt, r, rep, pres)
-    report = complement_connectivity_check(spec)
-    assert not report.ok
-    assert report.base_failures == ((pinch,),)
-    with pytest.raises(InputError, match=re.escape("punctured star of branch simplex [0] is not connected")):
+    message = re.escape(f"punctured star of branch simplex [{pinch}] is not connected")
+    with pytest.raises(InputError, match=f"^{message}$"):
+        spec.punctured_star((pinch,))
+    with pytest.raises(InputError, match=f"^{message}$"):
         fox_complete(spec)
 
 

@@ -4,7 +4,8 @@ from pathlib import Path
 
 ORACLES = Path(__file__).resolve().parent / "oracles.py"
 ENGINE_MODULES = {"branchcover.linalg", "branchcover.intersection"}
-ENGINE_WORDS = ("rank", "nullspace", "betti", "chain_complex", "boundary")
+ENGINE_WORDS = ("rank", "nullspace", "betti", "chain_complex", "boundary", "component",
+                "connected")
 
 
 def imported_names(tree):

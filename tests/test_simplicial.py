@@ -13,6 +13,7 @@ from branchcover.simplicial import (
     betti_numbers,
     components,
     cone,
+    connected_components,
     full_subcomplex,
     homology_ranks,
     is_full,
@@ -304,6 +305,24 @@ def test_components_octahedron_minus_star():
                               rest.simplices_of_dim(1))
     assert [list(c) for c in got] == expected
     assert len(got) == 1
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_connected_components_match_bfs_oracle(data):
+    """Shuffled nodes, repeated edges and self-loops: the same partition as
+    the oracle, each component in input order, components by first node."""
+    n = data.draw(st.integers(0, 12))
+    nodes = data.draw(st.permutations(range(n)))
+    node = st.integers(0, n - 1)
+    edges = data.draw(st.lists(st.tuples(node, node), max_size=16)) if n else []
+    edges += data.draw(st.lists(st.sampled_from(edges), max_size=4)) if edges else []
+    got = connected_components(nodes, edges)
+    assert sorted(map(sorted, got)) == bfs_components(nodes, edges)
+    position = {v: i for i, v in enumerate(nodes)}
+    assert all(c == sorted(c, key=position.get) for c in got)
+    firsts = [position[c[0]] for c in got]
+    assert firsts == sorted(firsts)
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,10 @@ from pathlib import Path
 import pytest
 
 from branchcover.cli import main
-from branchcover.covering import complement_presentation
+from branchcover.covering import MonodromyRep, complement_presentation
 from branchcover.errors import InputError
 from branchcover.presentation import edge_path_presentation
+from branchcover.simplicial import SimplicialComplex
 from branchcover.specfile import (
     MAX_COVER_SIMPLICES,
     MAX_DEGREE,
@@ -15,7 +16,8 @@ from branchcover.specfile import (
     spec_to_dict,
     spec_to_text,
 )
-from branchcover.fixtures import circle_cover_data, cycle_complex, octahedron
+from branchcover.stratified import StratifiedComplex
+from branchcover.fixtures import circle_cover_data, cycle_complex, octahedron, pinched_torus
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -464,3 +466,56 @@ def test_cover_size_cap_exits_1_before_the_cover_is_built(tmp_path, capsys, monk
 def test_cover_size_cap_admits_exactly_the_cap():
     loaded = load_spec(parse_spec_text(_cycle_spec(50, MAX_DEGREE)))
     assert loaded.monodromy.degree * loaded.base.complex.n_simplices() == MAX_COVER_SIMPLICES
+
+
+SPEC_COMMANDS = ("generators", "verify", "homology", "twisted", "ih", "fibers", "cone-check")
+
+
+def _sphere_with_branch_outside_base(subdivisions: int) -> dict:
+    """sphere-p2-d2 at ``subdivisions`` with identity assignments, and the
+    vertex [999], which is not in the base, added to its branch locus."""
+    raw = json.loads((GOLDEN / "sphere-p2-d2.json").read_text(encoding="utf-8"))
+    raw["options"]["subdivisions"] = subdivisions
+    degree = raw.pop("monodromy")["degree"]
+    loaded = load_spec(parse_spec_text(json.dumps(raw)))
+    pres = complement_presentation(loaded.base.complex, frozenset(loaded.branch.complex.vertices))
+    raw["monodromy"] = {"degree": degree, "assignments": {
+        f"{u}->{v}": list(range(degree)) for u, v in pres.generators}}
+    raw["branch"].append([999])
+    return raw
+
+
+@pytest.mark.parametrize("subdivisions", (0, 1))
+def test_branch_outside_the_base_is_rejected_before_subdividing(subdivisions, tmp_path, capsys):
+    """A subdivision carries only the branch simplices inside the base, so
+    one outside it is rejected before subdividing, by every command."""
+    raw = _sphere_with_branch_outside_base(subdivisions)
+    message = "branch locus is not a subcomplex of the base"
+    with pytest.raises(InputError, match=f"^{message}$"):
+        load_spec(parse_spec_text(json.dumps(raw)))
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(raw))
+    for command in SPEC_COMMANDS:
+        capsys.readouterr()
+        assert main([command, str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    raw["branch"].pop()  # the rest of the spec is good: it verifies
+    path.write_text(json.dumps(raw))
+    assert main(["verify", str(path)]) == 0
+
+
+def test_cli_verify_and_fibers_name_the_disconnected_punctured_star(tmp_path, capsys):
+    """The pinched torus branched at its pinch vertex: both commands print
+    the one message of the spec's connectivity test and exit 1."""
+    pt = pinched_torus()
+    pinch, = pt.level(0).vertices
+    pres = complement_presentation(pt.complex, {pinch})
+    rep = MonodromyRep(1, tuple((0,) for _ in pres.generators))
+    branch = StratifiedComplex(SimplicialComplex([(pinch,)]))
+    path = tmp_path / "pinched.json"
+    path.write_text(spec_to_text(spec_to_dict(pt, branch, rep, pres)))
+    for command in ("verify", "fibers"):
+        capsys.readouterr()
+        assert main([command, str(path)]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: punctured star of branch simplex [{pinch}] is not connected\n")

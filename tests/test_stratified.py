@@ -1,9 +1,11 @@
 import re
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from branchcover.covering import refine_stratification
 from branchcover.errors import InputError
 from branchcover.simplicial import (
     SimplicialComplex,
@@ -13,6 +15,7 @@ from branchcover.simplicial import (
     full_subcomplex,
     validate_complex,
 )
+from branchcover.specfile import load_spec, parse_spec_text
 from branchcover.stratified import (
     StratifiedComplex,
     cone_stratified,
@@ -31,7 +34,9 @@ from branchcover.fixtures import (
 )
 
 from complexes import barycentric_subdivide
-from oracles import close_faces, subdivide_set_all_chains
+from oracles import bfs_strata, close_faces, subdivide_set_all_chains
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 from stalks import induced_link, induced_star, min_level
 
 
@@ -90,6 +95,21 @@ def test_strata_of_pinched_torus():
     assert len(strata) == 2
     assert strata[0].level == 0 and strata[0].dim == 0
     assert strata[1].level == 2
+
+
+@pytest.mark.parametrize("subdivisions", (0, 1))
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.stem)
+def test_strata_match_the_definition_on_golden_specs(path, subdivisions):
+    """The base, the branch locus and their refinement, as loaded from each
+    golden spec at 0 and 1 subdivisions: levels, dims, simplices and order."""
+    data = parse_spec_text(path.read_text(encoding="utf-8"))
+    loaded = load_spec(data._replace(
+        monodromy=None, options=dict(data.options, subdivisions=subdivisions)))
+    stratified = [loaded.base]
+    if loaded.branch is not None:
+        stratified += [loaded.branch, refine_stratification(loaded.base, loaded.branch)]
+    for sc in stratified:
+        assert list(map(tuple, sc.strata())) == bfs_strata(sc.complex.simplices, sc.levels)
 
 
 def test_full_check_passes_on_fixtures():

@@ -6,9 +6,9 @@ from branchcover import intersection, simplicial, verify
 from branchcover.cli import main
 from branchcover.covering import (
     BranchedCoverSpec,
-    complement_connectivity_check,
     fox_complete,
 )
+from branchcover.specfile import load_spec, parse_spec_text
 from branchcover.verify import (
     codim_check,
     fiber_rank_report,
@@ -22,6 +22,8 @@ from branchcover.fixtures import (
 
 from complexes import codim3_vertex_data
 from oracles import dense_nullspace
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 # ---------------------------------------------------------------------------
@@ -286,20 +288,34 @@ def test_cli_equality_failure_exit_code(tmp_path):
 
 
 def test_verify_checks_connectivity_before_and_with_the_cover(monkeypatch):
-    y, r, rep, pres = s3_unknot_double_data()
-    spec = BranchedCoverSpec(y, r, rep, pres)
-    real = verify.complement_connectivity_check
-    with_cover = []
+    """One susp-cover verify tests each distinct base punctured star once,
+    before the cover is built, and then the star of each lift once."""
+    from branchcover import covering
 
-    def spy(spec, cover=None):
-        with_cover.append(cover is not None)
-        return real(spec, cover)
+    loaded = load_spec(parse_spec_text(
+        (GOLDEN / "susp-cover-seed1.json").read_text(encoding="utf-8")))
+    spec = loaded.cover_spec()
+    real_check, real_fox = covering._nonempty_connected, verify.fox_complete
+    events = []
 
-    monkeypatch.setattr(verify, "complement_connectivity_check", spy)
-    report = verify_branched(spec, "lower")
-    assert with_cover == [False, True]
-    assert report.connectivity == real(spec, fox_complete(spec))
-    assert report.connectivity.checked_base == 12
+    def check_spy(c):
+        events.append(c)
+        return real_check(c)
+
+    def fox_spy(spec):
+        cover = real_fox(spec)
+        events.append("cover")
+        return cover
+
+    monkeypatch.setattr(covering, "_nonempty_connected", check_spy)
+    monkeypatch.setattr(verify, "fox_complete", fox_spy)
+    report = verify_branched(spec, loaded.perversity)
+    stars = {spec.punctured_star(tau) for tau in spec.branch_simplices()}
+    lifts = report.connectivity.checked_cover
+    assert len(stars) == 8 and report.connectivity.checked_base == 16 and lifts == 16
+    assert events.index("cover") == len(stars) and set(events[:len(stars)]) == stars
+    assert len(events) == len(stars) + 1 + lifts
+    assert report.connectivity.ok and report.connectivity.base_failures == ()
 
 
 def test_verify_computes_each_local_monodromy_group_once(monkeypatch):
