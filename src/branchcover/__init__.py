@@ -36,10 +36,9 @@ from .covering import (
 )
 from .local_systems import (
     LocalSystemQ,
+    kernel_system,
     pushforward_local_system,
-    trace_split,
     twisted_betti,
-    trivial_system,
 )
 from .intersection import (
     Perversity,

@@ -12,7 +12,7 @@ import sys
 from .errors import InputError, InternalCheckError
 from .covering import complement_presentation, fox_complete
 from .intersection import cone_formula_check, ih_betti, perversity_by_name
-from .local_systems import pushforward_local_system, trace_split, twisted_betti
+from .local_systems import kernel_system, pushforward_local_system, twisted_betti
 from .simplicial import betti_numbers
 from .specfile import (
     MAX_DEGREE,
@@ -86,13 +86,13 @@ def cmd_homology(args) -> int:
 def cmd_twisted(args) -> int:
     loaded = _load(args.spec)
     spec = loaded.cover_spec()
-    pushforward = pushforward_local_system(spec.complement, spec.degree, spec.table)
-    split = trace_split(pushforward)
-    base_c = spec.complement
+    base_c, d, table = spec.complement, spec.degree, spec.table
+    pushforward = pushforward_local_system(base_c, d, table)
+    kernel = kernel_system(base_c, d, table)
     lines = [
         f"complement betti:          {list(betti_numbers(base_c))}",
         f"pushforward twisted betti: {list(twisted_betti(base_c, pushforward))}",
-        f"kernel twisted betti:      {list(twisted_betti(base_c, split.kernel))}",
+        f"kernel twisted betti:      {list(twisted_betti(base_c, kernel))}",
     ]
     _emit("\n".join(lines) + "\n", args.out)
     return 0

@@ -373,20 +373,23 @@ def fox_complete(spec: BranchedCoverSpec) -> CoverComplex:
     for tau in spec.branch_simplices():
         spec.punctured_star(tau)  # raises unless non-empty and connected
 
-    def preimage_components(punctured: SimplicialComplex) -> list[list[int]]:
-        # the sheet vertices ascend, so each component does and they come in order
-        return connected_components(
-            (vid[(v, s)] for v in punctured.vertices for s in range(d)),
-            ((vid[(u, s)], vid[(v, table[(u, v)][s])])
-             for (u, v) in punctured.simplices_of_dim(1) for s in range(d)))
+    comps_by_star: dict[SimplicialComplex, list[list[int]]] = {}  # equal stars share them
+
+    def preimage_components(tau: Simplex) -> list[list[int]]:
+        punctured = spec.punctured_star(tau)
+        if punctured not in comps_by_star:
+            # the sheet vertices ascend, so each component does and they come in order
+            comps_by_star[punctured] = connected_components(
+                (vid[(v, s)] for v in punctured.vertices for s in range(d)),
+                ((vid[(u, s)], vid[(v, table[(u, v)][s])])
+                 for (u, v) in punctured.simplices_of_dim(1) for s in range(d)))
+        return comps_by_star[punctured]
 
     # one new vertex per component of the preimage of each vertex's punctured star
-    vertex_comps: dict[int, list[list[int]]] = {}  # read again as the lifts of (w,)
     over: dict[int, dict[int, int]] = {}  # branch vertex -> sheet vertex id -> new vertex id
     for w in sorted(branch_vertices):
-        vertex_comps[w] = preimage_components(spec.punctured_star((w,)))
         lookup = over[w] = {}
-        for comp in vertex_comps[w]:
+        for comp in preimage_components((w,)):
             lookup.update(dict.fromkeys(comp, next_id))
             next_id += 1
 
@@ -408,9 +411,7 @@ def fox_complete(spec: BranchedCoverSpec) -> CoverComplex:
         sig_k = tuple(v for v in sig if v not in branch_vertices)
         sig_r = tuple(v for v in sig if v in branch_vertices)
         if not sig_k:
-            comps = (vertex_comps[sig[0]] if len(sig) == 1
-                     else preimage_components(spec.punctured_star(sig)))
-            for comp in comps:
+            for comp in preimage_components(sig):
                 register([over[w][comp[0]] for w in sig], sig)
             continue
         anchor = sig_k[0]

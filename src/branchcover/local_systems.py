@@ -2,18 +2,21 @@
 
 A local system assigns an invertible rational matrix to every oriented
 edge of its base complex, with inverse transports on reversed edges and
-flatness over every 2-simplex.  The pushforward system of a degree-d
-cover is the permutation system of the monodromy; it splits as the
-constant rank-1 system plus the sum-zero kernel of the coordinate-sum
-(trace) map, which is the local system driving all decomposition checks.
-Both summands come from a permutation monodromy, so their transports
-have at most two nonzeros per column: :class:`Transport` stores columns.
-Twisted homology is :func:`simplicial.homology_ranks` on every simplex,
-with the coefficients of a simplex at its minimal vertex.
+flatness over every 2-simplex.  Every system the package builds is a
+cover's transport table (oriented edge -> sheet permutation) with an
+action applied to it, one :class:`Transport` per distinct permutation:
+the permutation action gives the pushforward, and the action on sum-zero
+vectors its kernel summand (the pushforward is that kernel of the
+coordinate sum plus the constant system), which drives all decomposition
+checks.  The sum-zero action is faithful for d >= 2, so both fail their
+inverse and flatness checks on the same tables.  Either action has at
+most two nonzeros per column, so a transport stores columns.  Twisted
+homology is :func:`simplicial.homology_ranks` on every simplex, with the
+coefficients of a simplex at its minimal vertex.
 """
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Callable, Sequence
 
 from .errors import InputError
 from . import linalg
@@ -25,15 +28,13 @@ class Transport:
     """An r x r rational matrix stored as r sparse columns ``{row: value}``.
 
     Columns hold no zero entries, so transports are equal when their columns are.
-    ``t[i][j]`` reads one entry in O(1) through a row view, so a
-    transport also reads as a dense matrix.  Treated as immutable.
+    Treated as immutable.
     """
 
-    __slots__ = ("cols", "_rows")
+    __slots__ = ("cols",)
 
     def __init__(self, cols: list[dict[int, linalg.Scalar]]):
         self.cols = cols
-        self._rows = None  # row views, made on the first dense read
 
     @classmethod
     def permutation(cls, image: Sequence[int]) -> "Transport":
@@ -42,11 +43,6 @@ class Transport:
 
     def __len__(self) -> int:
         return len(self.cols)
-
-    def __getitem__(self, i: int) -> "_Row":
-        if self._rows is None:
-            self._rows = tuple(_Row(self.cols, k) for k in range(len(self.cols)))
-        return self._rows[i]
 
     def __matmul__(self, other: "Transport") -> "Transport":
         """The product self . other: ``other`` acts first."""
@@ -61,18 +57,6 @@ class Transport:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Transport) and self.cols == other.cols
-
-
-class _Row:
-    """Row ``i`` of a :class:`Transport`, read without copying."""
-
-    __slots__ = ("cols", "i")
-
-    def __init__(self, cols: list[dict[int, linalg.Scalar]], i: int):
-        self.cols, self.i = cols, i
-
-    def __getitem__(self, j: int):
-        return self.cols[j].get(self.i, 0)
 
 
 def sum_zero_action(perm: Perm) -> Transport:
@@ -125,10 +109,11 @@ class LocalSystemQ:
         except KeyError:
             raise InputError(f"no transport along {u}->{v}") from None
 
-def trivial_system(base: SimplicialComplex, rank: int = 1) -> LocalSystemQ:
-    ident = Transport.permutation(range(rank))
-    edges = base.simplices_of_dim(1)
-    return LocalSystemQ(base, rank, {e: ident for (u, v) in edges for e in ((u, v), (v, u))})
+
+def _table_system(base: SimplicialComplex, rank: int, table: dict[tuple[int, int], Perm],
+                  action: Callable[[Perm], Transport]) -> LocalSystemQ:
+    made = {p: action(p) for p in set(table.values())}  # one transport per permutation
+    return LocalSystemQ(base, rank, {e: made[p] for e, p in table.items()})
 
 
 def pushforward_local_system(base: SimplicialComplex, degree: int,
@@ -139,40 +124,17 @@ def pushforward_local_system(base: SimplicialComplex, degree: int,
     (oriented edge -> sheet permutation), as :func:`covering.validate_monodromy`
     returns it and a :class:`covering.BranchedCoverSpec` holds it.
     """
-    made = {p: Transport.permutation(p) for p in set(table.values())}  # shared per perm
-    return LocalSystemQ(base, degree, {e: made[p] for e, p in table.items()})
+    return _table_system(base, degree, table, Transport.permutation)
 
 
-# ---------------------------------------------------------------------------
-# trace splitting
+def kernel_system(base: SimplicialComplex, degree: int,
+                  table: dict[tuple[int, int], Perm]) -> LocalSystemQ:
+    """Rank-(d-1) sum-zero summand of the pushforward, from the same table.
 
-
-class TraceSplit(NamedTuple):
-    """Constant-plus-kernel splitting of a degree-d permutation system."""
-
-    constant: LocalSystemQ
-    kernel: LocalSystemQ
-    degree: int
-
-
-def trace_split(system: LocalSystemQ) -> TraceSplit:
-    """Split a permutation system into constant part and sum-zero kernel.
-
-    The trace (coordinate sum) composed with the unit (diagonal
-    inclusion) is d times the identity, so the splitting is exact over
-    the rationals.
+    The coordinate sum after the diagonal is d times the identity, so over
+    the rationals the pushforward is this system plus the constant one.
     """
-    d = system.rank
-    perms: dict[tuple[int, int], Perm] = {}
-    for e, t in system.transports.items():
-        image = tuple(row for col in t.cols for row, v in col.items() if v == 1)
-        if any(len(col) != 1 for col in t.cols) or len(set(image)) != d:
-            raise InputError(f"transport along {e[0]}->{e[1]} is not a permutation matrix")
-        perms[e] = image
-    constant = trivial_system(system.base, 1)
-    made = {p: sum_zero_action(p) for p in set(perms.values())}
-    kernel = LocalSystemQ(system.base, max(d - 1, 0), {e: made[p] for e, p in perms.items()})
-    return TraceSplit(constant, kernel, d)
+    return _table_system(base, degree - 1, table, sum_zero_action)
 
 
 # ---------------------------------------------------------------------------

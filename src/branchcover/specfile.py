@@ -14,9 +14,10 @@ ascending lists of non-negative integers):
                             "subdivisions": 0..2}
 
 Any other key, at the top level or inside monodromy and options, is an
-error.  Assignments are 0-indexed image arrays keyed by the generator
-edges of the deterministic presentation of the complement, computed
-after the requested subdivisions; `generators` prints that contract.
+error, and so is a repeated key.  Assignments are 0-indexed image arrays
+keyed "u->v", written exactly so, by the generator edges of the
+deterministic presentation of the complement, computed after the
+requested subdivisions; `generators` prints that contract.
 """
 from __future__ import annotations
 
@@ -77,7 +78,7 @@ class SpecData(_SpecSections):
 
 def parse_spec_text(text: str) -> SpecData:
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise InputError(f"not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
@@ -118,6 +119,16 @@ def parse_spec_text(text: str) -> SpecData:
     return data
 
 
+def _object(pairs: list) -> dict:
+    """A JSON object, rejected when a key repeats: ``json`` would keep the last silently."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise InputError(f"key {key!r} is repeated in a JSON object")
+        out[key] = value
+    return out
+
+
 def _reject_unknown_keys(section: dict, known, where: str) -> None:
     for key in section:
         if key not in known:
@@ -129,13 +140,12 @@ def _is_int(x) -> bool:
 
 
 def _parse_edge_key(key: str) -> tuple[int, int]:
-    parts = key.split("->")
-    if len(parts) != 2:
-        raise InputError(f"assignment key {key!r} is not of the form 'u->v'")
     try:
-        u, v = int(parts[0]), int(parts[1])
+        u, v = map(int, key.split("->"))
     except ValueError:
         raise InputError(f"assignment key {key!r} is not of the form 'u->v'") from None
+    if key != f"{u}->{v}":  # int() also reads " 10", "+10", "010" and "1_0" as 10
+        raise InputError(f"assignment key {key!r} must be written '{u}->{v}'")
     if not u < v:
         raise InputError(f"assignment key {key!r} must be ascending")
     return (u, v)

@@ -27,12 +27,7 @@ from .covering import (
     riemann_hurwitz_check,
 )
 from .intersection import ih_betti, perversity_by_name
-from .local_systems import (
-    invariant_dimension,
-    pushforward_local_system,
-    sum_zero_action,
-    trace_split,
-)
+from .local_systems import invariant_dimension, kernel_system, sum_zero_action
 from .simplicial import Simplex, betti_numbers, components
 
 NECESSITY_NOTE = ("rank and stalk equalities are necessary conditions for the "
@@ -219,9 +214,7 @@ def verify_branched(spec: BranchedCoverSpec, perversity: str = "lower") -> Decom
     pullback = pullback_stratification(cover, refined)
 
     ih_trivial = ih_betti(refined, p, None)
-    pushforward = pushforward_local_system(spec.complement, spec.degree, spec.table)
-    split = trace_split(pushforward)
-    ih_kernel = ih_betti(refined, p, split.kernel)
+    ih_kernel = ih_betti(refined, p, kernel_system(spec.complement, spec.degree, spec.table))
 
     equal = tuple(b_cover[j] == ih_trivial[j] + ih_kernel[j] for j in range(m + 1))
 

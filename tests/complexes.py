@@ -2,8 +2,8 @@
 
 The package's own fixtures (``branchcover.fixtures``) are the ones the
 ``fixture`` command writes; these are extra bases, a stratified
-subdivision, the restriction of a system and a codimension-3 spec for
-the tests.
+subdivision, the constant system, the restriction of a system and a
+codimension-3 spec for the tests.
 """
 from __future__ import annotations
 
@@ -12,7 +12,12 @@ from itertools import combinations
 from branchcover.covering import MonodromyRep, complement_presentation, validate_monodromy
 from branchcover.errors import InputError
 from branchcover.fixtures import _closure, _rref_mod_p, boundary_simplex, cycle_complex
-from branchcover.local_systems import LocalSystemQ, pushforward_local_system
+from branchcover.local_systems import (
+    LocalSystemQ,
+    Transport,
+    kernel_system,
+    pushforward_local_system,
+)
 from branchcover.presentation import EdgePathPresentation
 from branchcover.simplicial import SimplicialComplex, barycentric_subdivide_complex
 from branchcover.stratified import StratifiedComplex, subdivide_with_subcomplexes
@@ -21,6 +26,18 @@ from branchcover.stratified import StratifiedComplex, subdivide_with_subcomplexe
 def pushforward(pres: EdgePathPresentation, rep: MonodromyRep) -> LocalSystemQ:
     """The pushforward system of a monodromy given on a bare presentation."""
     return pushforward_local_system(pres.complex, rep.degree, validate_monodromy(pres, rep))
+
+
+def kernel(pres: EdgePathPresentation, rep: MonodromyRep) -> LocalSystemQ:
+    """The sum-zero kernel system of a monodromy given on a bare presentation."""
+    return kernel_system(pres.complex, rep.degree, validate_monodromy(pres, rep))
+
+
+def trivial_system(base: SimplicialComplex, rank: int = 1) -> LocalSystemQ:
+    """The constant rank-r system: the identity on every oriented edge."""
+    ident = Transport.permutation(range(rank))
+    edges = base.simplices_of_dim(1)
+    return LocalSystemQ(base, rank, {e: ident for (u, v) in edges for e in ((u, v), (v, u))})
 
 
 def restrict(system: LocalSystemQ, sub: SimplicialComplex) -> LocalSystemQ:

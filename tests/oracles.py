@@ -430,7 +430,7 @@ def ic_complex(sc, p, coeff=None):
     X_{m-k} (fullness makes s meet X_{m-k} in the face those vertices
     span).  A chain is ``{(simplex, t): value}``: coefficient t of the
     local system at the first vertex of the simplex off the singular set,
-    carried to a face's vertex by dense reads of ``coeff.transport``.
+    carried to a face's vertex by dense reads (:func:`dense`) of ``coeff.transport``.
     IC_j is the kernel of the boundary rows outside the allowable
     (j-1)-simplices.  Returns (allowable simplices by degree, IC_j bases
     by degree, the boundary as a function on chains).
@@ -463,8 +463,8 @@ def ic_complex(sc, p, coeff=None):
                 if coeff is None or a == b:
                     image = {(face, t): 1}
                 else:
-                    mat = coeff.transport(a, b)
-                    image = {(face, u): mat[u][t] for u in range(r)}
+                    rows = dense(coeff.transport(a, b))
+                    image = {(face, u): rows[u][t] for u in range(r)}
                 _add_multiple(out, c if i % 2 == 0 else -c, image)
         return out
 
@@ -527,6 +527,12 @@ def matrix_inverse(a) -> list[list[Fraction]]:
     return [row[n:] for row in aug]
 
 
+def dense(t: Transport) -> list[list]:
+    """The rows of a :class:`Transport`, read off its sparse columns."""
+    n = len(t)
+    return [[t.cols[j].get(i, 0) for j in range(n)] for i in range(n)]
+
+
 def transport_from_rows(rows) -> Transport:
     """A :class:`Transport` from a dense square matrix given as rows.
 
@@ -541,7 +547,7 @@ def transport_from_rows(rows) -> Transport:
 
 def transport_inverse(t: Transport) -> Transport:
     """Exact inverse; raises ValueError if singular."""
-    return transport_from_rows(matrix_inverse(t))
+    return transport_from_rows(matrix_inverse(dense(t)))
 
 
 def local_system_from_forward_edges(base, rank: int, forward) -> LocalSystemQ:
@@ -610,8 +616,8 @@ def monodromy_matrices(system: LocalSystemQ) -> list[Transport]:
 def global_sections(system: LocalSystemQ) -> tuple[int, list[dict[int, Fraction]]]:
     """Dimension and basis of the joint fixed space of the monodromy."""
     r = system.rank
-    stacked = [[m[i][j] - (1 if i == j else 0) for j in range(r)]
-               for m in monodromy_matrices(system) for i in range(r)]
+    stacked = [[x - (1 if i == j else 0) for j, x in enumerate(row)]
+               for m in monodromy_matrices(system) for i, row in enumerate(dense(m))]
     basis = dense_nullspace(stacked, r)
     return len(basis), basis
 

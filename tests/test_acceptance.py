@@ -31,9 +31,9 @@ from branchcover.intersection import (
 )
 from branchcover.local_systems import (
     invariant_dimension,
+    kernel_system,
     pushforward_local_system,
     sum_zero_action,
-    trace_split,
     twisted_betti,
 )
 from branchcover.presentation import edge_path_presentation
@@ -126,10 +126,9 @@ def test_criterion_1_unbranched_splitting():
 def _check_unbranched_split(base, pres, rep):
     spec = BranchedCoverSpec(StratifiedComplex(base), None, rep, pres)
     cover = fox_complete(spec)
-    split = trace_split(pushforward_local_system(spec.complement, spec.degree, spec.table))
     b_cover = betti_numbers(cover.total)
     b_base = betti_numbers(base)
-    b_kernel = twisted_betti(base, split.kernel)
+    b_kernel = twisted_betti(base, kernel_system(spec.complement, spec.degree, spec.table))
     assert b_cover == tuple(x + y for x, y in zip(b_base, b_kernel))
 
 
@@ -263,8 +262,7 @@ def test_criterion_7_cone_and_stalk_checks():
         y, r, rep, pres = builder(*args)
         spec = BranchedCoverSpec(y, r, rep, pres)
         refined = refine_stratification(y, r)
-        split = trace_split(pushforward_local_system(spec.complement, spec.degree, spec.table))
-        for coeff in (None, split.kernel):
+        for coeff in (None, kernel_system(spec.complement, spec.degree, spec.table)):
             res = deligne_stalk_check(refined, lower_middle(m), coeff)
             assert res.ok
             stalks_checked += len(res.entries)
@@ -284,11 +282,11 @@ def test_criterion_8_structural_invariants():
     y, r, rep, pres = sphere_branched_data(6, 2)
     spec = BranchedCoverSpec(y, r, rep, pres)
     push = pushforward_local_system(spec.complement, spec.degree, spec.table)
-    split = trace_split(push)
+    kernel = kernel_system(spec.complement, spec.degree, spec.table)
     twisted_betti(spec.complement, push)
-    twisted_betti(spec.complement, split.kernel)
+    twisted_betti(spec.complement, kernel)
     refined = refine_stratification(y, r)
-    for coeff in (None, split.kernel):
+    for coeff in (None, kernel):
         assert ih_betti(refined, lower_middle(2), coeff) == ic_betti(
             refined, lower_middle(2), coeff)
         assert ic_closed(refined, lower_middle(2), coeff)

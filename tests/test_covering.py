@@ -363,6 +363,25 @@ def test_fibers_are_read_for_the_simplices_asked(monkeypatch):
     assert cover.fiber_over((10**6,)) == ()
 
 
+@pytest.mark.parametrize("name, stars", [("susp-cover-seed1", 8), ("s3-unknot-double", 6)])
+def test_fox_complete_takes_components_once_per_punctured_star(name, stars, monkeypatch):
+    """Branch simplices with equal punctured stars share the components of
+    their preimage: one components call per distinct star, each result new."""
+    from branchcover import covering
+    loaded = load_spec(parse_spec_text((GOLDEN / f"{name}.json").read_text(encoding="utf-8")))
+    spec = loaded.cover_spec()
+    real, results = covering.connected_components, []
+
+    def spy(nodes, edges):
+        results.append(real(nodes, edges))
+        return results[-1]
+
+    monkeypatch.setattr(covering, "connected_components", spy)
+    fox_complete(spec)
+    assert len({spec.punctured_star(tau) for tau in spec.branch_simplices()}) == stars
+    assert len(results) == len({tuple(map(tuple, comps)) for comps in results}) == stars
+
+
 def test_branch_must_be_full():
     # two adjacent octahedron vertices: the joining edge is missing
     y = StratifiedComplex(octahedron())

@@ -20,8 +20,7 @@ from branchcover.intersection import (
 from branchcover.local_systems import (
     LocalSystemQ,
     Transport,
-    pushforward_local_system,
-    trace_split,
+    kernel_system,
     twisted_betti,
 )
 from branchcover.presentation import edge_path_presentation
@@ -41,7 +40,7 @@ from branchcover.fixtures import (
     torus7,
 )
 
-from complexes import annulus, barycentric_subdivide, nullspace_mod_p, pushforward
+from complexes import annulus, barycentric_subdivide, kernel, nullspace_mod_p
 from oracles import ic_betti, ic_closed, ic_complex, suspension_ih_oracle
 from stalks import complementary, deligne_stalk_check, is_allowable
 
@@ -179,8 +178,7 @@ def test_ih_suspension_duality(path):
     coeffs = {"trivial": None}
     if loaded.monodromy is not None:
         spec = loaded.cover_spec()
-        coeffs["kernel"] = trace_split(
-            pushforward_local_system(spec.complement, spec.degree, spec.table)).kernel
+        coeffs["kernel"] = kernel_system(spec.complement, spec.degree, spec.table)
     m = refined.dim
     for label, coeff in coeffs.items():
         lo = ih_betti(refined, lower_middle(m), coeff)
@@ -290,9 +288,7 @@ def test_allowable_simplices_leave_two_vertices_off_singular_set(name):
 def _cover_kernel(data):
     y, r, rep, _pres = data
     spec = BranchedCoverSpec(y, r, rep, _pres)
-    kernel = trace_split(
-        pushforward_local_system(spec.complement, spec.degree, spec.table)).kernel
-    return refine_stratification(y, r), kernel
+    return refine_stratification(y, r), kernel_system(spec.complement, spec.degree, spec.table)
 
 
 def _transposition_kernel(sc):
@@ -303,7 +299,7 @@ def _transposition_kernel(sc):
     exponents = next(e for e in nullspace_mod_p(_relator_rows(pres), len(pres.generators), 2)
                      if any(e))
     rep = MonodromyRep(3, tuple((1, 0, 2) if e else (0, 1, 2) for e in exponents))
-    return sc, trace_split(pushforward(pres, rep)).kernel
+    return sc, kernel(pres, rep)
 
 
 def _scaled(system):
@@ -353,17 +349,15 @@ def test_twisted_ih_genus_two_kernel():
     y, r, rep, pres = sphere_branched_data(6, 2)
     spec = BranchedCoverSpec(y, r, rep, pres)
     refined = refine_stratification(y, r)
-    split = trace_split(pushforward_local_system(spec.complement, spec.degree, spec.table))
     # derived: b(genus 2 surface) - ih(sphere) = (1,4,1) - (1,0,1)
-    assert ih_betti(refined, lower_middle(2), split.kernel) == (0, 4, 0)
+    assert ih_betti(refined, lower_middle(2), kernel_system(spec.complement, spec.degree, spec.table)) == (0, 4, 0)
 
 
 def test_twisted_ih_unknot_kernel_vanishes():
     y, r, rep, pres = s3_unknot_double_data()
     spec = BranchedCoverSpec(y, r, rep, pres)
     refined = refine_stratification(y, r)
-    split = trace_split(pushforward_local_system(spec.complement, spec.degree, spec.table))
-    assert ih_betti(refined, lower_middle(3), split.kernel) == (0, 0, 0, 0)
+    assert ih_betti(refined, lower_middle(3), kernel_system(spec.complement, spec.degree, spec.table)) == (0, 0, 0, 0)
     assert ih_betti(refined, lower_middle(3), None) == (1, 0, 0, 1)
 
 
@@ -377,9 +371,9 @@ def test_ih_of_unstratified_base_is_twisted_homology(base, expected):
     exponents = nullspace_mod_p(_relator_rows(pres), n, 2)[0]
     swap, fixed = (1, 0, 2, 3), (0, 1, 2, 3)
     rep = MonodromyRep(4, tuple(swap if e else fixed for e in exponents))
-    kernel = trace_split(pushforward(pres, rep)).kernel
-    assert ih_betti(StratifiedComplex(c), lower_middle(2), kernel) == expected
-    assert twisted_betti(c, kernel) == expected
+    k = kernel(pres, rep)
+    assert ih_betti(StratifiedComplex(c), lower_middle(2), k) == expected
+    assert twisted_betti(c, k) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,9 @@ import pytest
 from branchcover.covering import BranchedCoverSpec, MonodromyRep, fox_complete
 from branchcover.errors import InputError
 from branchcover.local_systems import (
+    kernel_system,
     pushforward_local_system,
     sum_zero_action,
-    trace_split,
-    trivial_system,
     twisted_betti,
 )
 from branchcover.presentation import edge_path_presentation
@@ -26,13 +25,16 @@ from complexes import (
     figure_eight,
     full_simplex,
     k4_graph,
+    kernel,
     pushforward,
     restrict,
     theta_graph,
+    trivial_system,
 )
 from oracles import (
     RelatorViolatedMatrix,
     RepresentationQ,
+    dense,
     from_representation,
     global_sections,
     identity as ident,
@@ -58,7 +60,7 @@ def test_trivial_representation_gives_identity_transports():
     ls = from_representation(rep)
     for e in hexagon().simplices_of_dim(1):
         if e in pres.tree_edges:
-            assert mat_equal(ls.transport(*e), ident(2))
+            assert mat_equal(dense(ls.transport(*e)), ident(2))
 
 
 def test_sign_system_on_hexagon():
@@ -66,7 +68,7 @@ def test_sign_system_on_hexagon():
     ls = from_representation(RepresentationQ(pres, 1, ([[-1]],)))
     assert ls.rank == 1
     mats = monodromy_matrices(ls)
-    assert len(mats) == 1 and mat_equal(mats[0], [[-1]])
+    assert len(mats) == 1 and mat_equal(dense(mats[0]), [[-1]])
 
 
 def test_nontrivial_rep_on_simply_connected_base_rejected():
@@ -98,16 +100,15 @@ def test_pushforward_flat_on_octahedron():
 
 def test_trace_split_degree_one():
     y, r, rep, pres = circle_cover_data(1, (0,))
-    split = trace_split(pushforward(pres, rep))
-    assert split.kernel.rank == 0
+    assert kernel(pres, rep).rank == 0
 
 
 def test_trace_split_swap():
     y, r, rep, pres = circle_cover_data(2, (1, 0))
-    split = trace_split(pushforward(pres, rep))
-    assert split.kernel.rank == 1
+    k = kernel(pres, rep)
+    assert k.rank == 1
     gen_edge = pres.generators[0]
-    assert mat_equal(split.kernel.transport(*gen_edge), [[-1]])
+    assert mat_equal(dense(k.transport(*gen_edge)), [[-1]])
 
 
 def test_trace_split_three_cycle_matrix():
@@ -133,20 +134,19 @@ def test_trace_split_three_cycle_matrix():
     assert expected == [[-1, -1], [1, 0]]
 
     got = sum_zero_action(perm)
-    assert mat_equal(got, expected)
+    assert mat_equal(dense(got), expected)
 
     y, r, rep, pres = circle_cover_data(3, perm)
-    split = trace_split(pushforward(pres, rep))
-    assert split.kernel.rank == 2
-    assert mat_equal(split.kernel.transport(*pres.generators[0]), expected)
+    k = kernel(pres, rep)
+    assert k.rank == 2
+    assert mat_equal(dense(k.transport(*pres.generators[0])), expected)
 
 
 def test_trace_epsilon_eta_identity():
     for d in (1, 2, 3, 5):
         perm = tuple((i + 1) % d for i in range(d))
         y, r, rep, pres = circle_cover_data(d, perm)
-        split = trace_split(pushforward(pres, rep))
-        assert split.degree == d
+        assert kernel(pres, rep).rank == d - 1
         comp = matmul(trace_map(d), unit_map(d))
         assert comp == [[d]]
         # inclusion-projection pairs sum to the identity on Q^d
@@ -158,24 +158,16 @@ def test_trace_epsilon_eta_identity():
                          ident(d))
 
 
-def test_trace_split_requires_permutation_system():
-    pres = edge_path_presentation(hexagon(), 0)
-    ls = from_representation(RepresentationQ(pres, 2, ([[1, 1], [0, 1]],)))
-    with pytest.raises(InputError, match="transport along 3->4 is not a permutation matrix"):
-        trace_split(ls)
-
-
 def test_kernel_is_natural():
     # the sum-zero projection intertwines the permutation action and the
-    # kernel action: K(g) . proj = proj . P(g)
+    # kernel action on the generator loop: K(g) . proj = proj . P(g)
     rng = random.Random(5)
     for _ in range(20):
         d = rng.randint(2, 6)
         perm = tuple(rng.sample(range(d), d))
         y, r, rep, pres = circle_cover_data(d, perm)
-        split = trace_split(pushforward(pres, rep))
-        proj = kernel_projection(split.degree)
-        lhs = matmul(sum_zero_action(perm), proj)
+        proj = kernel_projection(d)
+        lhs = matmul(dense(kernel(pres, rep).transport(*pres.generators[0])), proj)
         rhs = matmul(proj, permutation_matrix(perm))
         assert mat_equal(lhs, rhs)
 
@@ -193,8 +185,7 @@ def test_global_sections_trivial_system():
 
 def test_global_sections_swap_kernel_zero():
     y, r, rep, pres = circle_cover_data(2, (1, 0))
-    split = trace_split(pushforward(pres, rep))
-    dim, _ = global_sections(split.kernel)
+    dim, _ = global_sections(kernel(pres, rep))
     assert dim == 0
 
 
@@ -231,8 +222,7 @@ def test_twisted_circle_sign_system():
 
 def test_twisted_circle_cyclic_kernel():
     y, r, rep, pres = circle_cover_data(3, (1, 2, 0))
-    split = trace_split(pushforward(pres, rep))
-    assert twisted_betti(hexagon(), split.kernel) == (0, 0)
+    assert twisted_betti(hexagon(), kernel(pres, rep)) == (0, 0)
 
 
 def test_twisted_h0_equals_global_sections_on_permutation_systems():
@@ -243,8 +233,7 @@ def test_twisted_h0_equals_global_sections_on_permutation_systems():
         d = rng.randint(1, 5)
         perm = tuple(rng.sample(range(d), d))
         y, r, rep, pres = circle_cover_data(d, perm)
-        for ls in (pushforward(pres, rep),
-                   trace_split(pushforward(pres, rep)).kernel):
+        for ls in (pushforward(pres, rep), kernel(pres, rep)):
             dim, _ = global_sections(ls)
             assert twisted_betti(hexagon(), ls)[0] == dim
 
@@ -303,11 +292,10 @@ def test_betti_additivity_randomized():
             spec = BranchedCoverSpec(StratifiedComplex(base), None, rep, pres)
             cover = fox_complete(spec)
             push = pushforward_local_system(spec.complement, spec.degree, spec.table)
-            split = trace_split(push)
             b_total = betti_numbers(cover.total)
             b_push = twisted_betti(base, push)
-            b_triv = twisted_betti(base, split.constant)
-            b_ker = twisted_betti(base, split.kernel)
+            b_triv = twisted_betti(base, trivial_system(base))
+            b_ker = twisted_betti(base, kernel_system(spec.complement, spec.degree, spec.table))
             assert b_total == b_push
             assert b_push == tuple(x + y for x, y in zip(b_triv, b_ker))
             checked += 1
@@ -319,7 +307,7 @@ def test_pushforward_degree_one_is_trivial_rank_one():
     ls = pushforward(pres, rep)
     assert ls.rank == 1
     for e in pres.complex.simplices_of_dim(1):
-        assert mat_equal(ls.transport(*e), [[1]])
+        assert mat_equal(dense(ls.transport(*e)), [[1]])
 
 
 def test_restrict_identity():

@@ -16,7 +16,6 @@ from branchcover.intersection import (
     Perversity,
     lower_middle,
 )
-from branchcover.local_systems import TraceSplit
 from branchcover.specfile import LoadedSpec, SpecData
 from branchcover.stratified import Stratum
 from branchcover.verify import (
@@ -37,7 +36,6 @@ RECORDS = {
     StalkCheckEntry: ("vertex", "level", "codim", "cutoff", "link_ih", "star_ih",
                       "expected", "mismatches"),
     StalkCheckResult: ("entries",),
-    TraceSplit: ("constant", "kernel", "degree"),
     SpecData: ("complex", "stratification", "branch", "branch_stratification",
                "monodromy", "options"),
     LoadedSpec: ("base", "branch", "presentation", "monodromy", "basepoint", "perversity",

@@ -23,11 +23,11 @@ from branchcover.simplicial import (
     validate_complex,
 )
 from branchcover.intersection import ih_betti, lower_middle
-from branchcover.local_systems import Transport, trivial_system, twisted_betti
+from branchcover.local_systems import Transport, twisted_betti
 from branchcover.stratified import StratifiedComplex
 from branchcover.fixtures import boundary_simplex, hexagon, octahedron, torus7
 
-from complexes import full_simplex
+from complexes import full_simplex, trivial_system
 from oracles import brute_betti, brute_link, brute_star, bfs_components, close_faces, euler
 
 

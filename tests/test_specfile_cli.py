@@ -242,6 +242,35 @@ def test_every_fixture_roundtrips_and_is_deterministic(tmp_path):
             loaded.cover_spec()  # full validation including relators
 
 
+# text edits of sphere-p2-d2.json, whose "10->18" is [0, 1]; each edited spec
+# once ran with the last of two keys for one edge, or one object key, winning
+ALIASED_KEYS = {
+    "alias-spaces": ('"10->18":', '" 10 -> 18 ": [1, 0], "10->18":',
+                     "assignment key ' 10 -> 18 ' must be written '10->18'"),
+    "alias-plus": ('"10->18":', '"+10->18": [1, 0], "10->18":',
+                   "assignment key '+10->18' must be written '10->18'"),
+    "alias-leading-zero": ('"10->18":', '"010->18": [1, 0], "10->18":',
+                           "assignment key '010->18' must be written '10->18'"),
+    "alias-underscore": ('"10->18":', '"1_0->18": [1, 0], "10->18":',
+                         "assignment key '1_0->18' must be written '10->18'"),
+    "repeated-assignment": ('"10->18":', '"10->18": [1, 0], "10->18":',
+                            "key '10->18' is repeated in a JSON object"),
+    "repeated-section": ('"options": {', '"options": {"perversity": "upper"}, "options": {',
+                         "key 'options' is repeated in a JSON object"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ALIASED_KEYS))
+def test_cli_rejects_two_names_for_one_key(case, tmp_path, capsys):
+    old, new, message = ALIASED_KEYS[case]
+    text = (GOLDEN / "sphere-p2-d2.json").read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    path = tmp_path / "spec.json"
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    assert main(["verify", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_parse_requires_complex_key():
     with pytest.raises(InputError, match="missing required key 'complex'"):
         parse_spec_text('{"branch": []}')

@@ -1,13 +1,14 @@
-"""Sparse transports: dense-reading contract, checks, and differential tests.
+"""Sparse transports: their matrices, checks, and differential tests.
 
-The differential tests build every system twice: through the sparse
-constructors (``pushforward_local_system``, ``trace_split``) and through
-the dense adapter in ``oracles`` (``from_representation`` of explicit
-permutation and sum-zero matrices written out there), and require the same
-twisted and intersection Betti numbers from both.
+The package reads a transport only by its columns; the tests read it as
+a dense matrix through ``oracles.dense``.  The differential tests build every system twice:
+from the transport table (``pushforward_local_system``, ``kernel_system``)
+and through the dense adapter in ``oracles`` (``from_representation`` of
+explicit permutation and sum-zero matrices written out there), and
+require the same twisted and intersection Betti numbers from both.  The
+two table builders also reject the same corrupted tables.
 """
 import re
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,17 +25,18 @@ from branchcover.intersection import ih_betti, lower_middle
 from branchcover.local_systems import (
     LocalSystemQ,
     Transport,
+    kernel_system,
+    pushforward_local_system,
     sum_zero_action,
-    trace_split,
     twisted_betti,
 )
-from branchcover.presentation import edge_path_presentation
 from branchcover.simplicial import betti_numbers
 
-from complexes import full_simplex, pushforward
+from complexes import annulus, full_simplex, kernel, pushforward
 from oracles import (
     RepresentationQ,
     brute_betti,
+    dense,
     from_representation,
     identity,
     mat_equal,
@@ -49,20 +51,18 @@ SETTINGS = settings(max_examples=20, deadline=None, derandomize=True)
 
 
 # ---------------------------------------------------------------------------
-# the dense-reading contract
+# transports as matrices
 
 
 def test_transport_permutation_convention():
     # P e_s = e_{image[s]}: column s holds a single 1 in row image[s]
     p = Transport.permutation((1, 2, 0))
     assert len(p) == 3
-    assert [p[t][0] for t in range(3)] == [0, 1, 0]
-    assert mat_equal(p, permutation_matrix((1, 2, 0)))
+    assert [row[0] for row in dense(p)] == [0, 1, 0]
+    assert mat_equal(dense(p), permutation_matrix((1, 2, 0)))
     # q acts first in p @ q
     q = Transport.permutation((2, 0, 1))
     assert p @ q == Transport.permutation((0, 1, 2))
-    with pytest.raises(IndexError):
-        p[3]
 
 
 def square(n):
@@ -78,7 +78,7 @@ small_matrices = st.integers(1, 5).flatmap(square)
 def test_sparse_composition_matches_dense_product(pair):
     a, b = pair
     prod = transport_from_rows(a) @ transport_from_rows(b)
-    assert mat_equal(prod, matmul(a, b))
+    assert mat_equal(dense(prod), matmul(a, b))
     assert prod == transport_from_rows(matmul(a, b))
 
 
@@ -87,7 +87,7 @@ def test_sparse_composition_matches_dense_product(pair):
 def test_sum_zero_action_matches_dense_definition(perm):
     perm = tuple(perm)
     t = sum_zero_action(perm)
-    assert mat_equal(t, sum_zero_matrix(perm))
+    assert mat_equal(dense(t), sum_zero_matrix(perm))
     assert all(0 < len(col) <= 2 for col in t.cols)
     inv = tuple(sorted(range(len(perm)), key=perm.__getitem__))
     assert sum_zero_action(inv) @ t == Transport.permutation(range(len(perm) - 1))
@@ -101,7 +101,7 @@ def test_dense_adapter_inverse(rows):
         inv = transport_inverse(t)
     except ValueError:
         return  # singular
-    assert mat_equal(inv @ t, identity(len(rows)))
+    assert mat_equal(dense(inv @ t), identity(len(rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -138,21 +138,64 @@ def test_sparse_wrong_size_raises():
         LocalSystemQ(c, 2, transports)
 
 
-def test_sparse_non_permutation_raises_in_trace_split():
-    # a sign system and a sum-zero kernel are sparse but not permutations
-    c = hexagon()
-    signs = _both_ways(c, Transport.permutation((0,)))
-    gen = edge_path_presentation(c, 0).generators[0]
-    signs[gen] = signs[gen[::-1]] = Transport([{0: -1}])
-    _y, _r, rep, pres = circle_cover_data(3, (1, 2, 0))
-    kernel = trace_split(pushforward(pres, rep)).kernel
-    doubled = _both_ways(c, Transport([{0: Fraction(2)}]))
-    doubled_inv = Transport([{0: Fraction(1, 2)}])
-    for (u, v) in c.simplices_of_dim(1):
-        doubled[(v, u)] = doubled_inv
-    for system in (LocalSystemQ(c, 1, signs), kernel, LocalSystemQ(c, 1, doubled)):
-        with pytest.raises(InputError, match="is not a permutation matrix"):
-            trace_split(system)
+def _gauge_table(c, h):
+    """The flat table carrying h[v] . h[u]^-1 along every oriented edge u->v."""
+    d = len(h[min(c.vertices)])
+    return {(a, b): tuple(h[b][h[a].index(s)] for s in range(d))
+            for (u, v) in c.simplices_of_dim(1) for a, b in ((u, v), (v, u))}
+
+
+@st.composite
+def corrupted_tables(draw):
+    """A flat degree-d table over the annulus, some entries replaced or dropped.
+
+    An edge is replaced one way only, which breaks its inverse, or both
+    ways by a permutation and its inverse, which may break flatness.
+    """
+    c = annulus()
+    d = draw(st.integers(1, 4))
+    table = _gauge_table(c, {v: tuple(draw(st.permutations(range(d)))) for v in c.vertices})
+    for (u, v) in draw(st.lists(st.sampled_from(sorted(table)), max_size=3)):
+        p = tuple(draw(st.permutations(range(d))))
+        how = draw(st.sampled_from(("both ways", "one way", "dropped")))
+        if how == "dropped":
+            table.pop((u, v), None)
+            continue
+        table[(u, v)] = p
+        if how == "both ways":
+            table[(v, u)] = tuple(sorted(range(d), key=p.__getitem__))
+    return c, d, table
+
+
+def _verdict(build, c, d, table):
+    try:
+        build(c, d, table)
+    except InputError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(corrupted_tables())
+def test_kernel_and_pushforward_reject_the_same_tables(data):
+    # the sum-zero action is faithful for d >= 2, so the kernel's inverse and
+    # flatness checks keep the pushforward's verdict, message included
+    assert _verdict(kernel_system, *data) == _verdict(pushforward_local_system, *data)
+
+
+def test_corrupted_tables_reach_every_verdict():
+    c = annulus()
+    table = _gauge_table(c, {v: tuple((v + s) % 3 for s in range(3)) for v in c.vertices})
+    (u, v), (a, b, w) = c.simplices_of_dim(1)[0], c.simplices_of_dim(2)[0]
+    swap = (1, 0, 2)  # never a gauge value here: those are all cyclic shifts
+    verdicts = {None: table,
+                f"edge {u}->{v} has no transport": {e: p for e, p in table.items() if e != (u, v)},
+                f"transport of {v}->{u} is not inverse to {u}->{v}":
+                    {**table, (u, v): (1, 2, 0), (v, u): (1, 2, 0)},
+                f"flatness fails on 2-simplex {[a, b, w]}": {**table, (a, b): swap, (b, a): swap}}
+    for message, bad in verdicts.items():
+        for build in (pushforward_local_system, kernel_system):
+            assert _verdict(build, c, 3, bad) == message
 
 
 # ---------------------------------------------------------------------------
@@ -175,15 +218,14 @@ def test_hexagon_sparse_and_dense_paths_agree(perm):
     y, r, rep, pres = circle_cover_data(d, tuple(perm))
     base = pres.complex
     push = pushforward(pres, rep)
-    kernel = trace_split(push).kernel
+    k = kernel(pres, rep)
     dense_push, dense_kernel = _dense_systems(pres, rep)
 
     b_push = twisted_betti(base, push)
-    b_kernel = twisted_betti(base, kernel)
+    b_kernel = twisted_betti(base, k)
     assert twisted_betti(base, dense_push) == b_push
     assert twisted_betti(base, dense_kernel) == b_kernel
-    assert twisted_betti(base, trace_split(dense_push).kernel) == b_kernel
-    assert ih_betti(y, None, kernel) == ih_betti(y, None, dense_kernel) == b_kernel
+    assert ih_betti(y, None, k) == ih_betti(y, None, dense_kernel) == b_kernel
 
     cover = fox_complete(BranchedCoverSpec(y, r, rep, pres))
     b_cover = brute_betti(cover.total.all_simplices())
@@ -218,13 +260,12 @@ def test_sphere_sparse_and_dense_paths_agree(data):
     y, r, rep, pres = data
     spec = BranchedCoverSpec(y, r, rep, pres)
     push = pushforward(pres, rep)
-    kernel = trace_split(push).kernel
     dense_push, dense_kernel = _dense_systems(pres, rep)
     assert twisted_betti(spec.complement, push) == twisted_betti(spec.complement, dense_push)
 
     refined = refine_stratification(y, r)
     p = lower_middle(2)
-    ih_kernel = ih_betti(refined, p, kernel)
+    ih_kernel = ih_betti(refined, p, kernel(pres, rep))
     assert ih_betti(refined, p, dense_kernel) == ih_kernel
     cover = fox_complete(spec)
     b_cover = betti_numbers(cover.total)
