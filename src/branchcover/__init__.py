@@ -11,9 +11,6 @@ from .simplicial import (
     SimplicialComplex,
     validate_complex,
     star,
-    link,
-    cone,
-    suspension,
     components,
     betti_numbers,
     full_subcomplex,
@@ -47,13 +44,11 @@ from .intersection import (
     zero_perversity,
     top_perversity,
     ih_betti,
-    cone_formula_check,
 )
 from .verify import (
     DecompositionReport,
     verify_branched,
     fiber_rank_report,
-    codim_check,
 )
 
 __version__ = "0.1.0"

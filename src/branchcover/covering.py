@@ -10,8 +10,9 @@ punctured star, which is the combinatorial form of Fox completion.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import combinations
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .errors import InputError, InternalCheckError
 from .presentation import EdgePathPresentation, edge_path_presentation
@@ -61,11 +62,14 @@ def orbit_count(perms: Iterable[Perm], d: int) -> int:
 # monodromy data
 
 
-class MonodromyRep(NamedTuple):
-    """Degree-d permutation assignment on the ordered generators."""
+class MonodromyRep(namedtuple("MonodromyRep", "degree images")):
+    """Degree-d permutation assignment on the ordered generators.
 
-    degree: int
-    images: tuple[Perm, ...]
+    ``degree`` is an ``int`` and ``images`` a ``tuple[Perm, ...]``, one
+    image per generator.
+    """
+
+    __slots__ = ()
 
     @classmethod
     def from_edge_dict(cls, pres: EdgePathPresentation, degree: int,
@@ -431,14 +435,16 @@ def fox_complete(spec: BranchedCoverSpec) -> CoverComplex:
 # checks
 
 
-class ConnectivityReport(NamedTuple):
+class ConnectivityReport(namedtuple(
+        "ConnectivityReport", "base_failures cover_failures checked_base checked_cover")):
     """Punctured-star connectivity downstairs and upstairs; ``base_failures``
-    is always empty, as the spec hands out only connected punctured stars."""
+    is always empty, as the spec hands out only connected punctured stars.
 
-    base_failures: tuple[Simplex, ...]
-    cover_failures: tuple[Simplex, ...]
-    checked_base: int
-    checked_cover: int
+    ``base_failures`` and ``cover_failures`` are ``tuple[Simplex, ...]``,
+    ``checked_base`` and ``checked_cover`` are ``int`` counts.
+    """
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -1,5 +1,9 @@
 """Named fixtures: complexes, stratified spaces and ready-to-run specs.
 
+Only the ``fixture`` command and the tests load this module: it also
+holds the link and suspension constructions the fixtures build on and
+the writer of spec files (:func:`spec_to_dict`, :func:`spec_to_text`).
+
 Monodromy assignments for the sphere and knot fixtures are synthesized by
 solving a linear system over a prime field: relator loops must vanish and
 every meridian (the directed link cycle of a branch vertex, or the link
@@ -9,15 +13,12 @@ the systems are always consistent for the fixtures shipped here.
 """
 from __future__ import annotations
 
+import json
+
 from .errors import InputError
 from .covering import MonodromyRep, complement_presentation
 from .presentation import EdgePathPresentation, edge_path_presentation
-from .simplicial import (
-    SimplicialComplex,
-    Simplex,
-    link,
-    suspension,
-)
+from .simplicial import SimplicialComplex, Simplex, star
 from .stratified import StratifiedComplex
 
 
@@ -34,6 +35,28 @@ def cycle_complex(n: int, start: int = 0) -> SimplicialComplex:
     for i in range(n):
         simplices.append(tuple(sorted((vs[i], vs[(i + 1) % n]))))
     return SimplicialComplex(simplices)
+
+
+def link(c: SimplicialComplex, simplex: Simplex) -> SimplicialComplex:
+    """Faces of star simplices disjoint from ``simplex``."""
+    s = tuple(simplex)
+    if s not in c.simplices:
+        raise InputError(f"{list(s)} is not a simplex of the complex")
+    sset = set(s)
+    st = star(c, s)
+    return SimplicialComplex(t for t in st.simplices if not sset & set(t))
+
+
+def suspension(c: SimplicialComplex) -> SimplicialComplex:
+    """Join with two fresh apexes (max id + 1 and + 2)."""
+    base = (max(c.vertices) + 1) if c.vertices else 0
+    north, south = base, base + 1
+    simps: set[Simplex] = {(north,), (south,)}
+    for s in c.simplices:
+        simps.add(s)
+        simps.add(s + (north,))
+        simps.add(s + (south,))
+    return SimplicialComplex(simps)
 
 
 def hexagon() -> SimplicialComplex:
@@ -365,3 +388,44 @@ def circle_cover_data(degree: int, perm: tuple[int, ...]):
     pres = edge_path_presentation(base, 0)
     rep = MonodromyRep(degree, (tuple(perm),))
     return y, None, rep, pres
+
+
+# ---------------------------------------------------------------------------
+# serialization
+
+
+def _levels(sc: StratifiedComplex) -> list:
+    """Singular levels, top (dim m-2) first, less the trailing empty ones."""
+    levels = [[list(s) for s in sc.levels[j].all_simplices()] for j in range(sc.dim - 2, -1, -1)]
+    while levels and not levels[-1]:
+        levels.pop()
+    return levels
+
+
+def spec_to_dict(base: StratifiedComplex, branch: StratifiedComplex | None,
+                 monodromy: MonodromyRep | None, presentation=None) -> dict:
+    out: dict = {"complex": [list(s) for s in base.complex.all_simplices()]}
+    if levels := _levels(base):
+        out["stratification"] = levels
+    if branch is not None:
+        out["branch"] = [list(s) for s in branch.complex.all_simplices()]
+        if levels := _levels(branch):
+            out["branch_stratification"] = levels
+    if monodromy is not None:
+        if presentation is None:
+            raise InputError("serializing monodromy needs the presentation")
+        assignments = {
+            f"{u}->{v}": list(monodromy.images[i])
+            for i, (u, v) in enumerate(presentation.generators)
+        }
+        out["monodromy"] = {
+            "degree": monodromy.degree,
+            "basepoint": presentation.basepoint,
+            "assignments": assignments,
+        }
+    out["options"] = {"perversity": "lower", "subdivisions": 0}
+    return out
+
+
+def spec_to_text(spec_dict: dict) -> str:
+    return json.dumps(spec_dict, sort_keys=True, indent=2) + "\n"

@@ -14,12 +14,10 @@ bases, is the independent oracle ``oracles.ic_betti`` in
 """
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .errors import InputError
 from .local_systems import LocalSystemQ
 from .simplicial import Simplex, homology_ranks
-from .stratified import StratifiedComplex, cone_stratified
+from .stratified import StratifiedComplex
 
 
 class Perversity:
@@ -156,47 +154,3 @@ def ih_betti(sc: StratifiedComplex, p: Perversity | None,
     if coeff is None:
         return homology_ranks(sc.complex, allowable)
     return homology_ranks(sc.complex, allowable, coeff.rank, coeff.transport, anchor)
-
-
-# ---------------------------------------------------------------------------
-# cone formula
-
-
-class ConeCheckResult(NamedTuple):
-    link_ih: tuple[int, ...]
-    cone_ih: tuple[int, ...]
-    cutoff: int
-    expected: tuple[int, ...]
-    mismatches: tuple[tuple[int, int, int], ...]  # (degree, expected, got)
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
-
-
-def cone_formula_check(link_sc: StratifiedComplex, p: Perversity | None,
-                       coeff: LocalSystemQ | None = None) -> ConeCheckResult:
-    """Verify IH of the closed cone against the truncated IH of the link.
-
-    For a compact link of dimension l >= 1 the cone keeps the link's IH
-    strictly below degree l - p(l+1) and vanishes from there on.  A
-    0-dimensional link falls outside the codimension-2 theory; its cone
-    is a contractible graph with IH (1, 0).
-    """
-    l = link_sc.dim
-    if l < 0:
-        raise InputError("the link is empty")
-    link_ih = ih_betti(link_sc, p, coeff)
-    cone_sc = cone_stratified(link_sc)
-    cone_ih = ih_betti(cone_sc, p, coeff)
-    if l == 0:
-        cutoff = 1
-        expected = (1, 0)
-    else:
-        if p is None or p.top_dim < l + 1:
-            raise InputError(f"perversity must be defined up to {l + 1}")
-        cutoff = l - p[l + 1]
-        expected = tuple(link_ih[j] if j < cutoff else 0 for j in range(l + 2))
-    mismatches = tuple((j, expected[j], cone_ih[j])
-                       for j in range(l + 2) if expected[j] != cone_ih[j])
-    return ConeCheckResult(link_ih, cone_ih, cutoff, expected, mismatches)

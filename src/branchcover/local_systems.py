@@ -89,15 +89,30 @@ class LocalSystemQ:
         for (u, v) in edges:
             if (u, v) not in transports or (v, u) not in transports:
                 raise InputError(f"edge {u}->{v} has no transport")
+        # a system built from a table shares one transport per permutation, so
+        # each distinct pair and triple of transport objects is checked once,
+        # the first time it is met: a failure still names the first edge or
+        # 2-simplex, in order, on which the check fails
         ident = Transport.permutation(range(rank))
+        checked = set()
         for (u, v) in edges:
             f, b = transports[(u, v)], transports[(v, u)]
+            key = (id(f), id(b))
+            if key in checked:
+                continue
+            checked.add(key)
             if len(f) != rank or len(b) != rank:
                 raise InputError(f"transport of {u}->{v} is not {rank}x{rank}")
             if b @ f != ident:
                 raise InputError(f"transport of {v}->{u} is not inverse to {u}->{v}")
+        checked.clear()
         for (a, b, c) in base.simplices_of_dim(2):
-            if transports[(b, c)] @ transports[(a, b)] != transports[(a, c)]:
+            ab, bc, ac = transports[(a, b)], transports[(b, c)], transports[(a, c)]
+            key = (id(ab), id(bc), id(ac))
+            if key in checked:
+                continue
+            checked.add(key)
+            if bc @ ab != ac:
                 raise InputError(f"flatness fails on 2-simplex {[a, b, c]}")
         self.base = base
         self.rank = rank

@@ -194,39 +194,6 @@ def star(c: SimplicialComplex, simplex: Simplex) -> SimplicialComplex:
     return SimplicialComplex(out)
 
 
-def link(c: SimplicialComplex, simplex: Simplex) -> SimplicialComplex:
-    """Faces of star simplices disjoint from ``simplex``."""
-    s = tuple(simplex)
-    if s not in c.simplices:
-        raise InputError(f"{list(s)} is not a simplex of the complex")
-    sset = set(s)
-    st = star(c, s)
-    return SimplicialComplex(t for t in st.simplices if not sset & set(t))
-
-
-def cone(c: SimplicialComplex, apex: int | None = None) -> SimplicialComplex:
-    """Join with a fresh apex (max id + 1 unless given)."""
-    if apex is None:
-        apex = (max(c.vertices) + 1) if c.vertices else 0
-    simps: set[Simplex] = {(apex,)}
-    for s in c.simplices:
-        simps.add(s)
-        simps.add(s + (apex,))
-    return SimplicialComplex(simps)
-
-
-def suspension(c: SimplicialComplex) -> SimplicialComplex:
-    """Join with two fresh apexes (max id + 1 and + 2)."""
-    base = (max(c.vertices) + 1) if c.vertices else 0
-    north, south = base, base + 1
-    simps: set[Simplex] = {(north,), (south,)}
-    for s in c.simplices:
-        simps.add(s)
-        simps.add(s + (north,))
-        simps.add(s + (south,))
-    return SimplicialComplex(simps)
-
-
 def connected_components(nodes: Iterable[Hashable],
                          edges: Iterable[tuple[Hashable, Hashable]]) -> list[list]:
     """The connected components of a graph, by union-find (Tarjan, JACM 1975).

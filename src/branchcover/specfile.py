@@ -22,22 +22,12 @@ requested subdivisions; `generators` prints that contract.
 from __future__ import annotations
 
 import json
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import InputError
 from .covering import BranchedCoverSpec, MonodromyRep, complement_presentation
-from .presentation import EdgePathPresentation
 from .simplicial import SimplicialComplex, validate_complex
 from .stratified import StratifiedComplex, subdivide_with_subcomplexes
-
-
-class _SpecSections(NamedTuple):
-    complex: list
-    stratification: list | None
-    branch: list | None
-    branch_stratification: list | None
-    monodromy: dict | None
-    options: dict
 
 
 _NO_OPTIONS = object()
@@ -52,11 +42,15 @@ MAX_DEGREE = 10_000
 MAX_COVER_SIMPLICES = 1_000_000
 
 
-class SpecData(_SpecSections):
+class SpecData(namedtuple("SpecData", "complex stratification branch branch_stratification "
+                                       "monodromy options")):
     """The sections of a spec file; ``options`` defaults to a fresh empty dict.
 
-    Any given ``options``, ``None`` included, is kept as is for
-    :func:`parse_spec_text` to validate.
+    ``complex`` is a list and the optional ``stratification``, ``branch``
+    and ``branch_stratification`` are lists or ``None``; ``monodromy`` is a
+    dict or ``None`` and ``options`` a dict.  Any given ``options``,
+    ``None`` included, is kept as is for :func:`parse_spec_text` to
+    validate.
     """
 
     __slots__ = ()
@@ -83,7 +77,7 @@ def parse_spec_text(text: str) -> SpecData:
         raise InputError(f"not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise InputError("top level must be an object")
-    _reject_unknown_keys(raw, _SpecSections._fields, "")
+    _reject_unknown_keys(raw, SpecData._fields, "")
     if "complex" not in raw:
         raise InputError("missing required key 'complex'")
     data = SpecData(
@@ -160,17 +154,18 @@ def _simplices(raw: list, where: str) -> list:
     return [tuple(s) for s in raw]
 
 
-class LoadedSpec(NamedTuple):
+class LoadedSpec(namedtuple("LoadedSpec", "base branch presentation monodromy basepoint "
+                                           "perversity subdivisions")):
     """The loaded sections; ``presentation`` is the complement's, made only
-    for a spec with a monodromy, which is given on its generators."""
+    for a spec with a monodromy, which is given on its generators.
 
-    base: StratifiedComplex
-    branch: StratifiedComplex | None
-    presentation: EdgePathPresentation | None
-    monodromy: MonodromyRep | None
-    basepoint: int | None
-    perversity: str
-    subdivisions: int
+    ``base`` is a ``StratifiedComplex`` and ``branch`` one or ``None``;
+    ``presentation`` is an ``EdgePathPresentation``, ``monodromy`` a
+    ``MonodromyRep`` and ``basepoint`` an ``int``, each or ``None``;
+    ``perversity`` is a name and ``subdivisions`` an ``int``.
+    """
+
+    __slots__ = ()
 
     def cover_spec(self) -> BranchedCoverSpec:
         if self.monodromy is None:
@@ -227,44 +222,3 @@ def load_spec(data: SpecData) -> LoadedSpec:
 
     return LoadedSpec(base, branch, pres, monodromy, basepoint,
                       data.perversity, data.subdivisions)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def _levels(sc: StratifiedComplex) -> list:
-    """Singular levels, top (dim m-2) first, less the trailing empty ones."""
-    levels = [[list(s) for s in sc.levels[j].all_simplices()] for j in range(sc.dim - 2, -1, -1)]
-    while levels and not levels[-1]:
-        levels.pop()
-    return levels
-
-
-def spec_to_dict(base: StratifiedComplex, branch: StratifiedComplex | None,
-                 monodromy: MonodromyRep | None, presentation=None) -> dict:
-    out: dict = {"complex": [list(s) for s in base.complex.all_simplices()]}
-    if levels := _levels(base):
-        out["stratification"] = levels
-    if branch is not None:
-        out["branch"] = [list(s) for s in branch.complex.all_simplices()]
-        if levels := _levels(branch):
-            out["branch_stratification"] = levels
-    if monodromy is not None:
-        if presentation is None:
-            raise InputError("serializing monodromy needs the presentation")
-        assignments = {
-            f"{u}->{v}": list(monodromy.images[i])
-            for i, (u, v) in enumerate(presentation.generators)
-        }
-        out["monodromy"] = {
-            "degree": monodromy.degree,
-            "basepoint": presentation.basepoint,
-            "assignments": assignments,
-        }
-    out["options"] = {"perversity": "lower", "subdivisions": 0}
-    return out
-
-
-def spec_to_text(spec_dict: dict) -> str:
-    return json.dumps(spec_dict, sort_keys=True, indent=2) + "\n"

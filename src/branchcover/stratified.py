@@ -8,14 +8,14 @@ the smallest level containing it.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import combinations, groupby
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .errors import InputError
 from .simplicial import (
     EMPTY_COMPLEX,
     SimplicialComplex,
-    Simplex,
     barycentric_subdivide_complex,
     barycentric_subdivide_set,
     connected_components,
@@ -23,10 +23,11 @@ from .simplicial import (
 )
 
 
-class Stratum(NamedTuple):
-    level: int
-    dim: int
-    simplices: tuple[Simplex, ...]
+class Stratum(namedtuple("Stratum", "level dim simplices")):
+    """One stratum: its ``level`` and ``dim`` (``int``) and its ``simplices``
+    (``tuple[Simplex, ...]``)."""
+
+    __slots__ = ()
 
 
 class StratifiedComplex:
@@ -153,25 +154,3 @@ def subdivide_with_subcomplexes(
                                             for j in range(x.dim - 2, -1, -1)])
 
     return carry(sc, new), [carry(ex, subdivided(ex.complex)) for ex in extras]
-
-
-def cone_stratified(link_sc: StratifiedComplex) -> StratifiedComplex:
-    """Closed cone with the apex as the deepest stratum.
-
-    Level j of the cone is the cone on level j-1 of the link; level 0 is
-    the apex alone.
-    """
-    from .simplicial import cone as cone_complex  # local import to avoid cycle noise
-
-    base = link_sc.complex
-    apex = (max(base.vertices) + 1) if base.vertices else 0
-    total = cone_complex(base, apex)
-    m = total.dim
-    singular = []
-    for j in range(m - 2, -1, -1):
-        lvl = link_sc.level(j - 1)
-        if lvl.n_simplices() == 0:
-            singular.append(SimplicialComplex(((apex,),)))
-        else:
-            singular.append(cone_complex(lvl, apex))
-    return StratifiedComplex(total, singular)

@@ -10,15 +10,12 @@ not sufficient; the reports say so explicitly.
 from __future__ import annotations
 
 import json
-from typing import NamedTuple
+from collections import namedtuple
 
-from .errors import InternalCheckError
 from .covering import (
     BranchedCoverSpec,
-    ConnectivityReport,
     CoverComplex,
     complement_connectivity_check,
-    fiber_cardinality,
     fox_complete,
     local_monodromy_group,
     orbit_count,
@@ -28,7 +25,7 @@ from .covering import (
 )
 from .intersection import ih_betti, perversity_by_name
 from .local_systems import invariant_dimension, kernel_system, sum_zero_action
-from .simplicial import Simplex, betti_numbers, components
+from .simplicial import betti_numbers, components
 
 NECESSITY_NOTE = ("rank and stalk equalities are necessary conditions for the "
                   "sheaf-level decomposition, not sufficient")
@@ -38,19 +35,20 @@ NECESSITY_NOTE = ("rank and stalk equalities are necessary conditions for the "
 # fiber table
 
 
-class FiberRow(NamedTuple):
-    simplex: Simplex
-    orbit_count: int
-    one_plus_invariants: int
-    lift_count: int
+class FiberRow(namedtuple("FiberRow", "simplex orbit_count one_plus_invariants lift_count")):
+    """One branch simplex of the fiber table: the ``Simplex`` and three ``int`` counts."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
         return self.orbit_count == self.one_plus_invariants == self.lift_count
 
 
-class FiberReport(NamedTuple):
-    rows: tuple[FiberRow, ...]
+class FiberReport(namedtuple("FiberReport", "rows")):
+    """The fiber table: ``rows`` is a ``tuple[FiberRow, ...]``."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -74,66 +72,28 @@ def fiber_rank_report(spec: BranchedCoverSpec, cover: CoverComplex) -> FiberRepo
 
 
 # ---------------------------------------------------------------------------
-# codimension corollary
-
-
-class CodimReport(NamedTuple):
-    applicable: bool
-    branch_dim: int
-    base_dim: int
-    fibers: tuple[tuple[Simplex, int], ...]
-    non_minimal: bool
-    note: str
-
-
-def codim_check(spec: BranchedCoverSpec) -> CodimReport:
-    """If the branch locus has codimension >= 3, no branching may occur.
-
-    All fibers must then equal the degree and the locus is flagged
-    non-minimal; a smaller fiber raises, since it signals invalid input
-    or a bug.
-    """
-    m = spec.base.dim
-    if spec.branch is None:
-        return CodimReport(False, -1, m, (), False, "branch locus empty; vacuous pass")
-    rdim = spec.branch.dim
-    if rdim > m - 3:
-        return CodimReport(False, rdim, m, (), False,
-                           "branch locus has codimension 2; check not applicable")
-    fibers = []
-    for tau in spec.branch_simplices():
-        card = fiber_cardinality(spec, tau)
-        fibers.append((tau, card))
-        if card < spec.degree:
-            raise InternalCheckError(
-                f"fiber over {list(tau)} has cardinality {card} < degree {spec.degree} "
-                f"at codimension >= 3")
-    return CodimReport(True, rdim, m, tuple(fibers), True,
-                       "all fibers equal the degree; the locus is not minimal")
-
-
-# ---------------------------------------------------------------------------
 # branched decomposition
 
 
-class DecompositionReport(NamedTuple):
-    perversity: str
-    degree: int
-    base_dim: int
-    betti_cover: tuple[int, ...]
-    ih_trivial: tuple[int, ...]
-    ih_kernel: tuple[int, ...]
-    equal_per_degree: tuple[bool, ...]
-    fiber: FiberReport
-    connectivity: ConnectivityReport
-    euler_cover: int
-    euler_ok: bool
-    b0_ok: bool
-    betti_base_manifold: tuple[int, ...] | None
-    manifold_crosscheck_ok: bool
-    stratification_levels: tuple[tuple[int, int], ...]
-    pullback_levels: tuple[tuple[int, int], ...]
-    note: str = NECESSITY_NOTE
+class DecompositionReport(namedtuple(
+        "DecompositionReport",
+        "perversity degree base_dim betti_cover ih_trivial ih_kernel equal_per_degree "
+        "fiber connectivity euler_cover euler_ok b0_ok betti_base_manifold "
+        "manifold_crosscheck_ok stratification_levels pullback_levels note",
+        defaults=(NECESSITY_NOTE,))):
+    """The verdict of :func:`verify_branched` with every check behind it.
+
+    Fields: ``perversity: str``; ``degree``, ``base_dim``, ``euler_cover:
+    int``; ``betti_cover``, ``ih_trivial``, ``ih_kernel: tuple[int, ...]``;
+    ``equal_per_degree: tuple[bool, ...]``; ``fiber: FiberReport``;
+    ``connectivity: covering.ConnectivityReport``; ``euler_ok``, ``b0_ok``,
+    ``manifold_crosscheck_ok: bool``; ``betti_base_manifold: tuple[int,
+    ...] | None``; ``stratification_levels``, ``pullback_levels:
+    tuple[tuple[int, int], ...]`` (level, simplex count); ``note: str``,
+    :data:`NECESSITY_NOTE` by default.
+    """
+
+    __slots__ = ()
 
     @property
     def all_equal(self) -> bool:

@@ -13,7 +13,8 @@ from typing import NamedTuple
 from branchcover.errors import InputError
 from branchcover.intersection import Perversity, _allowable, _level_vertex_sets, ih_betti
 from branchcover.local_systems import LocalSystemQ
-from branchcover.simplicial import Simplex, SimplicialComplex, link, star
+from branchcover.fixtures import link
+from branchcover.simplicial import Simplex, SimplicialComplex, star
 from branchcover.stratified import StratifiedComplex
 
 

@@ -22,7 +22,6 @@ from branchcover.covering import (
     riemann_hurwitz_check,
 )
 from branchcover.intersection import (
-    cone_formula_check,
     ih_betti,
     lower_middle,
     top_perversity,
@@ -37,13 +36,10 @@ from branchcover.local_systems import (
     twisted_betti,
 )
 from branchcover.presentation import edge_path_presentation
-from branchcover.simplicial import (
-    SimplicialComplex,
-    betti_numbers,
-    suspension,
-)
+from branchcover.simplicial import SimplicialComplex, betti_numbers
 from branchcover.stratified import StratifiedComplex
-from branchcover.verify import codim_check, verify_branched
+from branchcover.verify import verify_branched
+from branchcover.commands import codim_check, cone_formula_check
 from branchcover.cli import main as cli_main
 from branchcover import fixtures
 from branchcover.fixtures import (
@@ -54,6 +50,7 @@ from branchcover.fixtures import (
     pinched_torus,
     s3_unknot_double_data,
     sphere_branched_data,
+    suspension,
     suspension_torus,
     torus7,
 )

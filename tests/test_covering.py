@@ -574,7 +574,7 @@ def test_riemann_hurwitz_unbranched_multiplicativity():
 def test_fox_completed_surface_cover_is_a_closed_surface():
     # every edge of the total space lies in exactly two triangles and every
     # vertex link is a circle: the completion really is a closed surface
-    from branchcover.simplicial import link as link_of
+    from branchcover.fixtures import link as link_of
     y, r, rep, pres = sphere_branched_data(6, 2)
     cover = fox_complete(BranchedCoverSpec(y, r, rep, pres))
     x = cover.total
@@ -586,7 +586,7 @@ def test_fox_completed_surface_cover_is_a_closed_surface():
 
 
 def test_fox_completed_unknot_cover_is_a_closed_3_manifold():
-    from branchcover.simplicial import link as link_of
+    from branchcover.fixtures import link as link_of
     y, r, rep, pres = s3_unknot_double_data()
     cover = fox_complete(BranchedCoverSpec(y, r, rep, pres))
     x = cover.total

@@ -6,8 +6,9 @@ from branchcover.covering import BranchedCoverSpec, MonodromyRep, fox_complete
 from branchcover.errors import InputError
 from branchcover.covering import fiber_cardinality
 from branchcover.presentation import edge_path_presentation
-from branchcover.simplicial import betti_numbers, link
+from branchcover.simplicial import betti_numbers
 from branchcover.fixtures import (
+    link,
     hexagon,
     octahedron,
     orient_closed_surface,

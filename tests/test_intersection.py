@@ -9,7 +9,6 @@ from branchcover.covering import BranchedCoverSpec, MonodromyRep, refine_stratif
 from branchcover.errors import InputError
 from branchcover.intersection import (
     Perversity,
-    cone_formula_check,
     ih_betti,
     lower_middle,
     perversity_by_name,
@@ -24,9 +23,10 @@ from branchcover.local_systems import (
     twisted_betti,
 )
 from branchcover.presentation import edge_path_presentation
-from branchcover.simplicial import SimplicialComplex, betti_numbers, full_subcomplex, suspension
+from branchcover.simplicial import SimplicialComplex, betti_numbers, full_subcomplex
 from branchcover.specfile import load_spec, parse_spec_text
 from branchcover.stratified import StratifiedComplex
+from branchcover.commands import cone_formula_check
 from branchcover.fixtures import (
     _relator_rows,
     boundary_simplex,
@@ -36,6 +36,7 @@ from branchcover.fixtures import (
     pinched_torus,
     s3_unknot_double_data,
     sphere_branched_data,
+    suspension,
     suspension_torus,
     torus7,
 )
@@ -486,7 +487,7 @@ def test_stalk_check_arc_stratum_through_suspension_points():
     # have codimension 2 with marked-sphere links, the endpoints have
     # codimension 3; the coarse triangulation already carries the induced
     # link filtrations because levels are nested
-    from branchcover.simplicial import suspension
+    from branchcover.fixtures import suspension
     total = suspension(boundary_simplex(3))
     arc = SimplicialComplex([(0,), (4,), (5,), (0, 4), (0, 5)])
     apexes = SimplicialComplex([(4,), (5,)])

@@ -1,4 +1,5 @@
 """The package's record types: construction, immutability and value semantics."""
+import ast
 import copy
 import pickle
 import re
@@ -11,16 +12,12 @@ import pytest
 import branchcover
 from branchcover.covering import ConnectivityReport, MonodromyRep
 from branchcover.errors import InputError
-from branchcover.intersection import (
-    ConeCheckResult,
-    Perversity,
-    lower_middle,
-)
+from branchcover.commands import CodimReport, ConeCheckResult
+from branchcover.intersection import Perversity, lower_middle
 from branchcover.specfile import LoadedSpec, SpecData
 from branchcover.stratified import Stratum
 from branchcover.verify import (
     NECESSITY_NOTE,
-    CodimReport,
     DecompositionReport,
     FiberReport,
     FiberRow,
@@ -58,17 +55,36 @@ def _values(cls, shift=0):
     return tuple((cls.__name__, i + shift) for i in range(len(RECORDS[cls])))
 
 
+# the modules `verify` runs: a fresh ``import branchcover.cli`` loads these and no others
+VERIFY_MODULES = ["branchcover"] + [f"branchcover.{name}" for name in (
+    "cli", "covering", "errors", "intersection", "linalg", "local_systems", "presentation",
+    "simplicial", "specfile", "stratified", "verify")]
+
+
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    """Nor ``branchcover.fixtures``, which only the ``fixture`` command needs."""
+    """Nor ``branchcover.commands`` or ``branchcover.fixtures``, which only the
+    other commands need, and no ``src/`` record is a ``typing.NamedTuple``:
+    building one compiles its annotations."""
     package_root = str(Path(branchcover.__file__).resolve().parents[1])
     proc = subprocess.run(  # -B: no bytecode written next to the sources
         [sys.executable, "-B", "-c",
          "import sys, branchcover.cli; "
-         "print(sorted({'dataclasses', 'inspect', 'branchcover.fixtures'} & set(sys.modules)))"],
+         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules))); "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'branchcover'))"],
         capture_output=True, text=True,
         env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stdout == f"[]\n{sorted(VERIFY_MODULES)}\n"
+
+    package = Path(branchcover.__file__).resolve().parent
+    named_tuples = [
+        f"{path.name}:{node.name}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+        and any(getattr(base, "id", getattr(base, "attr", None)) == "NamedTuple"
+                for base in node.bases)]
+    assert named_tuples == []
 
 
 def test_verify_with_non_unit_pivots_loads_no_rational_arithmetic(tmp_path, monkeypatch):

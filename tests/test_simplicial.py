@@ -12,20 +12,18 @@ from branchcover.simplicial import (
     barycentric_subdivide_complex,
     betti_numbers,
     components,
-    cone,
     connected_components,
     full_subcomplex,
     homology_ranks,
     is_full,
-    link,
     star,
-    suspension,
     validate_complex,
 )
 from branchcover.intersection import ih_betti, lower_middle
 from branchcover.local_systems import Transport, twisted_betti
 from branchcover.stratified import StratifiedComplex
-from branchcover.fixtures import boundary_simplex, hexagon, octahedron, torus7
+from branchcover.commands import cone
+from branchcover.fixtures import boundary_simplex, hexagon, link, octahedron, suspension, torus7
 
 from complexes import full_simplex, trivial_system
 from oracles import brute_betti, brute_link, brute_star, bfs_components, close_faces, euler

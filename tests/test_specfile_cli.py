@@ -13,11 +13,16 @@ from branchcover.specfile import (
     MAX_DEGREE,
     load_spec,
     parse_spec_text,
+)
+from branchcover.stratified import StratifiedComplex
+from branchcover.fixtures import (
+    circle_cover_data,
+    cycle_complex,
+    octahedron,
+    pinched_torus,
     spec_to_dict,
     spec_to_text,
 )
-from branchcover.stratified import StratifiedComplex
-from branchcover.fixtures import circle_cover_data, cycle_complex, octahedron, pinched_torus
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 

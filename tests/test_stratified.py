@@ -16,11 +16,8 @@ from branchcover.simplicial import (
     validate_complex,
 )
 from branchcover.specfile import load_spec, parse_spec_text
-from branchcover.stratified import (
-    StratifiedComplex,
-    cone_stratified,
-    subdivide_with_subcomplexes,
-)
+from branchcover.stratified import StratifiedComplex, subdivide_with_subcomplexes
+from branchcover.commands import cone_stratified
 from branchcover.fixtures import (
     boundary_simplex,
     circle_cover_data,

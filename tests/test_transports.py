@@ -198,6 +198,31 @@ def test_corrupted_tables_reach_every_verdict():
             assert _verdict(build, c, 3, bad) == message
 
 
+def test_checks_multiply_each_distinct_pair_and_triple_once(monkeypatch):
+    """A table system shares one transport per permutation, so its inverse and
+    flatness checks take one product per distinct (forward, backward) pair and
+    one per distinct flatness triple, not one per edge and 2-simplex."""
+    y, r, rep, pres = sphere_branched_data(3, 3)
+    spec = BranchedCoverSpec(y, r, rep, pres)
+    base = spec.complement  # 48 edges and 24 2-simplices, 3 distinct pairs, 5 triples
+    products = []
+    real = Transport.__matmul__
+
+    def spy(a, b):
+        products.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(Transport, "__matmul__", spy)
+    for build in (pushforward_local_system, kernel_system):
+        products.clear()
+        t = build(base, spec.degree, spec.table).transports
+        pairs = {(id(t[(u, v)]), id(t[(v, u)])) for u, v in base.simplices_of_dim(1)}
+        triples = {(id(t[(a, b)]), id(t[(b, c)]), id(t[(a, c)]))
+                   for a, b, c in base.simplices_of_dim(2)}
+        assert 0 < len(products) <= len(pairs) + len(triples)
+        assert len(pairs) + len(triples) < base.n_simplices(1) + base.n_simplices(2)
+
+
 # ---------------------------------------------------------------------------
 # differential: sparse constructors against the dense adapter and oracles
 

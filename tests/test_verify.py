@@ -10,10 +10,10 @@ from branchcover.covering import (
 )
 from branchcover.specfile import load_spec, parse_spec_text
 from branchcover.verify import (
-    codim_check,
     fiber_rank_report,
     verify_branched,
 )
+from branchcover.commands import codim_check
 from branchcover.fixtures import (
     circle_cover_data,
     s3_unknot_double_data,
@@ -222,12 +222,12 @@ def _suspension_circle_double_cover():
     decomposition hypotheses fail; the report must stay internally
     consistent while the lower-middle equality honestly fails.
     """
-    from branchcover.simplicial import SimplicialComplex, full_subcomplex, link
+    from branchcover.simplicial import SimplicialComplex, full_subcomplex
     from branchcover.stratified import StratifiedComplex, subdivide_with_subcomplexes
     from branchcover.covering import MonodromyRep
     from branchcover.presentation import edge_path_presentation
     from branchcover.fixtures import (
-        suspension_torus, solve_mod_p, cyclic_image, _relator_rows, _word_row)
+        link, suspension_torus, solve_mod_p, cyclic_image, _relator_rows, _word_row)
 
     st = suspension_torus()
     circle = StratifiedComplex(SimplicialComplex(
@@ -274,7 +274,7 @@ def test_singular_base_cover_outside_theorem_hypotheses():
 
 
 def test_cli_equality_failure_exit_code(tmp_path):
-    from branchcover.specfile import spec_to_dict, spec_to_text
+    from branchcover.fixtures import spec_to_dict, spec_to_text
     spec = _suspension_circle_double_cover()
     path = tmp_path / "singular.json"
     path.write_text(spec_to_text(spec_to_dict(
