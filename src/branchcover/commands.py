@@ -1,21 +1,21 @@
 """Every command but ``verify``, and the library code that only they reach.
 
 :func:`cli.main` imports this module only to run one of these commands,
-so a ``verify`` process never compiles it.  Besides the handlers it holds
-the cone formula check (``cone-check``) and the codimension corollary
-(``fibers``), with the cone constructions they build on.
+so a ``verify`` process never compiles it.  Each handler returns its text
+and exit code, and ``cli.main`` writes the text.  Besides the handlers it
+holds the cone formula check (``cone-check``) and the codimension
+corollary (``fibers``), with the cone constructions they build on.
 """
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .cli import _emit, _load, _read
 from .covering import BranchedCoverSpec, complement_presentation, fiber_cardinality, fox_complete
 from .errors import InputError, InternalCheckError
 from .intersection import Perversity, ih_betti, perversity_by_name
 from .local_systems import LocalSystemQ, kernel_system, pushforward_local_system, twisted_betti
 from .simplicial import Simplex, SimplicialComplex, betti_numbers
-from .specfile import MAX_DEGREE, load_spec
+from .specfile import MAX_DEGREE, load_spec, read_spec
 from .stratified import StratifiedComplex
 from .verify import fiber_rank_report
 
@@ -145,10 +145,10 @@ def codim_check(spec: BranchedCoverSpec) -> CodimReport:
 # commands
 
 
-def cmd_generators(args) -> int:
+def cmd_generators(args) -> tuple[str, int]:
     # the contract does not depend on the assignments, so it is printed
     # for a spec whose assignments no longer match it, too
-    data = _read(args.spec)
+    data = read_spec(args.spec)
     loaded = load_spec(data._replace(monodromy=None))
     branch = loaded.branch
     pres = complement_presentation(
@@ -161,19 +161,17 @@ def cmd_generators(args) -> int:
     for i, (u, v) in enumerate(pres.generators):
         lines.append(f"  g{i}: {u}->{v}")
     lines.append(f"relators: {len(pres.relators)}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return "\n".join(lines) + "\n", 0
 
 
-def cmd_homology(args) -> int:
-    loaded = _load(args.spec)
+def cmd_homology(args) -> tuple[str, int]:
+    loaded = load_spec(read_spec(args.spec))
     b = betti_numbers(loaded.base.complex)
-    _emit(f"betti: {list(b)}\n", args.out)
-    return 0
+    return f"betti: {list(b)}\n", 0
 
 
-def cmd_twisted(args) -> int:
-    loaded = _load(args.spec)
+def cmd_twisted(args) -> tuple[str, int]:
+    loaded = load_spec(read_spec(args.spec))
     spec = loaded.cover_spec()
     base_c, d, table = spec.complement, spec.degree, spec.table
     pushforward = pushforward_local_system(base_c, d, table)
@@ -183,22 +181,20 @@ def cmd_twisted(args) -> int:
         f"pushforward twisted betti: {list(twisted_betti(base_c, pushforward))}",
         f"kernel twisted betti:      {list(twisted_betti(base_c, kernel))}",
     ]
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return "\n".join(lines) + "\n", 0
 
 
-def cmd_ih(args) -> int:
-    loaded = _load(args.spec)
+def cmd_ih(args) -> tuple[str, int]:
+    loaded = load_spec(read_spec(args.spec))
     name = args.perversity or loaded.perversity
     m = loaded.base.dim
     p = perversity_by_name(name, m) if m >= 2 else None
     values = ih_betti(loaded.base, p)
-    _emit(f"ih ({name}): {list(values)}\n", args.out)
-    return 0
+    return f"ih ({name}): {list(values)}\n", 0
 
 
-def cmd_fibers(args) -> int:
-    loaded = _load(args.spec)
+def cmd_fibers(args) -> tuple[str, int]:
+    loaded = load_spec(read_spec(args.spec))
     spec = loaded.cover_spec()
     cover = fox_complete(spec)
     report = fiber_rank_report(spec, cover)
@@ -208,12 +204,11 @@ def cmd_fibers(args) -> int:
                      f"| {r.lift_count} | {'ok' if r.ok else 'MISMATCH'}")
     codim = codim_check(spec)
     lines.append(f"codimension check: {codim.note}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0 if report.ok else 3
+    return "\n".join(lines) + "\n", 0 if report.ok else 3
 
 
-def cmd_cone_check(args) -> int:
-    loaded = _load(args.spec)
+def cmd_cone_check(args) -> tuple[str, int]:
+    loaded = load_spec(read_spec(args.spec))
     link_sc = loaded.base
     l = link_sc.dim
     name = args.perversity or loaded.perversity
@@ -227,8 +222,7 @@ def cmd_cone_check(args) -> int:
     ]
     for (deg, want, got) in result.mismatches:
         lines.append(f"  degree {deg}: expected {want}, got {got}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0 if result.ok else 2
+    return "\n".join(lines) + "\n", 0 if result.ok else 2
 
 
 def _parse_perm(text: str, degree: int) -> tuple[int, ...]:
@@ -241,7 +235,7 @@ def _parse_perm(text: str, degree: int) -> tuple[int, ...]:
     return parts
 
 
-def cmd_fixture(args) -> int:
+def cmd_fixture(args) -> tuple[str, int]:
     from . import fixtures  # only this command needs them; every other one skips the import
 
     name = args.name
@@ -267,16 +261,4 @@ def cmd_fixture(args) -> int:
         spec = fixtures.spec_to_dict(fixtures.pinched_torus(), None, None)
     else:
         raise InputError(f"unknown fixture {name!r}")
-    _emit(fixtures.spec_to_text(spec), args.out)
-    return 0
-
-
-COMMANDS = {
-    "generators": cmd_generators,
-    "homology": cmd_homology,
-    "twisted": cmd_twisted,
-    "ih": cmd_ih,
-    "fibers": cmd_fibers,
-    "cone-check": cmd_cone_check,
-    "fixture": cmd_fixture,
-}
+    return fixtures.spec_to_text(spec), 0

@@ -36,9 +36,10 @@ _NO_OPTIONS = object()
 # A cover holds d sheets over every simplex, so memory grows with d; the
 # cap keeps a short hostile spec from exhausting it.
 MAX_DEGREE = 10_000
-# Largest degree x base simplices accepted from a spec file, counted after
-# the subdivisions: a bound on the simplices of the cover, checked before
-# the complement is presented or any of the cover is built.
+# Largest number of base simplices after the subdivisions, times the degree
+# when the spec has a monodromy, accepted from a spec file: a bound on the
+# simplices of the subdivided base and of the cover, checked before the
+# base is subdivided, the complement presented or any of the cover built.
 MAX_COVER_SIMPLICES = 1_000_000
 
 
@@ -70,10 +71,15 @@ class SpecData(namedtuple("SpecData", "complex stratification branch branch_stra
         return self.options.get("subdivisions", 0)
 
 
+def read_spec(path: str) -> SpecData:
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_spec_text(fh.read())
+
+
 def parse_spec_text(text: str) -> SpecData:
     try:
         raw = json.loads(text, object_pairs_hook=_object)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # a number of too many digits is a ValueError
         raise InputError(f"not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise InputError("top level must be an object")
@@ -184,6 +190,23 @@ def _stratified_from_lists(complex_: SimplicialComplex, levels_raw: list | None,
     return StratifiedComplex(complex_, singular)
 
 
+def subdivided_f_vector(f: list[int]) -> list[int]:
+    """The f-vector of the barycentric subdivision of a complex whose f-vector is ``f``.
+
+    The chains of k faces that end at a simplex of m vertices are the
+    ordered partitions of its vertices into k blocks, k!·S(m, k) of them
+    (S a Stirling number of the second kind), the surjections of an
+    m-set onto a k-set; so the subdivision is counted without being made.
+    """
+    out = [0] * len(f)
+    onto = [1]  # onto[k]: surjections of an m-set onto a k-set, here for m = 0
+    for m, count in enumerate(f, start=1):
+        onto = [0] + [k * (onto[k - 1] + (onto[k] if k < m else 0)) for k in range(1, m + 1)]
+        for k in range(1, m + 1):
+            out[k - 1] += count * onto[k]
+    return out
+
+
 def load_spec(data: SpecData) -> LoadedSpec:
     """Validate, subdivide as requested and assemble domain objects."""
     base_c = validate_complex(_simplices(data.complex, "complex"))
@@ -197,6 +220,16 @@ def load_spec(data: SpecData) -> LoadedSpec:
         branch = _stratified_from_lists(branch_c, data.branch_stratification,
                                         "branch_stratification")
 
+    f = [base_c.n_simplices(d) for d in range(base_c.dim + 1)]
+    for _ in range(data.subdivisions):  # counted, so that no subdivision past the cap is made
+        f = subdivided_f_vector(f)
+    n = sum(f)
+    degree = 1 if data.monodromy is None else data.monodromy["degree"]
+    if degree * n > MAX_COVER_SIMPLICES:
+        what = (f"a base of {n} simplices" if data.monodromy is None
+                else f"a degree-{degree} cover of {n} base simplices")
+        raise InputError(f"{what} exceeds {MAX_COVER_SIMPLICES} simplices")
+
     for _ in range(data.subdivisions):
         if branch is not None:
             base, (branch,) = subdivide_with_subcomplexes(base, [branch])
@@ -205,11 +238,6 @@ def load_spec(data: SpecData) -> LoadedSpec:
 
     pres = monodromy = basepoint = None
     if data.monodromy is not None:
-        degree, n = data.monodromy["degree"], base.complex.n_simplices()
-        if degree * n > MAX_COVER_SIMPLICES:
-            raise InputError(
-                f"a degree-{degree} cover of {n} base simplices exceeds "
-                f"{MAX_COVER_SIMPLICES} simplices")
         basepoint = data.monodromy.get("basepoint")
         branch_vertices = frozenset(branch.complex.vertices) if branch is not None else ()
         pres = complement_presentation(base.complex, branch_vertices, basepoint)

@@ -2,14 +2,18 @@
 
 ``tests/golden/cli/`` holds ``branchcover --help`` (``help.out``), each
 subcommand's ``--help`` (``help-<command>.out``), both at 80 columns, and
-the stderr of an unknown command (``unknown-command.err``), as Python
-3.11's ``argparse`` formats them.  Each command but ``verify``, whose
+the stderr of each usage error in USAGE_ERRORS (``<case>.err``), as Python
+3.11's ``argparse`` formats them; a command line that starts with a
+command's name is parsed by that command's parser alone, any other by the
+whole tree, and both must print these.  Each command but ``verify``, whose
 reports ``test_golden.py`` pins, is also run as ``python -m
 branchcover.cli`` in a process of its own on a golden spec, so the code it
 loads on use is loaded the way a user's command loads it.
 """
 from __future__ import annotations
 
+import argparse
+import ast
 import os
 import subprocess
 import sys
@@ -58,11 +62,51 @@ def test_subcommand_help(command, capsys, monkeypatch):
         GOLDEN / "cli" / f"help-{command}.out").read_text(encoding="utf-8")
 
 
-def test_unknown_command_is_a_one_line_usage_error(capsys):
+# case -> command line; each exits 1 with one line on stderr, ``<case>.err``
+USAGE_ERRORS = {
+    "unknown-command": ["bogus"],
+    "verify-no-spec": ["verify"],
+    "verify-bad-perversity": ["verify", "spec.json", "--perversity", "bad"],
+    "verify-unknown-option": ["verify", "spec.json", "--bogus"],
+    "fixture-bad-points": ["fixture", "sphere-branched", "--points", "x"],
+    "ih-no-spec": ["ih"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+def test_usage_error_matches_golden(case, capsys):
     capsys.readouterr()
-    assert main(["bogus"]) == 1
+    assert main(USAGE_ERRORS[case]) == 1
     assert capsys.readouterr() == (
-        "", (GOLDEN / "cli" / "unknown-command.err").read_text(encoding="utf-8"))
+        "", (GOLDEN / "cli" / f"{case}.err").read_text(encoding="utf-8"))
+
+
+def test_a_command_builds_only_its_own_parser(tmp_path, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    assert main(["verify", str(GOLDEN / "circle-d5.json"), "--out", str(tmp_path / "r")]) == 0
+    assert built == ["branchcover verify"]
+
+
+def test_commands_imports_nothing_from_cli():
+    """So ``python -m branchcover.cli`` compiles and runs ``cli.py`` once."""
+    path = Path(branchcover.__file__).resolve().parent / "commands.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            imported.add(module)
+            imported.update(module + ("." if node.module else "") + alias.name
+                            for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert imported & {".cli", "branchcover.cli"} == set()
 
 
 @pytest.mark.parametrize("command", sorted(FRESH))
@@ -77,3 +121,23 @@ def test_command_in_a_fresh_process_matches_golden(command):
         env={"PATH": os.environ.get("PATH", "/usr/bin:/bin"), "PYTHONPATH": package_root})
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+def test_cli_run_as_main_is_not_imported_again():
+    """``python -m branchcover.cli`` runs the module as ``__main__`` only:
+    no other command imports it again as ``branchcover.cli``."""
+    spec = GOLDEN / "suspension-torus.json"
+    package_root = str(Path(branchcover.__file__).resolve().parents[1])
+    proc = subprocess.run(  # -B: no bytecode written next to the sources
+        [sys.executable, "-B", "-c",
+         "import runpy, sys\n"
+         f"sys.argv = ['branchcover', 'homology', {str(spec)!r}]\n"
+         "try:\n"
+         "    runpy.run_module('branchcover.cli', run_name='__main__', alter_sys=True)\n"
+         "except SystemExit as exc:\n"
+         "    print(exc.code, 'branchcover.cli' in sys.modules)\n"],
+        capture_output=True, text=True,
+        env={"PATH": os.environ.get("PATH", "/usr/bin:/bin"), "PYTHONPATH": package_root})
+    assert proc.stderr == ""
+    assert proc.stdout == (GOLDEN / "homology-suspension-torus.out").read_text(
+        encoding="utf-8") + "0 False\n"

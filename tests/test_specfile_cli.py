@@ -1,18 +1,22 @@
 import json
+import tracemalloc
+from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from branchcover.cli import main
 from branchcover.covering import MonodromyRep, complement_presentation
 from branchcover.errors import InputError
 from branchcover.presentation import edge_path_presentation
-from branchcover.simplicial import SimplicialComplex
+from branchcover.simplicial import SimplicialComplex, barycentric_subdivide_complex
 from branchcover.specfile import (
     MAX_COVER_SIMPLICES,
     MAX_DEGREE,
     load_spec,
     parse_spec_text,
+    subdivided_f_vector,
 )
 from branchcover.stratified import StratifiedComplex
 from branchcover.fixtures import (
@@ -23,6 +27,9 @@ from branchcover.fixtures import (
     spec_to_dict,
     spec_to_text,
 )
+
+from complexes import full_simplex
+from oracles import close_faces
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -500,6 +507,81 @@ def test_cover_size_cap_exits_1_before_the_cover_is_built(tmp_path, capsys, monk
 def test_cover_size_cap_admits_exactly_the_cap():
     loaded = load_spec(parse_spec_text(_cycle_spec(50, MAX_DEGREE)))
     assert loaded.monodromy.degree * loaded.base.complex.n_simplices() == MAX_COVER_SIMPLICES
+
+
+def _f_vector(c):
+    return [c.n_simplices(d) for d in range(c.dim + 1)]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.frozensets(st.integers(0, 5), min_size=1, max_size=4),
+                min_size=1, max_size=5), st.integers(1, 2))
+def test_subdivided_f_vector_counts_the_subdivision(facets, times):
+    c = SimplicialComplex(close_faces(facets))
+    f = _f_vector(c)
+    for _ in range(times):
+        c = barycentric_subdivide_complex(c)[0]
+        f = subdivided_f_vector(f)
+        assert f == _f_vector(c)
+    assert sum(f) == c.n_simplices()
+
+
+def test_subdivided_f_vector_of_full_simplices():
+    """The counts that the subdivision itself gives for the full 4- and 6-simplex."""
+    assert sum(subdivided_f_vector(_f_vector(full_simplex(4)))) == 1081
+    assert sum(subdivided_f_vector(subdivided_f_vector(_f_vector(full_simplex(4))))) == 97561
+    assert sum(subdivided_f_vector(_f_vector(full_simplex(6)))) == 94585
+
+
+# (vertices, subdivisions) of a full simplex -> simplices of its subdivision
+HUGE_SUBDIVISIONS = {(9, 1): 14_174_521, (7, 2): 352_063_321}
+
+
+@pytest.mark.parametrize("vertices, subdivisions", sorted(HUGE_SUBDIVISIONS))
+def test_subdivision_past_the_cap_exits_1_before_subdividing(vertices, subdivisions,
+                                                             tmp_path, capsys):
+    """A spec of a few KB asks for millions of simplices through its
+    subdivisions: every command, with or without a monodromy, rejects it
+    in one line by counting the subdivision, never making it."""
+    n = HUGE_SUBDIVISIONS[vertices, subdivisions]
+    raw = {"complex": [list(s) for k in range(1, vertices + 1)
+                       for s in combinations(range(vertices), k)],
+           "options": {"subdivisions": subdivisions}}
+    with_monodromy = {**raw, "monodromy": {"degree": 2, "assignments": {}}}
+    path = tmp_path / "simplex.json"
+    for spec, commands, what in (
+            (raw, SPEC_COMMANDS, f"a base of {n} simplices"),
+            (with_monodromy, ("verify", "fibers"), f"a degree-2 cover of {n} base simplices")):
+        path.write_text(json.dumps(spec))
+        for command in commands:
+            capsys.readouterr()
+            tracemalloc.start()
+            try:
+                rc = main([command, str(path)])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert rc == 1
+            assert capsys.readouterr() == (
+                "", f"error: {what} exceeds {MAX_COVER_SIMPLICES} simplices\n")
+            assert peak < 2**21  # the first command imports `commands`: 0.9 MB
+
+
+# case -> a spec that `json` cannot read, once an exit 3 as an internal error
+UNREADABLE_JSON = {
+    "nested-1000-deep": '{"complex": ' + "[" * 1000 + "]" * 1000 + "}",
+    "integer-of-5000-digits": '{"complex": [[' + "1" * 5000 + "]]}",
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_JSON))
+def test_json_too_deep_or_too_long_is_input_error(case, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(UNREADABLE_JSON[case])
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: not valid JSON: ") and err.count("\n") == 1
 
 
 SPEC_COMMANDS = ("generators", "verify", "homology", "twisted", "ih", "fibers", "cone-check")
