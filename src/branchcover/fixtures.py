@@ -1,15 +1,15 @@
 """Named fixtures: complexes, stratified spaces and ready-to-run specs.
 
 Only the ``fixture`` command and the tests load this module: it also
-holds the link and suspension constructions the fixtures build on and
-the writer of spec files (:func:`spec_to_dict`, :func:`spec_to_text`).
+holds the suspension construction the fixtures build on and the writer
+of spec files (:func:`spec_to_dict`, :func:`spec_to_text`).
 
-Monodromy assignments for the sphere and knot fixtures are synthesized by
-solving a linear system over a prime field: relator loops must vanish and
-every meridian (the directed link cycle of a branch vertex, or the link
-of a branch edge in dimension 3) must map to the designated cycle.  Link
-cycles are oriented coherently through a global surface orientation, so
-the systems are always consistent for the fixtures shipped here.
+The sphere and knot fixtures read their cyclic monodromy off a cut, as
+Hurwitz (1891) and Berstein-Edmonds (1979) glue sheets: a Z/d cochain
+that carries a cut's weight on each complement edge crossing it.  Its
+values on the meridians (the link of a branch vertex, or of a branch
+edge in dimension 3) fix its class, and the spanning-tree gauge of the
+presentation picks the one representative that is 0 on the tree.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ import json
 from .errors import InputError
 from .covering import MonodromyRep, complement_presentation
 from .presentation import EdgePathPresentation, edge_path_presentation
-from .simplicial import SimplicialComplex, Simplex, star
+from .simplicial import SimplicialComplex, Simplex, connected_components
 from .stratified import StratifiedComplex
 
 
@@ -35,16 +35,6 @@ def cycle_complex(n: int, start: int = 0) -> SimplicialComplex:
     for i in range(n):
         simplices.append(tuple(sorted((vs[i], vs[(i + 1) % n]))))
     return SimplicialComplex(simplices)
-
-
-def link(c: SimplicialComplex, simplex: Simplex) -> SimplicialComplex:
-    """Faces of star simplices disjoint from ``simplex``."""
-    s = tuple(simplex)
-    if s not in c.simplices:
-        raise InputError(f"{list(s)} is not a simplex of the complex")
-    sset = set(s)
-    st = star(c, s)
-    return SimplicialComplex(t for t in st.simplices if not sset & set(t))
 
 
 def suspension(c: SimplicialComplex) -> SimplicialComplex:
@@ -131,7 +121,7 @@ def pinched_torus() -> StratifiedComplex:
 
 
 # ---------------------------------------------------------------------------
-# orientation and prime-field solving
+# orientation and cuts
 
 
 def orient_closed_surface(c: SimplicialComplex) -> dict[Simplex, int]:
@@ -182,136 +172,66 @@ def orient_closed_surface(c: SimplicialComplex) -> dict[Simplex, int]:
     return signs
 
 
-def oriented_vertex_link_cycle(c: SimplicialComplex, signs: dict[Simplex, int],
-                               v: int) -> list[tuple[int, int]]:
-    """Directed link cycle of a surface vertex, following the orientation."""
-    out: dict[int, int] = {}
-    for t in c.simplices_of_dim(2):
-        if v not in t:
-            continue
-        idx = t.index(v)
-        a, b = t[(idx + 1) % 3], t[(idx + 2) % 3]
-        if signs[t] == 1:
-            out[a] = b
-        else:
-            out[b] = a
-    start = min(out)
-    cycle = [(start, out[start])]
-    while cycle[-1][1] != start:
-        u = cycle[-1][1]
-        cycle.append((u, out[u]))
-    if len(cycle) != len(out):
-        raise InputError(f"link of vertex {v} is not a single cycle")
-    return cycle
+def _add_cut(sub: SimplicialComplex, signs: dict[Simplex, int], path: tuple[int, ...],
+             weight: int, cochain: dict[tuple[int, int], int]) -> None:
+    """Add the cut along a chordless vertex ``path`` to ``cochain``.
 
-
-def _rref_mod_p(m: list[list[int]], ncols: int, p: int) -> list[int]:
-    """Gauss-Jordan over GF(p), p prime, in place on rows reduced mod p.
-
-    Pivots only in the first ``ncols`` columns; returns the pivot columns,
-    the i-th pivot sitting in row i.
+    At each inner vertex p the link of p, less the two path neighbours,
+    falls into two arcs; ``weight`` goes on p's edges toward the left arc,
+    the side of the triangle whose oriented boundary runs p -> next.  On
+    the complement of the two ends this is a cocycle: a loop reads
+    ``weight`` times its crossings of the path from right to left, so the
+    oriented meridian of the first vertex reads +weight and that of the
+    last -weight.
     """
-    pivots: list[int] = []
-    for pc in range(ncols):
-        pr = len(pivots)
-        if pr == len(m):
-            break
-        piv = next((i for i in range(pr, len(m)) if m[i][pc]), None)
-        if piv is None:
-            continue
-        m[pr], m[piv] = m[piv], m[pr]
-        inv = pow(m[pr][pc], -1, p)
-        m[pr] = [(x * inv) % p for x in m[pr]]
-        for i in range(len(m)):
-            if i != pr and m[i][pc]:
-                f = m[i][pc]
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[pr])]
-        pivots.append(pc)
-    return pivots
+    for prev, p, nxt in zip(path, path[1:], path[2:]):
+        triangles = [t for t in sub.cofaces_of_vertex(p) if len(t) == 3]
+        # the third vertex of the triangle whose boundary runs p -> nxt
+        left = next(t[(t.index(p) + 2 * signs[t]) % 3] for t in triangles
+                    if t[(t.index(p) + signs[t]) % 3] == nxt)
+        ends = {prev, nxt}
+        rims = [tuple(w for w in t if w != p) for t in triangles]
+        arcs = connected_components({w for rim in rims for w in rim} - ends,
+                                    (rim for rim in rims if not ends & set(rim)))
+        for w in next(arc for arc in arcs if left in arc):
+            cochain[(p, w)] = cochain.get((p, w), 0) + weight
 
 
-def solve_mod_p(rows: list[list[int]], rhs: list[int], ncols: int,
-                p: int) -> list[int] | None:
-    """One solution of a linear system over GF(p), or None if inconsistent."""
-    m = [[rows[i][j] % p for j in range(ncols)] + [rhs[i] % p] for i in range(len(rows))]
-    pivots = _rref_mod_p(m, ncols, p)
-    if any(row[ncols] for row in m[len(pivots):]):
-        return None
-    sol = [0] * ncols
-    for ri, ci in enumerate(pivots):
-        sol[ci] = m[ri][ncols]
-    return sol
+def _tree_gauge(pres: EdgePathPresentation, cochain: dict[tuple[int, int], int],
+                d: int) -> MonodromyRep:
+    """Generator images of a Z/d cocycle, made 0 on the spanning tree.
 
+    ``cochain`` holds values on oriented edges, read antisymmetrically;
+    generator u -> v maps to the d-cycle raised to h(u) + cochain(u -> v) - h(v),
+    where h sums the cochain along the tree path from the basepoint.
+    """
+    def value(u: int, v: int) -> int:
+        return cochain.get((u, v), 0) - cochain.get((v, u), 0)
 
-def cyclic_image(step: int, d: int) -> tuple[int, ...]:
-    """Image array of the d-cycle (0 1 ... d-1) raised to `step`."""
-    return tuple((i + step) % d for i in range(d))
+    def h(v: int) -> int:
+        path = pres.tree_path(v)
+        return sum(map(value, path, path[1:]))
 
-
-def _word_row(pres: EdgePathPresentation, path_edges: list[tuple[int, int]],
-              ncols: int) -> list[int]:
-    row = [0] * ncols
-    for (u, v) in path_edges:
-        e = (u, v) if u < v else (v, u)
-        if e in pres.tree_edges:
-            continue
-        gi = pres.gen_index[e]
-        row[gi] += 1 if u < v else -1
-    return row
-
-
-def _relator_rows(pres: EdgePathPresentation) -> list[list[int]]:
-    rows = []
-    n = len(pres.generators)
-    for word in pres.relators:
-        row = [0] * n
-        for (gi, sign) in word:
-            row[gi] += sign
-        rows.append(row)
-    return rows
-
-
-def _cyclic_monodromy(pres: EdgePathPresentation, meridians: list[list[tuple[int, int]]],
-                      degree: int, failure: str) -> MonodromyRep:
-    """Images in the cyclic group of prime order ``degree`` under which every
-    relator maps to 1 and every meridian (a path of oriented edges) to the
-    d-cycle; ``failure`` is the message when there are none."""
-    n = len(pres.generators)
-    rows = _relator_rows(pres)
-    rhs = [0] * len(rows) + [1] * len(meridians)
-    rows.extend(_word_row(pres, path, n) for path in meridians)
-    sol = solve_mod_p(rows, rhs, n, degree)
-    if sol is None:
-        raise InputError(failure)
-    return MonodromyRep(degree, tuple(cyclic_image(s, degree) for s in sol))
+    steps = (h(u) + value(u, v) - h(v) for u, v in pres.generators)
+    return MonodromyRep(d, tuple(tuple((i + s) % d for i in range(d)) for s in steps))
 
 
 # ---------------------------------------------------------------------------
 # ready-made branched cover data
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True
-
-
 def sphere_branched_data(points: int, degree: int):
     """Subdivided octahedron with `points` branch vertices and cyclic monodromy.
 
-    Every meridian maps to the full d-cycle, so the number of points must
-    be divisible by the degree and the degree must be prime (the solver
-    works over GF(d)).
+    Every meridian maps to the full d-cycle c, so the number of points must
+    be divisible by the degree.  Cuts join each branch vertex to the next
+    with weights 1, 2, ..., points - 1, so the last meridian reads
+    -(points - 1), which is 1 mod d.
     """
     if not 2 <= points <= 6:
         raise InputError("the octahedron model supports 2 to 6 branch points")
-    if degree < 2 or not _is_prime(degree):
-        raise InputError("degree must be a prime at least 2")
+    if degree < 2:
+        raise InputError("degree must be at least 2")
     if points % degree != 0:
         raise InputError(
             f"{points} meridians mapping to a d-cycle need d | points; "
@@ -321,7 +241,7 @@ def sphere_branched_data(points: int, degree: int):
     order = [0, 5, 1, 3, 2, 4]
     branch_orig = sorted(order[:points])
 
-    from .simplicial import barycentric_subdivide_complex
+    from .simplicial import barycentric_subdivide_complex, full_subcomplex
     sub, b_id, _by_top = barycentric_subdivide_complex(base0)
     signs = orient_closed_surface(sub)
     branch_vertices = [b_id[(w,)] for w in branch_orig]
@@ -331,12 +251,13 @@ def sphere_branched_data(points: int, degree: int):
     r = StratifiedComplex(branch)
 
     pres = complement_presentation(sub, frozenset(branch_vertices))
-    # meridian: the directed link cycle of the branch vertex in the
-    # subdivision, which stays inside the complement
-    meridians = [oriented_vertex_link_cycle(sub, signs, v) for v in branch_vertices]
-    rep = _cyclic_monodromy(pres, meridians, degree,
-                            "no cyclic monodromy with the requested local cycles exists")
-    return y, r, rep, pres
+    cochain: dict[tuple[int, int], int] = {}
+    for weight, (a, b) in enumerate(zip(branch_vertices, branch_vertices[1:]), 1):
+        # a BFS tree path is a shortest path, so it has no chords
+        path = edge_path_presentation(
+            full_subcomplex(sub, pres.complex.vertices + (a, b)), a).tree_path(b)
+        _add_cut(sub, signs, path, weight, cochain)
+    return y, r, _tree_gauge(pres, cochain, degree), pres
 
 
 def s3_unknot_double_data():
@@ -344,37 +265,24 @@ def s3_unknot_double_data():
 
     The base is the once-subdivided boundary of the 4-simplex; the branch
     locus is the subdivided circle through the original vertices 0, 1, 2.
-    The meridian of every branch edge maps to the transposition.
+    The subdivided face 012 spans the knot and meets the complement only at
+    its barycenter, so the cut is the one edge from there into the
+    tetrahedron 0123, and the meridian of every branch edge maps to the
+    transposition.
     """
     base0 = boundary_simplex(4)
     circle = [(0,), (1,), (2,), (0, 1), (1, 2), (0, 2)]
 
     from .simplicial import barycentric_subdivide_complex, barycentric_subdivide_set
-    sub, _b_id, by_top = barycentric_subdivide_complex(base0)
+    sub, b_id, by_top = barycentric_subdivide_complex(base0)
     branch = SimplicialComplex(barycentric_subdivide_set(by_top, circle))
 
     y = StratifiedComplex(sub)
     r = StratifiedComplex(branch)
 
     pres = complement_presentation(sub, frozenset(branch.vertices))
-    meridians = []
-    for tau in branch.simplices_of_dim(1):
-        meridian = link(sub, tau)
-        cyc_edges = meridian.simplices_of_dim(1)
-        adj: dict[int, list[int]] = {}
-        for (u, v) in cyc_edges:
-            adj.setdefault(u, []).append(v)
-            adj.setdefault(v, []).append(u)
-        start = min(adj)
-        path_vertices = [start, sorted(adj[start])[0]]
-        while path_vertices[-1] != start:
-            prev, here = path_vertices[-2], path_vertices[-1]
-            nxt = next(x for x in sorted(adj[here]) if x != prev)
-            path_vertices.append(nxt)
-        meridians.append(list(zip(path_vertices, path_vertices[1:])))
-    rep = _cyclic_monodromy(pres, meridians, 2,
-                            "no double cover with transposition meridians exists")
-    return y, r, rep, pres
+    cochain = {(b_id[(0, 1, 2)], b_id[(0, 1, 2, 3)]): 1}
+    return y, r, _tree_gauge(pres, cochain, 2), pres
 
 
 def circle_cover_data(degree: int, perm: tuple[int, ...]):

@@ -20,7 +20,7 @@ class EdgePathPresentation:
     """Spanning tree, ordered generators and relators for a complex."""
 
     __slots__ = ("complex", "basepoint", "parent", "tree_edges", "generators",
-                 "gen_index", "relators", "_hash")
+                 "gen_index", "relators")
 
     def __init__(self, complex: SimplicialComplex, basepoint: int):
         if basepoint not in set(complex.vertices):
@@ -59,7 +59,6 @@ class EdgePathPresentation:
         get = letter.get
         self.relators = tuple(tuple(filter(None, (get((a, b)), get((b, c)), get((c, a)))))
                               for a, b, c in complex.simplices_of_dim(2))
-        self._hash = hash((complex, basepoint))
 
     def tree_path(self, v: int) -> tuple[int, ...]:
         """Vertices of the unique tree path basepoint -> v."""
@@ -67,9 +66,6 @@ class EdgePathPresentation:
         while path[-1] != self.basepoint:
             path.append(self.parent[path[-1]])
         return tuple(reversed(path))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, EdgePathPresentation)

@@ -39,7 +39,7 @@ class StratifiedComplex:
     simplex must have dimension m and lie outside X_{m-2}.
     """
 
-    __slots__ = ("complex", "levels", "_full", "_strata", "_hash")
+    __slots__ = ("complex", "levels", "_full", "_strata")
 
     def __init__(self, complex: SimplicialComplex,
                  singular_levels: Sequence[SimplicialComplex] = ()):
@@ -77,7 +77,6 @@ class StratifiedComplex:
         self.levels = tuple(levels)
         self._full = None
         self._strata = None
-        self._hash = hash((complex, self.levels))
 
     @property
     def dim(self) -> int:
@@ -93,13 +92,6 @@ class StratifiedComplex:
         if j > self.dim:
             return self.complex
         return self.levels[j]
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, StratifiedComplex)
-                and self.complex == other.complex and self.levels == other.levels)
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         sizes = ",".join(str(l.n_simplices()) for l in self.levels)

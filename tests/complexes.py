@@ -1,9 +1,10 @@
-"""Small complexes, a GF(p) kernel and local-system shorthands that only the tests use.
+"""Small complexes, a GF(p) solver and local-system shorthands that only the tests use.
 
 The package's own fixtures (``branchcover.fixtures``) are the ones the
 ``fixture`` command writes; these are extra bases, a stratified
-subdivision, the constant system, the restriction of a system and a
-codimension-3 spec for the tests.
+subdivision, the constant system, the restriction of a system, a
+codimension-3 spec, links and oriented vertex links, and the GF(p) elimination
+that draws random cyclic monodromy classes for the tests.
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from itertools import combinations
 
 from branchcover.covering import MonodromyRep, complement_presentation, validate_monodromy
 from branchcover.errors import InputError
-from branchcover.fixtures import _closure, _rref_mod_p, boundary_simplex, cycle_complex
+from branchcover.fixtures import _closure, boundary_simplex, cycle_complex
 from branchcover.local_systems import (
     LocalSystemQ,
     Transport,
@@ -19,7 +20,7 @@ from branchcover.local_systems import (
     pushforward_local_system,
 )
 from branchcover.presentation import EdgePathPresentation
-from branchcover.simplicial import SimplicialComplex, barycentric_subdivide_complex
+from branchcover.simplicial import Simplex, SimplicialComplex, barycentric_subdivide_complex, star
 from branchcover.stratified import StratifiedComplex, subdivide_with_subcomplexes
 
 
@@ -95,6 +96,105 @@ def annulus() -> SimplicialComplex:
         faces.append((i, j, 6 + i))
         faces.append((j, 6 + i, 6 + j))
     return _closure(faces)
+
+
+def link(c: SimplicialComplex, simplex: Simplex) -> SimplicialComplex:
+    """Faces of star simplices disjoint from ``simplex``."""
+    s = tuple(simplex)
+    if s not in c.simplices:
+        raise InputError(f"{list(s)} is not a simplex of the complex")
+    sset = set(s)
+    st = star(c, s)
+    return SimplicialComplex(t for t in st.simplices if not sset & set(t))
+
+
+def oriented_vertex_link_cycle(c: SimplicialComplex, signs: dict[Simplex, int],
+                               v: int) -> list[tuple[int, int]]:
+    """Directed link cycle of a surface vertex, following the orientation."""
+    out: dict[int, int] = {}
+    for t in c.simplices_of_dim(2):
+        if v not in t:
+            continue
+        idx = t.index(v)
+        a, b = t[(idx + 1) % 3], t[(idx + 2) % 3]
+        if signs[t] == 1:
+            out[a] = b
+        else:
+            out[b] = a
+    start = min(out)
+    cycle = [(start, out[start])]
+    while cycle[-1][1] != start:
+        u = cycle[-1][1]
+        cycle.append((u, out[u]))
+    if len(cycle) != len(out):
+        raise InputError(f"link of vertex {v} is not a single cycle")
+    return cycle
+
+
+def _rref_mod_p(m: list[list[int]], ncols: int, p: int) -> list[int]:
+    """Gauss-Jordan over GF(p), p prime, in place on rows reduced mod p.
+
+    Pivots only in the first ``ncols`` columns; returns the pivot columns,
+    the i-th pivot sitting in row i.
+    """
+    pivots: list[int] = []
+    for pc in range(ncols):
+        pr = len(pivots)
+        if pr == len(m):
+            break
+        piv = next((i for i in range(pr, len(m)) if m[i][pc]), None)
+        if piv is None:
+            continue
+        m[pr], m[piv] = m[piv], m[pr]
+        inv = pow(m[pr][pc], -1, p)
+        m[pr] = [(x * inv) % p for x in m[pr]]
+        for i in range(len(m)):
+            if i != pr and m[i][pc]:
+                f = m[i][pc]
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[pr])]
+        pivots.append(pc)
+    return pivots
+
+
+def solve_mod_p(rows: list[list[int]], rhs: list[int], ncols: int,
+                p: int) -> list[int] | None:
+    """One solution of a linear system over GF(p), or None if inconsistent."""
+    m = [[rows[i][j] % p for j in range(ncols)] + [rhs[i] % p] for i in range(len(rows))]
+    pivots = _rref_mod_p(m, ncols, p)
+    if any(row[ncols] for row in m[len(pivots):]):
+        return None
+    sol = [0] * ncols
+    for ri, ci in enumerate(pivots):
+        sol[ci] = m[ri][ncols]
+    return sol
+
+
+def cyclic_image(step: int, d: int) -> tuple[int, ...]:
+    """Image array of the d-cycle (0 1 ... d-1) raised to `step`."""
+    return tuple((i + step) % d for i in range(d))
+
+
+def word_row(pres: EdgePathPresentation, path_edges: list[tuple[int, int]],
+              ncols: int) -> list[int]:
+    row = [0] * ncols
+    for (u, v) in path_edges:
+        e = (u, v) if u < v else (v, u)
+        if e in pres.tree_edges:
+            continue
+        gi = pres.gen_index[e]
+        row[gi] += 1 if u < v else -1
+    return row
+
+
+def relator_rows(pres: EdgePathPresentation) -> list[list[int]]:
+    rows = []
+    n = len(pres.generators)
+    for word in pres.relators:
+        row = [0] * n
+        for (gi, sign) in word:
+            row[gi] += sign
+        rows.append(row)
+    return rows
 
 
 def nullspace_mod_p(rows: list[list[int]], ncols: int, p: int) -> list[list[int]]:

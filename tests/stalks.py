@@ -13,9 +13,10 @@ from typing import NamedTuple
 from branchcover.errors import InputError
 from branchcover.intersection import Perversity, _allowable, _level_vertex_sets, ih_betti
 from branchcover.local_systems import LocalSystemQ
-from branchcover.fixtures import link
 from branchcover.simplicial import Simplex, SimplicialComplex, star
 from branchcover.stratified import StratifiedComplex
+
+from complexes import link
 
 
 def is_allowable(simplex: Simplex, sc: StratifiedComplex, p: Perversity | None) -> bool:

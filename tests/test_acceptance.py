@@ -41,7 +41,6 @@ from branchcover.stratified import StratifiedComplex
 from branchcover.verify import verify_branched
 from branchcover.commands import codim_check, cone_formula_check
 from branchcover.cli import main as cli_main
-from branchcover import fixtures
 from branchcover.fixtures import (
     boundary_simplex,
     cycle_complex,
@@ -59,6 +58,7 @@ from complexes import (
     annulus,
     codim3_vertex_data,
     figure_eight,
+    cyclic_image,
     k4_graph,
     nullspace_mod_p,
     theta_graph,
@@ -89,7 +89,7 @@ def _random_cyclic_rep(rng, base, p):
     for vec in basis:
         c = rng.randrange(p)
         x = [(a + c * b) % p for a, b in zip(x, vec)]
-    images = tuple(fixtures.cyclic_image(e, p) for e in x)
+    images = tuple(cyclic_image(e, p) for e in x)
     return pres, MonodromyRep(p, images)
 
 

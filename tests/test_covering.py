@@ -36,7 +36,6 @@ from branchcover.simplicial import (
 from branchcover.specfile import load_spec, parse_spec_text
 from branchcover.stratified import StratifiedComplex
 from branchcover.fixtures import (
-    _relator_rows,
     circle_cover_data,
     hexagon,
     octahedron,
@@ -47,7 +46,7 @@ from branchcover.fixtures import (
     torus7,
 )
 
-from complexes import codim3_vertex_data, nullspace_mod_p
+from complexes import codim3_vertex_data, nullspace_mod_p, relator_rows
 from oracles import (
     RelatorViolatedMatrix,
     RepresentationQ,
@@ -300,7 +299,7 @@ def test_fox_complete_empty_branch_is_plain_cover():
     # test_ih_of_unstratified_base_is_twisted_homology
     c = torus7()
     pres = edge_path_presentation(c, min(c.vertices))
-    exponents = nullspace_mod_p(_relator_rows(pres), len(pres.generators), 2)[0]
+    exponents = nullspace_mod_p(relator_rows(pres), len(pres.generators), 2)[0]
     swap, fixed = (1, 0, 2, 3), (0, 1, 2, 3)
     rep = MonodromyRep(4, tuple(swap if e else fixed for e in exponents))
     assert swap in rep.images
@@ -574,7 +573,7 @@ def test_riemann_hurwitz_unbranched_multiplicativity():
 def test_fox_completed_surface_cover_is_a_closed_surface():
     # every edge of the total space lies in exactly two triangles and every
     # vertex link is a circle: the completion really is a closed surface
-    from branchcover.fixtures import link as link_of
+    from complexes import link as link_of
     y, r, rep, pres = sphere_branched_data(6, 2)
     cover = fox_complete(BranchedCoverSpec(y, r, rep, pres))
     x = cover.total
@@ -586,7 +585,7 @@ def test_fox_completed_surface_cover_is_a_closed_surface():
 
 
 def test_fox_completed_unknot_cover_is_a_closed_3_manifold():
-    from branchcover.fixtures import link as link_of
+    from complexes import link as link_of
     y, r, rep, pres = s3_unknot_double_data()
     cover = fox_complete(BranchedCoverSpec(y, r, rep, pres))
     x = cover.total

@@ -2,20 +2,24 @@ import re
 
 import pytest
 
-from branchcover.covering import BranchedCoverSpec, MonodromyRep, fox_complete
+from branchcover.covering import (
+    BranchedCoverSpec,
+    MonodromyRep,
+    fox_complete,
+    transport_along,
+    validate_monodromy,
+)
 from branchcover.errors import InputError
 from branchcover.covering import fiber_cardinality
 from branchcover.presentation import edge_path_presentation
 from branchcover.simplicial import betti_numbers
+from branchcover.verify import verify_branched
 from branchcover.fixtures import (
-    link,
     hexagon,
     octahedron,
     orient_closed_surface,
-    oriented_vertex_link_cycle,
     pinched_torus,
     s3_unknot_double_data,
-    solve_mod_p,
     sphere_branched_data,
     suspension_torus,
     torus7,
@@ -26,7 +30,10 @@ from complexes import (
     codim3_vertex_data,
     figure_eight,
     k4_graph,
+    link,
     nullspace_mod_p,
+    oriented_vertex_link_cycle,
+    solve_mod_p,
     theta_graph,
 )
 from oracles import brute_betti
@@ -77,8 +84,30 @@ def test_meridian_orientations_sum_to_zero():
 def test_sphere_branched_rejects_bad_params():
     with pytest.raises(InputError, match="the octahedron model supports 2 to 6 branch points"):
         sphere_branched_data(8, 2)
-    with pytest.raises(InputError, match="degree must be a prime at least 2"):
-        sphere_branched_data(4, 4)  # degree not prime
+    for degree in (1, 0, -2):
+        with pytest.raises(InputError, match="^degree must be at least 2$"):
+            sphere_branched_data(4, degree)
+
+
+# every (points, degree) with 2 <= degree <= points <= 6 and degree | points
+SPHERE_PAIRS = [(n, d) for n in range(2, 7) for d in range(2, n + 1) if n % d == 0]
+
+
+@pytest.mark.parametrize("points,degree", SPHERE_PAIRS)
+def test_sphere_branched_verifies_at_every_degree(points, degree):
+    y, r, rep, pres = sphere_branched_data(points, degree)
+    table = validate_monodromy(pres, rep)
+    signs = orient_closed_surface(y.complex)
+    cycle = tuple((i + 1) % degree for i in range(degree))
+    for (v,) in r.complex.simplices_of_dim(0):  # every oriented meridian maps to c
+        loop = [u for u, _ in oriented_vertex_link_cycle(y.complex, signs, v)]
+        assert transport_along(table, loop + loop[:1], degree) == cycle
+    report = verify_branched(BranchedCoverSpec(y, r, rep, pres))
+    assert report.all_equal and report.internal_ok
+    assert [row.orbit_count for row in report.fiber.rows] == [1] * points
+    # Riemann-Hurwitz: chi = 2d - points(d - 1), and b1 = 2 - chi
+    chi = 2 * degree - points * (degree - 1)
+    assert report.betti_cover == (1, 2 - chi, 1) == (1, (points - 2) * (degree - 1), 1)
 
 
 def test_solve_mod_p():

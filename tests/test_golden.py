@@ -30,6 +30,7 @@ SPECS = {
     "sphere-p2-d2": ["sphere-branched", "--points", "2", "--degree", "2"],
     "sphere-p3-d3": ["sphere-branched", "--points", "3", "--degree", "3"],
     "sphere-p6-d3": ["sphere-branched", "--points", "6", "--degree", "3"],
+    "sphere-p6-d6": ["sphere-branched", "--points", "6", "--degree", "6"],
     "s3-unknot-double": ["s3-unknot-double"],
     "circle-d5": ["circle-cover", "--degree", "5", "--perm", "1,0,3,4,2"],
     "suspension-torus": ["suspension-torus"],
@@ -41,6 +42,7 @@ CASES = {
     "verify-sphere-p2-d2": ("verify", "sphere-p2-d2", ["--format", "json"], 0),
     "verify-sphere-p3-d3": ("verify", "sphere-p3-d3", ["--format", "json"], 0),
     "verify-sphere-p6-d3": ("verify", "sphere-p6-d3", ["--format", "json"], 0),
+    "verify-sphere-p6-d6": ("verify", "sphere-p6-d6", ["--format", "json"], 0),
     "verify-s3-unknot-double": ("verify", "s3-unknot-double", ["--format", "json"], 0),
     "verify-s3-unknot-double-upper": (
         "verify", "s3-unknot-double", ["--format", "json", "--perversity", "upper"], 0),

@@ -28,7 +28,6 @@ from branchcover.specfile import load_spec, parse_spec_text
 from branchcover.stratified import StratifiedComplex
 from branchcover.commands import cone_formula_check
 from branchcover.fixtures import (
-    _relator_rows,
     boundary_simplex,
     cycle_complex,
     hexagon,
@@ -41,7 +40,7 @@ from branchcover.fixtures import (
     torus7,
 )
 
-from complexes import annulus, barycentric_subdivide, kernel, nullspace_mod_p
+from complexes import annulus, barycentric_subdivide, kernel, nullspace_mod_p, relator_rows
 from oracles import ic_betti, ic_closed, ic_complex, suspension_ih_oracle
 from stalks import complementary, deligne_stalk_check, is_allowable
 
@@ -297,7 +296,7 @@ def _transposition_kernel(sc):
     c = full_subcomplex(sc.complex, (v for v in sc.complex.vertices
                                      if v not in set(sc.singular_set.vertices)))
     pres = edge_path_presentation(c, min(c.vertices))
-    exponents = next(e for e in nullspace_mod_p(_relator_rows(pres), len(pres.generators), 2)
+    exponents = next(e for e in nullspace_mod_p(relator_rows(pres), len(pres.generators), 2)
                      if any(e))
     rep = MonodromyRep(3, tuple((1, 0, 2) if e else (0, 1, 2) for e in exponents))
     return sc, kernel(pres, rep)
@@ -369,7 +368,7 @@ def test_ih_of_unstratified_base_is_twisted_homology(base, expected):
     c = base()
     pres = edge_path_presentation(c, min(c.vertices))
     n = len(pres.generators)
-    exponents = nullspace_mod_p(_relator_rows(pres), n, 2)[0]
+    exponents = nullspace_mod_p(relator_rows(pres), n, 2)[0]
     swap, fixed = (1, 0, 2, 3), (0, 1, 2, 3)
     rep = MonodromyRep(4, tuple(swap if e else fixed for e in exponents))
     k = kernel(pres, rep)

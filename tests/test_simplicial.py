@@ -23,9 +23,9 @@ from branchcover.intersection import ih_betti, lower_middle
 from branchcover.local_systems import Transport, twisted_betti
 from branchcover.stratified import StratifiedComplex
 from branchcover.commands import cone
-from branchcover.fixtures import boundary_simplex, hexagon, link, octahedron, suspension, torus7
+from branchcover.fixtures import boundary_simplex, hexagon, octahedron, suspension, torus7
 
-from complexes import full_simplex, trivial_system
+from complexes import full_simplex, link, trivial_system
 from oracles import brute_betti, brute_link, brute_star, bfs_components, close_faces, euler
 
 

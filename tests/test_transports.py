@@ -258,7 +258,7 @@ def test_hexagon_sparse_and_dense_paths_agree(perm):
     assert b_cover == b_push == tuple(x + k for x, k in zip(b_base, b_kernel))
 
 
-# (branch points, prime degree) accepted by sphere_branched_data
+# (branch points, prime degree) pairs that sphere_branched_data accepts
 SPHERES = ((2, 2), (4, 2), (6, 2), (3, 3), (6, 3), (5, 5))
 
 

@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import pytest
@@ -6,8 +7,10 @@ from branchcover import intersection, simplicial, verify
 from branchcover.cli import main
 from branchcover.covering import (
     BranchedCoverSpec,
+    CoverComplex,
     fox_complete,
 )
+from branchcover.simplicial import SimplicialComplex
 from branchcover.specfile import load_spec, parse_spec_text
 from branchcover.verify import (
     fiber_rank_report,
@@ -226,8 +229,8 @@ def _suspension_circle_double_cover():
     from branchcover.stratified import StratifiedComplex, subdivide_with_subcomplexes
     from branchcover.covering import MonodromyRep
     from branchcover.presentation import edge_path_presentation
-    from branchcover.fixtures import (
-        link, suspension_torus, solve_mod_p, cyclic_image, _relator_rows, _word_row)
+    from branchcover.fixtures import suspension_torus
+    from complexes import cyclic_image, link, relator_rows, solve_mod_p, word_row
 
     st = suspension_torus()
     circle = StratifiedComplex(SimplicialComplex(
@@ -238,7 +241,7 @@ def _suspension_circle_double_cover():
                                  [v for v in y.complex.vertices if v not in bverts])
     pres = edge_path_presentation(complement, min(complement.vertices))
     n = len(pres.generators)
-    rows = _relator_rows(pres)
+    rows = relator_rows(pres)
     rhs = [0] * len(rows)
     for tau in r.complex.simplices_of_dim(1):
         meridian = link(y.complex, tau)
@@ -250,7 +253,7 @@ def _suspension_circle_double_cover():
         pathv = [start, sorted(adj[start])[0]]
         while pathv[-1] != start:
             pathv.append(next(x for x in sorted(adj[pathv[-1]]) if x != pathv[-2]))
-        rows.append(_word_row(pres, list(zip(pathv, pathv[1:])), n))
+        rows.append(word_row(pres, list(zip(pathv, pathv[1:])), n))
         rhs.append(1)
     sol = solve_mod_p(rows, rhs, n, 2)
     rep = MonodromyRep(2, tuple(cyclic_image(s, 2) for s in sol))
@@ -439,6 +442,49 @@ def test_verify_catches_corrupted_boundary_in_every_degree(monkeypatch, capsys, 
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("internal check failed: ")
     assert f"degree {max(degree, 2)} " in err
+
+
+def test_cli_writes_the_report_when_an_internal_check_fails(monkeypatch, capsys):
+    """A failed check inside the report exits 3 and still writes the report."""
+    real = verify.complement_connectivity_check
+    failed = []
+
+    def one_cover_failure(spec, cover):
+        lift = cover.fiber_over(spec.branch_simplices()[0])[0]
+        failed.append(lift)
+        return real(spec, cover)._replace(cover_failures=(lift,))
+
+    monkeypatch.setattr(verify, "complement_connectivity_check", one_cover_failure)
+    capsys.readouterr()
+    assert main(["verify", str(GOLDEN_SPHERE), "--format", "json"]) == 3
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert err == ""
+    assert not report["internal_ok"] and report["all_equal"]
+    assert report["connectivity"]["cover_failures"] == [list(failed[0])]
+    assert not report["connectivity"]["ok"]
+
+
+def test_cli_exits_3_when_the_cover_breaks_riemann_hurwitz(monkeypatch, capsys):
+    """A cover missing one top simplex fails the Euler-characteristic identity."""
+    real = verify.fox_complete
+    chis = []
+
+    def drop_one_top_simplex(spec):
+        cover = real(spec)
+        chis.append(cover.total.euler_characteristic())
+        top = cover.total.simplices_of_dim(cover.total.dim)[0]
+        total = SimplicialComplex(s for s in cover.total.all_simplices() if s != top)
+        projection = {s: b for s, b in cover.projection.items() if s != top}
+        return CoverComplex(spec, total, projection)
+
+    monkeypatch.setattr(verify, "fox_complete", drop_one_top_simplex)
+    capsys.readouterr()
+    assert main(["verify", str(GOLDEN_SPHERE), "--format", "json"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"internal check failed: chi of the cover is {chis[0] - 1} "
+                   f"but the branch data predicts {chis[0]}\n")
 
 
 GOLDEN_CIRCLE_D64 = Path(__file__).resolve().parent / "golden" / "circle-d64-seed1.json"
