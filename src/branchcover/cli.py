@@ -10,12 +10,13 @@ import argparse
 import sys
 
 from .errors import InputError, InternalCheckError
+from .intersection import PERVERSITIES
 from .specfile import load_spec, read_spec
 from .verify import verify_branched
 
 SPEC = ("spec", {"help": "path to a JSON spec file"})
 OUT = ("--out", {"help": "write output to a file"})
-PERVERSITY = ("--perversity", {"choices": ("lower", "upper", "zero", "top"),
+PERVERSITY = ("--perversity", {"choices": tuple(PERVERSITIES),
                                "help": "override the file's perversity"})
 FORMAT = ("--format", {"choices": ("text", "json"), "default": "text"})
 

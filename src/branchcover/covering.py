@@ -11,8 +11,8 @@ punctured star, which is the combinatorial form of Fox completion.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from itertools import combinations
-from typing import Iterable, Sequence
 
 from .errors import InputError, InternalCheckError
 from .presentation import EdgePathPresentation, edge_path_presentation
@@ -91,12 +91,13 @@ def validate_monodromy(pres: EdgePathPresentation,
                        rep: MonodromyRep) -> dict[tuple[int, int], Perm]:
     """Accept iff all images are permutations and all relators map to 1.
 
-    Each distinct image is checked and inverted once, and each relator is
-    evaluated letter by letter, left to right; the first relator that
-    does not evaluate to the identity is the one reported.  Returns the
-    transport table: oriented edge -> sheet permutation, the image on
-    each generator edge, its inverse on the reverse and the identity on
-    both ways of a tree edge.
+    Each distinct image is checked and inverted once, and equal images
+    share one object, so each relator is evaluated letter by letter, left
+    to right, passing over letters that map to the identity; the first
+    relator that does not evaluate to the identity is the one reported.
+    Returns the transport table: oriented edge -> sheet permutation, the
+    image on each generator edge, its inverse on the reverse and the
+    identity on both ways of a tree edge.
     """
     d = rep.degree
     if d < 1:
@@ -104,20 +105,24 @@ def validate_monodromy(pres: EdgePathPresentation,
     if len(rep.images) != len(pres.generators):
         raise InputError(
             f"{len(pres.generators)} generators but {len(rep.images)} images")
-    images = rep.images
-    inverse_of: dict[Perm, Perm] = {}
-    for e, img in zip(pres.generators, images):
+    ident = identity_perm(d)
+    shared: dict[Perm, Perm] = {ident: ident}  # equal images are one object
+    inverse_of: dict[Perm, Perm] = {ident: ident}
+    for e, img in zip(pres.generators, rep.images):
         if img not in inverse_of:
             if not is_permutation(img, d):
                 raise InputError(
                     f"image of generator {e[0]}->{e[1]} is not a permutation: {list(img)}")
+            shared[img] = img
             inverse_of[img] = invert_perm(img)
+    images = tuple(map(shared.__getitem__, rep.images))
     inverses = tuple(map(inverse_of.__getitem__, images))
-    ident = identity_perm(d)
     for i, word in enumerate(pres.relators):
         acc = ident
         for (gi, sign) in word:
             p = images[gi] if sign > 0 else inverses[gi]
+            if p is ident:
+                continue
             # p acts after acc; after the identity, that is p itself
             acc = p if acc is ident else tuple(map(p.__getitem__, acc))
         if acc != ident:

@@ -14,22 +14,24 @@ bases, is the independent oracle ``oracles.ic_betti`` in
 """
 from __future__ import annotations
 
+from collections import namedtuple
+
 from .errors import InputError
 from .local_systems import LocalSystemQ
 from .simplicial import Simplex, homology_ranks
 from .stratified import StratifiedComplex
 
 
-class Perversity:
+class Perversity(namedtuple("Perversity", "top_dim values")):
     """Goresky-MacPherson perversity: p(2) = 0 and unit steps.
 
-    ``values`` holds p(2), ..., p(top_dim) and ``p[k]`` is p(k).  A
-    perversity is immutable and compares and hashes by value.
+    ``top_dim`` is an ``int`` and ``values`` a ``tuple[int, ...]`` holding
+    p(2), ..., p(top_dim); ``p[k]`` is p(k).
     """
 
-    __slots__ = ("top_dim", "values")
+    __slots__ = ()
 
-    def __init__(self, top_dim: int, values: tuple[int, ...]):
+    def __new__(cls, top_dim: int, values: tuple[int, ...]):
         if top_dim < 2:
             raise InputError("a perversity needs dimension at least 2")
         if len(values) != top_dim - 1:
@@ -39,28 +41,7 @@ class Perversity:
         for a, b in zip(values, values[1:]):
             if b - a not in (0, 1):
                 raise InputError("perversity steps must be 0 or 1")
-        object.__setattr__(self, "top_dim", top_dim)
-        object.__setattr__(self, "values", values)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of a Perversity")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of a Perversity")
-
-    def __reduce__(self):
-        return (Perversity, (self.top_dim, self.values))
-
-    def __eq__(self, other):
-        if not isinstance(other, Perversity):
-            return NotImplemented
-        return (self.top_dim, self.values) == (other.top_dim, other.values)
-
-    def __hash__(self) -> int:
-        return hash((self.top_dim, self.values))
-
-    def __repr__(self) -> str:
-        return f"Perversity(top_dim={self.top_dim!r}, values={self.values!r})"
+        return super().__new__(cls, top_dim, values)
 
     def __getitem__(self, k: int) -> int:
         if not 2 <= k <= self.top_dim:
@@ -84,12 +65,15 @@ def top_perversity(m: int) -> Perversity:
     return Perversity(m, tuple(k - 2 for k in range(2, m + 1)))
 
 
+# the perversities a spec file or the command line may name, in the order listed
+PERVERSITIES = {"lower": lower_middle, "upper": upper_middle,
+                "zero": zero_perversity, "top": top_perversity}
+
+
 def perversity_by_name(name: str, m: int) -> Perversity:
-    table = {"lower": lower_middle, "upper": upper_middle,
-             "zero": zero_perversity, "top": top_perversity}
-    if name not in table:
+    if name not in PERVERSITIES:
         raise InputError(f"unknown perversity name {name!r}")
-    return table[name](max(m, 2))
+    return PERVERSITIES[name](max(m, 2))
 
 
 # ---------------------------------------------------------------------------

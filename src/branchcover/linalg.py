@@ -26,8 +26,8 @@ for bit.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Iterator
 from math import gcd
-from typing import Iterator
 
 Scalar = int
 

@@ -4,62 +4,34 @@ A local system assigns an invertible rational matrix to every oriented
 edge of its base complex, with inverse transports on reversed edges and
 flatness over every 2-simplex.  Every system the package builds is a
 cover's transport table (oriented edge -> sheet permutation) with an
-action applied to it, one :class:`Transport` per distinct permutation:
-the permutation action gives the pushforward, and the action on sum-zero
+action applied to it, one transport per distinct permutation: the
+permutation action gives the pushforward, and the action on sum-zero
 vectors its kernel summand (the pushforward is that kernel of the
 coordinate sum plus the constant system), which drives all decomposition
 checks.  The sum-zero action is faithful for d >= 2, so both fail their
 inverse and flatness checks on the same tables.  Either action has at
-most two nonzeros per column, so a transport stores columns.  Twisted
+most two nonzeros per column, so a transport is a matrix as :mod:`linalg`
+stores one, r sparse columns ``{row: value}`` with no zero entries, and
+is never modified once built.  Twisted
 homology is :func:`simplicial.homology_ranks` on every simplex, with the
 coefficients of a simplex at its minimal vertex.
 """
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from .errors import InputError
 from . import linalg
 from .covering import Perm
-from .simplicial import SimplicialComplex, homology_ranks
+from .simplicial import SimplicialComplex, SparseCol, homology_ranks
 
 
-class Transport:
-    """An r x r rational matrix stored as r sparse columns ``{row: value}``.
-
-    Columns hold no zero entries, so transports are equal when their columns are.
-    Treated as immutable.
-    """
-
-    __slots__ = ("cols",)
-
-    def __init__(self, cols: list[dict[int, linalg.Scalar]]):
-        self.cols = cols
-
-    @classmethod
-    def permutation(cls, image: Sequence[int]) -> "Transport":
-        """The permutation matrix P with P e_s = e_{image[s]}."""
-        return cls([{t: 1} for t in image])
-
-    def __len__(self) -> int:
-        return len(self.cols)
-
-    def __matmul__(self, other: "Transport") -> "Transport":
-        """The product self . other: ``other`` acts first."""
-        out = []
-        for col in other.cols:
-            acc: dict[int, linalg.Scalar] = {}
-            for k, b in col.items():
-                for i, a in self.cols[k].items():
-                    acc[i] = acc.get(i, 0) + a * b
-            out.append({i: v for i, v in acc.items() if v})
-        return Transport(out)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Transport) and self.cols == other.cols
+def permutation_action(perm: Sequence[int]) -> list[SparseCol]:
+    """The permutation matrix P with P e_s = e_{perm[s]}: column s is {perm[s]: 1}."""
+    return [{t: 1} for t in perm]
 
 
-def sum_zero_action(perm: Perm) -> Transport:
+def sum_zero_action(perm: Perm) -> list[SparseCol]:
     """Action of a permutation on the sum-zero basis e_i - e_{d-1}.
 
     Column i is e_{perm[i]} - e_{perm[d-1]} in that basis: +1 at row
@@ -67,13 +39,25 @@ def sum_zero_action(perm: Perm) -> Transport:
     """
     d = len(perm)
     last = perm[d - 1]
-    cols: list[dict[int, linalg.Scalar]] = [{} for _ in range(d - 1)]
+    cols: list[SparseCol] = [{} for _ in range(d - 1)]
     for i, col in enumerate(cols):
         if perm[i] < d - 1:
             col[perm[i]] = 1
         if last < d - 1:
             col[last] = -1
-    return Transport(cols)
+    return cols
+
+
+def _product(a: list[SparseCol], b: list[SparseCol]) -> list[SparseCol]:
+    """The product a . b of two transports: ``b`` acts first."""
+    out = []
+    for col in b:
+        acc: SparseCol = {}
+        for k, y in col.items():
+            for i, x in a[k].items():
+                acc[i] = acc.get(i, 0) + x * y
+        out.append({i: v for i, v in acc.items() if v})
+    return out
 
 
 class LocalSystemQ:
@@ -82,7 +66,7 @@ class LocalSystemQ:
     __slots__ = ("base", "rank", "transports")
 
     def __init__(self, base: SimplicialComplex, rank: int,
-                 transports: dict[tuple[int, int], Transport]):
+                 transports: dict[tuple[int, int], list[SparseCol]]):
         if rank < 0:
             raise InputError("rank must be non-negative")
         edges = base.simplices_of_dim(1)
@@ -93,7 +77,7 @@ class LocalSystemQ:
         # each distinct pair and triple of transport objects is checked once,
         # the first time it is met: a failure still names the first edge or
         # 2-simplex, in order, on which the check fails
-        ident = Transport.permutation(range(rank))
+        ident = permutation_action(range(rank))
         checked = set()
         for (u, v) in edges:
             f, b = transports[(u, v)], transports[(v, u)]
@@ -103,7 +87,7 @@ class LocalSystemQ:
             checked.add(key)
             if len(f) != rank or len(b) != rank:
                 raise InputError(f"transport of {u}->{v} is not {rank}x{rank}")
-            if b @ f != ident:
+            if _product(b, f) != ident:
                 raise InputError(f"transport of {v}->{u} is not inverse to {u}->{v}")
         checked.clear()
         for (a, b, c) in base.simplices_of_dim(2):
@@ -112,13 +96,13 @@ class LocalSystemQ:
             if key in checked:
                 continue
             checked.add(key)
-            if bc @ ab != ac:
+            if _product(bc, ab) != ac:
                 raise InputError(f"flatness fails on 2-simplex {[a, b, c]}")
         self.base = base
         self.rank = rank
         self.transports = transports
 
-    def transport(self, u: int, v: int) -> Transport:
+    def transport(self, u: int, v: int) -> list[SparseCol]:
         try:
             return self.transports[(u, v)]
         except KeyError:
@@ -126,7 +110,7 @@ class LocalSystemQ:
 
 
 def _table_system(base: SimplicialComplex, rank: int, table: dict[tuple[int, int], Perm],
-                  action: Callable[[Perm], Transport]) -> LocalSystemQ:
+                  action: Callable[[Perm], list[SparseCol]]) -> LocalSystemQ:
     made = {p: action(p) for p in set(table.values())}  # one transport per permutation
     return LocalSystemQ(base, rank, {e: made[p] for e, p in table.items()})
 
@@ -139,7 +123,7 @@ def pushforward_local_system(base: SimplicialComplex, degree: int,
     (oriented edge -> sheet permutation), as :func:`covering.validate_monodromy`
     returns it and a :class:`covering.BranchedCoverSpec` holds it.
     """
-    return _table_system(base, degree, table, Transport.permutation)
+    return _table_system(base, degree, table, permutation_action)
 
 
 def kernel_system(base: SimplicialComplex, degree: int,
@@ -156,7 +140,7 @@ def kernel_system(base: SimplicialComplex, degree: int,
 # invariants and twisted homology
 
 
-def invariant_dimension(matrices: Sequence[Transport], rank: int) -> int:
+def invariant_dimension(matrices: Sequence[list[SparseCol]], rank: int) -> int:
     """Dimension of the joint fixed space of a family of transports.
 
     The fixed space is the kernel of the stacked M - I blocks, so its
@@ -166,9 +150,9 @@ def invariant_dimension(matrices: Sequence[Transport], rank: int) -> int:
     """
     columns = []
     for j in range(rank):
-        col: dict[int, linalg.Scalar] = {}
+        col: SparseCol = {}
         for b, m in enumerate(matrices):
-            col.update((b * rank + i, v) for i, v in m.cols[j].items())
+            col.update((b * rank + i, v) for i, v in m[j].items())
             diag = b * rank + j
             col[diag] = col.get(diag, 0) - 1
             if not col[diag]:

@@ -11,9 +11,9 @@ coefficients are not.
 """
 from __future__ import annotations
 
+from collections.abc import Callable, Hashable, Iterable, Iterator, Sequence
 from itertools import chain, combinations, groupby, repeat
 from operator import add
-from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .errors import InputError, InternalCheckError
 from . import linalg
@@ -290,8 +290,8 @@ def _boundary_columns(simplices: Sequence[Simplex], rows: dict[Simplex, int], ra
 
     The coefficients of a simplex ``s`` sit at the vertex ``anchor(s)``.
     Its i-th face enters with sign (-1)^i, the coefficients carried to
-    ``anchor(face)`` by ``transport(anchor(s), anchor(face))`` (its sparse
-    ``cols``), or unchanged when the two anchors agree.  Coefficient t of
+    ``anchor(face)`` by ``transport(anchor(s), anchor(face))`` (a list of
+    sparse columns), or unchanged when the two anchors agree.  Coefficient t of
     a face is row ``rows[face] * rank + t``.  Without a transport every
     coefficient stays put and ``anchor`` is never called.
     """
@@ -311,7 +311,7 @@ def _boundary_columns(simplices: Sequence[Simplex], rows: dict[Simplex, int], ra
                 if mat is None:
                     col[keys[t]] = sign
                 else:
-                    for rt, v in mat.cols[t].items():
+                    for rt, v in mat[t].items():
                         col[keys[rt]] = sign * v
             cols.append(col)
     return cols

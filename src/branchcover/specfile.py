@@ -10,8 +10,8 @@ ascending lists of non-negative integers):
     branch_stratification   optional, levels for the locus
     monodromy               optional: {"degree": d, "basepoint": v,
                             "assignments": {"u->v": [images]}}
-    options                 optional: {"perversity": "lower"|"upper",
-                            "subdivisions": 0..2}
+    options                 optional: {"perversity": a name in
+                            intersection.PERVERSITIES, "subdivisions": 0..2}
 
 Any other key, at the top level or inside monodromy and options, is an
 error, and so is a repeated key.  Assignments are 0-indexed image arrays
@@ -26,6 +26,7 @@ from collections import namedtuple
 
 from .errors import InputError
 from .covering import BranchedCoverSpec, MonodromyRep, complement_presentation
+from .intersection import PERVERSITIES
 from .simplicial import SimplicialComplex, validate_complex
 from .stratified import StratifiedComplex, subdivide_with_subcomplexes
 
@@ -98,8 +99,9 @@ def parse_spec_text(text: str) -> SpecData:
     if not isinstance(opts, dict):
         raise InputError("'options' must be an object")
     _reject_unknown_keys(opts, ("perversity", "subdivisions"), " in 'options'")
-    if opts.get("perversity", "lower") not in ("lower", "upper", "zero", "top"):
-        raise InputError("options.perversity must be lower, upper, zero or top")
+    names = tuple(PERVERSITIES)  # a tuple: an unhashable value is not in it, not an error
+    if opts.get("perversity", "lower") not in names:
+        raise InputError(f"options.perversity must be {', '.join(names[:-1])} or {names[-1]}")
     subs = opts.get("subdivisions", 0)
     if not _is_int(subs) or subs not in (0, 1, 2):
         raise InputError("options.subdivisions must be 0, 1 or 2")
@@ -241,11 +243,12 @@ def load_spec(data: SpecData) -> LoadedSpec:
         basepoint = data.monodromy.get("basepoint")
         branch_vertices = frozenset(branch.complex.vertices) if branch is not None else ()
         pres = complement_presentation(base.complex, branch_vertices, basepoint)
+        names = {f"{u}->{v}": (u, v) for (u, v) in pres.generators}  # keys as written
         assignments = {}
         for key, val in data.monodromy["assignments"].items():
             if not isinstance(val, list) or not all(map(_is_int, val)):
                 raise InputError(f"assignment {key!r} must be a list of integers")
-            assignments[_parse_edge_key(key)] = tuple(val)
+            assignments[names.get(key) or _parse_edge_key(key)] = tuple(val)
         monodromy = MonodromyRep.from_edge_dict(pres, degree, assignments)
 
     return LoadedSpec(base, branch, pres, monodromy, basepoint,

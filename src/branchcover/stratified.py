@@ -9,8 +9,8 @@ the smallest level containing it.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Sequence
 from itertools import combinations, groupby
-from typing import Sequence
 
 from .errors import InputError
 from .simplicial import (
@@ -65,13 +65,12 @@ class StratifiedComplex:
                 raise InputError(
                     f"filtration level {j} contains a simplex of dimension {levels[j].dim}")
         if m >= 1:
-            sing = levels[m - 2].simplices if m >= 2 else frozenset()
+            # level m - 2 holds no simplex of dimension m - 1 or more (checked
+            # above), so no maximal simplex lies in the singular set
             for s in complex.maximal_simplices():
                 if len(s) - 1 != m:
                     raise InputError(
                         f"maximal simplex {list(s)} has dimension {len(s) - 1}, expected {m}")
-                if s in sing:
-                    raise InputError(f"top-dimensional simplex {list(s)} lies in the singular set")
 
         self.complex = complex
         self.levels = tuple(levels)

@@ -15,8 +15,8 @@ from branchcover.errors import InputError
 from branchcover.fixtures import _closure, boundary_simplex, cycle_complex
 from branchcover.local_systems import (
     LocalSystemQ,
-    Transport,
     kernel_system,
+    permutation_action,
     pushforward_local_system,
 )
 from branchcover.presentation import EdgePathPresentation
@@ -36,7 +36,7 @@ def kernel(pres: EdgePathPresentation, rep: MonodromyRep) -> LocalSystemQ:
 
 def trivial_system(base: SimplicialComplex, rank: int = 1) -> LocalSystemQ:
     """The constant rank-r system: the identity on every oriented edge."""
-    ident = Transport.permutation(range(rank))
+    ident = permutation_action(range(rank))
     edges = base.simplices_of_dim(1)
     return LocalSystemQ(base, rank, {e: ident for (u, v) in edges for e in ((u, v), (v, u))})
 

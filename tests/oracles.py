@@ -9,10 +9,11 @@ the package's sparse elimination as it was over the rationals, kept to
 check that the integer elimination makes the same pivot choices.  ``test_oracles_are_independent``
 checks the imports that this contract rules out.
 
-The explicit-matrix adapter at the end builds the package's
-:class:`Transport` and :class:`LocalSystemQ` objects from dense rational
-matrices (any invertible transports, not only permutations), so tests
-can feed the sparse machinery systems it never builds itself.
+The explicit-matrix adapter at the end builds the package's transports
+(lists of sparse columns ``{row: value}``) and :class:`LocalSystemQ`
+objects from dense rational matrices (any invertible transports, not
+only permutations), so tests can feed the sparse machinery systems it
+never builds itself.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from branchcover.errors import InputError
-from branchcover.local_systems import LocalSystemQ, Transport
+from branchcover.local_systems import LocalSystemQ
 from branchcover.presentation import EdgePathPresentation, edge_path_presentation
 
 
@@ -527,36 +528,33 @@ def matrix_inverse(a) -> list[list[Fraction]]:
     return [row[n:] for row in aug]
 
 
-def dense(t: Transport) -> list[list]:
-    """The rows of a :class:`Transport`, read off its sparse columns."""
+def dense(t: list[dict]) -> list[list]:
+    """The rows of a transport, read off its sparse columns."""
     n = len(t)
-    return [[t.cols[j].get(i, 0) for j in range(n)] for i in range(n)]
+    return [[t[j].get(i, 0) for j in range(n)] for i in range(n)]
 
 
-def transport_from_rows(rows) -> Transport:
-    """A :class:`Transport` from a dense square matrix given as rows.
+def transport_from_rows(rows) -> list[dict]:
+    """A transport, its sparse columns, from a dense square matrix given as rows.
 
     Raises ValueError if the matrix is not square.
     """
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError(f"matrix with {n} rows is not square")
-    return Transport([{i: Fraction(row[j]) for i, row in enumerate(rows) if row[j]}
-                      for j in range(n)])
+    return [{i: Fraction(row[j]) for i, row in enumerate(rows) if row[j]} for j in range(n)]
 
 
-def transport_inverse(t: Transport) -> Transport:
+def transport_inverse(t: list[dict]) -> list[dict]:
     """Exact inverse; raises ValueError if singular."""
     return transport_from_rows(matrix_inverse(dense(t)))
 
 
 def local_system_from_forward_edges(base, rank: int, forward) -> LocalSystemQ:
-    """Forward transports as dense rows or :class:`Transport`; reverses are inverses."""
+    """Forward transports as dense rows; reverses are inverses."""
     transports = {}
     for (u, v) in base.simplices_of_dim(1):
-        m = forward[(u, v)]
-        m = m if isinstance(m, Transport) else transport_from_rows(m)
-        transports[(u, v)] = m
+        m = transports[(u, v)] = transport_from_rows(forward[(u, v)])
         transports[(v, u)] = transport_inverse(m)
     return LocalSystemQ(base, rank, transports)
 
@@ -574,14 +572,13 @@ class RepresentationQ:
             raise RelatorViolatedMatrix(
                 f"{len(self.presentation.generators)} generators but "
                 f"{len(self.matrices)} matrices")
-        mats = [transport_from_rows(m) for m in self.matrices]
-        inverses = [transport_inverse(m) for m in mats]
-        ident = Transport.permutation(range(self.rank))
+        inverses = [matrix_inverse(m) for m in self.matrices]
+        ident = identity(self.rank)
         for i, word in enumerate(self.presentation.relators):
             acc = ident
             for (gi, sign) in word:
-                acc = (mats[gi] if sign > 0 else inverses[gi]) @ acc
-            if acc != ident:
+                acc = matmul(self.matrices[gi] if sign > 0 else inverses[gi], acc)
+            if not mat_equal(acc, ident):
                 raise RelatorViolatedMatrix(f"relator {i} does not evaluate to the identity")
 
 
@@ -589,13 +586,13 @@ def from_representation(rep: RepresentationQ) -> LocalSystemQ:
     """Tree edges transport by the identity, generators by their matrices."""
     rep.validate()
     pres = rep.presentation
-    ident = Transport.permutation(range(rep.rank))
+    ident = identity(rep.rank)
     forward = {e: ident if e in pres.tree_edges else rep.matrices[pres.gen_index[e]]
                for e in pres.complex.simplices_of_dim(1)}
     return local_system_from_forward_edges(pres.complex, rep.rank, forward)
 
 
-def monodromy_matrices(system: LocalSystemQ) -> list[Transport]:
+def monodromy_matrices(system: LocalSystemQ) -> list[list[dict]]:
     """Transport around each generator loop of the base, at the basepoint."""
     base = system.base
     if len(bfs_components(base.vertices, base.simplices_of_dim(1))) > 1:
@@ -606,10 +603,10 @@ def monodromy_matrices(system: LocalSystemQ) -> list[Transport]:
     mats = []
     for (u, v) in pres.generators:
         path = pres.tree_path(u) + (v,) + tuple(reversed(pres.tree_path(v)))[1:]
-        acc = Transport.permutation(range(system.rank))
+        acc = identity(system.rank)
         for a, b in zip(path, path[1:]):
-            acc = system.transport(a, b) @ acc
-        mats.append(acc)
+            acc = matmul(dense(system.transport(a, b)), acc)
+        mats.append(transport_from_rows(acc))
     return mats
 
 

@@ -18,7 +18,7 @@ from branchcover.intersection import (
 )
 from branchcover.local_systems import (
     LocalSystemQ,
-    Transport,
+    _product,
     kernel_system,
     twisted_betti,
 )
@@ -311,11 +311,12 @@ def _scaled(system):
     r = system.rank
 
     def diag(v, inverse=False):
-        return Transport([{i: Fraction(1, s) if inverse else s}
-                          for i, s in enumerate(1 + (v + i) % 3 for i in range(r))])
+        return [{i: Fraction(1, s) if inverse else s}
+                for i, s in enumerate(1 + (v + i) % 3 for i in range(r))]
 
     return LocalSystemQ(system.base, r, {
-        (u, v): diag(v) @ t @ diag(u, inverse=True) for (u, v), t in system.transports.items()})
+        (u, v): _product(_product(diag(v), t), diag(u, inverse=True))
+        for (u, v), t in system.transports.items()})
 
 
 IH_CASES = {
@@ -332,7 +333,7 @@ def test_ih_from_ranks_matches_ic_bases(name):
     sc, kernel = IH_CASES[name]()
     scaled = _scaled(kernel)
     assert any(v not in (0, 1, -1) for t in scaled.transports.values()
-               for col in t.cols for v in col.values())
+               for col in t for v in col.values())
     for pname in ("lower", "upper", "zero", "top"):
         p = perversity_by_name(pname, sc.dim)
         for label, coeff in (("trivial", None), ("kernel", kernel), ("scaled", scaled)):

@@ -10,9 +10,9 @@ from branchcover import linalg
 from branchcover.covering import fox_complete, refine_stratification
 from branchcover.intersection import ih_betti, perversity_by_name
 from branchcover.local_systems import (
-    Transport,
     invariant_dimension,
     kernel_system,
+    permutation_action,
     sum_zero_action,
     twisted_betti,
 )
@@ -110,7 +110,7 @@ def test_matrix_inverse_singular_raises():
 
 def test_invariant_space_of_swap():
     assert invariant_dimension([transport_from_rows(permutation_matrix((1, 0)))], 2) == 1
-    assert invariant_dimension([Transport.permutation((1, 0))], 2) == 1
+    assert invariant_dimension([permutation_action((1, 0))], 2) == 1
 
 
 def test_invariant_dimension_edge_cases():
@@ -118,7 +118,7 @@ def test_invariant_dimension_edge_cases():
     assert invariant_dimension([sum_zero_action((0,))], 0) == 0
     assert invariant_dimension([], 0) == 0
     # identities only: everything is fixed
-    ident = Transport.permutation(range(3))
+    ident = permutation_action(range(3))
     assert invariant_dimension([ident, ident], 3) == 3
     assert invariant_dimension([sum_zero_action((0, 1, 2, 3))], 3) == 3
     # identity mixed with sum-zero actions: 1 + invariants = orbit count
@@ -186,7 +186,7 @@ def test_invariant_space_matches_oracle():
             rng.shuffle(perm)
             perms.append(perm)
         families = [[transport_from_rows(permutation_matrix(g)) for g in perms],
-                    [Transport.permutation(g) for g in perms],
+                    [permutation_action(g) for g in perms],
                     [sum_zero_action(g) for g in perms]]
         for mats in families:
             size = len(mats[0])

@@ -41,8 +41,8 @@ RECORDS = {
     FiberRow: ("simplex", "orbit_count", "one_plus_invariants", "lift_count"),
     FiberReport: ("rows",),
     CodimReport: ("applicable", "branch_dim", "base_dim", "fibers", "non_minimal", "note"),
-    DecompositionReport: ("perversity", "degree", "base_dim", "betti_cover", "ih_trivial",
-                          "ih_kernel", "equal_per_degree", "fiber", "connectivity",
+    DecompositionReport: ("perversity", "degree", "base_dim", "betti_cover", "ih_cover",
+                          "ih_trivial", "ih_kernel", "equal_per_degree", "fiber", "connectivity",
                           "euler_cover", "euler_ok", "b0_ok", "betti_base_manifold",
                           "manifold_crosscheck_ok", "stratification_levels",
                           "pullback_levels", "note"),
@@ -63,8 +63,8 @@ VERIFY_MODULES = ["branchcover"] + [f"branchcover.{name}" for name in (
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     """Nor ``branchcover.commands`` or ``branchcover.fixtures``, which only the
-    other commands need, and no ``src/`` record is a ``typing.NamedTuple``:
-    building one compiles its annotations."""
+    other commands need, nor ``typing``, and no ``src/`` record is a
+    ``typing.NamedTuple``: building one compiles its annotations."""
     package_root = str(Path(branchcover.__file__).resolve().parents[1])
     proc = subprocess.run(  # -B: no bytecode written next to the sources
         [sys.executable, "-B", "-c",
@@ -75,6 +75,14 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
         env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == f"[]\n{sorted(VERIFY_MODULES)}\n"
+    # nor `typing`: -S keeps out the modules that `site` would load first
+    proc = subprocess.run(
+        [sys.executable, "-S", "-B", "-c",
+         "import sys, branchcover.cli; print('typing' in sys.modules)"],
+        capture_output=True, text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
     package = Path(branchcover.__file__).resolve().parent
     named_tuples = [

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from branchcover.cli import main
-from branchcover.covering import MonodromyRep, complement_presentation
+from branchcover.covering import MonodromyRep, complement_presentation, validate_monodromy
 from branchcover.errors import InputError
 from branchcover.presentation import edge_path_presentation
 from branchcover.simplicial import SimplicialComplex, barycentric_subdivide_complex
@@ -405,6 +405,64 @@ def test_cli_unreadable_spec_is_input_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _assignments_list(raw):
+    raw["monodromy"]["assignments"] = list(raw["monodromy"]["assignments"].values())
+    return raw
+
+
+def _descending_key(raw):
+    assignments = raw["monodromy"]["assignments"]
+    assignments["18->10"] = assignments.pop("10->18")
+    return raw
+
+
+def _perversity_list(raw):
+    raw["options"]["perversity"] = ["lower"]  # unhashable: not a name, and no crash
+    return raw
+
+
+def _validate_at_degree_zero():
+    y, r, rep, pres = circle_cover_data(2, (1, 0))
+    validate_monodromy(pres, MonodromyRep(0, rep.images))
+
+
+def _punctured_star_off_the_locus():
+    spec = load_spec(parse_spec_text(
+        (GOLDEN / "sphere-p2-d2.json").read_text(encoding="utf-8"))).cover_spec()
+    spec.punctured_star((1,))  # the locus is the vertices 0 and 5
+
+
+# case -> (where, how, message): `verify` on sphere-p2-d2.json edited by `how`
+# exits 1 with the message as its one line, or the library call `how` raises it
+INPUT_ERRORS = {
+    "top-level-not-object": ("verify", lambda raw: [], "top level must be an object"),
+    "assignments-not-object": ("verify", _assignments_list,
+                               "monodromy.assignments must be an object"),
+    "descending-key": ("verify", _descending_key, "assignment key '18->10' must be ascending"),
+    "perversity-unhashable": ("verify", _perversity_list,
+                              "options.perversity must be lower, upper, zero or top"),
+    "validate-degree-zero": ("library", _validate_at_degree_zero, "degree must be at least 1"),
+    "punctured-star-off-the-locus": ("library", _punctured_star_off_the_locus,
+                                     "[1] is not a simplex of the branch locus"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_ERRORS))
+def test_input_error_names_its_cause(case, tmp_path, capsys):
+    where, how, message = INPUT_ERRORS[case]
+    if where == "library":
+        with pytest.raises(InputError) as info:
+            how()
+        assert str(info.value) == message
+        return
+    raw = json.loads((GOLDEN / "sphere-p2-d2.json").read_text(encoding="utf-8"))
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(how(raw)), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def _octahedron_spec(**sections):

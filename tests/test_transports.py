@@ -1,7 +1,7 @@
 """Sparse transports: their matrices, checks, and differential tests.
 
-The package reads a transport only by its columns; the tests read it as
-a dense matrix through ``oracles.dense``.  The differential tests build every system twice:
+A transport is a list of sparse columns; the tests read it as a dense
+matrix through ``oracles.dense``.  The differential tests build every system twice:
 from the transport table (``pushforward_local_system``, ``kernel_system``)
 and through the dense adapter in ``oracles`` (``from_representation`` of
 explicit permutation and sum-zero matrices written out there), and
@@ -22,10 +22,12 @@ from branchcover.covering import (
 from branchcover.errors import InputError
 from branchcover.fixtures import circle_cover_data, hexagon, sphere_branched_data
 from branchcover.intersection import ih_betti, lower_middle
+from branchcover import local_systems
 from branchcover.local_systems import (
     LocalSystemQ,
-    Transport,
+    _product,
     kernel_system,
+    permutation_action,
     pushforward_local_system,
     sum_zero_action,
     twisted_betti,
@@ -56,13 +58,13 @@ SETTINGS = settings(max_examples=20, deadline=None, derandomize=True)
 
 def test_transport_permutation_convention():
     # P e_s = e_{image[s]}: column s holds a single 1 in row image[s]
-    p = Transport.permutation((1, 2, 0))
+    p = permutation_action((1, 2, 0))
     assert len(p) == 3
     assert [row[0] for row in dense(p)] == [0, 1, 0]
     assert mat_equal(dense(p), permutation_matrix((1, 2, 0)))
-    # q acts first in p @ q
-    q = Transport.permutation((2, 0, 1))
-    assert p @ q == Transport.permutation((0, 1, 2))
+    # q acts first in the product p . q
+    q = permutation_action((2, 0, 1))
+    assert _product(p, q) == permutation_action((0, 1, 2))
 
 
 def square(n):
@@ -77,7 +79,7 @@ small_matrices = st.integers(1, 5).flatmap(square)
 @given(st.integers(1, 5).flatmap(lambda n: st.tuples(square(n), square(n))))
 def test_sparse_composition_matches_dense_product(pair):
     a, b = pair
-    prod = transport_from_rows(a) @ transport_from_rows(b)
+    prod = _product(transport_from_rows(a), transport_from_rows(b))
     assert mat_equal(dense(prod), matmul(a, b))
     assert prod == transport_from_rows(matmul(a, b))
 
@@ -88,9 +90,9 @@ def test_sum_zero_action_matches_dense_definition(perm):
     perm = tuple(perm)
     t = sum_zero_action(perm)
     assert mat_equal(dense(t), sum_zero_matrix(perm))
-    assert all(0 < len(col) <= 2 for col in t.cols)
+    assert all(0 < len(col) <= 2 for col in t)
     inv = tuple(sorted(range(len(perm)), key=perm.__getitem__))
-    assert sum_zero_action(inv) @ t == Transport.permutation(range(len(perm) - 1))
+    assert _product(sum_zero_action(inv), t) == permutation_action(range(len(perm) - 1))
 
 
 @SETTINGS
@@ -101,7 +103,7 @@ def test_dense_adapter_inverse(rows):
         inv = transport_inverse(t)
     except ValueError:
         return  # singular
-    assert mat_equal(dense(inv @ t), identity(len(rows)))
+    assert mat_equal(dense(_product(inv, t)), identity(len(rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -114,9 +116,9 @@ def _both_ways(c, t):
 
 def test_sparse_broken_triangle_raises():
     c = full_simplex(2)
-    transports = _both_ways(c, Transport.permutation((0, 1)))
+    transports = _both_ways(c, permutation_action((0, 1)))
     LocalSystemQ(c, 2, dict(transports))  # the identity system is flat
-    swap = Transport.permutation((1, 0))
+    swap = permutation_action((1, 0))
     transports[(0, 1)] = transports[(1, 0)] = swap  # inverse to itself, not flat
     with pytest.raises(InputError, match=re.escape("flatness fails on 2-simplex [0, 1, 2]")):
         LocalSystemQ(c, 2, transports)
@@ -124,16 +126,16 @@ def test_sparse_broken_triangle_raises():
 
 def test_sparse_wrong_reverse_raises():
     c = hexagon()
-    transports = _both_ways(c, Transport.permutation((0, 1, 2)))
-    transports[(0, 1)] = transports[(1, 0)] = Transport.permutation((1, 2, 0))
+    transports = _both_ways(c, permutation_action((0, 1, 2)))
+    transports[(0, 1)] = transports[(1, 0)] = permutation_action((1, 2, 0))
     with pytest.raises(InputError, match="transport of 1->0 is not inverse to 0->1"):
         LocalSystemQ(c, 3, transports)
 
 
 def test_sparse_wrong_size_raises():
     c = hexagon()
-    transports = _both_ways(c, Transport.permutation((0, 1)))
-    transports[(0, 1)] = Transport.permutation((0, 1, 2))
+    transports = _both_ways(c, permutation_action((0, 1)))
+    transports[(0, 1)] = permutation_action((0, 1, 2))
     with pytest.raises(InputError, match="transport of 0->1 is not 2x2"):
         LocalSystemQ(c, 2, transports)
 
@@ -206,13 +208,13 @@ def test_checks_multiply_each_distinct_pair_and_triple_once(monkeypatch):
     spec = BranchedCoverSpec(y, r, rep, pres)
     base = spec.complement  # 48 edges and 24 2-simplices, 3 distinct pairs, 5 triples
     products = []
-    real = Transport.__matmul__
+    real = local_systems._product
 
     def spy(a, b):
         products.append((a, b))
         return real(a, b)
 
-    monkeypatch.setattr(Transport, "__matmul__", spy)
+    monkeypatch.setattr(local_systems, "_product", spy)
     for build in (pushforward_local_system, kernel_system):
         products.clear()
         t = build(base, spec.degree, spec.table).transports

@@ -221,9 +221,9 @@ def _suspension_circle_double_cover():
     """Double cover of the suspended torus branched over a suspension circle.
 
     The total space is the suspension of a genus-2 surface, a
-    pseudomanifold with non-sphere links, so the manifold-cover
-    decomposition hypotheses fail; the report must stay internally
-    consistent while the lower-middle equality honestly fails.
+    pseudomanifold with non-sphere links, so its Betti numbers and its
+    lower-middle intersection homology differ; the decomposition holds
+    for the latter.
     """
     from branchcover.simplicial import SimplicialComplex, full_subcomplex
     from branchcover.stratified import StratifiedComplex, subdivide_with_subcomplexes
@@ -267,23 +267,51 @@ def test_singular_base_cover_outside_theorem_hypotheses():
     assert betti_numbers(cover.total) == (1, 0, 4, 1)  # suspension of genus 2
     lower = verify_branched(spec, "lower")
     assert lower.betti_cover == (1, 0, 4, 1)
+    assert lower.ih_cover == (1, 4, 0, 1)  # the left side: not the Betti numbers
     assert lower.ih_trivial == (1, 2, 0, 1)
-    assert not lower.all_equal          # the theorem needs a manifold cover
-    assert lower.internal_ok            # but nothing is internally wrong
+    assert lower.ih_kernel == (0, 2, 0, 0)
+    assert lower.all_equal
+    assert lower.internal_ok
+    assert lower.euler_cover == 4 and lower.euler_ok  # the Betti numbers' sum, not the IH's
     upper = verify_branched(spec, "upper")
+    assert upper.ih_cover == upper.betti_cover == (1, 0, 4, 1)
     assert upper.ih_trivial == (1, 0, 2, 1)
     assert upper.ih_kernel == (0, 0, 2, 0)
     assert upper.all_equal
 
 
-def test_cli_equality_failure_exit_code(tmp_path):
+def test_susp_cover_at_lower_perversity_compares_the_cover_ih(capsys):
+    """The susp-cover workload's cover is singular: at lower perversity its
+    Betti numbers (1, 0, 4, 1) differ from its IH (1, 4, 0, 1), and the IH is
+    what splits into the two IH of the base (the Betti numbers exited 2)."""
+    spec = str(GOLDEN / "susp-cover-seed1.json")
+    assert main(["verify", spec, "--perversity", "lower", "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["betti_cover"] == [1, 0, 4, 1]
+    assert report["ih_cover"] == [1, 4, 0, 1]
+    assert [t + k for t, k in zip(report["ih_trivial"], report["ih_kernel"])] == [1, 4, 0, 1]
+    assert report["all_equal"] and report["internal_ok"]
+    assert report["euler_cover"] == 4 and report["euler_ok"]
+
+
+def test_cli_equality_failure_exit_code(tmp_path, monkeypatch, capsys):
     from branchcover.fixtures import spec_to_dict, spec_to_text
     spec = _suspension_circle_double_cover()
     path = tmp_path / "singular.json"
     path.write_text(spec_to_text(spec_to_dict(
         spec.base, spec.branch, spec.monodromy, spec.presentation)))
-    assert main(["verify", str(path)]) == 2
+    assert main(["verify", str(path)]) == 0
+    assert "  ih(cover)         = [1, 4, 0, 1]\n" in capsys.readouterr().out
     assert main(["verify", str(path), "--perversity", "upper"]) == 0
+    real = verify.ih_betti
+
+    def off_by_one(sc, p, coeff=None):  # the kernel IH gains a class in degree 1
+        ih = real(sc, p, coeff)
+        return ih[:1] + (ih[1] + 1,) + ih[2:] if coeff is not None else ih
+
+    monkeypatch.setattr(verify, "ih_betti", off_by_one)
+    assert main(["verify", str(path)]) == 2
+    assert "per-degree equality: FAILS ['ok', 'FAIL', 'ok', 'ok']" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
