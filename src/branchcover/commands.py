@@ -173,9 +173,9 @@ def cmd_homology(args) -> tuple[str, int]:
 def cmd_twisted(args) -> tuple[str, int]:
     loaded = load_spec(read_spec(args.spec))
     spec = loaded.cover_spec()
-    base_c, d, table = spec.complement, spec.degree, spec.table
-    pushforward = pushforward_local_system(base_c, d, table)
-    kernel = kernel_system(base_c, d, table)
+    base_c = spec.complement
+    pushforward = pushforward_local_system(base_c, spec.degree, spec.table)
+    kernel = kernel_system(base_c, spec.degree, spec.table)
     lines = [
         f"complement betti:          {list(betti_numbers(base_c))}",
         f"pushforward twisted betti: {list(twisted_betti(base_c, pushforward))}",

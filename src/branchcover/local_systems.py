@@ -1,23 +1,26 @@
 """Rank-r local systems over the rationals as flat edge transports.
 
 A local system assigns an invertible rational matrix to every oriented
-edge of its base complex, with inverse transports on reversed edges and
-flatness over every 2-simplex.  Every system the package builds is a
-cover's transport table (oriented edge -> sheet permutation) with an
-action applied to it, one transport per distinct permutation: the
-permutation action gives the pushforward, and the action on sum-zero
-vectors its kernel summand (the pushforward is that kernel of the
-coordinate sum plus the constant system), which drives all decomposition
-checks.  The sum-zero action is faithful for d >= 2, so both fail their
-inverse and flatness checks on the same tables.  Either action has at
-most two nonzeros per column, so a transport is a matrix as :mod:`linalg`
-stores one, r sparse columns ``{row: value}`` with no zero entries, and
-is never modified once built.  Twisted
-homology is :func:`simplicial.homology_ranks` on every simplex, with the
-coefficients of a simplex at its minimal vertex.
+edge of its base complex.  Every system the package builds is a cover's
+transport table (oriented edge -> sheet permutation), as
+:func:`covering.validate_monodromy` returns it, with an action applied,
+one transport per distinct permutation: the permutation action gives the
+pushforward, and the action on sum-zero vectors its kernel summand (the
+pushforward is that kernel plus the constant system), which drives all
+decomposition checks.  Nothing is checked again here.  The table is flat,
+as the presentation has one relator per 2-simplex and the validation
+evaluates each; its reverse entries are the inverses of the forward ones
+by construction; and homology reads only the transports along ascending
+edges, where a table that is not flat fails the d^2 = 0 check of
+:func:`simplicial.homology_ranks` in degree 2.  A transport is r sparse
+columns ``{row: value}`` with no zero entries, as :mod:`linalg` stores a
+matrix, at most two nonzeros per column, never modified once built.
+Twisted homology is :func:`simplicial.homology_ranks` on every simplex,
+with the coefficients of a simplex at its minimal vertex.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Callable, Sequence
 
 from .errors import InputError
@@ -48,59 +51,11 @@ def sum_zero_action(perm: Perm) -> list[SparseCol]:
     return cols
 
 
-def _product(a: list[SparseCol], b: list[SparseCol]) -> list[SparseCol]:
-    """The product a . b of two transports: ``b`` acts first."""
-    out = []
-    for col in b:
-        acc: SparseCol = {}
-        for k, y in col.items():
-            for i, x in a[k].items():
-                acc[i] = acc.get(i, 0) + x * y
-        out.append({i: v for i, v in acc.items() if v})
-    return out
+class LocalSystemQ(namedtuple("LocalSystemQ", "base rank transports")):
+    """Transports over ``base``: ``transports[(u, v)]`` carries the rank-``rank``
+    coefficients from u to v.  Built from a validated table, so not checked."""
 
-
-class LocalSystemQ:
-    """Flat invertible edge-transport data over a base complex."""
-
-    __slots__ = ("base", "rank", "transports")
-
-    def __init__(self, base: SimplicialComplex, rank: int,
-                 transports: dict[tuple[int, int], list[SparseCol]]):
-        if rank < 0:
-            raise InputError("rank must be non-negative")
-        edges = base.simplices_of_dim(1)
-        for (u, v) in edges:
-            if (u, v) not in transports or (v, u) not in transports:
-                raise InputError(f"edge {u}->{v} has no transport")
-        # a system built from a table shares one transport per permutation, so
-        # each distinct pair and triple of transport objects is checked once,
-        # the first time it is met: a failure still names the first edge or
-        # 2-simplex, in order, on which the check fails
-        ident = permutation_action(range(rank))
-        checked = set()
-        for (u, v) in edges:
-            f, b = transports[(u, v)], transports[(v, u)]
-            key = (id(f), id(b))
-            if key in checked:
-                continue
-            checked.add(key)
-            if len(f) != rank or len(b) != rank:
-                raise InputError(f"transport of {u}->{v} is not {rank}x{rank}")
-            if _product(b, f) != ident:
-                raise InputError(f"transport of {v}->{u} is not inverse to {u}->{v}")
-        checked.clear()
-        for (a, b, c) in base.simplices_of_dim(2):
-            ab, bc, ac = transports[(a, b)], transports[(b, c)], transports[(a, c)]
-            key = (id(ab), id(bc), id(ac))
-            if key in checked:
-                continue
-            checked.add(key)
-            if _product(bc, ab) != ac:
-                raise InputError(f"flatness fails on 2-simplex {[a, b, c]}")
-        self.base = base
-        self.rank = rank
-        self.transports = transports
+    __slots__ = ()
 
     def transport(self, u: int, v: int) -> list[SparseCol]:
         try:
@@ -166,9 +121,8 @@ def twisted_betti(c: SimplicialComplex, system: LocalSystemQ) -> tuple[int, ...]
 
     The boundary transports coefficients along the edge joining the
     minimal vertices, which lies inside the simplex; flatness makes the
-    square of the boundary vanish.
+    square of the boundary vanish, and a system that is not flat fails
+    the d^2 = 0 check in degree 2.  An edge of ``c`` with no transport is
+    an :class:`InputError`.
     """
-    for e in c.simplices_of_dim(1):
-        if e not in system.transports:
-            raise InputError(f"local system has no transport for edge {list(e)}")
     return homology_ranks(c, lambda s: True, system.rank, system.transport, min)

@@ -129,7 +129,8 @@ class DecompositionReport(namedtuple(
                 f"  b(base; kernel) = {list(self.ih_kernel)}",
                 f"  equality: {'HOLDS' if self.all_equal else 'FAILS'}"]) + "\n"
         lines = []
-        lines.append(f"decomposition check ({self.perversity} middle perversity, "
+        middle = " middle" if self.perversity in ("lower", "upper") else ""
+        lines.append(f"decomposition check ({self.perversity}{middle} perversity, "
                      f"degree {self.degree}, base dimension {self.base_dim})")
         lines.append(f"  b(cover)          = {list(self.betti_cover)}")
         lines.append(f"  ih(cover)         = {list(self.ih_cover)}")

@@ -5,7 +5,13 @@ from pathlib import Path
 
 import pytest
 
-from branchcover.covering import BranchedCoverSpec, MonodromyRep, refine_stratification
+from branchcover.covering import (
+    BranchedCoverSpec,
+    MonodromyRep,
+    fox_complete,
+    pullback_stratification,
+    refine_stratification,
+)
 from branchcover.errors import InputError
 from branchcover.intersection import (
     Perversity,
@@ -16,12 +22,7 @@ from branchcover.intersection import (
     upper_middle,
     zero_perversity,
 )
-from branchcover.local_systems import (
-    LocalSystemQ,
-    _product,
-    kernel_system,
-    twisted_betti,
-)
+from branchcover.local_systems import LocalSystemQ, kernel_system, twisted_betti
 from branchcover.presentation import edge_path_presentation
 from branchcover.simplicial import SimplicialComplex, betti_numbers, full_subcomplex
 from branchcover.specfile import load_spec, parse_spec_text
@@ -41,7 +42,15 @@ from branchcover.fixtures import (
 )
 
 from complexes import annulus, barycentric_subdivide, kernel, nullspace_mod_p, relator_rows
-from oracles import ic_betti, ic_closed, ic_complex, suspension_ih_oracle
+from oracles import (
+    dense,
+    ic_betti,
+    ic_closed,
+    ic_complex,
+    matmul,
+    suspension_ih_oracle,
+    transport_from_rows,
+)
 from stalks import complementary, deligne_stalk_check, is_allowable
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -171,18 +180,20 @@ def _load_golden(path):
                          ids=lambda p: p.stem)
 def test_ih_suspension_duality(path):
     # on the refined base, complementary middle perversities pair degrees
-    # j and m - j, with trivial and, given a monodromy, kernel coefficients
+    # j and m - j, with trivial and, given a monodromy, kernel coefficients,
+    # and so they do on the cover with its pulled-back stratification
     loaded = _load_golden(path)
     refined = (loaded.base if loaded.branch is None
                else refine_stratification(loaded.base, loaded.branch))
-    coeffs = {"trivial": None}
+    cases = {"trivial": (refined, None)}
     if loaded.monodromy is not None:
         spec = loaded.cover_spec()
-        coeffs["kernel"] = kernel_system(spec.complement, spec.degree, spec.table)
+        cases["kernel"] = (refined, kernel_system(spec.complement, spec.degree, spec.table))
+        cases["cover"] = (pullback_stratification(fox_complete(spec), refined), None)
     m = refined.dim
-    for label, coeff in coeffs.items():
-        lo = ih_betti(refined, lower_middle(m), coeff)
-        up = ih_betti(refined, upper_middle(m), coeff)
+    for label, (sc, coeff) in cases.items():
+        lo = ih_betti(sc, lower_middle(m), coeff)
+        up = ih_betti(sc, upper_middle(m), coeff)
         assert all(lo[j] == up[m - j] for j in range(m + 1)), (label, lo, up)
 
 
@@ -310,12 +321,12 @@ def _scaled(system):
     """
     r = system.rank
 
-    def diag(v, inverse=False):
-        return [{i: Fraction(1, s) if inverse else s}
-                for i, s in enumerate(1 + (v + i) % 3 for i in range(r))]
+    def diag(v, power):
+        return [[Fraction(1 + (v + i) % 3) ** power if i == j else 0 for j in range(r)]
+                for i in range(r)]
 
     return LocalSystemQ(system.base, r, {
-        (u, v): _product(_product(diag(v), t), diag(u, inverse=True))
+        (u, v): transport_from_rows(matmul(matmul(diag(v, 1), dense(t)), diag(u, -1)))
         for (u, v), t in system.transports.items()})
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from branchcover.covering import BranchedCoverSpec, MonodromyRep, fox_complete
-from branchcover.errors import InputError
+from branchcover.errors import InputError, InternalCheckError
 from branchcover.local_systems import (
     kernel_system,
     pushforward_local_system,
@@ -78,11 +78,12 @@ def test_nontrivial_rep_on_simply_connected_base_rejected():
 
 
 def test_flatness_enforced():
+    # nothing checks a system when it is built; its homology checks d^2 = 0
     c = full_simplex(2)
     bad = {e: ident(1) for e in c.simplices_of_dim(1)}
     bad[(0, 1)] = [[Fraction(2)]]
-    with pytest.raises(Exception):
-        local_system_from_forward_edges(c, 1, bad)
+    with pytest.raises(InternalCheckError, match="boundary of a chain in degree 2 "):
+        twisted_betti(c, local_system_from_forward_edges(c, 1, bad))
 
 
 def test_pushforward_flat_on_octahedron():
@@ -91,7 +92,7 @@ def test_pushforward_flat_on_octahedron():
     pres = edge_path_presentation(octahedron(), 0)
     rep = MonodromyRep(3, tuple((0, 1, 2) for _ in pres.generators))
     ls = pushforward(pres, rep)
-    assert ls.rank == 3  # flatness was checked in the constructor
+    assert twisted_betti(octahedron(), ls) == (3, 0, 3)  # d^2 = 0: the system is flat
 
 
 # ---------------------------------------------------------------------------

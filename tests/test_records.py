@@ -14,6 +14,7 @@ from branchcover.covering import ConnectivityReport, MonodromyRep
 from branchcover.errors import InputError
 from branchcover.commands import CodimReport, ConeCheckResult
 from branchcover.intersection import Perversity, lower_middle
+from branchcover.local_systems import LocalSystemQ
 from branchcover.specfile import LoadedSpec, SpecData
 from branchcover.stratified import Stratum
 from branchcover.verify import (
@@ -38,6 +39,7 @@ RECORDS = {
     LoadedSpec: ("base", "branch", "presentation", "monodromy", "basepoint", "perversity",
                  "subdivisions"),
     Stratum: ("level", "dim", "simplices"),
+    LocalSystemQ: ("base", "rank", "transports"),
     FiberRow: ("simplex", "orbit_count", "one_plus_invariants", "lift_count"),
     FiberReport: ("rows",),
     CodimReport: ("applicable", "branch_dim", "base_dim", "fibers", "non_minimal", "note"),

@@ -1,31 +1,33 @@
-"""Sparse transports: their matrices, checks, and differential tests.
+"""Sparse transports: their matrices, what guards a table, and differential tests.
 
 A transport is a list of sparse columns; the tests read it as a dense
 matrix through ``oracles.dense``.  The differential tests build every system twice:
 from the transport table (``pushforward_local_system``, ``kernel_system``)
 and through the dense adapter in ``oracles`` (``from_representation`` of
 explicit permutation and sum-zero matrices written out there), and
-require the same twisted and intersection Betti numbers from both.  The
-two table builders also reject the same corrupted tables.
+require the same twisted and intersection Betti numbers from both.  A
+system is not checked when it is built: a table that is not flat fails
+the d^2 = 0 check when its homology is taken, and its reverse entries are
+never read, so on corrupted tables both builders give the verdict that a
+dense check of the forward entries predicts.
 """
-import re
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from branchcover import covering
+from branchcover.cli import main
 from branchcover.covering import (
     BranchedCoverSpec,
     MonodromyRep,
     fox_complete,
     refine_stratification,
 )
-from branchcover.errors import InputError
+from branchcover.errors import InputError, InternalCheckError
 from branchcover.fixtures import circle_cover_data, hexagon, sphere_branched_data
 from branchcover.intersection import ih_betti, lower_middle
-from branchcover import local_systems
 from branchcover.local_systems import (
-    LocalSystemQ,
-    _product,
     kernel_system,
     permutation_action,
     pushforward_local_system,
@@ -41,6 +43,7 @@ from oracles import (
     dense,
     from_representation,
     identity,
+    local_system_from_forward_edges,
     mat_equal,
     matmul,
     permutation_matrix,
@@ -49,6 +52,7 @@ from oracles import (
     transport_inverse,
 )
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
 SETTINGS = settings(max_examples=20, deadline=None, derandomize=True)
 
 
@@ -64,7 +68,7 @@ def test_transport_permutation_convention():
     assert mat_equal(dense(p), permutation_matrix((1, 2, 0)))
     # q acts first in the product p . q
     q = permutation_action((2, 0, 1))
-    assert _product(p, q) == permutation_action((0, 1, 2))
+    assert mat_equal(matmul(dense(p), dense(q)), identity(3))
 
 
 def square(n):
@@ -78,10 +82,11 @@ small_matrices = st.integers(1, 5).flatmap(square)
 @SETTINGS
 @given(st.integers(1, 5).flatmap(lambda n: st.tuples(square(n), square(n))))
 def test_sparse_composition_matches_dense_product(pair):
+    # the dense adapter round-trips a product, and its columns hold no zeros
     a, b = pair
-    prod = _product(transport_from_rows(a), transport_from_rows(b))
+    prod = transport_from_rows(matmul(dense(transport_from_rows(a)), dense(transport_from_rows(b))))
     assert mat_equal(dense(prod), matmul(a, b))
-    assert prod == transport_from_rows(matmul(a, b))
+    assert all(v for col in prod for v in col.values())
 
 
 @SETTINGS
@@ -92,7 +97,7 @@ def test_sum_zero_action_matches_dense_definition(perm):
     assert mat_equal(dense(t), sum_zero_matrix(perm))
     assert all(0 < len(col) <= 2 for col in t)
     inv = tuple(sorted(range(len(perm)), key=perm.__getitem__))
-    assert _product(sum_zero_action(inv), t) == permutation_action(range(len(perm) - 1))
+    assert mat_equal(matmul(dense(sum_zero_action(inv)), dense(t)), identity(len(perm) - 1))
 
 
 @SETTINGS
@@ -103,41 +108,54 @@ def test_dense_adapter_inverse(rows):
         inv = transport_inverse(t)
     except ValueError:
         return  # singular
-    assert mat_equal(dense(_product(inv, t)), identity(len(rows)))
+    assert mat_equal(matmul(dense(inv), dense(t)), identity(len(rows)))
 
 
 # ---------------------------------------------------------------------------
-# every LocalSystemQ is checked: inverse and flatness
+# a system is not checked when built: the d^2 = 0 check guards flatness
 
 
-def _both_ways(c, t):
-    return {e: t for (u, v) in c.simplices_of_dim(1) for e in ((u, v), (v, u))}
+def _both_ways(c, p):
+    return {e: p for (u, v) in c.simplices_of_dim(1) for e in ((u, v), (v, u))}
 
 
 def test_sparse_broken_triangle_raises():
     c = full_simplex(2)
-    transports = _both_ways(c, permutation_action((0, 1)))
-    LocalSystemQ(c, 2, dict(transports))  # the identity system is flat
-    swap = permutation_action((1, 0))
-    transports[(0, 1)] = transports[(1, 0)] = swap  # inverse to itself, not flat
-    with pytest.raises(InputError, match=re.escape("flatness fails on 2-simplex [0, 1, 2]")):
-        LocalSystemQ(c, 2, transports)
+    table = _both_ways(c, (0, 1))
+    assert twisted_betti(c, pushforward_local_system(c, 2, table)) == (2, 0, 0)
+    table[(0, 1)] = table[(1, 0)] = (1, 0)  # inverse to itself, not flat
+    for build in (pushforward_local_system, kernel_system):
+        with pytest.raises(InternalCheckError, match="boundary of a chain in degree 2 "):
+            twisted_betti(c, build(c, 2, table))
 
 
-def test_sparse_wrong_reverse_raises():
+def test_a_table_that_is_not_flat_exits_3_through_the_cli(monkeypatch, capsys):
+    # one edge of a flat 2-simplex changed both ways breaks flatness there
+    def corrupted(pres, rep):
+        table = real(pres, rep)
+        a, b, _ = pres.complex.simplices_of_dim(2)[0]
+        p = table[(a, b)]
+        table[(a, b)] = q = (p[1], p[0]) + p[2:]
+        table[(b, a)] = tuple(sorted(range(len(q)), key=q.__getitem__))
+        return table
+
+    real = covering.validate_monodromy
+    monkeypatch.setattr(covering, "validate_monodromy", corrupted)
+    assert main(["twisted", str(GOLDEN / "sphere-p3-d3.json")]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal check failed: boundary of a chain in degree 2 ")
+    assert err.count("\n") == 1
+
+
+def test_sparse_wrong_reverse_leaves_ranks_unchanged():
+    # homology reads only the transports along ascending edges
     c = hexagon()
-    transports = _both_ways(c, permutation_action((0, 1, 2)))
-    transports[(0, 1)] = transports[(1, 0)] = permutation_action((1, 2, 0))
-    with pytest.raises(InputError, match="transport of 1->0 is not inverse to 0->1"):
-        LocalSystemQ(c, 3, transports)
-
-
-def test_sparse_wrong_size_raises():
-    c = hexagon()
-    transports = _both_ways(c, permutation_action((0, 1)))
-    transports[(0, 1)] = permutation_action((0, 1, 2))
-    with pytest.raises(InputError, match="transport of 0->1 is not 2x2"):
-        LocalSystemQ(c, 2, transports)
+    table = _both_ways(c, (0, 1, 2))
+    table[(0, 1)], table[(1, 0)] = (1, 2, 0), (2, 0, 1)
+    wrong = {**table, (1, 0): (1, 2, 0)}
+    for build in (pushforward_local_system, kernel_system):
+        assert twisted_betti(c, build(c, 3, wrong)) == twisted_betti(c, build(c, 3, table))
 
 
 def _gauge_table(c, h):
@@ -169,60 +187,55 @@ def corrupted_tables(draw):
     return c, d, table
 
 
+def _predicted(c, table, matrix):
+    """The verdict read off the forward entries alone, each as a dense matrix.
+
+    The first forward edge with no entry is an ``InputError``; otherwise a
+    2-simplex on which the forward matrices do not compose is the d^2 = 0
+    failure in degree 2; otherwise the ranks of the dense system whose
+    reverse transports are the inverses of the forward ones.
+    """
+    edges = c.simplices_of_dim(1)
+    missing = [e for e in edges if e not in table]
+    if missing:
+        return "no transport along {}->{}".format(*missing[0])
+    m = {e: matrix(table[e]) for e in edges}
+    if any(not mat_equal(matmul(m[(b, w)], m[(a, b)]), m[(a, w)])
+           for a, b, w in c.simplices_of_dim(2)):
+        return "degree 2"
+    return twisted_betti(c, local_system_from_forward_edges(c, len(m[edges[0]]), m))
+
+
 def _verdict(build, c, d, table):
     try:
-        build(c, d, table)
+        return twisted_betti(c, build(c, d, table))
     except InputError as exc:
         return str(exc)
-    return None
+    except InternalCheckError as exc:
+        assert str(exc).startswith("boundary of a chain in degree 2 "), exc
+        return "degree 2"
+
+
+# each verdict reached on purpose, from the flat table with the cyclic shift
+# by v at vertex v: edge 0->1 dropped, the 2-simplex [0, 1, 6] made non-flat
+# by a swap (no gauge value is one), and 1->0 not inverse to 0->1
+ANNULUS = annulus()
+CYCLIC = _gauge_table(ANNULUS, {v: tuple((v + s) % 3 for s in range(3)) for v in ANNULUS.vertices})
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(corrupted_tables())
+@example((ANNULUS, 3, {e: p for e, p in CYCLIC.items() if e != (0, 1)}))
+@example((ANNULUS, 3, {**CYCLIC, (0, 1): (1, 0, 2), (1, 0): (1, 0, 2)}))
+@example((ANNULUS, 3, {**CYCLIC, (1, 0): (1, 2, 0)}))
 def test_kernel_and_pushforward_reject_the_same_tables(data):
-    # the sum-zero action is faithful for d >= 2, so the kernel's inverse and
-    # flatness checks keep the pushforward's verdict, message included
-    assert _verdict(kernel_system, *data) == _verdict(pushforward_local_system, *data)
-
-
-def test_corrupted_tables_reach_every_verdict():
-    c = annulus()
-    table = _gauge_table(c, {v: tuple((v + s) % 3 for s in range(3)) for v in c.vertices})
-    (u, v), (a, b, w) = c.simplices_of_dim(1)[0], c.simplices_of_dim(2)[0]
-    swap = (1, 0, 2)  # never a gauge value here: those are all cyclic shifts
-    verdicts = {None: table,
-                f"edge {u}->{v} has no transport": {e: p for e, p in table.items() if e != (u, v)},
-                f"transport of {v}->{u} is not inverse to {u}->{v}":
-                    {**table, (u, v): (1, 2, 0), (v, u): (1, 2, 0)},
-                f"flatness fails on 2-simplex {[a, b, w]}": {**table, (a, b): swap, (b, a): swap}}
-    for message, bad in verdicts.items():
-        for build in (pushforward_local_system, kernel_system):
-            assert _verdict(build, c, 3, bad) == message
-
-
-def test_checks_multiply_each_distinct_pair_and_triple_once(monkeypatch):
-    """A table system shares one transport per permutation, so its inverse and
-    flatness checks take one product per distinct (forward, backward) pair and
-    one per distinct flatness triple, not one per edge and 2-simplex."""
-    y, r, rep, pres = sphere_branched_data(3, 3)
-    spec = BranchedCoverSpec(y, r, rep, pres)
-    base = spec.complement  # 48 edges and 24 2-simplices, 3 distinct pairs, 5 triples
-    products = []
-    real = local_systems._product
-
-    def spy(a, b):
-        products.append((a, b))
-        return real(a, b)
-
-    monkeypatch.setattr(local_systems, "_product", spy)
-    for build in (pushforward_local_system, kernel_system):
-        products.clear()
-        t = build(base, spec.degree, spec.table).transports
-        pairs = {(id(t[(u, v)]), id(t[(v, u)])) for u, v in base.simplices_of_dim(1)}
-        triples = {(id(t[(a, b)]), id(t[(b, c)]), id(t[(a, c)]))
-                   for a, b, c in base.simplices_of_dim(2)}
-        assert 0 < len(products) <= len(pairs) + len(triples)
-        assert len(pairs) + len(triples) < base.n_simplices(1) + base.n_simplices(2)
+    c, _, table = data
+    push = _predicted(c, table, permutation_matrix)
+    kernel = _predicted(c, table, sum_zero_matrix)
+    assert _verdict(pushforward_local_system, *data) == push
+    assert _verdict(kernel_system, *data) == kernel
+    if isinstance(push, str):  # the sum-zero action is faithful for d >= 2
+        assert kernel == push
 
 
 # ---------------------------------------------------------------------------

@@ -217,6 +217,17 @@ def test_report_serialization_deterministic():
     assert a.to_json_dict()["all_equal"] is True
 
 
+@pytest.mark.parametrize("name, header", [("lower", "lower middle perversity"),
+                                          ("upper", "upper middle perversity"),
+                                          ("zero", "zero perversity"),
+                                          ("top", "top perversity")])
+def test_text_report_names_the_perversity(name, header, capsys):
+    # only the two middle perversities are called middle
+    assert main(["verify", str(GOLDEN / "sphere-p6-d3.json"), "--perversity", name]) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first == f"decomposition check ({header}, degree 3, base dimension 2)"
+
+
 def _suspension_circle_double_cover():
     """Double cover of the suspended torus branched over a suspension circle.
 
