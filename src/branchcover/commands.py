@@ -123,9 +123,9 @@ def codim_check(spec: BranchedCoverSpec) -> CodimReport:
     or a bug.
     """
     m = spec.base.dim
-    if spec.branch is None:
-        return CodimReport(False, -1, m, (), False, "branch locus empty; vacuous pass")
     rdim = spec.branch.dim
+    if rdim < 0:
+        return CodimReport(False, rdim, m, (), False, "branch locus empty; vacuous pass")
     if rdim > m - 3:
         return CodimReport(False, rdim, m, (), False,
                            "branch locus has codimension 2; check not applicable")
@@ -149,11 +149,9 @@ def cmd_generators(args) -> tuple[str, int]:
     # the contract does not depend on the assignments, so it is printed
     # for a spec whose assignments no longer match it, too
     data = read_spec(args.spec)
-    loaded = load_spec(data._replace(monodromy=None))
-    branch = loaded.branch
-    pres = complement_presentation(
-        loaded.base.complex, frozenset(branch.complex.vertices) if branch else (),
-        (data.monodromy or {}).get("basepoint"))
+    loaded = load_spec(dict(data, monodromy=None))
+    pres = complement_presentation(loaded.base.complex, frozenset(loaded.branch.complex.vertices),
+                                   (data.get("monodromy") or {}).get("basepoint"))
     lines = [f"basepoint: {pres.basepoint}",
              f"vertices: {len(pres.complex.vertices)}",
              f"tree-edges: {len(pres.tree_edges)}",
@@ -174,8 +172,8 @@ def cmd_twisted(args) -> tuple[str, int]:
     loaded = load_spec(read_spec(args.spec))
     spec = loaded.cover_spec()
     base_c = spec.complement
-    pushforward = pushforward_local_system(base_c, spec.degree, spec.table)
-    kernel = kernel_system(base_c, spec.degree, spec.table)
+    pushforward = pushforward_local_system(spec.degree, spec.table)
+    kernel = kernel_system(spec.degree, spec.table)
     lines = [
         f"complement betti:          {list(betti_numbers(base_c))}",
         f"pushforward twisted betti: {list(twisted_betti(base_c, pushforward))}",
@@ -256,9 +254,9 @@ def cmd_fixture(args) -> tuple[str, int]:
         y, r, rep, pres = fixtures.circle_cover_data(degree, perm)
         spec = fixtures.spec_to_dict(y, r, rep, pres)
     elif name == "suspension-torus":
-        spec = fixtures.spec_to_dict(fixtures.suspension_torus(), None, None)
+        spec = fixtures.spec_to_dict(fixtures.suspension_torus())
     elif name == "pinched-torus":
-        spec = fixtures.spec_to_dict(fixtures.pinched_torus(), None, None)
+        spec = fixtures.spec_to_dict(fixtures.pinched_torus())
     else:
         raise InputError(f"unknown fixture {name!r}")
     return fixtures.spec_to_text(spec), 0

@@ -62,39 +62,25 @@ def orbit_count(perms: Iterable[Perm], d: int) -> int:
 # monodromy data
 
 
-class MonodromyRep(namedtuple("MonodromyRep", "degree images")):
-    """Degree-d permutation assignment on the ordered generators.
-
-    ``degree`` is an ``int`` and ``images`` a ``tuple[Perm, ...]``, one
-    image per generator.
-    """
+class MonodromyRep(namedtuple("MonodromyRep", "degree assignments")):
+    """Degree-d permutation assignment: ``degree`` is an ``int`` and
+    ``assignments`` maps each generator edge ``(u, v)`` to its ``Perm``
+    image, as a spec file writes them."""
 
     __slots__ = ()
-
-    @classmethod
-    def from_edge_dict(cls, pres: EdgePathPresentation, degree: int,
-                       assignments: dict[tuple[int, int], Sequence[int]]) -> "MonodromyRep":
-        images = []
-        known = set(pres.generators)
-        for edge in assignments:
-            if tuple(edge) not in known:
-                raise InputError(
-                    f"{edge[0]}->{edge[1]} is not a generator edge of the presentation")
-        for e in pres.generators:
-            if e not in assignments:
-                raise InputError(f"no image assigned to generator {e[0]}->{e[1]}")
-            images.append(tuple(assignments[e]))
-        return cls(degree, tuple(images))
 
 
 def validate_monodromy(pres: EdgePathPresentation,
                        rep: MonodromyRep) -> dict[tuple[int, int], Perm]:
-    """Accept iff all images are permutations and all relators map to 1.
+    """Accept iff the assigned edges are the generators, all images are
+    permutations and all relators map to 1.
 
-    Each distinct image is checked and inverted once, and equal images
-    share one object, so each relator is evaluated letter by letter, left
-    to right, passing over letters that map to the identity; the first
-    relator that does not evaluate to the identity is the one reported.
+    An assigned edge that is not a generator is reported first, then a
+    generator with no image.  Each distinct image is checked and inverted
+    once, and equal images share one object, so each relator is evaluated
+    letter by letter, left to right, passing over letters that map to the
+    identity; the first relator that does not evaluate to the identity is
+    the one reported.
     Returns the transport table: oriented edge -> sheet permutation, the
     image on each generator edge, its inverse on the reverse and the
     identity on both ways of a tree edge.
@@ -102,20 +88,25 @@ def validate_monodromy(pres: EdgePathPresentation,
     d = rep.degree
     if d < 1:
         raise InputError("degree must be at least 1")
-    if len(rep.images) != len(pres.generators):
-        raise InputError(
-            f"{len(pres.generators)} generators but {len(rep.images)} images")
+    assignments = rep.assignments
+    for (u, v) in assignments:
+        if (u, v) not in pres.gen_index:
+            raise InputError(f"{u}->{v} is not a generator edge of the presentation")
+    for (u, v) in pres.generators:
+        if (u, v) not in assignments:
+            raise InputError(f"no image assigned to generator {u}->{v}")
     ident = identity_perm(d)
     shared: dict[Perm, Perm] = {ident: ident}  # equal images are one object
     inverse_of: dict[Perm, Perm] = {ident: ident}
-    for e, img in zip(pres.generators, rep.images):
+    for e in pres.generators:
+        img = assignments[e]
         if img not in inverse_of:
             if not is_permutation(img, d):
                 raise InputError(
                     f"image of generator {e[0]}->{e[1]} is not a permutation: {list(img)}")
             shared[img] = img
             inverse_of[img] = invert_perm(img)
-    images = tuple(map(shared.__getitem__, rep.images))
+    images = tuple(shared[assignments[e]] for e in pres.generators)
     inverses = tuple(map(inverse_of.__getitem__, images))
     for i, word in enumerate(pres.relators):
         acc = ident
@@ -200,13 +191,11 @@ class BranchedCoverSpec:
     __slots__ = ("base", "branch", "complement", "presentation", "monodromy",
                  "branch_vertices", "_table", "_punctured", "_connected", "_local_groups")
 
-    def __init__(self, base: StratifiedComplex, branch: StratifiedComplex | None,
+    def __init__(self, base: StratifiedComplex, branch: StratifiedComplex,
                  monodromy: MonodromyRep, presentation: EdgePathPresentation):
-        if branch is not None and branch.complex.n_simplices() == 0:
-            branch = None
-        if branch is not None:
+        if branch.complex.n_simplices():
             _check_branch_locus(base, branch.complex, full=True)
-        branch_vertices = frozenset(branch.complex.vertices if branch is not None else ())
+        branch_vertices = frozenset(branch.complex.vertices)
         if not _is_complement(presentation.complex, base.complex, branch_vertices):
             raise InputError(
                 "the presentation is not of the complement of the branch locus")
@@ -231,8 +220,6 @@ class BranchedCoverSpec:
         return self._table
 
     def branch_simplices(self) -> tuple[Simplex, ...]:
-        if self.branch is None:
-            return ()
         return self.branch.complex.all_simplices()
 
     def punctured_star(self, tau: Simplex) -> SimplicialComplex:
@@ -243,7 +230,7 @@ class BranchedCoverSpec:
         are cached; equal stars of different branch simplices are tested once.
         """
         tau = tuple(tau)
-        if self.branch is None or tau not in self.branch.complex.simplices:
+        if tau not in self.branch.complex.simplices:
             raise InputError(f"{list(tau)} is not a simplex of the branch locus")
         cached = self._punctured.get(tau)
         if cached is None:
@@ -487,7 +474,7 @@ def riemann_hurwitz_check(cover: CoverComplex) -> int:
     """
     spec = cover.spec
     d = spec.degree
-    rset = spec.branch.complex.simplices if spec.branch is not None else frozenset()
+    rset = spec.branch.complex.simplices
     rhs = 0
     for sig in spec.base.complex.all_simplices():
         sign = (-1) ** (len(sig) - 1)
@@ -510,11 +497,14 @@ def refine_stratification(base: StratifiedComplex, branch: StratifiedComplex) ->
 
     Pieces are the top stratum minus the locus together with all nonempty
     intersections of a base stratum with a branch stratum; they are
-    re-indexed into a descending filtration by dimension.
+    re-indexed into a descending filtration by dimension.  With an empty
+    locus the refinement is the base itself.
     """
     y = base.complex
     m = base.dim
     r = branch.complex
+    if not r.n_simplices():
+        return base
     _check_branch_locus(base, r, full=False)
 
     y_stratum: dict[Simplex, int] = {}

@@ -19,7 +19,7 @@ from .errors import InputError
 from .covering import MonodromyRep, complement_presentation
 from .presentation import EdgePathPresentation, edge_path_presentation
 from .simplicial import SimplicialComplex, Simplex, connected_components
-from .stratified import StratifiedComplex
+from .stratified import EMPTY_STRATIFIED, StratifiedComplex
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +199,7 @@ def _add_cut(sub: SimplicialComplex, signs: dict[Simplex, int], path: tuple[int,
 
 def _tree_gauge(pres: EdgePathPresentation, cochain: dict[tuple[int, int], int],
                 d: int) -> MonodromyRep:
-    """Generator images of a Z/d cocycle, made 0 on the spanning tree.
+    """Generator assignments of a Z/d cocycle, made 0 on the spanning tree.
 
     ``cochain`` holds values on oriented edges, read antisymmetrically;
     generator u -> v maps to the d-cycle raised to h(u) + cochain(u -> v) - h(v),
@@ -212,8 +212,8 @@ def _tree_gauge(pres: EdgePathPresentation, cochain: dict[tuple[int, int], int],
         path = pres.tree_path(v)
         return sum(map(value, path, path[1:]))
 
-    steps = (h(u) + value(u, v) - h(v) for u, v in pres.generators)
-    return MonodromyRep(d, tuple(tuple((i + s) % d for i in range(d)) for s in steps))
+    return MonodromyRep(d, {(u, v): tuple((i + h(u) + value(u, v) - h(v)) % d for i in range(d))
+                            for u, v in pres.generators})
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +294,8 @@ def circle_cover_data(degree: int, perm: tuple[int, ...]):
     base = hexagon()
     y = StratifiedComplex(base)
     pres = edge_path_presentation(base, 0)
-    rep = MonodromyRep(degree, (tuple(perm),))
-    return y, None, rep, pres
+    rep = MonodromyRep(degree, {pres.generators[0]: tuple(perm)})
+    return y, EMPTY_STRATIFIED, rep, pres
 
 
 # ---------------------------------------------------------------------------
@@ -310,26 +310,23 @@ def _levels(sc: StratifiedComplex) -> list:
     return levels
 
 
-def spec_to_dict(base: StratifiedComplex, branch: StratifiedComplex | None,
-                 monodromy: MonodromyRep | None, presentation=None) -> dict:
+def spec_to_dict(base: StratifiedComplex, branch: StratifiedComplex = EMPTY_STRATIFIED,
+                 monodromy: MonodromyRep | None = None, presentation=None) -> dict:
     out: dict = {"complex": [list(s) for s in base.complex.all_simplices()]}
     if levels := _levels(base):
         out["stratification"] = levels
-    if branch is not None:
+    if branch.complex.n_simplices():
         out["branch"] = [list(s) for s in branch.complex.all_simplices()]
         if levels := _levels(branch):
             out["branch_stratification"] = levels
     if monodromy is not None:
         if presentation is None:
             raise InputError("serializing monodromy needs the presentation")
-        assignments = {
-            f"{u}->{v}": list(monodromy.images[i])
-            for i, (u, v) in enumerate(presentation.generators)
-        }
         out["monodromy"] = {
             "degree": monodromy.degree,
             "basepoint": presentation.basepoint,
-            "assignments": assignments,
+            "assignments": {f"{u}->{v}": list(image)
+                            for (u, v), image in monodromy.assignments.items()},
         }
     out["options"] = {"perversity": "lower", "subdivisions": 0}
     return out

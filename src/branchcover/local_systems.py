@@ -51,8 +51,8 @@ def sum_zero_action(perm: Perm) -> list[SparseCol]:
     return cols
 
 
-class LocalSystemQ(namedtuple("LocalSystemQ", "base rank transports")):
-    """Transports over ``base``: ``transports[(u, v)]`` carries the rank-``rank``
+class LocalSystemQ(namedtuple("LocalSystemQ", "rank transports")):
+    """Edge transports: ``transports[(u, v)]`` carries the rank-``rank``
     coefficients from u to v.  Built from a validated table, so not checked."""
 
     __slots__ = ()
@@ -64,31 +64,29 @@ class LocalSystemQ(namedtuple("LocalSystemQ", "base rank transports")):
             raise InputError(f"no transport along {u}->{v}") from None
 
 
-def _table_system(base: SimplicialComplex, rank: int, table: dict[tuple[int, int], Perm],
+def _table_system(rank: int, table: dict[tuple[int, int], Perm],
                   action: Callable[[Perm], list[SparseCol]]) -> LocalSystemQ:
     made = {p: action(p) for p in set(table.values())}  # one transport per permutation
-    return LocalSystemQ(base, rank, {e: made[p] for e, p in table.items()})
+    return LocalSystemQ(rank, {e: made[p] for e, p in table.items()})
 
 
-def pushforward_local_system(base: SimplicialComplex, degree: int,
-                             table: dict[tuple[int, int], Perm]) -> LocalSystemQ:
+def pushforward_local_system(degree: int, table: dict[tuple[int, int], Perm]) -> LocalSystemQ:
     """Rank-d permutation system modeling the direct image of a d-cover.
 
-    ``table`` is the transport table of a validated monodromy on ``base``
-    (oriented edge -> sheet permutation), as :func:`covering.validate_monodromy`
+    ``table`` is the transport table of a validated monodromy (oriented
+    edge -> sheet permutation), as :func:`covering.validate_monodromy`
     returns it and a :class:`covering.BranchedCoverSpec` holds it.
     """
-    return _table_system(base, degree, table, permutation_action)
+    return _table_system(degree, table, permutation_action)
 
 
-def kernel_system(base: SimplicialComplex, degree: int,
-                  table: dict[tuple[int, int], Perm]) -> LocalSystemQ:
+def kernel_system(degree: int, table: dict[tuple[int, int], Perm]) -> LocalSystemQ:
     """Rank-(d-1) sum-zero summand of the pushforward, from the same table.
 
     The coordinate sum after the diagonal is d times the identity, so over
     the rationals the pushforward is this system plus the constant one.
     """
-    return _table_system(base, degree - 1, table, sum_zero_action)
+    return _table_system(degree - 1, table, sum_zero_action)
 
 
 # ---------------------------------------------------------------------------

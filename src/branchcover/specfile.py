@@ -7,7 +7,7 @@ ascending lists of non-negative integers):
     stratification          optional, descending singular levels of the
                             base, top level (dim m-2) first
     branch                  optional, list of simplices of the locus
-    branch_stratification   optional, levels for the locus
+    branch_stratification   optional, levels of a nonempty branch
     monodromy               optional: {"degree": d, "basepoint": v,
                             "assignments": {"u->v": [images]}}
     options                 optional: {"perversity": a name in
@@ -31,8 +31,6 @@ from .simplicial import SimplicialComplex, validate_complex
 from .stratified import StratifiedComplex, subdivide_with_subcomplexes
 
 
-_NO_OPTIONS = object()
-
 # Largest covering degree accepted from a spec file or `fixture --degree`.
 # A cover holds d sheets over every simplex, so memory grows with d; the
 # cap keeps a short hostile spec from exhausting it.
@@ -44,58 +42,24 @@ MAX_DEGREE = 10_000
 MAX_COVER_SIMPLICES = 1_000_000
 
 
-class SpecData(namedtuple("SpecData", "complex stratification branch branch_stratification "
-                                       "monodromy options")):
-    """The sections of a spec file; ``options`` defaults to a fresh empty dict.
-
-    ``complex`` is a list and the optional ``stratification``, ``branch``
-    and ``branch_stratification`` are lists or ``None``; ``monodromy`` is a
-    dict or ``None`` and ``options`` a dict.  Any given ``options``,
-    ``None`` included, is kept as is for :func:`parse_spec_text` to
-    validate.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, complex: list, stratification: list | None = None,
-                branch: list | None = None, branch_stratification: list | None = None,
-                monodromy: dict | None = None, options: dict = _NO_OPTIONS):
-        return super().__new__(cls, complex, stratification, branch, branch_stratification,
-                               monodromy, {} if options is _NO_OPTIONS else options)
-
-    @property
-    def perversity(self) -> str:
-        return self.options.get("perversity", "lower")
-
-    @property
-    def subdivisions(self) -> int:
-        return self.options.get("subdivisions", 0)
-
-
-def read_spec(path: str) -> SpecData:
+def read_spec(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_spec_text(fh.read())
 
 
-def parse_spec_text(text: str) -> SpecData:
+def parse_spec_text(text: str) -> dict:
+    """The spec's JSON object, its keys and its options and monodromy checked."""
     try:
         raw = json.loads(text, object_pairs_hook=_object)
     except (ValueError, RecursionError) as exc:  # a number of too many digits is a ValueError
         raise InputError(f"not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise InputError("top level must be an object")
-    _reject_unknown_keys(raw, SpecData._fields, "")
+    _reject_unknown_keys(raw, ("complex", "stratification", "branch", "branch_stratification",
+                               "monodromy", "options"), "")
     if "complex" not in raw:
         raise InputError("missing required key 'complex'")
-    data = SpecData(
-        complex=raw["complex"],
-        stratification=raw.get("stratification"),
-        branch=raw.get("branch"),
-        branch_stratification=raw.get("branch_stratification"),
-        monodromy=raw.get("monodromy"),
-        options=raw.get("options", {}),
-    )
-    opts = data.options
+    opts = raw.get("options", {})
     if not isinstance(opts, dict):
         raise InputError("'options' must be an object")
     _reject_unknown_keys(opts, ("perversity", "subdivisions"), " in 'options'")
@@ -105,8 +69,8 @@ def parse_spec_text(text: str) -> SpecData:
     subs = opts.get("subdivisions", 0)
     if not _is_int(subs) or subs not in (0, 1, 2):
         raise InputError("options.subdivisions must be 0, 1 or 2")
-    if data.monodromy is not None:
-        mono = data.monodromy
+    mono = raw.get("monodromy")
+    if mono is not None:
         if not isinstance(mono, dict) or "degree" not in mono or "assignments" not in mono:
             raise InputError("'monodromy' needs keys degree and assignments")
         _reject_unknown_keys(mono, ("degree", "basepoint", "assignments"), " in 'monodromy'")
@@ -118,7 +82,7 @@ def parse_spec_text(text: str) -> SpecData:
             raise InputError("monodromy.basepoint must be an integer vertex id")
         if not isinstance(mono["assignments"], dict):
             raise InputError("monodromy.assignments must be an object")
-    return data
+    return raw
 
 
 def _object(pairs: list) -> dict:
@@ -162,16 +126,12 @@ def _simplices(raw: list, where: str) -> list:
     return [tuple(s) for s in raw]
 
 
-class LoadedSpec(namedtuple("LoadedSpec", "base branch presentation monodromy basepoint "
-                                           "perversity subdivisions")):
-    """The loaded sections; ``presentation`` is the complement's, made only
-    for a spec with a monodromy, which is given on its generators.
-
-    ``base`` is a ``StratifiedComplex`` and ``branch`` one or ``None``;
-    ``presentation`` is an ``EdgePathPresentation``, ``monodromy`` a
-    ``MonodromyRep`` and ``basepoint`` an ``int``, each or ``None``;
-    ``perversity`` is a name and ``subdivisions`` an ``int``.
-    """
+class LoadedSpec(namedtuple("LoadedSpec", "base branch presentation monodromy perversity")):
+    """The loaded sections: ``base`` and ``branch``, empty for a spec with no
+    locus, are ``StratifiedComplex`` objects; ``presentation``, the
+    complement's ``EdgePathPresentation``, and ``monodromy``, a
+    ``MonodromyRep`` on its generator edges, are ``None`` for a spec with
+    no monodromy; ``perversity`` is a name."""
 
     __slots__ = ()
 
@@ -183,13 +143,10 @@ class LoadedSpec(namedtuple("LoadedSpec", "base branch presentation monodromy ba
 
 def _stratified_from_lists(complex_: SimplicialComplex, levels_raw: list | None,
                            where: str) -> StratifiedComplex:
-    singular = []
-    if levels_raw is not None:
-        if not isinstance(levels_raw, list):
-            raise InputError(f"{where} must be a list of levels")
-        for level in levels_raw:
-            singular.append(validate_complex(_simplices(level, where)))
-    return StratifiedComplex(complex_, singular)
+    if levels_raw is not None and not isinstance(levels_raw, list):
+        raise InputError(f"{where} must be a list of levels")
+    return StratifiedComplex(complex_, [validate_complex(_simplices(level, where))
+                                        for level in levels_raw or ()])
 
 
 def subdivided_f_vector(f: list[int]) -> list[int]:
@@ -209,47 +166,48 @@ def subdivided_f_vector(f: list[int]) -> list[int]:
     return out
 
 
-def load_spec(data: SpecData) -> LoadedSpec:
-    """Validate, subdivide as requested and assemble domain objects."""
-    base_c = validate_complex(_simplices(data.complex, "complex"))
-    base = _stratified_from_lists(base_c, data.stratification, "stratification")
+def load_spec(data: dict) -> LoadedSpec:
+    """Validate the parsed spec, subdivide as requested and assemble domain objects.
 
-    branch = None
-    if data.branch:
-        branch_c = validate_complex(_simplices(data.branch, "branch"))
-        if not branch_c.is_subcomplex_of(base_c):  # a subdivision would drop the rest
-            raise InputError("branch locus is not a subcomplex of the base")
-        branch = _stratified_from_lists(branch_c, data.branch_stratification,
-                                        "branch_stratification")
+    The assignment keys are read as edges here and checked against the
+    presentation by :func:`covering.validate_monodromy`.
+    """
+    base_c = validate_complex(_simplices(data["complex"], "complex"))
+    base = _stratified_from_lists(base_c, data.get("stratification"), "stratification")
 
+    branch_c = validate_complex(_simplices(data.get("branch") or [], "branch"))
+    if not branch_c.is_subcomplex_of(base_c):  # a subdivision would drop the rest
+        raise InputError("branch locus is not a subcomplex of the base")
+    if data.get("branch_stratification") and not branch_c.n_simplices():
+        raise InputError("branch_stratification needs a nonempty 'branch'")
+    branch = _stratified_from_lists(branch_c, data.get("branch_stratification"),
+                                    "branch_stratification")
+
+    options = data.get("options", {})
+    subdivisions = options.get("subdivisions", 0)
+    mono = data.get("monodromy")
     f = [base_c.n_simplices(d) for d in range(base_c.dim + 1)]
-    for _ in range(data.subdivisions):  # counted, so that no subdivision past the cap is made
+    for _ in range(subdivisions):  # counted, so that no subdivision past the cap is made
         f = subdivided_f_vector(f)
     n = sum(f)
-    degree = 1 if data.monodromy is None else data.monodromy["degree"]
+    degree = 1 if mono is None else mono["degree"]
     if degree * n > MAX_COVER_SIMPLICES:
-        what = (f"a base of {n} simplices" if data.monodromy is None
+        what = (f"a base of {n} simplices" if mono is None
                 else f"a degree-{degree} cover of {n} base simplices")
         raise InputError(f"{what} exceeds {MAX_COVER_SIMPLICES} simplices")
 
-    for _ in range(data.subdivisions):
-        if branch is not None:
-            base, (branch,) = subdivide_with_subcomplexes(base, [branch])
-        else:
-            base, _extras = subdivide_with_subcomplexes(base, [])
+    for _ in range(subdivisions):
+        base, (branch,) = subdivide_with_subcomplexes(base, [branch])
 
-    pres = monodromy = basepoint = None
-    if data.monodromy is not None:
-        basepoint = data.monodromy.get("basepoint")
-        branch_vertices = frozenset(branch.complex.vertices) if branch is not None else ()
-        pres = complement_presentation(base.complex, branch_vertices, basepoint)
-        names = {f"{u}->{v}": (u, v) for (u, v) in pres.generators}  # keys as written
+    pres = monodromy = None
+    if mono is not None:
+        pres = complement_presentation(base.complex, frozenset(branch.complex.vertices),
+                                       mono.get("basepoint"))
         assignments = {}
-        for key, val in data.monodromy["assignments"].items():
+        for key, val in mono["assignments"].items():
             if not isinstance(val, list) or not all(map(_is_int, val)):
                 raise InputError(f"assignment {key!r} must be a list of integers")
-            assignments[names.get(key) or _parse_edge_key(key)] = tuple(val)
-        monodromy = MonodromyRep.from_edge_dict(pres, degree, assignments)
+            assignments[_parse_edge_key(key)] = tuple(val)
+        monodromy = MonodromyRep(degree, assignments)
 
-    return LoadedSpec(base, branch, pres, monodromy, basepoint,
-                      data.perversity, data.subdivisions)
+    return LoadedSpec(base, branch, pres, monodromy, options.get("perversity", "lower"))

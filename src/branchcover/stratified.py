@@ -131,6 +131,10 @@ class StratifiedComplex:
                 "raise the spec's \"subdivisions\" option (2 always suffices)")
 
 
+# the empty stratified complex: the branch locus of an unbranched cover
+EMPTY_STRATIFIED = StratifiedComplex(EMPTY_COMPLEX)
+
+
 def subdivide_with_subcomplexes(
     sc: StratifiedComplex, extras: Sequence[StratifiedComplex]
 ) -> tuple[StratifiedComplex, list[StratifiedComplex]]:

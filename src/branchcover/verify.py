@@ -176,16 +176,13 @@ def verify_branched(spec: BranchedCoverSpec, perversity: str = "lower") -> Decom
     euler_cover = riemann_hurwitz_check(cover)
     b_cover = betti_numbers(cover.total)
 
-    if spec.branch is not None:
-        refined = refine_stratification(spec.base, spec.branch)
-    else:
-        refined = spec.base
+    refined = refine_stratification(spec.base, spec.branch)
     pullback = pullback_stratification(cover, refined)
 
     # with no singular simplex upstairs every chain is allowable
     ih_cover = ih_betti(pullback, p) if pullback.singular_set.n_simplices() else b_cover
     ih_trivial = ih_betti(refined, p, None)
-    ih_kernel = ih_betti(refined, p, kernel_system(spec.complement, spec.degree, spec.table))
+    ih_kernel = ih_betti(refined, p, kernel_system(spec.degree, spec.table))
 
     equal = tuple(ih_cover[j] == ih_trivial[j] + ih_kernel[j] for j in range(m + 1))
 
@@ -194,7 +191,7 @@ def verify_branched(spec: BranchedCoverSpec, perversity: str = "lower") -> Decom
 
     euler_ok = sum((-1) ** j * b_cover[j] for j in range(m + 1)) == euler_cover
 
-    global_orbits = orbit_count(spec.monodromy.images, spec.degree)
+    global_orbits = orbit_count(spec.monodromy.assignments.values(), spec.degree)
     b0_ok = (b_cover[0] == len(components(cover.total)) == global_orbits)
 
     b_base_manifold = None
@@ -202,7 +199,7 @@ def verify_branched(spec: BranchedCoverSpec, perversity: str = "lower") -> Decom
     if spec.base.singular_set.n_simplices() == 0:
         # with no locus the refined stratification is the base itself, and
         # ih_trivial is already its homology: the cross-check holds vacuously
-        b_base_manifold = ih_trivial if spec.branch is None else betti_numbers(spec.base.complex)
+        b_base_manifold = ih_trivial if refined is spec.base else betti_numbers(spec.base.complex)
         manifold_ok = tuple(ih_trivial) == tuple(b_base_manifold) and ih_cover == b_cover
 
     strat_levels = tuple((j, refined.levels[j].n_simplices()) for j in range(m + 1))

@@ -26,30 +26,29 @@ from branchcover.stratified import StratifiedComplex, subdivide_with_subcomplexe
 
 def pushforward(pres: EdgePathPresentation, rep: MonodromyRep) -> LocalSystemQ:
     """The pushforward system of a monodromy given on a bare presentation."""
-    return pushforward_local_system(pres.complex, rep.degree, validate_monodromy(pres, rep))
+    return pushforward_local_system(rep.degree, validate_monodromy(pres, rep))
 
 
 def kernel(pres: EdgePathPresentation, rep: MonodromyRep) -> LocalSystemQ:
     """The sum-zero kernel system of a monodromy given on a bare presentation."""
-    return kernel_system(pres.complex, rep.degree, validate_monodromy(pres, rep))
+    return kernel_system(rep.degree, validate_monodromy(pres, rep))
 
 
 def trivial_system(base: SimplicialComplex, rank: int = 1) -> LocalSystemQ:
     """The constant rank-r system: the identity on every oriented edge."""
     ident = permutation_action(range(rank))
     edges = base.simplices_of_dim(1)
-    return LocalSystemQ(base, rank, {e: ident for (u, v) in edges for e in ((u, v), (v, u))})
+    return LocalSystemQ(rank, {e: ident for (u, v) in edges for e in ((u, v), (v, u))})
 
 
 def restrict(system: LocalSystemQ, sub: SimplicialComplex) -> LocalSystemQ:
-    """Restriction to a subcomplex; flatness is inherited."""
-    if not sub.is_subcomplex_of(system.base):
-        raise InputError("restriction target is not a subcomplex of the base")
-    transports = {}
-    for (u, v) in sub.simplices_of_dim(1):
-        transports[(u, v)] = system.transports[(u, v)]
-        transports[(v, u)] = system.transports[(v, u)]
-    return LocalSystemQ(sub, system.rank, transports)
+    """Restriction to a subcomplex whose edges all carry transports; flatness is inherited."""
+    try:
+        transports = {e: system.transports[e]
+                      for (u, v) in sub.simplices_of_dim(1) for e in ((u, v), (v, u))}
+    except KeyError:
+        raise InputError("restriction target is not a subcomplex of the base") from None
+    return LocalSystemQ(system.rank, transports)
 
 
 def barycentric_subdivide(sc: StratifiedComplex) -> StratifiedComplex:
@@ -63,7 +62,7 @@ def codim3_vertex_data(degree: int = 2):
     w = b_id[(0,)]
     branch = SimplicialComplex(((w,),))
     pres = complement_presentation(sub, {w})
-    rep = MonodromyRep(degree, tuple(tuple(range(degree)) for _ in pres.generators))
+    rep = MonodromyRep(degree, dict.fromkeys(pres.generators, tuple(range(degree))))
     return StratifiedComplex(sub), StratifiedComplex(branch), rep, pres
 
 

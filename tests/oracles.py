@@ -556,7 +556,7 @@ def local_system_from_forward_edges(base, rank: int, forward) -> LocalSystemQ:
     for (u, v) in base.simplices_of_dim(1):
         m = transports[(u, v)] = transport_from_rows(forward[(u, v)])
         transports[(v, u)] = transport_inverse(m)
-    return LocalSystemQ(base, rank, transports)
+    return LocalSystemQ(rank, transports)
 
 
 @dataclass(frozen=True)
@@ -592,9 +592,8 @@ def from_representation(rep: RepresentationQ) -> LocalSystemQ:
     return local_system_from_forward_edges(pres.complex, rep.rank, forward)
 
 
-def monodromy_matrices(system: LocalSystemQ) -> list[list[dict]]:
-    """Transport around each generator loop of the base, at the basepoint."""
-    base = system.base
+def monodromy_matrices(base, system: LocalSystemQ) -> list[list[dict]]:
+    """Transport around each generator loop of ``base``, at the basepoint."""
     if len(bfs_components(base.vertices, base.simplices_of_dim(1))) > 1:
         raise InputError("base of the local system is not connected")
     if not base.vertices:
@@ -610,11 +609,11 @@ def monodromy_matrices(system: LocalSystemQ) -> list[list[dict]]:
     return mats
 
 
-def global_sections(system: LocalSystemQ) -> tuple[int, list[dict[int, Fraction]]]:
-    """Dimension and basis of the joint fixed space of the monodromy."""
+def global_sections(base, system: LocalSystemQ) -> tuple[int, list[dict[int, Fraction]]]:
+    """Dimension and basis of the joint fixed space of the monodromy on ``base``."""
     r = system.rank
     stacked = [[x - (1 if i == j else 0) for j, x in enumerate(row)]
-               for m in monodromy_matrices(system) for i, row in enumerate(dense(m))]
+               for m in monodromy_matrices(base, system) for i, row in enumerate(dense(m))]
     basis = dense_nullspace(stacked, r)
     return len(basis), basis
 

@@ -37,7 +37,7 @@ from branchcover.local_systems import (
 )
 from branchcover.presentation import edge_path_presentation
 from branchcover.simplicial import SimplicialComplex, betti_numbers
-from branchcover.stratified import StratifiedComplex
+from branchcover.stratified import EMPTY_STRATIFIED, StratifiedComplex
 from branchcover.verify import verify_branched
 from branchcover.commands import codim_check, cone_formula_check
 from branchcover.cli import main as cli_main
@@ -89,8 +89,7 @@ def _random_cyclic_rep(rng, base, p):
     for vec in basis:
         c = rng.randrange(p)
         x = [(a + c * b) % p for a, b in zip(x, vec)]
-    images = tuple(cyclic_image(e, p) for e in x)
-    return pres, MonodromyRep(p, images)
+    return pres, MonodromyRep(p, {g: cyclic_image(e, p) for g, e in zip(pres.generators, x)})
 
 
 def test_criterion_1_unbranched_splitting():
@@ -103,8 +102,7 @@ def test_criterion_1_unbranched_splitting():
         pres = edge_path_presentation(base, min(base.vertices))
         for _ in range(9):
             d = rng.randint(1, 5)
-            images = tuple(tuple(rng.sample(range(d), d)) for _ in pres.generators)
-            rep = MonodromyRep(d, images)
+            rep = MonodromyRep(d, {e: tuple(rng.sample(range(d), d)) for e in pres.generators})
             _check_unbranched_split(base, pres, rep)
             checked += 1
     for base in relator_bases:
@@ -121,11 +119,11 @@ def test_criterion_1_unbranched_splitting():
 
 
 def _check_unbranched_split(base, pres, rep):
-    spec = BranchedCoverSpec(StratifiedComplex(base), None, rep, pres)
+    spec = BranchedCoverSpec(StratifiedComplex(base), EMPTY_STRATIFIED, rep, pres)
     cover = fox_complete(spec)
     b_cover = betti_numbers(cover.total)
     b_base = betti_numbers(base)
-    b_kernel = twisted_betti(base, kernel_system(spec.complement, spec.degree, spec.table))
+    b_kernel = twisted_betti(base, kernel_system(spec.degree, spec.table))
     assert b_cover == tuple(x + y for x, y in zip(b_base, b_kernel))
 
 
@@ -259,7 +257,7 @@ def test_criterion_7_cone_and_stalk_checks():
         y, r, rep, pres = builder(*args)
         spec = BranchedCoverSpec(y, r, rep, pres)
         refined = refine_stratification(y, r)
-        for coeff in (None, kernel_system(spec.complement, spec.degree, spec.table)):
+        for coeff in (None, kernel_system(spec.degree, spec.table)):
             res = deligne_stalk_check(refined, lower_middle(m), coeff)
             assert res.ok
             stalks_checked += len(res.entries)
@@ -278,8 +276,8 @@ def test_criterion_8_structural_invariants():
         betti_numbers(c)
     y, r, rep, pres = sphere_branched_data(6, 2)
     spec = BranchedCoverSpec(y, r, rep, pres)
-    push = pushforward_local_system(spec.complement, spec.degree, spec.table)
-    kernel = kernel_system(spec.complement, spec.degree, spec.table)
+    push = pushforward_local_system(spec.degree, spec.table)
+    kernel = kernel_system(spec.degree, spec.table)
     twisted_betti(spec.complement, push)
     twisted_betti(spec.complement, kernel)
     refined = refine_stratification(y, r)

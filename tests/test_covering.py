@@ -34,7 +34,7 @@ from branchcover.simplicial import (
     star,
 )
 from branchcover.specfile import load_spec, parse_spec_text
-from branchcover.stratified import StratifiedComplex
+from branchcover.stratified import EMPTY_STRATIFIED, StratifiedComplex
 from branchcover.fixtures import (
     circle_cover_data,
     hexagon,
@@ -58,6 +58,8 @@ from oracles import (
 )
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+# the golden specs; sweep.json pins command outputs (test_sweep.py)
+GOLDEN_SPECS = sorted(p for p in GOLDEN.glob("*.json") if p.name != "sweep.json")
 
 
 # ---------------------------------------------------------------------------
@@ -66,39 +68,38 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 def test_validate_hexagon_swap():
     pres = edge_path_presentation(hexagon(), 0)
-    validate_monodromy(pres, MonodromyRep(2, ((1, 0),)))
+    validate_monodromy(pres, MonodromyRep(2, {(3, 4): (1, 0)}))
 
 
 def test_validate_full_triangle_swap_fails():
     from complexes import full_simplex
     pres = edge_path_presentation(full_simplex(2), 0)
     with pytest.raises(InputError, match=re.escape("relator 0 evaluates to [1, 0]")):
-        validate_monodromy(pres, MonodromyRep(2, ((1, 0),)))
+        validate_monodromy(pres, MonodromyRep(2, {(1, 2): (1, 0)}))
 
 
 def test_validate_identity_always_ok():
     for c in (hexagon(), octahedron(), torus7()):
         pres = edge_path_presentation(c, 0)
-        images = tuple((0, 1, 2) for _ in pres.generators)
-        validate_monodromy(pres, MonodromyRep(3, images))
+        validate_monodromy(pres, MonodromyRep(3, dict.fromkeys(pres.generators, (0, 1, 2))))
 
 
 def test_validate_rejects_non_permutation():
     pres = edge_path_presentation(hexagon(), 0)
     with pytest.raises(InputError, match=re.escape("image of generator 3->4 is not a permutation: [0, 0]")):
-        validate_monodromy(pres, MonodromyRep(2, ((0, 0),)))
+        validate_monodromy(pres, MonodromyRep(2, {(3, 4): (0, 0)}))
 
 
 def test_validate_rejects_missing_generator():
     pres = edge_path_presentation(hexagon(), 0)
-    with pytest.raises(InputError, match="1 generators but 0 images"):
-        validate_monodromy(pres, MonodromyRep(2, ()))
+    with pytest.raises(InputError, match="no image assigned to generator 3->4"):
+        validate_monodromy(pres, MonodromyRep(2, {}))
 
 
-def test_from_edge_dict_unknown_edge():
+def test_validate_rejects_unknown_edge_before_missing_generator():
     pres = edge_path_presentation(hexagon(), 0)
     with pytest.raises(InputError, match="0->1 is not a generator edge of the presentation"):
-        MonodromyRep.from_edge_dict(pres, 2, {(0, 1): (1, 0)})
+        validate_monodromy(pres, MonodromyRep(2, {(0, 1): (1, 0)}))
 
 
 def test_perm_helpers():
@@ -138,18 +139,21 @@ def monodromy_cases(draw):
             if draw(st.booleans()):
                 w = w + [(gi, -sign) for gi, sign in reversed(w)]
             relators.append(tuple(w))
-        pres = SimpleNamespace(generators=tuple((i, i + 1) for i in range(n)),
-                               relators=tuple(relators), tree_edges=frozenset())
+        generators = tuple((i, i + 1) for i in range(n))
+        pres = SimpleNamespace(generators=generators, relators=tuple(relators),
+                               gen_index={e: i for i, e in enumerate(generators)},
+                               tree_edges=frozenset())
         images = draw(st.lists(st.permutations(range(d)).map(tuple), min_size=n, max_size=n))
-        return pres, MonodromyRep(d, tuple(images))
+        return pres, MonodromyRep(d, dict(zip(generators, images)))
     pres, rep = _golden_presentation_and_images(name)
     d = rep.degree
     sigma = tuple(draw(st.permutations(range(d))))
-    images = [compose_perms(sigma, compose_perms(p, invert_perm(sigma))) for p in rep.images]
+    assignments = {e: compose_perms(sigma, compose_perms(p, invert_perm(sigma)))
+                   for e, p in rep.assignments.items()}
     if draw(st.booleans()):
-        gi = draw(st.integers(0, len(images) - 1))
-        images[gi] = tuple(draw(st.permutations(range(d))))
-    return pres, MonodromyRep(d, tuple(images))
+        e = draw(st.sampled_from(pres.generators))
+        assignments[e] = tuple(draw(st.permutations(range(d))))
+    return pres, MonodromyRep(d, assignments)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -160,8 +164,9 @@ def test_validate_monodromy_matches_matrix_representation(case):
     failing relator and its value, evaluated one composition at a time."""
     pres, rep = case
     d = rep.degree
+    images = [rep.assignments[e] for e in pres.generators]
     try:
-        RepresentationQ(pres, d, tuple(map(permutation_matrix, rep.images))).validate()
+        RepresentationQ(pres, d, tuple(map(permutation_matrix, images))).validate()
         first_bad = None
     except RelatorViolatedMatrix as exc:
         first_bad = int(str(exc).split()[1])
@@ -169,21 +174,21 @@ def test_validate_monodromy_matches_matrix_representation(case):
         table = validate_monodromy(pres, rep)
         ident = identity_perm(d)
         want = {e: ident for (u, v) in pres.tree_edges for e in ((u, v), (v, u))}
-        for (u, v), p in zip(pres.generators, rep.images):
+        for (u, v), p in rep.assignments.items():
             assert compose_perms(table[(v, u)], p) == ident
             want[(u, v)], want[(v, u)] = p, table[(v, u)]
         assert table == want
         return
     acc = identity_perm(d)
     for gi, sign in pres.relators[first_bad]:
-        acc = compose_perms(rep.images[gi] if sign > 0 else invert_perm(rep.images[gi]), acc)
+        acc = compose_perms(images[gi] if sign > 0 else invert_perm(images[gi]), acc)
     with pytest.raises(InputError, match="relator") as info:
         validate_monodromy(pres, rep)
     assert str(info.value) == f"relator {first_bad} evaluates to {list(acc)}"
 
 
-@pytest.mark.parametrize("path", sorted(p for p in GOLDEN.glob("*.json")
-                                         if '"monodromy"' in p.read_text(encoding="utf-8")),
+@pytest.mark.parametrize("path", [p for p in GOLDEN_SPECS
+                                  if '"monodromy"' in p.read_text(encoding="utf-8")],
                          ids=lambda p: p.stem)
 def test_global_tree_paths_transport_by_the_identity(path):
     """The tree path from the basepoint to every complement vertex carries
@@ -301,9 +306,9 @@ def test_fox_complete_empty_branch_is_plain_cover():
     pres = edge_path_presentation(c, min(c.vertices))
     exponents = nullspace_mod_p(relator_rows(pres), len(pres.generators), 2)[0]
     swap, fixed = (1, 0, 2, 3), (0, 1, 2, 3)
-    rep = MonodromyRep(4, tuple(swap if e else fixed for e in exponents))
-    assert swap in rep.images
-    specs.append(BranchedCoverSpec(StratifiedComplex(c), None, rep, pres))
+    rep = MonodromyRep(4, {g: swap if e else fixed for g, e in zip(pres.generators, exponents)})
+    assert swap in rep.assignments.values()
+    specs.append(BranchedCoverSpec(StratifiedComplex(c), EMPTY_STRATIFIED, rep, pres))
     for spec in specs:
         assert fox_complete(spec).projection == sheet_cover(spec)
 
@@ -387,7 +392,7 @@ def test_branch_must_be_full():
     r = StratifiedComplex(SimplicialComplex([(1,), (2,)]))
     pres = complement_presentation(y.complex, frozenset(r.complex.vertices))
     with pytest.raises(InputError, match="branch locus is not a full subcomplex of the base"):
-        BranchedCoverSpec(y, r, MonodromyRep(1, ()), pres)
+        BranchedCoverSpec(y, r, MonodromyRep(1, {}), pres)
 
 
 def test_branch_codimension_enforced():
@@ -395,7 +400,7 @@ def test_branch_codimension_enforced():
     r = StratifiedComplex(SimplicialComplex([(0,)]))
     pres = complement_presentation(y.complex, frozenset(r.complex.vertices))
     with pytest.raises(InputError, match="branch locus has dimension 0 in a base of dimension 1"):
-        BranchedCoverSpec(y, r, MonodromyRep(1, ()), pres)
+        BranchedCoverSpec(y, r, MonodromyRep(1, {}), pres)
 
 
 # ---------------------------------------------------------------------------
@@ -433,11 +438,12 @@ def test_loaded_spec_holds_one_complement(monkeypatch):
     """The spec keeps the complex that the loader presented, not an equal copy."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     from workloads import make_job
-    loaded = load_spec(parse_spec_text(make_job("susp-cover", 1).spec_text))
+    data = parse_spec_text(make_job("susp-cover", 1).spec_text)
+    loaded = load_spec(data)
     spec = loaded.cover_spec()
     assert spec.presentation.complex is spec.complement
     pres = complement_presentation(loaded.base.complex, frozenset(loaded.branch.complex.vertices),
-                                   loaded.basepoint)
+                                   data["monodromy"].get("basepoint"))
     assert spec.presentation == pres and spec.complement == pres.complex
 
 
@@ -472,7 +478,7 @@ def test_spec_rejects_a_presentation_of_another_complex(other):
     else:
         wrong = edge_path_presentation(_skeleton(pres.complex), pres.basepoint)
     with pytest.raises(InputError, match="the presentation is not of the complement of the branch locus"):
-        BranchedCoverSpec(y, r, MonodromyRep(rep.degree, ()), wrong)
+        BranchedCoverSpec(y, r, MonodromyRep(rep.degree, {}), wrong)
 
 
 @pytest.mark.parametrize("name", ["sphere-branched", "s3-unknot-double", "susp-cover"])

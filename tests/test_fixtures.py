@@ -1,6 +1,7 @@
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from branchcover.covering import (
     BranchedCoverSpec,
@@ -13,13 +14,17 @@ from branchcover.errors import InputError
 from branchcover.covering import fiber_cardinality
 from branchcover.presentation import edge_path_presentation
 from branchcover.simplicial import betti_numbers
+from branchcover.specfile import load_spec, parse_spec_text
 from branchcover.verify import verify_branched
 from branchcover.fixtures import (
+    circle_cover_data,
     hexagon,
     octahedron,
     orient_closed_surface,
     pinched_torus,
     s3_unknot_double_data,
+    spec_to_dict,
+    spec_to_text,
     sphere_branched_data,
     suspension_torus,
     torus7,
@@ -91,6 +96,36 @@ def test_sphere_branched_rejects_bad_params():
 
 # every (points, degree) with 2 <= degree <= points <= 6 and degree | points
 SPHERE_PAIRS = [(n, d) for n in range(2, 7) for d in range(2, n + 1) if n % d == 0]
+
+
+@st.composite
+def shipped_cover_data(draw):
+    """The data of a fixture with a monodromy, as the `fixture` command writes it."""
+    name = draw(st.sampled_from(["sphere-branched", "s3-unknot-double", "circle-cover"]))
+    if name == "sphere-branched":
+        return sphere_branched_data(*draw(st.sampled_from(SPHERE_PAIRS)))
+    if name == "s3-unknot-double":
+        return s3_unknot_double_data()
+    perm = tuple(draw(st.permutations(range(draw(st.integers(1, 9))))))
+    return circle_cover_data(len(perm), perm)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(shipped_cover_data())
+def test_fixture_spec_loads_back_its_assignments(data):
+    y, r, rep, pres = data
+    loaded = load_spec(parse_spec_text(spec_to_text(spec_to_dict(y, r, rep, pres))))
+    assert loaded.monodromy.assignments == rep.assignments
+    assert loaded.monodromy.degree == rep.degree and loaded.presentation == pres
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(shipped_cover_data(), st.data())
+def test_validate_monodromy_reads_the_assignments_in_any_order(data, draw):
+    y, r, rep, pres = data
+    edges = draw.draw(st.permutations(list(rep.assignments)))
+    shuffled = MonodromyRep(rep.degree, {e: rep.assignments[e] for e in edges})
+    assert validate_monodromy(pres, shuffled) == validate_monodromy(pres, rep)
 
 
 @pytest.mark.parametrize("points,degree", SPHERE_PAIRS)
@@ -167,7 +202,7 @@ def test_branching_at_pinch_fails_flatness_shadow():
     complement = full_subcomplex(pt.complex,
                                  [v for v in pt.complex.vertices if v not in bverts])
     pres = edge_path_presentation(complement, min(complement.vertices))
-    rep = MonodromyRep(1, tuple((0,) for _ in pres.generators))
+    rep = MonodromyRep(1, dict.fromkeys(pres.generators, (0,)))
     spec = BranchedCoverSpec(pt, r, rep, pres)
     message = re.escape(f"punctured star of branch simplex [{pinch}] is not connected")
     with pytest.raises(InputError, match=f"^{message}$"):
@@ -195,8 +230,8 @@ def test_codim3_only_identity_monodromy_validates():
     # the punctured-star complement of a vertex in the 3-sphere is simply
     # connected, so relators force every generator to the identity
     y, r, rep, pres = codim3_vertex_data(2)
-    swapped = list(rep.images)
-    swapped[0] = (1, 0)
+    swapped = dict(rep.assignments)
+    swapped[pres.generators[0]] = (1, 0)
     from branchcover.covering import validate_monodromy
     with pytest.raises(InputError, match=r"relator \d+ evaluates to \[1, 0\]"):
-        validate_monodromy(pres, MonodromyRep(2, tuple(swapped)))
+        validate_monodromy(pres, MonodromyRep(2, swapped))

@@ -9,7 +9,8 @@ flags.  The specs under ``rejected/`` are ones that `verify` rejects:
 ``rejected/sphere-p6-d3-sub1.json`` is ``sphere-p6-d3.json`` with
 ``"subdivisions": 1``, so its assignments name edges of the unsubdivided
 complement, and `generators` prints the contract that new assignments
-must follow.  Each case in CASES runs one CLI command on a spec, and
+must follow; ``rejected/branch-levels-no-branch.json`` gives levels for
+a locus it does not have.  Each case in CASES runs one CLI command on a spec, and
 ``tests/golden/<case>.out`` is its stdout.  An intended change of output
 is recorded by rerunning that command with ``--out`` and reviewing the
 diff.
@@ -88,8 +89,24 @@ def test_subdivided_spec_is_the_golden_spec_subdivided_once(capsys):
     spec = json.loads((GOLDEN / "sphere-p6-d3.json").read_text(encoding="utf-8"))
     spec["options"]["subdivisions"] = 1
     assert json.loads(path.read_text(encoding="utf-8")) == spec
-    capsys.readouterr()
-    rc = main(["verify", str(path)])
-    captured = capsys.readouterr()
-    assert rc == 1 and captured.out == ""
-    assert captured.err == "error: 12->23 is not a generator edge of the presentation\n"
+    for command in ("verify", "twisted", "fibers"):
+        capsys.readouterr()
+        rc = main([command, str(path)])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err == "error: 12->23 is not a generator edge of the presentation\n"
+
+
+@pytest.mark.parametrize("argv", [["ih"], ["ih", "--perversity", "upper"], ["homology"],
+                                  ["cone-check"]], ids=" ".join)
+def test_subdivided_spec_reads_as_its_base_where_no_cover_is_built(argv, tmp_path, capsys):
+    """The commands that read no monodromy do not check its assignments:
+    they print for the stale spec what they print for its base alone."""
+    path = GOLDEN / "rejected" / "sphere-p6-d3-sub1.json"
+    raw = json.loads(path.read_text(encoding="utf-8"))
+    del raw["monodromy"]
+    base = tmp_path / "base.json"
+    base.write_text(json.dumps(raw), encoding="utf-8")
+    rc, out = _run([argv[0], str(path), *argv[1:]], capsys)
+    assert rc == 0 and out
+    assert (rc, out) == _run([argv[0], str(base), *argv[1:]], capsys)

@@ -54,6 +54,8 @@ from oracles import (
 from stalks import complementary, deligne_stalk_check, is_allowable
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+# the golden specs; sweep.json pins command outputs (test_sweep.py)
+GOLDEN_SPECS = sorted(p for p in GOLDEN.glob("*.json") if p.name != "sweep.json")
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +177,7 @@ def _load_golden(path):
     return load_spec(parse_spec_text(path.read_text(encoding="utf-8")))
 
 
-@pytest.mark.parametrize("path", [p for p in sorted(GOLDEN.glob("*.json"))
+@pytest.mark.parametrize("path", [p for p in GOLDEN_SPECS
                                   if _load_golden(p).base.dim in (2, 3)],
                          ids=lambda p: p.stem)
 def test_ih_suspension_duality(path):
@@ -183,12 +185,11 @@ def test_ih_suspension_duality(path):
     # j and m - j, with trivial and, given a monodromy, kernel coefficients,
     # and so they do on the cover with its pulled-back stratification
     loaded = _load_golden(path)
-    refined = (loaded.base if loaded.branch is None
-               else refine_stratification(loaded.base, loaded.branch))
+    refined = refine_stratification(loaded.base, loaded.branch)
     cases = {"trivial": (refined, None)}
     if loaded.monodromy is not None:
         spec = loaded.cover_spec()
-        cases["kernel"] = (refined, kernel_system(spec.complement, spec.degree, spec.table))
+        cases["kernel"] = (refined, kernel_system(spec.degree, spec.table))
         cases["cover"] = (pullback_stratification(fox_complete(spec), refined), None)
     m = refined.dim
     for label, (sc, coeff) in cases.items():
@@ -232,15 +233,15 @@ def _relabelled(sc: StratifiedComplex, rnd: random.Random) -> StratifiedComplex:
 
 
 @pytest.mark.parametrize("subdivisions", (0, 1))
-@pytest.mark.parametrize("path", [p for p in sorted(GOLDEN.glob("*.json"))
-                                  if parse_spec_text(p.read_text(encoding="utf-8")).stratification],
+@pytest.mark.parametrize("path", [p for p in GOLDEN_SPECS
+                                  if parse_spec_text(p.read_text(encoding="utf-8")).get("stratification")],
                          ids=lambda p: p.stem)
 def test_betti_and_ih_do_not_depend_on_vertex_labels(path, subdivisions):
     """Metamorphic: a random relabelling of the vertices of a golden stratified
     base keeps its Betti numbers and its IH at both middle perversities."""
     data = parse_spec_text(path.read_text(encoding="utf-8"))
-    base = load_spec(data._replace(branch=None, branch_stratification=None, monodromy=None,
-                                   options={"subdivisions": subdivisions})).base
+    base = load_spec({"complex": data["complex"], "stratification": data["stratification"],
+                      "options": {"subdivisions": subdivisions}}).base
     relabelled = _relabelled(base, random.Random(f"{path.stem}:{subdivisions}"))
     assert relabelled.complex != base.complex
     m = base.dim
@@ -299,7 +300,7 @@ def test_allowable_simplices_leave_two_vertices_off_singular_set(name):
 def _cover_kernel(data):
     y, r, rep, _pres = data
     spec = BranchedCoverSpec(y, r, rep, _pres)
-    return refine_stratification(y, r), kernel_system(spec.complement, spec.degree, spec.table)
+    return refine_stratification(y, r), kernel_system(spec.degree, spec.table)
 
 
 def _transposition_kernel(sc):
@@ -309,7 +310,8 @@ def _transposition_kernel(sc):
     pres = edge_path_presentation(c, min(c.vertices))
     exponents = next(e for e in nullspace_mod_p(relator_rows(pres), len(pres.generators), 2)
                      if any(e))
-    rep = MonodromyRep(3, tuple((1, 0, 2) if e else (0, 1, 2) for e in exponents))
+    rep = MonodromyRep(3, {g: (1, 0, 2) if e else (0, 1, 2)
+                           for g, e in zip(pres.generators, exponents)})
     return sc, kernel(pres, rep)
 
 
@@ -325,7 +327,7 @@ def _scaled(system):
         return [[Fraction(1 + (v + i) % 3) ** power if i == j else 0 for j in range(r)]
                 for i in range(r)]
 
-    return LocalSystemQ(system.base, r, {
+    return LocalSystemQ(r, {
         (u, v): transport_from_rows(matmul(matmul(diag(v, 1), dense(t)), diag(u, -1)))
         for (u, v), t in system.transports.items()})
 
@@ -362,14 +364,14 @@ def test_twisted_ih_genus_two_kernel():
     spec = BranchedCoverSpec(y, r, rep, pres)
     refined = refine_stratification(y, r)
     # derived: b(genus 2 surface) - ih(sphere) = (1,4,1) - (1,0,1)
-    assert ih_betti(refined, lower_middle(2), kernel_system(spec.complement, spec.degree, spec.table)) == (0, 4, 0)
+    assert ih_betti(refined, lower_middle(2), kernel_system(spec.degree, spec.table)) == (0, 4, 0)
 
 
 def test_twisted_ih_unknot_kernel_vanishes():
     y, r, rep, pres = s3_unknot_double_data()
     spec = BranchedCoverSpec(y, r, rep, pres)
     refined = refine_stratification(y, r)
-    assert ih_betti(refined, lower_middle(3), kernel_system(spec.complement, spec.degree, spec.table)) == (0, 0, 0, 0)
+    assert ih_betti(refined, lower_middle(3), kernel_system(spec.degree, spec.table)) == (0, 0, 0, 0)
     assert ih_betti(refined, lower_middle(3), None) == (1, 0, 0, 1)
 
 
@@ -382,7 +384,7 @@ def test_ih_of_unstratified_base_is_twisted_homology(base, expected):
     n = len(pres.generators)
     exponents = nullspace_mod_p(relator_rows(pres), n, 2)[0]
     swap, fixed = (1, 0, 2, 3), (0, 1, 2, 3)
-    rep = MonodromyRep(4, tuple(swap if e else fixed for e in exponents))
+    rep = MonodromyRep(4, {g: swap if e else fixed for g, e in zip(pres.generators, exponents)})
     k = kernel(pres, rep)
     assert ih_betti(StratifiedComplex(c), lower_middle(2), k) == expected
     assert twisted_betti(c, k) == expected

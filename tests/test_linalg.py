@@ -297,7 +297,7 @@ def _ordinary(spec, perversity):
 
 
 def _kernel(spec):
-    return kernel_system(spec.complement, spec.degree, spec.table)
+    return kernel_system(spec.degree, spec.table)
 
 
 def _twisted(spec, perversity):
@@ -306,7 +306,7 @@ def _twisted(spec, perversity):
 
 def _ic(spec, perversity):
     m = spec.base.dim
-    refined = refine_stratification(spec.base, spec.branch) if spec.branch else spec.base
+    refined = refine_stratification(spec.base, spec.branch)
     p = perversity_by_name(perversity, m) if m >= 2 else None
     ih_betti(refined, p, None)
     ih_betti(refined, p, _kernel(spec))

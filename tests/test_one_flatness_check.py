@@ -46,13 +46,13 @@ def unchecked_systems(source: str) -> list[str]:
 
 
 def test_the_guard_sees_an_unchecked_system():
-    source = ("def _table_system(base, rank, table, action):\n"
-              "    return LocalSystemQ(base, rank, {})\n"
+    source = ("def _table_system(rank, table, action):\n"
+              "    return LocalSystemQ(rank, {})\n"
               "def gauge(system):\n"
-              "    return local_systems.LocalSystemQ(system.base, 1, {})\n"
+              "    return local_systems.LocalSystemQ(system.rank, {})\n"
               "def twisted(spec, table):\n"
-              "    kernel_system(spec.complement, spec.degree, spec.table)\n"
-              "    return pushforward_local_system(spec.complement, spec.degree, table)\n")
+              "    kernel_system(spec.degree, spec.table)\n"
+              "    return pushforward_local_system(spec.degree, table)\n")
     assert unchecked_systems(source) == [
         "gauge, line 4: LocalSystemQ(...)",
         "twisted, line 7: pushforward_local_system without a table"]

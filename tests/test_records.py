@@ -15,7 +15,7 @@ from branchcover.errors import InputError
 from branchcover.commands import CodimReport, ConeCheckResult
 from branchcover.intersection import Perversity, lower_middle
 from branchcover.local_systems import LocalSystemQ
-from branchcover.specfile import LoadedSpec, SpecData
+from branchcover.specfile import LoadedSpec
 from branchcover.stratified import Stratum
 from branchcover.verify import (
     NECESSITY_NOTE,
@@ -28,18 +28,15 @@ from stalks import StalkCheckEntry, StalkCheckResult
 
 # every record with its fields in order; Perversity validates, so it is tested apart
 RECORDS = {
-    MonodromyRep: ("degree", "images"),
+    MonodromyRep: ("degree", "assignments"),
     ConnectivityReport: ("base_failures", "cover_failures", "checked_base", "checked_cover"),
     ConeCheckResult: ("link_ih", "cone_ih", "cutoff", "expected", "mismatches"),
     StalkCheckEntry: ("vertex", "level", "codim", "cutoff", "link_ih", "star_ih",
                       "expected", "mismatches"),
     StalkCheckResult: ("entries",),
-    SpecData: ("complex", "stratification", "branch", "branch_stratification",
-               "monodromy", "options"),
-    LoadedSpec: ("base", "branch", "presentation", "monodromy", "basepoint", "perversity",
-                 "subdivisions"),
+    LoadedSpec: ("base", "branch", "presentation", "monodromy", "perversity"),
     Stratum: ("level", "dim", "simplices"),
-    LocalSystemQ: ("base", "rank", "transports"),
+    LocalSystemQ: ("rank", "transports"),
     FiberRow: ("simplex", "orbit_count", "one_plus_invariants", "lift_count"),
     FiberReport: ("rows",),
     CodimReport: ("applicable", "branch_dim", "base_dim", "fibers", "non_minimal", "note"),
@@ -141,19 +138,8 @@ def test_record_builds_positionally_and_by_keyword(cls):
 
 
 def test_record_defaults():
-    spec = SpecData([[0]])
-    assert (spec.stratification, spec.branch, spec.branch_stratification,
-            spec.monodromy, spec.options) == (None, None, None, None, {})
-    assert SpecData(complex=[[0]], options={"subdivisions": 1}).subdivisions == 1
     report = DecompositionReport(*_values(DecompositionReport)[:-1])
     assert report.note == NECESSITY_NOTE
-
-
-def test_spec_data_options_are_not_shared():
-    a, b = SpecData([[0]]), SpecData(complex=[[0]])
-    assert a.options == b.options == {}
-    assert a.options is not b.options
-    assert SpecData([[0]], options=None).options is None  # left for the parser to reject
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=IDS)

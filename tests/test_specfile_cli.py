@@ -49,7 +49,7 @@ def test_parse_minimal():
     data = parse_spec_text('{"complex": [[0], [1], [0, 1]]}')
     loaded = load_spec(data)
     assert loaded.base.dim == 1
-    assert loaded.branch is None
+    assert loaded.branch.dim == -1 and loaded.monodromy is None
 
 
 def test_parse_rejects_bad_json():
@@ -84,7 +84,7 @@ def test_roundtrip_circle_cover():
     loaded = load_spec(parse_spec_text(text))
     spec = loaded.cover_spec()
     assert spec.degree == 3
-    assert spec.monodromy.images == ((1, 2, 0),)
+    assert spec.monodromy.assignments == {(3, 4): (1, 2, 0)}
 
 
 def test_subdivisions_option():
@@ -288,6 +288,25 @@ def test_parse_requires_complex_key():
         parse_spec_text('{"branch": []}')
 
 
+@pytest.mark.parametrize("branch", ["absent", "empty"])
+def test_branch_stratification_needs_a_branch(branch, tmp_path, capsys):
+    """Levels for a locus that is absent or empty were once ignored, and the
+    spec verified with exit 0, though they name a vertex outside the base."""
+    raw = json.loads((GOLDEN / "rejected" / "branch-levels-no-branch.json").read_text(
+        encoding="utf-8"))
+    if branch == "empty":
+        raw["branch"] = []
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    for command in ("verify", "homology", "generators"):
+        capsys.readouterr()
+        assert main([command, str(path)]) == 1
+        assert capsys.readouterr() == (
+            "", "error: branch_stratification needs a nonempty 'branch'\n")
+    del raw["branch_stratification"]  # the rest of the spec is good: it verifies
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["verify", str(path)]) == 0
+
 
 def _set_basepoint_list(raw):
     raw["monodromy"]["basepoint"] = [1]
@@ -425,7 +444,7 @@ def _perversity_list(raw):
 
 def _validate_at_degree_zero():
     y, r, rep, pres = circle_cover_data(2, (1, 0))
-    validate_monodromy(pres, MonodromyRep(0, rep.images))
+    validate_monodromy(pres, MonodromyRep(0, rep.assignments))
 
 
 def _punctured_star_off_the_locus():
@@ -684,7 +703,7 @@ def test_cli_verify_and_fibers_name_the_disconnected_punctured_star(tmp_path, ca
     pt = pinched_torus()
     pinch, = pt.level(0).vertices
     pres = complement_presentation(pt.complex, {pinch})
-    rep = MonodromyRep(1, tuple((0,) for _ in pres.generators))
+    rep = MonodromyRep(1, dict.fromkeys(pres.generators, (0,)))
     branch = StratifiedComplex(SimplicialComplex([(pinch,)]))
     path = tmp_path / "pinched.json"
     path.write_text(spec_to_text(spec_to_dict(pt, branch, rep, pres)))

@@ -16,7 +16,7 @@ from branchcover.simplicial import (
     validate_complex,
 )
 from branchcover.specfile import load_spec, parse_spec_text
-from branchcover.stratified import StratifiedComplex, subdivide_with_subcomplexes
+from branchcover.stratified import EMPTY_STRATIFIED, StratifiedComplex, subdivide_with_subcomplexes
 from branchcover.commands import cone_stratified
 from branchcover.fixtures import (
     boundary_simplex,
@@ -34,6 +34,8 @@ from complexes import barycentric_subdivide
 from oracles import bfs_strata, close_faces, subdivide_set_all_chains
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+# the golden specs; sweep.json pins command outputs (test_sweep.py)
+GOLDEN_SPECS = sorted(p for p in GOLDEN.glob("*.json") if p.name != "sweep.json")
 from stalks import induced_link, induced_star, min_level
 
 
@@ -95,17 +97,14 @@ def test_strata_of_pinched_torus():
 
 
 @pytest.mark.parametrize("subdivisions", (0, 1))
-@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", GOLDEN_SPECS, ids=lambda p: p.stem)
 def test_strata_match_the_definition_on_golden_specs(path, subdivisions):
     """The base, the branch locus and their refinement, as loaded from each
     golden spec at 0 and 1 subdivisions: levels, dims, simplices and order."""
     data = parse_spec_text(path.read_text(encoding="utf-8"))
-    loaded = load_spec(data._replace(
-        monodromy=None, options=dict(data.options, subdivisions=subdivisions)))
-    stratified = [loaded.base]
-    if loaded.branch is not None:
-        stratified += [loaded.branch, refine_stratification(loaded.base, loaded.branch)]
-    for sc in stratified:
+    loaded = load_spec(dict(data, monodromy=None,
+                            options=dict(data.get("options", {}), subdivisions=subdivisions)))
+    for sc in (loaded.base, loaded.branch, refine_stratification(loaded.base, loaded.branch)):
         assert list(map(tuple, sc.strata())) == bfs_strata(sc.complex.simplices, sc.levels)
 
 
@@ -170,13 +169,13 @@ def test_cone_stratified_of_zero_dim_link():
     assert cone_sc.singular_set.n_simplices() == 0  # no singular levels in dim 1
 
 
-# the fixtures the `fixture` command writes, as (base, branch locus or None)
+# the fixtures the `fixture` command writes, as (base, branch locus)
 SHIPPED_FIXTURES = {
     "sphere-branched": lambda: sphere_branched_data(6, 2)[:2],
     "s3-unknot-double": lambda: s3_unknot_double_data()[:2],
     "circle-cover": lambda: circle_cover_data(2, (1, 0))[:2],
-    "suspension-torus": lambda: (suspension_torus(), None),
-    "pinched-torus": lambda: (pinched_torus(), None),
+    "suspension-torus": lambda: (suspension_torus(), EMPTY_STRATIFIED),
+    "pinched-torus": lambda: (pinched_torus(), EMPTY_STRATIFIED),
 }
 
 
@@ -192,7 +191,7 @@ def _assert_carried_by_all_chain_rule(subdivision, old):
 @pytest.mark.parametrize("name", sorted(SHIPPED_FIXTURES))
 def test_subdivided_levels_match_all_chain_rule(name):
     base, branch = SHIPPED_FIXTURES[name]()
-    extras = [branch] if branch is not None else []
+    extras = [branch]
     for subdivision in (1, 2):
         subdivided = barycentric_subdivide_complex(base.complex)
         for level in dict.fromkeys(base.levels + tuple(lvl for ex in extras for lvl in ex.levels)):

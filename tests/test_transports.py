@@ -122,11 +122,11 @@ def _both_ways(c, p):
 def test_sparse_broken_triangle_raises():
     c = full_simplex(2)
     table = _both_ways(c, (0, 1))
-    assert twisted_betti(c, pushforward_local_system(c, 2, table)) == (2, 0, 0)
+    assert twisted_betti(c, pushforward_local_system(2, table)) == (2, 0, 0)
     table[(0, 1)] = table[(1, 0)] = (1, 0)  # inverse to itself, not flat
     for build in (pushforward_local_system, kernel_system):
         with pytest.raises(InternalCheckError, match="boundary of a chain in degree 2 "):
-            twisted_betti(c, build(c, 2, table))
+            twisted_betti(c, build(2, table))
 
 
 def test_a_table_that_is_not_flat_exits_3_through_the_cli(monkeypatch, capsys):
@@ -155,7 +155,7 @@ def test_sparse_wrong_reverse_leaves_ranks_unchanged():
     table[(0, 1)], table[(1, 0)] = (1, 2, 0), (2, 0, 1)
     wrong = {**table, (1, 0): (1, 2, 0)}
     for build in (pushforward_local_system, kernel_system):
-        assert twisted_betti(c, build(c, 3, wrong)) == twisted_betti(c, build(c, 3, table))
+        assert twisted_betti(c, build(3, wrong)) == twisted_betti(c, build(3, table))
 
 
 def _gauge_table(c, h):
@@ -208,7 +208,7 @@ def _predicted(c, table, matrix):
 
 def _verdict(build, c, d, table):
     try:
-        return twisted_betti(c, build(c, d, table))
+        return twisted_betti(c, build(d, table))
     except InputError as exc:
         return str(exc)
     except InternalCheckError as exc:
@@ -254,10 +254,11 @@ def test_corrupted_tables_reach_every_verdict():
 
 def _dense_systems(pres, rep):
     d = rep.degree
+    images = [rep.assignments[e] for e in pres.generators]
     push = from_representation(RepresentationQ(
-        pres, d, tuple(permutation_matrix(g) for g in rep.images)))
+        pres, d, tuple(permutation_matrix(g) for g in images)))
     kernel = from_representation(RepresentationQ(
-        pres, d - 1, tuple(sum_zero_matrix(g) for g in rep.images)))
+        pres, d - 1, tuple(sum_zero_matrix(g) for g in images)))
     return push, kernel
 
 
@@ -294,14 +295,14 @@ def sphere_covers(draw):
     d = p + draw(st.integers(0, 9 - p))
     sigma = draw(st.permutations(range(d)))
     y, r, rep0, pres = sphere_branched_data(points, p)
-    images = []
-    for g in rep0.images:
+    assignments = {}
+    for e, g in rep0.assignments.items():
         g = tuple(g) + tuple(range(p, d))
         conj = [0] * d
         for i in range(d):
             conj[sigma[i]] = sigma[g[i]]
-        images.append(tuple(conj))
-    return y, r, MonodromyRep(d, tuple(images)), pres
+        assignments[e] = tuple(conj)
+    return y, r, MonodromyRep(d, assignments), pres
 
 
 @settings(max_examples=10, deadline=None, derandomize=True)

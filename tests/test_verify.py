@@ -267,7 +267,7 @@ def _suspension_circle_double_cover():
         rows.append(word_row(pres, list(zip(pathv, pathv[1:])), n))
         rhs.append(1)
     sol = solve_mod_p(rows, rhs, n, 2)
-    rep = MonodromyRep(2, tuple(cyclic_image(s, 2) for s in sol))
+    rep = MonodromyRep(2, {g: cyclic_image(s, 2) for g, s in zip(pres.generators, sol)})
     return BranchedCoverSpec(y, r, rep, pres)
 
 
