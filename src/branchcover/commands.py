@@ -242,17 +242,14 @@ def cmd_fixture(args) -> tuple[str, int]:
     if name == "sphere-branched":
         points = args.points if args.points is not None else 6
         degree = args.degree if args.degree is not None else 2
-        y, r, rep, pres = fixtures.sphere_branched_data(points, degree)
-        spec = fixtures.spec_to_dict(y, r, rep, pres)
+        spec = fixtures.spec_to_dict(*fixtures.sphere_branched_data(points, degree))
     elif name == "s3-unknot-double":
-        y, r, rep, pres = fixtures.s3_unknot_double_data()
-        spec = fixtures.spec_to_dict(y, r, rep, pres)
+        spec = fixtures.spec_to_dict(*fixtures.s3_unknot_double_data())
     elif name == "circle-cover":
         degree = args.degree if args.degree is not None else 2
         perm = _parse_perm(args.perm, degree) if args.perm else tuple(
             (i + 1) % degree for i in range(degree))
-        y, r, rep, pres = fixtures.circle_cover_data(degree, perm)
-        spec = fixtures.spec_to_dict(y, r, rep, pres)
+        spec = fixtures.spec_to_dict(*fixtures.circle_cover_data(degree, perm))
     elif name == "suspension-torus":
         spec = fixtures.spec_to_dict(fixtures.suspension_torus())
     elif name == "pinched-torus":

@@ -62,10 +62,11 @@ def orbit_count(perms: Iterable[Perm], d: int) -> int:
 # monodromy data
 
 
-class MonodromyRep(namedtuple("MonodromyRep", "degree assignments")):
-    """Degree-d permutation assignment: ``degree`` is an ``int`` and
-    ``assignments`` maps each generator edge ``(u, v)`` to its ``Perm``
-    image, as a spec file writes them."""
+class MonodromyRep(namedtuple("MonodromyRep", "degree assignments basepoint", defaults=(None,))):
+    """Degree-d permutation assignment: ``degree`` is an ``int``,
+    ``assignments`` maps each generator edge ``(u, v)`` to its ``Perm`` image
+    and ``basepoint``, or ``None`` for the least one, is the complement vertex
+    they are read from, as a spec file writes them."""
 
     __slots__ = ()
 
@@ -162,43 +163,37 @@ def complement_presentation(y: SimplicialComplex, branch_vertices,
     """Presentation of the full subcomplex of ``y`` off ``branch_vertices``
     (a set), based at ``basepoint`` or else at its smallest vertex.
 
-    The presentation itself rejects a disconnected complement and a
-    basepoint that is not one of its vertices.
+    An empty complement and a basepoint off it are rejected here, and a
+    disconnected complement by the presentation.
     """
     complement = full_subcomplex(y, (v for v in y.vertices if v not in branch_vertices))
     if complement.n_simplices() == 0:
         raise InputError("complement of the branch locus is empty")
     if basepoint is None:
         basepoint = min(complement.vertices)
+    elif (basepoint,) not in complement.simplices:
+        raise InputError(
+            f"basepoint {basepoint} is not a vertex of the complement of the branch locus")
     return edge_path_presentation(complement, basepoint)
-
-
-def _is_complement(c: SimplicialComplex, y: SimplicialComplex, branch_vertices) -> bool:
-    """True if ``c`` is the full subcomplex of ``y`` off ``branch_vertices``:
-    a subcomplex off them with as many simplices as that full subcomplex."""
-    return (branch_vertices.isdisjoint(c.vertices) and c.is_subcomplex_of(y)
-            and c.n_simplices() == sum(map(branch_vertices.isdisjoint, y.all_simplices())))
 
 
 class BranchedCoverSpec:
     """Base, branch locus and validated monodromy on the complement.
 
-    ``presentation`` is the presentation of the complement of the branch
-    locus that :func:`complement_presentation` builds; the spec keeps it
-    and its complex, and checks that the complex is that complement.
+    The spec presents the complement of the branch locus itself, with
+    :func:`complement_presentation` at the monodromy's basepoint, and keeps
+    that presentation and its complex.
     """
 
     __slots__ = ("base", "branch", "complement", "presentation", "monodromy",
                  "branch_vertices", "_table", "_punctured", "_connected", "_local_groups")
 
     def __init__(self, base: StratifiedComplex, branch: StratifiedComplex,
-                 monodromy: MonodromyRep, presentation: EdgePathPresentation):
+                 monodromy: MonodromyRep):
         if branch.complex.n_simplices():
             _check_branch_locus(base, branch.complex, full=True)
         branch_vertices = frozenset(branch.complex.vertices)
-        if not _is_complement(presentation.complex, base.complex, branch_vertices):
-            raise InputError(
-                "the presentation is not of the complement of the branch locus")
+        presentation = complement_presentation(base.complex, branch_vertices, monodromy.basepoint)
 
         self.base = base
         self.branch = branch

@@ -213,7 +213,7 @@ def _tree_gauge(pres: EdgePathPresentation, cochain: dict[tuple[int, int], int],
         return sum(map(value, path, path[1:]))
 
     return MonodromyRep(d, {(u, v): tuple((i + h(u) + value(u, v) - h(v)) % d for i in range(d))
-                            for u, v in pres.generators})
+                            for u, v in pres.generators}, pres.basepoint)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +257,7 @@ def sphere_branched_data(points: int, degree: int):
         path = edge_path_presentation(
             full_subcomplex(sub, pres.complex.vertices + (a, b)), a).tree_path(b)
         _add_cut(sub, signs, path, weight, cochain)
-    return y, r, _tree_gauge(pres, cochain, degree), pres
+    return y, r, _tree_gauge(pres, cochain, degree)
 
 
 def s3_unknot_double_data():
@@ -282,7 +282,7 @@ def s3_unknot_double_data():
 
     pres = complement_presentation(sub, frozenset(branch.vertices))
     cochain = {(b_id[(0, 1, 2)], b_id[(0, 1, 2, 3)]): 1}
-    return y, r, _tree_gauge(pres, cochain, 2), pres
+    return y, r, _tree_gauge(pres, cochain, 2)
 
 
 def circle_cover_data(degree: int, perm: tuple[int, ...]):
@@ -294,8 +294,8 @@ def circle_cover_data(degree: int, perm: tuple[int, ...]):
     base = hexagon()
     y = StratifiedComplex(base)
     pres = edge_path_presentation(base, 0)
-    rep = MonodromyRep(degree, {pres.generators[0]: tuple(perm)})
-    return y, EMPTY_STRATIFIED, rep, pres
+    rep = MonodromyRep(degree, {pres.generators[0]: tuple(perm)}, pres.basepoint)
+    return y, EMPTY_STRATIFIED, rep
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +311,7 @@ def _levels(sc: StratifiedComplex) -> list:
 
 
 def spec_to_dict(base: StratifiedComplex, branch: StratifiedComplex = EMPTY_STRATIFIED,
-                 monodromy: MonodromyRep | None = None, presentation=None) -> dict:
+                 monodromy: MonodromyRep | None = None) -> dict:
     out: dict = {"complex": [list(s) for s in base.complex.all_simplices()]}
     if levels := _levels(base):
         out["stratification"] = levels
@@ -320,14 +320,13 @@ def spec_to_dict(base: StratifiedComplex, branch: StratifiedComplex = EMPTY_STRA
         if levels := _levels(branch):
             out["branch_stratification"] = levels
     if monodromy is not None:
-        if presentation is None:
-            raise InputError("serializing monodromy needs the presentation")
         out["monodromy"] = {
             "degree": monodromy.degree,
-            "basepoint": presentation.basepoint,
             "assignments": {f"{u}->{v}": list(image)
                             for (u, v), image in monodromy.assignments.items()},
         }
+        if monodromy.basepoint is not None:
+            out["monodromy"]["basepoint"] = monodromy.basepoint
     out["options"] = {"perversity": "lower", "subdivisions": 0}
     return out
 

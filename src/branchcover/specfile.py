@@ -25,7 +25,7 @@ import json
 from collections import namedtuple
 
 from .errors import InputError
-from .covering import BranchedCoverSpec, MonodromyRep, complement_presentation
+from .covering import BranchedCoverSpec, MonodromyRep
 from .intersection import PERVERSITIES
 from .simplicial import SimplicialComplex, validate_complex
 from .stratified import StratifiedComplex, subdivide_with_subcomplexes
@@ -126,19 +126,18 @@ def _simplices(raw: list, where: str) -> list:
     return [tuple(s) for s in raw]
 
 
-class LoadedSpec(namedtuple("LoadedSpec", "base branch presentation monodromy perversity")):
+class LoadedSpec(namedtuple("LoadedSpec", "base branch monodromy perversity")):
     """The loaded sections: ``base`` and ``branch``, empty for a spec with no
-    locus, are ``StratifiedComplex`` objects; ``presentation``, the
-    complement's ``EdgePathPresentation``, and ``monodromy``, a
-    ``MonodromyRep`` on its generator edges, are ``None`` for a spec with
-    no monodromy; ``perversity`` is a name."""
+    locus, are ``StratifiedComplex`` objects; ``monodromy``, the file's
+    section as a ``MonodromyRep``, is ``None`` for a spec with no
+    monodromy; ``perversity`` is a name."""
 
     __slots__ = ()
 
     def cover_spec(self) -> BranchedCoverSpec:
         if self.monodromy is None:
             raise InputError("this command needs a 'monodromy' section")
-        return BranchedCoverSpec(self.base, self.branch, self.monodromy, self.presentation)
+        return BranchedCoverSpec(self.base, self.branch, self.monodromy)
 
 
 def _stratified_from_lists(complex_: SimplicialComplex, levels_raw: list | None,
@@ -175,7 +174,8 @@ def load_spec(data: dict) -> LoadedSpec:
     base_c = validate_complex(_simplices(data["complex"], "complex"))
     base = _stratified_from_lists(base_c, data.get("stratification"), "stratification")
 
-    branch_c = validate_complex(_simplices(data.get("branch") or [], "branch"))
+    branch_raw = data.get("branch")  # null is no locus, as for the other sections
+    branch_c = validate_complex(_simplices([] if branch_raw is None else branch_raw, "branch"))
     if not branch_c.is_subcomplex_of(base_c):  # a subdivision would drop the rest
         raise InputError("branch locus is not a subcomplex of the base")
     if data.get("branch_stratification") and not branch_c.n_simplices():
@@ -199,15 +199,13 @@ def load_spec(data: dict) -> LoadedSpec:
     for _ in range(subdivisions):
         base, (branch,) = subdivide_with_subcomplexes(base, [branch])
 
-    pres = monodromy = None
+    monodromy = None
     if mono is not None:
-        pres = complement_presentation(base.complex, frozenset(branch.complex.vertices),
-                                       mono.get("basepoint"))
         assignments = {}
         for key, val in mono["assignments"].items():
             if not isinstance(val, list) or not all(map(_is_int, val)):
                 raise InputError(f"assignment {key!r} must be a list of integers")
             assignments[_parse_edge_key(key)] = tuple(val)
-        monodromy = MonodromyRep(degree, assignments)
+        monodromy = MonodromyRep(degree, assignments, mono.get("basepoint"))
 
-    return LoadedSpec(base, branch, pres, monodromy, options.get("perversity", "lower"))
+    return LoadedSpec(base, branch, monodromy, options.get("perversity", "lower"))

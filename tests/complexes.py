@@ -3,14 +3,23 @@
 The package's own fixtures (``branchcover.fixtures``) are the ones the
 ``fixture`` command writes; these are extra bases, a stratified
 subdivision, the constant system, the restriction of a system, a
-codimension-3 spec, links and oriented vertex links, and the GF(p) elimination
-that draws random cyclic monodromy classes for the tests.
+codimension-3 spec, a monodromy moved to another basepoint, links and
+oriented vertex links, and the GF(p) elimination that draws random cyclic
+monodromy classes for the tests.
 """
 from __future__ import annotations
 
 from itertools import combinations
 
-from branchcover.covering import MonodromyRep, complement_presentation, validate_monodromy
+from branchcover.covering import (
+    BranchedCoverSpec,
+    MonodromyRep,
+    compose_perms,
+    complement_presentation,
+    invert_perm,
+    transport_along,
+    validate_monodromy,
+)
 from branchcover.errors import InputError
 from branchcover.fixtures import _closure, boundary_simplex, cycle_complex
 from branchcover.local_systems import (
@@ -62,8 +71,28 @@ def codim3_vertex_data(degree: int = 2):
     w = b_id[(0,)]
     branch = SimplicialComplex(((w,),))
     pres = complement_presentation(sub, {w})
-    rep = MonodromyRep(degree, dict.fromkeys(pres.generators, tuple(range(degree))))
-    return StratifiedComplex(sub), StratifiedComplex(branch), rep, pres
+    rep = MonodromyRep(degree, dict.fromkeys(pres.generators, tuple(range(degree))),
+                       pres.basepoint)
+    return StratifiedComplex(sub), StratifiedComplex(branch), rep
+
+
+def rebased(base: StratifiedComplex, branch: StratifiedComplex, rep: MonodromyRep,
+            basepoint: int) -> MonodromyRep:
+    """The monodromy ``rep`` of the spec ``(base, branch, rep)`` read from
+    another complement vertex ``basepoint``.
+
+    The validated table T is regauged to the spanning tree at the new
+    basepoint b: image(u->v) = g(v)^-1 o T(u->v) o g(u), where g(v) is the
+    transport of T along the new tree path b -> v.  So every new tree edge
+    carries the identity, and a loop at b keeps its transport under T.
+    """
+    spec = BranchedCoverSpec(base, branch, rep)
+    pres = complement_presentation(base.complex, spec.branch_vertices, basepoint)
+    d = rep.degree
+    g = {v: transport_along(spec.table, pres.tree_path(v), d) for v in pres.complex.vertices}
+    return MonodromyRep(d, {(u, v): compose_perms(invert_perm(g[v]),
+                                                  compose_perms(spec.table[(u, v)], g[u]))
+                            for u, v in pres.generators}, basepoint)
 
 
 def full_simplex(n: int) -> SimplicialComplex:

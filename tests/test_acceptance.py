@@ -119,7 +119,7 @@ def test_criterion_1_unbranched_splitting():
 
 
 def _check_unbranched_split(base, pres, rep):
-    spec = BranchedCoverSpec(StratifiedComplex(base), EMPTY_STRATIFIED, rep, pres)
+    spec = BranchedCoverSpec(StratifiedComplex(base), EMPTY_STRATIFIED, rep)
     cover = fox_complete(spec)
     b_cover = betti_numbers(cover.total)
     b_base = betti_numbers(base)
@@ -148,8 +148,8 @@ def test_criterion_3_riemann_hurwitz():
     for k in (0, 1, 2):
         start = time.time()
         points = 2 * k + 2
-        y, r, rep, pres = sphere_branched_data(points, 2)
-        spec = BranchedCoverSpec(y, r, rep, pres)
+        y, r, rep = sphere_branched_data(points, 2)
+        spec = BranchedCoverSpec(y, r, rep)
         cover = fox_complete(spec)
         chi = riemann_hurwitz_check(cover)
         assert chi == 2 - 2 * k
@@ -167,8 +167,8 @@ def test_criterion_4_branched_decomposition_manifold_base():
     ]
     for (points, degree), b_cover, ih_triv, ih_ker in cases:
         start = time.time()
-        y, r, rep, pres = sphere_branched_data(points, degree)
-        spec = BranchedCoverSpec(y, r, rep, pres)
+        y, r, rep = sphere_branched_data(points, degree)
+        spec = BranchedCoverSpec(y, r, rep)
         for name in ("lower", "upper"):
             report = verify_branched(spec, name)
             assert report.betti_cover == b_cover
@@ -183,8 +183,8 @@ def test_criterion_4_branched_decomposition_manifold_base():
 
 def test_criterion_5_dimension_three():
     start = time.time()
-    y, r, rep, pres = s3_unknot_double_data()
-    spec = BranchedCoverSpec(y, r, rep, pres)
+    y, r, rep = s3_unknot_double_data()
+    spec = BranchedCoverSpec(y, r, rep)
     report = verify_branched(spec, "lower")
     assert report.betti_cover == (1, 0, 0, 1)
     assert report.ih_kernel == (0, 0, 0, 0)
@@ -233,8 +233,8 @@ def test_criterion_7_cone_and_stalk_checks():
     ]
     # links of the unknot fixture's branch vertices: spheres with two marked
     # points, with induced stratifications
-    y, r, rep, pres = s3_unknot_double_data()
-    spec = BranchedCoverSpec(y, r, rep, pres)
+    y, r, rep = s3_unknot_double_data()
+    spec = BranchedCoverSpec(y, r, rep)
     refined = refine_stratification(y, r)
     for (v,) in refined.singular_set.simplices_of_dim(0)[:2]:
         links.append((induced_link(refined, v), lower_middle(3)))
@@ -254,8 +254,8 @@ def test_criterion_7_cone_and_stalk_checks():
     # branched fixtures, trivial and kernel coefficients
     for builder, args, m in ((sphere_branched_data, (6, 2), 2),
                              (s3_unknot_double_data, (), 3)):
-        y, r, rep, pres = builder(*args)
-        spec = BranchedCoverSpec(y, r, rep, pres)
+        y, r, rep = builder(*args)
+        spec = BranchedCoverSpec(y, r, rep)
         refined = refine_stratification(y, r)
         for coeff in (None, kernel_system(spec.degree, spec.table)):
             res = deligne_stalk_check(refined, lower_middle(m), coeff)
@@ -274,8 +274,8 @@ def test_criterion_8_structural_invariants():
     complexes = [hexagon(), octahedron(), torus7(), boundary_simplex(4)]
     for c in complexes:
         betti_numbers(c)
-    y, r, rep, pres = sphere_branched_data(6, 2)
-    spec = BranchedCoverSpec(y, r, rep, pres)
+    y, r, rep = sphere_branched_data(6, 2)
+    spec = BranchedCoverSpec(y, r, rep)
     push = pushforward_local_system(spec.degree, spec.table)
     kernel = kernel_system(spec.degree, spec.table)
     twisted_betti(spec.complement, push)
@@ -293,8 +293,8 @@ def test_criterion_8_structural_invariants():
                           (sphere_branched_data, (6, 2)),
                           (sphere_branched_data, (3, 3)),
                           (s3_unknot_double_data, ())):
-        y, r, rep, pres = builder(*args)
-        spec = BranchedCoverSpec(y, r, rep, pres)
+        y, r, rep = builder(*args)
+        spec = BranchedCoverSpec(y, r, rep)
         cover = fox_complete(spec)
         refined = refine_stratification(y, r)   # constructor validates
         refined.full_check()
@@ -308,8 +308,8 @@ def test_criterion_8_structural_invariants():
 
 def test_criterion_9_codimension_corollary():
     for d in (2, 3):
-        y, r, rep, pres = codim3_vertex_data(d)
-        spec = BranchedCoverSpec(y, r, rep, pres)
+        y, r, rep = codim3_vertex_data(d)
+        spec = BranchedCoverSpec(y, r, rep)
         report = codim_check(spec)
         assert report.applicable
         assert report.non_minimal
@@ -318,8 +318,8 @@ def test_criterion_9_codimension_corollary():
     for builder, args in ((sphere_branched_data, (6, 2)),
                           (sphere_branched_data, (3, 3)),
                           (s3_unknot_double_data, ())):
-        y, r, rep, pres = builder(*args)
-        report = codim_check(BranchedCoverSpec(y, r, rep, pres))
+        y, r, rep = builder(*args)
+        report = codim_check(BranchedCoverSpec(y, r, rep))
         assert not report.applicable  # codim 2 fixtures: check skipped
     _report(9, "codim-3 branch input forces full fibers and the non-minimal flag")
 

@@ -205,23 +205,23 @@ def test_global_tree_paths_transport_by_the_identity(path):
 
 
 def test_hexagon_triple_cyclic_cover():
-    y, r, rep, pres = circle_cover_data(3, (1, 2, 0))
-    cover = fox_complete(BranchedCoverSpec(y, r, rep, pres))
+    y, r, rep = circle_cover_data(3, (1, 2, 0))
+    cover = fox_complete(BranchedCoverSpec(y, r, rep))
     assert cover.total.euler_characteristic() == 0
     assert len(components(cover.total)) == 1
     assert cover.total.n_simplices(0) == 18
 
 
 def test_hexagon_identity_cover_three_components():
-    y, r, rep, pres = circle_cover_data(3, (0, 1, 2))
-    cover = fox_complete(BranchedCoverSpec(y, r, rep, pres))
+    y, r, rep = circle_cover_data(3, (0, 1, 2))
+    cover = fox_complete(BranchedCoverSpec(y, r, rep))
     assert len(components(cover.total)) == 3
     assert betti_numbers(cover.total) == (3, 3)
 
 
 def test_hexagon_swap_in_s3_two_components():
-    y, r, rep, pres = circle_cover_data(3, (1, 0, 2))
-    cover = fox_complete(BranchedCoverSpec(y, r, rep, pres))
+    y, r, rep = circle_cover_data(3, (1, 0, 2))
+    cover = fox_complete(BranchedCoverSpec(y, r, rep))
     # orbits of <(0 1)> in degree 3: {0,1} and {2}
     assert len(components(cover.total)) == 2
     assert betti_numbers(cover.total) == (2, 2)
@@ -232,8 +232,8 @@ def test_component_count_equals_orbits_randomized():
     for _ in range(25):
         d = rng.randint(1, 6)
         perm = tuple(rng.sample(range(d), d))
-        y, r, rep, pres = circle_cover_data(d, perm)
-        cover = fox_complete(BranchedCoverSpec(y, r, rep, pres))
+        y, r, rep = circle_cover_data(d, perm)
+        cover = fox_complete(BranchedCoverSpec(y, r, rep))
         assert len(components(cover.total)) == len(orbits_of([perm], d))
         # covering property: d simplices over every base simplex
         for s in y.complex.all_simplices():
@@ -241,8 +241,8 @@ def test_component_count_equals_orbits_randomized():
 
 
 def test_cover_star_injectivity():
-    y, r, rep, pres = circle_cover_data(3, (1, 2, 0))
-    cover = fox_complete(BranchedCoverSpec(y, r, rep, pres))
+    y, r, rep = circle_cover_data(3, (1, 2, 0))
+    cover = fox_complete(BranchedCoverSpec(y, r, rep))
     for v in cover.total.vertices:
         st = star(cover.total, (v,))
         images = [cover.projection[s] for s in st.all_simplices()]
@@ -254,8 +254,8 @@ def test_cover_star_injectivity():
 
 
 def test_local_monodromy_of_double_cover_branch_point():
-    y, r, rep, pres = sphere_branched_data(2, 2)
-    spec = BranchedCoverSpec(y, r, rep, pres)
+    y, r, rep = sphere_branched_data(2, 2)
+    spec = BranchedCoverSpec(y, r, rep)
     for tau in spec.branch_simplices():
         gens = local_monodromy_group(spec, tau)
         assert gens == ((1, 0),)
@@ -263,16 +263,16 @@ def test_local_monodromy_of_double_cover_branch_point():
 
 
 def test_local_monodromy_trivial():
-    y, r, rep, pres = codim3_vertex_data(3)
-    spec = BranchedCoverSpec(y, r, rep, pres)
+    y, r, rep = codim3_vertex_data(3)
+    spec = BranchedCoverSpec(y, r, rep)
     (tau,) = spec.branch_simplices()
     assert local_monodromy_group(spec, tau) == ((0, 1, 2),)
     assert fiber_cardinality(spec, tau) == 3
 
 
 def test_local_monodromy_cyclic_triple():
-    y, r, rep, pres = sphere_branched_data(3, 3)
-    spec = BranchedCoverSpec(y, r, rep, pres)
+    y, r, rep = sphere_branched_data(3, 3)
+    spec = BranchedCoverSpec(y, r, rep)
     for tau in spec.branch_simplices():
         (g,) = local_monodromy_group(spec, tau)
         assert sorted(g) == [0, 1, 2] and g != (0, 1, 2)
@@ -280,15 +280,15 @@ def test_local_monodromy_cyclic_triple():
 
 
 def test_fox_complete_sphere_two_points():
-    y, r, rep, pres = sphere_branched_data(2, 2)
-    cover = fox_complete(BranchedCoverSpec(y, r, rep, pres))
+    y, r, rep = sphere_branched_data(2, 2)
+    cover = fox_complete(BranchedCoverSpec(y, r, rep))
     assert cover.total.euler_characteristic() == 2
     assert betti_numbers(cover.total) == (1, 0, 1)
 
 
 def test_fox_complete_genus_two():
-    y, r, rep, pres = sphere_branched_data(6, 2)
-    spec = BranchedCoverSpec(y, r, rep, pres)
+    y, r, rep = sphere_branched_data(6, 2)
+    spec = BranchedCoverSpec(y, r, rep)
     cover = fox_complete(spec)
     # Riemann-Hurwitz oracle: chi = 2*2 - 6*(2-1) = -2
     assert riemann_hurwitz_chi(2, 2, [1] * 6) == -2
@@ -308,7 +308,7 @@ def test_fox_complete_empty_branch_is_plain_cover():
     swap, fixed = (1, 0, 2, 3), (0, 1, 2, 3)
     rep = MonodromyRep(4, {g: swap if e else fixed for g, e in zip(pres.generators, exponents)})
     assert swap in rep.assignments.values()
-    specs.append(BranchedCoverSpec(StratifiedComplex(c), EMPTY_STRATIFIED, rep, pres))
+    specs.append(BranchedCoverSpec(StratifiedComplex(c), EMPTY_STRATIFIED, rep))
     for spec in specs:
         assert fox_complete(spec).projection == sheet_cover(spec)
 
@@ -327,8 +327,8 @@ def test_fox_complete_sheets_match_oracle_off_the_locus(data):
 
 
 def test_fox_three_points_degree_three():
-    y, r, rep, pres = sphere_branched_data(3, 3)
-    cover = fox_complete(BranchedCoverSpec(y, r, rep, pres))
+    y, r, rep = sphere_branched_data(3, 3)
+    cover = fox_complete(BranchedCoverSpec(y, r, rep))
     assert riemann_hurwitz_chi(3, 2, [1, 1, 1]) == 0
     assert cover.total.euler_characteristic() == 0
     assert betti_numbers(cover.total) == (1, 2, 1)
@@ -336,8 +336,8 @@ def test_fox_three_points_degree_three():
 
 
 def test_unknot_double_cover_is_sphere():
-    y, r, rep, pres = s3_unknot_double_data()
-    spec = BranchedCoverSpec(y, r, rep, pres)
+    y, r, rep = s3_unknot_double_data()
+    spec = BranchedCoverSpec(y, r, rep)
     cover = fox_complete(spec)
     assert betti_numbers(cover.total) == (1, 0, 0, 1)
     for tau in spec.branch_simplices():
@@ -390,17 +390,15 @@ def test_branch_must_be_full():
     # two adjacent octahedron vertices: the joining edge is missing
     y = StratifiedComplex(octahedron())
     r = StratifiedComplex(SimplicialComplex([(1,), (2,)]))
-    pres = complement_presentation(y.complex, frozenset(r.complex.vertices))
     with pytest.raises(InputError, match="branch locus is not a full subcomplex of the base"):
-        BranchedCoverSpec(y, r, MonodromyRep(1, {}), pres)
+        BranchedCoverSpec(y, r, MonodromyRep(1, {}))
 
 
 def test_branch_codimension_enforced():
     y = StratifiedComplex(hexagon())
     r = StratifiedComplex(SimplicialComplex([(0,)]))
-    pres = complement_presentation(y.complex, frozenset(r.complex.vertices))
     with pytest.raises(InputError, match="branch locus has dimension 0 in a base of dimension 1"):
-        BranchedCoverSpec(y, r, MonodromyRep(1, {}), pres)
+        BranchedCoverSpec(y, r, MonodromyRep(1, {}))
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +406,8 @@ def test_branch_codimension_enforced():
 
 
 def test_connectivity_check_passes_on_sphere_fixture():
-    y, r, rep, pres = sphere_branched_data(6, 2)
-    spec = BranchedCoverSpec(y, r, rep, pres)
+    y, r, rep = sphere_branched_data(6, 2)
+    spec = BranchedCoverSpec(y, r, rep)
     cover = fox_complete(spec)
     report = complement_connectivity_check(spec, cover)
     assert report.ok
@@ -420,8 +418,8 @@ def test_connectivity_check_passes_on_sphere_fixture():
 def test_connectivity_check_passes_on_unknot():
     # the check takes the cover; the base stars need none, since the spec
     # hands out only connected ones
-    y, r, rep, pres = s3_unknot_double_data()
-    spec = BranchedCoverSpec(y, r, rep, pres)
+    y, r, rep = s3_unknot_double_data()
+    spec = BranchedCoverSpec(y, r, rep)
     report = complement_connectivity_check(spec, fox_complete(spec))
     assert report.ok and report.checked_base == 12 and report.checked_cover == 12
     assert report.base_failures == ()
@@ -435,7 +433,7 @@ def _susp_cover_bench_spec(monkeypatch) -> BranchedCoverSpec:
 
 
 def test_loaded_spec_holds_one_complement(monkeypatch):
-    """The spec keeps the complex that the loader presented, not an equal copy."""
+    """The spec keeps the complex it presented, not an equal copy."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     from workloads import make_job
     data = parse_spec_text(make_job("susp-cover", 1).spec_text)
@@ -448,8 +446,8 @@ def test_loaded_spec_holds_one_complement(monkeypatch):
 
 
 def test_load_spec_and_cover_spec_build_the_complement_once(monkeypatch):
-    """The loader's presentation is handed to the spec: one full subcomplex
-    of the base for ``load_spec`` and ``cover_spec()`` together."""
+    """The loader presents no complement and the spec presents it once: one
+    full subcomplex of the base for ``load_spec`` and ``cover_spec()`` together."""
     from branchcover import covering
     real = covering.full_subcomplex
     built = []
@@ -461,24 +459,10 @@ def test_load_spec_and_cover_spec_build_the_complement_once(monkeypatch):
     monkeypatch.setattr(covering, "full_subcomplex", spy)
     loaded = load_spec(parse_spec_text(
         (GOLDEN / "susp-cover-seed1.json").read_text(encoding="utf-8")))
+    assert built == []
     spec = loaded.cover_spec()
     assert built == [loaded.base.complex] and built[0] is loaded.base.complex
-    assert spec.presentation is loaded.presentation
-
-
-def _skeleton(c: SimplicialComplex) -> SimplicialComplex:
-    return SimplicialComplex(s for s in c.simplices if len(s) <= 2)
-
-
-@pytest.mark.parametrize("other", ["whole-base", "complement-1-skeleton"])
-def test_spec_rejects_a_presentation_of_another_complex(other):
-    y, r, rep, pres = sphere_branched_data(2, 2)
-    if other == "whole-base":
-        wrong = edge_path_presentation(y.complex, pres.basepoint)
-    else:
-        wrong = edge_path_presentation(_skeleton(pres.complex), pres.basepoint)
-    with pytest.raises(InputError, match="the presentation is not of the complement of the branch locus"):
-        BranchedCoverSpec(y, r, MonodromyRep(rep.degree, {}), wrong)
+    assert spec.presentation.complex is spec.complement
 
 
 @pytest.mark.parametrize("name", ["sphere-branched", "s3-unknot-double", "susp-cover"])
@@ -502,7 +486,7 @@ def test_star_of_every_lift_and_branch_simplex_matches_brute_star(name, monkeypa
 
 
 def test_refine_manifold_with_point_branch():
-    y, r, rep, _ = sphere_branched_data(6, 2)
+    y, r, _rep = sphere_branched_data(6, 2)
     refined = refine_stratification(y, r)
     assert refined.level(0).n_simplices(0) == 6
     strata = refined.strata()
@@ -539,16 +523,16 @@ def test_refine_suspension_circle_through_cone_points():
 
 
 def test_pullback_stratification_unbranched_trivial():
-    y, r, rep, pres = circle_cover_data(2, (1, 0))
-    spec = BranchedCoverSpec(y, r, rep, pres)
+    y, r, rep = circle_cover_data(2, (1, 0))
+    spec = BranchedCoverSpec(y, r, rep)
     cover = fox_complete(spec)
     pulled = pullback_stratification(cover, y)
     assert pulled.singular_set.n_simplices() == 0
 
 
 def test_pullback_stratification_genus_two():
-    y, r, rep, pres = sphere_branched_data(6, 2)
-    spec = BranchedCoverSpec(y, r, rep, pres)
+    y, r, rep = sphere_branched_data(6, 2)
+    spec = BranchedCoverSpec(y, r, rep)
     cover = fox_complete(spec)
     refined = refine_stratification(y, r)
     pulled = pullback_stratification(cover, refined)
@@ -557,8 +541,8 @@ def test_pullback_stratification_genus_two():
 
 
 def test_pullback_stratification_unknot():
-    y, r, rep, pres = s3_unknot_double_data()
-    spec = BranchedCoverSpec(y, r, rep, pres)
+    y, r, rep = s3_unknot_double_data()
+    spec = BranchedCoverSpec(y, r, rep)
     cover = fox_complete(spec)
     refined = refine_stratification(y, r)
     pulled = pullback_stratification(cover, refined)
@@ -571,8 +555,8 @@ def test_pullback_stratification_unknot():
 def test_riemann_hurwitz_unbranched_multiplicativity():
     # chi of an unbranched d-cover is d times chi of the base
     for d, perm in ((2, (1, 0)), (3, (1, 2, 0)), (4, (1, 2, 3, 0))):
-        y, r, rep, pres = circle_cover_data(d, perm)
-        cover = fox_complete(BranchedCoverSpec(y, r, rep, pres))
+        y, r, rep = circle_cover_data(d, perm)
+        cover = fox_complete(BranchedCoverSpec(y, r, rep))
         assert riemann_hurwitz_check(cover) == d * y.complex.euler_characteristic()
 
 
@@ -580,8 +564,8 @@ def test_fox_completed_surface_cover_is_a_closed_surface():
     # every edge of the total space lies in exactly two triangles and every
     # vertex link is a circle: the completion really is a closed surface
     from complexes import link as link_of
-    y, r, rep, pres = sphere_branched_data(6, 2)
-    cover = fox_complete(BranchedCoverSpec(y, r, rep, pres))
+    y, r, rep = sphere_branched_data(6, 2)
+    cover = fox_complete(BranchedCoverSpec(y, r, rep))
     x = cover.total
     for e in x.simplices_of_dim(1):
         cofaces = [t for t in x.simplices_of_dim(2) if set(e) <= set(t)]
@@ -592,8 +576,8 @@ def test_fox_completed_surface_cover_is_a_closed_surface():
 
 def test_fox_completed_unknot_cover_is_a_closed_3_manifold():
     from complexes import link as link_of
-    y, r, rep, pres = s3_unknot_double_data()
-    cover = fox_complete(BranchedCoverSpec(y, r, rep, pres))
+    y, r, rep = s3_unknot_double_data()
+    cover = fox_complete(BranchedCoverSpec(y, r, rep))
     x = cover.total
     for t in x.simplices_of_dim(2):
         cofaces = [s for s in x.simplices_of_dim(3) if set(t) <= set(s)]
@@ -603,8 +587,8 @@ def test_fox_completed_unknot_cover_is_a_closed_3_manifold():
 
 
 def test_branched_decomposition_degree_three_six_points():
-    y, r, rep, pres = sphere_branched_data(6, 3)
-    spec = BranchedCoverSpec(y, r, rep, pres)
+    y, r, rep = sphere_branched_data(6, 3)
+    spec = BranchedCoverSpec(y, r, rep)
     # chi = 3*2 - 6*(3-1) = -6: genus 4
     cover = fox_complete(spec)
     assert riemann_hurwitz_check(cover) == -6

@@ -113,16 +113,17 @@ def shipped_cover_data(draw):
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(shipped_cover_data())
 def test_fixture_spec_loads_back_its_assignments(data):
-    y, r, rep, pres = data
-    loaded = load_spec(parse_spec_text(spec_to_text(spec_to_dict(y, r, rep, pres))))
-    assert loaded.monodromy.assignments == rep.assignments
-    assert loaded.monodromy.degree == rep.degree and loaded.presentation == pres
+    y, r, rep = data
+    loaded = load_spec(parse_spec_text(spec_to_text(spec_to_dict(y, r, rep))))
+    assert loaded.monodromy == rep and rep.basepoint is not None
+    assert loaded.cover_spec().presentation == BranchedCoverSpec(y, r, rep).presentation
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(shipped_cover_data(), st.data())
 def test_validate_monodromy_reads_the_assignments_in_any_order(data, draw):
-    y, r, rep, pres = data
+    y, r, rep = data
+    pres = BranchedCoverSpec(y, r, rep).presentation
     edges = draw.draw(st.permutations(list(rep.assignments)))
     shuffled = MonodromyRep(rep.degree, {e: rep.assignments[e] for e in edges})
     assert validate_monodromy(pres, shuffled) == validate_monodromy(pres, rep)
@@ -130,14 +131,15 @@ def test_validate_monodromy_reads_the_assignments_in_any_order(data, draw):
 
 @pytest.mark.parametrize("points,degree", SPHERE_PAIRS)
 def test_sphere_branched_verifies_at_every_degree(points, degree):
-    y, r, rep, pres = sphere_branched_data(points, degree)
-    table = validate_monodromy(pres, rep)
+    y, r, rep = sphere_branched_data(points, degree)
+    spec = BranchedCoverSpec(y, r, rep)
+    table = spec.table
     signs = orient_closed_surface(y.complex)
     cycle = tuple((i + 1) % degree for i in range(degree))
     for (v,) in r.complex.simplices_of_dim(0):  # every oriented meridian maps to c
         loop = [u for u, _ in oriented_vertex_link_cycle(y.complex, signs, v)]
         assert transport_along(table, loop + loop[:1], degree) == cycle
-    report = verify_branched(BranchedCoverSpec(y, r, rep, pres))
+    report = verify_branched(spec)
     assert report.all_equal and report.internal_ok
     assert [row.orbit_count for row in report.fiber.rows] == [1] * points
     # Riemann-Hurwitz: chi = 2d - points(d - 1), and b1 = 2 - chi
@@ -160,16 +162,16 @@ def test_nullspace_mod_p():
 
 
 def test_sphere_branched_data_is_consistent():
-    y, r, rep, pres = sphere_branched_data(6, 2)
+    y, r, rep = sphere_branched_data(6, 2)
     assert y.dim == 2
     assert r.complex.n_simplices(0) == 6
-    spec = BranchedCoverSpec(y, r, rep, pres)
+    spec = BranchedCoverSpec(y, r, rep)
     for tau in spec.branch_simplices():
         assert fiber_cardinality(spec, tau) == 1
 
 
 def test_unknot_data_is_consistent():
-    y, r, rep, pres = s3_unknot_double_data()
+    y, r, rep = s3_unknot_double_data()
     assert y.dim == 3
     assert betti_numbers(r.complex) == (1, 1)   # the branch locus is a circle
     assert betti_numbers(y.complex) == (1, 0, 0, 1)
@@ -203,7 +205,7 @@ def test_branching_at_pinch_fails_flatness_shadow():
                                  [v for v in pt.complex.vertices if v not in bverts])
     pres = edge_path_presentation(complement, min(complement.vertices))
     rep = MonodromyRep(1, dict.fromkeys(pres.generators, (0,)))
-    spec = BranchedCoverSpec(pt, r, rep, pres)
+    spec = BranchedCoverSpec(pt, r, rep)
     message = re.escape(f"punctured star of branch simplex [{pinch}] is not connected")
     with pytest.raises(InputError, match=f"^{message}$"):
         spec.punctured_star((pinch,))
@@ -216,8 +218,8 @@ def test_fiber_cardinality_constant_on_refined_strata():
     for builder, args in ((sphere_branched_data, (6, 2)),
                           (sphere_branched_data, (3, 3)),
                           (s3_unknot_double_data, ())):
-        y, r, rep, pres = builder(*args)
-        spec = BranchedCoverSpec(y, r, rep, pres)
+        y, r, rep = builder(*args)
+        spec = BranchedCoverSpec(y, r, rep)
         refined = refine_stratification(y, r)
         rset = r.complex.simplices
         for stratum in refined.strata():
@@ -229,7 +231,8 @@ def test_fiber_cardinality_constant_on_refined_strata():
 def test_codim3_only_identity_monodromy_validates():
     # the punctured-star complement of a vertex in the 3-sphere is simply
     # connected, so relators force every generator to the identity
-    y, r, rep, pres = codim3_vertex_data(2)
+    y, r, rep = codim3_vertex_data(2)
+    pres = BranchedCoverSpec(y, r, rep).presentation
     swapped = dict(rep.assignments)
     swapped[pres.generators[0]] = (1, 0)
     from branchcover.covering import validate_monodromy

@@ -265,7 +265,7 @@ def test_ic_complex_structure():
 
 
 def _refined(data):
-    y, r, _rep, _pres = data
+    y, r, _rep = data
     return refine_stratification(y, r)
 
 
@@ -298,8 +298,8 @@ def test_allowable_simplices_leave_two_vertices_off_singular_set(name):
 
 
 def _cover_kernel(data):
-    y, r, rep, _pres = data
-    spec = BranchedCoverSpec(y, r, rep, _pres)
+    y, r, rep = data
+    spec = BranchedCoverSpec(y, r, rep)
     return refine_stratification(y, r), kernel_system(spec.degree, spec.table)
 
 
@@ -360,16 +360,16 @@ def test_ih_from_ranks_matches_ic_bases(name):
 
 
 def test_twisted_ih_genus_two_kernel():
-    y, r, rep, pres = sphere_branched_data(6, 2)
-    spec = BranchedCoverSpec(y, r, rep, pres)
+    y, r, rep = sphere_branched_data(6, 2)
+    spec = BranchedCoverSpec(y, r, rep)
     refined = refine_stratification(y, r)
     # derived: b(genus 2 surface) - ih(sphere) = (1,4,1) - (1,0,1)
     assert ih_betti(refined, lower_middle(2), kernel_system(spec.degree, spec.table)) == (0, 4, 0)
 
 
 def test_twisted_ih_unknot_kernel_vanishes():
-    y, r, rep, pres = s3_unknot_double_data()
-    spec = BranchedCoverSpec(y, r, rep, pres)
+    y, r, rep = s3_unknot_double_data()
+    spec = BranchedCoverSpec(y, r, rep)
     refined = refine_stratification(y, r)
     assert ih_betti(refined, lower_middle(3), kernel_system(spec.degree, spec.table)) == (0, 0, 0, 0)
     assert ih_betti(refined, lower_middle(3), None) == (1, 0, 0, 1)
@@ -469,8 +469,8 @@ def test_stalk_check_manifold_is_vacuous():
 
 
 def test_stalk_check_unknot_base():
-    y, r, rep, pres = s3_unknot_double_data()
-    spec = BranchedCoverSpec(y, r, rep, pres)
+    y, r, rep = s3_unknot_double_data()
+    spec = BranchedCoverSpec(y, r, rep)
     refined = refine_stratification(y, r)
     res = deligne_stalk_check(refined, lower_middle(3))
     assert res.ok

@@ -100,12 +100,14 @@ def test_pushforward_flat_on_octahedron():
 
 
 def test_trace_split_degree_one():
-    y, r, rep, pres = circle_cover_data(1, (0,))
+    y, r, rep = circle_cover_data(1, (0,))
+    pres = BranchedCoverSpec(y, r, rep).presentation
     assert kernel(pres, rep).rank == 0
 
 
 def test_trace_split_swap():
-    y, r, rep, pres = circle_cover_data(2, (1, 0))
+    y, r, rep = circle_cover_data(2, (1, 0))
+    pres = BranchedCoverSpec(y, r, rep).presentation
     k = kernel(pres, rep)
     assert k.rank == 1
     gen_edge = pres.generators[0]
@@ -137,7 +139,8 @@ def test_trace_split_three_cycle_matrix():
     got = sum_zero_action(perm)
     assert mat_equal(dense(got), expected)
 
-    y, r, rep, pres = circle_cover_data(3, perm)
+    y, r, rep = circle_cover_data(3, perm)
+    pres = BranchedCoverSpec(y, r, rep).presentation
     k = kernel(pres, rep)
     assert k.rank == 2
     assert mat_equal(dense(k.transport(*pres.generators[0])), expected)
@@ -146,7 +149,8 @@ def test_trace_split_three_cycle_matrix():
 def test_trace_epsilon_eta_identity():
     for d in (1, 2, 3, 5):
         perm = tuple((i + 1) % d for i in range(d))
-        y, r, rep, pres = circle_cover_data(d, perm)
+        y, r, rep = circle_cover_data(d, perm)
+        pres = BranchedCoverSpec(y, r, rep).presentation
         assert kernel(pres, rep).rank == d - 1
         comp = matmul(trace_map(d), unit_map(d))
         assert comp == [[d]]
@@ -166,7 +170,8 @@ def test_kernel_is_natural():
     for _ in range(20):
         d = rng.randint(2, 6)
         perm = tuple(rng.sample(range(d), d))
-        y, r, rep, pres = circle_cover_data(d, perm)
+        y, r, rep = circle_cover_data(d, perm)
+        pres = BranchedCoverSpec(y, r, rep).presentation
         proj = kernel_projection(d)
         lhs = matmul(dense(kernel(pres, rep).transport(*pres.generators[0])), proj)
         rhs = matmul(proj, permutation_matrix(perm))
@@ -185,7 +190,8 @@ def test_global_sections_trivial_system():
 
 
 def test_global_sections_swap_kernel_zero():
-    y, r, rep, pres = circle_cover_data(2, (1, 0))
+    y, r, rep = circle_cover_data(2, (1, 0))
+    pres = BranchedCoverSpec(y, r, rep).presentation
     dim, _ = global_sections(hexagon(), kernel(pres, rep))
     assert dim == 0
 
@@ -222,7 +228,8 @@ def test_twisted_circle_sign_system():
 
 
 def test_twisted_circle_cyclic_kernel():
-    y, r, rep, pres = circle_cover_data(3, (1, 2, 0))
+    y, r, rep = circle_cover_data(3, (1, 2, 0))
+    pres = BranchedCoverSpec(y, r, rep).presentation
     assert twisted_betti(hexagon(), kernel(pres, rep)) == (0, 0)
 
 
@@ -233,7 +240,8 @@ def test_twisted_h0_equals_global_sections_on_permutation_systems():
     for _ in range(15):
         d = rng.randint(1, 5)
         perm = tuple(rng.sample(range(d), d))
-        y, r, rep, pres = circle_cover_data(d, perm)
+        y, r, rep = circle_cover_data(d, perm)
+        pres = BranchedCoverSpec(y, r, rep).presentation
         for ls in (pushforward(pres, rep), kernel(pres, rep)):
             dim, _ = global_sections(hexagon(), ls)
             assert twisted_betti(hexagon(), ls)[0] == dim
@@ -252,8 +260,8 @@ def test_restrict():
 
 
 def test_restrict_swap_system_to_punctured_star():
-    y, r, rep, pres = sphere_branched_swap()
-    spec = BranchedCoverSpec(y, r, rep, pres)
+    y, r, rep = sphere_branched_swap()
+    spec = BranchedCoverSpec(y, r, rep)
     push = pushforward_local_system(spec.degree, spec.table)
     tau = spec.branch_simplices()[0]
     p = spec.punctured_star(tau)
@@ -289,7 +297,7 @@ def test_betti_additivity_randomized():
         for _ in range(6):
             d = rng.randint(1, 5)
             rep = MonodromyRep(d, {e: tuple(rng.sample(range(d), d)) for e in pres.generators})
-            spec = BranchedCoverSpec(StratifiedComplex(base), EMPTY_STRATIFIED, rep, pres)
+            spec = BranchedCoverSpec(StratifiedComplex(base), EMPTY_STRATIFIED, rep)
             cover = fox_complete(spec)
             push = pushforward_local_system(spec.degree, spec.table)
             b_total = betti_numbers(cover.total)
@@ -303,7 +311,8 @@ def test_betti_additivity_randomized():
 
 
 def test_pushforward_degree_one_is_trivial_rank_one():
-    y, r, rep, pres = circle_cover_data(1, (0,))
+    y, r, rep = circle_cover_data(1, (0,))
+    pres = BranchedCoverSpec(y, r, rep).presentation
     ls = pushforward(pres, rep)
     assert ls.rank == 1
     for e in pres.complex.simplices_of_dim(1):

@@ -28,13 +28,13 @@ from stalks import StalkCheckEntry, StalkCheckResult
 
 # every record with its fields in order; Perversity validates, so it is tested apart
 RECORDS = {
-    MonodromyRep: ("degree", "assignments"),
+    MonodromyRep: ("degree", "assignments", "basepoint"),
     ConnectivityReport: ("base_failures", "cover_failures", "checked_base", "checked_cover"),
     ConeCheckResult: ("link_ih", "cone_ih", "cutoff", "expected", "mismatches"),
     StalkCheckEntry: ("vertex", "level", "codim", "cutoff", "link_ih", "star_ih",
                       "expected", "mismatches"),
     StalkCheckResult: ("entries",),
-    LoadedSpec: ("base", "branch", "presentation", "monodromy", "perversity"),
+    LoadedSpec: ("base", "branch", "monodromy", "perversity"),
     Stratum: ("level", "dim", "simplices"),
     LocalSystemQ: ("rank", "transports"),
     FiberRow: ("simplex", "orbit_count", "one_plus_invariants", "lift_count"),
@@ -140,6 +140,7 @@ def test_record_builds_positionally_and_by_keyword(cls):
 def test_record_defaults():
     report = DecompositionReport(*_values(DecompositionReport)[:-1])
     assert report.note == NECESSITY_NOTE
+    assert MonodromyRep(2, {}) == MonodromyRep(2, {}, None)  # the least complement vertex
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=IDS)

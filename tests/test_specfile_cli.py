@@ -79,8 +79,8 @@ def test_parse_rejects_bad_assignment_key():
 
 
 def test_roundtrip_circle_cover():
-    y, r, rep, pres = circle_cover_data(3, (1, 2, 0))
-    text = spec_to_text(spec_to_dict(y, r, rep, pres))
+    y, r, rep = circle_cover_data(3, (1, 2, 0))
+    text = spec_to_text(spec_to_dict(y, r, rep))
     loaded = load_spec(parse_spec_text(text))
     spec = loaded.cover_spec()
     assert spec.degree == 3
@@ -443,8 +443,9 @@ def _perversity_list(raw):
 
 
 def _validate_at_degree_zero():
-    y, r, rep, pres = circle_cover_data(2, (1, 0))
-    validate_monodromy(pres, MonodromyRep(0, rep.assignments))
+    y, r, rep = circle_cover_data(2, (1, 0))
+    validate_monodromy(complement_presentation(y.complex, frozenset()),
+                       MonodromyRep(0, rep.assignments))
 
 
 def _punctured_star_off_the_locus():
@@ -462,6 +463,10 @@ INPUT_ERRORS = {
     "descending-key": ("verify", _descending_key, "assignment key '18->10' must be ascending"),
     "perversity-unhashable": ("verify", _perversity_list,
                               "options.perversity must be lower, upper, zero or top"),
+    **{f"branch-{name}": ("verify", lambda raw, value=value: dict(raw, branch=value),
+                          "branch must be a list of simplices")  # each once read as no locus
+       for name, value in (("false", False), ("zero", 0), ("empty-object", {}),
+                           ("empty-string", ""))},
     "validate-degree-zero": ("library", _validate_at_degree_zero, "degree must be at least 1"),
     "punctured-star-off-the-locus": ("library", _punctured_star_off_the_locus,
                                      "[1] is not a simplex of the branch locus"),
@@ -518,39 +523,49 @@ def _golden_with_basepoint(basepoint):
     return raw
 
 
-# case -> spec whose complement cannot be presented
+def _bowtie_branched_at_its_pinch():
+    return {"complex": [[0], [1], [2], [3], [4], [0, 1], [0, 2], [1, 2], [0, 3], [0, 4], [3, 4],
+                        [0, 1, 2], [0, 3, 4]],
+            "branch": [[0]], "monodromy": {"degree": 1, "assignments": {}}}
+
+
+# case -> (spec whose complement cannot be presented, the message)
 BAD_COMPLEMENTS = {
-    "empty": lambda: {"complex": [], "monodromy": {"degree": 1, "assignments": {}}},
-    "disconnected": lambda: {  # a bowtie branched at its pinch vertex
-        "complex": [[0], [1], [2], [3], [4], [0, 1], [0, 2], [1, 2], [0, 3], [0, 4], [3, 4],
-                    [0, 1, 2], [0, 3, 4]],
-        "branch": [[0]], "monodromy": {"degree": 1, "assignments": {}}},
-    "basepoint-on-locus": lambda: _golden_with_basepoint(None),
-    "basepoint-not-a-vertex": lambda: _golden_with_basepoint(999),
+    "empty": (lambda: {"complex": [], "monodromy": {"degree": 1, "assignments": {}}},
+              "complement of the branch locus is empty"),
+    "disconnected": (_bowtie_branched_at_its_pinch,
+                     "complex is not connected: vertex 3 unreachable from 1"),
+    # the locus of sphere-p2-d2 is the vertices 0 and 5
+    "basepoint-on-locus": (lambda: _golden_with_basepoint(None),
+                           "basepoint 0 is not a vertex of the complement of the branch locus"),
+    "basepoint-not-a-vertex": (lambda: _golden_with_basepoint(999),
+                               "basepoint 999 is not a vertex of the complement of the branch "
+                               "locus"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_COMPLEMENTS))
 def test_cover_spec_rejects_bad_complement_as_verify_does(case, tmp_path, capsys):
-    """A library caller presents the complement for its spec with the
-    loader's one builder, so it meets the same error class and message,
-    which `verify` prints in one line."""
-    raw = BAD_COMPLEMENTS[case]()
+    """The loader presents no complement; ``cover_spec()`` presents it with
+    the one builder, so a library caller meets the builder's error class and
+    message, which `verify` prints in one line."""
+    build, message = BAD_COMPLEMENTS[case]
+    raw = build()
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(raw))
     capsys.readouterr()
     rc = main(["verify", str(path)])
     err = capsys.readouterr().err
-    with pytest.raises(InputError) as from_loader:
-        load_spec(parse_spec_text(json.dumps(raw)))
+    with pytest.raises(InputError) as from_spec:
+        load_spec(parse_spec_text(json.dumps(raw))).cover_spec()
     mono = raw.pop("monodromy")
     loaded = load_spec(parse_spec_text(json.dumps(raw)))
-    branch_vertices = frozenset(loaded.branch.complex.vertices) if loaded.branch else ()
-    with pytest.raises(InputError) as from_spec:
-        complement_presentation(loaded.base.complex, branch_vertices, mono.get("basepoint"))
-    assert type(from_spec.value) is type(from_loader.value)
-    assert str(from_spec.value) == str(from_loader.value)
-    assert rc == 1 and err == f"error: {from_spec.value}\n"
+    with pytest.raises(InputError) as from_builder:
+        complement_presentation(loaded.base.complex, frozenset(loaded.branch.complex.vertices),
+                                mono.get("basepoint"))
+    assert type(from_spec.value) is type(from_builder.value)
+    assert str(from_spec.value) == str(from_builder.value) == message
+    assert rc == 1 and err == f"error: {message}\n"
 
 
 def _cycle_spec(n: int, degree: int) -> str:
@@ -563,14 +578,14 @@ def _cycle_spec(n: int, degree: int) -> str:
 
 def test_cover_size_cap_exits_1_before_the_cover_is_built(tmp_path, capsys, monkeypatch):
     """51 edges and 51 vertices at degree 10 000 ask for 1 020 000 simplices."""
-    import branchcover.specfile as specfile
+    import branchcover.covering as covering
     import branchcover.verify as verify
 
     def never(*args):
         raise AssertionError("reached past the cover size check")
 
     monkeypatch.setattr(verify, "fox_complete", never)
-    monkeypatch.setattr(specfile, "complement_presentation", never)
+    monkeypatch.setattr(covering, "complement_presentation", never)
     path = tmp_path / "cycle.json"
     path.write_text(_cycle_spec(51, MAX_DEGREE))
     capsys.readouterr()
@@ -664,6 +679,65 @@ def test_json_too_deep_or_too_long_is_input_error(case, tmp_path, capsys):
 SPEC_COMMANDS = ("generators", "verify", "homology", "twisted", "ih", "fibers", "cone-check")
 
 
+# the commands that read no monodromy, with their arguments after the spec path
+MONODROMY_FREE = (("ih",), ("ih", "--perversity", "upper"), ("homology",), ("cone-check",))
+SWEPT_SPECS = [p for p in sorted(GOLDEN.glob("*.json")) + sorted(GOLDEN.glob("rejected/*.json"))
+               if p.name != "sweep.json"]
+
+
+def _spy_on_the_complement(monkeypatch) -> list:
+    """The arguments of every call of ``covering.complement_presentation``."""
+    import branchcover.covering as covering
+
+    real = covering.complement_presentation
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(covering, "complement_presentation", spy)
+    return calls
+
+
+@pytest.mark.parametrize("path", SWEPT_SPECS, ids=lambda p: p.relative_to(GOLDEN).stem)
+def test_monodromy_free_commands_ignore_the_monodromy_section(path, tmp_path, capsys,
+                                                              monkeypatch):
+    """``ih``, ``homology`` and ``cone-check`` print the same bytes and exit
+    the same with and without the spec's monodromy section, and present no
+    complement, nor any other complex: a fault of the complement is the
+    concern of the commands that build the cover."""
+    from branchcover.presentation import EdgePathPresentation
+
+    raw = json.loads(path.read_text(encoding="utf-8"))
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps({k: v for k, v in raw.items() if k != "monodromy"}))
+    calls = _spy_on_the_complement(monkeypatch)
+    real_init = EdgePathPresentation.__init__
+    presented = []
+
+    def init(self, complex, basepoint):
+        presented.append(basepoint)
+        real_init(self, complex, basepoint)
+
+    monkeypatch.setattr(EdgePathPresentation, "__init__", init)
+    for command, *options in MONODROMY_FREE:
+        runs = []
+        for spec in (path, bare):
+            capsys.readouterr()
+            runs.append((main([command, str(spec), *options]), capsys.readouterr()))
+        assert runs[0] == runs[1], command
+    assert calls == [] and presented == []
+
+
+@pytest.mark.parametrize("name", ["circle-d5", "sphere-p2-d2", "s3-unknot-double"])
+def test_verify_presents_the_complement_once(name, tmp_path, monkeypatch):
+    calls = _spy_on_the_complement(monkeypatch)
+    spec = GOLDEN / f"{name}.json"
+    assert main(["verify", str(spec), "--out", str(tmp_path / "report.txt")]) == 0
+    assert len(calls) == 1
+
+
 def _sphere_with_branch_outside_base(subdivisions: int) -> dict:
     """sphere-p2-d2 at ``subdivisions`` with identity assignments, and the
     vertex [999], which is not in the base, added to its branch locus."""
@@ -706,7 +780,7 @@ def test_cli_verify_and_fibers_name_the_disconnected_punctured_star(tmp_path, ca
     rep = MonodromyRep(1, dict.fromkeys(pres.generators, (0,)))
     branch = StratifiedComplex(SimplicialComplex([(pinch,)]))
     path = tmp_path / "pinched.json"
-    path.write_text(spec_to_text(spec_to_dict(pt, branch, rep, pres)))
+    path.write_text(spec_to_text(spec_to_dict(pt, branch, rep)))
     for command in ("verify", "fibers"):
         capsys.readouterr()
         assert main([command, str(path)]) == 1

@@ -266,7 +266,9 @@ def _dense_systems(pres, rep):
 @given(st.integers(1, 9).flatmap(lambda d: st.permutations(range(d))))
 def test_hexagon_sparse_and_dense_paths_agree(perm):
     d = len(perm)
-    y, r, rep, pres = circle_cover_data(d, tuple(perm))
+    y, r, rep = circle_cover_data(d, tuple(perm))
+    spec = BranchedCoverSpec(y, r, rep)
+    pres = spec.presentation
     base = pres.complex
     push = pushforward(pres, rep)
     k = kernel(pres, rep)
@@ -278,7 +280,7 @@ def test_hexagon_sparse_and_dense_paths_agree(perm):
     assert twisted_betti(base, dense_kernel) == b_kernel
     assert ih_betti(y, None, k) == ih_betti(y, None, dense_kernel) == b_kernel
 
-    cover = fox_complete(BranchedCoverSpec(y, r, rep, pres))
+    cover = fox_complete(spec)
     b_cover = brute_betti(cover.total.all_simplices())
     b_base = brute_betti(base.all_simplices())
     assert b_cover == b_push == tuple(x + k for x, k in zip(b_base, b_kernel))
@@ -294,7 +296,7 @@ def sphere_covers(draw):
     points, p = draw(st.sampled_from(SPHERES))
     d = p + draw(st.integers(0, 9 - p))
     sigma = draw(st.permutations(range(d)))
-    y, r, rep0, pres = sphere_branched_data(points, p)
+    y, r, rep0 = sphere_branched_data(points, p)
     assignments = {}
     for e, g in rep0.assignments.items():
         g = tuple(g) + tuple(range(p, d))
@@ -302,14 +304,15 @@ def sphere_covers(draw):
         for i in range(d):
             conj[sigma[i]] = sigma[g[i]]
         assignments[e] = tuple(conj)
-    return y, r, MonodromyRep(d, assignments), pres
+    return y, r, MonodromyRep(d, assignments, rep0.basepoint)
 
 
 @settings(max_examples=10, deadline=None, derandomize=True)
 @given(sphere_covers())
 def test_sphere_sparse_and_dense_paths_agree(data):
-    y, r, rep, pres = data
-    spec = BranchedCoverSpec(y, r, rep, pres)
+    y, r, rep = data
+    spec = BranchedCoverSpec(y, r, rep)
+    pres = spec.presentation
     push = pushforward(pres, rep)
     dense_push, dense_kernel = _dense_systems(pres, rep)
     assert twisted_betti(spec.complement, push) == twisted_betti(spec.complement, dense_push)

@@ -1,7 +1,9 @@
+import functools
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from branchcover import intersection, simplicial, verify
 from branchcover.cli import main
@@ -23,7 +25,7 @@ from branchcover.fixtures import (
     sphere_branched_data,
 )
 
-from complexes import codim3_vertex_data
+from complexes import codim3_vertex_data, rebased
 from oracles import dense_nullspace
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -34,15 +36,15 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def test_unbranched_trivial_degree_one():
-    y, r, rep, pres = circle_cover_data(1, (0,))
-    report = verify_branched(BranchedCoverSpec(y, r, rep, pres))
+    y, r, rep = circle_cover_data(1, (0,))
+    report = verify_branched(BranchedCoverSpec(y, r, rep))
     assert report.all_equal
     assert report.ih_kernel == (0, 0)
 
 
 def test_unbranched_connected_triple_cover():
-    y, r, rep, pres = circle_cover_data(3, (1, 2, 0))
-    report = verify_branched(BranchedCoverSpec(y, r, rep, pres))
+    y, r, rep = circle_cover_data(3, (1, 2, 0))
+    report = verify_branched(BranchedCoverSpec(y, r, rep))
     assert report.betti_cover == (1, 1)
     assert report.ih_trivial == (1, 1)
     assert report.ih_kernel == (0, 0)
@@ -50,8 +52,8 @@ def test_unbranched_connected_triple_cover():
 
 
 def test_unbranched_disconnected_identity_cover():
-    y, r, rep, pres = circle_cover_data(2, (0, 1))
-    report = verify_branched(BranchedCoverSpec(y, r, rep, pres))
+    y, r, rep = circle_cover_data(2, (0, 1))
+    report = verify_branched(BranchedCoverSpec(y, r, rep))
     assert report.betti_cover == (2, 2)
     assert report.ih_kernel == (1, 1)  # trivial rank-1 kernel
     assert report.all_equal
@@ -82,8 +84,8 @@ def test_unbranched_degree_1000_cli(tmp_path, capsys):
 
 
 def test_branched_genus_two_both_perversities():
-    y, r, rep, pres = sphere_branched_data(6, 2)
-    spec = BranchedCoverSpec(y, r, rep, pres)
+    y, r, rep = sphere_branched_data(6, 2)
+    spec = BranchedCoverSpec(y, r, rep)
     for name in ("lower", "upper"):
         report = verify_branched(spec, name)
         assert report.betti_cover == (1, 4, 1)
@@ -93,8 +95,8 @@ def test_branched_genus_two_both_perversities():
 
 
 def test_branched_cyclic_triple_cover():
-    y, r, rep, pres = sphere_branched_data(3, 3)
-    spec = BranchedCoverSpec(y, r, rep, pres)
+    y, r, rep = sphere_branched_data(3, 3)
+    spec = BranchedCoverSpec(y, r, rep)
     for name in ("lower", "upper"):
         report = verify_branched(spec, name)
         assert report.betti_cover == (1, 2, 1)
@@ -104,8 +106,8 @@ def test_branched_cyclic_triple_cover():
 
 
 def test_branched_unknot_double():
-    y, r, rep, pres = s3_unknot_double_data()
-    spec = BranchedCoverSpec(y, r, rep, pres)
+    y, r, rep = s3_unknot_double_data()
+    spec = BranchedCoverSpec(y, r, rep)
     report = verify_branched(spec, "lower")
     assert report.betti_cover == (1, 0, 0, 1)
     assert report.ih_trivial == (1, 0, 0, 1)
@@ -114,8 +116,8 @@ def test_branched_unknot_double():
 
 
 def test_branched_report_consistency_fields():
-    y, r, rep, pres = sphere_branched_data(4, 2)
-    report = verify_branched(BranchedCoverSpec(y, r, rep, pres), "lower")
+    y, r, rep = sphere_branched_data(4, 2)
+    report = verify_branched(BranchedCoverSpec(y, r, rep), "lower")
     assert report.euler_ok and report.b0_ok and report.manifold_crosscheck_ok
     assert report.betti_base_manifold == (1, 0, 1)
     assert report.fiber.ok
@@ -129,8 +131,8 @@ def test_lower_and_upper_agree_on_fixtures():
     for builder, args in ((sphere_branched_data, (6, 2)),
                           (sphere_branched_data, (3, 3)),
                           (s3_unknot_double_data, ())):
-        y, r, rep, pres = builder(*args)
-        spec = BranchedCoverSpec(y, r, rep, pres)
+        y, r, rep = builder(*args)
+        spec = BranchedCoverSpec(y, r, rep)
         lo = verify_branched(spec, "lower")
         up = verify_branched(spec, "upper")
         assert lo.ih_trivial == up.ih_trivial
@@ -142,8 +144,8 @@ def test_lower_and_upper_agree_on_fixtures():
 
 
 def test_fiber_report_rows():
-    y, r, rep, pres = sphere_branched_data(6, 2)
-    spec = BranchedCoverSpec(y, r, rep, pres)
+    y, r, rep = sphere_branched_data(6, 2)
+    spec = BranchedCoverSpec(y, r, rep)
     cover = fox_complete(spec)
     report = fiber_rank_report(spec, cover)
     assert len(report.rows) == 6
@@ -156,8 +158,8 @@ def test_fiber_report_rows():
 
 
 def test_fiber_report_trivial_local_group():
-    y, r, rep, pres = codim3_vertex_data(3)
-    spec = BranchedCoverSpec(y, r, rep, pres)
+    y, r, rep = codim3_vertex_data(3)
+    spec = BranchedCoverSpec(y, r, rep)
     report = fiber_rank_report(spec, fox_complete(spec))
     (row,) = report.rows
     assert row.orbit_count == 3
@@ -181,23 +183,23 @@ def test_fiber_report_swap_in_higher_degree():
 
 
 def test_codim_check_vertex_in_sphere():
-    y, r, rep, pres = codim3_vertex_data(2)
-    report = codim_check(BranchedCoverSpec(y, r, rep, pres))
+    y, r, rep = codim3_vertex_data(2)
+    report = codim_check(BranchedCoverSpec(y, r, rep))
     assert report.applicable
     assert report.non_minimal
     assert all(card == 2 for (_tau, card) in report.fibers)
 
 
 def test_codim_check_skipped_at_codim_two():
-    y, r, rep, pres = sphere_branched_data(6, 2)
-    report = codim_check(BranchedCoverSpec(y, r, rep, pres))
+    y, r, rep = sphere_branched_data(6, 2)
+    report = codim_check(BranchedCoverSpec(y, r, rep))
     assert not report.applicable
     assert "not applicable" in report.note
 
 
 def test_codim_check_empty_branch():
-    y, r, rep, pres = circle_cover_data(2, (1, 0))
-    report = codim_check(BranchedCoverSpec(y, r, rep, pres))
+    y, r, rep = circle_cover_data(2, (1, 0))
+    report = codim_check(BranchedCoverSpec(y, r, rep))
     assert not report.applicable
     assert "vacuous" in report.note
 
@@ -207,8 +209,8 @@ def test_codim_check_empty_branch():
 
 
 def test_report_serialization_deterministic():
-    y, r, rep, pres = sphere_branched_data(6, 2)
-    spec = BranchedCoverSpec(y, r, rep, pres)
+    y, r, rep = sphere_branched_data(6, 2)
+    spec = BranchedCoverSpec(y, r, rep)
     a = verify_branched(spec, "lower")
     b = verify_branched(spec, "lower")
     assert a.to_json() == b.to_json()
@@ -268,7 +270,7 @@ def _suspension_circle_double_cover():
         rhs.append(1)
     sol = solve_mod_p(rows, rhs, n, 2)
     rep = MonodromyRep(2, {g: cyclic_image(s, 2) for g, s in zip(pres.generators, sol)})
-    return BranchedCoverSpec(y, r, rep, pres)
+    return BranchedCoverSpec(y, r, rep)
 
 
 def test_singular_base_cover_outside_theorem_hypotheses():
@@ -310,7 +312,7 @@ def test_cli_equality_failure_exit_code(tmp_path, monkeypatch, capsys):
     spec = _suspension_circle_double_cover()
     path = tmp_path / "singular.json"
     path.write_text(spec_to_text(spec_to_dict(
-        spec.base, spec.branch, spec.monodromy, spec.presentation)))
+        spec.base, spec.branch, spec.monodromy)))
     assert main(["verify", str(path)]) == 0
     assert "  ih(cover)         = [1, 4, 0, 1]\n" in capsys.readouterr().out
     assert main(["verify", str(path), "--perversity", "upper"]) == 0
@@ -363,8 +365,8 @@ def test_verify_checks_connectivity_before_and_with_the_cover(monkeypatch):
 def test_verify_computes_each_local_monodromy_group_once(monkeypatch):
     from branchcover import covering
 
-    y, r, rep, pres = s3_unknot_double_data()
-    spec = BranchedCoverSpec(y, r, rep, pres)
+    y, r, rep = s3_unknot_double_data()
+    spec = BranchedCoverSpec(y, r, rep)
     real = covering.edge_path_presentation
     computed = []
 
@@ -397,9 +399,10 @@ def test_verify_validates_the_monodromy_once(monkeypatch):
 
     monkeypatch.setattr(covering, "validate_monodromy", spy)
     loaded = load_spec(parse_spec_text(GOLDEN_SPHERE.read_text(encoding="utf-8")))
-    report = verify_branched(loaded.cover_spec(), loaded.perversity)
+    spec = loaded.cover_spec()
+    report = verify_branched(spec, loaded.perversity)
     assert report.all_equal and report.internal_ok
-    assert validated == [loaded.presentation]
+    assert validated == [spec.presentation]
 
 
 def _flip_one_ic_sign(monkeypatch, trivial: bool) -> None:
@@ -550,3 +553,32 @@ def test_unbranched_verify_takes_the_base_homology_once(monkeypatch, capsys):
     assert calls == [(768, 1), (12, 1), (12, 63)]
     golden = GOLDEN_CIRCLE_D64.with_name("verify-circle-d64-seed1.out")
     assert out == golden.read_text(encoding="utf-8")
+
+
+# ---------------------------------------------------------------------------
+# the choice of basepoint
+
+
+# the golden specs with a monodromy, less susp-cover, whose verify alone takes seconds
+REBASED_SPECS = ("circle-d5", "circle-d64-seed1", "s3-unknot-double", "sphere-p2-d2",
+                 "sphere-p3-d3", "sphere-p6-d3", "sphere-p6-d6", "sphere2pt-d31-seed1")
+
+
+@functools.cache
+def _golden_report(name: str):
+    """The loaded golden spec and its verify report as JSON."""
+    loaded = load_spec(parse_spec_text((GOLDEN / f"{name}.json").read_text(encoding="utf-8")))
+    spec = loaded.cover_spec()
+    return loaded, spec.complement.vertices, verify_branched(spec, loaded.perversity).to_json()
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(st.sampled_from(REBASED_SPECS), st.data())
+def test_report_does_not_depend_on_the_basepoint(name, data):
+    """The same monodromy read from any complement vertex gives the same report."""
+    loaded, vertices, report = _golden_report(name)
+    b = data.draw(st.sampled_from(vertices), label="basepoint")
+    rep = rebased(loaded.base, loaded.branch, loaded.monodromy, b)
+    spec = BranchedCoverSpec(loaded.base, loaded.branch, rep)
+    assert spec.presentation.basepoint == b
+    assert verify_branched(spec, loaded.perversity).to_json() == report
