@@ -194,8 +194,7 @@ def cmd_ih(args) -> tuple[str, int]:
 def cmd_fibers(args) -> tuple[str, int]:
     loaded = load_spec(read_spec(args.spec))
     spec = loaded.cover_spec()
-    cover = fox_complete(spec)
-    report = fiber_rank_report(spec, cover)
+    report = fiber_rank_report(fox_complete(spec))
     lines = ["simplex | orbits | 1+invariants | lifts | status"]
     for r in report.rows:
         lines.append(f"{list(r.simplex)} | {r.orbit_count} | {r.one_plus_invariants} "

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
-from itertools import combinations
 
 from .errors import InputError, InternalCheckError
 from .presentation import EdgePathPresentation, edge_path_presentation
 from .simplicial import (
     SimplicialComplex,
     Simplex,
+    closure,
     components,
     connected_components,
     full_subcomplex,
@@ -186,7 +186,7 @@ class BranchedCoverSpec:
     """
 
     __slots__ = ("base", "branch", "complement", "presentation", "monodromy",
-                 "branch_vertices", "_table", "_punctured", "_connected", "_local_groups")
+                 "branch_vertices", "table", "_punctured", "_connected", "_local_groups")
 
     def __init__(self, base: StratifiedComplex, branch: StratifiedComplex,
                  monodromy: MonodromyRep):
@@ -201,7 +201,7 @@ class BranchedCoverSpec:
         self.presentation = presentation
         self.monodromy = monodromy
         self.branch_vertices = branch_vertices
-        self._table = validate_monodromy(presentation, monodromy)
+        self.table = validate_monodromy(presentation, monodromy)
         self._punctured: dict[Simplex, SimplicialComplex] = {}
         self._connected: set[SimplicialComplex] = set()
         self._local_groups: dict[SimplicialComplex, tuple[Perm, ...]] = {}
@@ -209,10 +209,6 @@ class BranchedCoverSpec:
     @property
     def degree(self) -> int:
         return self.monodromy.degree
-
-    @property
-    def table(self) -> dict[tuple[int, int], Perm]:
-        return self._table
 
     def branch_simplices(self) -> tuple[Simplex, ...]:
         return self.branch.complex.all_simplices()
@@ -254,38 +250,18 @@ def _nonempty_connected(c: SimplicialComplex) -> bool:
 
 
 class CoverComplex:
-    """Total complex of a cover with its simplicial projection."""
+    """Total complex of a cover with its simplicial projection and, for each
+    branch simplex, the ascending tuple of its lifts."""
 
-    __slots__ = ("spec", "total", "projection", "_fibers")
+    __slots__ = ("spec", "total", "projection", "fibers")
 
     def __init__(self, spec: BranchedCoverSpec, total: SimplicialComplex,
-                 projection: dict[Simplex, Simplex]):
+                 projection: dict[Simplex, Simplex],
+                 fibers: dict[Simplex, tuple[Simplex, ...]]):
         self.spec = spec
         self.total = total
         self.projection = projection
-        self._fibers: dict[Simplex, tuple[Simplex, ...]] = {}
-
-    def fiber_over(self, base_simplex: Simplex) -> tuple[Simplex, ...]:
-        """The lifts of ``base_simplex``, computed when first asked.
-
-        A lift has one vertex over each vertex of its base simplex, so the
-        lifts of a simplex are read off the cofaces of the vertices over its
-        first vertex; those are read off the cover's vertices.
-        """
-        base_simplex = tuple(base_simplex)
-        fiber = self._fibers.get(base_simplex)
-        if fiber is None:
-            projection = self.projection
-            if len(base_simplex) == 1:
-                lifts = (s for s in self.total.simplices_of_dim(0)
-                         if projection[s] == base_simplex)
-            else:
-                n = len(base_simplex)
-                lifts = (lift for (v,) in self.fiber_over(base_simplex[:1])
-                         for lift in self.total.cofaces_of_vertex(v)
-                         if len(lift) == n and projection[lift] == base_simplex)
-            fiber = self._fibers[base_simplex] = tuple(sorted(lifts))
-        return fiber
+        self.fibers = fibers
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +322,8 @@ def fox_complete(spec: BranchedCoverSpec) -> CoverComplex:
     branch simplex are the connected components of the preimage of its
     punctured star; incidence between lifts follows component containment.
     With an empty locus this is the unbranched cover of the base.  The
-    cover keeps one map, ``projection``, from each lift to its simplex.
+    cover keeps ``projection``, from each lift to its simplex, and
+    ``fibers``, from each branch simplex to its lifts.
     Fails if a punctured star is disconnected (local-flatness shadow) or
     if two lifts collide as vertex sets (insufficient subdivision).
     """
@@ -386,7 +363,7 @@ def fox_complete(spec: BranchedCoverSpec) -> CoverComplex:
 
     projection: dict[Simplex, Simplex] = {}
 
-    def register(lift_ids: Iterable[int], base_simplex: Simplex) -> None:
+    def register(lift_ids: Iterable[int], base_simplex: Simplex) -> Simplex:
         # A lift has one vertex over each vertex of its simplex, so lifts of
         # different simplices differ, and the d lifts of a simplex off the
         # locus differ in their anchor's sheet: only two lifts of one branch
@@ -397,13 +374,15 @@ def fox_complete(spec: BranchedCoverSpec) -> CoverComplex:
                 f"lifts of {list(projection[lift])} and {list(base_simplex)} share the vertex set "
                 f"{list(lift)}; subdivide the base")
         projection[lift] = base_simplex
+        return lift
 
+    fibers: dict[Simplex, tuple[Simplex, ...]] = {}
     for sig in y.all_simplices():
         sig_k = tuple(v for v in sig if v not in branch_vertices)
         sig_r = tuple(v for v in sig if v in branch_vertices)
         if not sig_k:
-            for comp in preimage_components(sig):
-                register([over[w][comp[0]] for w in sig], sig)
+            fibers[sig] = tuple(sorted(register([over[w][comp[0]] for w in sig], sig)
+                                       for comp in preimage_components(sig)))
             continue
         anchor = sig_k[0]
         for s in range(d):
@@ -415,7 +394,7 @@ def fox_complete(spec: BranchedCoverSpec) -> CoverComplex:
                 ids.append(over[w][rep])
             register(ids, sig)
 
-    return CoverComplex(spec, SimplicialComplex(projection.keys()), projection)
+    return CoverComplex(spec, SimplicialComplex(projection.keys()), projection, fibers)
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +417,7 @@ class ConnectivityReport(namedtuple(
         return not self.base_failures and not self.cover_failures
 
 
-def complement_connectivity_check(spec: BranchedCoverSpec,
-                                  cover: CoverComplex) -> ConnectivityReport:
+def complement_connectivity_check(cover: CoverComplex) -> ConnectivityReport:
     """Verify star(tau) minus the locus is non-empty and connected for every
     branch simplex tau, and star(lift) minus the vertices over the locus
     for every lift of every branch simplex.
@@ -449,11 +427,12 @@ def complement_connectivity_check(spec: BranchedCoverSpec,
     :func:`fox_complete` they cost nothing.  A failure upstairs is
     reported, not raised.
     """
+    spec = cover.spec
     taus = spec.branch_simplices()
     for tau in taus:
         spec.punctured_star(tau)
-    over_locus = {v for w in spec.branch_vertices for (v,) in cover.fiber_over((w,))}
-    lifts = [lift for tau in taus for lift in cover.fiber_over(tau)]
+    over_locus = {v for w in spec.branch_vertices for (v,) in cover.fibers[(w,)]}
+    lifts = [lift for tau in taus for lift in cover.fibers[tau]]
     cover_failures = tuple(lift for lift in lifts if not _nonempty_connected(
         _punctured_star(cover.total, lift, over_locus)))
     return ConnectivityReport((), cover_failures, len(taus), len(lifts))
@@ -516,16 +495,8 @@ def refine_stratification(base: StratifiedComplex, branch: StratifiedComplex) ->
         pieces.setdefault((y_stratum[s], r_stratum[s]), []).append(s)
 
     piece_dim = {key: max(len(s) - 1 for s in group) for key, group in pieces.items()}
-    singular = []
-    for j in range(m - 2, -1, -1):
-        closed: set[Simplex] = set()
-        for key, group in pieces.items():
-            if piece_dim[key] <= j:
-                for s in group:
-                    closed.add(s)
-                    for k in range(1, len(s)):
-                        closed.update(combinations(s, k))
-        singular.append(SimplicialComplex(closed))
+    singular = [closure(s for key, group in pieces.items() if piece_dim[key] <= j for s in group)
+                for j in range(m - 2, -1, -1)]
     return StratifiedComplex(y, singular)
 
 

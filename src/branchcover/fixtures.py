@@ -18,7 +18,7 @@ import json
 from .errors import InputError
 from .covering import MonodromyRep, complement_presentation
 from .presentation import EdgePathPresentation, edge_path_presentation
-from .simplicial import SimplicialComplex, Simplex, connected_components
+from .simplicial import SimplicialComplex, Simplex, closure, connected_components
 from .stratified import EMPTY_STRATIFIED, StratifiedComplex
 
 
@@ -57,7 +57,7 @@ def octahedron() -> SimplicialComplex:
     """Boundary of the octahedron; antipodal vertex pairs (0,5), (1,3), (2,4)."""
     faces = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 1, 4),
              (1, 2, 5), (2, 3, 5), (3, 4, 5), (1, 4, 5)]
-    return _closure(faces)
+    return closure(faces)
 
 
 def torus7() -> SimplicialComplex:
@@ -66,7 +66,7 @@ def torus7() -> SimplicialComplex:
     for i in range(7):
         faces.append(tuple(sorted((i, (i + 1) % 7, (i + 3) % 7))))
         faces.append(tuple(sorted((i, (i + 2) % 7, (i + 3) % 7))))
-    return _closure(faces)
+    return closure(faces)
 
 
 def boundary_simplex(n: int) -> SimplicialComplex:
@@ -75,16 +75,6 @@ def boundary_simplex(n: int) -> SimplicialComplex:
     verts = range(n + 1)
     return SimplicialComplex(
         s for k in range(1, n + 1) for s in combinations(verts, k))
-
-
-def _closure(top: list[Simplex]) -> SimplicialComplex:
-    from itertools import combinations
-    out = set()
-    for s in top:
-        s = tuple(sorted(s))
-        for k in range(1, len(s) + 1):
-            out.update(combinations(s, k))
-    return SimplicialComplex(out)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ class SimplicialComplex:
     malformed data instead of silently repairing it.
     """
 
-    __slots__ = ("_simplices", "_by_dim", "_hash", "_vertices", "_maximal", "_cofaces")
+    __slots__ = ("_simplices", "_by_dim", "_vertices", "_cofaces")
 
     def __init__(self, simplices: Iterable[Simplex]):
         if isinstance(simplices, (set, frozenset)):
@@ -53,8 +53,6 @@ class SimplicialComplex:
                 raise ValueError(f"not face-closed: {s} lacks face {facet}")
         self._simplices = simps
         self._vertices = tuple(v for (v,) in self._by_dim.get(0, ()))
-        self._hash = hash(simps)
-        self._maximal = None
         self._cofaces = None
 
     @property
@@ -87,16 +85,14 @@ class SimplicialComplex:
         the facets are struck from a set of the d-simplices as they are
         made, so none of them is kept.
         """
-        if self._maximal is None:
-            out: list[Simplex] = []
-            for d, simps in self._by_dim.items():
-                if d + 1 in self._by_dim:
-                    free = set(simps)
-                    free.difference_update(_facets(self._by_dim[d + 1], d + 1))
-                    simps = filter(free.__contains__, simps)
-                out.extend(simps)
-            self._maximal = tuple(out)
-        return self._maximal
+        out: list[Simplex] = []
+        for d, simps in self._by_dim.items():
+            if d + 1 in self._by_dim:
+                free = set(simps)
+                free.difference_update(_facets(self._by_dim[d + 1], d + 1))
+                simps = filter(free.__contains__, simps)
+            out.extend(simps)
+        return tuple(out)
 
     def cofaces_of_vertex(self, v: int) -> list[Simplex]:
         """The simplices containing vertex ``v``, from an index built once."""
@@ -115,7 +111,7 @@ class SimplicialComplex:
         return isinstance(other, SimplicialComplex) and self._simplices == other._simplices
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self._simplices)
 
     def __repr__(self) -> str:
         counts = ",".join(str(self.n_simplices(d)) for d in range(self.dim + 1))
@@ -177,6 +173,12 @@ def is_full(c: SimplicialComplex, sub: SimplicialComplex) -> bool:
     return all(map(sub.simplices.__contains__, on_vertices))
 
 
+def closure(simplices: Iterable[Simplex]) -> SimplicialComplex:
+    """Every face of the given ascending simplices."""
+    return SimplicialComplex({face for s in simplices
+                              for k in range(1, len(s) + 1) for face in combinations(s, k)})
+
+
 def star(c: SimplicialComplex, simplex: Simplex) -> SimplicialComplex:
     """Closed star: the closure of all cofaces of ``simplex``.
 
@@ -185,13 +187,7 @@ def star(c: SimplicialComplex, simplex: Simplex) -> SimplicialComplex:
     s = tuple(simplex)
     if s not in c.simplices:
         raise InputError(f"{list(s)} is not a simplex of the complex")
-    sset = set(s)
-    out: set[Simplex] = set()
-    for tau in c.cofaces_of_vertex(s[0]):
-        if sset <= set(tau):
-            for k in range(1, len(tau) + 1):
-                out.update(combinations(tau, k))
-    return SimplicialComplex(out)
+    return closure(filter(set(s).issubset, c.cofaces_of_vertex(s[0])))
 
 
 def connected_components(nodes: Iterable[Hashable],

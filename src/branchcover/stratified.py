@@ -39,7 +39,7 @@ class StratifiedComplex:
     simplex must have dimension m and lie outside X_{m-2}.
     """
 
-    __slots__ = ("complex", "levels", "_full", "_strata")
+    __slots__ = ("complex", "levels")
 
     def __init__(self, complex: SimplicialComplex,
                  singular_levels: Sequence[SimplicialComplex] = ()):
@@ -74,8 +74,6 @@ class StratifiedComplex:
 
         self.complex = complex
         self.levels = tuple(levels)
-        self._full = None
-        self._strata = None
 
     @property
     def dim(self) -> int:
@@ -105,8 +103,6 @@ class StratifiedComplex:
         the difference, so codimension-1 adjacency suffices.  Pieces list
         their simplices in (dimension, vertices) order.
         """
-        if self._strata is not None:
-            return self._strata
         table = {s: self.dim for s in self.complex.simplices}  # smallest level holding s
         for j in range(self.dim - 1, -1, -1):
             table.update(dict.fromkeys(self.levels[j].simplices, j))
@@ -117,17 +113,14 @@ class StratifiedComplex:
                       for f in combinations(s, len(s) - 1) if table[f] == j)
             out.extend(Stratum(level=j, dim=len(piece[-1]) - 1, simplices=tuple(piece))
                        for piece in connected_components(nodes, facets))
-        self._strata = tuple(out)
-        return self._strata
+        return tuple(out)
 
     def full_check(self) -> None:
         """Raise InputError unless every level is full in the complex."""
-        if self._full is None:
-            bad = [j for j in range(self.dim) if not is_full(self.complex, self.levels[j])]
-            self._full = tuple(bad)
-        if self._full:
+        bad = [j for j in range(self.dim) if not is_full(self.complex, self.levels[j])]
+        if bad:
             raise InputError(
-                f"filtration levels {list(self._full)} are not full subcomplexes; "
+                f"filtration levels {bad} are not full subcomplexes; "
                 "raise the spec's \"subdivisions\" option (2 always suffices)")
 
 

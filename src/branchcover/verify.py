@@ -26,6 +26,7 @@ from .covering import (
     refine_stratification,
     riemann_hurwitz_check,
 )
+from .errors import InternalCheckError
 from .intersection import ih_betti, perversity_by_name
 from .local_systems import invariant_dimension, kernel_system, sum_zero_action
 from .simplicial import betti_numbers, components
@@ -58,11 +59,12 @@ class FiberReport(namedtuple("FiberReport", "rows")):
         return all(r.ok for r in self.rows)
 
 
-def fiber_rank_report(spec: BranchedCoverSpec, cover: CoverComplex) -> FiberReport:
+def fiber_rank_report(cover: CoverComplex) -> FiberReport:
     """Orbit counts, 1 + invariants of the kernel system and lift counts, row by row.
 
     A mismatch indicates an implementation bug, never acceptable input.
     """
+    spec = cover.spec
     d = spec.degree
     rows = []
     for tau in spec.branch_simplices():
@@ -70,7 +72,7 @@ def fiber_rank_report(spec: BranchedCoverSpec, cover: CoverComplex) -> FiberRepo
         orbits = orbit_count(gens, d)
         kernel_mats = [sum_zero_action(g) for g in gens]
         inv = invariant_dimension(kernel_mats, d - 1)
-        rows.append(FiberRow(tau, orbits, 1 + inv, len(cover.fiber_over(tau))))
+        rows.append(FiberRow(tau, orbits, 1 + inv, len(cover.fibers[tau])))
     return FiberReport(tuple(rows))
 
 
@@ -160,6 +162,14 @@ class DecompositionReport(namedtuple(
         return "\n".join(lines) + "\n"
 
 
+def _stage(name: str, homology, *args) -> tuple[int, ...]:
+    """``homology(*args)``, a failed internal check in it naming the report's ``name``."""
+    try:
+        return homology(*args)
+    except InternalCheckError as exc:
+        raise InternalCheckError(f"{exc}, in {name}") from None
+
+
 def verify_branched(spec: BranchedCoverSpec, perversity: str = "lower") -> DecompositionReport:
     """Build the cover, refine the stratification and compare ranks.
 
@@ -174,20 +184,22 @@ def verify_branched(spec: BranchedCoverSpec, perversity: str = "lower") -> Decom
 
     cover = fox_complete(spec)
     euler_cover = riemann_hurwitz_check(cover)
-    b_cover = betti_numbers(cover.total)
+    b_cover = _stage("b(cover)", betti_numbers, cover.total)
 
     refined = refine_stratification(spec.base, spec.branch)
     pullback = pullback_stratification(cover, refined)
 
     # with no singular simplex upstairs every chain is allowable
-    ih_cover = ih_betti(pullback, p) if pullback.singular_set.n_simplices() else b_cover
-    ih_trivial = ih_betti(refined, p, None)
-    ih_kernel = ih_betti(refined, p, kernel_system(spec.degree, spec.table))
+    ih_cover = (_stage("ih(cover)", ih_betti, pullback, p)
+                if pullback.singular_set.n_simplices() else b_cover)
+    ih_trivial = _stage("ih(base; trivial)", ih_betti, refined, p, None)
+    kernel = kernel_system(spec.degree, spec.table)
+    ih_kernel = _stage("ih(base; kernel)", ih_betti, refined, p, kernel)
 
     equal = tuple(ih_cover[j] == ih_trivial[j] + ih_kernel[j] for j in range(m + 1))
 
-    fiber = fiber_rank_report(spec, cover)
-    connectivity = complement_connectivity_check(spec, cover)
+    fiber = fiber_rank_report(cover)
+    connectivity = complement_connectivity_check(cover)
 
     euler_ok = sum((-1) ** j * b_cover[j] for j in range(m + 1)) == euler_cover
 
@@ -199,7 +211,8 @@ def verify_branched(spec: BranchedCoverSpec, perversity: str = "lower") -> Decom
     if spec.base.singular_set.n_simplices() == 0:
         # with no locus the refined stratification is the base itself, and
         # ih_trivial is already its homology: the cross-check holds vacuously
-        b_base_manifold = ih_trivial if refined is spec.base else betti_numbers(spec.base.complex)
+        b_base_manifold = (ih_trivial if refined is spec.base
+                           else _stage("b(base)", betti_numbers, spec.base.complex))
         manifold_ok = tuple(ih_trivial) == tuple(b_base_manifold) and ih_cover == b_cover
 
     strat_levels = tuple((j, refined.levels[j].n_simplices()) for j in range(m + 1))

@@ -3,9 +3,9 @@
 The package's own fixtures (``branchcover.fixtures``) are the ones the
 ``fixture`` command writes; these are extra bases, a stratified
 subdivision, the constant system, the restriction of a system, a
-codimension-3 spec, a monodromy moved to another basepoint, links and
-oriented vertex links, and the GF(p) elimination that draws random cyclic
-monodromy classes for the tests.
+codimension-3 spec, a monodromy moved to another basepoint, the
+suspension of a spec, links and oriented vertex links, and the GF(p)
+elimination that draws random cyclic monodromy classes for the tests.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from branchcover.covering import (
     validate_monodromy,
 )
 from branchcover.errors import InputError
-from branchcover.fixtures import _closure, boundary_simplex, cycle_complex
+from branchcover.fixtures import boundary_simplex, cycle_complex, spec_to_dict
 from branchcover.local_systems import (
     LocalSystemQ,
     kernel_system,
@@ -29,7 +29,14 @@ from branchcover.local_systems import (
     pushforward_local_system,
 )
 from branchcover.presentation import EdgePathPresentation
-from branchcover.simplicial import Simplex, SimplicialComplex, barycentric_subdivide_complex, star
+from branchcover.simplicial import (
+    Simplex,
+    SimplicialComplex,
+    barycentric_subdivide_complex,
+    closure,
+    star,
+)
+from branchcover.specfile import LoadedSpec
 from branchcover.stratified import StratifiedComplex, subdivide_with_subcomplexes
 
 
@@ -95,9 +102,35 @@ def rebased(base: StratifiedComplex, branch: StratifiedComplex, rep: MonodromyRe
                             for u, v in pres.generators}, basepoint)
 
 
+def suspended(loaded: LoadedSpec) -> dict:
+    """The spec, as a file writes it, of the suspension of a loaded spec.
+
+    The subdivided base, the branch locus and each of their singular
+    levels are suspended over the same two new apexes, so both apexes lie
+    in the locus; a stratified complex with singular levels also gets the
+    apexes as a new level 0.  The apexes are branch vertices, so
+    the complement, its presentation and the assignment keys are unchanged,
+    and the monodromy is kept; a full subcomplex stays full under
+    suspension, so the spec asks for no subdivision.
+    """
+    north = max(loaded.base.complex.vertices) + 1
+    apexes = SimplicialComplex(((north,), (north + 1,)))
+
+    def join(c: SimplicialComplex) -> SimplicialComplex:
+        return SimplicialComplex({*c.simplices, *apexes.simplices,
+                                  *(s + a for s in c.simplices for a in apexes.simplices)})
+
+    def suspend(sc: StratifiedComplex) -> StratifiedComplex:
+        levels = [join(sc.levels[j]) for j in range(sc.dim - 2, -1, -1)]
+        return StratifiedComplex(join(sc.complex),
+                                 levels + [apexes] if sc.singular_set.n_simplices() else [])
+
+    return spec_to_dict(suspend(loaded.base), suspend(loaded.branch), loaded.monodromy)
+
+
 def full_simplex(n: int) -> SimplicialComplex:
     """The solid n-simplex on vertices 0..n."""
-    return _closure([tuple(range(n + 1))])
+    return closure([tuple(range(n + 1))])
 
 
 def figure_eight() -> SimplicialComplex:
@@ -109,11 +142,11 @@ def figure_eight() -> SimplicialComplex:
 
 def theta_graph() -> SimplicialComplex:
     """Two vertices joined by three arcs of length 2."""
-    return _closure([(0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (1, 4)])
+    return closure([(0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (1, 4)])
 
 
 def k4_graph() -> SimplicialComplex:
-    return _closure(list(combinations(range(4), 2)))
+    return closure(list(combinations(range(4), 2)))
 
 
 def annulus() -> SimplicialComplex:
@@ -121,9 +154,9 @@ def annulus() -> SimplicialComplex:
     faces = []
     for i in range(6):
         j = (i + 1) % 6
-        faces.append((i, j, 6 + i))
-        faces.append((j, 6 + i, 6 + j))
-    return _closure(faces)
+        faces.append(tuple(sorted((i, j, 6 + i))))
+        faces.append(tuple(sorted((j, 6 + i, 6 + j))))
+    return closure(faces)
 
 
 def link(c: SimplicialComplex, simplex: Simplex) -> SimplicialComplex:

@@ -267,6 +267,16 @@ def sheet_cover(spec) -> dict:
     return lifts
 
 
+def fibers_by_projection(projection, taus) -> dict:
+    """Each simplex of ``taus`` -> the ascending tuple of the lifts that
+    ``projection`` maps onto it, by inverting the map."""
+    lifts = {tau: [] for tau in taus}
+    for s, tau in projection.items():
+        if tau in lifts:
+            lifts[tau].append(s)
+    return {tau: tuple(sorted(over)) for tau, over in lifts.items()}
+
+
 def suspension_ih_oracle(link_ih, cutoff):
     """IH of a suspension from the cone formula via Mayer-Vietoris.
 

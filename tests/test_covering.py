@@ -1,5 +1,6 @@
 import functools
 import random
+from collections import Counter
 import re
 from pathlib import Path
 from types import SimpleNamespace
@@ -51,6 +52,7 @@ from oracles import (
     RelatorViolatedMatrix,
     RepresentationQ,
     brute_star,
+    fibers_by_projection,
     orbits_of,
     permutation_matrix,
     riemann_hurwitz_chi,
@@ -236,8 +238,7 @@ def test_component_count_equals_orbits_randomized():
         cover = fox_complete(BranchedCoverSpec(y, r, rep))
         assert len(components(cover.total)) == len(orbits_of([perm], d))
         # covering property: d simplices over every base simplex
-        for s in y.complex.all_simplices():
-            assert len(cover.fiber_over(s)) == d
+        assert Counter(cover.projection.values()) == dict.fromkeys(y.complex.all_simplices(), d)
 
 
 def test_cover_star_injectivity():
@@ -342,29 +343,19 @@ def test_unknot_double_cover_is_sphere():
     assert betti_numbers(cover.total) == (1, 0, 0, 1)
     for tau in spec.branch_simplices():
         assert fiber_cardinality(spec, tau) == 1
-        assert len(cover.fiber_over(tau)) == 1
+        assert len(cover.fibers[tau]) == 1
 
 
-def test_fibers_are_read_for_the_simplices_asked(monkeypatch):
-    """Verify asks for the fibers of the branch simplices, and the cover
-    holds those fibers only, each the lifts that project onto it."""
-    from branchcover import verify
-    covers = []
+MONODROMY_SPECS = [p for p in GOLDEN_SPECS if '"monodromy"' in p.read_text(encoding="utf-8")]
 
-    def spy(spec):
-        covers.append(fox_complete(spec))
-        return covers[-1]
 
-    monkeypatch.setattr(verify, "fox_complete", spy)
-    loaded = load_spec(parse_spec_text(
-        (GOLDEN / "susp-cover-seed1.json").read_text(encoding="utf-8")))
-    spec = loaded.cover_spec()
-    verify.verify_branched(spec, loaded.perversity)
-    cover, = covers
-    assert set(cover._fibers) == set(spec.branch_simplices()) and len(cover._fibers) == 16
-    for tau, fiber in cover._fibers.items():
-        assert fiber == tuple(sorted(s for s in cover.total.simplices if cover.projection[s] == tau))
-    assert cover.fiber_over((10**6,)) == ()
+@pytest.mark.parametrize("path", MONODROMY_SPECS, ids=lambda p: p.stem)
+def test_cover_records_the_lifts_of_each_branch_simplex(path):
+    """The cover's fibers are keyed by the branch simplices alone, each the
+    ascending tuple of the lifts that the projection maps onto it."""
+    spec = load_spec(parse_spec_text(path.read_text(encoding="utf-8"))).cover_spec()
+    cover = fox_complete(spec)
+    assert cover.fibers == fibers_by_projection(cover.projection, spec.branch_simplices())
 
 
 @pytest.mark.parametrize("name, stars", [("susp-cover-seed1", 8), ("s3-unknot-double", 6)])
@@ -409,7 +400,7 @@ def test_connectivity_check_passes_on_sphere_fixture():
     y, r, rep = sphere_branched_data(6, 2)
     spec = BranchedCoverSpec(y, r, rep)
     cover = fox_complete(spec)
-    report = complement_connectivity_check(spec, cover)
+    report = complement_connectivity_check(cover)
     assert report.ok
     assert report.checked_base == 6
     assert report.checked_cover == 6
@@ -420,7 +411,7 @@ def test_connectivity_check_passes_on_unknot():
     # hands out only connected ones
     y, r, rep = s3_unknot_double_data()
     spec = BranchedCoverSpec(y, r, rep)
-    report = complement_connectivity_check(spec, fox_complete(spec))
+    report = complement_connectivity_check(fox_complete(spec))
     assert report.ok and report.checked_base == 12 and report.checked_cover == 12
     assert report.base_failures == ()
 
@@ -474,7 +465,7 @@ def test_star_of_every_lift_and_branch_simplex_matches_brute_star(name, monkeypa
         spec = BranchedCoverSpec(*data)
     cover = fox_complete(spec)
     pairs = [(cover.total, lift) for tau in spec.branch_simplices()
-             for lift in cover.fiber_over(tau)]
+             for lift in cover.fibers[tau]]
     assert pairs
     pairs += [(spec.base.complex, tau) for tau in spec.branch_simplices()]
     for c, s in pairs:

@@ -11,6 +11,7 @@ from branchcover.simplicial import (
     _boundary_columns,
     barycentric_subdivide_complex,
     betti_numbers,
+    closure,
     components,
     connected_components,
     full_subcomplex,
@@ -125,6 +126,13 @@ def test_constructor_does_not_depend_on_the_form_of_its_input(simps, rnd):
             outcomes.append((tuple(c.simplices_of_dim(d) for d in range(c.dim + 1)),
                              c.vertices, c.maximal_simplices(), hash(c), c))
     assert all(outcome == outcomes[0] for outcome in outcomes[1:])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(st.frozensets(st.integers(0, 6), min_size=1, max_size=4), max_size=6))
+def test_closure_matches_close_faces(facets):
+    simplices = [tuple(sorted(f)) for f in facets]
+    assert closure(iter(simplices)).all_simplices() == tuple(close_faces(simplices))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

@@ -22,11 +22,13 @@ from branchcover.commands import codim_check
 from branchcover.fixtures import (
     circle_cover_data,
     s3_unknot_double_data,
+    spec_to_text,
     sphere_branched_data,
 )
+from branchcover.intersection import perversity_by_name
 
-from complexes import codim3_vertex_data, rebased
-from oracles import dense_nullspace
+from complexes import codim3_vertex_data, rebased, suspended
+from oracles import dense_nullspace, fibers_by_projection, suspension_ih_oracle
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -147,7 +149,7 @@ def test_fiber_report_rows():
     y, r, rep = sphere_branched_data(6, 2)
     spec = BranchedCoverSpec(y, r, rep)
     cover = fox_complete(spec)
-    report = fiber_rank_report(spec, cover)
+    report = fiber_rank_report(cover)
     assert len(report.rows) == 6
     for row in report.rows:
         assert row.orbit_count == 1
@@ -160,7 +162,7 @@ def test_fiber_report_rows():
 def test_fiber_report_trivial_local_group():
     y, r, rep = codim3_vertex_data(3)
     spec = BranchedCoverSpec(y, r, rep)
-    report = fiber_rank_report(spec, fox_complete(spec))
+    report = fiber_rank_report(fox_complete(spec))
     (row,) = report.rows
     assert row.orbit_count == 3
     assert row.one_plus_invariants == 3  # 1 + 2-dimensional invariants
@@ -381,7 +383,7 @@ def test_verify_computes_each_local_monodromy_group_once(monkeypatch):
     stars = {spec.punctured_star(tau) for tau in spec.branch_simplices()}
     assert len(report.fiber.rows) == 12
     assert len(computed) == len(set(computed)) == len(stars) == 6
-    fiber_rank_report(spec, fox_complete(spec))  # a later caller reads the cache
+    fiber_rank_report(fox_complete(spec))  # a later caller reads the cache
     assert len(computed) == 6
 
 
@@ -458,32 +460,41 @@ def test_verify_catches_corrupted_ic_boundary(monkeypatch, capsys, trivial):
 GOLDEN_S3 = Path(__file__).resolve().parent / "golden" / "s3-unknot-double.json"
 
 
-@pytest.mark.parametrize("degree", [1, 2, 3])
-def test_verify_catches_corrupted_boundary_in_every_degree(monkeypatch, capsys, degree):
-    """A sign flipped in one boundary column of each degree exits 3 in one line.
+@pytest.mark.parametrize("degree, rank", [(1, 1), (2, 1), (3, 1), (2, 2)],
+                         ids=["1", "2", "3", "kernel"])
+def test_verify_catches_corrupted_boundary_in_every_degree(monkeypatch, capsys, degree, rank):
+    """A sign flipped in one boundary column of each degree exits 3 in one
+    line that names the failing homology of the report.
 
-    The cover of this spec has dimension 3, so degree 3 is the boundary
-    whose rank is taken last.  d_{j-1} d_j = 0 is checked on the whole of
-    A^{j-1} before its rank consumes it; a flipped column of degree j >= 2
-    breaks the check of its own degree, one of degree 1 the check of
-    degree 2, since d_0 = 0.
+    The cover of s3-unknot-double has dimension 3, so degree 3 is the
+    boundary whose rank is taken last.  d_{j-1} d_j = 0 is checked on the
+    whole of A^{j-1} before its rank consumes it; a flipped column of
+    degree j >= 2 breaks the check of its own degree, one of degree 1 the
+    check of degree 2, since d_0 = 0.  Every homology is corrupted, so the
+    first, the cover's, fails.  Corrupting only the columns of ``rank`` 2
+    or more reaches the kernel system alone, of rank 2 on the degree-3
+    sphere-p3-d3.  The flipped column is the one whose rows are least, so
+    that in intersection homology all its faces are allowable and it is
+    a chain on its own.
     """
     real_columns = simplicial._boundary_columns
 
-    def corrupted_columns(simplices, *args):
-        cols = real_columns(simplices, *args)
-        if simplices and len(simplices[0]) == degree + 1:
-            k = min(cols[0])
-            cols[0][k] = -cols[0][k]
+    def corrupted_columns(simplices, rows, coefficients, *args):
+        cols = real_columns(simplices, rows, coefficients, *args)
+        if simplices and len(simplices[0]) == degree + 1 and coefficients >= rank:
+            col = min(cols, key=max)
+            k = min(col)
+            col[k] = -col[k]
         return cols
 
     monkeypatch.setattr(simplicial, "_boundary_columns", corrupted_columns)
     capsys.readouterr()
-    assert main(["verify", str(GOLDEN_S3), "--format", "json"]) == 3
+    spec, stage = (GOLDEN_S3, "b(cover)") if rank == 1 else (GOLDEN_SPHERE, "ih(base; kernel)")
+    assert main(["verify", str(spec), "--format", "json"]) == 3
     out, err = capsys.readouterr()
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("internal check failed: ")
-    assert f"degree {max(degree, 2)} " in err
+    assert f"degree {max(degree, 2)} " in err and err.endswith(f", in {stage}\n")
 
 
 def test_cli_writes_the_report_when_an_internal_check_fails(monkeypatch, capsys):
@@ -491,10 +502,10 @@ def test_cli_writes_the_report_when_an_internal_check_fails(monkeypatch, capsys)
     real = verify.complement_connectivity_check
     failed = []
 
-    def one_cover_failure(spec, cover):
-        lift = cover.fiber_over(spec.branch_simplices()[0])[0]
+    def one_cover_failure(cover):
+        lift = cover.fibers[cover.spec.branch_simplices()[0]][0]
         failed.append(lift)
-        return real(spec, cover)._replace(cover_failures=(lift,))
+        return real(cover)._replace(cover_failures=(lift,))
 
     monkeypatch.setattr(verify, "complement_connectivity_check", one_cover_failure)
     capsys.readouterr()
@@ -518,7 +529,8 @@ def test_cli_exits_3_when_the_cover_breaks_riemann_hurwitz(monkeypatch, capsys):
         top = cover.total.simplices_of_dim(cover.total.dim)[0]
         total = SimplicialComplex(s for s in cover.total.all_simplices() if s != top)
         projection = {s: b for s, b in cover.projection.items() if s != top}
-        return CoverComplex(spec, total, projection)
+        fibers = fibers_by_projection(projection, spec.branch_simplices())
+        return CoverComplex(spec, total, projection, fibers)
 
     monkeypatch.setattr(verify, "fox_complete", drop_one_top_simplex)
     capsys.readouterr()
@@ -582,3 +594,35 @@ def test_report_does_not_depend_on_the_basepoint(name, data):
     spec = BranchedCoverSpec(loaded.base, loaded.branch, rep)
     assert spec.presentation.basepoint == b
     assert verify_branched(spec, loaded.perversity).to_json() == report
+
+
+# ---------------------------------------------------------------------------
+# suspension
+
+
+# s3-unknot-double at every perversity; susp-cover, whose suspension has the
+# one codimension-4 stratum, where p(4) is 0, 1 and 2 (upper agrees with
+# lower there: they differ only in odd codimension)
+SUSPENDED = ([("s3-unknot-double", p) for p in ("lower", "upper", "zero", "top")]
+             + [("susp-cover-seed1", p) for p in ("zero", "lower", "top")])
+
+
+@pytest.mark.parametrize("name, perversity", SUSPENDED)
+def test_suspension_shifts_ih_as_the_suspension_formula_predicts(name, perversity,
+                                                                  tmp_path, capsys):
+    """verify on the suspension of a spec holds, and each IH it reports is
+    the unsuspended one shifted by the suspension formula (Kirwan and
+    Woolf, 2006): with n the suspended dimension and t = n - 1 - p(n),
+    IH_i is kept below t, 0 at t and IH_{i-1} above t."""
+    loaded = load_spec(parse_spec_text((GOLDEN / f"{name}.json").read_text(encoding="utf-8")))
+    before = verify_branched(loaded.cover_spec(), perversity)
+    path = tmp_path / "suspended.json"
+    path.write_text(spec_to_text(suspended(loaded)), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["verify", str(path), "--format", "json", "--perversity", perversity]) == 0
+    after = json.loads(capsys.readouterr().out)
+    n = loaded.base.dim + 1
+    t = n - 1 - perversity_by_name(perversity, n)[n]
+    assert after["base_dim"] == n
+    for key in ("ih_trivial", "ih_kernel", "ih_cover"):
+        assert tuple(after[key]) == suspension_ih_oracle(getattr(before, key), t), key
