@@ -29,7 +29,6 @@ from .covering import (
     complement_connectivity_check,
     riemann_hurwitz_check,
     refine_stratification,
-    pullback_stratification,
 )
 from .local_systems import (
     LocalSystemQ,

@@ -185,9 +185,7 @@ def cmd_twisted(args) -> tuple[str, int]:
 def cmd_ih(args) -> tuple[str, int]:
     loaded = load_spec(read_spec(args.spec))
     name = args.perversity or loaded.perversity
-    m = loaded.base.dim
-    p = perversity_by_name(name, m) if m >= 2 else None
-    values = ih_betti(loaded.base, p)
+    values = ih_betti(loaded.base, perversity_by_name(name, loaded.base.dim))
     return f"ih ({name}): {list(values)}\n", 0
 
 

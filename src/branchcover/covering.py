@@ -463,7 +463,7 @@ def riemann_hurwitz_check(cover: CoverComplex) -> int:
 
 
 # ---------------------------------------------------------------------------
-# refined and pulled-back stratifications
+# refined stratification
 
 
 def refine_stratification(base: StratifiedComplex, branch: StratifiedComplex) -> StratifiedComplex:
@@ -499,15 +499,3 @@ def refine_stratification(base: StratifiedComplex, branch: StratifiedComplex) ->
                 for j in range(m - 2, -1, -1)]
     return StratifiedComplex(y, singular)
 
-
-def pullback_stratification(cover: CoverComplex, refined: StratifiedComplex) -> StratifiedComplex:
-    """Preimage filtration on the total complex of a completed cover."""
-    if refined.complex != cover.spec.base.complex:
-        raise InputError("refined stratification does not live on the cover's base")
-    m = refined.dim
-    singular = []
-    for j in range(m - 2, -1, -1):
-        level = refined.levels[j].simplices
-        singular.append(SimplicialComplex(
-            s for s in cover.total.simplices if cover.projection[s] in level))
-    return StratifiedComplex(cover.total, singular)

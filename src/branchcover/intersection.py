@@ -5,7 +5,8 @@ level in controlled dimension; the intersection complex in degree j is
 the space of allowable j-chains whose boundary is again allowable.
 Fullness of the filtration levels makes the intersection of a simplex
 with a level the face spanned by its vertices there, so allowability is
-a vertex count.  :func:`ih_betti` hands the allowable simplices to
+a vertex count.  :func:`allowable_simplices` returns the allowable
+simplices and :func:`ih_betti` hands them to
 :func:`simplicial.homology_ranks`, the one homology routine of the
 package, which takes the ranks from the boundary of the allowable chains
 alone.  The reference they are tested against, the complex with explicit
@@ -80,22 +81,27 @@ def perversity_by_name(name: str, m: int) -> Perversity:
 # allowability
 
 
-def _level_vertex_sets(sc: StratifiedComplex) -> list[set[int]]:
-    return [set(sc.level(j).vertices) for j in range(max(sc.dim, 0) + 1)]
-
-
-def _allowable(s: Simplex, m: int, level_verts: list[set[int]],
-               p: Perversity | None) -> bool:
-    js = len(s) - 1
-    for k in range(2, m + 1):
-        count = sum(1 for v in s if v in level_verts[m - k])
-        if count == 0:
-            continue
+def allowable_simplices(sc: StratifiedComplex, p: Perversity | None) -> set[Simplex]:
+    """The simplices of ``sc`` allowable for ``p``, after checking that the
+    levels are full and that ``p`` is defined up to the dimension."""
+    m = sc.dim
+    sc.full_check()
+    if m >= 2:
         if p is None:
             raise InputError("a perversity is required in dimension >= 2")
-        if count - 1 > js - k + p[k]:
-            return False
-    return True
+        if p.top_dim < m:
+            raise InputError(f"perversity only defined up to {p.top_dim}, need {m}")
+    level_verts = [set(sc.level(j).vertices) for j in range(m + 1)]
+
+    def allowable(s: Simplex) -> bool:
+        js = len(s) - 1
+        for k in range(2, m + 1):
+            count = len(level_verts[m - k].intersection(s))
+            if count and count - 1 > js - k + p[k]:
+                return False
+        return True
+
+    return set(filter(allowable, sc.complex.simplices))
 
 
 # ---------------------------------------------------------------------------
@@ -106,26 +112,14 @@ def ih_betti(sc: StratifiedComplex, p: Perversity | None,
              coeff: LocalSystemQ | None = None) -> tuple[int, ...]:
     """Intersection homology ranks in degrees 0..dim.
 
-    :func:`simplicial.homology_ranks` on the allowable simplices, with the
-    coefficients of a simplex at its first vertex off the singular set;
-    it also checks that the boundary keeps the intersection chains.  The
-    test oracle ``oracles.ic_betti`` computes the same ranks from explicit
-    bases of the IC_j, written from the definitions alone.
+    :func:`simplicial.homology_ranks` on the :func:`allowable_simplices`,
+    with the coefficients of a simplex at its first vertex off the singular
+    set; it also checks that the boundary keeps the intersection chains.
+    The test oracle ``oracles.ic_betti`` computes the same ranks from
+    explicit bases of the IC_j, written from the definitions alone.
     """
-    m = sc.dim
-    if m < 0:
-        return ()
-    sc.full_check()
-    if m >= 2:
-        if p is None:
-            raise InputError("a perversity is required in dimension >= 2")
-        if p.top_dim < m:
-            raise InputError(f"perversity only defined up to {p.top_dim}, need {m}")
+    allowed = allowable_simplices(sc, p).__contains__
     singular = set(sc.singular_set.vertices)
-    level_verts = _level_vertex_sets(sc)
-
-    def allowable(s: Simplex) -> bool:
-        return _allowable(s, m, level_verts, p)
 
     def anchor(s: Simplex) -> int:
         for v in s:
@@ -136,5 +130,5 @@ def ih_betti(sc: StratifiedComplex, p: Perversity | None,
             "set; subdivide the base")
 
     if coeff is None:
-        return homology_ranks(sc.complex, allowable)
-    return homology_ranks(sc.complex, allowable, coeff.rank, coeff.transport, anchor)
+        return homology_ranks(sc.complex, allowed)
+    return homology_ranks(sc.complex, allowed, coeff.rank, coeff.transport, anchor)

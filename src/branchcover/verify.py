@@ -13,7 +13,7 @@ not sufficient; the reports say so explicitly.
 from __future__ import annotations
 
 import json
-from collections import namedtuple
+from collections import Counter, namedtuple
 
 from .covering import (
     BranchedCoverSpec,
@@ -22,14 +22,13 @@ from .covering import (
     fox_complete,
     local_monodromy_group,
     orbit_count,
-    pullback_stratification,
     refine_stratification,
     riemann_hurwitz_check,
 )
 from .errors import InternalCheckError
-from .intersection import ih_betti, perversity_by_name
+from .intersection import allowable_simplices, ih_betti, perversity_by_name
 from .local_systems import invariant_dimension, kernel_system, sum_zero_action
-from .simplicial import betti_numbers, components
+from .simplicial import betti_numbers, components, homology_ranks
 
 NECESSITY_NOTE = ("rank and stalk equalities are necessary conditions for the "
                   "sheaf-level decomposition, not sufficient")
@@ -178,20 +177,29 @@ def verify_branched(spec: BranchedCoverSpec, perversity: str = "lower") -> Decom
     side is the cover's IH, which differs from its Betti numbers when the
     cover is singular; the Euler check reads the Betti numbers, as the
     alternating sum of IH need not be the Euler characteristic.
+
+    The cover's IH is taken on the pulled-back stratification, whose level
+    j is the preimage of refined level j, read through the projection: a
+    lift has one vertex over each vertex of its simplex, so it meets a
+    pulled-back level in as many vertices as its simplex meets the refined
+    one.  A lift is allowable exactly when its simplex is, the pulled-back
+    levels are full exactly when the refined ones are, and a pulled-back
+    level has as many simplices as the lifts of the refined one.
     """
     m = spec.base.dim
-    p = perversity_by_name(perversity, m) if m >= 2 else None
+    p = perversity_by_name(perversity, m)
 
     cover = fox_complete(spec)
     euler_cover = riemann_hurwitz_check(cover)
     b_cover = _stage("b(cover)", betti_numbers, cover.total)
 
     refined = refine_stratification(spec.base, spec.branch)
-    pullback = pullback_stratification(cover, refined)
-
-    # with no singular simplex upstairs every chain is allowable
-    ih_cover = (_stage("ih(cover)", ih_betti, pullback, p)
-                if pullback.singular_set.n_simplices() else b_cover)
+    if refined.singular_set.n_simplices():
+        allowed = allowable_simplices(refined, p)
+        ih_cover = _stage("ih(cover)", homology_ranks, cover.total,
+                          lambda s: cover.projection[s] in allowed)
+    else:  # with no singular simplex upstairs every chain is allowable
+        ih_cover = b_cover
     ih_trivial = _stage("ih(base; trivial)", ih_betti, refined, p, None)
     kernel = kernel_system(spec.degree, spec.table)
     ih_kernel = _stage("ih(base; kernel)", ih_betti, refined, p, kernel)
@@ -216,7 +224,9 @@ def verify_branched(spec: BranchedCoverSpec, perversity: str = "lower") -> Decom
         manifold_ok = tuple(ih_trivial) == tuple(b_base_manifold) and ih_cover == b_cover
 
     strat_levels = tuple((j, refined.levels[j].n_simplices()) for j in range(m + 1))
-    pull_levels = tuple((j, pullback.levels[j].n_simplices()) for j in range(m + 1))
+    lifts = Counter(cover.projection.values())
+    pull_levels = tuple((j, sum(lifts[s] for s in refined.levels[j].simplices))
+                        for j in range(m + 1))
 
     return DecompositionReport(
         perversity=perversity, degree=spec.degree, base_dim=m,

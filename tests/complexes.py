@@ -107,8 +107,9 @@ def suspended(loaded: LoadedSpec) -> dict:
 
     The subdivided base, the branch locus and each of their singular
     levels are suspended over the same two new apexes, so both apexes lie
-    in the locus; a stratified complex with singular levels also gets the
-    apexes as a new level 0.  The apexes are branch vertices, so
+    in the locus; a suspension of dimension 2 or more also gets the apexes
+    as a new level 0, since the link of an apex, the unsuspended complex,
+    need not be a sphere.  The apexes are branch vertices, so
     the complement, its presentation and the assignment keys are unchanged,
     and the monodromy is kept; a full subcomplex stays full under
     suspension, so the spec asks for no subdivision.
@@ -123,7 +124,7 @@ def suspended(loaded: LoadedSpec) -> dict:
     def suspend(sc: StratifiedComplex) -> StratifiedComplex:
         levels = [join(sc.levels[j]) for j in range(sc.dim - 2, -1, -1)]
         return StratifiedComplex(join(sc.complex),
-                                 levels + [apexes] if sc.singular_set.n_simplices() else [])
+                                 levels + [apexes] if sc.dim >= 1 else [])
 
     return spec_to_dict(suspend(loaded.base), suspend(loaded.branch), loaded.monodromy)
 

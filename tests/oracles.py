@@ -25,6 +25,8 @@ from itertools import combinations, product
 from branchcover.errors import InputError
 from branchcover.local_systems import LocalSystemQ
 from branchcover.presentation import EdgePathPresentation, edge_path_presentation
+from branchcover.simplicial import SimplicialComplex
+from branchcover.stratified import StratifiedComplex
 
 
 def dense_rank(rows) -> int:
@@ -275,6 +277,16 @@ def fibers_by_projection(projection, taus) -> dict:
         if tau in lifts:
             lifts[tau].append(s)
     return {tau: tuple(sorted(over)) for tau, over in lifts.items()}
+
+
+def pullback_stratification(cover, refined) -> StratifiedComplex:
+    """The preimage filtration on the total complex of a completed cover:
+    level j holds the simplices that ``cover.projection`` maps into level j
+    of ``refined``, a stratification of the cover's base."""
+    return StratifiedComplex(cover.total, [
+        SimplicialComplex(s for s in cover.total.simplices
+                          if cover.projection[s] in refined.levels[j].simplices)
+        for j in range(refined.dim - 2, -1, -1)])
 
 
 def suspension_ih_oracle(link_ih, cutoff):

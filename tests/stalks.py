@@ -1,9 +1,8 @@
 """Local intersection-homology references that only the tests use.
 
-Allowability of one simplex, complementary perversities, the smallest
-level holding a simplex, the star and link of a vertex with their induced
-filtrations, and the Deligne stalk check that compares the two by the
-cone formula.  They call the package's ``ih_betti``, so they live here
+Complementary perversities, the smallest level holding a simplex, the
+star and link of a vertex with their induced filtrations, and the
+Deligne stalk check that compares the two by the cone formula.  They call the package's ``ih_betti``, so they live here
 and not in ``oracles.py``, whose references stay independent of it.
 """
 from __future__ import annotations
@@ -11,18 +10,12 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from branchcover.errors import InputError
-from branchcover.intersection import Perversity, _allowable, _level_vertex_sets, ih_betti
+from branchcover.intersection import Perversity, ih_betti
 from branchcover.local_systems import LocalSystemQ
 from branchcover.simplicial import Simplex, SimplicialComplex, star
 from branchcover.stratified import StratifiedComplex
 
 from complexes import link
-
-
-def is_allowable(simplex: Simplex, sc: StratifiedComplex, p: Perversity | None) -> bool:
-    """dim(s ^ X_{m-k}) <= dim s - k + p(k) for every k >= 2."""
-    sc.full_check()
-    return _allowable(tuple(simplex), sc.dim, _level_vertex_sets(sc), p)
 
 
 def complementary(p: Perversity) -> Perversity:

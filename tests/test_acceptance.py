@@ -17,7 +17,6 @@ from branchcover.covering import (
     MonodromyRep,
     fox_complete,
     orbit_count,
-    pullback_stratification,
     refine_stratification,
     riemann_hurwitz_check,
 )
@@ -63,7 +62,13 @@ from complexes import (
     nullspace_mod_p,
     theta_graph,
 )
-from oracles import ic_betti, ic_closed, riemann_hurwitz_chi, suspension_ih_oracle
+from oracles import (
+    ic_betti,
+    ic_closed,
+    pullback_stratification,
+    riemann_hurwitz_chi,
+    suspension_ih_oracle,
+)
 from stalks import deligne_stalk_check, induced_link
 
 

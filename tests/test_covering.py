@@ -20,7 +20,6 @@ from branchcover.covering import (
     invert_perm,
     local_monodromy_group,
     orbit_count,
-    pullback_stratification,
     refine_stratification,
     riemann_hurwitz_check,
     transport_along,
@@ -55,6 +54,7 @@ from oracles import (
     fibers_by_projection,
     orbits_of,
     permutation_matrix,
+    pullback_stratification,
     riemann_hurwitz_chi,
     sheet_cover,
 )

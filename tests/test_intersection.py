@@ -9,12 +9,12 @@ from branchcover.covering import (
     BranchedCoverSpec,
     MonodromyRep,
     fox_complete,
-    pullback_stratification,
     refine_stratification,
 )
 from branchcover.errors import InputError
 from branchcover.intersection import (
     Perversity,
+    allowable_simplices,
     ih_betti,
     lower_middle,
     perversity_by_name,
@@ -48,10 +48,11 @@ from oracles import (
     ic_closed,
     ic_complex,
     matmul,
+    pullback_stratification,
     suspension_ih_oracle,
     transport_from_rows,
 )
-from stalks import complementary, deligne_stalk_check, is_allowable
+from stalks import complementary, deligne_stalk_check
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 # the golden specs; sweep.json pins command outputs (test_sweep.py)
@@ -104,35 +105,33 @@ def _two_sphere_with_marked_vertex():
 
 def test_allowable_away_from_singular_set():
     sc = _two_sphere_with_marked_vertex()
-    p = zero_perversity(2)
-    assert is_allowable((1, 2), sc, p)
-    assert is_allowable((2, 3, 5), sc, p)
+    allowed = allowable_simplices(sc, zero_perversity(2))
+    assert (1, 2) in allowed
+    assert (2, 3, 5) in allowed
 
 
 def test_edge_through_singular_vertex_not_allowable():
     sc = _two_sphere_with_marked_vertex()
-    assert not is_allowable((0, 1), sc, zero_perversity(2))
-    assert not is_allowable((0,), sc, zero_perversity(2))
+    allowed = allowable_simplices(sc, zero_perversity(2))
+    assert (0, 1) not in allowed
+    assert (0,) not in allowed
 
 
 def test_triangle_with_one_singular_vertex_allowable():
     sc = _two_sphere_with_marked_vertex()
-    assert is_allowable((0, 1, 2), sc, zero_perversity(2))
+    assert (0, 1, 2) in allowable_simplices(sc, zero_perversity(2))
 
 
 def test_allowability_monotone_in_perversity():
     st = suspension_torus()
-    lo, hi = lower_middle(3), upper_middle(3)
-    for s in st.complex.all_simplices():
-        if is_allowable(s, st, lo):
-            assert is_allowable(s, st, hi)
+    assert allowable_simplices(st, lower_middle(3)) <= allowable_simplices(st, upper_middle(3))
 
 
 def test_allowability_requires_full_levels():
     oct_ = octahedron()
     sc = StratifiedComplex(oct_, [SimplicialComplex([(1,), (2,)])])
     with pytest.raises(InputError, match=re.escape("filtration levels [0, 1] are not full subcomplexes")):
-        is_allowable((1, 2), sc, zero_perversity(2))
+        allowable_simplices(sc, zero_perversity(2))
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +254,9 @@ def test_ic_complex_structure():
     # their boundaries are intersection chains with zero boundary
     st = suspension_torus()
     allowable, bases, _boundary = ic_complex(st, upper_middle(3))
+    allowed = allowable_simplices(st, upper_middle(3))
     for j, simps in enumerate(allowable):
-        for s in simps:
-            assert is_allowable(s, st, upper_middle(3))
+        assert set(simps) <= allowed
         for x in bases[j]:
             assert {s for s, _t in x} <= set(simps)
     assert ic_closed(st, upper_middle(3))
@@ -286,11 +285,9 @@ def test_allowable_simplices_leave_two_vertices_off_singular_set(name):
     sc = STRATIFIED_BASES[name]()
     singular = set(sc.singular_set.vertices)
     for pname in ("lower", "upper", "zero", "top"):
-        p = perversity_by_name(pname, sc.dim)
-        for j in range(1, sc.dim + 1):
-            for simplex in sc.complex.simplices_of_dim(j):
-                if is_allowable(simplex, sc, p):
-                    assert sum(1 for v in simplex if v not in singular) >= 2, (pname, simplex)
+        for simplex in allowable_simplices(sc, perversity_by_name(pname, sc.dim)):
+            if len(simplex) > 1:
+                assert sum(1 for v in simplex if v not in singular) >= 2, (pname, simplex)
 
 
 # ---------------------------------------------------------------------------

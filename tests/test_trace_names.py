@@ -14,6 +14,7 @@ TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 ABSENT = {
     "covering.build_complement_cover",
+    "covering.pullback_stratification",
     "intersection.intersection_chain_complex",
     "linalg.invariant_space",
     "linalg.matmul",

@@ -10,9 +10,14 @@ from branchcover.cli import main
 from branchcover.covering import (
     BranchedCoverSpec,
     CoverComplex,
+    MonodromyRep,
+    complement_presentation,
     fox_complete,
+    refine_stratification,
 )
+from branchcover.errors import InputError
 from branchcover.simplicial import SimplicialComplex
+from branchcover.stratified import EMPTY_STRATIFIED
 from branchcover.specfile import load_spec, parse_spec_text
 from branchcover.verify import (
     fiber_rank_report,
@@ -24,11 +29,17 @@ from branchcover.fixtures import (
     s3_unknot_double_data,
     spec_to_text,
     sphere_branched_data,
+    suspension_torus,
 )
-from branchcover.intersection import perversity_by_name
+from branchcover.intersection import PERVERSITIES, ih_betti, perversity_by_name
 
 from complexes import codim3_vertex_data, rebased, suspended
-from oracles import dense_nullspace, fibers_by_projection, suspension_ih_oracle
+from oracles import (
+    dense_nullspace,
+    fibers_by_projection,
+    pullback_stratification,
+    suspension_ih_oracle,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -59,6 +70,13 @@ def test_unbranched_disconnected_identity_cover():
     assert report.betti_cover == (2, 2)
     assert report.ih_kernel == (1, 1)  # trivial rank-1 kernel
     assert report.all_equal
+
+
+@pytest.mark.parametrize("data", [circle_cover_data(2, (1, 0)), sphere_branched_data(2, 2)],
+                         ids=["base-dim-1", "base-dim-2"])
+def test_an_unknown_perversity_name_is_rejected_at_every_dimension(data):
+    with pytest.raises(InputError, match="unknown perversity name 'bogus'"):
+        verify_branched(BranchedCoverSpec(*data), "bogus")
 
 
 def test_unbranched_degree_1000_cli(tmp_path, capsys):
@@ -597,6 +615,53 @@ def test_report_does_not_depend_on_the_basepoint(name, data):
 
 
 # ---------------------------------------------------------------------------
+# the cover's intersection homology, read through the projection
+
+
+def _empty_locus_on_a_singular_base() -> BranchedCoverSpec:
+    """The identity degree-2 monodromy on the suspended torus: its apexes
+    are a singular stratum, but the spec has no branch locus."""
+    y = suspension_torus()
+    pres = complement_presentation(y.complex, frozenset())
+    return BranchedCoverSpec(y, EMPTY_STRATIFIED,
+                             MonodromyRep(2, dict.fromkeys(pres.generators, (0, 1))))
+
+
+def test_singular_base_with_an_empty_locus():
+    """No simplex is a branch simplex, yet the lifts of the apexes are
+    singular: the cover's IH is not its Betti numbers, and the pulled-back
+    levels count the lifts of the refined ones."""
+    report = verify_branched(_empty_locus_on_a_singular_base())
+    assert report.fiber.rows == ()
+    assert report.betti_cover == (2, 0, 4, 2)
+    assert report.ih_cover == (2, 4, 0, 2)
+    assert report.pullback_levels == ((0, 4), (1, 4), (2, 4), (3, 256))
+    assert report.all_equal and report.internal_ok
+
+
+def _cover_spec(name: str) -> BranchedCoverSpec:
+    if name == "empty-locus":
+        return _empty_locus_on_a_singular_base()
+    return load_spec(parse_spec_text((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
+                     ).cover_spec()
+
+
+@pytest.mark.parametrize("name", REBASED_SPECS + ("susp-cover-seed1", "empty-locus"))
+def test_cover_ih_is_ih_on_the_pulled_back_stratification(name):
+    """The cover's IH and level sizes in the report, read through the
+    projection, are those of the pulled-back stratification built upstairs."""
+    spec = _cover_spec(name)
+    refined = refine_stratification(spec.base, spec.branch)
+    pulled = pullback_stratification(fox_complete(spec), refined)
+    levels = tuple((j, level.n_simplices()) for j, level in enumerate(pulled.levels))
+    for perversity in PERVERSITIES:
+        report = verify_branched(spec, perversity)
+        p = perversity_by_name(perversity, pulled.dim)
+        assert ih_betti(pulled, p) == report.ih_cover, perversity
+        assert levels == report.pullback_levels
+
+
+# ---------------------------------------------------------------------------
 # suspension
 
 
@@ -604,7 +669,8 @@ def test_report_does_not_depend_on_the_basepoint(name, data):
 # one codimension-4 stratum, where p(4) is 0, 1 and 2 (upper agrees with
 # lower there: they differ only in odd codimension)
 SUSPENDED = ([("s3-unknot-double", p) for p in ("lower", "upper", "zero", "top")]
-             + [("susp-cover-seed1", p) for p in ("zero", "lower", "top")])
+             + [("susp-cover-seed1", p) for p in ("zero", "lower", "top")]
+             + [("sphere-p2-d2", "lower"), ("sphere-p6-d3", "lower")])
 
 
 @pytest.mark.parametrize("name, perversity", SUSPENDED)
@@ -624,5 +690,7 @@ def test_suspension_shifts_ih_as_the_suspension_formula_predicts(name, perversit
     n = loaded.base.dim + 1
     t = n - 1 - perversity_by_name(perversity, n)[n]
     assert after["base_dim"] == n
+    b = before.betti_cover  # reduced homology shifts up by one degree
+    assert tuple(after["betti_cover"]) == (1, b[0] - 1, *b[1:])
     for key in ("ih_trivial", "ih_kernel", "ih_cover"):
         assert tuple(after[key]) == suspension_ih_oracle(getattr(before, key), t), key
