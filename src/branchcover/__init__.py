@@ -25,7 +25,6 @@ from .covering import (
     validate_monodromy,
     fox_complete,
     local_monodromy_group,
-    fiber_cardinality,
     complement_connectivity_check,
     riemann_hurwitz_check,
     refine_stratification,

@@ -139,25 +139,6 @@ def transport_along(table: dict[tuple[int, int], Perm], path: Sequence[int], d: 
 # branched cover specification
 
 
-def _check_branch_locus(base: StratifiedComplex, r: SimplicialComplex, full: bool) -> None:
-    """Raise unless ``r`` is a subcomplex of the base of codimension at least 2,
-    full when ``full`` is set, holding the singular set; checked in that order."""
-    y = base.complex
-    m = base.dim
-    if not r.is_subcomplex_of(y):
-        raise InputError("branch locus is not a subcomplex of the base")
-    if r.dim > m - 2:
-        raise InputError(
-            f"branch locus has dimension {r.dim} in a base of dimension {m}")
-    if full and not is_full(y, r):
-        raise InputError(
-            "branch locus is not a full subcomplex of the base; "
-            "raise the spec's \"subdivisions\" option")
-    if m >= 2 and not base.singular_set.is_subcomplex_of(r):
-        raise InputError(
-            "singular set of the base must be contained in the branch locus")
-
-
 def complement_presentation(y: SimplicialComplex, branch_vertices,
                             basepoint: int | None = None) -> EdgePathPresentation:
     """Presentation of the full subcomplex of ``y`` off ``branch_vertices``
@@ -178,21 +159,35 @@ def complement_presentation(y: SimplicialComplex, branch_vertices,
 
 
 class BranchedCoverSpec:
-    """Base, branch locus and validated monodromy on the complement.
-
-    The spec presents the complement of the branch locus itself, with
-    :func:`complement_presentation` at the monodromy's basepoint, and keeps
-    that presentation and its complex.
-    """
+    """Base, branch locus and monodromy, checked, with what checking them
+    derives: the complement's :func:`complement_presentation` at the
+    monodromy's basepoint, its complex, the locus vertices and the transport
+    table.  What Fox completion derives is on the cover, not here."""
 
     __slots__ = ("base", "branch", "complement", "presentation", "monodromy",
-                 "branch_vertices", "table", "_punctured", "_connected", "_local_groups")
+                 "branch_vertices", "table")
 
     def __init__(self, base: StratifiedComplex, branch: StratifiedComplex,
                  monodromy: MonodromyRep):
-        if branch.complex.n_simplices():
-            _check_branch_locus(base, branch.complex, full=True)
-        branch_vertices = frozenset(branch.complex.vertices)
+        r = branch.complex
+        if r.n_simplices():
+            # a subcomplex of codimension at least 2, full and holding the
+            # singular set, checked in that order
+            y = base.complex
+            m = base.dim
+            if not r.is_subcomplex_of(y):
+                raise InputError("branch locus is not a subcomplex of the base")
+            if r.dim > m - 2:
+                raise InputError(
+                    f"branch locus has dimension {r.dim} in a base of dimension {m}")
+            if not is_full(y, r):
+                raise InputError(
+                    "branch locus is not a full subcomplex of the base; "
+                    "raise the spec's \"subdivisions\" option")
+            if m >= 2 and not base.singular_set.is_subcomplex_of(r):
+                raise InputError(
+                    "singular set of the base must be contained in the branch locus")
+        branch_vertices = frozenset(r.vertices)
         presentation = complement_presentation(base.complex, branch_vertices, monodromy.basepoint)
 
         self.base = base
@@ -202,9 +197,6 @@ class BranchedCoverSpec:
         self.monodromy = monodromy
         self.branch_vertices = branch_vertices
         self.table = validate_monodromy(presentation, monodromy)
-        self._punctured: dict[Simplex, SimplicialComplex] = {}
-        self._connected: set[SimplicialComplex] = set()
-        self._local_groups: dict[SimplicialComplex, tuple[Perm, ...]] = {}
 
     @property
     def degree(self) -> int:
@@ -213,35 +205,14 @@ class BranchedCoverSpec:
     def branch_simplices(self) -> tuple[Simplex, ...]:
         return self.branch.complex.all_simplices()
 
-    def punctured_star(self, tau: Simplex) -> SimplicialComplex:
-        """star(tau) minus the branch locus, as a full subcomplex.
 
-        The one connectivity test of a base punctured star: an empty or
-        disconnected one raises :class:`InputError`.  Only stars that pass
-        are cached; equal stars of different branch simplices are tested once.
-        """
-        tau = tuple(tau)
-        if tau not in self.branch.complex.simplices:
-            raise InputError(f"{list(tau)} is not a simplex of the branch locus")
-        cached = self._punctured.get(tau)
-        if cached is None:
-            cached = _punctured_star(self.base.complex, tau, self.branch_vertices)
-            if cached not in self._connected:
-                if not _nonempty_connected(cached):
-                    raise InputError(
-                        f"punctured star of branch simplex {list(tau)} is not connected")
-                self._connected.add(cached)
-            self._punctured[tau] = cached
-        return cached
-
-
-def _punctured_star(c: SimplicialComplex, s: Simplex, removed) -> SimplicialComplex:
+def _star_off(c: SimplicialComplex, s: Simplex, removed) -> SimplicialComplex:
     """star(s) in ``c`` less the vertices in ``removed``, as a full subcomplex."""
     st = star(c, s)
     return full_subcomplex(st, (v for v in st.vertices if v not in removed))
 
 
-def _nonempty_connected(c: SimplicialComplex) -> bool:
+def _one_component(c: SimplicialComplex) -> bool:
     return len(components(c)) == 1
 
 
@@ -249,27 +220,26 @@ def _nonempty_connected(c: SimplicialComplex) -> bool:
 # covers
 
 
-class CoverComplex:
-    """Total complex of a cover with its simplicial projection and, for each
-    branch simplex, the ascending tuple of its lifts."""
+class CoverComplex(namedtuple("CoverComplex", "spec total projection fibers stars")):
+    """Total complex of a cover with its simplicial projection and what Fox
+    completion derives over the branch locus.
 
-    __slots__ = ("spec", "total", "projection", "fibers")
+    ``spec`` is the :class:`BranchedCoverSpec` and ``total`` the
+    ``SimplicialComplex``; ``projection`` maps each lift to its simplex,
+    ``fibers`` each branch simplex to the ascending tuple of its lifts and
+    ``stars`` each branch simplex to its punctured star, its star less the
+    locus as a full subcomplex, non-empty and connected.
+    """
 
-    def __init__(self, spec: BranchedCoverSpec, total: SimplicialComplex,
-                 projection: dict[Simplex, Simplex],
-                 fibers: dict[Simplex, tuple[Simplex, ...]]):
-        self.spec = spec
-        self.total = total
-        self.projection = projection
-        self.fibers = fibers
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
-# local monodromy and fiber cardinalities
+# local monodromy
 
 
-def local_monodromy_group(spec: BranchedCoverSpec, tau: Simplex) -> tuple[Perm, ...]:
-    """Generators of the sheet action of loops in the punctured star.
+def local_monodromy_group(cover: CoverComplex, tau: Simplex) -> tuple[Perm, ...]:
+    """Generators of the sheet action of loops in the punctured star of tau.
 
     Loops are read off a deterministic local spanning tree at the least
     vertex of the punctured star.  ``validate_monodromy`` gives every edge
@@ -277,17 +247,11 @@ def local_monodromy_group(spec: BranchedCoverSpec, tau: Simplex) -> tuple[Perm, 
     that vertex transports by the identity: conjugating the loops to the
     global basepoint would change nothing, and the generated subgroup is
     already a well-defined representative of its conjugacy class.
-    It depends on tau only through the punctured star, so it is cached on
-    the spec by punctured star: branch simplices with equal stars share it.
     """
-    p = spec.punctured_star(tau)
-    cached = spec._local_groups.get(p)
-    if cached is not None:
-        return cached
-    d = spec.degree
-    table = spec.table
-    local_base = min(p.vertices)
-    local_pres = edge_path_presentation(p, local_base)
+    p = cover.stars[tau]
+    d = cover.spec.degree
+    table = cover.spec.table
+    local_pres = edge_path_presentation(p, min(p.vertices))
 
     gens: list[Perm] = []
     seen: set[Perm] = set()
@@ -298,13 +262,7 @@ def local_monodromy_group(spec: BranchedCoverSpec, tau: Simplex) -> tuple[Perm, 
         if loop != ident and loop not in seen:
             seen.add(loop)
             gens.append(loop)
-    cached = spec._local_groups[p] = tuple(sorted(gens)) if gens else (ident,)
-    return cached
-
-
-def fiber_cardinality(spec: BranchedCoverSpec, tau: Simplex) -> int:
-    """Orbit count of the local monodromy group on the sheets."""
-    return orbit_count(local_monodromy_group(spec, tau), spec.degree)
+    return tuple(sorted(gens)) if gens else (ident,)
 
 
 # ---------------------------------------------------------------------------
@@ -322,10 +280,12 @@ def fox_complete(spec: BranchedCoverSpec) -> CoverComplex:
     branch simplex are the connected components of the preimage of its
     punctured star; incidence between lifts follows component containment.
     With an empty locus this is the unbranched cover of the base.  The
-    cover keeps ``projection``, from each lift to its simplex, and
-    ``fibers``, from each branch simplex to its lifts.
-    Fails if a punctured star is disconnected (local-flatness shadow) or
-    if two lifts collide as vertex sets (insufficient subdivision).
+    cover keeps ``projection``, from each lift to its simplex, ``fibers``,
+    from each branch simplex to its lifts, and ``stars``, from each branch
+    simplex to its punctured star.
+    Fails if a punctured star is disconnected (local-flatness shadow),
+    before any lift is made, or if two lifts collide as vertex sets
+    (insufficient subdivision).
     """
     y = spec.base.complex
     d = spec.degree
@@ -338,13 +298,21 @@ def fox_complete(spec: BranchedCoverSpec) -> CoverComplex:
             vid[(v, s)] = len(vid)
     next_id = len(vid)
 
+    # the punctured star of each branch simplex, equal stars tested once
+    stars: dict[Simplex, SimplicialComplex] = {}
+    tested: set[SimplicialComplex] = set()
     for tau in spec.branch_simplices():
-        spec.punctured_star(tau)  # raises unless non-empty and connected
+        punctured = stars[tau] = _star_off(y, tau, branch_vertices)
+        if punctured not in tested:
+            if not _one_component(punctured):
+                raise InputError(
+                    f"punctured star of branch simplex {list(tau)} is not connected")
+            tested.add(punctured)
 
     comps_by_star: dict[SimplicialComplex, list[list[int]]] = {}  # equal stars share them
 
     def preimage_components(tau: Simplex) -> list[list[int]]:
-        punctured = spec.punctured_star(tau)
+        punctured = stars[tau]
         if punctured not in comps_by_star:
             # the sheet vertices ascend, so each component does and they come in order
             comps_by_star[punctured] = connected_components(
@@ -394,7 +362,7 @@ def fox_complete(spec: BranchedCoverSpec) -> CoverComplex:
                 ids.append(over[w][rep])
             register(ids, sig)
 
-    return CoverComplex(spec, SimplicialComplex(projection.keys()), projection, fibers)
+    return CoverComplex(spec, SimplicialComplex(projection.keys()), projection, fibers, stars)
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +372,8 @@ def fox_complete(spec: BranchedCoverSpec) -> CoverComplex:
 class ConnectivityReport(namedtuple(
         "ConnectivityReport", "base_failures cover_failures checked_base checked_cover")):
     """Punctured-star connectivity downstairs and upstairs; ``base_failures``
-    is always empty, as the spec hands out only connected punctured stars.
+    is always empty, as :func:`fox_complete` builds no cover over a
+    disconnected punctured star.
 
     ``base_failures`` and ``cover_failures`` are ``tuple[Simplex, ...]``,
     ``checked_base`` and ``checked_cover`` are ``int`` counts.
@@ -422,40 +391,33 @@ def complement_connectivity_check(cover: CoverComplex) -> ConnectivityReport:
     branch simplex tau, and star(lift) minus the vertices over the locus
     for every lift of every branch simplex.
 
-    The base stars are read through :meth:`BranchedCoverSpec.punctured_star`,
-    which raises on a disconnected one and caches the rest, so after
-    :func:`fox_complete` they cost nothing.  A failure upstairs is
-    reported, not raised.
+    :func:`fox_complete` has tested the base stars already, so only the
+    stars upstairs are tested here; a failure among them is reported, not
+    raised.
     """
     spec = cover.spec
     taus = spec.branch_simplices()
-    for tau in taus:
-        spec.punctured_star(tau)
     over_locus = {v for w in spec.branch_vertices for (v,) in cover.fibers[(w,)]}
     lifts = [lift for tau in taus for lift in cover.fibers[tau]]
-    cover_failures = tuple(lift for lift in lifts if not _nonempty_connected(
-        _punctured_star(cover.total, lift, over_locus)))
+    cover_failures = tuple(lift for lift in lifts if not _one_component(
+        _star_off(cover.total, lift, over_locus)))
     return ConnectivityReport((), cover_failures, len(taus), len(lifts))
 
 
-def riemann_hurwitz_check(cover: CoverComplex) -> int:
+def riemann_hurwitz_check(cover: CoverComplex, orbits: dict[Simplex, int]) -> int:
     """Verify the combinatorial Euler-characteristic identity of the cover.
 
     chi(total) must equal d * (-1)^dim summed over base simplices off the
-    locus plus orbit-count * (-1)^dim summed over branch simplices, with
-    orbit counts recomputed by loop tracing (independent of the component
-    counts used to build the completion).
+    locus plus orbit-count * (-1)^dim summed over branch simplices.  The
+    orbit counts, keyed by branch simplex, come from loop tracing, as the
+    fiber table reads them, independent of the component counts used to
+    build the completion.
     """
     spec = cover.spec
     d = spec.degree
-    rset = spec.branch.complex.simplices
     rhs = 0
     for sig in spec.base.complex.all_simplices():
-        sign = (-1) ** (len(sig) - 1)
-        if sig in rset:
-            rhs += sign * fiber_cardinality(spec, sig)
-        else:
-            rhs += sign * d
+        rhs += (-1) ** (len(sig) - 1) * orbits.get(sig, d)
     chi = cover.total.euler_characteristic()
     if chi != rhs:
         raise InternalCheckError(f"chi of the cover is {chi} but the branch data predicts {rhs}")
@@ -472,14 +434,15 @@ def refine_stratification(base: StratifiedComplex, branch: StratifiedComplex) ->
     Pieces are the top stratum minus the locus together with all nonempty
     intersections of a base stratum with a branch stratum; they are
     re-indexed into a descending filtration by dimension.  With an empty
-    locus the refinement is the base itself.
+    locus the refinement is the base itself.  ``base`` and ``branch`` are
+    a spec's, which :class:`BranchedCoverSpec` has checked, so they are
+    not checked again.
     """
     y = base.complex
     m = base.dim
     r = branch.complex
     if not r.n_simplices():
         return base
-    _check_branch_locus(base, r, full=False)
 
     y_stratum: dict[Simplex, int] = {}
     for i, st in enumerate(base.strata()):

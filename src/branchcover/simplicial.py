@@ -108,7 +108,7 @@ class SimplicialComplex:
         return tuple(simplex) in self._simplices
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, SimplicialComplex) and self._simplices == other._simplices
+        return isinstance(other, SimplicialComplex) and self._simplices == other.simplices
 
     def __hash__(self) -> int:
         return hash(self._simplices)
@@ -118,7 +118,7 @@ class SimplicialComplex:
         return f"SimplicialComplex(dim={self.dim}, f=({counts}))"
 
     def is_subcomplex_of(self, other: "SimplicialComplex") -> bool:
-        return self._simplices <= other._simplices
+        return self._simplices <= other.simplices
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * self.n_simplices(d) for d in range(self.dim + 1))

@@ -67,7 +67,7 @@ def fiber_rank_report(cover: CoverComplex) -> FiberReport:
     d = spec.degree
     rows = []
     for tau in spec.branch_simplices():
-        gens = local_monodromy_group(spec, tau)
+        gens = local_monodromy_group(cover, tau)
         orbits = orbit_count(gens, d)
         kernel_mats = [sum_zero_action(g) for g in gens]
         inv = invariant_dimension(kernel_mats, d - 1)
@@ -190,7 +190,8 @@ def verify_branched(spec: BranchedCoverSpec, perversity: str = "lower") -> Decom
     p = perversity_by_name(perversity, m)
 
     cover = fox_complete(spec)
-    euler_cover = riemann_hurwitz_check(cover)
+    fiber = fiber_rank_report(cover)
+    euler_cover = riemann_hurwitz_check(cover, {r.simplex: r.orbit_count for r in fiber.rows})
     b_cover = _stage("b(cover)", betti_numbers, cover.total)
 
     refined = refine_stratification(spec.base, spec.branch)
@@ -206,9 +207,11 @@ def verify_branched(spec: BranchedCoverSpec, perversity: str = "lower") -> Decom
 
     equal = tuple(ih_cover[j] == ih_trivial[j] + ih_kernel[j] for j in range(m + 1))
 
-    fiber = fiber_rank_report(cover)
     connectivity = complement_connectivity_check(cover)
 
+    # cannot fail: homology_ranks gives b_j = f_j - rk_j - rk_{j+1}, so the
+    # alternating sum telescopes to chi(cover), and euler_cover is that chi
+    # once riemann_hurwitz_check has matched it to the branch data
     euler_ok = sum((-1) ** j * b_cover[j] for j in range(m + 1)) == euler_cover
 
     global_orbits = orbit_count(spec.monodromy.assignments.values(), spec.degree)

@@ -4,8 +4,9 @@ The package's own fixtures (``branchcover.fixtures``) are the ones the
 ``fixture`` command writes; these are extra bases, a stratified
 subdivision, the constant system, the restriction of a system, a
 codimension-3 spec, a monodromy moved to another basepoint, the
-suspension of a spec, links and oriented vertex links, and the GF(p)
-elimination that draws random cyclic monodromy classes for the tests.
+suspension of a spec, links and oriented vertex links, the orbit counts
+of a cover's fiber table, and the GF(p) elimination that draws random
+cyclic monodromy classes for the tests.
 """
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from itertools import combinations
 
 from branchcover.covering import (
     BranchedCoverSpec,
+    CoverComplex,
     MonodromyRep,
     compose_perms,
     complement_presentation,
@@ -38,6 +40,7 @@ from branchcover.simplicial import (
 )
 from branchcover.specfile import LoadedSpec
 from branchcover.stratified import StratifiedComplex, subdivide_with_subcomplexes
+from branchcover.verify import fiber_rank_report
 
 
 def pushforward(pres: EdgePathPresentation, rep: MonodromyRep) -> LocalSystemQ:
@@ -55,6 +58,11 @@ def trivial_system(base: SimplicialComplex, rank: int = 1) -> LocalSystemQ:
     ident = permutation_action(range(rank))
     edges = base.simplices_of_dim(1)
     return LocalSystemQ(rank, {e: ident for (u, v) in edges for e in ((u, v), (v, u))})
+
+
+def orbits(cover: CoverComplex) -> dict[Simplex, int]:
+    """Orbit count of each branch simplex, as the cover's fiber table traces it."""
+    return {row.simplex: row.orbit_count for row in fiber_rank_report(cover).rows}
 
 
 def restrict(system: LocalSystemQ, sub: SimplicialComplex) -> LocalSystemQ:

@@ -60,6 +60,7 @@ from complexes import (
     cyclic_image,
     k4_graph,
     nullspace_mod_p,
+    orbits,
     theta_graph,
 )
 from oracles import (
@@ -156,7 +157,7 @@ def test_criterion_3_riemann_hurwitz():
         y, r, rep = sphere_branched_data(points, 2)
         spec = BranchedCoverSpec(y, r, rep)
         cover = fox_complete(spec)
-        chi = riemann_hurwitz_check(cover)
+        chi = riemann_hurwitz_check(cover, orbits(cover))
         assert chi == 2 - 2 * k
         assert chi == riemann_hurwitz_chi(2, 2, [1] * points)
         assert betti_numbers(cover.total) == (1, 2 * k, 1)
@@ -315,7 +316,7 @@ def test_criterion_9_codimension_corollary():
     for d in (2, 3):
         y, r, rep = codim3_vertex_data(d)
         spec = BranchedCoverSpec(y, r, rep)
-        report = codim_check(spec)
+        report = codim_check(spec, orbits(fox_complete(spec)))
         assert report.applicable
         assert report.non_minimal
         assert all(card == d for (_tau, card) in report.fibers)
@@ -324,7 +325,8 @@ def test_criterion_9_codimension_corollary():
                           (sphere_branched_data, (3, 3)),
                           (s3_unknot_double_data, ())):
         y, r, rep = builder(*args)
-        report = codim_check(BranchedCoverSpec(y, r, rep))
+        spec = BranchedCoverSpec(y, r, rep)
+        report = codim_check(spec, orbits(fox_complete(spec)))
         assert not report.applicable  # codim 2 fixtures: check skipped
     _report(9, "codim-3 branch input forces full fibers and the non-minimal flag")
 

@@ -1,6 +1,7 @@
 import functools
 import random
 from collections import Counter
+from itertools import combinations
 import re
 from pathlib import Path
 from types import SimpleNamespace
@@ -14,7 +15,6 @@ from branchcover.covering import (
     complement_connectivity_check,
     complement_presentation,
     compose_perms,
-    fiber_cardinality,
     fox_complete,
     identity_perm,
     invert_perm,
@@ -46,7 +46,7 @@ from branchcover.fixtures import (
     torus7,
 )
 
-from complexes import codim3_vertex_data, nullspace_mod_p, relator_rows
+from complexes import codim3_vertex_data, nullspace_mod_p, orbits, relator_rows
 from oracles import (
     RelatorViolatedMatrix,
     RepresentationQ,
@@ -257,25 +257,28 @@ def test_cover_star_injectivity():
 def test_local_monodromy_of_double_cover_branch_point():
     y, r, rep = sphere_branched_data(2, 2)
     spec = BranchedCoverSpec(y, r, rep)
+    cover = fox_complete(spec)
     for tau in spec.branch_simplices():
-        gens = local_monodromy_group(spec, tau)
+        gens = local_monodromy_group(cover, tau)
         assert gens == ((1, 0),)
-        assert fiber_cardinality(spec, tau) == 1
+        assert orbits(cover)[tau] == 1
 
 
 def test_local_monodromy_trivial():
     y, r, rep = codim3_vertex_data(3)
     spec = BranchedCoverSpec(y, r, rep)
+    cover = fox_complete(spec)
     (tau,) = spec.branch_simplices()
-    assert local_monodromy_group(spec, tau) == ((0, 1, 2),)
-    assert fiber_cardinality(spec, tau) == 3
+    assert local_monodromy_group(cover, tau) == ((0, 1, 2),)
+    assert orbits(cover) == {tau: 3}
 
 
 def test_local_monodromy_cyclic_triple():
     y, r, rep = sphere_branched_data(3, 3)
     spec = BranchedCoverSpec(y, r, rep)
+    cover = fox_complete(spec)
     for tau in spec.branch_simplices():
-        (g,) = local_monodromy_group(spec, tau)
+        (g,) = local_monodromy_group(cover, tau)
         assert sorted(g) == [0, 1, 2] and g != (0, 1, 2)
         assert orbit_count([g], 3) == 1
 
@@ -295,7 +298,7 @@ def test_fox_complete_genus_two():
     assert riemann_hurwitz_chi(2, 2, [1] * 6) == -2
     assert cover.total.euler_characteristic() == -2
     assert betti_numbers(cover.total) == (1, 4, 1)
-    assert riemann_hurwitz_check(cover) == -2
+    assert riemann_hurwitz_check(cover, orbits(cover)) == -2
 
 
 def test_fox_complete_empty_branch_is_plain_cover():
@@ -333,7 +336,7 @@ def test_fox_three_points_degree_three():
     assert riemann_hurwitz_chi(3, 2, [1, 1, 1]) == 0
     assert cover.total.euler_characteristic() == 0
     assert betti_numbers(cover.total) == (1, 2, 1)
-    assert riemann_hurwitz_check(cover) == 0
+    assert riemann_hurwitz_check(cover, orbits(cover)) == 0
 
 
 def test_unknot_double_cover_is_sphere():
@@ -342,7 +345,7 @@ def test_unknot_double_cover_is_sphere():
     cover = fox_complete(spec)
     assert betti_numbers(cover.total) == (1, 0, 0, 1)
     for tau in spec.branch_simplices():
-        assert fiber_cardinality(spec, tau) == 1
+        assert orbits(cover)[tau] == 1
         assert len(cover.fibers[tau]) == 1
 
 
@@ -356,6 +359,21 @@ def test_cover_records_the_lifts_of_each_branch_simplex(path):
     spec = load_spec(parse_spec_text(path.read_text(encoding="utf-8"))).cover_spec()
     cover = fox_complete(spec)
     assert cover.fibers == fibers_by_projection(cover.projection, spec.branch_simplices())
+
+
+@pytest.mark.parametrize("path", MONODROMY_SPECS, ids=lambda p: p.stem)
+def test_cover_keeps_the_punctured_star_of_each_branch_simplex(path):
+    """The cover's stars are keyed by the branch simplices, in their order,
+    each the closure of the base simplices containing it restricted to the
+    vertices off the locus."""
+    spec = load_spec(parse_spec_text(path.read_text(encoding="utf-8"))).cover_spec()
+    cover = fox_complete(spec)
+    assert tuple(cover.stars) == spec.branch_simplices()
+    for tau in spec.branch_simplices():
+        cofaces = [s for s in spec.base.complex.simplices if set(tau) <= set(s)]
+        closed = {f for s in cofaces for k in range(1, len(s) + 1) for f in combinations(s, k)}
+        off_locus = [f for f in closed if not spec.branch_vertices & set(f)]
+        assert off_locus and cover.stars[tau] == SimplicialComplex(off_locus)
 
 
 @pytest.mark.parametrize("name, stars", [("susp-cover-seed1", 8), ("s3-unknot-double", 6)])
@@ -372,8 +390,8 @@ def test_fox_complete_takes_components_once_per_punctured_star(name, stars, monk
         return results[-1]
 
     monkeypatch.setattr(covering, "connected_components", spy)
-    fox_complete(spec)
-    assert len({spec.punctured_star(tau) for tau in spec.branch_simplices()}) == stars
+    cover = fox_complete(spec)
+    assert len(set(cover.stars.values())) == stars
     assert len(results) == len({tuple(map(tuple, comps)) for comps in results}) == stars
 
 
@@ -407,8 +425,8 @@ def test_connectivity_check_passes_on_sphere_fixture():
 
 
 def test_connectivity_check_passes_on_unknot():
-    # the check takes the cover; the base stars need none, since the spec
-    # hands out only connected ones
+    # the check takes the cover; the base stars need none, since
+    # fox_complete builds no cover over a disconnected one
     y, r, rep = s3_unknot_double_data()
     spec = BranchedCoverSpec(y, r, rep)
     report = complement_connectivity_check(fox_complete(spec))
@@ -548,7 +566,7 @@ def test_riemann_hurwitz_unbranched_multiplicativity():
     for d, perm in ((2, (1, 0)), (3, (1, 2, 0)), (4, (1, 2, 3, 0))):
         y, r, rep = circle_cover_data(d, perm)
         cover = fox_complete(BranchedCoverSpec(y, r, rep))
-        assert riemann_hurwitz_check(cover) == d * y.complex.euler_characteristic()
+        assert riemann_hurwitz_check(cover, orbits(cover)) == d * y.complex.euler_characteristic()
 
 
 def test_fox_completed_surface_cover_is_a_closed_surface():
@@ -582,7 +600,7 @@ def test_branched_decomposition_degree_three_six_points():
     spec = BranchedCoverSpec(y, r, rep)
     # chi = 3*2 - 6*(3-1) = -6: genus 4
     cover = fox_complete(spec)
-    assert riemann_hurwitz_check(cover) == -6
+    assert riemann_hurwitz_check(cover, orbits(cover)) == -6
     from branchcover.verify import verify_branched
     report = verify_branched(spec, "lower")
     assert report.betti_cover == (1, 8, 1)

@@ -57,8 +57,8 @@ def raise_messages(package: Path) -> list[tuple[str, int, str]]:
 
 
 def test_one_raise_decides_that_a_punctured_star_is_disconnected():
-    """The spec's ``punctured_star`` is the one connectivity test of a base
-    punctured star; no other raise repeats it."""
+    """``fox_complete`` makes the one connectivity test of a base punctured
+    star; no other raise repeats it."""
     sites = [r for r in raise_messages(PACKAGE) if "punctured star" in r[2]]
     assert [(name, text) for name, _line, text in sites] == [
         ("covering.py", "punctured star of branch simplex  is not connected")]

@@ -264,7 +264,7 @@ def test_restrict_swap_system_to_punctured_star():
     spec = BranchedCoverSpec(y, r, rep)
     push = pushforward_local_system(spec.degree, spec.table)
     tau = spec.branch_simplices()[0]
-    p = spec.punctured_star(tau)
+    p = fox_complete(spec).stars[tau]
     res = restrict(push, p)
     assert res.rank == 2
     assert set(res.transports) == {(u, v) for (u, v) in _both(p)}

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import branchcover
-from branchcover.covering import ConnectivityReport, MonodromyRep
+from branchcover.covering import ConnectivityReport, CoverComplex, MonodromyRep
 from branchcover.errors import InputError
 from branchcover.commands import CodimReport, ConeCheckResult
 from branchcover.intersection import Perversity, lower_middle
@@ -30,6 +30,7 @@ from stalks import StalkCheckEntry, StalkCheckResult
 RECORDS = {
     MonodromyRep: ("degree", "assignments", "basepoint"),
     ConnectivityReport: ("base_failures", "cover_failures", "checked_base", "checked_cover"),
+    CoverComplex: ("spec", "total", "projection", "fibers", "stars"),
     ConeCheckResult: ("link_ih", "cone_ih", "cutoff", "expected", "mismatches"),
     StalkCheckEntry: ("vertex", "level", "codim", "cutoff", "link_ih", "star_ih",
                       "expected", "mismatches"),

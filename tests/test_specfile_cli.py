@@ -215,6 +215,19 @@ def test_cli_unknown_fixture(capsys):
     assert "unknown fixture" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra, message", [
+    (("--degree", "3", "--perm", "1,0"), "[1, 0] is not a permutation of 0..2"),
+    (("--degree", "0"), "degree must be at least 1"),
+    (("--degree", "0", "--perm", "1,0"), "degree must be at least 1"),
+], ids=["perm-of-another-degree", "degree-zero", "degree-zero-with-perm"])
+def test_cli_circle_cover_fixture_checks_degree_and_perm_once(extra, message, capsys):
+    """The fixture's data builder is the one check of ``--degree`` and
+    ``--perm``; the command only parses the permutation."""
+    capsys.readouterr()
+    assert main(["fixture", "circle-cover", *extra]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_cli_fixture_s3_runs_verify(tmp_path, capsys):
     path = write_fixture(tmp_path, "s3-unknot-double")
     rc = main(["verify", str(path), "--format", "json"])
@@ -448,12 +461,6 @@ def _validate_at_degree_zero():
                        MonodromyRep(0, rep.assignments))
 
 
-def _punctured_star_off_the_locus():
-    spec = load_spec(parse_spec_text(
-        (GOLDEN / "sphere-p2-d2.json").read_text(encoding="utf-8"))).cover_spec()
-    spec.punctured_star((1,))  # the locus is the vertices 0 and 5
-
-
 # case -> (where, how, message): `verify` on sphere-p2-d2.json edited by `how`
 # exits 1 with the message as its one line, or the library call `how` raises it
 INPUT_ERRORS = {
@@ -468,8 +475,6 @@ INPUT_ERRORS = {
        for name, value in (("false", False), ("zero", 0), ("empty-object", {}),
                            ("empty-string", ""))},
     "validate-degree-zero": ("library", _validate_at_degree_zero, "degree must be at least 1"),
-    "punctured-star-off-the-locus": ("library", _punctured_star_off_the_locus,
-                                     "[1] is not a simplex of the branch locus"),
 }
 
 
@@ -773,7 +778,7 @@ def test_branch_outside_the_base_is_rejected_before_subdividing(subdivisions, tm
 
 def test_cli_verify_and_fibers_name_the_disconnected_punctured_star(tmp_path, capsys):
     """The pinched torus branched at its pinch vertex: both commands print
-    the one message of the spec's connectivity test and exit 1."""
+    the one message of fox_complete's connectivity test and exit 1."""
     pt = pinched_torus()
     pinch, = pt.level(0).vertices
     pres = complement_presentation(pt.complex, {pinch})

@@ -9,7 +9,6 @@ from branchcover import intersection, simplicial, verify
 from branchcover.cli import main
 from branchcover.covering import (
     BranchedCoverSpec,
-    CoverComplex,
     MonodromyRep,
     complement_presentation,
     fox_complete,
@@ -33,7 +32,7 @@ from branchcover.fixtures import (
 )
 from branchcover.intersection import PERVERSITIES, ih_betti, perversity_by_name
 
-from complexes import codim3_vertex_data, rebased, suspended
+from complexes import codim3_vertex_data, orbits, rebased, suspended
 from oracles import (
     dense_nullspace,
     fibers_by_projection,
@@ -203,23 +202,23 @@ def test_fiber_report_swap_in_higher_degree():
 
 
 def test_codim_check_vertex_in_sphere():
-    y, r, rep = codim3_vertex_data(2)
-    report = codim_check(BranchedCoverSpec(y, r, rep))
+    spec = BranchedCoverSpec(*codim3_vertex_data(2))
+    report = codim_check(spec, orbits(fox_complete(spec)))
     assert report.applicable
     assert report.non_minimal
     assert all(card == 2 for (_tau, card) in report.fibers)
 
 
 def test_codim_check_skipped_at_codim_two():
-    y, r, rep = sphere_branched_data(6, 2)
-    report = codim_check(BranchedCoverSpec(y, r, rep))
+    spec = BranchedCoverSpec(*sphere_branched_data(6, 2))
+    report = codim_check(spec, orbits(fox_complete(spec)))
     assert not report.applicable
     assert "not applicable" in report.note
 
 
 def test_codim_check_empty_branch():
-    y, r, rep = circle_cover_data(2, (1, 0))
-    report = codim_check(BranchedCoverSpec(y, r, rep))
+    spec = BranchedCoverSpec(*circle_cover_data(2, (1, 0)))
+    report = codim_check(spec, orbits(fox_complete(spec)))
     assert not report.applicable
     assert "vacuous" in report.note
 
@@ -359,22 +358,22 @@ def test_verify_checks_connectivity_before_and_with_the_cover(monkeypatch):
     loaded = load_spec(parse_spec_text(
         (GOLDEN / "susp-cover-seed1.json").read_text(encoding="utf-8")))
     spec = loaded.cover_spec()
-    real_check, real_fox = covering._nonempty_connected, verify.fox_complete
-    events = []
+    real_check, real_fox = covering._one_component, verify.fox_complete
+    events, covers = [], []
 
     def check_spy(c):
         events.append(c)
         return real_check(c)
 
     def fox_spy(spec):
-        cover = real_fox(spec)
+        covers.append(real_fox(spec))
         events.append("cover")
-        return cover
+        return covers[-1]
 
-    monkeypatch.setattr(covering, "_nonempty_connected", check_spy)
+    monkeypatch.setattr(covering, "_one_component", check_spy)
     monkeypatch.setattr(verify, "fox_complete", fox_spy)
     report = verify_branched(spec, loaded.perversity)
-    stars = {spec.punctured_star(tau) for tau in spec.branch_simplices()}
+    stars = set(covers[0].stars.values())
     lifts = report.connectivity.checked_cover
     assert len(stars) == 8 and report.connectivity.checked_base == 16 and lifts == 16
     assert events.index("cover") == len(stars) and set(events[:len(stars)]) == stars
@@ -394,15 +393,14 @@ def test_verify_computes_each_local_monodromy_group_once(monkeypatch):
         computed.append(complex_)
         return real(complex_, basepoint)
 
-    # one presentation per distinct punctured star: branch simplices with
-    # equal punctured stars share their local monodromy group
+    # one presentation per branch simplex, of its punctured star: the fiber
+    # table traces each group once and Riemann-Hurwitz reads its orbit counts
     monkeypatch.setattr(covering, "edge_path_presentation", spy)
     report = verify_branched(spec, "lower")
-    stars = {spec.punctured_star(tau) for tau in spec.branch_simplices()}
     assert len(report.fiber.rows) == 12
-    assert len(computed) == len(set(computed)) == len(stars) == 6
-    fiber_rank_report(fox_complete(spec))  # a later caller reads the cache
-    assert len(computed) == 6
+    assert len(computed) == 12 and len(set(computed)) == 6
+    cover = fox_complete(spec)
+    assert computed == [cover.stars[tau] for tau in spec.branch_simplices()]
 
 
 def test_verify_validates_the_monodromy_once(monkeypatch):
@@ -548,7 +546,7 @@ def test_cli_exits_3_when_the_cover_breaks_riemann_hurwitz(monkeypatch, capsys):
         total = SimplicialComplex(s for s in cover.total.all_simplices() if s != top)
         projection = {s: b for s, b in cover.projection.items() if s != top}
         fibers = fibers_by_projection(projection, spec.branch_simplices())
-        return CoverComplex(spec, total, projection, fibers)
+        return cover._replace(total=total, projection=projection, fibers=fibers)
 
     monkeypatch.setattr(verify, "fox_complete", drop_one_top_simplex)
     capsys.readouterr()
