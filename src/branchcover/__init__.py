@@ -10,7 +10,6 @@ from .errors import BranchCoverError, InputError, InternalCheckError
 from .simplicial import (
     SimplicialComplex,
     validate_complex,
-    star,
     components,
     betti_numbers,
     full_subcomplex,

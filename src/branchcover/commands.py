@@ -12,7 +12,7 @@ from collections import namedtuple
 
 from .covering import BranchedCoverSpec, complement_presentation, fox_complete
 from .errors import InputError, InternalCheckError
-from .intersection import Perversity, ih_betti, perversity_by_name
+from .intersection import Perversity, allowable_simplices, ih_betti, perversity_by_name
 from .local_systems import LocalSystemQ, kernel_system, pushforward_local_system, twisted_betti
 from .simplicial import Simplex, SimplicialComplex, betti_numbers
 from .specfile import MAX_DEGREE, load_spec, read_spec
@@ -83,9 +83,9 @@ def cone_formula_check(link_sc: StratifiedComplex, p: Perversity | None,
     l = link_sc.dim
     if l < 0:
         raise InputError("the link is empty")
-    link_ih = ih_betti(link_sc, p, coeff)
+    link_ih = ih_betti(link_sc, allowed=allowable_simplices(link_sc, p), coeff=coeff)
     cone_sc = cone_stratified(link_sc)
-    cone_ih = ih_betti(cone_sc, p, coeff)
+    cone_ih = ih_betti(cone_sc, allowed=allowable_simplices(cone_sc, p), coeff=coeff)
     if l == 0:
         cutoff = 1
         expected = (1, 0)
@@ -185,7 +185,8 @@ def cmd_twisted(args) -> tuple[str, int]:
 def cmd_ih(args) -> tuple[str, int]:
     loaded = load_spec(read_spec(args.spec))
     name = args.perversity or loaded.perversity
-    values = ih_betti(loaded.base, perversity_by_name(name, loaded.base.dim))
+    p = perversity_by_name(name, loaded.base.dim)
+    values = ih_betti(loaded.base, allowed=allowable_simplices(loaded.base, p))
     return f"ih ({name}): {list(values)}\n", 0
 
 

@@ -23,7 +23,6 @@ from .simplicial import (
     connected_components,
     full_subcomplex,
     is_full,
-    star,
 )
 from .stratified import StratifiedComplex
 
@@ -207,9 +206,11 @@ class BranchedCoverSpec:
 
 
 def _star_off(c: SimplicialComplex, s: Simplex, removed) -> SimplicialComplex:
-    """star(s) in ``c`` less the vertices in ``removed``, as a full subcomplex."""
-    st = star(c, s)
-    return full_subcomplex(st, (v for v in st.vertices if v not in removed))
+    """The star of ``s`` in ``c`` less the vertices in ``removed``, as a full
+    subcomplex: the closure of each coface of ``s`` less ``removed``, since a
+    face of a coface avoids ``removed`` exactly when it is a face of that rest."""
+    return closure(tuple(v for v in t if v not in removed)
+                   for t in filter(set(s).issubset, c.cofaces_of_vertex(s[0])))
 
 
 def _one_component(c: SimplicialComplex) -> bool:

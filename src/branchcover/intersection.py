@@ -108,17 +108,17 @@ def allowable_simplices(sc: StratifiedComplex, p: Perversity | None) -> set[Simp
 # intersection homology
 
 
-def ih_betti(sc: StratifiedComplex, p: Perversity | None,
+def ih_betti(sc: StratifiedComplex, *, allowed: set[Simplex],
              coeff: LocalSystemQ | None = None) -> tuple[int, ...]:
     """Intersection homology ranks in degrees 0..dim.
 
-    :func:`simplicial.homology_ranks` on the :func:`allowable_simplices`,
-    with the coefficients of a simplex at its first vertex off the singular
-    set; it also checks that the boundary keeps the intersection chains.
-    The test oracle ``oracles.ic_betti`` computes the same ranks from
-    explicit bases of the IC_j, written from the definitions alone.
+    :func:`simplicial.homology_ranks` on ``allowed``, the set that
+    :func:`allowable_simplices` returns for ``sc``, with the coefficients
+    of a simplex at its first vertex off the singular set; it also checks
+    that the boundary keeps the intersection chains.  The test oracle
+    ``oracles.ic_betti`` computes the same ranks from explicit bases of the
+    IC_j, written from the definitions alone.
     """
-    allowed = allowable_simplices(sc, p).__contains__
     singular = set(sc.singular_set.vertices)
 
     def anchor(s: Simplex) -> int:
@@ -130,5 +130,5 @@ def ih_betti(sc: StratifiedComplex, p: Perversity | None,
             "set; subdivide the base")
 
     if coeff is None:
-        return homology_ranks(sc.complex, allowed)
-    return homology_ranks(sc.complex, allowed, coeff.rank, coeff.transport, anchor)
+        return homology_ranks(sc.complex, allowed.__contains__)
+    return homology_ranks(sc.complex, allowed.__contains__, coeff.rank, coeff.transport, anchor)

@@ -179,17 +179,6 @@ def closure(simplices: Iterable[Simplex]) -> SimplicialComplex:
                               for k in range(1, len(s) + 1) for face in combinations(s, k)})
 
 
-def star(c: SimplicialComplex, simplex: Simplex) -> SimplicialComplex:
-    """Closed star: the closure of all cofaces of ``simplex``.
-
-    Only the simplices through the first vertex of ``simplex`` are scanned.
-    """
-    s = tuple(simplex)
-    if s not in c.simplices:
-        raise InputError(f"{list(s)} is not a simplex of the complex")
-    return closure(filter(set(s).issubset, c.cofaces_of_vertex(s[0])))
-
-
 def connected_components(nodes: Iterable[Hashable],
                          edges: Iterable[tuple[Hashable, Hashable]]) -> list[list]:
     """The connected components of a graph, by union-find (Tarjan, JACM 1975).

@@ -28,7 +28,7 @@ from .covering import (
 from .errors import InternalCheckError
 from .intersection import allowable_simplices, ih_betti, perversity_by_name
 from .local_systems import invariant_dimension, kernel_system, sum_zero_action
-from .simplicial import betti_numbers, components, homology_ranks
+from .simplicial import betti_numbers, homology_ranks
 
 NECESSITY_NOTE = ("rank and stalk equalities are necessary conditions for the "
                   "sheaf-level decomposition, not sufficient")
@@ -161,10 +161,10 @@ class DecompositionReport(namedtuple(
         return "\n".join(lines) + "\n"
 
 
-def _stage(name: str, homology, *args) -> tuple[int, ...]:
-    """``homology(*args)``, a failed internal check in it naming the report's ``name``."""
+def _stage(name: str, homology, *args, **kwargs) -> tuple[int, ...]:
+    """``homology(*args, **kwargs)``, a failed internal check naming the report's ``name``."""
     try:
-        return homology(*args)
+        return homology(*args, **kwargs)
     except InternalCheckError as exc:
         raise InternalCheckError(f"{exc}, in {name}") from None
 
@@ -195,15 +195,15 @@ def verify_branched(spec: BranchedCoverSpec, perversity: str = "lower") -> Decom
     b_cover = _stage("b(cover)", betti_numbers, cover.total)
 
     refined = refine_stratification(spec.base, spec.branch)
+    allowed = allowable_simplices(refined, p)  # one set for the cover and both systems
     if refined.singular_set.n_simplices():
-        allowed = allowable_simplices(refined, p)
         ih_cover = _stage("ih(cover)", homology_ranks, cover.total,
                           lambda s: cover.projection[s] in allowed)
     else:  # with no singular simplex upstairs every chain is allowable
         ih_cover = b_cover
-    ih_trivial = _stage("ih(base; trivial)", ih_betti, refined, p, None)
+    ih_trivial = _stage("ih(base; trivial)", ih_betti, refined, allowed=allowed)
     kernel = kernel_system(spec.degree, spec.table)
-    ih_kernel = _stage("ih(base; kernel)", ih_betti, refined, p, kernel)
+    ih_kernel = _stage("ih(base; kernel)", ih_betti, refined, allowed=allowed, coeff=kernel)
 
     equal = tuple(ih_cover[j] == ih_trivial[j] + ih_kernel[j] for j in range(m + 1))
 
@@ -214,8 +214,9 @@ def verify_branched(spec: BranchedCoverSpec, perversity: str = "lower") -> Decom
     # once riemann_hurwitz_check has matched it to the branch data
     euler_ok = sum((-1) ** j * b_cover[j] for j in range(m + 1)) == euler_cover
 
+    # b_0 = f_0 - rk d_1 is the cover's component count, so no second walk counts them
     global_orbits = orbit_count(spec.monodromy.assignments.values(), spec.degree)
-    b0_ok = (b_cover[0] == len(components(cover.total)) == global_orbits)
+    b0_ok = b_cover[0] == global_orbits
 
     b_base_manifold = None
     manifold_ok = True

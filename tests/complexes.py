@@ -4,7 +4,8 @@ The package's own fixtures (``branchcover.fixtures``) are the ones the
 ``fixture`` command writes; these are extra bases, a stratified
 subdivision, the constant system, the restriction of a system, a
 codimension-3 spec, a monodromy moved to another basepoint, the
-suspension of a spec, links and oriented vertex links, the orbit counts
+suspension of a spec, intersection homology at a perversity, closed
+stars, links and oriented vertex links, the orbit counts
 of a cover's fiber table, and the GF(p) elimination that draws random
 cyclic monodromy classes for the tests.
 """
@@ -24,6 +25,7 @@ from branchcover.covering import (
 )
 from branchcover.errors import InputError
 from branchcover.fixtures import boundary_simplex, cycle_complex, spec_to_dict
+from branchcover.intersection import Perversity, allowable_simplices, ih_betti
 from branchcover.local_systems import (
     LocalSystemQ,
     kernel_system,
@@ -36,7 +38,6 @@ from branchcover.simplicial import (
     SimplicialComplex,
     barycentric_subdivide_complex,
     closure,
-    star,
 )
 from branchcover.specfile import LoadedSpec
 from branchcover.stratified import StratifiedComplex, subdivide_with_subcomplexes
@@ -73,6 +74,12 @@ def restrict(system: LocalSystemQ, sub: SimplicialComplex) -> LocalSystemQ:
     except KeyError:
         raise InputError("restriction target is not a subcomplex of the base") from None
     return LocalSystemQ(system.rank, transports)
+
+
+def ih(sc: StratifiedComplex, p: Perversity | None,
+       coeff: LocalSystemQ | None = None) -> tuple[int, ...]:
+    """``ih_betti`` at a perversity: the allowable set for ``p``, then the ranks."""
+    return ih_betti(sc, allowed=allowable_simplices(sc, p), coeff=coeff)
 
 
 def barycentric_subdivide(sc: StratifiedComplex) -> StratifiedComplex:
@@ -166,6 +173,17 @@ def annulus() -> SimplicialComplex:
         faces.append(tuple(sorted((i, j, 6 + i))))
         faces.append(tuple(sorted((j, 6 + i, 6 + j))))
     return closure(faces)
+
+
+def star(c: SimplicialComplex, simplex: Simplex) -> SimplicialComplex:
+    """Closed star: the closure of all cofaces of ``simplex``.
+
+    Only the simplices through the first vertex of ``simplex`` are scanned.
+    """
+    s = tuple(simplex)
+    if s not in c.simplices:
+        raise InputError(f"{list(s)} is not a simplex of the complex")
+    return closure(filter(set(s).issubset, c.cofaces_of_vertex(s[0])))
 
 
 def link(c: SimplicialComplex, simplex: Simplex) -> SimplicialComplex:

@@ -10,12 +10,12 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from branchcover.errors import InputError
-from branchcover.intersection import Perversity, ih_betti
+from branchcover.intersection import Perversity
 from branchcover.local_systems import LocalSystemQ
-from branchcover.simplicial import Simplex, SimplicialComplex, star
+from branchcover.simplicial import Simplex, SimplicialComplex
 from branchcover.stratified import StratifiedComplex
 
-from complexes import link
+from complexes import ih, link, star
 
 
 def complementary(p: Perversity) -> Perversity:
@@ -111,8 +111,8 @@ def deligne_stalk_check(sc: StratifiedComplex, p: Perversity,
         k = m - j
         link_sc = induced_link(sc, v)
         star_sc = induced_star(sc, v)
-        link_ih = ih_betti(link_sc, p, coeff)
-        star_ih = ih_betti(star_sc, p, coeff)
+        link_ih = ih(link_sc, p, coeff)
+        star_ih = ih(star_sc, p, coeff)
         cutoff = (k - 1) - p[k]
         expected = tuple(
             (link_ih[i] if i < len(link_ih) else 0) if i < cutoff else 0

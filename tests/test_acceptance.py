@@ -21,7 +21,6 @@ from branchcover.covering import (
     riemann_hurwitz_check,
 )
 from branchcover.intersection import (
-    ih_betti,
     lower_middle,
     top_perversity,
     upper_middle,
@@ -58,6 +57,7 @@ from complexes import (
     codim3_vertex_data,
     figure_eight,
     cyclic_image,
+    ih,
     k4_graph,
     nullspace_mod_p,
     orbits,
@@ -210,17 +210,17 @@ def test_criterion_6_ih_engine_sanity():
         m = max(c.dim, 2)
         for p in (zero_perversity(m), lower_middle(m), upper_middle(m),
                   top_perversity(m)):
-            assert ih_betti(sc, p) == b
+            assert ih(sc, p) == b
     # suspension of the torus, derived through the cone-formula oracle
     torus_ih = (1, 2, 1)
     assert suspension_ih_oracle(torus_ih, 2 - upper_middle(3)[3]) == (1, 0, 2, 1)
-    assert ih_betti(suspension_torus(), upper_middle(3)) == (1, 0, 2, 1)
+    assert ih(suspension_torus(), upper_middle(3)) == (1, 0, 2, 1)
     assert suspension_ih_oracle(torus_ih, 2 - lower_middle(3)[3]) == (1, 2, 0, 1)
-    assert ih_betti(suspension_torus(), lower_middle(3)) == (1, 2, 0, 1)
+    assert ih(suspension_torus(), lower_middle(3)) == (1, 2, 0, 1)
     # pinched torus: Mayer-Vietoris of the pinch cone (2,0,0) against the
     # complementary cylinder gives (1, 0, 1)
-    assert ih_betti(pinched_torus(), lower_middle(2)) == (1, 0, 1)
-    assert ih_betti(pinched_torus(), upper_middle(2)) == (1, 0, 1)
+    assert ih(pinched_torus(), lower_middle(2)) == (1, 0, 1)
+    assert ih(pinched_torus(), upper_middle(2)) == (1, 0, 1)
     _report(6, "ih = betti on 4 manifolds x 4 perversities; suspension-torus "
                "= (1,0,2,1); pinched-torus = (1,0,1)")
 
@@ -288,7 +288,7 @@ def test_criterion_8_structural_invariants():
     twisted_betti(spec.complement, kernel)
     refined = refine_stratification(y, r)
     for coeff in (None, kernel):
-        assert ih_betti(refined, lower_middle(2), coeff) == ic_betti(
+        assert ih(refined, lower_middle(2), coeff) == ic_betti(
             refined, lower_middle(2), coeff)
         assert ic_closed(refined, lower_middle(2), coeff)
 

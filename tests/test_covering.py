@@ -24,6 +24,7 @@ from branchcover.covering import (
     riemann_hurwitz_check,
     transport_along,
     validate_monodromy,
+    _star_off,
 )
 from branchcover.errors import InputError
 from branchcover.presentation import edge_path_presentation
@@ -31,7 +32,6 @@ from branchcover.simplicial import (
     SimplicialComplex,
     betti_numbers,
     components,
-    star,
 )
 from branchcover.specfile import load_spec, parse_spec_text
 from branchcover.stratified import EMPTY_STRATIFIED, StratifiedComplex
@@ -46,7 +46,7 @@ from branchcover.fixtures import (
     torus7,
 )
 
-from complexes import codim3_vertex_data, nullspace_mod_p, orbits, relator_rows
+from complexes import codim3_vertex_data, nullspace_mod_p, orbits, relator_rows, star
 from oracles import (
     RelatorViolatedMatrix,
     RepresentationQ,
@@ -474,20 +474,29 @@ def test_load_spec_and_cover_spec_build_the_complement_once(monkeypatch):
     assert spec.presentation.complex is spec.complement
 
 
-@pytest.mark.parametrize("name", ["sphere-branched", "s3-unknot-double", "susp-cover"])
+# the golden s3-unknot-double spec is the fixture's
+@pytest.mark.parametrize("name", ["sphere-branched", "susp-cover"]
+                         + [p.stem for p in MONODROMY_SPECS])
 def test_star_of_every_lift_and_branch_simplex_matches_brute_star(name, monkeypatch):
+    """The punctured star of each branch simplex in the base, and of each of
+    its lifts in the cover, is the brute-force star less every simplex that
+    meets the locus, or the vertices over it."""
     if name == "susp-cover":
         spec = _susp_cover_bench_spec(monkeypatch)
+    elif name == "sphere-branched":
+        spec = BranchedCoverSpec(*sphere_branched_data(6, 2))
     else:
-        data = sphere_branched_data(6, 2) if name == "sphere-branched" else s3_unknot_double_data()
-        spec = BranchedCoverSpec(*data)
+        spec = load_spec(parse_spec_text((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
+                         ).cover_spec()
     cover = fox_complete(spec)
-    pairs = [(cover.total, lift) for tau in spec.branch_simplices()
+    over_locus = {v for w in spec.branch_vertices for (v,) in cover.fibers[(w,)]}
+    pairs = [(cover.total, lift, over_locus) for tau in spec.branch_simplices()
              for lift in cover.fibers[tau]]
-    assert pairs
-    pairs += [(spec.base.complex, tau) for tau in spec.branch_simplices()]
-    for c, s in pairs:
-        assert star(c, s) == SimplicialComplex(brute_star(c.simplices, s))
+    assert bool(pairs) == bool(spec.branch_vertices)
+    pairs += [(spec.base.complex, tau, spec.branch_vertices) for tau in spec.branch_simplices()]
+    for c, s, removed in pairs:
+        off = [t for t in brute_star(c.simplices, s) if removed.isdisjoint(t)]
+        assert _star_off(c, s, removed) == SimplicialComplex(off)
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ from branchcover.fixtures import (
     torus7,
 )
 
-from complexes import annulus, barycentric_subdivide, kernel, nullspace_mod_p, relator_rows
+from complexes import annulus, barycentric_subdivide, ih, kernel, nullspace_mod_p, relator_rows
 from oracles import (
     dense,
     ic_betti,
@@ -150,11 +150,11 @@ def test_ih_equals_betti_on_manifolds():
         m = max(c.dim, 2)
         for p in (zero_perversity(m), lower_middle(m), upper_middle(m),
                   top_perversity(m)):
-            assert ih_betti(sc, p) == b
+            assert ih(sc, p) == b
 
 
 def test_ih_octahedron_value():
-    assert ih_betti(StratifiedComplex(octahedron()), lower_middle(2)) == (1, 0, 1)
+    assert ih(StratifiedComplex(octahedron()), lower_middle(2)) == (1, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +168,8 @@ def test_ih_suspension_torus():
     # cutoff = 2 - p(3): upper middle truncates at 1, lower middle at 2
     assert suspension_ih_oracle(torus_ih, 1) == (1, 0, 2, 1)
     assert suspension_ih_oracle(torus_ih, 2) == (1, 2, 0, 1)
-    assert ih_betti(st, upper_middle(3)) == (1, 0, 2, 1)
-    assert ih_betti(st, lower_middle(3)) == (1, 2, 0, 1)
+    assert ih(st, upper_middle(3)) == (1, 0, 2, 1)
+    assert ih(st, lower_middle(3)) == (1, 2, 0, 1)
 
 
 def _load_golden(path):
@@ -192,8 +192,8 @@ def test_ih_suspension_duality(path):
         cases["cover"] = (pullback_stratification(fox_complete(spec), refined), None)
     m = refined.dim
     for label, (sc, coeff) in cases.items():
-        lo = ih_betti(sc, lower_middle(m), coeff)
-        up = ih_betti(sc, upper_middle(m), coeff)
+        lo = ih(sc, lower_middle(m), coeff)
+        up = ih(sc, upper_middle(m), coeff)
         assert all(lo[j] == up[m - j] for j in range(m + 1)), (label, lo, up)
 
 
@@ -203,8 +203,8 @@ def test_ih_pinched_torus():
     # differs in degree 1
     pt = pinched_torus()
     assert betti_numbers(pt.complex) == (1, 1, 1)
-    assert ih_betti(pt, lower_middle(2)) == (1, 0, 1)
-    assert ih_betti(pt, upper_middle(2)) == (1, 0, 1)
+    assert ih(pt, lower_middle(2)) == (1, 0, 1)
+    assert ih(pt, upper_middle(2)) == (1, 0, 1)
 
 
 def test_ih_invariant_under_subdivision():
@@ -216,7 +216,7 @@ def test_ih_invariant_under_subdivision():
     ]
     for sc, p in fixtures:
         sub = barycentric_subdivide(sc)
-        assert ih_betti(sub, p) == ih_betti(sc, p)
+        assert ih(sub, p) == ih(sc, p)
 
 
 def _relabelled(sc: StratifiedComplex, rnd: random.Random) -> StratifiedComplex:
@@ -245,7 +245,7 @@ def test_betti_and_ih_do_not_depend_on_vertex_labels(path, subdivisions):
     assert relabelled.complex != base.complex
     m = base.dim
     for perversity in (lower_middle(m), upper_middle(m)):
-        assert ih_betti(relabelled, perversity) == ih_betti(base, perversity)
+        assert ih(relabelled, perversity) == ih(base, perversity)
     assert betti_numbers(relabelled.complex) == betti_numbers(base.complex)
 
 
@@ -260,7 +260,7 @@ def test_ic_complex_structure():
         for x in bases[j]:
             assert {s for s, _t in x} <= set(simps)
     assert ic_closed(st, upper_middle(3))
-    assert ic_betti(st, upper_middle(3)) == ih_betti(st, upper_middle(3)) == (1, 0, 2, 1)
+    assert ic_betti(st, upper_middle(3)) == ih(st, upper_middle(3)) == (1, 0, 2, 1)
 
 
 def _refined(data):
@@ -347,9 +347,9 @@ def test_ih_from_ranks_matches_ic_bases(name):
     for pname in ("lower", "upper", "zero", "top"):
         p = perversity_by_name(pname, sc.dim)
         for label, coeff in (("trivial", None), ("kernel", kernel), ("scaled", scaled)):
-            ih = ih_betti(sc, p, coeff)
-            assert ih == ic_betti(sc, p, coeff), (pname, label)
-        assert ih == ih_betti(sc, p, kernel), pname
+            ranks = ih(sc, p, coeff)
+            assert ranks == ic_betti(sc, p, coeff), (pname, label)
+        assert ranks == ih(sc, p, kernel), pname
 
 
 # ---------------------------------------------------------------------------
@@ -361,15 +361,15 @@ def test_twisted_ih_genus_two_kernel():
     spec = BranchedCoverSpec(y, r, rep)
     refined = refine_stratification(y, r)
     # derived: b(genus 2 surface) - ih(sphere) = (1,4,1) - (1,0,1)
-    assert ih_betti(refined, lower_middle(2), kernel_system(spec.degree, spec.table)) == (0, 4, 0)
+    assert ih(refined, lower_middle(2), kernel_system(spec.degree, spec.table)) == (0, 4, 0)
 
 
 def test_twisted_ih_unknot_kernel_vanishes():
     y, r, rep = s3_unknot_double_data()
     spec = BranchedCoverSpec(y, r, rep)
     refined = refine_stratification(y, r)
-    assert ih_betti(refined, lower_middle(3), kernel_system(spec.degree, spec.table)) == (0, 0, 0, 0)
-    assert ih_betti(refined, lower_middle(3), None) == (1, 0, 0, 1)
+    assert ih(refined, lower_middle(3), kernel_system(spec.degree, spec.table)) == (0, 0, 0, 0)
+    assert ih(refined, lower_middle(3), None) == (1, 0, 0, 1)
 
 
 @pytest.mark.parametrize("base, expected", [(annulus, (2, 2, 0)), (torus7, (2, 4, 2))])
@@ -383,7 +383,7 @@ def test_ih_of_unstratified_base_is_twisted_homology(base, expected):
     swap, fixed = (1, 0, 2, 3), (0, 1, 2, 3)
     rep = MonodromyRep(4, {g: swap if e else fixed for g, e in zip(pres.generators, exponents)})
     k = kernel(pres, rep)
-    assert ih_betti(StratifiedComplex(c), lower_middle(2), k) == expected
+    assert ih(StratifiedComplex(c), lower_middle(2), k) == expected
     assert twisted_betti(c, k) == expected
 
 
@@ -481,15 +481,24 @@ def test_ic_requires_full_levels():
     oct_ = octahedron()
     sc = StratifiedComplex(oct_, [SimplicialComplex([(1,), (2,)])])
     with pytest.raises(InputError, match=re.escape("filtration levels [0, 1] are not full subcomplexes")):
-        ih_betti(sc, zero_perversity(2))
+        ih(sc, zero_perversity(2))
 
 
 def test_ic_requires_perversity_in_high_dimension():
     with pytest.raises(InputError, match="a perversity is required in dimension >= 2"):
-        ih_betti(StratifiedComplex(octahedron()), None)
+        ih(StratifiedComplex(octahedron()), None)
     with pytest.raises(InputError, match="perversity only defined up to 2, need 3"):
         # perversity defined only up to dimension 2 cannot serve dimension 3
-        ih_betti(suspension_torus(), zero_perversity(2))
+        ih(suspension_torus(), zero_perversity(2))
+
+
+def test_ih_betti_takes_the_allowable_set_not_a_perversity():
+    """A perversity where the allowable set once went is a ``TypeError``, not
+    an empty set of chains."""
+    sc = StratifiedComplex(octahedron())
+    with pytest.raises(TypeError):
+        ih_betti(sc, lower_middle(2))
+    assert ih_betti(sc, allowed=allowable_simplices(sc, lower_middle(2))) == (1, 0, 1)
 
 
 def test_stalk_check_arc_stratum_through_suspension_points():

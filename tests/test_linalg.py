@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from branchcover import linalg
 from branchcover.covering import fox_complete, refine_stratification
-from branchcover.intersection import ih_betti, perversity_by_name
+from branchcover.intersection import perversity_by_name
 from branchcover.local_systems import (
     invariant_dimension,
     kernel_system,
@@ -19,6 +19,7 @@ from branchcover.local_systems import (
 from branchcover.simplicial import betti_numbers
 from branchcover.specfile import load_spec, parse_spec_text
 
+from complexes import ih
 from oracles import (
     dense,
     dense_rank,
@@ -308,8 +309,8 @@ def _ic(spec, perversity):
     m = spec.base.dim
     refined = refine_stratification(spec.base, spec.branch)
     p = perversity_by_name(perversity, m) if m >= 2 else None
-    ih_betti(refined, p, None)
-    ih_betti(refined, p, _kernel(spec))
+    ih(refined, p, None)
+    ih(refined, p, _kernel(spec))
 
 
 @pytest.mark.parametrize("kind", [_ordinary, _twisted, _ic], ids=["ordinary", "twisted", "ic"])

@@ -17,16 +17,15 @@ from branchcover.simplicial import (
     full_subcomplex,
     homology_ranks,
     is_full,
-    star,
     validate_complex,
 )
-from branchcover.intersection import ih_betti, lower_middle
+from branchcover.intersection import lower_middle
 from branchcover.local_systems import twisted_betti
 from branchcover.stratified import StratifiedComplex
 from branchcover.commands import cone
 from branchcover.fixtures import boundary_simplex, hexagon, octahedron, suspension, torus7
 
-from complexes import full_simplex, link, trivial_system
+from complexes import full_simplex, ih, link, star, trivial_system
 from oracles import brute_betti, brute_link, brute_star, bfs_components, close_faces, euler
 
 
@@ -267,7 +266,7 @@ def test_one_homology_engine_matches_oracle(facets):
         assert twisted_betti(c, trivial_system(c, r)) == tuple(r * x for x in b)
     if len({len(s) for s in c.maximal_simplices()}) == 1:
         p = lower_middle(c.dim) if c.dim >= 2 else None
-        assert ih_betti(StratifiedComplex(c), p) == b
+        assert ih(StratifiedComplex(c), p) == b
 
 
 def test_torus7_is_a_closed_surface():

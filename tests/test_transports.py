@@ -26,7 +26,7 @@ from branchcover.covering import (
 )
 from branchcover.errors import InputError, InternalCheckError
 from branchcover.fixtures import circle_cover_data, hexagon, sphere_branched_data
-from branchcover.intersection import ih_betti, lower_middle
+from branchcover.intersection import lower_middle
 from branchcover.local_systems import (
     kernel_system,
     permutation_action,
@@ -36,7 +36,7 @@ from branchcover.local_systems import (
 )
 from branchcover.simplicial import betti_numbers
 
-from complexes import annulus, full_simplex, kernel, pushforward
+from complexes import annulus, full_simplex, ih, kernel, pushforward
 from oracles import (
     RepresentationQ,
     brute_betti,
@@ -278,7 +278,7 @@ def test_hexagon_sparse_and_dense_paths_agree(perm):
     b_kernel = twisted_betti(base, k)
     assert twisted_betti(base, dense_push) == b_push
     assert twisted_betti(base, dense_kernel) == b_kernel
-    assert ih_betti(y, None, k) == ih_betti(y, None, dense_kernel) == b_kernel
+    assert ih(y, None, k) == ih(y, None, dense_kernel) == b_kernel
 
     cover = fox_complete(spec)
     b_cover = brute_betti(cover.total.all_simplices())
@@ -319,8 +319,8 @@ def test_sphere_sparse_and_dense_paths_agree(data):
 
     refined = refine_stratification(y, r)
     p = lower_middle(2)
-    ih_kernel = ih_betti(refined, p, kernel(pres, rep))
-    assert ih_betti(refined, p, dense_kernel) == ih_kernel
+    ih_kernel = ih(refined, p, kernel(pres, rep))
+    assert ih(refined, p, dense_kernel) == ih_kernel
     cover = fox_complete(spec)
     b_cover = betti_numbers(cover.total)
-    assert b_cover == tuple(t + k for t, k in zip(ih_betti(refined, p, None), ih_kernel))
+    assert b_cover == tuple(t + k for t, k in zip(ih(refined, p, None), ih_kernel))

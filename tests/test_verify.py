@@ -16,7 +16,7 @@ from branchcover.covering import (
 )
 from branchcover.errors import InputError
 from branchcover.simplicial import SimplicialComplex
-from branchcover.stratified import EMPTY_STRATIFIED
+from branchcover.stratified import EMPTY_STRATIFIED, StratifiedComplex
 from branchcover.specfile import load_spec, parse_spec_text
 from branchcover.verify import (
     fiber_rank_report,
@@ -30,9 +30,9 @@ from branchcover.fixtures import (
     sphere_branched_data,
     suspension_torus,
 )
-from branchcover.intersection import PERVERSITIES, ih_betti, perversity_by_name
+from branchcover.intersection import PERVERSITIES, perversity_by_name
 
-from complexes import codim3_vertex_data, orbits, rebased, suspended
+from complexes import codim3_vertex_data, ih, orbits, rebased, suspended
 from oracles import (
     dense_nullspace,
     fibers_by_projection,
@@ -337,9 +337,9 @@ def test_cli_equality_failure_exit_code(tmp_path, monkeypatch, capsys):
     assert main(["verify", str(path), "--perversity", "upper"]) == 0
     real = verify.ih_betti
 
-    def off_by_one(sc, p, coeff=None):  # the kernel IH gains a class in degree 1
-        ih = real(sc, p, coeff)
-        return ih[:1] + (ih[1] + 1,) + ih[2:] if coeff is not None else ih
+    def off_by_one(sc, *, allowed, coeff=None):  # the kernel IH gains a class in degree 1
+        ranks = real(sc, allowed=allowed, coeff=coeff)
+        return ranks[:1] + (ranks[1] + 1,) + ranks[2:] if coeff is not None else ranks
 
     monkeypatch.setattr(verify, "ih_betti", off_by_one)
     assert main(["verify", str(path)]) == 2
@@ -655,8 +655,66 @@ def test_cover_ih_is_ih_on_the_pulled_back_stratification(name):
     for perversity in PERVERSITIES:
         report = verify_branched(spec, perversity)
         p = perversity_by_name(perversity, pulled.dim)
-        assert ih_betti(pulled, p) == report.ih_cover, perversity
+        assert ih(pulled, p) == report.ih_cover, perversity
         assert levels == report.pullback_levels
+
+
+# ---------------------------------------------------------------------------
+# one allowable set per verify
+
+
+@pytest.mark.parametrize("perversity", ["lower", "upper"])
+@pytest.mark.parametrize("name", REBASED_SPECS + ("susp-cover-seed1",))
+def test_verify_derives_the_allowable_set_once(name, perversity, monkeypatch):
+    """The cover's IH and both IH of the base read one allowable set: one
+    scan and one fullness check of the refined stratification per verify."""
+    spec = _cover_spec(name)
+    real_allowable, real_full = intersection.allowable_simplices, StratifiedComplex.full_check
+    calls = []
+
+    def allowable_spy(sc, p):
+        calls.append("allowable_simplices")
+        return real_allowable(sc, p)
+
+    def full_spy(sc):
+        calls.append("full_check")
+        return real_full(sc)
+
+    for module in (intersection, verify):
+        monkeypatch.setattr(module, "allowable_simplices", allowable_spy)
+    monkeypatch.setattr(StratifiedComplex, "full_check", full_spy)
+    verify_branched(spec, perversity)
+    assert calls == ["allowable_simplices", "full_check"]
+
+
+def _ic_layer():
+    """The rule by which the benchmark's tracer names the span of an ``ih_betti`` call."""
+    import importlib.util
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    module_spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(tracing)
+    return tracing._ic_layer
+
+
+@pytest.mark.parametrize("name", ["circle-d5", "s3-unknot-double", "sphere2pt-d31-seed1"])
+def test_verify_passes_the_coefficients_where_the_tracer_reads_them(name, monkeypatch):
+    """Two ``ih_betti`` calls per verify, trivial then kernel, each with its
+    coefficients where the tracer reads them, so each gets its own span."""
+    spec = _cover_spec(name)
+    real, calls = verify.ih_betti, []
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "ih_betti", spy)
+    verify_branched(spec)
+    layer = _ic_layer()
+    assert [layer(args, kwargs) for args, kwargs in calls] == [
+        "intersection.ic_trivial", "intersection.ic_kernel"]
+    (_, trivial), (_, kernel) = calls
+    assert trivial.get("coeff") is None and kernel["coeff"].rank == spec.degree - 1
 
 
 # ---------------------------------------------------------------------------
