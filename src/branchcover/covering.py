@@ -293,11 +293,8 @@ def fox_complete(spec: BranchedCoverSpec) -> CoverComplex:
     table = spec.table
     branch_vertices = spec.branch_vertices
 
-    vid = {}
-    for v in spec.complement.vertices:
-        for s in range(d):
-            vid[(v, s)] = len(vid)
-    next_id = len(vid)
+    index = {v: i * d for i, v in enumerate(spec.complement.vertices)}
+    next_id = len(index) * d
 
     # the punctured star of each branch simplex, equal stars tested once
     stars: dict[Simplex, SimplicialComplex] = {}
@@ -317,8 +314,8 @@ def fox_complete(spec: BranchedCoverSpec) -> CoverComplex:
         if punctured not in comps_by_star:
             # the sheet vertices ascend, so each component does and they come in order
             comps_by_star[punctured] = connected_components(
-                (vid[(v, s)] for v in punctured.vertices for s in range(d)),
-                ((vid[(u, s)], vid[(v, table[(u, v)][s])])
+                (index[v] + s for v in punctured.vertices for s in range(d)),
+                ((index[u] + s, index[v] + table[(u, v)][s])
                  for (u, v) in punctured.simplices_of_dim(1) for s in range(d)))
         return comps_by_star[punctured]
 
@@ -355,10 +352,10 @@ def fox_complete(spec: BranchedCoverSpec) -> CoverComplex:
             continue
         anchor = sig_k[0]
         for s in range(d):
-            rep = vid[(anchor, s)]
+            rep = index[anchor] + s
             ids = [rep]
             for v in sig_k[1:]:
-                ids.append(vid[(v, table[(anchor, v)][s])])
+                ids.append(index[v] + table[(anchor, v)][s])
             for w in sig_r:
                 ids.append(over[w][rep])
             register(ids, sig)

@@ -6,11 +6,13 @@ subdivision, the constant system, the restriction of a system, a
 codimension-3 spec, a monodromy moved to another basepoint, the
 suspension of a spec, intersection homology at a perversity, closed
 stars, links and oriented vertex links, the orbit counts
-of a cover's fiber table, and the GF(p) elimination that draws random
-cyclic monodromy classes for the tests.
+of a cover's fiber table, the GF(p) elimination that draws random
+cyclic monodromy classes for the tests, and the subdivision cases of the
+golden specs.
 """
 from __future__ import annotations
 
+import json
 from itertools import combinations
 
 from branchcover.covering import (
@@ -142,6 +144,19 @@ def suspended(loaded: LoadedSpec) -> dict:
                                  levels + [apexes] if sc.dim >= 1 else [])
 
     return spec_to_dict(suspend(loaded.base), suspend(loaded.branch), loaded.monodromy)
+
+
+def subdivision_cases(paths) -> list[tuple]:
+    """``(path, subdivisions)`` for each spec file: unsubdivided, and
+    subdivided once when its base has dimension at most 3.  Subdividing
+    multiplies the top simplices of a dimension-4 base by 5!, which takes
+    a metamorphic check of the 4-dimensional golden spec from 0.15 to 30 s.
+    """
+    cases = []
+    for path in paths:
+        dim = max(map(len, json.loads(path.read_text(encoding="utf-8"))["complex"])) - 1
+        cases += [(path, s) for s in ((0, 1) if dim <= 3 else (0,))]
+    return cases
 
 
 def full_simplex(n: int) -> SimplicialComplex:

@@ -5,7 +5,11 @@ Each spec ``tests/golden/<spec>.json`` named in SPECS is the output of
 specs are the benchmark workloads of the same name at seed 1, written
 once by ``bench/workloads.make_job`` and committed as they are, so the
 largest inputs are checked too; they run with the workloads' verify
-flags.  The specs under ``rejected/`` are ones that `verify` rejects:
+flags.  ``susp-s3-unknot-double.json`` is the suspension of
+``s3-unknot-double.json`` (``complexes.suspended``), S^4 branched over an
+unknotted S^2; its reports are pinned at ``zero`` and ``top``, the
+perversities whose value on its codimension-4 stratum is not 1.  The
+specs under ``rejected/`` are ones that `verify` rejects:
 ``rejected/sphere-p6-d3-sub1.json`` is ``sphere-p6-d3.json`` with
 ``"subdivisions": 1``, so its assignments name edges of the unsubdivided
 complement, and `generators` prints the contract that new assignments
@@ -23,6 +27,10 @@ from pathlib import Path
 import pytest
 
 from branchcover.cli import main
+from branchcover.fixtures import spec_to_text
+from branchcover.specfile import load_spec, read_spec
+
+from complexes import suspended
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -60,6 +68,9 @@ CASES = {
         "verify", "susp-cover-seed1", ["--perversity", "upper", "--format", "json"], 0),
     "verify-sphere2pt-d31-seed1": ("verify", "sphere2pt-d31-seed1", ["--format", "json"], 0),
     "verify-circle-d64-seed1": ("verify", "circle-d64-seed1", [], 0),
+    **{f"verify-susp-s3-unknot-double-{p}": (
+        "verify", "susp-s3-unknot-double", ["--format", "json", "--perversity", p], 0)
+       for p in ("zero", "top")},
 }
 
 
@@ -82,6 +93,12 @@ def test_fixture_spec_matches_golden(spec, capsys):
     rc, out = _run(["fixture", *SPECS[spec]], capsys)
     assert rc == 0
     assert out == (GOLDEN / f"{spec}.json").read_text(encoding="utf-8")
+
+
+def test_suspended_spec_is_the_suspension_of_the_golden_spec():
+    loaded = load_spec(read_spec(str(GOLDEN / "s3-unknot-double.json")))
+    assert spec_to_text(suspended(loaded)) == (
+        GOLDEN / "susp-s3-unknot-double.json").read_text(encoding="utf-8")
 
 
 def test_subdivided_spec_is_the_golden_spec_subdivided_once(capsys):

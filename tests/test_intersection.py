@@ -41,7 +41,15 @@ from branchcover.fixtures import (
     torus7,
 )
 
-from complexes import annulus, barycentric_subdivide, ih, kernel, nullspace_mod_p, relator_rows
+from complexes import (
+    annulus,
+    barycentric_subdivide,
+    ih,
+    kernel,
+    nullspace_mod_p,
+    relator_rows,
+    subdivision_cases,
+)
 from oracles import (
     dense,
     ic_betti,
@@ -231,10 +239,12 @@ def _relabelled(sc: StratifiedComplex, rnd: random.Random) -> StratifiedComplex:
                              [image(sc.levels[j]) for j in range(sc.dim - 2, -1, -1)])
 
 
-@pytest.mark.parametrize("subdivisions", (0, 1))
-@pytest.mark.parametrize("path", [p for p in GOLDEN_SPECS
-                                  if parse_spec_text(p.read_text(encoding="utf-8")).get("stratification")],
-                         ids=lambda p: p.stem)
+STRATIFIED_CASES = subdivision_cases(
+    [p for p in GOLDEN_SPECS if parse_spec_text(p.read_text(encoding="utf-8")).get("stratification")])
+
+
+@pytest.mark.parametrize("path, subdivisions", STRATIFIED_CASES,
+                         ids=[f"{p.stem}-{s}" for p, s in STRATIFIED_CASES])
 def test_betti_and_ih_do_not_depend_on_vertex_labels(path, subdivisions):
     """Metamorphic: a random relabelling of the vertices of a golden stratified
     base keeps its Betti numbers and its IH at both middle perversities."""

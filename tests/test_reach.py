@@ -4,7 +4,7 @@ Code that only the tests call belongs with the tests (``oracles.py``,
 ``complexes.py``, ``stalks.py``).  A top-level ``def`` or ``class`` in
 ``src/branchcover`` counts as reached when a name or attribute with its
 name, or an import of it, appears in some other top-level statement of
-the package; ``__init__.py`` only re-exports and does not count.
+the package.
 """
 import ast
 from pathlib import Path
@@ -30,8 +30,6 @@ def unreferenced_definitions(package: Path) -> list[str]:
     defined = {}
     users: dict[str, list[ast.stmt]] = {}
     for path in sorted(package.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defined[f"{path.stem}.{stmt.name}"] = stmt

@@ -61,6 +61,21 @@ VERIFY_MODULES = ["branchcover"] + [f"branchcover.{name}" for name in (
     "simplicial", "specfile", "stratified", "verify")]
 
 
+def test_package_import_loads_no_module_of_its_own():
+    """``branchcover/__init__.py`` re-exports nothing: every name is read
+    from the module that defines it, so importing the package compiles the
+    package file alone."""
+    package_root = str(Path(branchcover.__file__).resolve().parents[1])
+    proc = subprocess.run(  # -B: no bytecode written next to the sources
+        [sys.executable, "-B", "-c",
+         "import sys, branchcover; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'branchcover'))"],
+        capture_output=True, text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['branchcover']\n"
+
+
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     """Nor ``branchcover.commands`` or ``branchcover.fixtures``, which only the
     other commands need, nor ``typing``, and no ``src/`` record is a

@@ -30,7 +30,7 @@ from branchcover.fixtures import (
     torus7,
 )
 
-from complexes import barycentric_subdivide
+from complexes import barycentric_subdivide, subdivision_cases
 from oracles import bfs_strata, close_faces, subdivide_set_all_chains
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -96,8 +96,11 @@ def test_strata_of_pinched_torus():
     assert strata[1].level == 2
 
 
-@pytest.mark.parametrize("subdivisions", (0, 1))
-@pytest.mark.parametrize("path", GOLDEN_SPECS, ids=lambda p: p.stem)
+GOLDEN_CASES = subdivision_cases(GOLDEN_SPECS)
+
+
+@pytest.mark.parametrize("path, subdivisions", GOLDEN_CASES,
+                         ids=[f"{p.stem}-{s}" for p, s in GOLDEN_CASES])
 def test_strata_match_the_definition_on_golden_specs(path, subdivisions):
     """The base, the branch locus and their refinement, as loaded from each
     golden spec at 0 and 1 subdivisions: levels, dims, simplices and order."""
