@@ -39,7 +39,7 @@ def identity_perm(d: int) -> Perm:
 
 def compose_perms(p: Perm, q: Perm) -> Perm:
     """(p o q)(i) = p[q[i]]: q acts first."""
-    return tuple(p[q[i]] for i in range(len(q)))
+    return tuple(map(p.__getitem__, q))
 
 
 def invert_perm(p: Perm) -> Perm:
@@ -73,17 +73,18 @@ class MonodromyRep(namedtuple("MonodromyRep", "degree assignments basepoint", de
 def validate_monodromy(pres: EdgePathPresentation,
                        rep: MonodromyRep) -> dict[tuple[int, int], Perm]:
     """Accept iff the assigned edges are the generators, all images are
-    permutations and all relators map to 1.
+    permutations and the transport table they make is flat; return that table.
 
     An assigned edge that is not a generator is reported first, then a
-    generator with no image.  Each distinct image is checked and inverted
-    once, and equal images share one object, so each relator is evaluated
-    letter by letter, left to right, passing over letters that map to the
-    identity; the first relator that does not evaluate to the identity is
-    the one reported.
-    Returns the transport table: oriented edge -> sheet permutation, the
-    image on each generator edge, its inverse on the reverse and the
-    identity on both ways of a tree edge.
+    generator with no image.  The table maps each oriented edge of the
+    complex to a sheet permutation: a tree edge to the identity both ways,
+    a generator edge to its image and its reverse to the inverse.  Each
+    distinct image is checked and inverted once, and equal images share one
+    object, the identity with the tree edges.  The table is flat when the
+    loop (a, b), (b, c), (c, a) around the i-th 2-simplex (a, b, c) is the
+    identity; that loop is relator i of the presentation, the triangle's
+    word with its tree letters dropped, and the first that is not the
+    identity is reported with its value.
     """
     d = rep.degree
     if d < 1:
@@ -96,34 +97,23 @@ def validate_monodromy(pres: EdgePathPresentation,
         if (u, v) not in assignments:
             raise InputError(f"no image assigned to generator {u}->{v}")
     ident = identity_perm(d)
-    shared: dict[Perm, Perm] = {ident: ident}  # equal images are one object
-    inverse_of: dict[Perm, Perm] = {ident: ident}
-    for e in pres.generators:
-        img = assignments[e]
-        if img not in inverse_of:
+    known: dict[Perm, tuple[Perm, Perm]] = {ident: (ident, ident)}  # shared image, inverse
+    table: dict[tuple[int, int], Perm] = {}
+    for (u, v) in pres.complex.simplices_of_dim(1):
+        img = assignments.get((u, v), ident)  # only the tree edges have no image
+        if img not in known:
             if not is_permutation(img, d):
                 raise InputError(
-                    f"image of generator {e[0]}->{e[1]} is not a permutation: {list(img)}")
-            shared[img] = img
-            inverse_of[img] = invert_perm(img)
-    images = tuple(shared[assignments[e]] for e in pres.generators)
-    inverses = tuple(map(inverse_of.__getitem__, images))
-    for i, word in enumerate(pres.relators):
-        acc = ident
-        for (gi, sign) in word:
-            p = images[gi] if sign > 0 else inverses[gi]
-            if p is ident:
-                continue
-            # p acts after acc; after the identity, that is p itself
-            acc = p if acc is ident else tuple(map(p.__getitem__, acc))
-        if acc != ident:
-            raise InputError(f"relator {i} evaluates to {list(acc)}")
-    table: dict[tuple[int, int], Perm] = {}
-    for (u, v) in pres.tree_edges:
-        table[(u, v)] = table[(v, u)] = ident
-    for (u, v), image, inverse in zip(pres.generators, images, inverses):
-        table[(u, v)] = image
-        table[(v, u)] = inverse
+                    f"image of generator {u}->{v} is not a permutation: {list(img)}")
+            known[img] = (img, invert_perm(img))
+        table[(u, v)], table[(v, u)] = known[img]
+    for i, (a, b, c) in enumerate(pres.complex.simplices_of_dim(2)):
+        loop = ident
+        for p in (table[(a, b)], table[(b, c)], table[(c, a)]):
+            if p is not ident:  # p acts after the loop; after the identity, that is p itself
+                loop = p if loop is ident else compose_perms(p, loop)
+        if loop != ident:
+            raise InputError(f"relator {i} evaluates to {list(loop)}")
     return table
 
 

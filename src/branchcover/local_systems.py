@@ -8,10 +8,10 @@ one transport per distinct permutation: the permutation action gives the
 pushforward, and the action on sum-zero vectors its kernel summand (the
 pushforward is that kernel plus the constant system), which drives all
 decomposition checks.  Nothing is checked again here.  The table is flat,
-as the presentation has one relator per 2-simplex and the validation
-evaluates each; its reverse entries are the inverses of the forward ones
-by construction; and homology reads only the transports along ascending
-edges, where a table that is not flat fails the d^2 = 0 check of
+as the validation composes it around every 2-simplex of the complement;
+its reverse entries are the inverses of the forward ones by construction;
+and homology reads only the transports along ascending edges, where a
+table that is not flat fails the d^2 = 0 check of
 :func:`simplicial.homology_ranks` in degree 2.  A transport is r sparse
 columns ``{row: value}`` with no zero entries, as :mod:`linalg` stores a
 matrix, at most two nonzeros per column, never modified once built.

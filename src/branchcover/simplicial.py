@@ -24,26 +24,23 @@ Simplex = tuple[int, ...]
 class SimplicialComplex:
     """Immutable finite abstract simplicial complex.
 
-    The constructor normalizes the input to a frozenset and groups it by
-    dimension, in the order given when the input is a sequence, so input
-    already in (dimension, vertices) order sorts in one linear pass.  One
-    pass over the facets of each dimension verifies face closure; a
-    ``ValueError`` names the smallest simplex, in (dimension, vertices)
-    order, that lacks a facet.  It is meant for internally-built simplex
-    sets.  User input goes through :func:`validate_complex`, which reports
-    malformed data instead of silently repairing it.
+    The constructor copies the input into a frozenset and groups it by
+    dimension in the order given, so input already in (dimension, vertices)
+    order sorts in one linear pass.  One pass over the facets of each
+    dimension verifies face closure; a ``ValueError`` names the smallest
+    simplex, in (dimension, vertices) order, that lacks a facet.  It is
+    meant for internally-built simplex sets.  User input goes through
+    :func:`validate_complex`, which reports malformed data instead of
+    silently repairing it.
     """
 
     __slots__ = ("_simplices", "_by_dim", "_vertices", "_cofaces")
 
     def __init__(self, simplices: Iterable[Simplex]):
-        if isinstance(simplices, (set, frozenset)):
-            ordered = simps = frozenset(simplices)
-        else:
-            ordered = list(map(tuple, simplices))
-            simps = frozenset(set(ordered))  # copied from a set, the table is sized once
-            if len(simps) != len(ordered):  # a repeat: group each simplex once
-                ordered = simps
+        ordered = list(map(tuple, simplices))
+        simps = frozenset(set(ordered))  # copied from a set, the table is sized once
+        if len(simps) != len(ordered):  # a repeat: group each simplex once
+            ordered = simps
         self._by_dim = {n - 1: tuple(sorted(run))  # a stable sort keeps the order given
                         for n, run in groupby(sorted(ordered, key=len), len)}
         for d, top in self._by_dim.items():

@@ -4,10 +4,9 @@ from collections import Counter
 from itertools import combinations
 import re
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from branchcover.covering import (
     BranchedCoverSpec,
@@ -31,6 +30,7 @@ from branchcover.presentation import edge_path_presentation
 from branchcover.simplicial import (
     SimplicialComplex,
     betti_numbers,
+    closure,
     components,
 )
 from branchcover.specfile import load_spec, parse_spec_text
@@ -130,23 +130,20 @@ def _golden_presentation_and_images(name):
 @st.composite
 def monodromy_cases(draw):
     """A golden spec's valid monodromy with its sheets relabelled, and perhaps
-    one image replaced; or random images on a random presentation whose
-    relators are random words or words w w^-1, which hold in any group."""
+    one image replaced; or images, each the identity or random, on the
+    presentation of a random connected complex: the closure of random
+    triangles on at most 6 vertices."""
     name = draw(st.sampled_from(["sphere-p2-d2", "sphere-p3-d3", "s3-unknot-double", None]))
     if name is None:
-        n, d = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-        letter = st.tuples(st.integers(0, n - 1), st.sampled_from((1, -1)))
-        relators = []
-        for w in draw(st.lists(st.lists(letter, min_size=1, max_size=4), max_size=5)):
-            if draw(st.booleans()):
-                w = w + [(gi, -sign) for gi, sign in reversed(w)]
-            relators.append(tuple(w))
-        generators = tuple((i, i + 1) for i in range(n))
-        pres = SimpleNamespace(generators=generators, relators=tuple(relators),
-                               gen_index={e: i for i, e in enumerate(generators)},
-                               tree_edges=frozenset())
-        images = draw(st.lists(st.permutations(range(d)).map(tuple), min_size=n, max_size=n))
-        return pres, MonodromyRep(d, dict(zip(generators, images)))
+        triangle = st.lists(st.integers(0, 5), min_size=3, max_size=3, unique=True)
+        c = closure(tuple(sorted(t)) for t in draw(st.lists(triangle, min_size=1, max_size=8)))
+        assume(len(components(c)) == 1)
+        pres = edge_path_presentation(c, min(c.vertices))
+        d = draw(st.integers(1, 4))
+        image = st.one_of(st.just(identity_perm(d)), st.permutations(range(d)).map(tuple))
+        n = len(pres.generators)
+        images = draw(st.lists(image, min_size=n, max_size=n))
+        return pres, MonodromyRep(d, dict(zip(pres.generators, images)))
     pres, rep = _golden_presentation_and_images(name)
     d = rep.degree
     sigma = tuple(draw(st.permutations(range(d))))
