@@ -9,10 +9,11 @@ corollary (``fibers``), with the cone constructions they build on.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Callable
 
 from .covering import BranchedCoverSpec, complement_presentation, fox_complete
 from .errors import InputError, InternalCheckError
-from .intersection import Perversity, allowable_simplices, ih_betti, perversity_by_name
+from .intersection import allowable_simplices, ih_betti, perversity_by_name
 from .local_systems import LocalSystemQ, kernel_system, pushforward_local_system, twisted_betti
 from .simplicial import Simplex, SimplicialComplex, betti_numbers
 from .specfile import MAX_DEGREE, load_spec, read_spec
@@ -71,7 +72,7 @@ class ConeCheckResult(namedtuple("ConeCheckResult",
         return not self.mismatches
 
 
-def cone_formula_check(link_sc: StratifiedComplex, p: Perversity | None,
+def cone_formula_check(link_sc: StratifiedComplex, p: Callable[[int], int],
                        coeff: LocalSystemQ | None = None) -> ConeCheckResult:
     """Verify IH of the closed cone against the truncated IH of the link.
 
@@ -90,9 +91,7 @@ def cone_formula_check(link_sc: StratifiedComplex, p: Perversity | None,
         cutoff = 1
         expected = (1, 0)
     else:
-        if p is None or p.top_dim < l + 1:
-            raise InputError(f"perversity must be defined up to {l + 1}")
-        cutoff = l - p[l + 1]
+        cutoff = l - p(l + 1)
         expected = tuple(link_ih[j] if j < cutoff else 0 for j in range(l + 2))
     mismatches = tuple((j, expected[j], cone_ih[j])
                        for j in range(l + 2) if expected[j] != cone_ih[j])
@@ -185,7 +184,7 @@ def cmd_twisted(args) -> tuple[str, int]:
 def cmd_ih(args) -> tuple[str, int]:
     loaded = load_spec(read_spec(args.spec))
     name = args.perversity or loaded.perversity
-    p = perversity_by_name(name, loaded.base.dim)
+    p = perversity_by_name(name)
     values = ih_betti(loaded.base, allowed=allowable_simplices(loaded.base, p))
     return f"ih ({name}): {list(values)}\n", 0
 
@@ -205,11 +204,8 @@ def cmd_fibers(args) -> tuple[str, int]:
 
 def cmd_cone_check(args) -> tuple[str, int]:
     loaded = load_spec(read_spec(args.spec))
-    link_sc = loaded.base
-    l = link_sc.dim
     name = args.perversity or loaded.perversity
-    p = perversity_by_name(name, max(l + 1, 2))
-    result = cone_formula_check(link_sc, p)
+    result = cone_formula_check(loaded.base, perversity_by_name(name))
     lines = [
         f"link ih: {list(result.link_ih)}",
         f"cone ih: {list(result.cone_ih)}",
@@ -243,7 +239,7 @@ def cmd_fixture(args) -> tuple[str, int]:
         spec = fixtures.spec_to_dict(*fixtures.s3_unknot_double_data())
     elif name == "circle-cover":
         degree = args.degree if args.degree is not None else 2
-        perm = _parse_perm(args.perm) if args.perm else tuple(
+        perm = _parse_perm(args.perm) if args.perm is not None else tuple(
             (i + 1) % degree for i in range(degree))
         spec = fixtures.spec_to_dict(*fixtures.circle_cover_data(degree, perm))
     elif name == "suspension-torus":

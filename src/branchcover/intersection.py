@@ -15,89 +15,46 @@ bases, is the independent oracle ``oracles.ic_betti`` in
 """
 from __future__ import annotations
 
-from collections import namedtuple
+from collections.abc import Callable
 
 from .errors import InputError
 from .local_systems import LocalSystemQ
 from .simplicial import Simplex, homology_ranks
 from .stratified import StratifiedComplex
 
-
-class Perversity(namedtuple("Perversity", "top_dim values")):
-    """Goresky-MacPherson perversity: p(2) = 0 and unit steps.
-
-    ``top_dim`` is an ``int`` and ``values`` a ``tuple[int, ...]`` holding
-    p(2), ..., p(top_dim); ``p[k]`` is p(k).
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, top_dim: int, values: tuple[int, ...]):
-        if top_dim < 2:
-            raise InputError("a perversity needs dimension at least 2")
-        if len(values) != top_dim - 1:
-            raise InputError(f"need values p(2)..p({top_dim}), got {len(values)}")
-        if values[0] != 0:
-            raise InputError("p(2) must be 0")
-        for a, b in zip(values, values[1:]):
-            if b - a not in (0, 1):
-                raise InputError("perversity steps must be 0 or 1")
-        return super().__new__(cls, top_dim, values)
-
-    def __getitem__(self, k: int) -> int:
-        if not 2 <= k <= self.top_dim:
-            raise InputError(f"perversity value p({k}) undefined")
-        return self.values[k - 2]
+# the Goresky-MacPherson perversities a spec file or the command line may
+# name, in the order listed, each its formula k -> p(k): p(2) = 0 and every
+# step is 0 or 1 (tests/test_intersection.py checks both)
+PERVERSITIES: dict[str, Callable[[int], int]] = {
+    "lower": lambda k: (k - 2) // 2,
+    "upper": lambda k: (k - 1) // 2,
+    "zero": lambda k: 0,
+    "top": lambda k: k - 2,
+}
 
 
-def zero_perversity(m: int) -> Perversity:
-    return Perversity(m, tuple(0 for _ in range(2, m + 1)))
-
-
-def lower_middle(m: int) -> Perversity:
-    return Perversity(m, tuple((k - 2) // 2 for k in range(2, m + 1)))
-
-
-def upper_middle(m: int) -> Perversity:
-    return Perversity(m, tuple((k - 1) // 2 for k in range(2, m + 1)))
-
-
-def top_perversity(m: int) -> Perversity:
-    return Perversity(m, tuple(k - 2 for k in range(2, m + 1)))
-
-
-# the perversities a spec file or the command line may name, in the order listed
-PERVERSITIES = {"lower": lower_middle, "upper": upper_middle,
-                "zero": zero_perversity, "top": top_perversity}
-
-
-def perversity_by_name(name: str, m: int) -> Perversity:
+def perversity_by_name(name: str) -> Callable[[int], int]:
     if name not in PERVERSITIES:
         raise InputError(f"unknown perversity name {name!r}")
-    return PERVERSITIES[name](max(m, 2))
+    return PERVERSITIES[name]
 
 
 # ---------------------------------------------------------------------------
 # allowability
 
 
-def allowable_simplices(sc: StratifiedComplex, p: Perversity | None) -> set[Simplex]:
+def allowable_simplices(sc: StratifiedComplex, p: Callable[[int], int]) -> set[Simplex]:
     """The simplices of ``sc`` allowable for ``p``, after checking that the
-    levels are full and that ``p`` is defined up to the dimension."""
+    levels are full."""
     m = sc.dim
     sc.full_check()
-    if m >= 2:
-        if p is None:
-            raise InputError("a perversity is required in dimension >= 2")
-        if p.top_dim < m:
-            raise InputError(f"perversity only defined up to {p.top_dim}, need {m}")
     level_verts = [set(sc.level(j).vertices) for j in range(m + 1)]
 
     def allowable(s: Simplex) -> bool:
         js = len(s) - 1
         for k in range(2, m + 1):
             count = len(level_verts[m - k].intersection(s))
-            if count and count - 1 > js - k + p[k]:
+            if count and count - 1 > js - k + p(k):
                 return False
         return True
 

@@ -187,7 +187,7 @@ def verify_branched(spec: BranchedCoverSpec, perversity: str = "lower") -> Decom
     level has as many simplices as the lifts of the refined one.
     """
     m = spec.base.dim
-    p = perversity_by_name(perversity, m)
+    p = perversity_by_name(perversity)
 
     cover = fox_complete(spec)
     fiber = fiber_rank_report(cover)

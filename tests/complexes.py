@@ -13,6 +13,7 @@ golden specs.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from itertools import combinations
 
 from branchcover.covering import (
@@ -27,7 +28,7 @@ from branchcover.covering import (
 )
 from branchcover.errors import InputError
 from branchcover.fixtures import boundary_simplex, cycle_complex, spec_to_dict
-from branchcover.intersection import Perversity, allowable_simplices, ih_betti
+from branchcover.intersection import allowable_simplices, ih_betti
 from branchcover.local_systems import (
     LocalSystemQ,
     kernel_system,
@@ -78,7 +79,7 @@ def restrict(system: LocalSystemQ, sub: SimplicialComplex) -> LocalSystemQ:
     return LocalSystemQ(system.rank, transports)
 
 
-def ih(sc: StratifiedComplex, p: Perversity | None,
+def ih(sc: StratifiedComplex, p: Callable[[int], int],
        coeff: LocalSystemQ | None = None) -> tuple[int, ...]:
     """``ih_betti`` at a perversity: the allowable set for ``p``, then the ranks."""
     return ih_betti(sc, allowed=allowable_simplices(sc, p), coeff=coeff)

@@ -467,7 +467,7 @@ def ic_complex(sc, p, coeff=None):
         j = len(s) - 1
         for k in range(2, m + 1):
             count = len(levels[m - k].intersection(s))
-            if count and count - 1 > j - k + p[k]:
+            if count and count - 1 > j - k + p(k):
                 return False
         return True
 

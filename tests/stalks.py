@@ -7,10 +7,10 @@ and not in ``oracles.py``, whose references stay independent of it.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from typing import NamedTuple
 
 from branchcover.errors import InputError
-from branchcover.intersection import Perversity
 from branchcover.local_systems import LocalSystemQ
 from branchcover.simplicial import Simplex, SimplicialComplex
 from branchcover.stratified import StratifiedComplex
@@ -18,8 +18,8 @@ from branchcover.stratified import StratifiedComplex
 from complexes import ih, link, star
 
 
-def complementary(p: Perversity) -> Perversity:
-    return Perversity(p.top_dim, tuple(k - 2 - p[k] for k in range(2, p.top_dim + 1)))
+def complementary(p: Callable[[int], int]) -> Callable[[int], int]:
+    return lambda k: k - 2 - p(k)
 
 
 def min_level(sc: StratifiedComplex, simplex: Simplex) -> int:
@@ -94,7 +94,7 @@ class StalkCheckResult(NamedTuple):
         return all(e.ok for e in self.entries)
 
 
-def deligne_stalk_check(sc: StratifiedComplex, p: Perversity,
+def deligne_stalk_check(sc: StratifiedComplex, p: Callable[[int], int],
                         coeff: LocalSystemQ | None = None) -> StalkCheckResult:
     """Check the closed star of every singular vertex against the cone formula.
 
@@ -113,7 +113,7 @@ def deligne_stalk_check(sc: StratifiedComplex, p: Perversity,
         star_sc = induced_star(sc, v)
         link_ih = ih(link_sc, p, coeff)
         star_ih = ih(star_sc, p, coeff)
-        cutoff = (k - 1) - p[k]
+        cutoff = (k - 1) - p(k)
         expected = tuple(
             (link_ih[i] if i < len(link_ih) else 0) if i < cutoff else 0
             for i in range(m + 1))

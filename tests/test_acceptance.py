@@ -20,12 +20,7 @@ from branchcover.covering import (
     refine_stratification,
     riemann_hurwitz_check,
 )
-from branchcover.intersection import (
-    lower_middle,
-    top_perversity,
-    upper_middle,
-    zero_perversity,
-)
+from branchcover.intersection import PERVERSITIES
 from branchcover.local_systems import (
     invariant_dimension,
     kernel_system,
@@ -207,20 +202,18 @@ def test_criterion_6_ih_engine_sanity():
     for c in manifolds:
         sc = StratifiedComplex(c)
         b = betti_numbers(c)
-        m = max(c.dim, 2)
-        for p in (zero_perversity(m), lower_middle(m), upper_middle(m),
-                  top_perversity(m)):
+        for p in PERVERSITIES.values():
             assert ih(sc, p) == b
     # suspension of the torus, derived through the cone-formula oracle
     torus_ih = (1, 2, 1)
-    assert suspension_ih_oracle(torus_ih, 2 - upper_middle(3)[3]) == (1, 0, 2, 1)
-    assert ih(suspension_torus(), upper_middle(3)) == (1, 0, 2, 1)
-    assert suspension_ih_oracle(torus_ih, 2 - lower_middle(3)[3]) == (1, 2, 0, 1)
-    assert ih(suspension_torus(), lower_middle(3)) == (1, 2, 0, 1)
+    assert suspension_ih_oracle(torus_ih, 2 - PERVERSITIES["upper"](3)) == (1, 0, 2, 1)
+    assert ih(suspension_torus(), PERVERSITIES["upper"]) == (1, 0, 2, 1)
+    assert suspension_ih_oracle(torus_ih, 2 - PERVERSITIES["lower"](3)) == (1, 2, 0, 1)
+    assert ih(suspension_torus(), PERVERSITIES["lower"]) == (1, 2, 0, 1)
     # pinched torus: Mayer-Vietoris of the pinch cone (2,0,0) against the
     # complementary cylinder gives (1, 0, 1)
-    assert ih(pinched_torus(), lower_middle(2)) == (1, 0, 1)
-    assert ih(pinched_torus(), upper_middle(2)) == (1, 0, 1)
+    assert ih(pinched_torus(), PERVERSITIES["lower"]) == (1, 0, 1)
+    assert ih(pinched_torus(), PERVERSITIES["upper"]) == (1, 0, 1)
     _report(6, "ih = betti on 4 manifolds x 4 perversities; suspension-torus "
                "= (1,0,2,1); pinched-torus = (1,0,1)")
 
@@ -229,13 +222,13 @@ def test_criterion_7_cone_and_stalk_checks():
     two_circles = SimplicialComplex(
         set(cycle_complex(4, 0).simplices) | set(cycle_complex(4, 4).simplices))
     links = [
-        (StratifiedComplex(hexagon()), zero_perversity(2)),
-        (StratifiedComplex(octahedron()), lower_middle(3)),
-        (StratifiedComplex(octahedron()), upper_middle(3)),
-        (StratifiedComplex(torus7()), lower_middle(3)),
-        (StratifiedComplex(torus7()), upper_middle(3)),
-        (StratifiedComplex(SimplicialComplex([(0,), (1,)])), None),
-        (StratifiedComplex(two_circles), zero_perversity(2)),
+        (StratifiedComplex(hexagon()), PERVERSITIES["zero"]),
+        (StratifiedComplex(octahedron()), PERVERSITIES["lower"]),
+        (StratifiedComplex(octahedron()), PERVERSITIES["upper"]),
+        (StratifiedComplex(torus7()), PERVERSITIES["lower"]),
+        (StratifiedComplex(torus7()), PERVERSITIES["upper"]),
+        (StratifiedComplex(SimplicialComplex([(0,), (1,)])), PERVERSITIES["zero"]),
+        (StratifiedComplex(two_circles), PERVERSITIES["zero"]),
     ]
     # links of the unknot fixture's branch vertices: spheres with two marked
     # points, with induced stratifications
@@ -243,7 +236,7 @@ def test_criterion_7_cone_and_stalk_checks():
     spec = BranchedCoverSpec(y, r, rep)
     refined = refine_stratification(y, r)
     for (v,) in refined.singular_set.simplices_of_dim(0)[:2]:
-        links.append((induced_link(refined, v), lower_middle(3)))
+        links.append((induced_link(refined, v), PERVERSITIES["lower"]))
     cone_checked = 0
     for link_sc, p in links:
         res = cone_formula_check(link_sc, p)
@@ -251,20 +244,19 @@ def test_criterion_7_cone_and_stalk_checks():
         cone_checked += 1
 
     stalks_checked = 0
-    for sc, p in ((suspension_torus(), lower_middle(3)),
-                  (suspension_torus(), upper_middle(3)),
-                  (pinched_torus(), lower_middle(2))):
+    for sc, p in ((suspension_torus(), PERVERSITIES["lower"]),
+                  (suspension_torus(), PERVERSITIES["upper"]),
+                  (pinched_torus(), PERVERSITIES["lower"])):
         res = deligne_stalk_check(sc, p)
         assert res.ok
         stalks_checked += len(res.entries)
     # branched fixtures, trivial and kernel coefficients
-    for builder, args, m in ((sphere_branched_data, (6, 2), 2),
-                             (s3_unknot_double_data, (), 3)):
+    for builder, args in ((sphere_branched_data, (6, 2)), (s3_unknot_double_data, ())):
         y, r, rep = builder(*args)
         spec = BranchedCoverSpec(y, r, rep)
         refined = refine_stratification(y, r)
         for coeff in (None, kernel_system(spec.degree, spec.table)):
-            res = deligne_stalk_check(refined, lower_middle(m), coeff)
+            res = deligne_stalk_check(refined, PERVERSITIES["lower"], coeff)
             assert res.ok
             stalks_checked += len(res.entries)
     _report(7, f"cone formula on {cone_checked} links, stalk conditions at "
@@ -288,9 +280,9 @@ def test_criterion_8_structural_invariants():
     twisted_betti(spec.complement, kernel)
     refined = refine_stratification(y, r)
     for coeff in (None, kernel):
-        assert ih(refined, lower_middle(2), coeff) == ic_betti(
-            refined, lower_middle(2), coeff)
-        assert ic_closed(refined, lower_middle(2), coeff)
+        assert ih(refined, PERVERSITIES["lower"], coeff) == ic_betti(
+            refined, PERVERSITIES["lower"], coeff)
+        assert ic_closed(refined, PERVERSITIES["lower"], coeff)
 
     # refined and pulled-back stratifications satisfy all invariants
     checked = 0

@@ -12,16 +12,7 @@ from branchcover.covering import (
     refine_stratification,
 )
 from branchcover.errors import InputError
-from branchcover.intersection import (
-    Perversity,
-    allowable_simplices,
-    ih_betti,
-    lower_middle,
-    perversity_by_name,
-    top_perversity,
-    upper_middle,
-    zero_perversity,
-)
+from branchcover.intersection import PERVERSITIES, allowable_simplices, ih_betti
 from branchcover.local_systems import LocalSystemQ, kernel_system, twisted_betti
 from branchcover.presentation import edge_path_presentation
 from branchcover.simplicial import SimplicialComplex, betti_numbers, full_subcomplex
@@ -71,34 +62,42 @@ GOLDEN_SPECS = sorted(p for p in GOLDEN.glob("*.json") if p.name != "sweep.json"
 # perversities
 
 
-def test_middle_perversities_dim4():
-    assert lower_middle(4).values == (0, 0, 1)
-    assert upper_middle(4).values == (0, 1, 1)
+def test_named_perversities_are_goresky_macpherson():
+    # the conditions of Goresky and MacPherson: p(2) = 0 and unit steps
+    for name, p in PERVERSITIES.items():
+        assert p(2) == 0, name
+        for k in range(2, 32):
+            assert p(k + 1) - p(k) in (0, 1), (name, k)
+
+
+def test_named_perversities_written_out():
+    assert list(PERVERSITIES) == ["lower", "upper", "zero", "top"]  # the order messages list
+    assert {name: [p(k) for k in range(2, 7)] for name, p in PERVERSITIES.items()} == {
+        "lower": [0, 0, 1, 1, 2],
+        "upper": [0, 1, 1, 2, 2],
+        "zero": [0, 0, 0, 0, 0],
+        "top": [0, 1, 2, 3, 4],
+    }
+
+
+def test_named_perversities_pair_complementarily():
+    lower, upper, zero, top = (PERVERSITIES[n] for n in ("lower", "upper", "zero", "top"))
+    for k in range(2, 32):
+        assert lower(k) + upper(k) == zero(k) + top(k) == k - 2, k
 
 
 def test_complementary_of_zero_is_top():
-    assert complementary(zero_perversity(4)).values == (0, 1, 2)
-    assert complementary(zero_perversity(4)) == top_perversity(4)
+    q = complementary(PERVERSITIES["zero"])
+    assert [q(k) for k in (2, 3, 4)] == [PERVERSITIES["top"](k) for k in (2, 3, 4)] == [0, 1, 2]
 
 
 def test_complementary_identity():
-    for m in (2, 3, 4, 5, 7):
-        for p in (zero_perversity(m), lower_middle(m), upper_middle(m)):
-            q = complementary(p)
-            for k in range(2, m + 1):
-                assert p[k] + q[k] == k - 2
-    assert complementary(lower_middle(5)) == upper_middle(5)
-
-
-def test_growth_conditions_enforced():
-    with pytest.raises(InputError, match=re.escape("p(2) must be 0")):
-        Perversity(3, (1, 1))       # p(2) != 0
-    with pytest.raises(InputError, match="perversity steps must be 0 or 1"):
-        Perversity(4, (0, 2, 2))    # step of 2
-    with pytest.raises(InputError, match="perversity steps must be 0 or 1"):
-        Perversity(4, (0, 1, 0))    # decreasing
-    with pytest.raises(InputError, match="a perversity needs dimension at least 2"):
-        Perversity(1, ())
+    for p in PERVERSITIES.values():
+        q = complementary(p)
+        for k in range(2, 8):
+            assert p(k) + q(k) == k - 2
+    q = complementary(PERVERSITIES["lower"])
+    assert all(q(k) == PERVERSITIES["upper"](k) for k in range(2, 8))
 
 
 # ---------------------------------------------------------------------------
@@ -113,33 +112,34 @@ def _two_sphere_with_marked_vertex():
 
 def test_allowable_away_from_singular_set():
     sc = _two_sphere_with_marked_vertex()
-    allowed = allowable_simplices(sc, zero_perversity(2))
+    allowed = allowable_simplices(sc, PERVERSITIES["zero"])
     assert (1, 2) in allowed
     assert (2, 3, 5) in allowed
 
 
 def test_edge_through_singular_vertex_not_allowable():
     sc = _two_sphere_with_marked_vertex()
-    allowed = allowable_simplices(sc, zero_perversity(2))
+    allowed = allowable_simplices(sc, PERVERSITIES["zero"])
     assert (0, 1) not in allowed
     assert (0,) not in allowed
 
 
 def test_triangle_with_one_singular_vertex_allowable():
     sc = _two_sphere_with_marked_vertex()
-    assert (0, 1, 2) in allowable_simplices(sc, zero_perversity(2))
+    assert (0, 1, 2) in allowable_simplices(sc, PERVERSITIES["zero"])
 
 
 def test_allowability_monotone_in_perversity():
     st = suspension_torus()
-    assert allowable_simplices(st, lower_middle(3)) <= allowable_simplices(st, upper_middle(3))
+    lower, upper = (allowable_simplices(st, PERVERSITIES[n]) for n in ("lower", "upper"))
+    assert lower <= upper
 
 
 def test_allowability_requires_full_levels():
     oct_ = octahedron()
     sc = StratifiedComplex(oct_, [SimplicialComplex([(1,), (2,)])])
     with pytest.raises(InputError, match=re.escape("filtration levels [0, 1] are not full subcomplexes")):
-        allowable_simplices(sc, zero_perversity(2))
+        allowable_simplices(sc, PERVERSITIES["zero"])
 
 
 # ---------------------------------------------------------------------------
@@ -155,14 +155,12 @@ def test_ih_equals_betti_on_manifolds():
         c = fn()
         sc = StratifiedComplex(c)
         b = betti_numbers(c)
-        m = max(c.dim, 2)
-        for p in (zero_perversity(m), lower_middle(m), upper_middle(m),
-                  top_perversity(m)):
+        for p in PERVERSITIES.values():
             assert ih(sc, p) == b
 
 
 def test_ih_octahedron_value():
-    assert ih(StratifiedComplex(octahedron()), lower_middle(2)) == (1, 0, 1)
+    assert ih(StratifiedComplex(octahedron()), PERVERSITIES["lower"]) == (1, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +174,8 @@ def test_ih_suspension_torus():
     # cutoff = 2 - p(3): upper middle truncates at 1, lower middle at 2
     assert suspension_ih_oracle(torus_ih, 1) == (1, 0, 2, 1)
     assert suspension_ih_oracle(torus_ih, 2) == (1, 2, 0, 1)
-    assert ih(st, upper_middle(3)) == (1, 0, 2, 1)
-    assert ih(st, lower_middle(3)) == (1, 2, 0, 1)
+    assert ih(st, PERVERSITIES["upper"]) == (1, 0, 2, 1)
+    assert ih(st, PERVERSITIES["lower"]) == (1, 2, 0, 1)
 
 
 def _load_golden(path):
@@ -200,8 +198,8 @@ def test_ih_suspension_duality(path):
         cases["cover"] = (pullback_stratification(fox_complete(spec), refined), None)
     m = refined.dim
     for label, (sc, coeff) in cases.items():
-        lo = ih(sc, lower_middle(m), coeff)
-        up = ih(sc, upper_middle(m), coeff)
+        lo = ih(sc, PERVERSITIES["lower"], coeff)
+        up = ih(sc, PERVERSITIES["upper"], coeff)
         assert all(lo[j] == up[m - j] for j in range(m + 1)), (label, lo, up)
 
 
@@ -211,16 +209,16 @@ def test_ih_pinched_torus():
     # differs in degree 1
     pt = pinched_torus()
     assert betti_numbers(pt.complex) == (1, 1, 1)
-    assert ih(pt, lower_middle(2)) == (1, 0, 1)
-    assert ih(pt, upper_middle(2)) == (1, 0, 1)
+    assert ih(pt, PERVERSITIES["lower"]) == (1, 0, 1)
+    assert ih(pt, PERVERSITIES["upper"]) == (1, 0, 1)
 
 
 def test_ih_invariant_under_subdivision():
     fixtures = [
-        (StratifiedComplex(octahedron()), zero_perversity(2)),
-        (pinched_torus(), lower_middle(2)),
-        (suspension_torus(), lower_middle(3)),
-        (suspension_torus(), upper_middle(3)),
+        (StratifiedComplex(octahedron()), PERVERSITIES["zero"]),
+        (pinched_torus(), PERVERSITIES["lower"]),
+        (suspension_torus(), PERVERSITIES["lower"]),
+        (suspension_torus(), PERVERSITIES["upper"]),
     ]
     for sc, p in fixtures:
         sub = barycentric_subdivide(sc)
@@ -253,8 +251,7 @@ def test_betti_and_ih_do_not_depend_on_vertex_labels(path, subdivisions):
                       "options": {"subdivisions": subdivisions}}).base
     relabelled = _relabelled(base, random.Random(f"{path.stem}:{subdivisions}"))
     assert relabelled.complex != base.complex
-    m = base.dim
-    for perversity in (lower_middle(m), upper_middle(m)):
+    for perversity in (PERVERSITIES["lower"], PERVERSITIES["upper"]):
         assert ih(relabelled, perversity) == ih(base, perversity)
     assert betti_numbers(relabelled.complex) == betti_numbers(base.complex)
 
@@ -263,19 +260,24 @@ def test_ic_complex_structure():
     # the oracle's basis chains are supported on allowable simplices, and
     # their boundaries are intersection chains with zero boundary
     st = suspension_torus()
-    allowable, bases, _boundary = ic_complex(st, upper_middle(3))
-    allowed = allowable_simplices(st, upper_middle(3))
+    allowable, bases, _boundary = ic_complex(st, PERVERSITIES["upper"])
+    allowed = allowable_simplices(st, PERVERSITIES["upper"])
     for j, simps in enumerate(allowable):
         assert set(simps) <= allowed
         for x in bases[j]:
             assert {s for s, _t in x} <= set(simps)
-    assert ic_closed(st, upper_middle(3))
-    assert ic_betti(st, upper_middle(3)) == ih(st, upper_middle(3)) == (1, 0, 2, 1)
+    assert ic_closed(st, PERVERSITIES["upper"])
+    assert ic_betti(st, PERVERSITIES["upper"]) == ih(st, PERVERSITIES["upper"]) == (1, 0, 2, 1)
 
 
 def _refined(data):
     y, r, _rep = data
     return refine_stratification(y, r)
+
+
+def _golden_refined(path):
+    loaded = _load_golden(path)
+    return refine_stratification(loaded.base, loaded.branch)  # as verify_branched refines it
 
 
 STRATIFIED_BASES = {
@@ -284,20 +286,25 @@ STRATIFIED_BASES = {
     **{f"sphere-branched-{pts}-{d}": (lambda pts=pts, d=d: _refined(sphere_branched_data(pts, d)))
        for pts, d in ((2, 2), (3, 3), (4, 2), (5, 5), (6, 2), (6, 3))},
     "s3-unknot-double": lambda: _refined(s3_unknot_double_data()),
+    # the golden specs with a singular set or a locus
+    **{f"golden-{p.stem}": (lambda p=p: _golden_refined(p)) for p in GOLDEN_SPECS
+       if {"stratification", "branch"} & set(parse_spec_text(p.read_text(encoding="utf-8")))},
 }
 
 
 @pytest.mark.parametrize("name", sorted(STRATIFIED_BASES))
 def test_allowable_simplices_leave_two_vertices_off_singular_set(name):
-    # p(2) = 0 on full levels: every allowable simplex of dimension >= 1
-    # keeps two vertices off the singular set, so each of its faces has
-    # a vertex there to anchor local-system coefficients
+    # p(2) = 0 on full levels: every allowable vertex is off the singular
+    # set and every allowable simplex of dimension >= 1 keeps two vertices
+    # off it, so it and each of its facets have a vertex there, where
+    # ih_betti anchors local-system coefficients
     sc = STRATIFIED_BASES[name]()
     singular = set(sc.singular_set.vertices)
-    for pname in ("lower", "upper", "zero", "top"):
-        for simplex in allowable_simplices(sc, perversity_by_name(pname, sc.dim)):
-            if len(simplex) > 1:
-                assert sum(1 for v in simplex if v not in singular) >= 2, (pname, simplex)
+    assert singular
+    for pname, p in PERVERSITIES.items():
+        for simplex in allowable_simplices(sc, p):
+            off = sum(1 for v in simplex if v not in singular)
+            assert off >= min(len(simplex), 2), (pname, simplex)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +362,7 @@ def test_ih_from_ranks_matches_ic_bases(name):
     assert any(v not in (0, 1, -1) for t in scaled.transports.values()
                for col in t for v in col.values())
     for pname in ("lower", "upper", "zero", "top"):
-        p = perversity_by_name(pname, sc.dim)
+        p = PERVERSITIES[pname]
         for label, coeff in (("trivial", None), ("kernel", kernel), ("scaled", scaled)):
             ranks = ih(sc, p, coeff)
             assert ranks == ic_betti(sc, p, coeff), (pname, label)
@@ -371,15 +378,16 @@ def test_twisted_ih_genus_two_kernel():
     spec = BranchedCoverSpec(y, r, rep)
     refined = refine_stratification(y, r)
     # derived: b(genus 2 surface) - ih(sphere) = (1,4,1) - (1,0,1)
-    assert ih(refined, lower_middle(2), kernel_system(spec.degree, spec.table)) == (0, 4, 0)
+    assert ih(refined, PERVERSITIES["lower"], kernel_system(spec.degree, spec.table)) == (0, 4, 0)
 
 
 def test_twisted_ih_unknot_kernel_vanishes():
     y, r, rep = s3_unknot_double_data()
     spec = BranchedCoverSpec(y, r, rep)
     refined = refine_stratification(y, r)
-    assert ih(refined, lower_middle(3), kernel_system(spec.degree, spec.table)) == (0, 0, 0, 0)
-    assert ih(refined, lower_middle(3), None) == (1, 0, 0, 1)
+    lower = PERVERSITIES["lower"]
+    assert ih(refined, lower, kernel_system(spec.degree, spec.table)) == (0, 0, 0, 0)
+    assert ih(refined, lower, None) == (1, 0, 0, 1)
 
 
 @pytest.mark.parametrize("base, expected", [(annulus, (2, 2, 0)), (torus7, (2, 4, 2))])
@@ -393,7 +401,7 @@ def test_ih_of_unstratified_base_is_twisted_homology(base, expected):
     swap, fixed = (1, 0, 2, 3), (0, 1, 2, 3)
     rep = MonodromyRep(4, {g: swap if e else fixed for g, e in zip(pres.generators, exponents)})
     k = kernel(pres, rep)
-    assert ih(StratifiedComplex(c), lower_middle(2), k) == expected
+    assert ih(StratifiedComplex(c), PERVERSITIES["lower"], k) == expected
     assert twisted_betti(c, k) == expected
 
 
@@ -402,7 +410,7 @@ def test_ih_of_unstratified_base_is_twisted_homology(base, expected):
 
 
 def test_cone_formula_hexagon():
-    res = cone_formula_check(StratifiedComplex(hexagon()), zero_perversity(2))
+    res = cone_formula_check(StratifiedComplex(hexagon()), PERVERSITIES["zero"])
     assert res.ok
     assert res.cone_ih == (1, 0, 0)
     assert res.cutoff == 1
@@ -410,15 +418,15 @@ def test_cone_formula_hexagon():
 
 def test_cone_formula_torus_both_middles():
     t = StratifiedComplex(torus7())
-    lo = cone_formula_check(t, lower_middle(3))
+    lo = cone_formula_check(t, PERVERSITIES["lower"])
     assert lo.ok and lo.cone_ih == (1, 2, 0, 0) and lo.cutoff == 2
-    up = cone_formula_check(t, upper_middle(3))
+    up = cone_formula_check(t, PERVERSITIES["upper"])
     assert up.ok and up.cone_ih == (1, 0, 0, 0) and up.cutoff == 1
 
 
 def test_cone_formula_two_points():
     two = StratifiedComplex(SimplicialComplex([(0,), (1,)]))
-    res = cone_formula_check(two, None)
+    res = cone_formula_check(two, PERVERSITIES["zero"])
     assert res.ok
     assert res.cone_ih == (1, 0)
 
@@ -428,13 +436,13 @@ def test_cone_formula_disconnected_link():
     # allowable chains avoid the apex
     two_circles = SimplicialComplex(
         set(cycle_complex(4, 0).simplices) | set(cycle_complex(4, 4).simplices))
-    res = cone_formula_check(StratifiedComplex(two_circles), zero_perversity(2))
+    res = cone_formula_check(StratifiedComplex(two_circles), PERVERSITIES["zero"])
     assert res.ok
     assert res.cone_ih == (2, 0, 0)
 
 
 def test_cone_formula_sphere_link():
-    res = cone_formula_check(StratifiedComplex(octahedron()), lower_middle(3))
+    res = cone_formula_check(StratifiedComplex(octahedron()), PERVERSITIES["lower"])
     assert res.ok and res.cone_ih == (1, 0, 0, 0)
 
 
@@ -444,14 +452,14 @@ def test_cone_formula_sphere_link():
 
 def test_stalk_check_suspension_torus():
     st = suspension_torus()
-    up = deligne_stalk_check(st, upper_middle(3))
+    up = deligne_stalk_check(st, PERVERSITIES["upper"])
     assert up.ok
     assert [e.vertex for e in up.entries] == [7, 8]
     for e in up.entries:
         assert e.codim == 3
         assert e.link_ih == (1, 2, 1)
         assert e.star_ih == (1, 0, 0, 0)
-    lo = deligne_stalk_check(st, lower_middle(3))
+    lo = deligne_stalk_check(st, PERVERSITIES["lower"])
     assert lo.ok
     for e in lo.entries:
         assert e.star_ih == (1, 2, 0, 0)
@@ -459,7 +467,7 @@ def test_stalk_check_suspension_torus():
 
 def test_stalk_check_pinched_torus():
     pt = pinched_torus()
-    res = deligne_stalk_check(pt, lower_middle(2))
+    res = deligne_stalk_check(pt, PERVERSITIES["lower"])
     assert res.ok
     (entry,) = res.entries
     assert entry.codim == 2
@@ -471,7 +479,7 @@ def test_stalk_check_pinched_torus():
 
 def test_stalk_check_manifold_is_vacuous():
     sc = StratifiedComplex(octahedron())
-    res = deligne_stalk_check(sc, zero_perversity(2))
+    res = deligne_stalk_check(sc, PERVERSITIES["zero"])
     assert res.ok and res.entries == ()
 
 
@@ -479,7 +487,7 @@ def test_stalk_check_unknot_base():
     y, r, rep = s3_unknot_double_data()
     spec = BranchedCoverSpec(y, r, rep)
     refined = refine_stratification(y, r)
-    res = deligne_stalk_check(refined, lower_middle(3))
+    res = deligne_stalk_check(refined, PERVERSITIES["lower"])
     assert res.ok
     assert len(res.entries) == 6
     for e in res.entries:
@@ -491,15 +499,7 @@ def test_ic_requires_full_levels():
     oct_ = octahedron()
     sc = StratifiedComplex(oct_, [SimplicialComplex([(1,), (2,)])])
     with pytest.raises(InputError, match=re.escape("filtration levels [0, 1] are not full subcomplexes")):
-        ih(sc, zero_perversity(2))
-
-
-def test_ic_requires_perversity_in_high_dimension():
-    with pytest.raises(InputError, match="a perversity is required in dimension >= 2"):
-        ih(StratifiedComplex(octahedron()), None)
-    with pytest.raises(InputError, match="perversity only defined up to 2, need 3"):
-        # perversity defined only up to dimension 2 cannot serve dimension 3
-        ih(suspension_torus(), zero_perversity(2))
+        ih(sc, PERVERSITIES["zero"])
 
 
 def test_ih_betti_takes_the_allowable_set_not_a_perversity():
@@ -507,8 +507,8 @@ def test_ih_betti_takes_the_allowable_set_not_a_perversity():
     an empty set of chains."""
     sc = StratifiedComplex(octahedron())
     with pytest.raises(TypeError):
-        ih_betti(sc, lower_middle(2))
-    assert ih_betti(sc, allowed=allowable_simplices(sc, lower_middle(2))) == (1, 0, 1)
+        ih_betti(sc, PERVERSITIES["lower"])
+    assert ih_betti(sc, allowed=allowable_simplices(sc, PERVERSITIES["lower"])) == (1, 0, 1)
 
 
 def test_stalk_check_arc_stratum_through_suspension_points():
@@ -521,7 +521,7 @@ def test_stalk_check_arc_stratum_through_suspension_points():
     arc = SimplicialComplex([(0,), (4,), (5,), (0, 4), (0, 5)])
     apexes = SimplicialComplex([(4,), (5,)])
     sc = StratifiedComplex(total, [arc, apexes])
-    for p in (lower_middle(3), upper_middle(3)):
+    for p in (PERVERSITIES["lower"], PERVERSITIES["upper"]):
         res = deligne_stalk_check(sc, p)
         assert res.ok
         by_codim = {e.vertex: e for e in res.entries}
@@ -540,9 +540,9 @@ def test_stalk_check_refined_suspension_circle():
     circle = SimplicialComplex([(7,), (8,), (0,), (1,), (0, 7), (0, 8), (1, 7), (1, 8)])
     refined = refine_stratification(st, StratifiedComplex(circle))
     with pytest.raises(InputError, match=re.escape("filtration levels [1, 2] are not full subcomplexes")):
-        deligne_stalk_check(refined, lower_middle(3))
+        deligne_stalk_check(refined, PERVERSITIES["lower"])
     sub = barycentric_subdivide(refined)
-    res = deligne_stalk_check(sub, lower_middle(3))
+    res = deligne_stalk_check(sub, PERVERSITIES["lower"])
     assert res.ok
     codim3 = [e for e in res.entries if e.codim == 3]
     codim2 = [e for e in res.entries if e.codim == 2]

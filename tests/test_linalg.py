@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from branchcover import linalg
 from branchcover.covering import fox_complete, refine_stratification
-from branchcover.intersection import perversity_by_name
+from branchcover.intersection import PERVERSITIES
 from branchcover.local_systems import (
     invariant_dimension,
     kernel_system,
@@ -306,9 +306,8 @@ def _twisted(spec, perversity):
 
 
 def _ic(spec, perversity):
-    m = spec.base.dim
     refined = refine_stratification(spec.base, spec.branch)
-    p = perversity_by_name(perversity, m) if m >= 2 else None
+    p = PERVERSITIES[perversity]
     ih(refined, p, None)
     ih(refined, p, _kernel(spec))
 

@@ -1,8 +1,5 @@
 """The package's record types: construction, immutability and value semantics."""
 import ast
-import copy
-import pickle
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,9 +8,7 @@ import pytest
 
 import branchcover
 from branchcover.covering import ConnectivityReport, CoverComplex, MonodromyRep
-from branchcover.errors import InputError
 from branchcover.commands import CodimReport, ConeCheckResult
-from branchcover.intersection import Perversity, lower_middle
 from branchcover.local_systems import LocalSystemQ
 from branchcover.specfile import LoadedSpec
 from branchcover.stratified import Stratum
@@ -26,7 +21,7 @@ from branchcover.verify import (
 
 from stalks import StalkCheckEntry, StalkCheckResult
 
-# every record with its fields in order; Perversity validates, so it is tested apart
+# every record with its fields in order
 RECORDS = {
     MonodromyRep: ("degree", "assignments", "basepoint"),
     ConnectivityReport: ("base_failures", "cover_failures", "checked_base", "checked_cover"),
@@ -174,26 +169,3 @@ def test_record_compares_and_hashes_by_value(cls):
     a, b = cls(*_values(cls)), cls(*_values(cls))
     assert a == b and hash(a) == hash(b)
     assert a != cls(*_values(cls, shift=1))
-
-
-def test_perversity_record():
-    p = lower_middle(4)
-    assert p[4] == 1 and p.top_dim == 4 and p.values == (0, 0, 1)
-    assert p == Perversity(top_dim=4, values=(0, 0, 1))
-    assert hash(p) == hash(Perversity(4, (0, 0, 1)))
-    assert p != Perversity(4, (0, 1, 1))
-    for field in ("top_dim", "values", "other"):
-        with pytest.raises(AttributeError):
-            setattr(p, field, 3)
-    with pytest.raises(AttributeError):
-        del p.values
-    for bad, message in (((3, (1, 1)), "p(2) must be 0"),
-                         ((4, (0, 2, 2)), "perversity steps must be 0 or 1"),
-                         ((4, (0, 1, 0)), "perversity steps must be 0 or 1"),
-                         ((1, ()), "a perversity needs dimension at least 2"),
-                         ((4, (0, 0)), "need values p(2)..p(4), got 2")):
-        with pytest.raises(InputError, match=re.escape(message)):
-            Perversity(*bad)
-    with pytest.raises(InputError, match=re.escape("perversity value p(5) undefined")):
-        p[5]
-    assert copy.copy(p) == copy.deepcopy(p) == pickle.loads(pickle.dumps(p)) == p

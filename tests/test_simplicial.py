@@ -19,7 +19,7 @@ from branchcover.simplicial import (
     is_full,
     validate_complex,
 )
-from branchcover.intersection import lower_middle
+from branchcover.intersection import PERVERSITIES
 from branchcover.local_systems import twisted_betti
 from branchcover.stratified import StratifiedComplex
 from branchcover.commands import cone
@@ -265,8 +265,7 @@ def test_one_homology_engine_matches_oracle(facets):
     for r in (1, 2, 3):
         assert twisted_betti(c, trivial_system(c, r)) == tuple(r * x for x in b)
     if len({len(s) for s in c.maximal_simplices()}) == 1:
-        p = lower_middle(c.dim) if c.dim >= 2 else None
-        assert ih(StratifiedComplex(c), p) == b
+        assert ih(StratifiedComplex(c), PERVERSITIES["lower"]) == b
 
 
 def test_torus7_is_a_closed_surface():

@@ -219,7 +219,8 @@ def test_cli_unknown_fixture(capsys):
     (("--degree", "3", "--perm", "1,0"), "[1, 0] is not a permutation of 0..2"),
     (("--degree", "0"), "degree must be at least 1"),
     (("--degree", "0", "--perm", "1,0"), "degree must be at least 1"),
-], ids=["perm-of-another-degree", "degree-zero", "degree-zero-with-perm"])
+    (("--perm", ""), "cannot parse permutation ''"),
+], ids=["perm-of-another-degree", "degree-zero", "degree-zero-with-perm", "empty-perm"])
 def test_cli_circle_cover_fixture_checks_degree_and_perm_once(extra, message, capsys):
     """The fixture's data builder is the one check of ``--degree`` and
     ``--perm``; the command only parses the permutation."""

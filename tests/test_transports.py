@@ -26,7 +26,7 @@ from branchcover.covering import (
 )
 from branchcover.errors import InputError, InternalCheckError
 from branchcover.fixtures import circle_cover_data, hexagon, sphere_branched_data
-from branchcover.intersection import lower_middle
+from branchcover.intersection import PERVERSITIES
 from branchcover.local_systems import (
     kernel_system,
     permutation_action,
@@ -318,7 +318,7 @@ def test_sphere_sparse_and_dense_paths_agree(data):
     assert twisted_betti(spec.complement, push) == twisted_betti(spec.complement, dense_push)
 
     refined = refine_stratification(y, r)
-    p = lower_middle(2)
+    p = PERVERSITIES["lower"]
     ih_kernel = ih(refined, p, kernel(pres, rep))
     assert ih(refined, p, dense_kernel) == ih_kernel
     cover = fox_complete(spec)

@@ -30,7 +30,7 @@ from branchcover.fixtures import (
     sphere_branched_data,
     suspension_torus,
 )
-from branchcover.intersection import PERVERSITIES, perversity_by_name
+from branchcover.intersection import PERVERSITIES
 
 from complexes import codim3_vertex_data, ih, orbits, rebased, suspended
 from oracles import (
@@ -654,8 +654,7 @@ def test_cover_ih_is_ih_on_the_pulled_back_stratification(name):
     levels = tuple((j, level.n_simplices()) for j, level in enumerate(pulled.levels))
     for perversity in PERVERSITIES:
         report = verify_branched(spec, perversity)
-        p = perversity_by_name(perversity, pulled.dim)
-        assert ih(pulled, p) == report.ih_cover, perversity
+        assert ih(pulled, PERVERSITIES[perversity]) == report.ih_cover, perversity
         assert levels == report.pullback_levels
 
 
@@ -744,7 +743,7 @@ def test_suspension_shifts_ih_as_the_suspension_formula_predicts(name, perversit
     assert main(["verify", str(path), "--format", "json", "--perversity", perversity]) == 0
     after = json.loads(capsys.readouterr().out)
     n = loaded.base.dim + 1
-    t = n - 1 - perversity_by_name(perversity, n)[n]
+    t = n - 1 - PERVERSITIES[perversity](n)
     assert after["base_dim"] == n
     b = before.betti_cover  # reduced homology shifts up by one degree
     assert tuple(after["betti_cover"]) == (1, b[0] - 1, *b[1:])
