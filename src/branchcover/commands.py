@@ -14,7 +14,7 @@ from collections.abc import Callable
 from .covering import BranchedCoverSpec, complement_presentation, fox_complete
 from .errors import InputError, InternalCheckError
 from .intersection import allowable_simplices, ih_betti, perversity_by_name
-from .local_systems import LocalSystemQ, kernel_system, pushforward_local_system, twisted_betti
+from .local_systems import kernel_system, pushforward_local_system, twisted_betti
 from .simplicial import Simplex, SimplicialComplex, betti_numbers
 from .specfile import MAX_DEGREE, load_spec, read_spec
 from .stratified import StratifiedComplex
@@ -72,8 +72,7 @@ class ConeCheckResult(namedtuple("ConeCheckResult",
         return not self.mismatches
 
 
-def cone_formula_check(link_sc: StratifiedComplex, p: Callable[[int], int],
-                       coeff: LocalSystemQ | None = None) -> ConeCheckResult:
+def cone_formula_check(link_sc: StratifiedComplex, p: Callable[[int], int]) -> ConeCheckResult:
     """Verify IH of the closed cone against the truncated IH of the link.
 
     For a compact link of dimension l >= 1 the cone keeps the link's IH
@@ -84,9 +83,9 @@ def cone_formula_check(link_sc: StratifiedComplex, p: Callable[[int], int],
     l = link_sc.dim
     if l < 0:
         raise InputError("the link is empty")
-    link_ih = ih_betti(link_sc, allowed=allowable_simplices(link_sc, p), coeff=coeff)
+    link_ih = ih_betti(link_sc, allowed=allowable_simplices(link_sc, p))
     cone_sc = cone_stratified(link_sc)
-    cone_ih = ih_betti(cone_sc, allowed=allowable_simplices(cone_sc, p), coeff=coeff)
+    cone_ih = ih_betti(cone_sc, allowed=allowable_simplices(cone_sc, p))
     if l == 0:
         cutoff = 1
         expected = (1, 0)

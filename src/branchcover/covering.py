@@ -117,11 +117,18 @@ def validate_monodromy(pres: EdgePathPresentation,
     return table
 
 
-def transport_along(table: dict[tuple[int, int], Perm], path: Sequence[int], d: int) -> Perm:
-    acc = identity_perm(d)
-    for u, v in zip(path, path[1:]):
-        acc = compose_perms(table[(u, v)], acc)
-    return acc
+def regauge(table: dict[tuple[int, int], Perm], pres: EdgePathPresentation,
+            d: int) -> dict[tuple[int, int], Perm]:
+    """Each generator's image under the flat ``table`` in the gauge of
+    ``pres``'s spanning tree: u -> v maps to g(v)^-1 o T(u->v) o g(u), the
+    transport around its loop at the basepoint, where g(v) is the transport
+    along the tree path to v.  g is built in one pass over ``pres.parent``,
+    whose BFS order puts each parent before its children."""
+    g: dict[int, Perm] = {}
+    for v, u in pres.parent.items():
+        g[v] = identity_perm(d) if u == v else compose_perms(table[(u, v)], g[u])
+    return {(u, v): compose_perms(invert_perm(g[v]), compose_perms(table[(u, v)], g[u]))
+            for u, v in pres.generators}
 
 
 # ---------------------------------------------------------------------------
@@ -241,19 +248,9 @@ def local_monodromy_group(cover: CoverComplex, tau: Simplex) -> tuple[Perm, ...]
     """
     p = cover.stars[tau]
     d = cover.spec.degree
-    table = cover.spec.table
-    local_pres = edge_path_presentation(p, min(p.vertices))
-
-    gens: list[Perm] = []
-    seen: set[Perm] = set()
-    ident = identity_perm(d)
-    for (u, v) in local_pres.generators:
-        path = local_pres.tree_path(u) + (v,) + tuple(reversed(local_pres.tree_path(v)))[1:]
-        loop = transport_along(table, path, d)
-        if loop != ident and loop not in seen:
-            seen.add(loop)
-            gens.append(loop)
-    return tuple(sorted(gens)) if gens else (ident,)
+    loops = set(regauge(cover.spec.table, edge_path_presentation(p, min(p.vertices)), d).values())
+    loops.discard(identity_perm(d))
+    return tuple(sorted(loops)) or (identity_perm(d),)
 
 
 # ---------------------------------------------------------------------------

@@ -8,15 +8,15 @@ The sphere and knot fixtures read their cyclic monodromy off a cut, as
 Hurwitz (1891) and Berstein-Edmonds (1979) glue sheets: a Z/d cochain
 that carries a cut's weight on each complement edge crossing it.  Its
 values on the meridians (the link of a branch vertex, or of a branch
-edge in dimension 3) fix its class, and the spanning-tree gauge of the
-presentation picks the one representative that is 0 on the tree.
+edge in dimension 3) fix its class, and ``covering.regauge`` reads it in
+the presentation's spanning-tree gauge, the one representative 0 on the tree.
 """
 from __future__ import annotations
 
 import json
 
 from .errors import InputError
-from .covering import MonodromyRep, complement_presentation
+from .covering import MonodromyRep, complement_presentation, is_permutation, regauge
 from .presentation import EdgePathPresentation, edge_path_presentation
 from .simplicial import SimplicialComplex, Simplex, closure, connected_components
 from .stratified import EMPTY_STRATIFIED, StratifiedComplex
@@ -117,48 +117,37 @@ def pinched_torus() -> StratifiedComplex:
 def orient_closed_surface(c: SimplicialComplex) -> dict[Simplex, int]:
     """Coherent orientation signs for a closed triangulated surface.
 
-    Adjacent triangles must induce opposite directions on their common
-    edge; propagation is BFS from the least triangle.  Raises InputError
-    if the surface is not orientable or an edge is not shared by exactly
-    two triangles.
+    Facet i of a triangle with sign e carries e * (-1)^i in its boundary,
+    and adjacent triangles must carry opposite signs on their common edge;
+    propagation is breadth first from the least triangle.  Raises
+    InputError if the surface is not orientable or an edge is not shared by
+    exactly two triangles.
     """
     triangles = c.simplices_of_dim(2)
-    by_edge: dict[Simplex, list[Simplex]] = {}
+    by_edge: dict[Simplex, list[tuple[Simplex, int]]] = {}
     for t in triangles:
-        for e in ((t[0], t[1]), (t[0], t[2]), (t[1], t[2])):
-            by_edge.setdefault(e, []).append(t)
+        for i in (2, 1, 0):  # the edges of t in lexicographic order
+            by_edge.setdefault(t[:i] + t[i + 1:], []).append((t, (-1) ** i))
     for e, ts in by_edge.items():
         if len(ts) != 2:
             raise InputError(f"edge {list(e)} lies in {len(ts)} triangles, expected 2")
 
-    def induced(t: Simplex, e: Simplex, sign: int) -> int:
-        # direction +1 means the ascending edge agrees with the boundary cycle
-        i = t.index(e[0])
-        j = t.index(e[1])
-        # boundary of (v0,v1,v2) with sign +: v0->v1, v1->v2, v2->v0
-        forward = (j - i) % 3 == 1
-        return sign if forward else -sign
-
     signs: dict[Simplex, int] = {}
-    from collections import deque
-
     for start in triangles:
         if start in signs:
             continue
         signs[start] = 1
-        queue = deque([start])
-        while queue:
-            t = queue.popleft()
-            for e in ((t[0], t[1]), (t[0], t[2]), (t[1], t[2])):
-                other = next(x for x in by_edge[e] if x != t)
-                want = -induced(t, e, signs[t])
-                need = 1 if induced(other, e, 1) == want else -1
-                if other in signs:
-                    if signs[other] != need:
-                        raise InputError("surface is not orientable")
-                else:
+        reached = [start]
+        for t in reached:  # grows while it is read: a breadth-first queue
+            for i in (2, 1, 0):
+                (t1, k1), (t2, k2) = by_edge[t[:i] + t[i + 1:]]
+                other = t2 if t1 == t else t1
+                need = -signs[t] * k1 * k2
+                if other not in signs:
                     signs[other] = need
-                    queue.append(other)
+                    reached.append(other)
+                elif signs[other] != need:
+                    raise InputError("surface is not orientable")
     return signs
 
 
@@ -192,18 +181,12 @@ def _tree_gauge(pres: EdgePathPresentation, cochain: dict[tuple[int, int], int],
     """Generator assignments of a Z/d cocycle, made 0 on the spanning tree.
 
     ``cochain`` holds values on oriented edges, read antisymmetrically;
-    generator u -> v maps to the d-cycle raised to h(u) + cochain(u -> v) - h(v),
-    where h sums the cochain along the tree path from the basepoint.
+    oriented edge e carries the d-cycle raised to cochain(e) - cochain(-e),
+    and :func:`regauge` reads that table in the tree's gauge.
     """
-    def value(u: int, v: int) -> int:
-        return cochain.get((u, v), 0) - cochain.get((v, u), 0)
-
-    def h(v: int) -> int:
-        path = pres.tree_path(v)
-        return sum(map(value, path, path[1:]))
-
-    return MonodromyRep(d, {(u, v): tuple((i + h(u) + value(u, v) - h(v)) % d for i in range(d))
-                            for u, v in pres.generators}, pres.basepoint)
+    table = {e: tuple((i + cochain.get(e, 0) - cochain.get(e[::-1], 0)) % d for i in range(d))
+             for (u, v) in pres.complex.simplices_of_dim(1) for e in ((u, v), (v, u))}
+    return MonodromyRep(d, regauge(table, pres, d), pres.basepoint)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +262,7 @@ def circle_cover_data(degree: int, perm: tuple[int, ...]):
     """Cover of the hexagon with the single generator mapping to `perm`."""
     if degree < 1:
         raise InputError("degree must be at least 1")
-    if sorted(perm) != list(range(degree)):
+    if not is_permutation(perm, degree):
         raise InputError(f"{list(perm)} is not a permutation of 0..{degree - 1}")
     base = hexagon()
     y = StratifiedComplex(base)

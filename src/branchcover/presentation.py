@@ -17,7 +17,8 @@ Letter = tuple[int, int]
 
 
 class EdgePathPresentation:
-    """Spanning tree, ordered generators and relators for a complex."""
+    """Spanning tree, ordered generators and relators for a complex; ``parent``
+    maps each vertex to its tree parent in BFS order, which ``regauge`` relies on."""
 
     __slots__ = ("complex", "basepoint", "parent", "tree_edges", "generators",
                  "gen_index", "relators")

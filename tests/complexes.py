@@ -4,6 +4,7 @@ The package's own fixtures (``branchcover.fixtures``) are the ones the
 ``fixture`` command writes; these are extra bases, a stratified
 subdivision, the constant system, the restriction of a system, a
 codimension-3 spec, a monodromy moved to another basepoint, the
+transport of a permutation table along a path, the
 suspension of a spec, intersection homology at a perversity, closed
 stars, links and oriented vertex links, the orbit counts
 of a cover's fiber table, the GF(p) elimination that draws random
@@ -13,17 +14,18 @@ golden specs.
 from __future__ import annotations
 
 import json
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from itertools import combinations
 
 from branchcover.covering import (
     BranchedCoverSpec,
     CoverComplex,
     MonodromyRep,
+    Perm,
     compose_perms,
     complement_presentation,
-    invert_perm,
-    transport_along,
+    identity_perm,
+    regauge,
     validate_monodromy,
 )
 from branchcover.errors import InputError
@@ -106,18 +108,21 @@ def rebased(base: StratifiedComplex, branch: StratifiedComplex, rep: MonodromyRe
     """The monodromy ``rep`` of the spec ``(base, branch, rep)`` read from
     another complement vertex ``basepoint``.
 
-    The validated table T is regauged to the spanning tree at the new
-    basepoint b: image(u->v) = g(v)^-1 o T(u->v) o g(u), where g(v) is the
-    transport of T along the new tree path b -> v.  So every new tree edge
-    carries the identity, and a loop at b keeps its transport under T.
+    The validated table T is read by ``regauge`` in the gauge of the
+    spanning tree at the new basepoint b, so every new tree edge carries
+    the identity, and a loop at b keeps its transport under T.
     """
     spec = BranchedCoverSpec(base, branch, rep)
     pres = complement_presentation(base.complex, spec.branch_vertices, basepoint)
-    d = rep.degree
-    g = {v: transport_along(spec.table, pres.tree_path(v), d) for v in pres.complex.vertices}
-    return MonodromyRep(d, {(u, v): compose_perms(invert_perm(g[v]),
-                                                  compose_perms(spec.table[(u, v)], g[u]))
-                            for u, v in pres.generators}, basepoint)
+    return MonodromyRep(rep.degree, regauge(spec.table, pres, rep.degree), basepoint)
+
+
+def transport_along(table: dict[tuple[int, int], Perm], path: Sequence[int], d: int) -> Perm:
+    """The transport of a permutation table along a vertex path, edge by edge."""
+    acc = identity_perm(d)
+    for u, v in zip(path, path[1:]):
+        acc = compose_perms(table[(u, v)], acc)
+    return acc
 
 
 def suspended(loaded: LoadedSpec) -> dict:

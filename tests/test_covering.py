@@ -20,8 +20,8 @@ from branchcover.covering import (
     local_monodromy_group,
     orbit_count,
     refine_stratification,
+    regauge,
     riemann_hurwitz_check,
-    transport_along,
     validate_monodromy,
     _star_off,
 )
@@ -46,7 +46,14 @@ from branchcover.fixtures import (
     torus7,
 )
 
-from complexes import codim3_vertex_data, nullspace_mod_p, orbits, relator_rows, star
+from complexes import (
+    codim3_vertex_data,
+    nullspace_mod_p,
+    orbits,
+    relator_rows,
+    star,
+    transport_along,
+)
 from oracles import (
     RelatorViolatedMatrix,
     RepresentationQ,
@@ -192,11 +199,35 @@ def test_validate_monodromy_matches_matrix_representation(case):
 def test_global_tree_paths_transport_by_the_identity(path):
     """The tree path from the basepoint to every complement vertex carries
     the identity, so ``local_monodromy_group`` may read its loops at the
-    least vertex of a punctured star without conjugating them."""
-    spec = load_spec(parse_spec_text(path.read_text(encoding="utf-8"))).cover_spec()
+    least vertex of a punctured star without conjugating them; so the
+    validated table is in its own tree's gauge, and ``regauge`` gives back
+    the assignments."""
+    loaded = load_spec(parse_spec_text(path.read_text(encoding="utf-8")))
+    spec = loaded.cover_spec()
     ident = identity_perm(spec.degree)
     for v in spec.complement.vertices:
         assert transport_along(spec.table, spec.presentation.tree_path(v), spec.degree) == ident
+    assert regauge(spec.table, spec.presentation, spec.degree) == loaded.monodromy.assignments
+
+
+@pytest.mark.parametrize("path", [p for p in GOLDEN_SPECS
+                                  if '"branch"' in p.read_text(encoding="utf-8")],
+                         ids=lambda p: p.stem)
+def test_local_monodromy_group_composes_the_star_loops_edge_by_edge(path):
+    """The local group is the distinct non-identity transports of the loops
+    tree path to u, u -> v, tree path back from v, for each generator u -> v
+    of the punctured star's presentation at its least vertex, composed
+    edge by edge."""
+    cover = fox_complete(load_spec(parse_spec_text(path.read_text(encoding="utf-8"))).cover_spec())
+    d = cover.spec.degree
+    ident = identity_perm(d)
+    for tau in cover.spec.branch_simplices():
+        p = cover.stars[tau]
+        pres = edge_path_presentation(p, min(p.vertices))
+        loops = {transport_along(cover.spec.table,
+                                 pres.tree_path(u) + pres.tree_path(v)[::-1], d)
+                 for u, v in pres.generators} - {ident}
+        assert local_monodromy_group(cover, tau) == (tuple(sorted(loops)) or (ident,))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,12 +8,11 @@ from branchcover.covering import (
     BranchedCoverSpec,
     MonodromyRep,
     fox_complete,
-    transport_along,
     validate_monodromy,
 )
 from branchcover.errors import InputError
 from branchcover.presentation import edge_path_presentation
-from branchcover.simplicial import betti_numbers
+from branchcover.simplicial import barycentric_subdivide_complex, betti_numbers, closure
 from branchcover.specfile import load_spec, parse_spec_text
 from branchcover.verify import verify_branched
 from branchcover.fixtures import (
@@ -40,6 +40,7 @@ from complexes import (
     oriented_vertex_link_cycle,
     solve_mod_p,
     theta_graph,
+    transport_along,
 )
 from oracles import brute_betti
 
@@ -59,10 +60,33 @@ def test_annulus_is_a_cylinder():
 
 
 def test_orientability():
-    for c in (octahedron(), torus7()):
+    for c in (octahedron(), torus7(), barycentric_subdivide_complex(octahedron())[0]):
         signs = orient_closed_surface(c)
         assert set(signs.values()) <= {1, -1}
         assert len(signs) == c.n_simplices(2)
+        # the oriented boundary of (x, y, z) runs x -> y -> z -> x, reversed
+        # for sign -1; coherent signs run every edge once each way
+        runs = Counter()
+        for (x, y, z), sign in signs.items():
+            for u, v in ((x, y), (y, z), (z, x)):
+                runs[(u, v) if sign == 1 else (v, u)] += 1
+        assert set(runs.values()) == {1}
+        assert len(runs) == 2 * c.n_simplices(1)
+
+
+def test_orientation_rejects_the_projective_plane():
+    rp2 = closure([(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+                   (1, 2, 4), (1, 3, 4), (1, 3, 5), (2, 3, 5), (2, 4, 5)])
+    assert rp2.euler_characteristic() == 1
+    with pytest.raises(InputError) as info:
+        orient_closed_surface(rp2)
+    assert str(info.value) == "surface is not orientable"
+
+
+def test_orientation_rejects_a_boundary_edge():
+    with pytest.raises(InputError) as info:
+        orient_closed_surface(closure([(0, 1, 2), (0, 2, 3)]))
+    assert str(info.value) == "edge [0, 1] lies in 1 triangles, expected 2"
 
 
 def test_oriented_link_cycles_cover_the_link():

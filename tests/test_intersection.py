@@ -183,12 +183,13 @@ def _load_golden(path):
 
 
 @pytest.mark.parametrize("path", [p for p in GOLDEN_SPECS
-                                  if _load_golden(p).base.dim in (2, 3)],
+                                  if _load_golden(p).base.dim >= 2],
                          ids=lambda p: p.stem)
 def test_ih_suspension_duality(path):
-    # on the refined base, complementary middle perversities pair degrees
-    # j and m - j, with trivial and, given a monodromy, kernel coefficients,
-    # and so they do on the cover with its pulled-back stratification
+    # on the refined base, complementary perversities pair degrees j and
+    # m - j, with trivial and, given a monodromy, kernel coefficients, and
+    # so they do on the cover with its pulled-back stratification; below
+    # dimension 4, zero and top allow what lower and upper allow
     loaded = _load_golden(path)
     refined = refine_stratification(loaded.base, loaded.branch)
     cases = {"trivial": (refined, None)}
@@ -197,10 +198,12 @@ def test_ih_suspension_duality(path):
         cases["kernel"] = (refined, kernel_system(spec.degree, spec.table))
         cases["cover"] = (pullback_stratification(fox_complete(spec), refined), None)
     m = refined.dim
+    pairs = [("lower", "upper")] + [("zero", "top")] * (m >= 4)
     for label, (sc, coeff) in cases.items():
-        lo = ih(sc, PERVERSITIES["lower"], coeff)
-        up = ih(sc, PERVERSITIES["upper"], coeff)
-        assert all(lo[j] == up[m - j] for j in range(m + 1)), (label, lo, up)
+        for p, q in pairs:
+            lo = ih(sc, PERVERSITIES[p], coeff)
+            up = ih(sc, PERVERSITIES[q], coeff)
+            assert all(lo[j] == up[m - j] for j in range(m + 1)), (label, p, lo, q, up)
 
 
 def test_ih_pinched_torus():
