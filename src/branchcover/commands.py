@@ -101,42 +101,26 @@ def cone_formula_check(link_sc: StratifiedComplex, p: Callable[[int], int]) -> C
 # codimension corollary
 
 
-class CodimReport(namedtuple("CodimReport",
-                             "applicable branch_dim base_dim fibers non_minimal note")):
-    """The codimension corollary on a spec.
-
-    ``applicable`` and ``non_minimal`` are ``bool``, ``branch_dim`` and
-    ``base_dim`` are ``int``, ``fibers`` is a tuple of ``(simplex,
-    cardinality)`` pairs and ``note`` is a ``str``.
-    """
-
-    __slots__ = ()
-
-
-def codim_check(spec: BranchedCoverSpec, orbits: dict[Simplex, int]) -> CodimReport:
-    """If the branch locus has codimension >= 3, no branching may occur.
+def codim_check(spec: BranchedCoverSpec, orbits: dict[Simplex, int]) -> str:
+    """The codimension corollary's note: if the branch locus has codimension
+    >= 3, no branching may occur.
 
     All fibers, the orbit counts ``orbits`` of the fiber table, must then
-    equal the degree and the locus is flagged non-minimal; a smaller
-    fiber raises, since it signals invalid input or a bug.
+    equal the degree and the locus is not minimal; a smaller fiber raises,
+    since it signals invalid input or a bug.
     """
     m = spec.base.dim
     rdim = spec.branch.dim
     if rdim < 0:
-        return CodimReport(False, rdim, m, (), False, "branch locus empty; vacuous pass")
+        return "branch locus empty; vacuous pass"
     if rdim > m - 3:
-        return CodimReport(False, rdim, m, (), False,
-                           "branch locus has codimension 2; check not applicable")
-    fibers = []
+        return "branch locus has codimension 2; check not applicable"
     for tau in spec.branch_simplices():
-        card = orbits[tau]
-        fibers.append((tau, card))
-        if card < spec.degree:
+        if orbits[tau] < spec.degree:
             raise InternalCheckError(
-                f"fiber over {list(tau)} has cardinality {card} < degree {spec.degree} "
+                f"fiber over {list(tau)} has cardinality {orbits[tau]} < degree {spec.degree} "
                 f"at codimension >= 3")
-    return CodimReport(True, rdim, m, tuple(fibers), True,
-                       "all fibers equal the degree; the locus is not minimal")
+    return "all fibers equal the degree; the locus is not minimal"
 
 
 # ---------------------------------------------------------------------------
@@ -191,14 +175,14 @@ def cmd_ih(args) -> tuple[str, int]:
 def cmd_fibers(args) -> tuple[str, int]:
     loaded = load_spec(read_spec(args.spec))
     spec = loaded.cover_spec()
-    report = fiber_rank_report(fox_complete(spec))
+    rows = fiber_rank_report(fox_complete(spec))
     lines = ["simplex | orbits | 1+invariants | lifts | status"]
-    for r in report.rows:
+    for r in rows:
         lines.append(f"{list(r.simplex)} | {r.orbit_count} | {r.one_plus_invariants} "
                      f"| {r.lift_count} | {'ok' if r.ok else 'MISMATCH'}")
-    codim = codim_check(spec, {r.simplex: r.orbit_count for r in report.rows})
-    lines.append(f"codimension check: {codim.note}")
-    return "\n".join(lines) + "\n", 0 if report.ok else 3
+    note = codim_check(spec, {r.simplex: r.orbit_count for r in rows})
+    lines.append(f"codimension check: {note}")
+    return "\n".join(lines) + "\n", 0 if all(r.ok for r in rows) else 3
 
 
 def cmd_cone_check(args) -> tuple[str, int]:

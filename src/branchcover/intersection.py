@@ -71,21 +71,9 @@ def ih_betti(sc: StratifiedComplex, *, allowed: set[Simplex],
 
     :func:`simplicial.homology_ranks` on ``allowed``, the set that
     :func:`allowable_simplices` returns for ``sc``, with the coefficients
-    of a simplex at its first vertex off the singular set; it also checks
-    that the boundary keeps the intersection chains.  The test oracle
-    ``oracles.ic_betti`` computes the same ranks from explicit bases of the
-    IC_j, written from the definitions alone.
+    ``coeff`` off its singular set; it also checks that the boundary keeps
+    the intersection chains.  The test oracle ``oracles.ic_betti`` computes the same ranks
+    from explicit bases of the IC_j, written from the definitions alone.
     """
-    singular = set(sc.singular_set.vertices)
-
-    def anchor(s: Simplex) -> int:
-        for v in s:
-            if v not in singular:
-                return v
-        raise InputError(
-            f"simplex {list(s)} of an allowable chain has no vertex off the singular "
-            "set; subdivide the base")
-
-    if coeff is None:
-        return homology_ranks(sc.complex, allowed.__contains__)
-    return homology_ranks(sc.complex, allowed.__contains__, coeff.rank, coeff.transport, anchor)
+    return homology_ranks(sc.complex, allowed.__contains__, coeff,
+                          frozenset(sc.singular_set.vertices))

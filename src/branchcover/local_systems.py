@@ -15,8 +15,7 @@ table that is not flat fails the d^2 = 0 check of
 :func:`simplicial.homology_ranks` in degree 2.  A transport is r sparse
 columns ``{row: value}`` with no zero entries, as :mod:`linalg` stores a
 matrix, at most two nonzeros per column, never modified once built.
-Twisted homology is :func:`simplicial.homology_ranks` on every simplex,
-with the coefficients of a simplex at its minimal vertex.
+Twisted homology is :func:`simplicial.homology_ranks` on every simplex.
 """
 from __future__ import annotations
 
@@ -115,12 +114,11 @@ def invariant_dimension(matrices: Sequence[list[SparseCol]], rank: int) -> int:
 
 
 def twisted_betti(c: SimplicialComplex, system: LocalSystemQ) -> tuple[int, ...]:
-    """Homology ranks with coefficients attached at the minimal vertex of each simplex.
+    """Homology ranks of ``c`` with coefficients in ``system``.
 
-    The boundary transports coefficients along the edge joining the
-    minimal vertices, which lies inside the simplex; flatness makes the
-    square of the boundary vanish, and a system that is not flat fails
-    the d^2 = 0 check in degree 2.  An edge of ``c`` with no transport is
-    an :class:`InputError`.
+    :func:`simplicial.homology_ranks` on every simplex, with no singular
+    set; flatness makes the square of the boundary vanish, and a system
+    that is not flat fails the d^2 = 0 check in degree 2.  An edge of
+    ``c`` with no transport is an :class:`InputError`.
     """
-    return homology_ranks(c, lambda s: True, system.rank, system.transport, min)
+    return homology_ranks(c, lambda s: True, system)

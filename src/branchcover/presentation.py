@@ -3,7 +3,7 @@
 A connected complex with a basepoint gets a deterministic BFS spanning
 tree (ascending-id tie-breaking); the oriented non-tree edges are the
 generators and every 2-simplex contributes one relator word obtained by
-collapsing tree edges.
+collapsing tree edges, built when read.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ class EdgePathPresentation:
     maps each vertex to its tree parent in BFS order, which ``regauge`` relies on."""
 
     __slots__ = ("complex", "basepoint", "parent", "tree_edges", "generators",
-                 "gen_index", "relators")
+                 "gen_index")
 
     def __init__(self, complex: SimplicialComplex, basepoint: int):
         if basepoint not in set(complex.vertices):
@@ -52,14 +52,19 @@ class EdgePathPresentation:
         self.generators = tuple(
             e for e in complex.simplices_of_dim(1) if e not in self.tree_edges)
         self.gen_index = {e: i for i, e in enumerate(self.generators)}
+
+    @property
+    def relators(self) -> tuple[tuple[Letter, ...], ...]:
+        """One word per 2-simplex [a, b, c], the letters of a->b, b->c, c->a
+        with the tree edges dropped; built each time it is read."""
         # the letter of each oriented non-tree edge; a tree edge has none
         letter: dict[tuple[int, int], Letter] = {}
         for i, (u, v) in enumerate(self.generators):
             letter[(u, v)] = (i, 1)
             letter[(v, u)] = (i, -1)
         get = letter.get
-        self.relators = tuple(tuple(filter(None, (get((a, b)), get((b, c)), get((c, a)))))
-                              for a, b, c in complex.simplices_of_dim(2))
+        return tuple(tuple(filter(None, (get((a, b)), get((b, c)), get((c, a)))))
+                     for a, b, c in self.complex.simplices_of_dim(2))
 
     def tree_path(self, v: int) -> tuple[int, ...]:
         """Vertices of the unique tree path basepoint -> v."""

@@ -5,9 +5,10 @@ ids; a complex is a face-closed finite set of simplices.  Boundary
 operators use the ascending-vertex orientation with alternating signs.
 One routine, :func:`homology_ranks`, computes every homology the package
 needs exactly: ordinary, twisted and intersection homology are the
-homology of the chains on a chosen set of simplices with chosen
-coefficients.  Signs are ``int``; chains stay integral unless their
-coefficients are not.
+homology of the chains on a chosen set of simplices, with the
+coefficients of a local system at the first vertex of each simplex off
+the singular set (its least vertex when there is none).  Signs are
+``int``; chains stay integral unless their coefficients are not.
 """
 from __future__ import annotations
 
@@ -266,27 +267,39 @@ SparseCol = dict[int, linalg.Scalar]
 _SIGNS = (1, -1)
 
 
-def _boundary_columns(simplices: Sequence[Simplex], rows: dict[Simplex, int], rank: int = 1,
-                      transport=None, anchor=None) -> list[SparseCol]:
-    """Boundary columns of the j-simplices, ``rank`` columns per simplex.
+def _anchor(s: Simplex, singular: frozenset[int]) -> int:
+    """Where the coefficients of ``s`` sit: its first vertex not in
+    ``singular``, its least vertex when ``singular`` is empty."""
+    for v in s:
+        if v not in singular:
+            return v
+    raise InputError(f"simplex {list(s)} of an allowable chain has no vertex off the singular "
+                     "set; subdivide the base")
 
-    The coefficients of a simplex ``s`` sit at the vertex ``anchor(s)``.
-    Its i-th face enters with sign (-1)^i, the coefficients carried to
-    ``anchor(face)`` by ``transport(anchor(s), anchor(face))`` (a list of
-    sparse columns), or unchanged when the two anchors agree.  Coefficient t of
-    a face is row ``rows[face] * rank + t``.  Without a transport every
-    coefficient stays put and ``anchor`` is never called.
+
+def _boundary_columns(simplices: Sequence[Simplex], rows: dict[Simplex, int], system=None,
+                      singular: frozenset[int] = frozenset()) -> list[SparseCol]:
+    """Boundary columns of the j-simplices, ``system.rank`` columns per simplex.
+
+    The i-th face of a simplex enters with sign (-1)^i, its coefficients
+    carried from the simplex's :func:`_anchor` to the face's by
+    ``system.transport(a, b)`` (a list of sparse columns), or unchanged
+    when the two agree.  Coefficient t of a face is row ``rows[face] *
+    rank + t``.  Without a system every simplex has one constant
+    coefficient and no anchor.
     """
+    rank = 1 if system is None else system.rank
     cols: list[SparseCol] = []
     for s in simplices:
-        a_s = anchor(s) if transport else None
+        a_s = None if system is None else _anchor(s, singular)
         blocks = []
         for i in range(len(s)):
             face = s[:i] + s[i + 1:]
             fi = rows[face]
             keys = (fi,) if rank == 1 else range(fi * rank, (fi + 1) * rank)
-            a_f = anchor(face) if transport else None
-            blocks.append((keys, _SIGNS[i & 1], None if a_f == a_s else transport(a_s, a_f)))
+            a_f = None if system is None else _anchor(face, singular)
+            blocks.append((keys, _SIGNS[i & 1],
+                           None if a_f == a_s else system.transport(a_s, a_f)))
         for t in range(rank):
             col: SparseCol = {}
             for keys, sign, mat in blocks:
@@ -299,15 +312,16 @@ def _boundary_columns(simplices: Sequence[Simplex], rows: dict[Simplex, int], ra
     return cols
 
 
-def homology_ranks(c: SimplicialComplex, chosen: Callable[[Simplex], bool], rank: int = 1,
-                   transport=None, anchor=None) -> tuple[int, ...]:
+def homology_ranks(c: SimplicialComplex, chosen: Callable[[Simplex], bool], system=None,
+                   singular: frozenset[int] = frozenset()) -> tuple[int, ...]:
     """Homology ranks in degrees 0..dim of the chains on the chosen simplices.
 
     C_j is the space of chains on the chosen j-simplices whose boundary
-    lies on chosen simplices again, with ``rank`` coefficients per simplex
-    carried as in :func:`_boundary_columns`.  Choosing every simplex gives
-    ordinary or twisted homology; choosing the allowable ones gives
-    intersection homology.
+    lies on chosen simplices again, with the coefficients of ``system``
+    (constant ones without it) carried as in :func:`_boundary_columns`.
+    Choosing every simplex gives ordinary or twisted homology; choosing
+    the allowable ones, with the singular set's vertices as ``singular``,
+    gives intersection homology.
 
     Let A^j be the boundary of the chosen j-simplices (N_j columns), its
     rows numbered with the chosen (j-1)-simplices first, and A_out^j its
@@ -331,6 +345,7 @@ def homology_ranks(c: SimplicialComplex, chosen: Callable[[Simplex], bool], rank
     cut, which never happens for ordinary or twisted chains.
     """
     m = c.dim
+    rank = 1 if system is None else system.rank
     n = [0] * (m + 1)         # N_j
     rk = [0] * (m + 2)        # rk A^j
     rk_out = [0] * (m + 2)    # rk A_out^j
@@ -341,7 +356,7 @@ def homology_ranks(c: SimplicialComplex, chosen: Callable[[Simplex], bool], rank
         picked = [s for s in simps if chosen(s)]
         n[j] = len(picked) * rank
         if j:
-            cols = _boundary_columns(picked, rows, rank, transport, anchor)
+            cols = _boundary_columns(picked, rows, system, singular)
             cut = n[j - 1]
             if len(rows) * rank > cut:
                 out = ({i: v for i, v in col.items() if i >= cut} for col in cols)

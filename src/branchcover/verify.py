@@ -48,18 +48,9 @@ class FiberRow(namedtuple("FiberRow", "simplex orbit_count one_plus_invariants l
         return self.orbit_count == self.one_plus_invariants == self.lift_count
 
 
-class FiberReport(namedtuple("FiberReport", "rows")):
-    """The fiber table: ``rows`` is a ``tuple[FiberRow, ...]``."""
-
-    __slots__ = ()
-
-    @property
-    def ok(self) -> bool:
-        return all(r.ok for r in self.rows)
-
-
-def fiber_rank_report(cover: CoverComplex) -> FiberReport:
-    """Orbit counts, 1 + invariants of the kernel system and lift counts, row by row.
+def fiber_rank_report(cover: CoverComplex) -> tuple[FiberRow, ...]:
+    """The fiber table: orbit counts, 1 + invariants of the kernel system
+    and lift counts, one row per branch simplex.
 
     A mismatch indicates an implementation bug, never acceptable input.
     """
@@ -72,7 +63,7 @@ def fiber_rank_report(cover: CoverComplex) -> FiberReport:
         kernel_mats = [sum_zero_action(g) for g in gens]
         inv = invariant_dimension(kernel_mats, d - 1)
         rows.append(FiberRow(tau, orbits, 1 + inv, len(cover.fibers[tau])))
-    return FiberReport(tuple(rows))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +81,7 @@ class DecompositionReport(namedtuple(
     Fields: ``perversity: str``; ``degree``, ``base_dim``, ``euler_cover:
     int``; ``betti_cover``, ``ih_cover`` (the left side of the equality),
     ``ih_trivial``, ``ih_kernel: tuple[int, ...]``;
-    ``equal_per_degree: tuple[bool, ...]``; ``fiber: FiberReport``;
+    ``equal_per_degree: tuple[bool, ...]``; ``fiber: tuple[FiberRow, ...]``;
     ``connectivity: covering.ConnectivityReport``; ``euler_ok``, ``b0_ok``,
     ``manifold_crosscheck_ok: bool``; ``betti_base_manifold: tuple[int,
     ...] | None``; ``stratification_levels``, ``pullback_levels:
@@ -106,13 +97,13 @@ class DecompositionReport(namedtuple(
 
     @property
     def internal_ok(self) -> bool:
-        return (self.fiber.ok and self.connectivity.ok and self.euler_ok
+        return (all(r.ok for r in self.fiber) and self.connectivity.ok and self.euler_ok
                 and self.b0_ok and self.manifold_crosscheck_ok)
 
     def to_json_dict(self) -> dict:
         out = self._asdict()
         del out["fiber"]
-        out["fiber_table"] = [dict(r._asdict(), ok=r.ok) for r in self.fiber.rows]
+        out["fiber_table"] = [dict(r._asdict(), ok=r.ok) for r in self.fiber]
         out["connectivity"] = dict(self.connectivity._asdict(), ok=self.connectivity.ok)
         out["all_equal"] = self.all_equal
         out["internal_ok"] = self.internal_ok
@@ -140,9 +131,9 @@ class DecompositionReport(namedtuple(
         verdict = "HOLDS" if self.all_equal else "FAILS"
         lines.append(f"  per-degree equality: {verdict} "
                      f"{['ok' if b else 'FAIL' for b in self.equal_per_degree]}")
-        lines.append(f"  fiber table ({len(self.fiber.rows)} branch simplices): "
-                     f"{'ok' if self.fiber.ok else 'MISMATCH'}")
-        for r in self.fiber.rows:
+        lines.append(f"  fiber table ({len(self.fiber)} branch simplices): "
+                     f"{'ok' if all(r.ok for r in self.fiber) else 'MISMATCH'}")
+        for r in self.fiber:
             lines.append(f"    {list(r.simplex)}: orbits={r.orbit_count} "
                          f"1+invariants={r.one_plus_invariants} lifts={r.lift_count} "
                          f"{'ok' if r.ok else 'MISMATCH'}")
@@ -191,7 +182,7 @@ def verify_branched(spec: BranchedCoverSpec, perversity: str = "lower") -> Decom
 
     cover = fox_complete(spec)
     fiber = fiber_rank_report(cover)
-    euler_cover = riemann_hurwitz_check(cover, {r.simplex: r.orbit_count for r in fiber.rows})
+    euler_cover = riemann_hurwitz_check(cover, {r.simplex: r.orbit_count for r in fiber})
     b_cover = _stage("b(cover)", betti_numbers, cover.total)
 
     refined = refine_stratification(spec.base, spec.branch)

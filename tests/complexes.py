@@ -68,7 +68,7 @@ def trivial_system(base: SimplicialComplex, rank: int = 1) -> LocalSystemQ:
 
 def orbits(cover: CoverComplex) -> dict[Simplex, int]:
     """Orbit count of each branch simplex, as the cover's fiber table traces it."""
-    return {row.simplex: row.orbit_count for row in fiber_rank_report(cover).rows}
+    return {row.simplex: row.orbit_count for row in fiber_rank_report(cover)}
 
 
 def restrict(system: LocalSystemQ, sub: SimplicialComplex) -> LocalSystemQ:

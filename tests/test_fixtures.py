@@ -165,7 +165,7 @@ def test_sphere_branched_verifies_at_every_degree(points, degree):
         assert transport_along(table, loop + loop[:1], degree) == cycle
     report = verify_branched(spec)
     assert report.all_equal and report.internal_ok
-    assert [row.orbit_count for row in report.fiber.rows] == [1] * points
+    assert [row.orbit_count for row in report.fiber] == [1] * points
     # Riemann-Hurwitz: chi = 2d - points(d - 1), and b1 = 2 - chi
     chi = 2 * degree - points * (degree - 1)
     assert report.betti_cover == (1, 2 - chi, 1) == (1, (points - 2) * (degree - 1), 1)

@@ -300,7 +300,7 @@ def test_allowable_simplices_leave_two_vertices_off_singular_set(name):
     # p(2) = 0 on full levels: every allowable vertex is off the singular
     # set and every allowable simplex of dimension >= 1 keeps two vertices
     # off it, so it and each of its facets have a vertex there, where
-    # ih_betti anchors local-system coefficients
+    # homology_ranks places local-system coefficients
     sc = STRATIFIED_BASES[name]()
     singular = set(sc.singular_set.vertices)
     assert singular

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from branchcover.covering import BranchedCoverSpec, MonodromyRep, fox_complete
 from branchcover.errors import InputError, InternalCheckError
+from branchcover.intersection import ih_betti
 from branchcover.local_systems import (
     kernel_system,
     pushforward_local_system,
@@ -13,6 +15,7 @@ from branchcover.local_systems import (
 )
 from branchcover.presentation import edge_path_presentation
 from branchcover.simplicial import _boundary_columns, betti_numbers, full_subcomplex
+from branchcover.specfile import load_spec, parse_spec_text
 from branchcover.fixtures import (
     circle_cover_data,
     hexagon,
@@ -217,7 +220,7 @@ def test_twisted_with_trivial_coefficients_is_ordinary():
         for j in range(1, c.dim + 1):
             rows = {s: i for i, s in enumerate(c.simplices_of_dim(j - 1))}
             simps = c.simplices_of_dim(j)
-            assert (_boundary_columns(simps, rows, 1, trivial.transport, min)
+            assert (_boundary_columns(simps, rows, trivial)
                     == _boundary_columns(simps, rows))
 
 
@@ -245,6 +248,25 @@ def test_twisted_h0_equals_global_sections_on_permutation_systems():
         for ls in (pushforward(pres, rep), kernel(pres, rep)):
             dim, _ = global_sections(hexagon(), ls)
             assert twisted_betti(hexagon(), ls)[0] == dim
+
+
+# the golden specs whose complement is pure, so that it is a stratified
+# complex with no singular set; the complements of the others are not
+PURE_COMPLEMENT_SPECS = ("circle-d5", "circle-d64-seed1", "sphere-p2-d2", "sphere-p6-d3",
+                         "sphere-p6-d6", "sphere2pt-d31-seed1")
+
+
+@pytest.mark.parametrize("name", PURE_COMPLEMENT_SPECS)
+def test_twisted_homology_is_ih_with_no_singular_set(name):
+    """One rule places the coefficients of both: with no singular set the
+    first vertex off it is the least vertex of a simplex."""
+    path = Path(__file__).resolve().parent / "golden" / f"{name}.json"
+    spec = load_spec(parse_spec_text(path.read_text(encoding="utf-8"))).cover_spec()
+    c = spec.complement
+    sc = StratifiedComplex(c)
+    for system in (kernel_system(spec.degree, spec.table),
+                   pushforward_local_system(spec.degree, spec.table)):
+        assert twisted_betti(c, system) == ih_betti(sc, allowed=set(c.simplices), coeff=system)
 
 
 def test_restrict():

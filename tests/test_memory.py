@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from branchcover.covering import fox_complete
 from branchcover.specfile import load_spec, parse_spec_text
 from branchcover.verify import verify_branched
 
@@ -19,14 +20,14 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 # the golden specs; sweep.json pins command outputs (test_sweep.py)
 GOLDEN_SPECS = sorted(p for p in GOLDEN.glob("*.json") if p.name != "sweep.json")
 
-# (peak - live after load) / (live after load) for one verify of the
-# susp-cover spec reads 4.03 (Python 3.11.7); an elimination that copies each
-# boundary before consuming it reads 4.90.  The bound sits midway.  The live
+# (peak - live after load) / (live size of the cover) for one verify of the
+# susp-cover spec reads 2.53 (Python 3.11); an elimination that copies each
+# boundary before consuming it reads 3.09.  The bound sits midway.  Live
 # memory is read after a full collection, which empties the free lists of
-# set-up garbage.  The excess is measured against the loaded spec, not against
-# what the verify leaves behind, so a cache that the package stops keeping
-# does not raise it.
-PEAK_OVER_SPEC = 4.47
+# set-up garbage.  The excess is measured against the cover that
+# ``fox_complete`` builds, the largest thing a verify holds, not against the
+# loaded spec, so set-up that keeps less does not raise it.
+PEAK_OVER_COVER = 2.81
 
 # What a second pass over the golden corpus may leave traced beyond the first:
 # the interpreter's free lists keep a few KB of small tuples alive (8-10 KB on
@@ -82,6 +83,12 @@ def test_verify_peak_stays_near_what_it_keeps():
         loaded = load_spec(parse_spec_text(text))
         spec = loaded.cover_spec()
         gc.collect()  # empties the free lists, which hold set-up garbage the verify reuses
+        before_cover = tracemalloc.get_traced_memory()[0]
+        cover = fox_complete(spec)
+        gc.collect()
+        cover_size = tracemalloc.get_traced_memory()[0] - before_cover
+        del cover
+        gc.collect()
         after_load = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         report = verify_branched(spec, "upper")
@@ -90,4 +97,4 @@ def test_verify_peak_stays_near_what_it_keeps():
         tracemalloc.stop()
         gc.enable()
     assert report.all_equal and report.internal_ok
-    assert (peak - after_load) / after_load < PEAK_OVER_SPEC
+    assert (peak - after_load) / cover_size < PEAK_OVER_COVER

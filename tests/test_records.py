@@ -8,14 +8,13 @@ import pytest
 
 import branchcover
 from branchcover.covering import ConnectivityReport, CoverComplex, MonodromyRep
-from branchcover.commands import CodimReport, ConeCheckResult
+from branchcover.commands import ConeCheckResult
 from branchcover.local_systems import LocalSystemQ
 from branchcover.specfile import LoadedSpec
 from branchcover.stratified import Stratum
 from branchcover.verify import (
     NECESSITY_NOTE,
     DecompositionReport,
-    FiberReport,
     FiberRow,
 )
 
@@ -34,8 +33,6 @@ RECORDS = {
     Stratum: ("level", "dim", "simplices"),
     LocalSystemQ: ("rank", "transports"),
     FiberRow: ("simplex", "orbit_count", "one_plus_invariants", "lift_count"),
-    FiberReport: ("rows",),
-    CodimReport: ("applicable", "branch_dim", "base_dim", "fibers", "non_minimal", "note"),
     DecompositionReport: ("perversity", "degree", "base_dim", "betti_cover", "ih_cover",
                           "ih_trivial", "ih_kernel", "equal_per_degree", "fiber", "connectivity",
                           "euler_cover", "euler_ok", "b0_ok", "betti_base_manifold",

@@ -20,7 +20,7 @@ from branchcover.simplicial import (
     validate_complex,
 )
 from branchcover.intersection import PERVERSITIES
-from branchcover.local_systems import twisted_betti
+from branchcover.local_systems import LocalSystemQ, twisted_betti
 from branchcover.stratified import StratifiedComplex
 from branchcover.commands import cone
 from branchcover.fixtures import boundary_simplex, hexagon, octahedron, suspension, torus7
@@ -236,11 +236,21 @@ def test_boundary_squared_zero_enforced():
 def test_nonzero_boundary_squared_raises_internal_check():
     # transport 2 on 0->1 and 1 on the other edges is not flat on [0,1,2]:
     # with coefficients at the minimal vertex, d1 d2 [0,1,2] = [2] != 0
-    def transport(u, v):
-        return {(0, 1): [{0: 2}], (1, 0): [{0: Fraction(1, 2)}]}.get((u, v), [{0: 1}])
-
+    transports = {(u, v): [{0: 1}] for u in range(3) for v in range(3) if u != v}
+    transports[(0, 1)], transports[(1, 0)] = [{0: 2}], [{0: Fraction(1, 2)}]
     with pytest.raises(InternalCheckError, match="degree 2"):
-        homology_ranks(full_simplex(2), lambda s: True, 1, transport, min)
+        homology_ranks(full_simplex(2), lambda s: True, LocalSystemQ(1, transports))
+
+
+def test_coefficients_need_a_vertex_off_the_singular_set():
+    # the edge [0, 1] would sit at vertex 1, past the singular vertex 0, but
+    # its face [0] has no vertex to sit at
+    system = LocalSystemQ(1, {(0, 1): [{0: 1}], (1, 0): [{0: 1}]})
+    assert homology_ranks(full_simplex(1), lambda s: True, system) == (1, 0)
+    with pytest.raises(InputError, match=re.escape(
+            "simplex [0] of an allowable chain has no vertex off the singular set; "
+            "subdivide the base")):
+        homology_ranks(full_simplex(1), lambda s: True, system, frozenset({0}))
 
 
 def test_betti_octahedron_and_torus_against_oracle():
